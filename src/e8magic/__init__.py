@@ -38,7 +38,7 @@ from .radial import (
     eval_g_deriv,
     hankel_fourier_oracle,
 )
-from .rigor import Interval, enclose_fraction, ia_arith, ia_exp_poly
+from .rigor import Interval, enclose_fraction, ia_exp_poly
 
 __version__ = "0.1.0"
 
@@ -70,7 +70,6 @@ __all__ = [
     "eval_g",
     "eval_g_deriv",
     "hankel_fourier_oracle",
-    "ia_arith",
     "ia_exp_poly",
     "magic_poisson_check",
     "numeric_value",

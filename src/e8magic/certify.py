@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .modforms import FormId, build_form, eval_form
-from .qseries import EIGHTH
+from .qseries import EIGHTH, QSeries, combine
 from .rigor import (
     INV_PI,
     INV_PI_SQ,
@@ -437,10 +438,14 @@ def certify_sign(
         raise ValueError("target must be 'A' or 'B'")
     if n != m:
         raise ValueError("model and envelope cutoffs must agree")
-    if t_star < 2:
-        raise ValueError("t_star must be >= 2")
+    if not 2 <= t_star < math.inf:
+        raise ValueError("t_star must be finite and >= 2")
     if u_star is None:
         u_star = t_star
+    if not math.isfinite(u_star):
+        raise ValueError("u_star must be finite")
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
     sign = -1 if target == "A" else 1
     segments: list[Segment] = []
     tails: list[TailRecord] = []
@@ -477,39 +482,37 @@ def certify_sign(
 # ---------------------------------------------------------------------------
 # plain numerical evaluation (for plots and consistency tests)
 
+@lru_cache(maxsize=None)
+def _psi_phi4(target: str, order: int) -> QSeries:
+    """phi_-4 -/+ psi_I for A / B in exact arithmetic, so that for B the q^-1
+    terms, whose e^{2 pi t} would cancel in floats, cancel in rationals.
+    |c(n)| <= 2 e^{4 pi sqrt(n)} follows from the two hypotheses."""
+    psi_sign = -1 if target == "A" else 1
+    return build_form(FormId.PHI_M4, order) - psi_sign * build_form(FormId.PSI_I, order)
+
+
 def numeric_value(target: str, t: float, order: int = 64) -> tuple[float, float]:
-    """Float value of A(t) or B(t) with an error estimate.
+    """Float value of A(t) or B(t) with a bound on its truncation and roundoff.
 
     Uses the near-zero representation for t <= 1 and the near-infinity one
     for t >= 1, so every series argument has imaginary part >= 1.
     """
     if target not in ("A", "B"):
         raise ValueError("target must be 'A' or 'B'")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError("t must be positive and finite")
     psi_sign = -1 if target == "A" else 1
     if t <= 1.0:
         w = 1j / t
-        phi0 = eval_form(FormId.PHI_0, w, order)
-        psis = eval_form(FormId.PSI_S, w, order)
-        value = -(t**2) * phi0.value - psi_sign * (36 / math.pi**2) * t**2 * psis.value
-        err = t**2 * (phi0.tail_bound + 36 / math.pi**2 * psis.tail_bound)
+        total = combine([
+            (-(t**2), eval_form(FormId.PHI_0, w, order)),
+            (-psi_sign * (36 / math.pi**2) * t**2, eval_form(FormId.PSI_S, w, order)),
+        ])
     else:
         w = 1j * t
-        phi0 = eval_form(FormId.PHI_0, w, order)
-        phi2 = eval_form(FormId.PHI_M2, w, order)
-        phi4 = eval_form(FormId.PHI_M4, w, order)
-        psii = eval_form(FormId.PSI_I, w, order)
-        value = (
-            -(t**2) * phi0.value
-            + (12 / math.pi) * t * phi2.value
-            - (36 / math.pi**2) * phi4.value
-            + psi_sign * (36 / math.pi**2) * psii.value
-        )
-        err = (
-            t**2 * phi0.tail_bound
-            + 12 / math.pi * t * phi2.tail_bound
-            + 36 / math.pi**2 * (phi4.tail_bound + psii.tail_bound)
-        )
-    err += abs(value.imag)
-    return value.real, err
+        total = combine([
+            (-(t**2), eval_form(FormId.PHI_0, w, order)),
+            ((12 / math.pi) * t, eval_form(FormId.PHI_M2, w, order)),
+            (-36 / math.pi**2, _psi_phi4(target, order).eval_at(w, 2.0, 4 * math.pi)),
+        ])
+    return total.value.real, float(total.tail_bound) + abs(total.value.imag)

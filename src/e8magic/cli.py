@@ -116,23 +116,14 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     fn = args.function
-    if args.r < 0 or (args.deriv and args.r == 0):
-        raise CliError("--r must be nonnegative (positive for --deriv)")
-    try:
-        if fn in ("a", "b"):
-            if args.deriv:
-                raise CliError("--deriv supports g and ghat only")
-            rv = radial_mod.eval_a(args.r) if fn == "a" else radial_mod.eval_b(args.r)
-        elif fn in ("g", "ghat"):
-            rv = (
-                radial_mod.eval_g_deriv(args.r, fn)
-                if args.deriv
-                else radial_mod.eval_g(args.r, fn)
-            )
-        else:
-            raise CliError("--function must be one of a, b, g, ghat")
-    except (ArithmeticError, OverflowError) as exc:
-        raise CliError(f"evaluation failed: {exc}", EXIT_NUMERICAL_FAILURE)
+    if fn in ("a", "b"):
+        if args.deriv:
+            raise CliError("--deriv supports g and ghat only")
+        rv = radial_mod.eval_a(args.r) if fn == "a" else radial_mod.eval_b(args.r)
+    elif fn in ("g", "ghat"):
+        rv = radial_mod.eval_g_deriv(args.r, fn) if args.deriv else radial_mod.eval_g(args.r, fn)
+    else:
+        raise CliError("--function must be one of a, b, g, ghat")
     label = f"{fn}'" if args.deriv else fn
     print(f"{label}({args.r!r}) = {rv.value!r} +/- {rv.err:.3e}")
     return EXIT_OK
@@ -144,8 +135,8 @@ def _parse_range(spec: str) -> tuple[float, float]:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise CliError("--range must look like lo:hi")
-    if not (lo < hi):
-        raise CliError("--range needs lo < hi")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise CliError("--range needs finite lo < hi")
     return lo, hi
 
 
@@ -157,18 +148,15 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     rows = []
     for i in range(args.samples):
         x = lo + (hi - lo) * i / (args.samples - 1)
-        try:
-            if fn in ("A", "B"):
-                if x <= 0:
-                    raise CliError("A and B need a positive range")
-                value, err = certify_mod.numeric_value(fn, x)
-            elif fn in ("g", "ghat"):
-                rv = radial_mod.eval_g(x, fn)
-                value, err = rv.value, rv.err
-            else:
-                raise CliError("--function must be one of g, ghat, A, B")
-        except OverflowError:
-            raise CliError(f"overflow evaluating {fn} at {x}", EXIT_NUMERICAL_FAILURE)
+        if fn in ("A", "B"):
+            if x <= 0:
+                raise CliError("A and B need a positive range")
+            value, err = certify_mod.numeric_value(fn, x)
+        elif fn in ("g", "ghat"):
+            rv = radial_mod.eval_g(x, fn)
+            value, err = rv.value, rv.err
+        else:
+            raise CliError("--function must be one of g, ghat, A, B")
         rows.append((x, value, err))
     lines = ["x,value,err"] + [f"{x!r},{v!r},{e:.6e}" for x, v, e in rows]
     text = "\n".join(lines) + "\n"
@@ -269,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="e8magic",
         description="The E8 magic function: series, certificates, evaluation, lattice sums.",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (advisory)")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("series", help="print a catalog q-expansion")
@@ -330,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except ArithmeticError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .qseries import U
 from .radial import eval_g
 
 __all__ = [
@@ -148,6 +149,9 @@ def shell_vectors(norm2: int) -> list[LatticePoint]:
 
 @dataclass(frozen=True)
 class PoissonReport:
+    """Both sides of the two Poisson identities; ``tail_bound`` bounds the
+    truncation of every shell sum and the float roundoff of computing them."""
+
     alpha: float
     max_norm: int
     lhs: float
@@ -163,9 +167,21 @@ class PoissonReport:
         return self.discrepancy <= self.tail_bound and self.scaled_discrepancy <= self.tail_bound
 
 
-def _shell_sum(table: ShellTable, decay: float) -> float:
-    """sum_n N(2n) e^{-decay * n} including the origin."""
-    return sum(cnt * math.exp(-decay * (norm2 // 2)) for norm2, cnt in table.entries.items())
+def _shell_sum(table: ShellTable, decay: float, n_max: int, scale: float) -> tuple[float, float]:
+    """scale * sum_n N(2n) e^{-decay * n} including the origin, and a bound on
+    its distance to scale times the full lattice sum: the truncation tail past
+    n_max plus an a-priori roundoff bound (Higham, *Accuracy and Stability*,
+    ch. 3-4).  exp turns the error of a few u in decay * n into a relative
+    error of about decay * n * u; exp, the products, the sum (gamma_K) and the
+    caller's difference add a few u each.  Constants are doubled.
+    """
+    terms = [
+        (cnt * math.exp(-decay * (norm2 // 2)), decay * (norm2 // 2))
+        for norm2, cnt in table.entries.items()
+    ]
+    total = scale * sum(t for t, _ in terms)
+    roundoff = 2 * U * sum(t * (len(terms) + 4 + 4 * x) for t, x in terms)
+    return total, scale * (_gaussian_tail(decay, n_max) + roundoff) + 8 * U * abs(total)
 
 
 def _gaussian_tail(decay: float, n_max: int) -> float:
@@ -183,24 +199,18 @@ def poisson_check(alpha: float, max_norm: int = 40) -> PoissonReport:
 
     Self-dual identity: sum_L f = alpha^{-4} sum_L e^{-pi |x|^2 / alpha};
     scaled identity: sum over (1/sqrt2) Lambda_8 of f equals 2^4 times the sum
-    over sqrt2 Lambda_8 of fhat.  Reported tails bound the truncation of both
-    sides at max_norm.
+    over sqrt2 Lambda_8 of fhat.  The reported bound covers the truncation of
+    both sides at max_norm and the roundoff of every sum and difference.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     table = enumerate_shells(max_norm)
     n_max = max_norm // 2
-    lhs = _shell_sum(table, 2 * math.pi * alpha)
-    rhs = alpha**-4 * _shell_sum(table, 2 * math.pi / alpha)
-    tail = (
-        _gaussian_tail(2 * math.pi * alpha, n_max)
-        + alpha**-4 * _gaussian_tail(2 * math.pi / alpha, n_max)
-    )
-    scaled_lhs = _shell_sum(table, math.pi * alpha)
-    scaled_rhs = 16.0 * alpha**-4 * _shell_sum(table, 4 * math.pi / alpha)
-    tail += (
-        _gaussian_tail(math.pi * alpha, n_max)
-        + 16.0 * alpha**-4 * _gaussian_tail(4 * math.pi / alpha, n_max)
+    (lhs, e1), (rhs, e2), (scaled_lhs, e3), (scaled_rhs, e4) = (
+        _shell_sum(table, 2 * math.pi * alpha, n_max, 1.0),
+        _shell_sum(table, 2 * math.pi / alpha, n_max, alpha**-4),
+        _shell_sum(table, math.pi * alpha, n_max, 1.0),
+        _shell_sum(table, 4 * math.pi / alpha, n_max, 16.0 * alpha**-4),
     )
     return PoissonReport(
         alpha=alpha,
@@ -208,7 +218,7 @@ def poisson_check(alpha: float, max_norm: int = 40) -> PoissonReport:
         lhs=lhs,
         rhs=rhs,
         discrepancy=abs(lhs - rhs),
-        tail_bound=tail,
+        tail_bound=e1 + e2 + e3 + e4,
         scaled_lhs=scaled_lhs,
         scaled_rhs=scaled_rhs,
         scaled_discrepancy=abs(scaled_lhs - scaled_rhs),

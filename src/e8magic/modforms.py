@@ -6,7 +6,8 @@ sums of the three theta constants, the weakly holomorphic forms from the
 explicit quotients, and the psi family from its closed theta expressions.
 The slash action of T (z -> z+1) is available at series level; the S action
 (z -> -1/z) has no series realization and is checked numerically through
-``verify_transform``.
+``verify_transform``, against the bound on truncation and roundoff that
+``QSeries.eval_at`` returns.
 
 ``rademacher_coefficient`` implements the circle-method expansion of the
 Fourier coefficients (Kloosterman-type sums against modified Bessel I); it
@@ -22,9 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from scipy.special import iv
-
-from .qseries import EIGHTH, EvalResult, QSeries
+from .qseries import EIGHTH, EvalResult, QSeries, combine
 
 __all__ = [
     "FormId",
@@ -226,8 +225,9 @@ def _build(form: FormId, order: int) -> QSeries:
     raise ValueError(f"unknown form {form}")
 
 
-def eval_form(form: FormId, z: complex, order: int = DEFAULT_ORDER) -> EvalResult:
-    """Evaluate a catalog form at z with its growth-bound tail estimate."""
+def eval_form(form: FormId, z, order: int = DEFAULT_ORDER) -> EvalResult:
+    """Evaluate a catalog form at one z or an array of z, with its bound on
+    truncation and roundoff."""
     c, a = GROWTH_BOUNDS[form]
     return build_form(form, order).eval_at(z, c, a)
 
@@ -259,14 +259,13 @@ class TransformCheck:
         return self.residual <= self.bound
 
 
-def verify_transform(
-    form: FormId, law: str, z: complex, order: int = DEFAULT_ORDER, slack: float = 1e-8
-) -> TransformCheck:
+def verify_transform(form: FormId, law: str, z: complex, order: int = DEFAULT_ORDER) -> TransformCheck:
     """Residual of a transformation law at a point of the upper half-plane.
 
     law 'T' is checked exactly at series level (residual 0 when it holds);
-    the others compare two numerical evaluations and return the residual
-    together with the combined rigorous tail bound plus ``slack``.
+    the others write the law as sum coefficient * value = 0 over numerical
+    evaluations and return the residual together with the bound on the
+    truncation and roundoff of every evaluation and of their combination.
     """
     if z.imag <= 0:
         raise ValueError("need Im z > 0")
@@ -285,50 +284,33 @@ def verify_transform(
         return TransformCheck(residual=0.0 if diff.is_zero() else math.inf, bound=0.0)
 
     if law == "S" and form in _THETA_S_PARTNER:
-        lhs = eval_form(form, w, order)
-        rhs = eval_form(_THETA_S_PARTNER[form], z, order)
-        pref = abs(z ** (-2))
-        residual = abs(z ** (-2) * lhs.value + rhs.value)
-        bound = pref * lhs.tail_bound + rhs.tail_bound + slack
-        return TransformCheck(residual, bound)
-
-    if law == "S" and form is FormId.PSI_I:
+        parts = [
+            (z ** (-2), eval_form(form, w, order)),
+            (1, eval_form(_THETA_S_PARTNER[form], z, order)),
+        ]
+    elif law == "S" and form is FormId.PSI_I:
         # weight -2 slash: z^2 psi_I(-1/z) = psi_S(z)
-        lhs = eval_form(FormId.PSI_I, w, order)
-        rhs = eval_form(FormId.PSI_S, z, order)
-        pref = abs(z**2)
-        residual = abs(z**2 * lhs.value - rhs.value)
-        bound = pref * lhs.tail_bound + rhs.tail_bound + slack
-        return TransformCheck(residual, bound)
-
-    if law == "E2" or (law == "S" and form is FormId.E2):
-        lhs = eval_form(FormId.E2, w, order)
-        rhs = eval_form(FormId.E2, z, order)
-        residual = abs(z ** (-2) * lhs.value - rhs.value + (6j / math.pi) / z)
-        bound = abs(z ** (-2)) * lhs.tail_bound + rhs.tail_bound + slack
-        return TransformCheck(residual, bound)
-
-    if law == "PHI0" or (law == "S" and form is FormId.PHI_0):
-        lhs = eval_form(FormId.PHI_0, w, order)
-        p0 = eval_form(FormId.PHI_0, z, order)
-        p2 = eval_form(FormId.PHI_M2, z, order)
-        p4 = eval_form(FormId.PHI_M4, z, order)
-        residual = abs(
-            lhs.value
-            - p0.value
-            + (12j / math.pi) * (1 / z) * p2.value
-            + (36 / math.pi**2) * (1 / z**2) * p4.value
-        )
-        bound = (
-            lhs.tail_bound
-            + p0.tail_bound
-            + abs(12 / math.pi / z) * p2.tail_bound
-            + abs(36 / math.pi**2 / z**2) * p4.tail_bound
-            + slack
-        )
-        return TransformCheck(residual, bound)
-
-    raise ValueError(f"no catalogued law {law!r} for {form}")
+        parts = [
+            (z**2, eval_form(FormId.PSI_I, w, order)),
+            (-1, eval_form(FormId.PSI_S, z, order)),
+        ]
+    elif law == "E2" or (law == "S" and form is FormId.E2):
+        parts = [
+            (z ** (-2), eval_form(FormId.E2, w, order)),
+            (-1, eval_form(FormId.E2, z, order)),
+            ((6j / math.pi) / z, EvalResult(value=1.0, tail_bound=0.0)),
+        ]
+    elif law == "PHI0" or (law == "S" and form is FormId.PHI_0):
+        parts = [
+            (1, eval_form(FormId.PHI_0, w, order)),
+            (-1, eval_form(FormId.PHI_0, z, order)),
+            ((12j / math.pi) * (1 / z), eval_form(FormId.PHI_M2, z, order)),
+            ((36 / math.pi**2) * (1 / z**2), eval_form(FormId.PHI_M4, z, order)),
+        ]
+    else:
+        raise ValueError(f"no catalogued law {law!r} for {form}")
+    total = combine(parts)
+    return TransformCheck(residual=abs(total.value), bound=float(total.tail_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +352,8 @@ def rademacher_coefficient(kind: FormId, n: int, k_max: int) -> float:
         raise ValueError(f"circle-method expansion not catalogued for {kind}")
     if n < 1 or k_max < 1:
         raise ValueError("need n >= 1 and k_max >= 1")
+    from scipy.special import iv  # lazily: 0.35 s of import time, used only here
+
     kappa = _RADEMACHER_KAPPA[kind]
     nu = 1 - kappa
     root = math.sqrt(n)

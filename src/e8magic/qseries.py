@@ -7,29 +7,43 @@ stored as integer counts of 1/8 units.  Coefficients are `fractions.Fraction`
 and every operation is exact: the only approximation anywhere is the explicit
 truncation order, which each operation propagates conservatively.
 
-Numerical evaluation at a point of the upper half-plane returns the value of
-the stored terms together with a rigorous bound on the discarded tail,
-derived from a caller-supplied coefficient growth bound |c(n)| <= C*e^{a*sqrt(n)}.
+This module is the one place where exact coefficients become floats: each
+series keeps float arrays of its terms, built on first use.  Evaluation at one
+or many points of the upper half-plane (``eval_at``) and the termwise Laplace
+transform along the imaginary axis (``ray_laplace``) return one bound that
+covers both the discarded tail, derived from a caller-supplied coefficient
+growth bound |c(n)| <= C*e^{a*sqrt(n)}, and the float roundoff of the sum.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Mapping
 
+import numpy as np
+
 from .rigor import PI, Interval, sqrt_interval
 
-__all__ = ["QSeries", "EvalResult", "DEFAULT_ORDER_STEPS", "EIGHTH"]
+__all__ = ["QSeries", "EvalResult", "combine", "DEFAULT_ORDER_STEPS", "EIGHTH", "U"]
 
 # grid units per integer exponent step
 EIGHTH = 8
 # default truncation: 64 integer q-steps past the lead
 DEFAULT_ORDER_STEPS = 64
+# unit roundoff of IEEE-754 double precision
+U = 2.0**-53
+# below the smallest normal double, exp and products lose their relative
+# accuracy; every such term is off by at most this much times |c(n)|
+_TINY = 2.0**-1022
+# leading tail terms the majorant bounds one by one before its geometric part
+_MAX_EXPLICIT_TERMS = 100_000
+# array elements per block of closed forms in ray_laplace
+_BLOCK_ELEMS = 1 << 18
 
 
 class TruncationError(ValueError):
@@ -38,13 +52,89 @@ class TruncationError(ValueError):
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value of the stored terms plus a rigorous tail bound."""
+    """Value of the stored terms plus a bound on its distance to the full series.
 
-    value: complex
-    tail_bound: float
+    ``tail_bound`` covers both the discarded tail and the float roundoff of
+    ``value``.  For an array of points both fields are arrays.
+    """
 
-    def agrees_with(self, other: "EvalResult", slack: float = 0.0) -> bool:
-        return abs(self.value - other.value) <= self.tail_bound + other.tail_bound + slack
+    value: complex | np.ndarray
+    tail_bound: float | np.ndarray
+
+
+def combine(parts) -> EvalResult:
+    """sum of coefficient * result over (coefficient, EvalResult) pairs, bounding
+    each result's error and the roundoff of forming each float coefficient,
+    product and sum (a few u each, doubled for complex arithmetic)."""
+    value = sum(c * r.value for c, r in parts)
+    scaled = sum(abs(c) * r.tail_bound for c, r in parts)
+    magnitude = sum(abs(c) * abs(r.value) for c, r in parts)
+    return EvalResult(value=value, tail_bound=scaled + 2 * (len(parts) + 8) * U * magnitude)
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), the summation error factor."""
+    return n * U / (1 - n * U)
+
+
+def _exp_int(p: int, beta: np.ndarray) -> np.ndarray:
+    """int_1^oo t^p e^{-beta t} dt = e^{-beta} sum_{i<=p} (p!/(p-i)!) beta^{-(i+1)}."""
+    inv = 1.0 / beta
+    acc = inv.copy()
+    fact = 1.0
+    term = inv
+    for i in range(1, p + 1):
+        fact *= p - i + 1
+        term = term * inv
+        acc = acc + fact * term
+    return np.exp(-beta) * acc
+
+
+@lru_cache(maxsize=1024)
+def _tail_majorant(lead: int, order: int, stride: int, c: float, a: float, y: float) -> float:
+    """Rigorous bound on sum C e^{a sqrt(n)} e^{-2 pi n y} over the grid points
+    n >= order of a series with this lead and stride (cached: it depends on
+    no coefficient, and ``ray_laplace`` asks for it at y = 1 on every call).
+
+    The majorant splits the tail at the index past which e^{a sqrt(n)} is
+    beaten by e^{pi*y*n}: finitely many leading tail terms are bounded
+    individually in interval arithmetic, the rest by a geometric series
+    with ratio exp(-pi*y*stride/8).
+    """
+    # tail starts at the first grid point >= order
+    step = Fraction(stride, EIGHTH)
+    n0 = Fraction(order, EIGHTH)
+    k0 = math.ceil((n0 - Fraction(lead, EIGHTH)) / step)
+    n0 = Fraction(lead, EIGHTH) + k0 * step
+    # geometric regime begins once a*sqrt(n) <= pi*y*n  <=>  n >= (a/(pi y))^2
+    n_star = Fraction(max(float(n0), (a / (math.pi * y)) ** 2 + 1))
+    n_explicit = math.ceil((n_star - n0) / step)
+    if n_explicit > _MAX_EXPLICIT_TERMS:
+        hint = math.ceil(float(n_star)) * EIGHTH
+        raise TruncationError(
+            "tail majorant needs too many explicit terms at this point; "
+            f"rebuild the series to order >= {hint} grid units (q^{hint // 8})"
+        )
+    c_iv = Interval.point(c)
+    a_iv = Interval.point(a)
+    y_iv = Interval.point(y)
+    two_pi_y = 2 * PI * y_iv
+    tail = Interval.point(0.0)
+    n = n0
+    for _ in range(n_explicit):
+        n_iv = Interval.from_rational(n)
+        term = c_iv * (a_iv * sqrt_interval(n_iv) - two_pi_y * n_iv).exp()
+        tail = tail + term
+        n += step
+    # geometric remainder from n onward: each term <= C e^{-pi y n},
+    # ratio exp(-pi*y*step)
+    n_iv = Interval.from_rational(n)
+    step_iv = Interval.from_rational(step)
+    ratio = (-PI * y_iv * step_iv).exp()
+    if ratio.hi >= 1.0:
+        raise TruncationError("geometric tail ratio >= 1; Im z too small")
+    first = c_iv * (-PI * y_iv * n_iv).exp()
+    return (tail + first / (1 - ratio)).hi
 
 
 @dataclass(frozen=True)
@@ -114,7 +204,7 @@ class QSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self.lead, self.order, self.coeffs) == (other.lead, other.order, other.coeffs)
 
     def __hash__(self):
         return hash((self.lead, self.order, tuple(sorted(self.coeffs.items()))))
@@ -238,68 +328,85 @@ class QSeries:
 
     # -- numerical evaluation ------------------------------------------------
 
-    def eval_at(
-        self,
-        z: complex,
-        bound_constant: float,
-        bound_exponent: float,
-        max_explicit_terms: int = 100_000,
-    ) -> EvalResult:
-        """Evaluate sum c(n) e^{2*pi*i*n*z} over the stored terms.
+    @cached_property
+    def _floats(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exponents in units of q (exact) and coefficients rounded to nearest."""
+        items = sorted(self.coeffs.items())
+        return np.array([e / EIGHTH for e, _ in items]), np.array([float(c) for _, c in items])
+
+    def eval_at(self, z, bound_constant: float, bound_exponent: float) -> EvalResult:
+        """Evaluate sum c(n) e^{2*pi*i*n*z} over the stored terms, at one z or an array of z.
 
         The caller asserts |c(n)| <= bound_constant * e^{bound_exponent*sqrt(n)}
-        for every n >= order on the support grid; the returned ``tail_bound``
-        then rigorously majorizes the magnitude of everything discarded.
-        The majorant splits the tail at the index past which e^{a sqrt(n)}
-        is beaten by e^{pi*y*n}: finitely many leading tail terms are bounded
-        individually in interval arithmetic, the rest by a geometric series
-        with ratio exp(-pi*y*stride/8).
+        for every n >= order on the support grid.  ``tail_bound`` then
+        majorizes the distance from ``value`` to the full series: the tail,
+        bounded once at the smallest Im z, plus an a-priori roundoff bound at
+        each point (Higham, *Accuracy and Stability*, ch. 3-4).  Each term
+        carries the rounding of its coefficient, exp and product, and the error
+        of a few u in the argument 2 pi n z, which exp turns into a relative
+        error of about 2 pi |n z| u; the sum adds gamma_N.  Constants are
+        doubled to cover the second-order terms.
         """
-        y = z.imag
-        if y <= 0:
+        z = np.asarray(z, dtype=complex)
+        y_min = float(np.min(z.imag))
+        if not y_min > 0:
             raise ValueError("evaluation point must satisfy Im z > 0")
         if bound_constant < 0 or bound_exponent < 0:
             raise ValueError("growth-bound parameters must be nonnegative")
-        value = 0j
-        for e, c in self.coeffs.items():
-            value += complex(c) * cmath.exp(2j * math.pi * (e / 8.0) * z)
-
-        # tail starts at the first grid point >= order
-        step = Fraction(self.stride, EIGHTH)
-        n0 = Fraction(self.order, EIGHTH)
-        k0 = math.ceil((n0 - Fraction(self.lead, EIGHTH)) / step)
-        n0 = Fraction(self.lead, EIGHTH) + k0 * step
-
-        # geometric regime begins once a*sqrt(n) <= pi*y*n  <=>  n >= (a/(pi y))^2
-        n_star = Fraction(max(float(n0), (bound_exponent / (math.pi * y)) ** 2 + 1))
-        n_explicit = math.ceil((n_star - n0) / step)
-        if n_explicit > max_explicit_terms:
-            hint = math.ceil(float(n_star)) * EIGHTH
-            raise TruncationError(
-                "tail majorant needs too many explicit terms at this point; "
-                f"rebuild the series to order >= {hint} grid units (q^{hint // 8})"
+        tail = _tail_majorant(self.lead, self.order, self.stride, bound_constant, bound_exponent, y_min)
+        n, c = self._floats
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            terms = np.exp((2j * math.pi) * np.multiply.outer(z, n)) * c
+            value = terms.sum(axis=-1)
+            mag = np.abs(terms)
+            bound = tail + (
+                (16 * U + 2 * _gamma(len(n))) * mag.sum(axis=-1)
+                + 10 * math.pi * U * np.abs(z) * (mag @ np.abs(n))
+                + _TINY * np.abs(c).sum()
             )
-        c_iv = Interval.point(bound_constant)
-        a_iv = Interval.point(bound_exponent)
-        y_iv = Interval.point(y)
-        two_pi_y = 2 * PI * y_iv
-        tail = Interval.point(0.0)
-        n = n0
-        for _ in range(n_explicit):
-            n_iv = Interval.from_rational(n)
-            term = c_iv * (a_iv * sqrt_interval(n_iv) - two_pi_y * n_iv).exp()
-            tail = tail + term
-            n += step
-        # geometric remainder from n onward: each term <= C e^{-pi y n},
-        # ratio exp(-pi*y*step)
-        n_iv = Interval.from_rational(n)
-        step_iv = Interval.from_rational(step)
-        ratio = (-PI * y_iv * step_iv).exp()
-        if ratio.hi >= 1.0:
-            raise TruncationError("geometric tail ratio >= 1; Im z too small")
-        first = c_iv * (-PI * y_iv * n_iv).exp()
-        tail = tail + first / (1 - ratio)
-        return EvalResult(value=value, tail_bound=tail.hi)
+        if not (np.all(np.isfinite(value)) and np.all(np.isfinite(bound))):
+            raise OverflowError(f"series value overflows a double at Im z = {y_min!r}")
+        if z.ndim == 0:
+            return EvalResult(value=complex(value), tail_bound=float(bound))
+        return EvalResult(value=value, tail_bound=bound)
+
+    def ray_laplace(self, p: int, y, bound_constant: float, bound_exponent: float) -> EvalResult:
+        """sum_{n>0} c(n) int_1^oo t^p e^{-2 pi n t} e^{-pi y t} dt, termwise in closed form.
+
+        This is the Laplace transform along the ray z = it, t >= 1, of the
+        terms with n > 0, at one y >= 0 or an array of them.  ``tail_bound``
+        covers truncation and roundoff as in ``eval_at``: a discarded term has
+        beta = pi (2n + y) >= beta0 = 2 pi order, so the tail is at most
+        F(beta0) e^{-pi y} times the tail majorant at Im z = 1; the computed
+        beta has a relative error of a few u, which e^{-beta} turns into one
+        of about beta u.
+        """
+        y = np.asarray(y, dtype=float)
+        if not np.all(y >= 0):
+            raise ValueError("ray Laplace transform needs y >= 0")
+        if self.order <= 0:
+            raise TruncationError("series truncated at or below q^0")
+        beta0 = 2 * math.pi * self.order / EIGHTH
+        factor = sum(math.perm(p, i) * beta0 ** -(i + 1) for i in range(p + 1))
+        majorant = _tail_majorant(self.lead, self.order, self.stride, bound_constant, bound_exponent, 1.0)
+        tail = factor * majorant * np.exp(-math.pi * y)
+        n, c = self._floats
+        n, c = n[n > 0], c[n > 0]
+        flat = y.reshape(-1)
+        value, rounding = np.empty_like(flat), np.empty_like(flat)
+        rows = max(1, _BLOCK_ELEMS // max(1, len(n)))  # keep each block of closed forms small
+        for lo in range(0, len(flat), rows):
+            yb = flat[lo:lo + rows]
+            m = _exp_int(p, math.pi * (2 * n + yb[:, None]))
+            mc = m @ np.abs(c)
+            value[lo:lo + rows] = m @ c
+            rounding[lo:lo + rows] = (48 * U + 2 * _gamma(len(n))) * mc + 6 * math.pi * U * (
+                m @ (2 * n * np.abs(c)) + yb * mc
+            )
+        bound = tail + rounding.reshape(y.shape) + _TINY * np.abs(c).sum()
+        if y.ndim == 0:
+            return EvalResult(value=float(value[0]), tail_bound=float(bound))
+        return EvalResult(value=value.reshape(y.shape), tail_bound=bound)
 
     # -- persistence -----------------------------------------------------------
 

@@ -19,6 +19,12 @@ provided: ``contour_eval`` integrates the defining contours directly, and
 ``hankel_fourier_oracle`` checks the Fourier eigenfunction relations through a
 numerical Hankel transform of order 3.
 
+Every series value comes from ``QSeries.eval_at`` (the near range and the
+contour segments, one array of nodes per call) or ``QSeries.ray_laplace``
+(the far range and the contour's vertical ray), so each error estimate here
+carries their bound on truncation and roundoff, integrated against the
+quadrature weights.
+
 Values of a and b are purely imaginary; all functions here return the real
 number with the global i factored out (g and ghat are genuinely real).
 """
@@ -30,10 +36,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import jv
 
-from .modforms import FormId, build_form, eval_form
-from .qseries import EIGHTH
+from .modforms import FormId, build_form, eval_form, growth_bound
+from .qseries import EvalResult, combine
 
 __all__ = [
     "RadialValue",
@@ -48,7 +53,7 @@ __all__ = [
 ]
 
 _PI = math.pi
-_SERIES_ORDER = 200  # eighths: q-powers up to 25
+_SERIES_ORDER = 200  # integer q-steps: the series run to q^200
 _QUAD_TOL = 1e-12
 _SING_BAND = 1e-3
 
@@ -64,11 +69,6 @@ class RadialValue:
     value: float
     err: float
     residual: float = 0.0
-
-    def agrees_with(self, other: "RadialValue | float", slack: float = 0.0) -> bool:
-        ov = other.value if isinstance(other, RadialValue) else float(other)
-        oe = other.err if isinstance(other, RadialValue) else 0.0
-        return abs(self.value - ov) <= self.err + oe + slack
 
 
 @dataclass(frozen=True)
@@ -88,77 +88,30 @@ MAGIC = MagicFunctionSpec()
 
 
 # ---------------------------------------------------------------------------
-# series data
+# far range [1, oo): termwise closed forms of the q-series
 
-@lru_cache(maxsize=None)
-def _coeff_arrays(form: FormId) -> tuple[np.ndarray, np.ndarray]:
-    """(indices n, float coefficients c(n)) with n > 0, from the catalog."""
-    series = build_form(form, _SERIES_ORDER)
-    ks, cs = [], []
-    for e, c in sorted(series.coeffs.items()):
-        if e > 0:
-            ks.append(e / EIGHTH)
-            cs.append(float(c))
-    return np.array(ks), np.array(cs)
+def _ray_laplace(form: FormId, p: int, y) -> EvalResult:
+    """int_1^oo t^p f(it) e^{-pi y t} dt over the terms of f with n > 0."""
+    return build_form(form, _SERIES_ORDER).ray_laplace(p, y, *growth_bound(form))
 
 
-def _series_sum(form: FormId, u: np.ndarray) -> np.ndarray:
-    """sum_{n>0} c(n) e^{-2 pi n u} for u >= 1 (positive-index part only)."""
-    ks, cs = _coeff_arrays(form)
-    return np.exp(-2 * _PI * np.outer(u, ks)) @ cs
+# (form, coefficient, power of t) of the series terms of each far-range integrand
+_FAR_TERMS = {
+    # t^2 phi_0(i/t) - asymptote = sum_k (c_phi0(k) t^2 - (12/pi) c_phi-2(k) t
+    # + (36/pi^2) c_phi-4(k)) e^{-2 pi k t} by the transformation law, the
+    # asymptote cancelling the k <= 0 contributions exactly
+    "a": ((FormId.PHI_0, 1.0, 2), (FormId.PHI_M2, -12 / _PI, 1), (FormId.PHI_M4, 36 / _PI**2, 0)),
+    # psi_I(it) - 144 - e^{2 pi t}
+    "b": ((FormId.PSI_I, 1.0, 0),),
+}
 
 
-def _series_tail_err(u_min: float) -> float:
-    """Crude bound on the dropped terms n > 25 of any catalog series at u >= u_min."""
-    n0 = _SERIES_ORDER / EIGHTH
-    # |c(n)| <= 2 e^{4 pi sqrt n}; ratio between consecutive terms < e^{-pi} for n > 25
-    first = 2 * math.exp(4 * _PI * math.sqrt(n0) - 2 * _PI * n0 * u_min)
-    return first / (1 - math.exp(-_PI))
-
-
-# ---------------------------------------------------------------------------
-# far range [1, oo): termwise closed forms  int_1^oo t^p e^{-beta t} dt
-
-def _exp_int(p: int, beta: np.ndarray) -> np.ndarray:
-    """int_1^oo t^p e^{-beta t} dt = e^{-beta} sum_{i<=p} (p!/(p-i)!) beta^{-(i+1)}."""
-    inv = 1.0 / beta
-    acc = inv.copy()
-    fact = 1.0
-    term = inv
-    for i in range(1, p + 1):
-        fact *= p - i + 1
-        term = term * inv
-        acc = acc + fact * term
-    return np.exp(-beta) * acc
-
-
-def _a_far(y: np.ndarray, deriv: bool) -> np.ndarray:
-    """int_1^oo (t^2 phi_0(i/t) - asymptote) e^{-pi y t} dt, optionally d/dy.
-
-    On t >= 1 the transformation law turns the integrand into
-    sum_k (c_phi0(k) t^2 - (12/pi) c_phi-2(k) t + (36/pi^2) c_phi-4(k)) e^{-2 pi k t},
-    the asymptote cancelling the k <= 0 contributions exactly.
-    """
+def _far_integral(which: str, y: np.ndarray, deriv: bool) -> EvalResult:
+    """int_1^oo (integrand)(t) e^{-pi y t} dt, optionally d/dy, with its bound."""
     d = 1 if deriv else 0
-    k0, c0 = _coeff_arrays(FormId.PHI_0)
-    k2, c2 = _coeff_arrays(FormId.PHI_M2)
-    k4, c4 = _coeff_arrays(FormId.PHI_M4)
-    total = np.zeros_like(y, dtype=float)
-    beta = _PI * (2 * k0[None, :] + y[:, None])
-    total += _exp_int(2 + d, beta) @ c0
-    beta = _PI * (2 * k2[None, :] + y[:, None])
-    total -= (12 / _PI) * (_exp_int(1 + d, beta) @ c2)
-    beta = _PI * (2 * k4[None, :] + y[:, None])
-    total += (36 / _PI**2) * (_exp_int(0 + d, beta) @ c4)
-    return total * (-_PI) ** d
-
-
-def _b_far(y: np.ndarray, deriv: bool) -> np.ndarray:
-    """int_1^oo (psi_I(it) - 144 - e^{2 pi t}) e^{-pi y t} dt, optionally d/dy."""
-    d = 1 if deriv else 0
-    ks, cs = _coeff_arrays(FormId.PSI_I)
-    beta = _PI * (2 * ks[None, :] + y[:, None])
-    return ((-_PI) ** d) * (_exp_int(d, beta) @ cs)
+    return combine([
+        (c * (-_PI) ** d, _ray_laplace(form, p + d, y)) for form, c, p in _FAR_TERMS[which]
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +121,9 @@ def _gauss_nodes(n: int = 40) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _adaptive_panels(f, lo: float, hi: float, tol: float) -> list[tuple[float, float]]:
-    """Bisect [lo, hi] until each panel's degree-40 estimate is stable to tol."""
+def _adaptive_nodes(f, lo: float, hi: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect [lo, hi] until each panel's degree-40 estimate is stable to tol;
+    return the Gauss-Legendre nodes and weights of the accepted panels."""
     x0, w0 = _gauss_nodes()
 
     def gl(a: float, b: float) -> float:
@@ -181,41 +135,41 @@ def _adaptive_panels(f, lo: float, hi: float, tol: float) -> list[tuple[float, f
     while stack:
         a, b, coarse, depth = stack.pop()
         m = 0.5 * (a + b)
-        fine = gl(a, m) + gl(m, b)
-        if abs(fine - coarse) < tol or depth >= 30:
+        left, right = gl(a, m), gl(m, b)
+        if abs(left + right - coarse) < tol or depth >= 30:
             panels.append((a, m))
             panels.append((m, b))
             continue
-        stack.append((a, m, gl(a, m), depth + 1))
-        stack.append((m, b, gl(m, b), depth + 1))
-    return sorted(panels)
+        stack.append((a, m, left, depth + 1))
+        stack.append((m, b, right, depth + 1))
+    starts, ends = np.array(sorted(panels)).T
+    half = 0.5 * (ends - starts)[:, None]
+    return (starts[:, None] + half * (x0 + 1.0)).ravel(), (half * w0).ravel()
+
+
+# (form, sign) with the series part of each near-range integrand at t = 1/u
+# equal to sign * F(iu) / u^2: t^2 phi_0(i/t) for a, and for b psi_I(it) via
+# psi_I(i/u) = -psi_S(iu)/u^2
+_NEAR_FORMS = {"a": (FormId.PHI_0, 1.0), "b": (FormId.PSI_S, -1.0)}
 
 
 @lru_cache(maxsize=None)
-def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray]:
+def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray, float]:
     """Nodes u_j and y-independent weights w_j * f(u_j) / u_j^2 for the series
     part of the near-range integral of a ('a') or b ('b'), built once by
-    adaptive bisection at y = 0 where the integrand is largest."""
-    if which == "a":
-        def base(u: np.ndarray) -> np.ndarray:
-            # t^2 phi_0(i/t) at t = 1/u
-            return _series_sum(FormId.PHI_0, u) / u**2
-    else:
-        def base(u: np.ndarray) -> np.ndarray:
-            # psi_I(it) series part at t = 1/u, via psi_I(i/u) = -psi_S(iu)/u^2
-            return -_series_sum(FormId.PSI_S, u) / u**2
+    adaptive bisection at y = 0 where the integrand is largest, and the
+    weighted sum of the series bounds, which bounds the error of the series
+    part for every y >= 0 (the kernel e^{-pi y/u} is at most 1)."""
+    form, sign = _NEAR_FORMS[which]
+
+    def integrand(u: np.ndarray) -> np.ndarray:
+        return sign * eval_form(form, 1j * u, _SERIES_ORDER).value.real / u**4
 
     u_max = 14.0  # series integrand decays like e^{-2 pi u}: below 1e-33 past here
-    panels = _adaptive_panels(lambda u: base(u) / u**2, 1.0, u_max, _QUAD_TOL)
-    x0, w0 = _gauss_nodes()
-    nodes, weights = [], []
-    for a_, b_ in panels:
-        half = 0.5 * (b_ - a_)
-        nodes.append(a_ + half * (x0 + 1.0))
-        weights.append(half * w0)
-    u = np.concatenate(nodes)
-    w = np.concatenate(weights) * base(u) / u**2
-    return u, w
+    u, weights = _adaptive_nodes(integrand, 1.0, u_max, _QUAD_TOL)
+    series = eval_form(form, 1j * u, _SERIES_ORDER)
+    w = weights * sign * series.value.real / u**4
+    return u, w, float(np.dot(weights, series.tail_bound / u**4))
 
 
 def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
@@ -250,13 +204,16 @@ _ELEM_TERMS = {
 }
 
 
-def _near_integral(which: str, y: np.ndarray, deriv: bool) -> np.ndarray:
-    """int_0^1 (integrand)(t) e^{-pi y t} dt, optionally d/dy, as a function of y.
+def _integral(which: str, y: np.ndarray, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^oo (integrand)(t) e^{-pi y t} dt, optionally d/dy, as a function of
+    y, and a bound on the error of its series part.
 
-    The q-series part is integrated by quadrature in the u = 1/t chart; the
-    subtracted elementary terms (which do not decay in u) use closed forms.
+    The q-series part of the near range is integrated by quadrature in the
+    u = 1/t chart (its bound holds for every y >= 0: the kernel is at most 1,
+    its d/dy at most pi); the subtracted elementary terms (which do not decay
+    in u) use closed forms, and the far range comes from ``ray_laplace``.
     """
-    u, w = _near_quadrature(which)
+    u, w, near_err = _near_quadrature(which)
     kernel = np.exp(-_PI * np.outer(y, 1.0 / u))
     if deriv:
         kernel = kernel * (-_PI / u)[None, :]
@@ -264,7 +221,8 @@ def _near_integral(which: str, y: np.ndarray, deriv: bool) -> np.ndarray:
     d = 1 if deriv else 0
     for c, p, m in _ELEM_TERMS[which]:
         total = total + c * ((-_PI) ** d) * _unit_moment(p + d, _PI * (y + m))
-    return total
+    far = _far_integral(which, y, deriv)
+    return total + far.value, near_err * _PI**d + far.tail_bound
 
 
 # ---------------------------------------------------------------------------
@@ -330,103 +288,109 @@ def _ratio(y: np.ndarray, center: float, power: int, deriv: bool) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # core vectorized evaluators (y = r^2)
 
-def _a_im_core(y: np.ndarray, deriv: bool = False) -> np.ndarray:
-    """Im a / 4 as a function of y = r^2 (or its d/dy)."""
-    integral = _near_integral("a", y, False) + _a_far(y, False)
-    pref = (
-        (36 / _PI**3) * _ratio(y, 2.0, 1, deriv)
-        - (8640 / _PI**3) * _ratio(y, 0.0, 2, deriv)
-        + (18144 / _PI**3) * _ratio(y, 0.0, 1, deriv)
+# (coefficient, center, power) of the prefactor terms c * sin^2(pi y/2) / (y - center)^power
+_PREFACTORS = {
+    "a": ((36 / _PI**3, 2.0, 1), (-8640 / _PI**3, 0.0, 2), (18144 / _PI**3, 0.0, 1)),
+    "b": ((144 / _PI, 0.0, 1), (1 / _PI, 2.0, 1)),
+}
+
+
+def _im_core(which: str, y: np.ndarray, deriv: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Im a / 4 or Im b / 4 as a function of y = r^2 (or its d/dy), and the
+    bound on the error of its series part."""
+    pref = sum(c * _ratio(y, center, power, deriv) for c, center, power in _PREFACTORS[which])
+    integral, err = _integral(which, y, False)
+    if not deriv:
+        return pref + _sin2(y) * integral, _sin2(y) * err
+    d_integral, d_err = _integral(which, y, True)
+    return (
+        pref + _sin2_prime(y) * integral + _sin2(y) * d_integral,
+        np.abs(_sin2_prime(y)) * err + _sin2(y) * d_err,
     )
-    if not deriv:
-        return pref + _sin2(y) * integral
-    d_integral = _near_integral("a", y, True) + _a_far(y, True)
-    return pref + _sin2_prime(y) * integral + _sin2(y) * d_integral
 
 
-def _b_im_core(y: np.ndarray, deriv: bool = False) -> np.ndarray:
-    """Im b / 4 as a function of y = r^2 (or its d/dy)."""
-    integral = _near_integral("b", y, False) + _b_far(y, False)
-    pref = (144 / _PI) * _ratio(y, 0.0, 1, deriv) + (1 / _PI) * _ratio(y, 2.0, 1, deriv)
-    if not deriv:
-        return pref + _sin2(y) * integral
-    d_integral = _near_integral("b", y, True) + _b_far(y, True)
-    return pref + _sin2_prime(y) * integral + _sin2(y) * d_integral
+def _eval_err(value: float, series_err: float) -> float:
+    """Error estimate: quadrature tolerance, the series bound, and roundoff."""
+    return 4.0 * _QUAD_TOL + series_err + 1e-13 * (1.0 + abs(value))
 
 
-def _eval_err(y: float, value: float) -> float:
-    """Error estimate: quadrature tolerance, series tails, and roundoff."""
-    return 4.0 * (_QUAD_TOL + _series_tail_err(1.0)) + 1e-13 * (1.0 + abs(value))
+def _radius_sq(r: float) -> np.ndarray:
+    """y = r^2 as a one-point array, for a finite r >= 0."""
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError("r must be finite and nonnegative")
+    return np.array([float(r) ** 2])
+
+
+def _radial(which: str, r: float) -> RadialValue:
+    value, err = _im_core(which, _radius_sq(r))
+    value = 4.0 * float(value[0])
+    return RadialValue(value=value, err=_eval_err(value, 4.0 * float(err[0])))
 
 
 def eval_a(r: float) -> RadialValue:
     """Im a(r) from the single-integral representation (a(r) = i * value)."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    y = np.array([float(r) ** 2])
-    value = 4.0 * float(_a_im_core(y)[0])
-    return RadialValue(value=value, err=_eval_err(y[0], value))
+    return _radial("a", r)
 
 
 def eval_b(r: float) -> RadialValue:
     """Im b(r) from the single-integral representation (b(r) = i * value)."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    y = np.array([float(r) ** 2])
-    value = 4.0 * float(_b_im_core(y)[0])
-    return RadialValue(value=value, err=_eval_err(y[0], value))
+    return _radial("b", r)
 
 
-def _g_from_parts(a_im: np.ndarray, b_im: np.ndarray, which: str) -> np.ndarray:
+def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
+    """g or ghat (or d/dy) at y, and the bound on its series part."""
+    if which not in ("g", "ghat"):
+        raise ValueError("which must be 'g' or 'ghat'")
     ca = (MAGIC.coefficient_a * 1j).real  # i * (i pi/8640) = -pi/8640
     cb = (MAGIC.coefficient_b * 1j).real
     if which == "ghat":
         cb *= MAGIC.sign_for_ghat
-    return ca * a_im + cb * b_im
+    a_im, a_err = _im_core("a", y, deriv)
+    b_im, b_err = _im_core("b", y, deriv)
+    return 4.0 * (ca * a_im + cb * b_im), 4.0 * (abs(ca) * a_err + abs(cb) * b_err)
 
 
 def eval_g(r: float, which: str = "g") -> RadialValue:
     """The magic function g(r) (or ghat), a real number."""
-    if which not in ("g", "ghat"):
-        raise ValueError("which must be 'g' or 'ghat'")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    y = np.array([float(r) ** 2])
-    value = float(np.asarray(_g_from_parts(4.0 * _a_im_core(y), 4.0 * _b_im_core(y), which)).reshape(-1)[0])
-    return RadialValue(value=value, err=_eval_err(y[0], value))
+    value, err = _g(_radius_sq(r), which, False)
+    value = float(value[0])
+    return RadialValue(value=value, err=_eval_err(value, float(err[0])))
 
 
 def eval_g_deriv(r: float, which: str = "g") -> RadialValue:
     """d/dr of g or ghat, by analytic differentiation (d/dr = 2r d/dy)."""
-    if which not in ("g", "ghat"):
-        raise ValueError("which must be 'g' or 'ghat'")
-    if r <= 0:
+    if r == 0:
         raise ValueError("r must be positive")
-    y = np.array([float(r) ** 2])
-    dy = _g_from_parts(4.0 * _a_im_core(y, deriv=True), 4.0 * _b_im_core(y, deriv=True), which)
-    value = 2.0 * float(r) * float(np.asarray(dy).reshape(-1)[0])
-    return RadialValue(value=value, err=(1 + 2 * r) * _eval_err(y[0], value))
+    dy, err = _g(_radius_sq(r), which, True)
+    value = 2.0 * float(r) * float(dy[0])
+    return RadialValue(value=value, err=(1 + 2 * r) * _eval_err(value, float(err[0])))
 
 
 # ---------------------------------------------------------------------------
 # oracle 1: the defining contour integrals
 
-def _complex_gl(f, tol: float = 1e-13) -> tuple[complex, float]:
-    """Adaptive Gauss-Legendre of a complex integrand over s in [0, 1]."""
+def _complex_gl(f, tol: float = 1e-13) -> tuple[complex, float, float]:
+    """Adaptive Gauss-Legendre of a complex integrand over s in [0, 1].
+
+    ``f(s)`` returns the integrand at the nodes and a bound on its error
+    there; the result is the integral, the quadrature error estimate and the
+    integral of the bound.
+    """
     x0, w0 = _gauss_nodes()
 
-    def gl(a: float, b: float) -> complex:
+    def gl(a: float, b: float) -> tuple[complex, float]:
         half = 0.5 * (b - a)
-        s = a + half * (x0 + 1.0)
-        return half * complex(np.dot(w0, f(s)))
+        vals, bound = f(a + half * (x0 + 1.0))
+        return half * complex(np.dot(w0, vals)), half * float(np.dot(w0, bound))
 
     total = 0.0 + 0.0j
     err = 0.0
-    stack = [(0.0, 1.0, gl(0.0, 1.0), 0)]
+    bound = 0.0
+    stack = [(0.0, 1.0, gl(0.0, 1.0)[0], 0)]
     while stack:
         a, b, coarse, depth = stack.pop()
         m = 0.5 * (a + b)
-        left, right = gl(a, m), gl(m, b)
+        (left, left_bound), (right, right_bound) = gl(a, m), gl(m, b)
         delta = abs(left + right - coarse)
         if delta < tol or depth >= 24:
             if depth >= 24 and delta >= tol:
@@ -435,30 +399,11 @@ def _complex_gl(f, tol: float = 1e-13) -> tuple[complex, float]:
                 )
             total += left + right
             err += delta
+            bound += left_bound + right_bound
             continue
         stack.append((a, m, left, depth + 1))
         stack.append((m, b, right, depth + 1))
-    return total, err
-
-
-def _form_at(form: FormId, z: complex) -> complex:
-    return eval_form(form, z, order=_SERIES_ORDER).value
-
-
-def _ray_integral(form: FormId, y: float, include_nonpositive: bool) -> complex:
-    """int_i^{i oo} f(z) e^{pi i y z} dz summed termwise in closed form."""
-    ks, cs = _coeff_arrays(form)
-    total = complex(np.sum(cs * _exp_int(0, _PI * (2 * ks + y))))
-    if include_nonpositive:
-        series = build_form(form, _SERIES_ORDER)
-        for e, c in series.coeffs.items():
-            if e <= 0:
-                k = e / EIGHTH
-                beta = _PI * (2 * k + y)
-                if beta <= 0:
-                    raise ValueError("ray integral diverges for this r")
-                total += float(c) * math.exp(-beta) / beta
-    return 1j * total
+    return total, err, bound
 
 
 def contour_eval(r: float, which: str = "a") -> RadialValue:
@@ -466,76 +411,43 @@ def contour_eval(r: float, which: str = "a") -> RadialValue:
 
     The three finite segments (-1 -> i, 1 -> i, 0 -> i) are parameterized as
     straight lines; the series are always evaluated at arguments with large
-    imaginary part by routing through the S-transformation laws.
+    imaginary part by routing through the S-transformation laws, one array of
+    quadrature nodes per call: with w = z - cusp the integrand is
+    phi_0(-1/w) w^2 for a and psi_S(-1/w) w^2 = psi_I(w) for b, which is
+    psi_T(z) on the outer segments (psi_T has period 2) and psi_I(z) on the
+    middle one.
     """
     if which not in ("a", "b"):
         raise ValueError("which must be 'a' or 'b'")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    y = float(r) ** 2
-    eps = 0.0
+    y = float(_radius_sq(r)[0])
+    form = FormId.PHI_0 if which == "a" else FormId.PSI_S
 
-    def kernel(z: np.ndarray) -> np.ndarray:
-        return np.exp(1j * _PI * y * z)
+    def segment(cusp: float, dz: complex):
+        def f(s: np.ndarray):
+            z = cusp + s * dz
+            w = z - cusp
+            series = eval_form(form, -1.0 / w, _SERIES_ORDER)
+            scale = w**2 * np.exp(1j * _PI * y * z) * dz
+            return series.value * scale, series.tail_bound * np.abs(scale)
+        return f
 
-    if which == "a":
-        def seg_left(s: np.ndarray) -> np.ndarray:
-            z = -1.0 + s * (1.0 + 1j)
-            w = z + 1.0
-            vals = np.array([_form_at(FormId.PHI_0, -1.0 / wj) for wj in w])
-            return vals * w**2 * kernel(z) * (1.0 + 1j)
-
-        def seg_right(s: np.ndarray) -> np.ndarray:
-            z = 1.0 + s * (-1.0 + 1j)
-            w = z - 1.0
-            vals = np.array([_form_at(FormId.PHI_0, -1.0 / wj) for wj in w])
-            return vals * w**2 * kernel(z) * (-1.0 + 1j)
-
-        def seg_mid(s: np.ndarray) -> np.ndarray:
-            z = 1j * s
-            vals = np.array([_form_at(FormId.PHI_0, 1j / sj) for sj in s])
-            return vals * z**2 * kernel(z) * 1j
-
-        i1, e1 = _complex_gl(seg_left)
-        i2, e2 = _complex_gl(seg_right)
-        i3, e3 = _complex_gl(lambda s: seg_mid(np.maximum(s, 1e-12)))
-        i4 = 2.0 * _ray_integral(FormId.PHI_0, y, include_nonpositive=False)
-        total = i1 + i2 - 2.0 * i3 + i4
-        eps = e1 + e2 + 2 * e3
-    else:
-        def seg_left(s: np.ndarray) -> np.ndarray:
-            # psi_T(z) = psi_I(z+1) = (z+1)^2 psi_S(-1/(z+1))
-            z = -1.0 + s * (1.0 + 1j)
-            w = z + 1.0
-            vals = np.array([_form_at(FormId.PSI_S, -1.0 / wj) for wj in w])
-            return vals * w**2 * kernel(z) * (1.0 + 1j)
-
-        def seg_right(s: np.ndarray) -> np.ndarray:
-            # psi_T has period 2, so psi_T(z) = psi_I(z-1) = (z-1)^2 psi_S(-1/(z-1))
-            z = 1.0 + s * (-1.0 + 1j)
-            w = z - 1.0
-            vals = np.array([_form_at(FormId.PSI_S, -1.0 / wj) for wj in w])
-            return vals * w**2 * kernel(z) * (-1.0 + 1j)
-
-        def seg_mid(s: np.ndarray) -> np.ndarray:
-            # psi_I(is) = -s^2 psi_S(i/s)
-            z = 1j * s
-            vals = np.array([_form_at(FormId.PSI_S, 1j / sj) for sj in s])
-            return -(s**2) * vals * kernel(z) * 1j
-
-        i1, e1 = _complex_gl(seg_left)
-        i2, e2 = _complex_gl(seg_right)
-        i3, e3 = _complex_gl(lambda s: seg_mid(np.maximum(s, 1e-12)))
-        i4 = -2.0 * _ray_integral(FormId.PSI_S, y, include_nonpositive=False)
-        total = i1 + i2 - 2.0 * i3 + i4
+    i1, e1, b1 = _complex_gl(segment(-1.0, 1.0 + 1j))
+    i2, e2, b2 = _complex_gl(segment(1.0, -1.0 + 1j))
+    mid = segment(0.0, 1j)
+    i3, e3, b3 = _complex_gl(lambda s: mid(np.maximum(s, 1e-12)))
+    # int_i^{i oo} f(z) e^{pi i y z} dz = i int_1^oo f(it) e^{-pi y t} dt
+    ray = _ray_laplace(form, 0, y)
+    ray_sign = 1.0 if which == "a" else -1.0
+    total = i1 + i2 - 2.0 * i3 + ray_sign * 2.0 * 1j * ray.value
+    if which == "b":
         # Orientation normalization: deforming this contour onto the imaginary
         # axis gives -4i sin^2(pi r^2/2) Int psi_I(it) e^{-pi r^2 t} dt, which is
         # the negative of the single-integral representation behind eval_b (the
         # one fixed by b'(sqrt 2) = 2 sqrt(2) pi i and ghat >= 0).  Flip the
         # sign so the oracle measures the same function.
         total = -total
-        eps = e1 + e2 + 2 * e3
-    err = eps + _series_tail_err(0.5) + 1e-12 * (1.0 + abs(total))
+    series_err = b1 + b2 + 2 * b3 + 2 * ray.tail_bound
+    err = e1 + e2 + 2 * e3 + series_err + 1e-12 * (1.0 + abs(total))
     return RadialValue(value=total.imag, err=err, residual=total.real)
 
 
@@ -550,12 +462,10 @@ _HANKEL_STEP = 1e-3
 def _hankel_table(which: str) -> tuple[np.ndarray, np.ndarray]:
     grid = np.arange(0.0, _HANKEL_R_MAX + 0.5 * _HANKEL_STEP, _HANKEL_STEP)
     y = grid**2
-    if which == "a":
-        vals = 4.0 * _a_im_core(y)
-    elif which == "b":
-        vals = 4.0 * _b_im_core(y)
+    if which in ("a", "b"):
+        vals = 4.0 * _im_core(which, y)[0]
     elif which in ("g", "ghat"):
-        vals = _g_from_parts(4.0 * _a_im_core(y), 4.0 * _b_im_core(y), which)
+        vals = _g(y, which, False)[0]
     else:
         raise ValueError("which must be one of 'a', 'b', 'g', 'ghat'")
     return grid, vals
@@ -569,6 +479,8 @@ def hankel_fourier_oracle(which: str, s: float) -> RadialValue:
     cached tabulation, with the truncation beyond r = 12 negligible because
     all four functions decay faster than e^{-2 pi r}.
     """
+    from scipy.special import jv  # lazily: 0.35 s of import time, used only here
+
     if s <= 0:
         raise ValueError("s must be positive")
     grid, vals = _hankel_table(which)

@@ -26,7 +26,6 @@ from fractions import Fraction
 
 __all__ = [
     "Interval",
-    "ia_arith",
     "ia_exp_poly",
     "enclose_fraction",
     "sqrt_interval",
@@ -241,19 +240,6 @@ def sqrt_interval(x: Interval | Fraction | int | float) -> Interval:
     if Fraction(rhi) ** 2 < Fraction(x.hi):
         rhi = math.nextafter(rhi, _INF)
     return Interval(max(rlo, 0.0), rhi)
-
-
-def ia_arith(x: Interval, y: Interval, kind: str) -> Interval:
-    """Dispatch wrapper: kind in {'add', 'sub', 'mul', 'div'}."""
-    if kind == "add":
-        return x + y
-    if kind == "sub":
-        return x - y
-    if kind == "mul":
-        return x * y
-    if kind == "div":
-        return x / y
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
 
 
 def _exp_poly_monotone(c: Interval, p: int, sigma: Interval, lo: float, hi: float) -> Interval:

@@ -108,7 +108,7 @@ def test_criterion_03_transformation_residuals():
             check = verify_transform(form, law, z)
             if not check.passed:
                 bad.append((form.value, law, z, check.residual, check.bound))
-    _verdict(3, "transformation residuals within tail bounds + 1e-8", not bad, repr(bad))
+    _verdict(3, "transformation residuals within their truncation and roundoff bounds", not bad, repr(bad))
 
 
 # -- 4 ----------------------------------------------------------------------

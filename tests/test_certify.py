@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from e8magic.certify import (
@@ -15,8 +16,10 @@ from e8magic.certify import (
     remainder_envelope,
 )
 from e8magic.certify import _env_prefactor, _env_sum  # envelope internals
-from e8magic.modforms import FormId, eval_form
+from e8magic.modforms import FormId, build_form, eval_form
 from e8magic.rigor import Interval
+
+mpmath.mp.dps = 50
 
 # ---------------------------------------------------------------------------
 # model golden values: (p, pi_pow, decay) -> rational coefficient, where a
@@ -235,6 +238,10 @@ def test_invalid_parameters_rejected():
         certify_sign("A", n=6, m=5)
     with pytest.raises(ValueError):
         certify_sign("A", t_star=1.5)
+    with pytest.raises(ValueError):
+        certify_sign("A", t_star=math.inf)
+    with pytest.raises(ValueError):
+        certify_sign("A", max_depth=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -251,3 +258,26 @@ def test_models_match_numeric_value(target, t):
     # reported truncation error
     tol = err + 1e-12 * (1 + abs(value))
     assert model.lo - env - tol <= value <= model.hi + env + tol
+
+
+def _mp_series(form, t):
+    """50-digit value of the order-64 series of a catalog form at z = it."""
+    return sum(
+        mpmath.mpf(c.numerator) / c.denominator * mpmath.exp(-2 * mpmath.pi * mpmath.mpf(e) / 8 * t)
+        for e, c in build_form(form, 64).coeffs.items()
+    )
+
+
+@pytest.mark.parametrize("t", [6.6, 9.0, 10.0])
+def test_numeric_value_b_keeps_its_digits(t):
+    """Past t = 6.5 the e^{2 pi t} terms of phi_-4 and psi_I cancel; B stays
+    positive and within its bound of a 50-digit evaluation of the series."""
+    value, err = numeric_value("B", t)
+    tt = mpmath.mpf(t)
+    ref = (
+        -(tt**2) * _mp_series(FormId.PHI_0, tt)
+        + 12 / mpmath.pi * tt * _mp_series(FormId.PHI_M2, tt)
+        - 36 / mpmath.pi**2 * (_mp_series(FormId.PHI_M4, tt) - _mp_series(FormId.PSI_I, tt))
+    )
+    assert value - err > 0
+    assert abs(value - ref) <= err

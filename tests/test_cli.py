@@ -8,6 +8,7 @@ import pytest
 from e8magic.cli import (
     EXIT_CERT_FAILURE,
     EXIT_INVALID_INPUT,
+    EXIT_NUMERICAL_FAILURE,
     EXIT_OK,
     main,
 )
@@ -143,3 +144,23 @@ def test_exit_codes_distinguish_failure_kinds(capsys):
     assert bad_input == EXIT_INVALID_INPUT
     assert cert_fail == EXIT_CERT_FAILURE
     assert bad_input != cert_fail
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["eval", "--function", "g", "--r", "nan"], EXIT_INVALID_INPUT),
+        (["eval", "--function", "b", "--r", "inf"], EXIT_INVALID_INPUT),
+        (["eval", "--function", "ghat", "--r", "-inf", "--deriv"], EXIT_INVALID_INPUT),
+        (["plot", "--function", "B", "--range", "1:inf"], EXIT_INVALID_INPUT),
+        (["certify", "--target", "A", "--tstar", "inf"], EXIT_INVALID_INPUT),
+        (["certify", "--target", "A", "--tstar", "nan"], EXIT_INVALID_INPUT),
+        (["certify", "--target", "B", "--max-depth", "-1"], EXIT_INVALID_INPUT),
+        (["certify", "--target", "A", "--tstar", "1e6"], EXIT_NUMERICAL_FAILURE),
+        (["--threads", "2", "bound"], EXIT_INVALID_INPUT),
+    ],
+)
+def test_boundary_inputs_end_in_documented_exit_codes(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == expected, (out, err)
+    assert "Traceback" not in err

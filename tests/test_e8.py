@@ -76,7 +76,7 @@ def test_lattice_point_validation():
     LatticePoint((2, 2, 0, 0, 0, 0, 0, 0))
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0, 2.0, 2.5])
 def test_poisson_identity(alpha):
     report = poisson_check(alpha)
     assert report.passed, report

@@ -3,14 +3,15 @@
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from e8magic.qseries import EIGHTH, QSeries, TruncationError
-from e8magic.modforms import FormId, build_form, eisenstein, theta
+from e8magic.qseries import EIGHTH, QSeries, TruncationError, _tail_majorant
+from e8magic.modforms import FormId, build_form, eisenstein, eval_form, theta
 
 mpmath.mp.dps = 50
 
@@ -98,13 +99,56 @@ def test_eval_at_matches_high_precision_sum():
 
 
 def test_eval_monotone_in_truncation():
-    """A longer truncation moves the value by at most the shorter tail bound."""
+    """A longer truncation moves the value by at most the shorter tail bound.
+
+    ``tail_bound`` also covers roundoff, which grows with the number of terms
+    and here exceeds the truncation tail by 1e18, so the decrease with the
+    order is asserted on the truncation majorant alone.
+    """
     z = complex(0.2, 0.9)
     for form in (FormId.E4, FormId.J, FormId.PSI_I):
         short = build_form(form, 24).eval_at(z, 2.0, 4 * math.pi)
         long = build_form(form, 48).eval_at(z, 2.0, 4 * math.pi)
         assert abs(short.value - long.value) <= short.tail_bound + 1e-15
-        assert long.tail_bound < short.tail_bound
+        tails = [
+            _tail_majorant(s.lead, s.order, s.stride, 2.0, 4 * math.pi, z.imag)
+            for s in (build_form(form, 24), build_form(form, 48))
+        ]
+        assert tails[1] < tails[0]
+
+
+@lru_cache(maxsize=None)
+def _mp_terms(form, order):
+    return [
+        (mpmath.mpf(e) / 8, mpmath.mpf(c.numerator) / c.denominator)
+        for e, c in build_form(form, order).coeffs.items()
+    ]
+
+
+@given(
+    st.sampled_from(list(FormId)),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(min_value=0.5, max_value=3.0),
+)
+@settings(max_examples=120, deadline=None)
+def test_eval_bound_covers_truncation_and_roundoff(form, x, y):
+    """The order-64 value lies within its bound of a 50-digit sum of the
+    order-128 series, and the bound is not vacuous."""
+    z = complex(x, y)
+    got = eval_form(form, z)
+    q = 2j * mpmath.pi * mpmath.mpc(z)
+    oracle = sum(c * mpmath.exp(q * n) for n, c in _mp_terms(form, 128))
+    assert abs(mpmath.mpc(got.value) - oracle) <= got.tail_bound
+    magnitude = sum(abs(c * mpmath.exp(q * n)) for n, c in _mp_terms(form, 64))
+    assert got.tail_bound <= 1e-10 * (1 + magnitude)
+
+
+def test_eq_and_hash_use_the_same_fields():
+    a = QSeries(0, 16, {0: 1})
+    b = QSeries(-8, 24, {0: 1})
+    assert a != b and len({a, b}) == 2
+    c = QSeries(0, 16, {0: Fraction(2, 2)})
+    assert a == c and hash(a) == hash(c) and len({a, c}) == 1
 
 
 def test_theta00_limit_is_one():
