@@ -13,7 +13,6 @@ from .certify import (
     build_model,
     certify_sign,
     numeric_value,
-    remainder_envelope,
 )
 from .e8 import (
     DensityBoundReport,
@@ -29,7 +28,6 @@ from .e8 import (
 from .modforms import FormId, build_form, eval_form, rademacher_coefficient, verify_transform
 from .qseries import EvalResult, QSeries, TruncationError
 from .radial import (
-    MagicFunctionSpec,
     RadialValue,
     contour_eval,
     eval_a,
@@ -50,7 +48,6 @@ __all__ = [
     "FormId",
     "Interval",
     "LatticePoint",
-    "MagicFunctionSpec",
     "ModelTerm",
     "PoissonReport",
     "QSeries",
@@ -75,7 +72,6 @@ __all__ = [
     "numeric_value",
     "poisson_check",
     "rademacher_coefficient",
-    "remainder_envelope",
     "shell_vectors",
     "verify_transform",
 ]

@@ -14,12 +14,16 @@ verifies model sign and envelope domination in interval arithmetic on an
 adaptive segmentation of the two charts (u = 1/t in (0, 1], t in [1, inf)),
 closing each unbounded end with a dominant-term ratio argument.  The result
 is a machine-checkable :class:`Certificate`.
+
+One :class:`Envelope` encodes the remainder envelope; the leaves read it
+through ``enclose`` and the tail argument through ``terms``, which split its
+sum at c = 1/2 (leaves reach x = 1) and c = 19/20 (the tail starts at x >= 2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,7 +45,7 @@ __all__ = [
     "ExpPolyModel",
     "Certificate",
     "build_model",
-    "remainder_envelope",
+    "Envelope",
     "certify_sign",
     "numeric_value",
     "HYPOTHESES",
@@ -170,58 +174,83 @@ def build_model(target: str, n: int, regime: str, order: int = 16) -> ExpPolyMod
 
 
 # ---------------------------------------------------------------------------
-# remainder envelopes
+# the remainder envelope
 
-def _env_sum(m: int, x: Interval) -> Interval:
-    """Upper enclosure of  sum_{n>=m} 2 e^{2 sqrt2 pi sqrt(n)} e^{-pi n x}.
+# Split constants c of the envelope's geometric rest (see Envelope): 1/2 keeps
+# its ratio e^{-pi (x - c)} <= e^{-pi/2} on leaves down to x = 1; 19/20 leaves
+# 9 explicit terms, not 32, past x_star >= 2.  Certificate bytes depend on
+# both: env_hi and margin on the first, epsilon_bound on the second.
+LEAF_SPLIT = Fraction(1, 2)
+TAIL_SPLIT = Fraction(19, 20)
 
-    Terms up to the geometric threshold are evaluated individually; beyond it
-    e^{2 sqrt2 pi sqrt(n)} <= e^{c pi n} (c < x.lo) turns the rest into a
-    geometric series.
+# (coefficient, power of x) of the envelope prefactor P in each chart; the
+# u-chart model is the target divided by t^2, so there P = (t^2 + 36/pi^2)/t^2
+_PREFACTOR = {
+    "t": ((Interval(1.0, 1.0), 2), (12 * INV_PI, 1), (36 * INV_PI_SQ, 0)),
+    "u": ((Interval(1.0, 1.0), 0), (36 * INV_PI_SQ, 2)),
+}
+
+
+@dataclass(frozen=True)
+class Envelope:
+    """Remainder envelope  P(x) * sum_{n>=m} 2 e^{2 sqrt2 pi sqrt(n)} e^{-pi n x}
+    of the cutoff-m model in one chart (x = t or x = u = 1/t).
+
+    The amplitude 2 and the growth e^{2 sqrt2 pi sqrt(n)} are the hypotheses'
+    coefficient bound 2 e^{4 pi sqrt(k)} at q^k = e^{-pi n x}, n = 2k.  From
+    n_geo = max(m, ceil(8/c^2)) on, 2 sqrt2 sqrt(n) <= c n, so the rest of
+    the sum is geometric with ratio e^{-pi (x - c)}.
     """
-    c = Fraction(1, 2)
-    if x.lo < 0.55:
-        raise ValueError("remainder envelope needs the chart variable >= 0.55")
-    n_geo = max(m, math.ceil((Fraction(8) / (c * c))))  # smallest n with 2*sqrt2 <= c*sqrt(n)
-    c_iv = enclose_fraction(c)
-    # containment sanity: 8 <= c^2 * n_geo, exact rational check
-    if Fraction(8) > c * c * n_geo:
-        raise AssertionError("geometric threshold miscomputed")
-    total = Interval(0.0, 0.0)
-    for k in range(m, n_geo):
-        k_iv = Interval.from_rational(k)
-        total = total + 2 * (TWO_SQRT2_PI * sqrt_interval(k_iv) - PI * k_iv * x).exp()
-    ratio = (-PI * (x - c_iv)).exp()
-    if ratio.hi >= 1.0:
-        raise ValueError("geometric tail ratio >= 1 on this segment")
-    head = 2 * (-PI * (x - c_iv) * Interval.from_rational(n_geo)).exp()
-    return total + head / (1 - ratio)
 
+    chart: str
+    m: int
 
-def _env_prefactor(chart: str, x: Interval) -> Interval:
-    if chart == "t":
-        return x.powi(2) + 12 * INV_PI * x + 36 * INV_PI_SQ
-    # u-chart envelope is compared against the model scaled by t^2, i.e.
-    # (t^2 + 36/pi^2) / t^2 = 1 + (36/pi^2) u^2
-    return Interval(1.0, 1.0) + 36 * INV_PI_SQ * x.powi(2)
+    def __post_init__(self) -> None:
+        if self.m < 1:
+            raise ValueError("cutoff must be >= 1")
 
+    def _n_geo(self, c: Fraction) -> int:
+        n_geo = max(self.m, math.ceil(Fraction(8) / (c * c)))
+        if Fraction(8) > c * c * n_geo:  # exact rational check
+            raise AssertionError("geometric threshold miscomputed")
+        return n_geo
 
-def remainder_envelope(m: int, regime: str, t: Interval) -> Interval:
-    """Rigorous upper enclosure of the remainder envelope as a function of t."""
-    if m < 1:
-        raise ValueError("cutoff must be >= 1")
-    if regime == NEAR_INFINITY:
-        if t.lo < 1.0:
-            raise ValueError("near-infinity envelope needs t >= 1")
-        pref = t.powi(2) + 12 * INV_PI * t + 36 * INV_PI_SQ
-        return pref * _env_sum(m, t)
-    if regime == NEAR_ZERO:
-        if t.hi > 1.0 or t.lo <= 0.0:
-            raise ValueError("near-zero envelope needs 0 < t <= 1")
-        u = Interval(1.0, 1.0) / t
-        pref = t.powi(2) + 36 * INV_PI_SQ
-        return pref * _env_sum(m, u)
-    raise ValueError(f"unknown regime {regime!r}")
+    @staticmethod
+    def _growth(k: int) -> Interval:
+        return TWO_SQRT2_PI * sqrt_interval(Interval.from_rational(k))
+
+    @staticmethod
+    def _geometric_ratio(x: Interval, c: Interval) -> Interval:
+        ratio = (-PI * (x - c)).exp()
+        if ratio.hi >= 1.0:
+            raise ValueError("geometric tail ratio >= 1 on this segment")
+        return ratio
+
+    def enclose(self, x: Interval) -> Interval:
+        """Upper enclosure over the segment x (the leaf bound, split LEAF_SPLIT)."""
+        if x.lo < 0.55:
+            raise ValueError("remainder envelope needs the chart variable >= 0.55")
+        pref = Interval(0.0, 0.0)
+        for coeff, p in _PREFACTOR[self.chart]:
+            pref = pref + coeff * x.powi(p)
+        c = enclose_fraction(LEAF_SPLIT)
+        n_geo = self._n_geo(LEAF_SPLIT)
+        total = Interval(0.0, 0.0)
+        for k in range(self.m, n_geo):
+            total = total + 2 * (self._growth(k) - PI * Interval.from_rational(k) * x).exp()
+        ratio = self._geometric_ratio(x, c)
+        head = 2 * (-PI * (x - c) * Interval.from_rational(n_geo)).exp()
+        return pref * (total + head / (1 - ratio))
+
+    def terms(self, x_star: float) -> list[tuple[Interval, int, Fraction]]:
+        """Terms (|C|, p, decay), each |C| x^p e^{-pi decay x}, whose sum bounds
+        the envelope for every x >= x_star (the tail argument, split TAIL_SPLIT)."""
+        c = enclose_fraction(TAIL_SPLIT)
+        n_geo = self._n_geo(TAIL_SPLIT)
+        amps = [(2 * self._growth(k).exp(), Fraction(k)) for k in range(self.m, n_geo)]
+        ratio = self._geometric_ratio(Interval.point(x_star), c)
+        amps.append((2 * (PI * c * Interval.from_rational(n_geo)).exp() / (1 - ratio), Fraction(n_geo)))
+        return [(coeff * amp, p, decay) for coeff, p in _PREFACTOR[self.chart] for amp, decay in amps]
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +265,6 @@ class Segment:
     model_hi: float
     env_hi: float
     margin: float
-    rounding_width: float
 
 
 @dataclass(frozen=True)
@@ -309,11 +337,10 @@ class Certificate:
         }
 
 
-def _leaf_check(model: ExpPolyModel, m: int, chart: str, x: Interval, sign: int):
+def _leaf_check(model: ExpPolyModel, envelope: Envelope, x: Interval, sign: int):
     """Returns (ok, model_iv, env_hi, margin)."""
     model_iv = model.enclose(x)
-    env = _env_prefactor(chart, x) * _env_sum(m, x)
-    env_hi = env.hi
+    env_hi = envelope.enclose(x).hi
     if sign < 0:
         ok = model_iv.hi < 0 and env_hi < -model_iv.hi
         margin = -model_iv.hi - env_hi
@@ -323,32 +350,27 @@ def _leaf_check(model: ExpPolyModel, m: int, chart: str, x: Interval, sign: int)
     return ok, model_iv, env_hi, margin
 
 
-def _bisect_chart(model: ExpPolyModel, m: int, chart: str, x_star: float, max_depth: int, sign: int):
+def _bisect_chart(model: ExpPolyModel, envelope: Envelope, x_star: float, max_depth: int, sign: int):
     segments: list[Segment] = []
     stack = [(1.0, x_star, 0)]
     while stack:
         lo, hi, depth = stack.pop()
-        x = Interval(lo, hi)
-        ok, model_iv, env_hi, margin = _leaf_check(model, m, chart, x, sign)
+        ok, model_iv, env_hi, margin = _leaf_check(model, envelope, Interval(lo, hi), sign)
         if ok:
-            mid_pt = Interval.point(0.5 * (lo + hi))
-            pm = model.enclose(mid_pt)
-            pe = _env_prefactor(chart, mid_pt) * _env_sum(m, mid_pt)
             segments.append(
                 Segment(
-                    chart=chart,
+                    chart=envelope.chart,
                     lo=lo,
                     hi=hi,
                     model_lo=model_iv.lo,
                     model_hi=model_iv.hi,
                     env_hi=env_hi,
                     margin=margin,
-                    rounding_width=pm.width + pe.width,
                 )
             )
             continue
         if depth >= max_depth:
-            return segments, (chart, lo, hi)
+            return segments, (envelope.chart, lo, hi)
         mid = 0.5 * (lo + hi)
         stack.append((mid, hi, depth + 1))
         stack.append((lo, mid, depth + 1))
@@ -356,13 +378,14 @@ def _bisect_chart(model: ExpPolyModel, m: int, chart: str, x_star: float, max_de
     return segments, None
 
 
-def _tail_check(model: ExpPolyModel, m: int, chart: str, x_star: float, sign: int) -> TailRecord:
+def _tail_check(model: ExpPolyModel, envelope: Envelope, x_star: float, sign: int) -> TailRecord:
     """Dominant-term argument on [x_star, inf).
 
     Writes model + envelope <= dominant * (1 - eps(x)) with eps a sum of
     ratio terms C x^k e^{-beta x}; each ratio is checked monotone decreasing
     beyond x_star and eps(x_star) is evaluated in interval arithmetic.
     """
+    chart = envelope.chart
     terms = sorted(model.terms, key=lambda t: (t.decay, -t.p))
     dom = terms[0]
     same_key = [t for t in terms if t.decay == dom.decay and t.p == dom.p]
@@ -373,28 +396,8 @@ def _tail_check(model: ExpPolyModel, m: int, chart: str, x_star: float, sign: in
 
     x = Interval.point(x_star)
     dom_mag = dom.magnitude_interval()
-    competitors: list[tuple[Interval, int, Fraction]] = []  # (|C|, p, decay)
-    for t in terms[1:]:
-        competitors.append((t.magnitude_interval(), t.p, t.decay))
-    # envelope = prefactor-poly * (explicit terms + geometric tail)
-    if chart == "t":
-        pref_parts = [(Interval(1.0, 1.0), 2), (12 * INV_PI, 1), (36 * INV_PI_SQ, 0)]
-    else:
-        pref_parts = [(Interval(1.0, 1.0), 0), (36 * INV_PI_SQ, 2)]
-    c = Fraction(19, 20)  # x_star >= 2 > 0.95 always holds here
-    n_geo = max(m, math.ceil(Fraction(8) / (c * c)))
-    exp_parts: list[tuple[Interval, Fraction]] = []  # (|C|, decay)
-    for k in range(m, n_geo):
-        amp = 2 * (TWO_SQRT2_PI * sqrt_interval(Interval.from_rational(k))).exp()
-        exp_parts.append((amp, Fraction(k)))
-    ratio_star = (-PI * (x - enclose_fraction(c))).exp()
-    if ratio_star.hi >= 1.0:
-        raise ValueError("x_star too small for the geometric tail")
-    geo_amp = 2 * (PI * enclose_fraction(c) * Interval.from_rational(n_geo)).exp() / (1 - ratio_star)
-    exp_parts.append((geo_amp, Fraction(n_geo)))
-    for pc, pp in pref_parts:
-        for ec, decay in exp_parts:
-            competitors.append((pc * ec, pp, decay))
+    competitors = [(t.magnitude_interval(), t.p, t.decay) for t in terms[1:]]
+    competitors += envelope.terms(x_star)  # (|C|, p, decay)
 
     eps = Interval(0.0, 0.0)
     pi_lo = PI.lo
@@ -453,12 +456,13 @@ def certify_sign(
     for chart, x_star in (("t", t_star), ("u", u_star)):
         regime = NEAR_INFINITY if chart == "t" else NEAR_ZERO
         model = build_model(target, n, regime)
-        segs, fail = _bisect_chart(model, m, chart, x_star, max_depth, sign)
+        envelope = Envelope(chart, m)
+        segs, fail = _bisect_chart(model, envelope, x_star, max_depth, sign)
         segments.extend(segs)
         if fail is not None:
             failure = fail
             break
-        tail = _tail_check(model, m, chart, x_star, sign)
+        tail = _tail_check(model, envelope, x_star, sign)
         tails.append(tail)
         if not tail.certified:
             failure = (chart, x_star, math.inf)

@@ -96,8 +96,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     if args.target not in ("A", "B"):
         raise CliError("--target must be A or B")
     cert = certify_mod.certify_sign(
-        args.target, n=args.n, m=args.m if args.m is not None else args.n,
-        t_star=args.tstar, max_depth=args.max_depth,
+        args.target, n=args.n, m=args.n, t_star=args.tstar, max_depth=args.max_depth
     )
     doc = cert.to_doc()
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -265,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("certify", help="certify A < 0 or B > 0 on (0, oo)")
+    # no abbreviations: --m would otherwise be read as --max-depth
+    p = sub.add_parser("certify", help="certify A < 0 or B > 0 on (0, oo)", allow_abbrev=False)
     p.add_argument("--target", required=True)
     p.add_argument("--n", type=int, default=6)
-    p.add_argument("--m", type=int, default=None)
     p.add_argument("--tstar", type=float, default=4.0)
     p.add_argument("--max-depth", type=int, default=60)
     p.add_argument("--out")

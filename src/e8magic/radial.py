@@ -38,12 +38,10 @@ from functools import lru_cache
 import numpy as np
 
 from .modforms import FormId, build_form, eval_form, growth_bound
-from .qseries import EvalResult, combine
+from .qseries import _BLOCK_ELEMS, EvalResult, combine
 
 __all__ = [
     "RadialValue",
-    "MagicFunctionSpec",
-    "MAGIC",
     "eval_a",
     "eval_b",
     "eval_g",
@@ -63,28 +61,24 @@ class RadialValue:
     """Function value with the global i factored out, plus an error estimate.
 
     ``residual`` carries the spurious real part discarded by quadrature-based
-    oracles (exactly zero for the Laplace-integral evaluators).
+    oracles (exactly zero for the Laplace-integral evaluators).  A value or
+    error that is not finite is a numerical failure (ArithmeticError).
     """
 
     value: float
     err: float
     residual: float = 0.0
 
-
-@dataclass(frozen=True)
-class MagicFunctionSpec:
-    """The linear combination defining g and its Fourier transform.
-
-    g = coefficient_a * a + coefficient_b * b; ghat flips the sign of the b
-    component because a has Fourier eigenvalue +1 and b has eigenvalue -1.
-    """
-
-    coefficient_a: complex = 1j * _PI / 8640
-    coefficient_b: complex = 1j / (240 * _PI)
-    sign_for_ghat: int = -1
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.value) and math.isfinite(self.err)):
+            raise ArithmeticError(f"radial value {self.value} +/- {self.err} is not finite")
 
 
-MAGIC = MagicFunctionSpec()
+# g = (i pi/8640) a + (i/(240 pi)) b, so with a = i Im a and b = i Im b its
+# coefficients on Im a and Im b are real; ghat flips the sign of the b part
+# because a has Fourier eigenvalue +1 and b has eigenvalue -1
+_G_COEFF_A = -_PI / 8640
+_G_COEFF_B = -1 / (240 * _PI)
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +208,13 @@ def _integral(which: str, y: np.ndarray, deriv: bool) -> tuple[np.ndarray, np.nd
     in u) use closed forms, and the far range comes from ``ray_laplace``.
     """
     u, w, near_err = _near_quadrature(which)
-    kernel = np.exp(-_PI * np.outer(y, 1.0 / u))
-    if deriv:
-        kernel = kernel * (-_PI / u)[None, :]
-    total = kernel @ w
+    total = np.empty(len(y))
+    rows = max(1, _BLOCK_ELEMS // len(u))  # keep each block of the kernel small
+    for lo in range(0, len(y), rows):
+        kernel = np.exp(-_PI * np.outer(y[lo:lo + rows], 1.0 / u))
+        if deriv:
+            kernel = kernel * (-_PI / u)[None, :]
+        total[lo:lo + rows] = kernel @ w
     d = 1 if deriv else 0
     for c, p, m in _ELEM_TERMS[which]:
         total = total + c * ((-_PI) ** d) * _unit_moment(p + d, _PI * (y + m))
@@ -315,10 +312,11 @@ def _eval_err(value: float, series_err: float) -> float:
 
 
 def _radius_sq(r: float) -> np.ndarray:
-    """y = r^2 as a one-point array, for a finite r >= 0."""
-    if not (math.isfinite(r) and r >= 0):
-        raise ValueError("r must be finite and nonnegative")
-    return np.array([float(r) ** 2])
+    """y = r^2 as a one-point array, for r >= 0 with a finite square."""
+    y = float(r) * float(r)
+    if not (r >= 0 and math.isfinite(y)):
+        raise ValueError("r must be nonnegative with a finite square")
+    return np.array([y])
 
 
 def _radial(which: str, r: float) -> RadialValue:
@@ -341,13 +339,10 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     """g or ghat (or d/dy) at y, and the bound on its series part."""
     if which not in ("g", "ghat"):
         raise ValueError("which must be 'g' or 'ghat'")
-    ca = (MAGIC.coefficient_a * 1j).real  # i * (i pi/8640) = -pi/8640
-    cb = (MAGIC.coefficient_b * 1j).real
-    if which == "ghat":
-        cb *= MAGIC.sign_for_ghat
+    cb = _G_COEFF_B if which == "g" else -_G_COEFF_B
     a_im, a_err = _im_core("a", y, deriv)
     b_im, b_err = _im_core("b", y, deriv)
-    return 4.0 * (ca * a_im + cb * b_im), 4.0 * (abs(ca) * a_err + abs(cb) * b_err)
+    return 4.0 * (_G_COEFF_A * a_im + cb * b_im), 4.0 * (abs(_G_COEFF_A) * a_err + abs(cb) * b_err)
 
 
 def eval_g(r: float, which: str = "g") -> RadialValue:

@@ -10,12 +10,11 @@ import pytest
 from e8magic.certify import (
     NEAR_INFINITY,
     NEAR_ZERO,
+    Envelope,
     build_model,
     certify_sign,
     numeric_value,
-    remainder_envelope,
 )
-from e8magic.certify import _env_prefactor, _env_sum  # envelope internals
 from e8magic.modforms import FormId, build_form, eval_form
 from e8magic.rigor import Interval
 
@@ -98,52 +97,84 @@ def test_model_goldens(target, n, regime, expected):
 
 def test_envelope_monotone_in_cutoff():
     t = Interval.point(1.5)
-    values = [remainder_envelope(m, NEAR_INFINITY, t).hi for m in range(1, 9)]
+    values = [Envelope("t", m).enclose(t).hi for m in range(1, 9)]
     assert all(a > b for a, b in zip(values, values[1:]))
-    u_t = Interval.point(0.8)
-    values = [remainder_envelope(m, NEAR_ZERO, u_t).hi for m in range(1, 9)]
+    u = 1 / Interval.point(0.8)
+    values = [Envelope("u", m).enclose(u).hi for m in range(1, 9)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_envelope_prefactor_relation_at_t1():
-    """At t = 1 both regimes share the tail sum; the envelopes differ by the
+    """At t = u = 1 both charts share the tail sum; the envelopes differ by the
     ratio of prefactors (t^2 + 12t/pi + 36/pi^2) vs (t^2 + 36/pi^2)."""
     one = Interval.point(1.0)
-    env_inf = remainder_envelope(6, NEAR_INFINITY, one)
-    env_zero = remainder_envelope(6, NEAR_ZERO, one)
+    env_inf = Envelope("t", 6).enclose(one)
+    env_zero = Envelope("u", 6).enclose(one)
     ratio = (1 + 12 / math.pi + 36 / math.pi**2) / (1 + 36 / math.pi**2)
     assert env_inf.lo / env_zero.hi <= ratio <= env_inf.hi / env_zero.lo
 
 
 def test_envelope_domain_checks():
     with pytest.raises(ValueError):
-        remainder_envelope(6, NEAR_INFINITY, Interval(0.5, 0.9))
+        Envelope("t", 6).enclose(Interval(0.5, 0.9))
     with pytest.raises(ValueError):
-        remainder_envelope(6, NEAR_ZERO, Interval(1.0, 1.5))
+        Envelope("u", 6).enclose(Interval(0.5, 0.9))
     with pytest.raises(ValueError):
-        remainder_envelope(0, NEAR_INFINITY, Interval.point(2.0))
+        Envelope("t", 0)
+
+
+def _mp_envelope(chart, m, x):
+    """50-digit value of P(x) * sum_{n>=m} 2 e^{2 sqrt2 pi sqrt(n)} e^{-pi n x};
+    the terms past n = 600 are below 1e-300 of the first for x >= 1."""
+    x = mpmath.mpf(x)
+    pi = mpmath.pi
+    pref = x**2 + 12 / pi * x + 36 / pi**2 if chart == "t" else 1 + 36 / pi**2 * x**2
+    total = mpmath.fsum(
+        2 * mpmath.exp(2 * mpmath.sqrt(2) * pi * mpmath.sqrt(n) - pi * n * x) for n in range(m, 600)
+    )
+    return pref * total
+
+
+@pytest.mark.parametrize("chart", ["t", "u"])
+@pytest.mark.parametrize("m", [1, 6, 10])
+def test_envelope_evaluators_bound_the_exact_sum(chart, m):
+    """The leaf enclosure at x and the tail terms for x >= x_star are both at
+    least the envelope summed to 50 digits."""
+    env = Envelope(chart, m)
+    for x in (1.0, 1.7, 2.0, 4.0, 9.0):
+        exact = _mp_envelope(chart, m, x)
+        assert env.enclose(Interval.point(x)).hi >= exact, x
+        for x_star in (2.0, 4.0):
+            if x < x_star:
+                continue
+            terms = env.terms(x_star)
+            tail = mpmath.fsum(
+                mpmath.mpf(c.hi) * mpmath.mpf(x) ** p * mpmath.exp(-mpmath.pi * decay * x)
+                for c, p, decay in terms
+            )
+            assert tail >= exact, (x, x_star)
 
 
 # ---------------------------------------------------------------------------
 # cross-regime consistency
 
-def _full_enclosure(target, t):
-    """Two independent enclosures of target(t): one per chart."""
+def _chart_box(target, chart, t):
+    """Enclosure of target(t) from the n = 6 model and envelope of one chart."""
     t_iv = Interval.point(t)
+    if chart == "t":
+        model = build_model(target, 6, NEAR_INFINITY).enclose(t_iv)
+        env = Envelope("t", 6).enclose(t_iv).hi
+        return Interval(model.lo - env, model.hi + env)
     u_iv = 1 / t_iv
-    inf_model = build_model(target, 6, NEAR_INFINITY).enclose(t_iv)
-    inf_env = (_env_prefactor("t", t_iv) * _env_sum(6, t_iv)).hi
-    inf_box = Interval(inf_model.lo - inf_env, inf_model.hi + inf_env)
-    zero_model = build_model(target, 6, NEAR_ZERO).enclose(u_iv)
-    zero_env = (_env_prefactor("u", u_iv) * _env_sum(6, u_iv)).hi
-    zero_box = t_iv.powi(2) * Interval(zero_model.lo - zero_env, zero_model.hi + zero_env)
-    return inf_box, zero_box
+    model = build_model(target, 6, NEAR_ZERO).enclose(u_iv)
+    env = Envelope("u", 6).enclose(u_iv).hi
+    return t_iv.powi(2) * Interval(model.lo - env, model.hi + env)
 
 
 @pytest.mark.parametrize("target", ["A", "B"])
 @pytest.mark.parametrize("t", [0.9, 0.95, 1.0, 1.05, 1.1])
 def test_cross_regime_overlap(target, t):
-    inf_box, zero_box = _full_enclosure(target, t)
+    inf_box, zero_box = _chart_box(target, "t", t), _chart_box(target, "u", t)
     assert inf_box.intersect(zero_box) is not None, (inf_box, zero_box)
 
 
@@ -156,7 +187,7 @@ def test_sum_rule(t):
     t_iv = Interval.point(t)
     a = build_model("A", 6, NEAR_INFINITY).enclose(t_iv)
     b = build_model("B", 6, NEAR_INFINITY).enclose(t_iv)
-    env = 2 * (_env_prefactor("t", t_iv) * _env_sum(6, t_iv)).hi
+    env = 2 * Envelope("t", 6).enclose(t_iv).hi
     psi = eval_form(FormId.PSI_I, complex(0.0, t))
     rhs = 72 / math.pi**2 * psi.value.real
     rhs_err = 72 / math.pi**2 * psi.tail_bound
@@ -188,10 +219,17 @@ def test_certified(name, request):
 
 @pytest.mark.parametrize("name", ["cert_a", "cert_b"])
 def test_margins_dominate_rounding(name, request):
-    """Every leaf margin exceeds 10x the accumulated interval width there."""
+    """Every leaf margin exceeds 10x the accumulated interval width of model
+    and envelope at the leaf's midpoint."""
     cert = request.getfixturevalue(name)
     for seg in cert.segments:
-        assert seg.margin > 10 * seg.rounding_width, seg
+        regime = NEAR_INFINITY if seg.chart == "t" else NEAR_ZERO
+        mid = Interval.point(0.5 * (seg.lo + seg.hi))
+        width = (
+            build_model(cert.target, cert.n, regime).enclose(mid).width
+            + Envelope(seg.chart, cert.m).enclose(mid).width
+        )
+        assert seg.margin > 10 * width, seg
 
 
 def test_control_run_fails_near_one():
@@ -248,16 +286,16 @@ def test_invalid_parameters_rejected():
 # model vs plain numerics
 
 @pytest.mark.parametrize("target", ["A", "B"])
-@pytest.mark.parametrize("t", [1.0, 1.5, 2.5])
+@pytest.mark.parametrize("t", [1.0, 1.5, 2.5, 0.4, 0.7, 0.9])
 def test_models_match_numeric_value(target, t):
+    """t-chart model +/- envelope for t >= 1, t^2 (model +/- envelope) at
+    u = 1/t for t < 1."""
     value, err = numeric_value(target, t)
-    t_iv = Interval.point(t)
-    model = build_model(target, 6, NEAR_INFINITY).enclose(t_iv)
-    env = (_env_prefactor("t", t_iv) * _env_sum(6, t_iv)).hi
+    box = _chart_box(target, "t" if t >= 1 else "u", t)
     # numeric_value works in plain doubles; allow its roundoff on top of the
     # reported truncation error
     tol = err + 1e-12 * (1 + abs(value))
-    assert model.lo - env - tol <= value <= model.hi + env + tol
+    assert box.lo - tol <= value <= box.hi + tol
 
 
 def _mp_series(form, t):

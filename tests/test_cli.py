@@ -158,9 +158,14 @@ def test_exit_codes_distinguish_failure_kinds(capsys):
         (["certify", "--target", "B", "--max-depth", "-1"], EXIT_INVALID_INPUT),
         (["certify", "--target", "A", "--tstar", "1e6"], EXIT_NUMERICAL_FAILURE),
         (["--threads", "2", "bound"], EXIT_INVALID_INPUT),
+        (["eval", "--function", "g", "--r", "1e154"], EXIT_NUMERICAL_FAILURE),
+        (["eval", "--function", "g", "--deriv", "--r", "1e100"], EXIT_NUMERICAL_FAILURE),
+        (["eval", "--function", "g", "--r", "1e200"], EXIT_INVALID_INPUT),
+        (["certify", "--target", "A", "--m", "6"], EXIT_INVALID_INPUT),
     ],
 )
 def test_boundary_inputs_end_in_documented_exit_codes(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert code == expected, (out, err)
     assert "Traceback" not in err
+    assert "nan" not in out
