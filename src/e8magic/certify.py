@@ -445,8 +445,8 @@ def certify_sign(
         raise ValueError("t_star must be finite and >= 2")
     if u_star is None:
         u_star = t_star
-    if not math.isfinite(u_star):
-        raise ValueError("u_star must be finite")
+    if not 2 <= u_star < math.inf:
+        raise ValueError("u_star must be finite and >= 2")
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     sign = -1 if target == "A" else 1

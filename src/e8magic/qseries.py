@@ -3,9 +3,13 @@
 Series live on the exponent grid (1/8)*Z, fine enough for the theta constant
 with half-integer square exponents; everything else (theta fourth powers,
 Eisenstein series, the weakly holomorphic forms) embeds in it.  Exponents are
-stored as integer counts of 1/8 units.  Coefficients are `fractions.Fraction`
-and every operation is exact: the only approximation anywhere is the explicit
-truncation order, which each operation propagates conservatively.
+integer counts of 1/8 units.  A series is stored as one positive integer
+denominator and a dense tuple of integer numerators on its stride grid, so
+every operation is exact integer arithmetic: a product or a power is a
+big-integer multiply (Kronecker substitution: Harvey, *J. Symb. Comp.* 2009),
+a quotient an integer power-series inverse.  The only approximation anywhere
+is the explicit truncation order, which each operation propagates
+conservatively.  ``coeffs`` presents the same series as exact ``Fraction``s.
 
 This module is the one place where exact coefficients become floats: each
 series keeps float arrays of its terms, built on first use.  Evaluation at one
@@ -19,11 +23,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
-from typing import Mapping
+from math import gcd, lcm
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -137,38 +142,119 @@ def _tail_majorant(lead: int, order: int, stride: int, c: float, a: float, y: fl
     return (tail + first / (1 - ratio)).hi
 
 
-@dataclass(frozen=True)
+def _bias(width: int, n: int) -> int:
+    """Half the base 2^(8 width) in each of n digits: adding it makes signed
+    digits of magnitude below half the base nonnegative."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The first n coefficients of the product of the integer polynomials a and b.
+
+    Kronecker substitution: each list is packed into one integer in base
+    2^(8 width), with digits wide enough for every coefficient of the product,
+    so CPython's big-integer multiply does the convolution; the signed digits
+    of the product are read back after adding half the base to each.
+    """
+    a, b = a[:n], b[:n]
+    bound = max(map(abs, a), default=0) * max(map(abs, b), default=0) * min(len(a), len(b))
+    if bound == 0:
+        return [0] * n
+    width = bound.bit_length() // 8 + 1  # every |digit| <= bound < 2^(8 width - 1)
+    half = 1 << (8 * width - 1)
+
+    def pack(xs: Sequence[int]) -> int:
+        raw = b"".join((x + half).to_bytes(width, "little") for x in xs)
+        return int.from_bytes(raw, "little") - _bias(width, len(xs))
+
+    pa = pack(a)
+    product = pa * pa if b is a else pa * pack(b)
+    raw = ((product + _bias(width, n)) & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * n, width)]
+
+
+def _inverse(m: Sequence[int], n: int) -> list[int]:
+    """The first n coefficients of 1/m for an integer list m with m[0] = 1, by
+    Newton's iteration g <- g - g (m g - 1), which doubles the correct terms."""
+    g = [1]
+    while len(g) < n:
+        h = len(g)
+        k = min(2 * h, n)
+        err = _convolve(m, g, k)[h:]  # m g - 1 vanishes below x^h
+        g += [-x for x in _convolve(g, err, k - h)]
+    return g
+
+
+def _dense(lead: int, order: int, terms: Mapping[int, tuple[int, int]], stride: int):
+    """(step, den, nums) holding the nonzero terms {e: (numerator, denominator)},
+    which must lie in [lead, order)."""
+    for e in terms:
+        if not (lead <= e < order):
+            raise ValueError(f"exponent {e} outside [{lead}, {order})")
+    terms = {int(e): c for e, c in terms.items()}
+    den = lcm(*(d for _, d in terms.values()))
+    step = gcd(*(e - lead for e in terms)) or stride
+    nums = [0] * ((max(terms) - lead) // step + 1 if terms else 0)
+    for e, (x, d) in terms.items():
+        nums[(e - lead) // step] = x * (den // d)
+    return step, den, nums
+
+
+def _points(origin: int, step: int, order: int, last: int) -> int:
+    """Grid points origin + i*step below order and at most last."""
+    return max(0, min(-(-(order - origin) // step), (last - origin) // step + 1))
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class QSeries:
-    """Sparse truncated series  sum_{lead <= e < order} c(e) q^(e/8).
+    """Truncated series  sum_{lead <= e < order} c(e) q^(e/8).
 
     ``lead`` may be negative (simple poles at the cusp are first-class).
     ``order`` is the exclusive truncation bound; coefficients at exponents
     >= order are unknown, not zero.  ``stride`` records the grid the support
     actually lives on (in 1/8 units); it always divides every populated
-    exponent minus ``lead``.
+    exponent minus ``lead``.  The coefficient at lead + i*stride is
+    nums[i] / den, where den > 0 is coprime to the numerators together and
+    ``nums`` has no trailing zeros.  A series with no term past its lead keeps
+    the stride it was made with (8 unless an operation says otherwise).
     """
 
     lead: int
     order: int
-    coeffs: Mapping[int, Fraction] = field(default_factory=dict)
-    stride: int = EIGHTH
+    stride: int
+    den: int
+    nums: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        clean = {}
-        for e, c in self.coeffs.items():
+    def __init__(self, lead: int, order: int, coeffs: Mapping[int, Fraction] | None = None,
+                 stride: int = EIGHTH) -> None:
+        terms = {}
+        for e, c in (coeffs or {}).items():
             c = Fraction(c)
-            if c == 0:
-                continue
-            if not (self.lead <= e < self.order):
-                raise ValueError(f"exponent {e} outside [{self.lead}, {self.order})")
-            clean[int(e)] = c
-        stride = 0
-        for e in clean:
-            stride = gcd(stride, e - self.lead)
-        if stride == 0:
-            stride = self.stride
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "stride", stride)
+            if c != 0:
+                terms[e] = (c.numerator, c.denominator)
+        self._set(lead, order, *_dense(lead, order, terms, stride), stride)
+
+    def _set(self, lead: int, order: int, step: int, den: int, nums: Sequence[int], stride: int) -> None:
+        """Store sum_i nums[i]/den q^((lead + i*step)/8) in normal form; ``stride``
+        is kept when no term lies past the lead."""
+        end = len(nums)
+        while end and not nums[end - 1]:
+            end -= 1
+        g = gcd(*(i for i in range(1, end) if nums[i]))
+        nums = nums[:end:g or 1]
+        content = gcd(den, *nums)
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "stride", step * g if g else stride)
+        object.__setattr__(self, "den", den // content if nums else 1)
+        object.__setattr__(self, "nums", tuple(x // content for x in nums))
+
+    @staticmethod
+    def _make(lead: int, order: int, step: int, den: int, nums: Sequence[int],
+              stride: int = EIGHTH) -> "QSeries":
+        out = object.__new__(QSeries)
+        out._set(lead, order, step, den, nums, stride)
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -188,11 +274,46 @@ class QSeries:
 
     # -- basic queries ----------------------------------------------------
 
+    def _terms(self):
+        """(exponent, numerator) of every nonzero term, by increasing exponent."""
+        return ((self.lead + i * self.stride, x) for i, x in enumerate(self.nums) if x)
+
+    @property
+    def _step(self) -> int:
+        """The grid step of the stored terms, 0 when there is at most one."""
+        return self.stride if len(self.nums) > 1 else 0
+
+    @property
+    def _last(self) -> int:
+        """Exponent of the last stored numerator."""
+        return self.lead + (len(self.nums) - 1) * self.stride
+
+    def _on_grid(self, origin: int, step: int, n: int) -> list[int]:
+        """Numerators at origin + i*step for i < n; the grid must hold every term."""
+        out = [0] * n
+        k = self._step // step
+        pos = (self.lead - origin) // step
+        for x in self.nums:
+            if pos >= n:
+                break
+            if x and pos >= 0:
+                out[pos] = x
+            pos += k
+        return out
+
+    @cached_property
+    def coeffs(self) -> Mapping[int, Fraction]:
+        """The nonzero coefficients as a read-only {exponent: Fraction} mapping."""
+        return MappingProxyType({e: Fraction(x, self.den) for e, x in self._terms()})
+
     def coeff(self, e: int) -> Fraction:
         """Coefficient of q^(e/8); raises past the truncation order."""
         if e >= self.order:
             raise TruncationError(f"exponent {e} is beyond truncation order {self.order}")
-        return self.coeffs.get(e, Fraction(0))
+        i, r = divmod(e - self.lead, self.stride)
+        if r or not 0 <= i < len(self.nums):
+            return Fraction(0)
+        return Fraction(self.nums[i], self.den)
 
     def coeff_q(self, n) -> Fraction:
         """Coefficient of q^n for rational n (n in units of 1, not eighths)."""
@@ -204,28 +325,33 @@ class QSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return (self.lead, self.order, self.coeffs) == (other.lead, other.order, other.coeffs)
+        # the stride places the terms past the lead; with none it is not compared
+        return (self.lead, self.order, self.den, self.nums) == (
+            other.lead, other.order, other.den, other.nums
+        ) and (len(self.nums) < 2 or self.stride == other.stride)
 
     def __hash__(self):
-        return hash((self.lead, self.order, tuple(sorted(self.coeffs.items()))))
+        return hash((self.lead, self.order, self.den, self.nums))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     # -- ring operations ---------------------------------------------------
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.lead, self.order, {e: -c for e, c in self.coeffs.items()})
+        return QSeries._make(self.lead, self.order, self.stride, self.den, [-x for x in self.nums])
 
     def __add__(self, other) -> "QSeries":
         other = self._coerce(other)
         lead = min(self.lead, other.lead)
         order = min(self.order, other.order)
-        out: dict[int, Fraction] = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        out = {e: c for e, c in out.items() if e < order}
-        return QSeries(lead, order, out)
+        parts = [s for s in (self, other) if s.nums]
+        step = gcd(*(s._step for s in parts), *(s.lead - lead for s in parts)) or EIGHTH
+        n = max((_points(lead, step, order, s._last) for s in parts), default=0)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        a, b = self._on_grid(lead, step, n), other._on_grid(lead, step, n)
+        return QSeries._make(lead, order, step, den, [fa * x + fb * y for x, y in zip(a, b)])
 
     __radd__ = __add__
 
@@ -237,29 +363,42 @@ class QSeries:
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
-            return QSeries(
-                self.lead, self.order, {e: c * other for e, c in self.coeffs.items()}
-            )
+            other = Fraction(other)
+            return QSeries._make(self.lead, self.order, self.stride, self.den * other.denominator,
+                                 [x * other.numerator for x in self.nums])
         other = self._coerce(other)
         order = min(self.order + other.lead, other.order + self.lead)
         lead = self.lead + other.lead
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e < order:
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return QSeries(lead, order, out)
+        if not (self.nums and other.nums):
+            return QSeries(lead, order)
+        step = gcd(self._step, other._step) or EIGHTH
+        n = _points(lead, step, order, self._last + other._last)
+        a = self._on_grid(self.lead, step, n)
+        b = other._on_grid(other.lead, step, n)
+        return QSeries._make(lead, order, step, self.den * other.den, _convolve(a, b, n))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
             raise ValueError("negative powers: use divide")
-        result = QSeries.one(10**9)
+        # the truncation of n successive products, starting from one(10**9)
+        lead, order = 0, 10**9
         for _ in range(n):
-            result = result * self
-        return result
+            lead, order = lead + self.lead, min(order + self.lead, self.order + lead)
+        if n == 0:
+            return QSeries.one(order)
+        step = self._step or EIGHTH
+        k = _points(lead, step, order, n * self._last)
+        base, acc, bits = self._on_grid(self.lead, step, k), [1], n
+        while True:  # square and multiply, each product truncated to k terms
+            if bits & 1:
+                acc = _convolve(acc, base, k)
+            bits >>= 1
+            if not bits:
+                break
+            base = _convolve(base, base, k)
+        return QSeries._make(lead, order, step, self.den**n, acc)
 
     def __truediv__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
@@ -267,8 +406,7 @@ class QSeries:
         den = self._coerce(other)
         if den.is_zero():
             raise ZeroDivisionError("division by the zero series")
-        dlead = min(den.coeffs)
-        d0 = den.coeffs[dlead]
+        dlead = next(den._terms())[0]
         rel = min(self.order - self.lead, den.order - dlead)
         if rel <= 0:
             raise TruncationError(
@@ -277,19 +415,23 @@ class QSeries:
             )
         lead = self.lead - dlead
         order = lead + rel
-        stride = gcd(self.stride, den.stride)
-        out: dict[int, Fraction] = {}
-        # long division on the common grid
-        for e in range(lead, order, stride):
-            num_c = self.coeffs.get(e + dlead, Fraction(0))
-            acc = num_c
-            for e2, c2 in out.items():
-                dc = den.coeffs.get(e + dlead - e2, None)
-                if dc is not None:
-                    acc -= c2 * dc
-            if acc != 0:
-                out[e] = acc / d0
-        return QSeries(lead, order, out, stride=stride)
+        step = gcd(self._step, den._step) or gcd(self.stride, den.stride)
+        k = -(-rel // step)
+        num = self._on_grid(self.lead, step, k)
+        d = den._on_grid(dlead, step, k)
+        # divide the divisor by its content, with the sign that makes it lead with a > 0
+        sign, content = (1 if d[0] > 0 else -1), gcd(*d)
+        d = [sign * x // content for x in d]
+        # q(a x) = num(a x) / (a m(x)) with m_0 = 1 and m_i = d_i a^(i-1), so
+        # q_i = r_i / a^(i+1) for the integer series r = num(a x) / m
+        a = d[0]
+        powers = [a**i for i in range(k + 1)]
+        m = [1] + [x * p for x, p in zip(d[1:], powers)]
+        r = _convolve([x * p for x, p in zip(num, powers)], _inverse(m, k), k)
+        q = [x * p for x, p in zip(r, reversed(powers[:k]))]
+        scale = sign * den.den
+        return QSeries._make(lead, order, step, self.den * content * a**k, [scale * x for x in q],
+                             stride=gcd(self.stride, den.stride))
 
     def _coerce(self, other) -> "QSeries":
         if isinstance(other, QSeries):
@@ -302,10 +444,12 @@ class QSeries:
 
     def D(self) -> "QSeries":
         """q d/dq: the coefficient of q^n is multiplied by n."""
-        return QSeries(
+        return QSeries._make(
             self.lead,
             self.order,
-            {e: c * Fraction(e, EIGHTH) for e, c in self.coeffs.items()},
+            self.stride,
+            self.den * EIGHTH,
+            [x * (self.lead + i * self.stride) for i, x in enumerate(self.nums)],
         )
 
     def translate(self, shift: int) -> "QSeries":
@@ -317,22 +461,21 @@ class QSeries:
         """
         if shift not in (1, -1):
             raise ValueError("shift must be +1 or -1")
-        out = {}
-        for e, c in self.coeffs.items():
+        for e, _ in self._terms():
             if e % 4 != 0:
                 raise ValueError(
                     f"translate needs support on the (1/2)Z grid, found exponent {e}/8"
                 )
-            out[e] = c if e % 8 == 0 else -c
-        return QSeries(self.lead, self.order, out)
+        nums = [x if (self.lead + i * self.stride) % 8 == 0 else -x for i, x in enumerate(self.nums)]
+        return QSeries._make(self.lead, self.order, self.stride, self.den, nums)
 
     # -- numerical evaluation ------------------------------------------------
 
     @cached_property
     def _floats(self) -> tuple[np.ndarray, np.ndarray]:
         """Exponents in units of q (exact) and coefficients rounded to nearest."""
-        items = sorted(self.coeffs.items())
-        return np.array([e / EIGHTH for e, _ in items]), np.array([float(c) for _, c in items])
+        terms = list(self._terms())
+        return np.array([e / EIGHTH for e, _ in terms]), np.array([x / self.den for _, x in terms])
 
     def eval_at(self, z, bound_constant: float, bound_exponent: float) -> EvalResult:
         """Evaluate sum c(n) e^{2*pi*i*n*z} over the stored terms, at one z or an array of z.
@@ -418,19 +561,24 @@ class QSeries:
             "lead": self.lead,
             "order": self.order,
             "coefficients": [
-                [e, f"{c.numerator}/{c.denominator}"]
-                for e, c in sorted(self.coeffs.items())
+                [e, f"{x // g}/{self.den // g}"]
+                for e, x in self._terms()
+                for g in (gcd(x, self.den),)
             ],
         }
         return doc
 
     @staticmethod
     def from_doc(doc: dict) -> "QSeries":
-        coeffs = {}
+        terms = {}
         for e, s in doc["coefficients"]:
             num, den = s.split("/")
-            coeffs[int(e)] = Fraction(int(num), int(den))
-        return QSeries(doc["lead"], doc["order"], coeffs, stride=doc["stride"])
+            if int(den) == 0:
+                raise ZeroDivisionError(f"coefficient {s} has a zero denominator")
+            if int(num) != 0:
+                terms[int(e)] = (int(num), int(den))
+        lead, order, stride = doc["lead"], doc["order"], doc["stride"]
+        return QSeries._make(lead, order, *_dense(lead, order, terms, stride), stride=stride)
 
     def dumps(self, name: str = "", weight: int | None = None) -> str:
         return json.dumps(self.to_doc(name, weight), indent=None, sort_keys=True)
@@ -440,7 +588,7 @@ class QSeries:
         return QSeries.from_doc(json.loads(text))
 
     def __repr__(self) -> str:
-        terms = sorted(self.coeffs.items())[:6]
-        body = " + ".join(f"{c}*q^({e}/8)" for e, c in terms)
-        more = " + ..." if len(self.coeffs) > 6 else ""
+        terms = list(self._terms())
+        body = " + ".join(f"{Fraction(x, self.den)}*q^({e}/8)" for e, x in terms[:6])
+        more = " + ..." if len(terms) > 6 else ""
         return f"QSeries({body}{more}; order={self.order}/8)"

@@ -167,27 +167,32 @@ def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
-    """int_0^1 t^p e^{-beta t} dt, stable for beta of either sign and near zero."""
-    beta = np.asarray(beta, dtype=float)
-    safe = np.where(np.abs(beta) < 0.5, 1.0, beta)
-    eb = np.exp(-safe)
-    if p == 0:
-        closed = -np.expm1(-safe) / safe
-    elif p == 1:
-        closed = (1.0 - eb * (1.0 + safe)) / safe**2
-    elif p == 2:
-        closed = (2.0 - eb * (safe**2 + 2 * safe + 2)) / safe**3
-    elif p == 3:
-        closed = (6.0 - eb * (safe**3 + 3 * safe**2 + 6 * safe + 6)) / safe**4
-    else:
+    """int_0^1 t^p e^{-beta t} dt, stable for beta of either sign and near zero:
+    the closed form where |beta| >= 1/2, a Taylor series below."""
+    if not 0 <= p <= 3:
         raise ValueError("moment degree must be <= 3")
+    beta = np.asarray(beta, dtype=float)
+    small = np.abs(beta) < 0.5
+    out = np.empty_like(beta)
+    b = beta[~small]
+    eb = np.exp(-b)
+    if p == 0:
+        out[~small] = -np.expm1(-b) / b
+    elif p == 1:
+        out[~small] = (1.0 - eb * (1.0 + b)) / b**2
+    elif p == 2:
+        out[~small] = (2.0 - eb * (b**2 + 2 * b + 2)) / b**3
+    else:
+        out[~small] = (6.0 - eb * (b**3 + 3 * b**2 + 6 * b + 6)) / b**4
     # Taylor branch: sum_k (-beta)^k / (k! (k + p + 1))
-    taylor = np.zeros_like(beta)
-    term = np.ones_like(beta)
+    b = beta[small]
+    taylor = np.zeros_like(b)
+    term = np.ones_like(b)
     for k in range(0, 26):
         taylor = taylor + term / (k + p + 1)
-        term = term * (-beta) / (k + 1)
-    return np.where(np.abs(beta) < 0.5, taylor, closed)
+        term = term * (-b) / (k + 1)
+    out[small] = taylor
+    return out
 
 
 # (coefficient, power p, exponential shift m): terms c * t^p * e^{-pi m t} whose
@@ -294,16 +299,25 @@ _PREFACTORS = {
 
 def _im_core(which: str, y: np.ndarray, deriv: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Im a / 4 or Im b / 4 as a function of y = r^2 (or its d/dy), and the
-    bound on the error of its series part."""
-    pref = sum(c * _ratio(y, center, power, deriv) for c, center, power in _PREFACTORS[which])
-    integral, err = _integral(which, y, False)
-    if not deriv:
-        return pref + _sin2(y) * integral, _sin2(y) * err
-    d_integral, d_err = _integral(which, y, True)
-    return (
-        pref + _sin2_prime(y) * integral + _sin2(y) * d_integral,
-        np.abs(_sin2_prime(y)) * err + _sin2(y) * d_err,
-    )
+    bound on the error of its series part.
+
+    A kernel argument that overflows a double (a power of y in the prefactors,
+    pi*y in the Laplace kernels) raises ArithmeticError where it happens,
+    instead of running on with inf and NaN.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            pref = sum(c * _ratio(y, center, power, deriv) for c, center, power in _PREFACTORS[which])
+            integral, err = _integral(which, y, False)
+            if not deriv:
+                return pref + _sin2(y) * integral, _sin2(y) * err
+            d_integral, d_err = _integral(which, y, True)
+            return (
+                pref + _sin2_prime(y) * integral + _sin2(y) * d_integral,
+                np.abs(_sin2_prime(y)) * err + _sin2(y) * d_err,
+            )
+    except FloatingPointError as exc:
+        raise ArithmeticError(f"y = r^2 up to {np.max(y):.6g} overflows a radial kernel: {exc}") from None
 
 
 def _eval_err(value: float, series_err: float) -> float:

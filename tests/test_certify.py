@@ -280,6 +280,9 @@ def test_invalid_parameters_rejected():
         certify_sign("A", t_star=math.inf)
     with pytest.raises(ValueError):
         certify_sign("A", max_depth=-1)
+    for u_star in (0.5, 1.0, math.inf):
+        with pytest.raises(ValueError, match="u_star"):
+            certify_sign("A", u_star=u_star)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -165,7 +166,11 @@ def test_exit_codes_distinguish_failure_kinds(capsys):
     ],
 )
 def test_boundary_inputs_end_in_documented_exit_codes(capsys, argv, expected):
-    code, out, err = run(capsys, *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
     assert code == expected, (out, err)
     assert "Traceback" not in err
     assert "nan" not in out
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught

@@ -1,9 +1,13 @@
 """Ring laws, operators, evaluation bounds, and persistence of QSeries."""
 
 import cmath
+import hashlib
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -192,3 +196,158 @@ def test_eval_requires_upper_half_plane():
 def test_pow_matches_repeated_mul():
     f = theta("10", 16)
     assert (f**3).coeffs == (f * f * f).coeffs
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against a naive Fraction reference
+#
+# A reference series is (lead, order, {exponent: Fraction}, stride), normalised
+# the way QSeries documents it: zero coefficients dropped, stride the gcd of
+# every populated exponent minus the lead, or the given stride when there is
+# no term past the lead.  Products are the double loop, quotients long
+# division on the common grid, powers repeated products from one(10**9).
+
+
+def _ref(lead, order, coeffs, stride=EIGHTH):
+    clean = {e: Fraction(c) for e, c in coeffs.items() if c != 0}
+    step = 0
+    for e in clean:
+        step = gcd(step, e - lead)
+    return lead, order, clean, step or stride
+
+
+def _ref_mul(f, g):
+    flead, forder, fc, _ = f
+    glead, gorder, gc, _ = g
+    order = min(forder + glead, gorder + flead)
+    out = {}
+    for e1, c1 in fc.items():
+        for e2, c2 in gc.items():
+            if e1 + e2 < order:
+                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return _ref(flead + glead, order, out)
+
+
+def _ref_pow(f, n):
+    out = _ref(0, 10**9, {0: 1})
+    for _ in range(n):
+        out = _ref_mul(out, f)
+    return out
+
+
+def _ref_div(f, d):
+    flead, forder, fc, fstride = f
+    _, dorder, dc, dstride = d
+    if not dc:
+        raise ZeroDivisionError
+    dlead = min(dc)
+    rel = min(forder - flead, dorder - dlead)
+    if rel <= 0:
+        raise TruncationError
+    lead = flead - dlead
+    stride = gcd(fstride, dstride)
+    out = {}
+    for e in range(lead, lead + rel, stride):
+        acc = fc.get(e + dlead, Fraction(0))
+        for e2, c2 in out.items():
+            acc -= c2 * dc.get(e + dlead - e2, 0)
+        if acc:
+            out[e] = acc / dc[dlead]
+    return _ref(lead, lead + rel, out, stride)
+
+
+def _assert_matches(series, ref):
+    lead, order, coeffs, stride = ref
+    assert (series.lead, series.order, series.stride) == (lead, order, stride)
+    assert series.coeffs == coeffs
+    assert series == QSeries(lead, order, coeffs, stride=stride)
+
+
+@st.composite
+def grid_terms(draw, content=None, lead_coeff=None):
+    """(lead, order, coeffs, stride): terms on a random grid from a possibly
+    negative lead, possibly none; with ``content`` the lead term is
+    content * lead_coeff and every other coefficient a multiple of content."""
+    lead = draw(st.integers(min_value=-16, max_value=16))
+    grid = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 16]))
+    order = lead + grid * draw(st.integers(min_value=1, max_value=14))
+    stride = draw(st.sampled_from([1, 2, 4, 8]))
+    if content is None:
+        values = coeff_st
+    else:
+        values = st.integers(min_value=-20, max_value=20).map(lambda k: k * content)
+    coeffs = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        e = lead + grid * draw(st.integers(min_value=0, max_value=(order - lead - 1) // grid))
+        coeffs[e] = draw(values)
+    if content is not None:
+        coeffs[lead] = content * lead_coeff
+    series = QSeries(lead, order, coeffs, stride=stride)
+    ref = _ref(lead, order, coeffs, stride)
+    _assert_matches(series, ref)
+    return series, ref
+
+
+@st.composite
+def divisors(draw):
+    """Nonzero series whose integer numerators have a content other than 1
+    and whose lead coefficient is not +-1 after dividing by it."""
+    content = draw(st.sampled_from([1, 2, -3, 12, Fraction(5, 4)]))
+    lead_coeff = draw(st.sampled_from([1, -1, 2, -3, 7]))
+    return draw(grid_terms(content=content, lead_coeff=lead_coeff))
+
+
+@given(grid_terms(), grid_terms())
+@settings(max_examples=300, deadline=None)
+def test_mul_matches_fraction_reference(f, g):
+    _assert_matches(f[0] * g[0], _ref_mul(f[1], g[1]))
+
+
+@given(grid_terms(), st.integers(min_value=0, max_value=4))
+@settings(max_examples=200, deadline=None)
+def test_pow_matches_fraction_reference(f, n):
+    _assert_matches(f[0] ** n, _ref_pow(f[1], n))
+
+
+@given(grid_terms(), st.one_of(divisors(), grid_terms()))
+@settings(max_examples=300, deadline=None)
+def test_div_matches_fraction_reference(f, d):
+    try:
+        ref = _ref_div(f[1], d[1])
+    except (ZeroDivisionError, TruncationError) as exc:
+        with pytest.raises(type(exc)):
+            f[0] / d[0]
+        return
+    _assert_matches(f[0] / d[0], ref)
+
+
+def test_kernel_edge_cases_match_fraction_reference():
+    """The empty series, a divisor with content 6 led by 4, and a numerator
+    with one term past a zero lead coefficient."""
+    empty = (QSeries(-8, 40, {}, stride=4), _ref(-8, 40, {}, 4))
+    den = (QSeries(8, 64, {8: 24, 16: -6, 20: 12}), _ref(8, 64, {8: 24, 16: -6, 20: 12}))
+    num = (QSeries(0, 48, {12: Fraction(3, 7)}), _ref(0, 48, {12: Fraction(3, 7)}))
+    for f, g in ((empty, empty), (empty, den), (num, den), (den, num)):
+        _assert_matches(f[0] * g[0], _ref_mul(f[1], g[1]))
+    for f in (empty, den, num):
+        for n in range(4):
+            _assert_matches(f[0] ** n, _ref_pow(f[1], n))
+    for f in (empty, num, den):
+        _assert_matches(f[0] / den[0], _ref_div(f[1], den[1]))
+    with pytest.raises(ZeroDivisionError):
+        num[0] / empty[0]
+
+
+# ---------------------------------------------------------------------------
+# every catalog form, byte for byte
+
+_GOLDENS = json.loads((Path(__file__).parent / "series_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("order", [16, 64])
+@pytest.mark.parametrize("form", list(FormId), ids=lambda f: f.value)
+def test_series_json_matches_golden(form, order):
+    """sha256 of build_form(form, order).dumps(form.value), recorded from the
+    Fraction-dict kernel this one replaced."""
+    text = build_form(form, order).dumps(form.value)
+    assert hashlib.sha256(text.encode()).hexdigest() == _GOLDENS[str(order)][form.value]
