@@ -28,6 +28,13 @@ EXIT_INVALID_INPUT = 2
 EXIT_CERT_FAILURE = 3
 EXIT_NUMERICAL_FAILURE = 4
 
+# input budgets: the largest --order, --max-norm and --samples accepted (on a
+# 2-vCPU VM, build_form(phi_0) takes about 3 s at order 2000 and
+# enumerate_shells about 1.5 s at max norm 400)
+MAX_SERIES_ORDER = 2000
+MAX_LATTICE_NORM = 400
+MAX_PLOT_SAMPLES = 10_000
+
 _FORM_BY_NAME = {f.value: f for f in FormId}
 
 
@@ -79,14 +86,14 @@ def _cmd_series(args: argparse.Namespace) -> int:
     form = _FORM_BY_NAME.get(args.form)
     if form is None:
         raise CliError(f"unknown form {args.form!r}; choose from {sorted(_FORM_BY_NAME)}")
-    if args.order <= 0:
-        raise CliError("--order must be positive")
+    if not 0 < args.order <= MAX_SERIES_ORDER:
+        raise CliError(f"--order must be between 1 and {MAX_SERIES_ORDER}")
     doc = _load_or_build_series(form, args.order)
     if args.format == "json":
         print(json.dumps(doc, sort_keys=True))
     else:
         series = QSeries.from_doc(doc)
-        print(f"# {form.value} (weight {WEIGHTS[form]}), order q^{args.order}/8")
+        print(f"# {form.value} (weight {WEIGHTS[form]}), known below q^({series.order}/8)")
         for e, c in sorted(series.coeffs.items()):
             print(f"q^({e}/8)\t{c}")
     return EXIT_OK
@@ -141,8 +148,8 @@ def _parse_range(spec: str) -> tuple[float, float]:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.range)
-    if args.samples < 2:
-        raise CliError("--samples must be at least 2")
+    if not 2 <= args.samples <= MAX_PLOT_SAMPLES:
+        raise CliError(f"--samples must be between 2 and {MAX_PLOT_SAMPLES}")
     fn = args.function
     rows = []
     for i in range(args.samples):
@@ -167,8 +174,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
-    if args.max_norm < 2 or args.max_norm % 2:
-        raise CliError("--max-norm must be an even integer >= 2")
+    if args.max_norm < 2 or args.max_norm % 2 or args.max_norm > MAX_LATTICE_NORM:
+        raise CliError(f"--max-norm must be an even integer between 2 and {MAX_LATTICE_NORM}")
     table = e8_mod.enumerate_shells(args.max_norm)
     if args.shells:
         print("norm^2\tcount")

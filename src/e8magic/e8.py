@@ -81,6 +81,15 @@ class ShellTable:
         return self.entries.get(norm2, 0)
 
 
+def _coordinates(budget: int, odd: bool):
+    """The stored values c, -c of one coordinate of the given parity with
+    c * c <= budget, by increasing c (0 once)."""
+    c = 1 if odd else 0
+    while c * c <= budget:
+        yield from ((c,) if c == 0 else (c, -c))
+        c += 2
+
+
 @lru_cache(maxsize=None)
 def _suffix_counts(index: int, budget: int, parity_sum: int, odd: bool) -> dict[int, int]:
     """Map exact stored-norm -> count over coordinates index..7.
@@ -91,15 +100,11 @@ def _suffix_counts(index: int, budget: int, parity_sum: int, odd: bool) -> dict[
     if index == 8:
         return {0: 1} if parity_sum % 4 == 0 else {}
     out: dict[int, int] = {}
-    start = 1 if odd else 0
-    c = start
-    while c * c <= budget:
-        for value in ((c,) if c == 0 else (c, -c)):
-            sub = _suffix_counts(index + 1, budget - c * c, (parity_sum + value) % 4, odd)
-            for norm, cnt in sub.items():
-                key = norm + c * c
-                out[key] = out.get(key, 0) + cnt
-        c += 2
+    for value in _coordinates(budget, odd):
+        square = value * value
+        sub = _suffix_counts(index + 1, budget - square, (parity_sum + value) % 4, odd)
+        for norm, cnt in sub.items():
+            out[norm + square] = out.get(norm + square, 0) + cnt
     return out
 
 
@@ -122,25 +127,20 @@ def shell_vectors(norm2: int) -> list[LatticePoint]:
     """All lattice vectors of a given squared norm (intended for small shells)."""
     if norm2 < 0 or norm2 % 2 != 0:
         raise ValueError("squared norms in Lambda_8 are even and nonnegative")
-    target = 4 * norm2
     results: list[LatticePoint] = []
-
-    def rec(prefix: list[int], budget: int, odd: bool) -> None:
-        if len(prefix) == 8:
-            if budget == 0 and sum(prefix) % 4 == 0:
-                results.append(LatticePoint(tuple(prefix)))
-            return
-        start = 1 if odd else 0
-        c = start
-        while c * c <= budget:
-            for value in ((c,) if c == 0 else (c, -c)):
-                prefix.append(value)
-                rec(prefix, budget - c * c, odd)
-                prefix.pop()
-            c += 2
-
     for odd in (False, True):
-        rec([], target, odd)
+        # (prefix, stored norm still to place, coordinate sum mod 4), keeping
+        # only prefixes that the remaining coordinates can complete exactly
+        prefixes = [((), 4 * norm2, 0)]
+        for index in range(1, 9):
+            grown = []
+            for prefix, rest, parity_sum in prefixes:
+                for value in _coordinates(rest, odd):
+                    left, parity = rest - value * value, (parity_sum + value) % 4
+                    if left in _suffix_counts(index, left, parity, odd):
+                        grown.append((prefix + (value,), left, parity))
+            prefixes = grown
+        results += [LatticePoint(prefix) for prefix, _, _ in prefixes]
     return results
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "KloostermanSum",
     "eisenstein",
     "theta",
-    "theta_pow4",
     "build_form",
     "verify_transform",
     "kloosterman_sum",
@@ -112,18 +111,20 @@ def growth_bound(form: FormId) -> tuple[float, float]:
     return GROWTH_BOUNDS[form]
 
 
-def _sigma(n: int, k: int) -> int:
-    return sum(d**k for d in range(1, n + 1) if n % d == 0)
-
-
 def eisenstein(k: int, order: int = DEFAULT_ORDER) -> QSeries:
-    """E_k as an exact q-expansion (k in {2, 4, 6})."""
+    """E_k as an exact q-expansion (k in {2, 4, 6}), with the divisor sums
+    sigma_{k-1}(n) for n < order taken from one sieve over the divisors."""
     factors = {2: -24, 4: 240, 6: -504}
     if k not in factors:
         raise ValueError(f"unsupported Eisenstein weight {k}")
+    sigma = [0] * order
+    for d in range(1, order):
+        power = d ** (k - 1)
+        for n in range(d, order, d):
+            sigma[n] += power
     coeffs = {0: Fraction(1)}
     for n in range(1, order):
-        coeffs[n * EIGHTH] = Fraction(factors[k] * _sigma(n, k - 1))
+        coeffs[n * EIGHTH] = Fraction(factors[k] * sigma[n])
     return QSeries(0, order * EIGHTH, coeffs)
 
 
@@ -153,10 +154,6 @@ def theta(kind: str, order: int = DEFAULT_ORDER) -> QSeries:
     raise ValueError(f"unknown theta kind {kind!r}")
 
 
-def theta_pow4(kind: str, order: int = DEFAULT_ORDER) -> QSeries:
-    return theta(kind, order) ** 4
-
-
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -172,56 +169,46 @@ def build_form(form: FormId, order: int = DEFAULT_ORDER) -> QSeries:
     return _CACHE[key]
 
 
+_EISENSTEIN_WEIGHT = {FormId.E2: 2, FormId.E4: 4, FormId.E6: 6}
+_THETA_KIND = {FormId.TH00_4: "00", FormId.TH01_4: "01", FormId.TH10_4: "10"}
+
+
 def _build(form: FormId, order: int) -> QSeries:
-    n = order + 3  # construction margin for the divisions
-    if form is FormId.E2:
-        return eisenstein(2, n)
-    if form is FormId.E4:
-        return eisenstein(4, n)
-    if form is FormId.E6:
-        return eisenstein(6, n)
-    if form in (FormId.TH00_4, FormId.TH01_4, FormId.TH10_4):
-        kind = {FormId.TH00_4: "00", FormId.TH01_4: "01", FormId.TH10_4: "10"}[form]
-        return theta_pow4(kind, n)
+    """One catalog form from its ingredients, each read through ``build_form``
+    so that every ingredient is built once per order."""
+    if form in _EISENSTEIN_WEIGHT:
+        return eisenstein(_EISENSTEIN_WEIGHT[form], order + 3)  # margin for the divisions
+    if form in _THETA_KIND:
+        return theta(_THETA_KIND[form], order + 3) ** 4
 
-    if form in (FormId.J, FormId.VPHI_M2, FormId.VPHI_M4):
-        e4 = eisenstein(4, n)
-        e6 = eisenstein(6, n)
-        disc = e4**3 - e6**2  # 1728*Delta, lead coefficient 1728 at q^1
-        if form is FormId.J:
-            return 1728 * e4**3 / disc
-        if form is FormId.VPHI_M4:
-            return 1728 * e4**2 / disc
-        return -1728 * (e4 * e6) / disc
+    def part(ingredient: FormId) -> QSeries:
+        return build_form(ingredient, order)
 
+    if form in (FormId.VPHI_M4, FormId.VPHI_M2):
+        # divided by 1728*Delta each: a quotient by E4 or E6, which vanish in
+        # the upper half-plane, would carry an exponentially growing inverse
+        e4, e6 = part(FormId.E4), part(FormId.E6)
+        numerator = e4**2 if form is FormId.VPHI_M4 else -(e4 * e6)
+        return 1728 * numerator / (e4**3 - e6**2)
     if form is FormId.PHI_M4:
-        return build_form(FormId.VPHI_M4, order)
+        return part(FormId.VPHI_M4)
+    if form is FormId.J:
+        return part(FormId.VPHI_M4) * part(FormId.E4)
     if form is FormId.PHI_M2:
-        vphi4 = build_form(FormId.VPHI_M4, order)
-        vphi2 = build_form(FormId.VPHI_M2, order)
-        e2 = eisenstein(2, n)
-        return vphi4 * e2 + vphi2
+        return part(FormId.VPHI_M4) * part(FormId.E2) + part(FormId.VPHI_M2)
     if form is FormId.PHI_0:
-        vphi4 = build_form(FormId.VPHI_M4, order)
-        vphi2 = build_form(FormId.VPHI_M2, order)
-        e2 = eisenstein(2, n)
-        j = build_form(FormId.J, order)
-        return vphi4 * e2 * e2 + 2 * (vphi2 * e2) + j - 1728
+        vphi4, vphi2, e2 = part(FormId.VPHI_M4), part(FormId.VPHI_M2), part(FormId.E2)
+        return vphi4 * e2 * e2 + 2 * (vphi2 * e2) + part(FormId.J) - 1728
 
-    if form in (FormId.H, FormId.PSI_I, FormId.PSI_T, FormId.PSI_S):
-        th00 = theta("00", n)
-        th01 = theta("01", n)
-        th10 = theta("10", n)
-        t00_4, t01_4, t10_4 = th00**4, th01**4, th10**4
-        t00_8, t01_8, t10_8 = t00_4**2, t01_4**2, t10_4**2
-        if form is FormId.H:
-            return 128 * (t00_4 + t01_4) / t10_8
-        if form is FormId.PSI_I:
-            return 128 * (t00_4 + t01_4) / t10_8 + 128 * (t01_4 - t10_4) / t00_8
-        if form is FormId.PSI_T:
-            return 128 * (t00_4 + t01_4) / t10_8 + 128 * (t00_4 + t10_4) / t01_8
-        return -128 * (t00_4 + t10_4) / t01_8 - 128 * (t10_4 - t01_4) / t00_8
-
+    t00_4, t01_4, t10_4 = part(FormId.TH00_4), part(FormId.TH01_4), part(FormId.TH10_4)
+    if form is FormId.H:
+        return 128 * (t00_4 + t01_4) / t10_4**2
+    if form is FormId.PSI_I:
+        return part(FormId.H) + 128 * (t01_4 - t10_4) / t00_4**2
+    if form is FormId.PSI_T:
+        return part(FormId.H) + 128 * (t00_4 + t10_4) / t01_4**2
+    if form is FormId.PSI_S:
+        return -128 * (t00_4 + t10_4) / t01_4**2 - 128 * (t10_4 - t01_4) / t00_4**2
     raise ValueError(f"unknown form {form}")
 
 

@@ -34,12 +34,10 @@ import numpy as np
 
 from .rigor import PI, Interval, sqrt_interval
 
-__all__ = ["QSeries", "EvalResult", "combine", "DEFAULT_ORDER_STEPS", "EIGHTH", "U"]
+__all__ = ["QSeries", "EvalResult", "combine", "EIGHTH", "U"]
 
 # grid units per integer exponent step
 EIGHTH = 8
-# default truncation: 64 integer q-steps past the lead
-DEFAULT_ORDER_STEPS = 64
 # unit roundoff of IEEE-754 double precision
 U = 2.0**-53
 # below the smallest normal double, exp and products lose their relative
@@ -259,18 +257,8 @@ class QSeries:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(order: int = DEFAULT_ORDER_STEPS * EIGHTH) -> "QSeries":
-        return QSeries(0, order, {})
-
-    @staticmethod
-    def one(order: int = DEFAULT_ORDER_STEPS * EIGHTH) -> "QSeries":
+    def one(order: int) -> "QSeries":
         return QSeries(0, order, {0: Fraction(1)})
-
-    @staticmethod
-    def monomial(e: int, c=1, order: int | None = None) -> "QSeries":
-        if order is None:
-            order = e + DEFAULT_ORDER_STEPS * EIGHTH
-        return QSeries(e, order, {e: Fraction(c)})
 
     # -- basic queries ----------------------------------------------------
 

@@ -111,34 +111,44 @@ def _far_integral(which: str, y: np.ndarray, deriv: bool) -> EvalResult:
 # ---------------------------------------------------------------------------
 # near range (0, 1]: substitute u = 1/t and integrate over u in [1, oo)
 
-def _gauss_nodes(n: int = 40) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+# bisection depth at which an unconverged panel is a numerical failure
+_MAX_DEPTH = 24
 
 
-def _adaptive_nodes(f, lo: float, hi: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect [lo, hi] until each panel's degree-40 estimate is stable to tol;
-    return the Gauss-Legendre nodes and weights of the accepted panels."""
-    x0, w0 = _gauss_nodes()
+def _adaptive_gl(f, lo: float, hi: float, tol: float):
+    """Adaptive Gauss-Legendre quadrature over [lo, hi].
 
-    def gl(a: float, b: float) -> float:
+    ``f(x)`` returns the integrand (real or complex) at an array of nodes and
+    a bound on its error there.  A panel is accepted, as its two halves, once
+    the degree-40 estimates of the halves sum to its own within tol; a panel
+    still unconverged at depth ``_MAX_DEPTH`` raises ArithmeticError.  Returns
+    the nodes, weights, integrand values and bounds of the accepted halves, in
+    increasing order of the nodes, and the sum of their estimates' changes.
+    """
+    x0, w0 = np.polynomial.legendre.leggauss(40)  # here, not at import: it starts LAPACK
+
+    def panel(a: float, b: float):
         half = 0.5 * (b - a)
-        return half * float(np.dot(w0, f(a + half * (x0 + 1.0))))
+        x = a + half * (x0 + 1.0)
+        values, bounds = f(x)
+        return half * np.dot(w0, values), (x, half * w0, values, bounds)
 
-    panels: list[tuple[float, float]] = []
-    stack = [(lo, hi, gl(lo, hi), 0)]
-    while stack:
+    accepted, err = [], 0.0
+    stack = [(lo, hi, panel(lo, hi)[0], 0)]
+    while stack:  # depth first, left half first: panels come out in order
         a, b, coarse, depth = stack.pop()
         m = 0.5 * (a + b)
-        left, right = gl(a, m), gl(m, b)
-        if abs(left + right - coarse) < tol or depth >= 30:
-            panels.append((a, m))
-            panels.append((m, b))
-            continue
-        stack.append((a, m, left, depth + 1))
-        stack.append((m, b, right, depth + 1))
-    starts, ends = np.array(sorted(panels)).T
-    half = 0.5 * (ends - starts)[:, None]
-    return (starts[:, None] + half * (x0 + 1.0)).ravel(), (half * w0).ravel()
+        (left, left_nodes), (right, right_nodes) = panel(a, m), panel(m, b)
+        delta = abs(left + right - coarse)
+        if delta < tol:
+            accepted += [left_nodes, right_nodes]
+            err += delta
+        elif depth >= _MAX_DEPTH:
+            raise ArithmeticError(f"quadrature failed to converge on panel [{a!r}, {b!r}]")
+        else:
+            stack += [(m, b, right, depth + 1), (a, m, left, depth + 1)]
+    nodes, weights, values, bounds = (np.concatenate(arrays) for arrays in zip(*accepted))
+    return nodes, weights, values, bounds, err
 
 
 # (form, sign) with the series part of each near-range integrand at t = 1/u
@@ -156,14 +166,13 @@ def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray, float]:
     part for every y >= 0 (the kernel e^{-pi y/u} is at most 1)."""
     form, sign = _NEAR_FORMS[which]
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return sign * eval_form(form, 1j * u, _SERIES_ORDER).value.real / u**4
+    def integrand(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        series = eval_form(form, 1j * u, _SERIES_ORDER)
+        return sign * series.value.real / u**4, series.tail_bound / u**4
 
     u_max = 14.0  # series integrand decays like e^{-2 pi u}: below 1e-33 past here
-    u, weights = _adaptive_nodes(integrand, 1.0, u_max, _QUAD_TOL)
-    series = eval_form(form, 1j * u, _SERIES_ORDER)
-    w = weights * sign * series.value.real / u**4
-    return u, w, float(np.dot(weights, series.tail_bound / u**4))
+    u, weights, values, bounds, _ = _adaptive_gl(integrand, 1.0, u_max, _QUAD_TOL)
+    return u, weights * values, float(np.dot(weights, bounds))
 
 
 def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
@@ -378,43 +387,6 @@ def eval_g_deriv(r: float, which: str = "g") -> RadialValue:
 # ---------------------------------------------------------------------------
 # oracle 1: the defining contour integrals
 
-def _complex_gl(f, tol: float = 1e-13) -> tuple[complex, float, float]:
-    """Adaptive Gauss-Legendre of a complex integrand over s in [0, 1].
-
-    ``f(s)`` returns the integrand at the nodes and a bound on its error
-    there; the result is the integral, the quadrature error estimate and the
-    integral of the bound.
-    """
-    x0, w0 = _gauss_nodes()
-
-    def gl(a: float, b: float) -> tuple[complex, float]:
-        half = 0.5 * (b - a)
-        vals, bound = f(a + half * (x0 + 1.0))
-        return half * complex(np.dot(w0, vals)), half * float(np.dot(w0, bound))
-
-    total = 0.0 + 0.0j
-    err = 0.0
-    bound = 0.0
-    stack = [(0.0, 1.0, gl(0.0, 1.0)[0], 0)]
-    while stack:
-        a, b, coarse, depth = stack.pop()
-        m = 0.5 * (a + b)
-        (left, left_bound), (right, right_bound) = gl(a, m), gl(m, b)
-        delta = abs(left + right - coarse)
-        if delta < tol or depth >= 24:
-            if depth >= 24 and delta >= tol:
-                raise ArithmeticError(
-                    f"contour quadrature failed to converge on segment [{a}, {b}]"
-                )
-            total += left + right
-            err += delta
-            bound += left_bound + right_bound
-            continue
-        stack.append((a, m, left, depth + 1))
-        stack.append((m, b, right, depth + 1))
-    return total, err, bound
-
-
 def contour_eval(r: float, which: str = "a") -> RadialValue:
     """Independent oracle: quadrature of the defining four-segment contours.
 
@@ -440,10 +412,16 @@ def contour_eval(r: float, which: str = "a") -> RadialValue:
             return series.value * scale, series.tail_bound * np.abs(scale)
         return f
 
-    i1, e1, b1 = _complex_gl(segment(-1.0, 1.0 + 1j))
-    i2, e2, b2 = _complex_gl(segment(1.0, -1.0 + 1j))
+    def integral(f) -> tuple[complex, float, float]:
+        """The integral of f over s in [0, 1], the quadrature error estimate
+        and the integral of the series bound."""
+        _, weights, values, bounds, err = _adaptive_gl(f, 0.0, 1.0, 1e-13)
+        return complex(np.dot(weights, values)), err, float(np.dot(weights, bounds))
+
+    i1, e1, b1 = integral(segment(-1.0, 1.0 + 1j))
+    i2, e2, b2 = integral(segment(1.0, -1.0 + 1j))
     mid = segment(0.0, 1j)
-    i3, e3, b3 = _complex_gl(lambda s: mid(np.maximum(s, 1e-12)))
+    i3, e3, b3 = integral(lambda s: mid(np.maximum(s, 1e-12)))
     # int_i^{i oo} f(z) e^{pi i y z} dz = i int_1^oo f(it) e^{-pi y t} dt
     ray = _ray_laplace(form, 0, y)
     ray_sign = 1.0 if which == "a" else -1.0

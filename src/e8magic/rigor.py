@@ -94,19 +94,11 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
     def contains(self, x: float | Fraction) -> bool:
         return Fraction(self.lo) <= Fraction(x) <= Fraction(self.hi)
 
     def contains_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
-
-    def mag(self) -> float:
-        """sup |x| over the interval."""
-        return max(abs(self.lo), abs(self.hi))
 
     def mig(self) -> float:
         """inf |x| over the interval."""

@@ -11,6 +11,9 @@ from e8magic.cli import (
     EXIT_INVALID_INPUT,
     EXIT_NUMERICAL_FAILURE,
     EXIT_OK,
+    MAX_LATTICE_NORM,
+    MAX_PLOT_SAMPLES,
+    MAX_SERIES_ORDER,
     main,
 )
 from e8magic.modforms import FormId, build_form
@@ -28,6 +31,31 @@ def test_series_text(capsys):
     assert code == EXIT_OK
     assert out.startswith("# j (weight 0)")
     assert "196884" in out
+
+
+def test_series_text_header_names_the_truncation(capsys):
+    """--order counts whole q-steps; the header gives the series' own bound in
+    the rows' notation, which is past every row."""
+    code, out, _ = run(capsys, "series", "--form", "j", "--order", "2")
+    assert code == EXIT_OK
+    header, *rows = out.splitlines()
+    assert header == "# j (weight 0), known below q^(24/8)"
+    assert rows[-1].startswith("q^(16/8)\t")
+
+
+@pytest.mark.parametrize(
+    "argv,limit",
+    [
+        (["series", "--form", "j", "--order", str(MAX_SERIES_ORDER + 1)], MAX_SERIES_ORDER),
+        (["lattice", "--max-norm", str(MAX_LATTICE_NORM + 2)], MAX_LATTICE_NORM),
+        (["plot", "--function", "g", "--range", "0:1", "--samples", str(MAX_PLOT_SAMPLES + 1)],
+         MAX_PLOT_SAMPLES),
+    ],
+)
+def test_budgets_reject_one_past_the_limit_and_name_it(capsys, argv, limit):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INVALID_INPUT
+    assert str(limit) in err and not out
 
 
 def test_series_json_round_trip(capsys):
@@ -163,6 +191,9 @@ def test_exit_codes_distinguish_failure_kinds(capsys):
         (["eval", "--function", "g", "--deriv", "--r", "1e100"], EXIT_NUMERICAL_FAILURE),
         (["eval", "--function", "g", "--r", "1e200"], EXIT_INVALID_INPUT),
         (["certify", "--target", "A", "--m", "6"], EXIT_INVALID_INPUT),
+        (["series", "--form", "phi_0", "--order", "1000000000"], EXIT_INVALID_INPUT),
+        (["lattice", "--max-norm", "1000000"], EXIT_INVALID_INPUT),
+        (["plot", "--function", "g", "--range", "0:1", "--samples", "1000000000"], EXIT_INVALID_INPUT),
     ],
 )
 def test_boundary_inputs_end_in_documented_exit_codes(capsys, argv, expected):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from e8magic import modforms
 from e8magic.modforms import (
     FormId,
     build_form,
@@ -78,6 +79,37 @@ def test_d_operator_identities():
     lhs0 = 12 * vphi4.D().D() - 36 * vphi2.D() + 24 * j - 17856
     diff0 = lhs0 - phi0
     assert diff0.is_zero(), diff0
+
+
+def test_each_ingredient_built_once(monkeypatch):
+    """Building the whole catalog at a fresh order builds E2, E4, E6 and the
+    three theta constants once each: every form reads them from the catalog."""
+    order = next(k for k in range(101, 200) if all((f, k) not in modforms._CACHE for f in FormId))
+    calls = []
+
+    def counting(name, inner):
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+        return wrapper
+
+    for name in ("eisenstein", "theta"):
+        monkeypatch.setattr(modforms, name, counting(name, getattr(modforms, name)))
+    for form in FormId:
+        build_form(form, order)
+    assert sorted(calls) == ["eisenstein"] * 3 + ["theta"] * 3
+
+
+def _sigma_by_trial_division(n: int, k: int) -> int:
+    return sum(d**k for d in range(1, n + 1) if n % d == 0)
+
+
+@pytest.mark.parametrize("k,factor", [(2, -24), (4, 240), (6, -504)])
+def test_eisenstein_matches_trial_division(k, factor):
+    series = eisenstein(k, 300)
+    assert series.coeff_q(0) == 1
+    for n in range(1, 300):
+        assert series.coeff_q(n) == factor * _sigma_by_trial_division(n, k - 1), (k, n)
 
 
 def test_discriminant_lead():

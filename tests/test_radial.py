@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from e8magic.radial import (
+    _adaptive_gl,
     contour_eval,
     eval_a,
     eval_b,
@@ -146,3 +147,22 @@ def test_invalid_inputs():
         eval_g(-1.0, "g")
     with pytest.raises(ValueError):
         eval_g(1.0, "gh")
+
+
+def test_quadrature_bisects_to_a_peak_and_keeps_the_nodes_in_order():
+    c = 1e-3
+    nodes, weights, values, bounds, err = _adaptive_gl(
+        lambda x: (1 / (c + (x - 0.7) ** 2), np.full_like(x, 1e-20)), 0.0, 2.0, 1e-12
+    )
+    exact = (math.atan(1.3 / math.sqrt(c)) + math.atan(0.7 / math.sqrt(c))) / math.sqrt(c)
+    assert len(nodes) > 80  # the peak forced bisection
+    assert np.all(np.diff(nodes) > 0)
+    assert abs(np.dot(weights, values) - exact) < 1e-12 + err
+    assert abs(np.dot(weights, bounds) - 2e-20) < 1e-30
+
+
+def test_quadrature_refuses_a_jump_it_cannot_resolve():
+    """A jump at a point no bisection reaches (1/3 is not dyadic) never
+    converges; the quadrature raises instead of accepting the last panels."""
+    with pytest.raises(ArithmeticError, match="failed to converge"):
+        _adaptive_gl(lambda x: (np.where(x < 1 / 3, 1.0, 0.0), np.zeros_like(x)), 0.0, 1.0, 1e-12)
