@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .modforms import FormId, build_form, eval_form
 from .qseries import EIGHTH, QSeries, combine
@@ -77,12 +77,17 @@ class ModelTerm:
     def magnitude_interval(self) -> Interval:
         return enclose_fraction(abs(self.coeff)) * _PI_POW_INV[self.pi_pow]
 
+    @cached_property
     def coeff_interval(self) -> Interval:
         return enclose_fraction(self.coeff) * _PI_POW_INV[self.pi_pow]
 
+    @cached_property
+    def sigma(self) -> Interval:
+        """The exponential rate pi * decay."""
+        return PI * enclose_fraction(self.decay)
+
     def enclose(self, x: Interval) -> Interval:
-        sigma = PI * enclose_fraction(self.decay)
-        return ia_exp_poly(self.coeff_interval(), self.p, sigma, x)
+        return ia_exp_poly(self.coeff_interval, self.p, self.sigma, x)
 
 
 @dataclass(frozen=True)
@@ -226,6 +231,16 @@ class Envelope:
             raise ValueError("geometric tail ratio >= 1 on this segment")
         return ratio
 
+    @cached_property
+    def _leaf_constants(self) -> tuple[Interval, Interval, tuple[tuple[Interval, Interval], ...]]:
+        """The parts of ``enclose`` that no leaf changes: c, n_geo and, for
+        each explicit k, the growth exponent and pi * k."""
+        n_geo = self._n_geo(LEAF_SPLIT)
+        explicit = tuple(
+            (self._growth(k), PI * Interval.from_rational(k)) for k in range(self.m, n_geo)
+        )
+        return enclose_fraction(LEAF_SPLIT), Interval.from_rational(n_geo), explicit
+
     def enclose(self, x: Interval) -> Interval:
         """Upper enclosure over the segment x (the leaf bound, split LEAF_SPLIT)."""
         if x.lo < 0.55:
@@ -233,13 +248,12 @@ class Envelope:
         pref = Interval(0.0, 0.0)
         for coeff, p in _PREFACTOR[self.chart]:
             pref = pref + coeff * x.powi(p)
-        c = enclose_fraction(LEAF_SPLIT)
-        n_geo = self._n_geo(LEAF_SPLIT)
+        c, n_geo, explicit = self._leaf_constants
         total = Interval(0.0, 0.0)
-        for k in range(self.m, n_geo):
-            total = total + 2 * (self._growth(k) - PI * Interval.from_rational(k) * x).exp()
+        for growth, pi_k in explicit:
+            total = total + 2 * (growth - pi_k * x).exp()
         ratio = self._geometric_ratio(x, c)
-        head = 2 * (-PI * (x - c) * Interval.from_rational(n_geo)).exp()
+        head = 2 * (-PI * (x - c) * n_geo).exp()
         return pref * (total + head / (1 - ratio))
 
     def terms(self, x_star: float) -> list[tuple[Interval, int, Fraction]]:

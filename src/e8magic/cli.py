@@ -28,12 +28,14 @@ EXIT_INVALID_INPUT = 2
 EXIT_CERT_FAILURE = 3
 EXIT_NUMERICAL_FAILURE = 4
 
-# input budgets: the largest --order, --max-norm and --samples accepted (on a
-# 2-vCPU VM, build_form(phi_0) takes about 3 s at order 2000 and
-# enumerate_shells about 1.5 s at max norm 400)
+# input budgets: the largest --order, --max-norm, --samples and certify --n
+# accepted (on a 2-vCPU VM, build_form(phi_0) takes about 3 s at order 2000,
+# enumerate_shells about 1.5 s at max norm 400 and certify about 0.5 s at
+# n = 200; from n = 240 on, the tail argument's e^(0.95 pi n) overflows)
 MAX_SERIES_ORDER = 2000
 MAX_LATTICE_NORM = 400
 MAX_PLOT_SAMPLES = 10_000
+MAX_CERTIFY_N = 200
 
 _FORM_BY_NAME = {f.value: f for f in FormId}
 
@@ -102,6 +104,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 def _cmd_certify(args: argparse.Namespace) -> int:
     if args.target not in ("A", "B"):
         raise CliError("--target must be A or B")
+    if not 1 <= args.n <= MAX_CERTIFY_N:
+        raise CliError(f"--n must be between 1 and {MAX_CERTIFY_N}")
     cert = certify_mod.certify_sign(
         args.target, n=args.n, m=args.n, t_star=args.tstar, max_depth=args.max_depth
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .qseries import U
 from .radial import eval_g
@@ -90,21 +89,27 @@ def _coordinates(budget: int, odd: bool):
         c += 2
 
 
-@lru_cache(maxsize=None)
-def _suffix_counts(index: int, budget: int, parity_sum: int, odd: bool) -> dict[int, int]:
+def _suffix_counts(index: int, budget: int, parity_sum: int, odd: bool, memo: dict) -> dict[int, int]:
     """Map exact stored-norm -> count over coordinates index..7.
 
     Recursive coordinate search with partial-norm pruning: coordinate values
-    are stored half-units of one parity, |c| <= sqrt(budget).
+    are stored half-units of one parity, |c| <= sqrt(budget).  ``memo`` holds
+    the answers of one search; each caller passes a fresh one, so nothing
+    outlives the call.
     """
+    key = (index, budget, parity_sum, odd)
+    if key in memo:
+        return memo[key]
     if index == 8:
-        return {0: 1} if parity_sum % 4 == 0 else {}
-    out: dict[int, int] = {}
-    for value in _coordinates(budget, odd):
-        square = value * value
-        sub = _suffix_counts(index + 1, budget - square, (parity_sum + value) % 4, odd)
-        for norm, cnt in sub.items():
-            out[norm + square] = out.get(norm + square, 0) + cnt
+        out = {0: 1} if parity_sum % 4 == 0 else {}
+    else:
+        out = {}
+        for value in _coordinates(budget, odd):
+            square = value * value
+            sub = _suffix_counts(index + 1, budget - square, (parity_sum + value) % 4, odd, memo)
+            for norm, cnt in sub.items():
+                out[norm + square] = out.get(norm + square, 0) + cnt
+    memo[key] = out
     return out
 
 
@@ -114,8 +119,9 @@ def enumerate_shells(max_norm: int) -> ShellTable:
         raise ValueError("max_norm must be an even integer >= 2")
     budget = 4 * max_norm  # stored squares are 4x the true norm
     entries: dict[int, int] = {}
+    memo: dict = {}
     for odd in (False, True):
-        for stored_norm, cnt in _suffix_counts(0, budget, 0, odd).items():
+        for stored_norm, cnt in _suffix_counts(0, budget, 0, odd, memo).items():
             norm2, rem = divmod(stored_norm, 4)
             assert rem == 0
             if norm2 <= max_norm:
@@ -128,6 +134,7 @@ def shell_vectors(norm2: int) -> list[LatticePoint]:
     if norm2 < 0 or norm2 % 2 != 0:
         raise ValueError("squared norms in Lambda_8 are even and nonnegative")
     results: list[LatticePoint] = []
+    memo: dict = {}
     for odd in (False, True):
         # (prefix, stored norm still to place, coordinate sum mod 4), keeping
         # only prefixes that the remaining coordinates can complete exactly
@@ -137,7 +144,7 @@ def shell_vectors(norm2: int) -> list[LatticePoint]:
             for prefix, rest, parity_sum in prefixes:
                 for value in _coordinates(rest, odd):
                     left, parity = rest - value * value, (parity_sum + value) % 4
-                    if left in _suffix_counts(index, left, parity, odd):
+                    if left in _suffix_counts(index, left, parity, odd, memo):
                         grown.append((prefix + (value,), left, parity))
             prefixes = grown
         results += [LatticePoint(prefix) for prefix, _, _ in prefixes]

@@ -193,6 +193,8 @@ def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
         out[~small] = (2.0 - eb * (b**2 + 2 * b + 2)) / b**3
     else:
         out[~small] = (6.0 - eb * (b**3 + 3 * b**2 + 6 * b + 6)) / b**4
+    if not small.any():
+        return out
     # Taylor branch: sum_k (-beta)^k / (k! (k + p + 1))
     b = beta[small]
     taylor = np.zeros_like(b)

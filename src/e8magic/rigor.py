@@ -6,12 +6,39 @@ contract is
 
     for all x in X and y in Y:  x op y  lies in  X op Y.
 
-Directed rounding is implemented without touching the hardware rounding mode:
-each endpoint is computed in round-to-nearest, compared exactly against the
-true rational result (floats embed exactly into ``Fraction``), and nudged one
-representable step outward when the rounded value landed on the wrong side.
-Since round-to-nearest is within half an ulp of the exact value, a single
-``math.nextafter`` step always restores containment.
+Directed rounding is implemented without touching the hardware rounding mode.
+Each endpoint of ``+``, ``-``, ``*``, ``/`` and ``powi(2)`` is computed in
+round-to-nearest together with a float that has the sign of its exact
+rounding error, and it is nudged one ``math.nextafter`` step outward when the
+rounded value landed on the wrong side.  Round-to-nearest is within half an
+ulp of the exact value, so one step gives the tightest float on the right
+side: every endpoint is the directed rounding of the exact rational result.
+The errors come from error-free transformations, in floats only:
+
+* sums: Fast2Sum (Dekker, Numer. Math. 18, 1971) on the operands ordered by
+  magnitude, exact whenever the sum does not overflow;
+* products: Dekker's TwoProduct on Veltkamp's split by 2^27 + 1 (Python has
+  no fused multiply-add to lean on);
+* quotients: the remainder a - q*b of q = fl(a/b), which is exact (Ogita,
+  Rump and Oishi, SIAM J. Sci. Comput. 26, 2005), through TwoProduct;
+* ``sqrt_interval``: r*r - x for r = fl(sqrt(x)), through TwoProduct.
+
+Rounding down and rounding up are monotone, so the min and max of the
+directed roundings of the four endpoint products (or quotients) are the
+directed roundings of the exact min and max.
+
+TwoProduct is exact only away from overflow and underflow, so products and
+quotients take it directly only for operands and results in [2^-960, 2^995]
+in magnitude.  Outside that range, and for square roots, they run on the
+mantissas that ``math.frexp`` gives and are scaled back by ``math.ldexp``.
+Scaling is exact but for a second rounding into the subnormals, which keeps
+the result within one ulp, so the one-step nudge still lands on the directed
+rounding.  A product or quotient past the float range raises
+``OverflowError``; a sum that overflows rounds to the largest finite float
+on the inner side and to inf on the outer one.  An infinite endpoint raises
+``OverflowError`` in ``+ - * /``, ``powi`` and ``sqrt_interval``: it has no
+rational value to round.  ``Fraction`` is left to rationals that are not the
+quotient of two floats (``enclose_fraction``) and to ``powi(p)`` for p >= 3.
 
 ``exp`` is the only transcendental provided.  ``math.exp`` on current
 platforms is accurate to well under 1 ulp; we nudge the endpoints two steps
@@ -37,32 +64,116 @@ __all__ = [
 ]
 
 _INF = math.inf
+_HUGE = 2.0**995  # below this, Veltkamp's split does not overflow
+_TINY = 2.0**-960  # above this, products have exact Dekker error terms
+_SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a 53-bit double
+_EXACT_INT = 2**53  # every integer up to this magnitude is a float
 
 
-def _down(approx: float, exact: Fraction) -> float:
-    """Largest float <= exact, given approx = round-to-nearest(exact)."""
-    if approx == -_INF:
-        return approx
-    if approx == _INF or Fraction(approx) > exact:
-        return math.nextafter(approx, -_INF)
-    return approx
+def _finite(op: str, *values: float) -> None:
+    if any(math.isinf(v) for v in values):
+        raise OverflowError(f"infinite interval endpoint in {op}: {', '.join(map(repr, values))}")
 
 
-def _up(approx: float, exact: Fraction) -> float:
-    """Smallest float >= exact, given approx = round-to-nearest(exact)."""
-    if approx == _INF:
-        return approx
-    if approx == -_INF or Fraction(approx) < exact:
-        return math.nextafter(approx, _INF)
-    return approx
+def _rounded(exact: Fraction) -> tuple[float, Fraction]:
+    """(approx, exact - approx) with approx = round-to-nearest(exact); raises
+    OverflowError past the float range."""
+    approx = float(exact)
+    return approx, exact - Fraction(approx)
 
 
-def _float_down(exact: Fraction) -> float:
-    return _down(float(exact), exact)
+def _product_error(a: float, b: float, p: float) -> float:
+    """a*b - p exactly, for p = fl(a*b) with |a|, |b|, |p| in [_TINY, _HUGE]
+    (Dekker's TwoProduct on Veltkamp's split)."""
+    t = _SPLITTER * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLITTER * b
+    bh = t - (t - b)
+    bl = b - bh
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _float_up(exact: Fraction) -> float:
-    return _up(float(exact), exact)
+def _sum(a: float, b: float) -> tuple[float, float]:
+    """(s, d): s = fl(a + b) and d = a + b - s exactly (Fast2Sum on the
+    operands ordered by magnitude)."""
+    s = a + b
+    if -_INF < s < _INF:
+        if abs(a) < abs(b):
+            a, b = b, a
+        return s, b - (s - a)
+    _finite("+", a, b)
+    return s, -s  # finite operands whose sum overflows: it lies inside +-inf
+
+
+def _scaled(m: float, e: int, op: str, a: float, b: float) -> float:
+    """m * 2^e for the result of a op b; OverflowError past the float range."""
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        raise OverflowError(f"interval {op} overflows the float range: {a!r} {op} {b!r}") from None
+
+
+def _product(a: float, b: float) -> tuple[float, float]:
+    """(p, d): p = fl(a*b), or a float within one ulp of a*b where that is
+    subnormal, and d with the sign of a*b - p."""
+    p = a * b
+    if _TINY <= abs(p) <= _HUGE and _TINY <= abs(a) <= _HUGE and _TINY <= abs(b) <= _HUGE:
+        return p, _product_error(a, b, p)
+    _finite("*", a, b)
+    if a == 0 or b == 0:
+        return 0.0, 0.0
+    # the same on the mantissas in [1/2, 1), scaled back by 2^e (exact but for
+    # a second rounding into the subnormals)
+    ma, ea = math.frexp(a)
+    mb, eb = math.frexp(b)
+    pm = ma * mb
+    p = _scaled(pm, ea + eb, "*", a, b)
+    return p, (pm - math.ldexp(p, -ea - eb)) + _product_error(ma, mb, pm)
+
+
+def _quotient(a: float, b: float) -> tuple[float, float]:
+    """(q, d): q = fl(a/b), or a float within one ulp of a/b where that is
+    subnormal, and d with the sign of a/b - q, for b != 0.  The remainder
+    a - q*b is exact: a - fl(q*b) by Sterbenz, q*b - fl(q*b) by TwoProduct."""
+    q = a / b
+    if _TINY <= abs(q) <= _HUGE and _TINY <= abs(a) <= _HUGE and _TINY <= abs(b) <= _HUGE:
+        p = q * b
+        r = (a - p) - _product_error(q, b, p)
+        return q, r if b > 0 else -r
+    _finite("/", a, b)
+    if a == 0:
+        return 0.0, 0.0
+    # the same on the mantissas, as in _product
+    ma, ea = math.frexp(a)
+    mb, eb = math.frexp(b)
+    q = _scaled(ma / mb, ea - eb, "/", a, b)
+    qm = math.ldexp(q, eb - ea)
+    p = qm * mb
+    r = (ma - p) - _product_error(qm, mb, p)
+    return q, r if b > 0 else -r
+
+
+def _down(approx: float, d: float | Fraction) -> float:
+    """Largest float <= approx + d, given approx within one ulp of it."""
+    return approx if d >= 0 else math.nextafter(approx, -_INF)
+
+
+def _up(approx: float, d: float | Fraction) -> float:
+    """Smallest float >= approx + d, given approx within one ulp of it."""
+    return approx if d <= 0 else math.nextafter(approx, _INF)
+
+
+def _outward(values: list[tuple[float, float | Fraction]]) -> "Interval":
+    """[rounded-down min, rounded-up max] of exact values given as (approx, d)."""
+    lo = min([_down(v, d) for v, d in values])
+    ups = [_up(v, d) for v, d in values]
+    hi = max(ups)
+    # an exact 0 rounds up to 0.0, a negative value may round up to -0.0:
+    # the exact max is 0 when any 0.0 is there
+    if hi == 0.0 and any(math.copysign(1.0, v) > 0 for v in ups):
+        hi = 0.0
+    return Interval(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -73,9 +184,9 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise ValueError("interval endpoints must not be NaN")
-        if self.lo > self.hi:
+        if not self.lo <= self.hi:  # also false for a NaN endpoint
+            if math.isnan(self.lo) or math.isnan(self.hi):
+                raise ValueError("interval endpoints must not be NaN")
             raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
 
     # -- constructors -------------------------------------------------
@@ -86,7 +197,7 @@ class Interval:
 
     @staticmethod
     def from_rational(value: Fraction | int) -> "Interval":
-        return enclose_fraction(Fraction(value))
+        return enclose_fraction(value)
 
     # -- queries -------------------------------------------------------
 
@@ -113,9 +224,9 @@ class Interval:
 
     def __add__(self, other: "Interval") -> "Interval":
         other = _coerce(other)
-        lo = _down(self.lo + other.lo, Fraction(self.lo) + Fraction(other.lo))
-        hi = _up(self.hi + other.hi, Fraction(self.hi) + Fraction(other.hi))
-        return Interval(lo, hi)
+        lo, d = _sum(self.lo, other.lo)
+        hi, e = _sum(self.hi, other.hi)
+        return Interval(_down(lo, d), _up(hi, e))
 
     def __radd__(self, other):
         return _coerce(other) + self
@@ -128,12 +239,7 @@ class Interval:
 
     def __mul__(self, other: "Interval") -> "Interval":
         other = _coerce(other)
-        products = [
-            Fraction(a) * Fraction(b)
-            for a in (self.lo, self.hi)
-            for b in (other.lo, other.hi)
-        ]
-        return Interval(_float_down(min(products)), _float_up(max(products)))
+        return _outward([_product(a, b) for a in (self.lo, self.hi) for b in (other.lo, other.hi)])
 
     def __rmul__(self, other):
         return _coerce(other) * self
@@ -144,12 +250,7 @@ class Interval:
             raise ZeroDivisionError(
                 f"interval division by [{other.lo}, {other.hi}] containing 0"
             )
-        quotients = [
-            Fraction(a) / Fraction(b)
-            for a in (self.lo, self.hi)
-            for b in (other.lo, other.hi)
-        ]
-        return Interval(_float_down(min(quotients)), _float_up(max(quotients)))
+        return _outward([_quotient(a, b) for a in (self.lo, self.hi) for b in (other.lo, other.hi)])
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -160,11 +261,16 @@ class Interval:
             raise ValueError("negative powers unsupported; divide instead")
         if p == 0:
             return Interval(1.0, 1.0)
-        values = [Fraction(self.lo) ** p, Fraction(self.hi) ** p]
-        lo, hi = min(values), max(values)
+        if p == 1:
+            return self + _ZERO  # exact; turns -0.0 into 0.0 like the rational power
+        if p == 2:
+            result = _outward([_product(self.lo, self.lo), _product(self.hi, self.hi)])
+        else:
+            _finite("**", self.lo, self.hi)
+            result = _outward([_rounded(Fraction(self.lo) ** p), _rounded(Fraction(self.hi) ** p)])
         if p % 2 == 0 and self.contains_zero():
-            lo = Fraction(0)
-        return Interval(_float_down(lo), _float_up(hi))
+            return Interval(0.0, result.hi)
+        return result
 
     def exp(self) -> "Interval":
         return Interval(_exp_down(self.lo), _exp_up(self.hi))
@@ -177,15 +283,16 @@ class Interval:
         return Interval(lo, hi) if lo <= hi else None
 
 
+_ZERO = Interval(0.0, 0.0)
+
+
 def _coerce(x) -> Interval:
     if isinstance(x, Interval):
         return x
-    if isinstance(x, int):
-        return enclose_fraction(Fraction(x))
+    if isinstance(x, (int, Fraction)):
+        return enclose_fraction(x)
     if isinstance(x, float):
         return Interval(x, x)
-    if isinstance(x, Fraction):
-        return enclose_fraction(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Interval")
 
 
@@ -214,9 +321,30 @@ def _exp_up(x: float) -> float:
     return v
 
 
-def enclose_fraction(value: Fraction) -> Interval:
+def enclose_fraction(value: Fraction | int) -> Interval:
     """Tightest float interval containing an exact rational."""
-    return Interval(_float_down(value), _float_up(value))
+    num, den = value.numerator, value.denominator
+    if -_EXACT_INT <= num <= _EXACT_INT and den <= _EXACT_INT:  # both are floats
+        if den == 1:
+            return Interval(float(num), float(num))
+        q, d = _quotient(float(num), float(den))
+    else:
+        q, d = _rounded(Fraction(value))
+    return Interval(_down(q, d), _up(q, d))
+
+
+def _square_excess(r: float, x: float) -> float:
+    """A number with the sign of r*r - x, for r = fl(sqrt(x)).  With x scaled
+    to m = x / 4^k in [1/2, 2) and r to r / 2^k (both exact), the square is
+    close to m, so its difference to m is exact (Sterbenz), and so is the
+    TwoProduct error."""
+    _finite("sqrt", x)
+    m, e = math.frexp(x)
+    k = e // 2
+    m = math.ldexp(m, e - 2 * k)
+    r = math.ldexp(r, -k)
+    p = r * r
+    return (p - m) + _product_error(r, r, p)
 
 
 def sqrt_interval(x: Interval | Fraction | int | float) -> Interval:
@@ -227,9 +355,9 @@ def sqrt_interval(x: Interval | Fraction | int | float) -> Interval:
     rlo = math.sqrt(x.lo)
     rhi = math.sqrt(x.hi)
     # sqrt is correctly rounded (IEEE 754), one step suffices
-    if Fraction(rlo) ** 2 > Fraction(x.lo):
+    if _square_excess(rlo, x.lo) > 0:
         rlo = math.nextafter(rlo, -_INF)
-    if Fraction(rhi) ** 2 < Fraction(x.hi):
+    if _square_excess(rhi, x.hi) < 0:
         rhi = math.nextafter(rhi, _INF)
     return Interval(max(rlo, 0.0), rhi)
 
@@ -270,7 +398,7 @@ def ia_exp_poly(c: Interval, p: int, sigma: Interval, t: Interval) -> Interval:
         # sigma straddles zero: fall back to the boxed product
         return _exp_poly_boxed(c, p, sigma, t.lo, t.hi)
     # sigma > 0: increasing for tau < p/sigma.hi, decreasing for tau > p/sigma.lo
-    crit = enclose_fraction(Fraction(p)) / sigma
+    crit = Interval.from_rational(p) / sigma
     cuts = sorted({t.lo, t.hi, min(max(crit.lo, t.lo), t.hi), min(max(crit.hi, t.lo), t.hi)})
     result = None
     for a, b in zip(cuts, cuts[1:]):
@@ -294,14 +422,12 @@ def _pi_fraction() -> Fraction:
 def _enclose_irrational(approx_fr: Fraction) -> Interval:
     """Interval of width one ulp around a rational approximation whose error
     is far below half an ulp of a double."""
-    lo = _float_down(approx_fr)
-    hi = _float_up(approx_fr)
-    if lo == hi:
-        # approx landed exactly on a float; widen by one step each way since
-        # the true value is irrational
-        lo = math.nextafter(lo, -_INF)
-        hi = math.nextafter(hi, _INF)
-    return Interval(lo, hi)
+    enc = enclose_fraction(approx_fr)
+    if enc.lo < enc.hi:
+        return enc
+    # approx landed exactly on a float; widen by one step each way since the
+    # true value is irrational
+    return Interval(math.nextafter(enc.lo, -_INF), math.nextafter(enc.hi, _INF))
 
 
 PI = _enclose_irrational(_pi_fraction())

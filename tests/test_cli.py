@@ -1,16 +1,22 @@
 """Command-line interface: verbs, exit-code contract, and the series cache."""
 
+import contextlib
+import io
 import json
 import math
+import re
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from e8magic.cli import (
     EXIT_CERT_FAILURE,
     EXIT_INVALID_INPUT,
     EXIT_NUMERICAL_FAILURE,
     EXIT_OK,
+    MAX_CERTIFY_N,
     MAX_LATTICE_NORM,
     MAX_PLOT_SAMPLES,
     MAX_SERIES_ORDER,
@@ -50,6 +56,7 @@ def test_series_text_header_names_the_truncation(capsys):
         (["lattice", "--max-norm", str(MAX_LATTICE_NORM + 2)], MAX_LATTICE_NORM),
         (["plot", "--function", "g", "--range", "0:1", "--samples", str(MAX_PLOT_SAMPLES + 1)],
          MAX_PLOT_SAMPLES),
+        (["certify", "--target", "A", "--n", str(MAX_CERTIFY_N + 1)], MAX_CERTIFY_N),
     ],
 )
 def test_budgets_reject_one_past_the_limit_and_name_it(capsys, argv, limit):
@@ -205,3 +212,63 @@ def test_boundary_inputs_end_in_documented_exit_codes(capsys, argv, expected):
     assert "nan" not in out
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+
+
+# ---------------------------------------------------------------------------
+# generated argv: every input ends in a documented exit code
+
+def _float_text(lo: float, hi: float, *edges: str):
+    """Values in [lo, hi], NaN, +-inf, negative, tiny and huge values, any float."""
+    return st.one_of(
+        st.floats(lo, hi).map(repr),
+        st.sampled_from(("nan", "-nan", "inf", "-inf", "-0.0", "-1", "1e-320", "1e308") + edges),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    )
+
+
+def _int_text(lo: int, hi: int, *edges: int):
+    """Cheap values in [lo, hi], the edges around a budget, huge and
+    negative values, and text that is no integer."""
+    return st.one_of(
+        st.integers(lo, hi).map(str),
+        st.sampled_from(edges + (-1, 0, 10**9, -(10**12))).map(str),
+        st.sampled_from(("nan", "inf", "1.5", "1e3", "")),
+    )
+
+
+_EVAL = st.tuples(
+    st.just("eval"), st.just("--function"), st.sampled_from(("a", "b", "g", "ghat", "x")),
+    st.just("--r"), _float_text(0.0, 8.0, "1e77", "1e154", "1e200"),
+    st.sampled_from(((), ("--deriv",))),
+).map(lambda t: [*t[:-1], *t[-1]])
+_CERTIFY = st.tuples(
+    st.just("certify"), st.just("--target"), st.sampled_from(("A", "B", "C")),
+    st.just("--n"), _int_text(1, 12, MAX_CERTIFY_N, MAX_CERTIFY_N + 1),
+    st.just("--tstar"), _float_text(2.0, 120.0, "1.99", "1e6"),
+).map(list)
+_LATTICE = st.tuples(
+    st.just("lattice"), st.just("--max-norm"),
+    _int_text(-4, 40, MAX_LATTICE_NORM - 1, MAX_LATTICE_NORM, MAX_LATTICE_NORM + 2),
+).map(list)
+_PLOT = st.tuples(
+    st.just("plot"), st.just("--function"), st.sampled_from(("g", "ghat", "A", "B", "x")),
+    st.one_of(
+        st.tuples(st.floats(0.0, 6.0), st.floats(0.01, 6.0)).map(lambda t: (repr(t[0]), repr(t[0] + t[1]))),
+        st.tuples(_float_text(0.0, 6.0, "1e-300"), _float_text(0.1, 12.0, "1e300")),
+    ).map(lambda ends: f"--range={ends[0]}:{ends[1]}"),
+    st.just("--samples"), _int_text(2, 16, 1, 3, MAX_PLOT_SAMPLES + 1),
+).map(list)
+
+
+@given(st.one_of(_EVAL, _CERTIFY, _LATTICE, _PLOT))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_generated_argv_end_in_documented_exit_codes(argv):
+    """NaN, +-inf, negative, huge and budget-edge values for eval --r, certify
+    --n/--tstar, lattice --max-norm and plot --samples.  The upper edge of
+    --samples is left to the budget test: 10 000 samples take about 6 s."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_INVALID_INPUT, EXIT_CERT_FAILURE, EXIT_NUMERICAL_FAILURE), argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE), argv

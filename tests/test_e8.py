@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -120,3 +121,18 @@ def test_enumerate_shells_validation():
         enumerate_shells(0)
     with pytest.raises(ValueError):
         enumerate_shells(7)
+
+
+def test_shell_search_keeps_nothing_after_the_call():
+    """The coordinate search's memo lives for one call: after
+    enumerate_shells(100) returns, under 1 MB is still held."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = enumerate_shells(100)
+        assert table.count(100) == 240 * _sigma3(50)
+        del table
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000, held

@@ -3,11 +3,13 @@ oracles (contour and Hankel) for the radial functions a, b, g, ghat."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from e8magic.radial import (
     _adaptive_gl,
+    _unit_moment,
     contour_eval,
     eval_a,
     eval_b,
@@ -166,3 +168,15 @@ def test_quadrature_refuses_a_jump_it_cannot_resolve():
     converges; the quadrature raises instead of accepting the last panels."""
     with pytest.raises(ArithmeticError, match="failed to converge"):
         _adaptive_gl(lambda x: (np.where(x < 1 / 3, 1.0, 0.0), np.zeros_like(x)), 0.0, 1.0, 1e-12)
+
+
+def test_unit_moment_matches_quadrature_on_both_branches():
+    """int_0^1 t^p e^{-beta t} dt from one array whose beta straddle +-1/2, so
+    the closed form (|beta| >= 1/2) and the Taylor branch run in one call.
+    The closed form cancels near |beta| = 1/2: 4e-14 relative for p = 3."""
+    beta = np.array([-40.0, -3.0, -0.5, -0.4999, -0.2, 0.0, 1e-9, 0.3, 0.4999, 0.5, 0.5001, 2.0, 60.0])
+    with mpmath.workdps(30):
+        for p in range(4):
+            for b, value in zip(beta, _unit_moment(p, beta)):
+                ref = mpmath.quad(lambda t: t**p * mpmath.exp(-mpmath.mpf(float(b)) * t), [0, 1])
+                assert abs(value - ref) <= 1e-12 * ref, (p, b)

@@ -1,7 +1,9 @@
 """Containment and width properties of the interval arithmetic layer."""
 
 import math
+import operator
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -144,3 +146,101 @@ def test_width_growth_linear():
 def test_division_by_zero_interval_rejected():
     with pytest.raises(ZeroDivisionError):
         Interval(1.0, 2.0) / Interval(-1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# every endpoint is the directed rounding of the exact result
+
+_MAX = sys.float_info.max
+
+
+def _ref_down(x: Fraction) -> float:
+    """Largest float <= x: MAX above the float range, -inf below it."""
+    try:
+        f = float(x)
+    except OverflowError:
+        return _MAX if x > 0 else -math.inf
+    return f if Fraction(f) <= x else math.nextafter(f, -math.inf)
+
+
+def _ref_up(x: Fraction) -> float:
+    return -_ref_down(-x)
+
+
+def _ref_outward(values: list[Fraction]) -> tuple[float, float]:
+    for v in values:
+        float(v)  # raises OverflowError past the float range, like the kernel
+    return _ref_down(min(values)), _ref_up(max(values))
+
+
+def _ref_sqrt_down(x: Fraction) -> float:
+    r = math.sqrt(float(x))
+    while Fraction(r) ** 2 > x:
+        r = math.nextafter(r, -math.inf)
+    while Fraction(math.nextafter(r, math.inf)) ** 2 <= x:
+        r = math.nextafter(r, math.inf)
+    return r
+
+
+def _ref_sqrt_up(x: Fraction) -> float:
+    r = _ref_sqrt_down(x)
+    return r if Fraction(r) ** 2 == x else math.nextafter(r, math.inf)
+
+
+def _check(kernel, reference) -> None:
+    """The kernel's endpoints equal the reference's, or both overflow."""
+    try:
+        expected = reference()
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            kernel()
+        return
+    got = kernel()
+    assert (got.lo, got.hi) == expected
+
+
+# magnitudes from the smallest subnormal to 1e308: any float, any binade with
+# a full or a short mantissa (exact products and quotients), and 0
+_magnitudes = st.one_of(
+    st.floats(min_value=0.0, max_value=1e308),
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1023)),
+    st.builds(math.ldexp, st.integers(1, 2**12), st.integers(-1086, 1010)),
+)
+_endpoints = st.builds(lambda sign, m: sign * m, st.sampled_from((1.0, -1.0)), _magnitudes)
+_intervals = st.builds(lambda a, b: Interval(min(a, b), max(a, b)), _endpoints, _endpoints)
+
+
+@given(_intervals, _intervals)
+@settings(max_examples=1000, deadline=None)
+def test_endpoints_equal_the_fraction_reference(x, y):
+    """+ - * /, powi(0..3) and sqrt_interval against exact rationals, from
+    subnormal to huge operands: both the float transforms and the scaled
+    edge paths, with OverflowError exactly where a product leaves the range."""
+    xl, xh, yl, yh = (Fraction(v) for v in (x.lo, x.hi, y.lo, y.hi))
+    _check(lambda: x + y, lambda: (_ref_down(xl + yl), _ref_up(xh + yh)))
+    _check(lambda: x - y, lambda: (_ref_down(xl - yh), _ref_up(xh - yl)))
+    _check(lambda: x * y, lambda: _ref_outward([a * b for a in (xl, xh) for b in (yl, yh)]))
+    if not y.contains_zero():
+        _check(lambda: x / y, lambda: _ref_outward([a / b for a in (xl, xh) for b in (yl, yh)]))
+    for p in range(4):
+        def reference(p=p):
+            lo, hi = _ref_outward([xl**p, xh**p])
+            return (0.0 if p % 2 == 0 and p > 0 and x.contains_zero() else lo), hi
+        _check(lambda: x.powi(p), reference)
+    root = Interval(*sorted((abs(x.lo), abs(x.hi))))
+    lo, hi = Fraction(root.lo), Fraction(root.hi)
+    _check(lambda: sqrt_interval(root), lambda: (_ref_sqrt_down(lo), _ref_sqrt_up(hi)))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_infinite_endpoint_raises_overflow_naming_it(op):
+    """exp can round up to inf; arithmetic on it raises OverflowError (an
+    ArithmeticError, which the CLI turns into exit 4) instead of rounding."""
+    for x, y in ((Interval(0.0, math.inf), Interval(1.0, 1.0)),
+                 (Interval(1.0, 2.0), Interval(-math.inf, -1.0))):
+        with pytest.raises(OverflowError, match="infinite interval endpoint"):
+            op(x, y)
+    with pytest.raises(OverflowError, match="infinite interval endpoint"):
+        Interval(1.0, math.inf).powi(2)
+    with pytest.raises(OverflowError, match="infinite interval endpoint"):
+        sqrt_interval(Interval(1.0, math.inf))
