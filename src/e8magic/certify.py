@@ -116,8 +116,8 @@ class ExpPolyModel:
         return {(t.p, t.pi_pow, t.decay): t.coeff for t in self.terms}
 
 
-def _series_coefficients(form: FormId, max_index: Fraction, order: int):
-    series = build_form(form, max(int(max_index) + 4, order))
+def _series_coefficients(form: FormId, max_index: Fraction):
+    series = build_form(form, int(max_index) + 4)
     out = {}
     for e, c in series.coeffs.items():
         idx = Fraction(e, EIGHTH)
@@ -126,7 +126,7 @@ def _series_coefficients(form: FormId, max_index: Fraction, order: int):
     return out
 
 
-def build_model(target: str, n: int, regime: str, order: int = 16) -> ExpPolyModel:
+def build_model(target: str, n: int, regime: str) -> ExpPolyModel:
     """Exact truncation model with cutoff n (error O(t^2 e^{-pi n t}) in its chart).
 
     Coefficients combine the catalog Fourier coefficients at indices k with
@@ -151,10 +151,10 @@ def build_model(target: str, n: int, regime: str, order: int = 16) -> ExpPolyMod
             del merged[key]
 
     if regime == NEAR_INFINITY:
-        phi0 = _series_coefficients(FormId.PHI_0, kmax, order)
-        phi2 = _series_coefficients(FormId.PHI_M2, kmax, order)
-        phi4 = _series_coefficients(FormId.PHI_M4, kmax, order)
-        psii = _series_coefficients(FormId.PSI_I, kmax, order)
+        phi0 = _series_coefficients(FormId.PHI_0, kmax)
+        phi2 = _series_coefficients(FormId.PHI_M2, kmax)
+        phi4 = _series_coefficients(FormId.PHI_M4, kmax)
+        psii = _series_coefficients(FormId.PSI_I, kmax)
         for k, c in phi0.items():
             add(2, 0, 2 * k, -c)
         for k, c in phi2.items():
@@ -164,8 +164,8 @@ def build_model(target: str, n: int, regime: str, order: int = 16) -> ExpPolyMod
         for k, c in psii.items():
             add(0, 2, 2 * k, psi_sign * 36 * c)
     else:
-        phi0 = _series_coefficients(FormId.PHI_0, kmax, order)
-        psis = _series_coefficients(FormId.PSI_S, kmax, order)
+        phi0 = _series_coefficients(FormId.PHI_0, kmax)
+        psis = _series_coefficients(FormId.PSI_S, kmax)
         for k, c in phi0.items():
             add(0, 0, 2 * k, -c)
         for k, c in psis.items():
@@ -383,9 +383,9 @@ def _bisect_chart(model: ExpPolyModel, envelope: Envelope, x_star: float, max_de
                 )
             )
             continue
-        if depth >= max_depth:
-            return segments, (envelope.chart, lo, hi)
         mid = 0.5 * (lo + hi)
+        if depth >= max_depth or not lo < mid < hi:  # float resolution ends the bisection
+            return segments, (envelope.chart, lo, hi)
         stack.append((mid, hi, depth + 1))
         stack.append((lo, mid, depth + 1))
     segments.sort(key=lambda s: s.lo)
@@ -448,38 +448,33 @@ def certify_sign(
     m: int = 6,
     t_star: float = 4.0,
     max_depth: int = 60,
-    u_star: float | None = None,
 ) -> Certificate:
-    """Certify A < 0 (target 'A') or B > 0 (target 'B') on all of (0, inf)."""
+    """Certify A < 0 (target 'A') or B > 0 (target 'B') on (0, inf), both charts to t_star."""
     if target not in ("A", "B"):
         raise ValueError("target must be 'A' or 'B'")
     if n != m:
         raise ValueError("model and envelope cutoffs must agree")
     if not 2 <= t_star < math.inf:
         raise ValueError("t_star must be finite and >= 2")
-    if u_star is None:
-        u_star = t_star
-    if not 2 <= u_star < math.inf:
-        raise ValueError("u_star must be finite and >= 2")
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     sign = -1 if target == "A" else 1
     segments: list[Segment] = []
     tails: list[TailRecord] = []
     failure = None
-    for chart, x_star in (("t", t_star), ("u", u_star)):
+    for chart in ("t", "u"):
         regime = NEAR_INFINITY if chart == "t" else NEAR_ZERO
         model = build_model(target, n, regime)
         envelope = Envelope(chart, m)
-        segs, fail = _bisect_chart(model, envelope, x_star, max_depth, sign)
+        segs, fail = _bisect_chart(model, envelope, t_star, max_depth, sign)
         segments.extend(segs)
         if fail is not None:
             failure = fail
             break
-        tail = _tail_check(model, envelope, x_star, sign)
+        tail = _tail_check(model, envelope, t_star, sign)
         tails.append(tail)
         if not tail.certified:
-            failure = (chart, x_star, math.inf)
+            failure = (chart, t_star, math.inf)
             break
     status = "certified" if failure is None else "failed"
     return Certificate(
@@ -487,7 +482,7 @@ def certify_sign(
         n=n,
         m=m,
         t_star=t_star,
-        u_star=u_star,
+        u_star=t_star,
         max_depth=max_depth,
         hypotheses=HYPOTHESES,
         segments=tuple(segments),
@@ -501,15 +496,15 @@ def certify_sign(
 # plain numerical evaluation (for plots and consistency tests)
 
 @lru_cache(maxsize=None)
-def _psi_phi4(target: str, order: int) -> QSeries:
+def _psi_phi4(target: str) -> QSeries:
     """phi_-4 -/+ psi_I for A / B in exact arithmetic, so that for B the q^-1
     terms, whose e^{2 pi t} would cancel in floats, cancel in rationals.
     |c(n)| <= 2 e^{4 pi sqrt(n)} follows from the two hypotheses."""
     psi_sign = -1 if target == "A" else 1
-    return build_form(FormId.PHI_M4, order) - psi_sign * build_form(FormId.PSI_I, order)
+    return build_form(FormId.PHI_M4) - psi_sign * build_form(FormId.PSI_I)
 
 
-def numeric_value(target: str, t: float, order: int = 64) -> tuple[float, float]:
+def numeric_value(target: str, t: float) -> tuple[float, float]:
     """Float value of A(t) or B(t) with a bound on its truncation and roundoff.
 
     Uses the near-zero representation for t <= 1 and the near-infinity one
@@ -523,14 +518,14 @@ def numeric_value(target: str, t: float, order: int = 64) -> tuple[float, float]
     if t <= 1.0:
         w = 1j / t
         total = combine([
-            (-(t**2), eval_form(FormId.PHI_0, w, order)),
-            (-psi_sign * (36 / math.pi**2) * t**2, eval_form(FormId.PSI_S, w, order)),
+            (-(t**2), eval_form(FormId.PHI_0, w)),
+            (-psi_sign * (36 / math.pi**2) * t**2, eval_form(FormId.PSI_S, w)),
         ])
     else:
         w = 1j * t
         total = combine([
-            (-(t**2), eval_form(FormId.PHI_0, w, order)),
-            ((12 / math.pi) * t, eval_form(FormId.PHI_M2, w, order)),
-            (-36 / math.pi**2, _psi_phi4(target, order).eval_at(w, 2.0, 4 * math.pi)),
+            (-(t**2), eval_form(FormId.PHI_0, w)),
+            ((12 / math.pi) * t, eval_form(FormId.PHI_M2, w)),
+            (-36 / math.pi**2, _psi_phi4(target).eval_at(w, 2.0, 4 * math.pi)),
         ])
     return total.value.real, float(total.tail_bound) + abs(total.value.imag)

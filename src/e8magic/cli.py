@@ -20,7 +20,7 @@ from pathlib import Path
 from . import certify as certify_mod
 from . import e8 as e8_mod
 from . import radial as radial_mod
-from .modforms import WEIGHTS, FormId, build_form
+from .modforms import DEFAULT_ORDER, WEIGHTS, FormId, build_form
 from .qseries import QSeries
 
 EXIT_OK = 0
@@ -233,7 +233,7 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
             failures.append(name)
 
     for form, expected in _GOLDEN_LEADS.items():
-        series = build_form(form, 24)
+        series = build_form(form)
         got = {e: f"{c.numerator}/{c.denominator}" for e, c in series.coeffs.items() if e in expected}
         check(f"golden expansion {form.value}", got == expected)
 
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="print a catalog q-expansion")
     p.add_argument("--form", required=True)
-    p.add_argument("--order", type=int, default=64)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_series)
 

@@ -9,6 +9,10 @@ The slash action of T (z -> z+1) is available at series level; the S action
 ``verify_transform``, against the bound on truncation and roundoff that
 ``QSeries.eval_at`` returns.
 
+Numeric evaluation reads every form at ``DEFAULT_ORDER`` = q^64: the S-law
+routes every series argument on the package's paths to Im z >= 1/2, where the
+first omitted term is below C e^{4 pi sqrt(64) - 32 pi}, about C e^{-100}.
+
 ``rademacher_coefficient`` implements the circle-method expansion of the
 Fourier coefficients (Kloosterman-type sums against modified Bessel I); it
 is a non-rigorous convergence diagnostic, not part of the certificate chain.
@@ -111,7 +115,7 @@ def growth_bound(form: FormId) -> tuple[float, float]:
     return GROWTH_BOUNDS[form]
 
 
-def eisenstein(k: int, order: int = DEFAULT_ORDER) -> QSeries:
+def eisenstein(k: int, order: int) -> QSeries:
     """E_k as an exact q-expansion (k in {2, 4, 6}), with the divisor sums
     sigma_{k-1}(n) for n < order taken from one sieve over the divisors."""
     factors = {2: -24, 4: 240, 6: -504}
@@ -128,7 +132,7 @@ def eisenstein(k: int, order: int = DEFAULT_ORDER) -> QSeries:
     return QSeries(0, order * EIGHTH, coeffs)
 
 
-def theta(kind: str, order: int = DEFAULT_ORDER) -> QSeries:
+def theta(kind: str, order: int) -> QSeries:
     """One of the three theta constants, by direct lattice sum.
 
     kind '00': sum q^{n^2/2}; '01': alternating signs; '10': exponents
@@ -212,11 +216,11 @@ def _build(form: FormId, order: int) -> QSeries:
     raise ValueError(f"unknown form {form}")
 
 
-def eval_form(form: FormId, z, order: int = DEFAULT_ORDER) -> EvalResult:
-    """Evaluate a catalog form at one z or an array of z, with its bound on
-    truncation and roundoff."""
+def eval_form(form: FormId, z) -> EvalResult:
+    """Evaluate a catalog form at one z or an array of z, read at
+    ``DEFAULT_ORDER``, with its bound on truncation and roundoff."""
     c, a = GROWTH_BOUNDS[form]
-    return build_form(form, order).eval_at(z, c, a)
+    return build_form(form).eval_at(z, c, a)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +250,7 @@ class TransformCheck:
         return self.residual <= self.bound
 
 
-def verify_transform(form: FormId, law: str, z: complex, order: int = DEFAULT_ORDER) -> TransformCheck:
+def verify_transform(form: FormId, law: str, z: complex) -> TransformCheck:
     """Residual of a transformation law at a point of the upper half-plane.
 
     law 'T' is checked exactly at series level (residual 0 when it holds);
@@ -259,12 +263,12 @@ def verify_transform(form: FormId, law: str, z: complex, order: int = DEFAULT_OR
     w = -1 / z
 
     if law == "T":
-        series = build_form(form, order)
+        series = build_form(form)
         if form in _THETA_T_PARTNER:
             partner, sign = _THETA_T_PARTNER[form]
-            target = sign * build_form(partner, order)
+            target = sign * build_form(partner)
         elif form is FormId.PSI_I:
-            target = build_form(FormId.PSI_T, order)
+            target = build_form(FormId.PSI_T)
         else:
             raise ValueError(f"no catalogued T law for {form}")
         diff = series.translate(+1) - target
@@ -272,27 +276,27 @@ def verify_transform(form: FormId, law: str, z: complex, order: int = DEFAULT_OR
 
     if law == "S" and form in _THETA_S_PARTNER:
         parts = [
-            (z ** (-2), eval_form(form, w, order)),
-            (1, eval_form(_THETA_S_PARTNER[form], z, order)),
+            (z ** (-2), eval_form(form, w)),
+            (1, eval_form(_THETA_S_PARTNER[form], z)),
         ]
     elif law == "S" and form is FormId.PSI_I:
         # weight -2 slash: z^2 psi_I(-1/z) = psi_S(z)
         parts = [
-            (z**2, eval_form(FormId.PSI_I, w, order)),
-            (-1, eval_form(FormId.PSI_S, z, order)),
+            (z**2, eval_form(FormId.PSI_I, w)),
+            (-1, eval_form(FormId.PSI_S, z)),
         ]
     elif law == "E2" or (law == "S" and form is FormId.E2):
         parts = [
-            (z ** (-2), eval_form(FormId.E2, w, order)),
-            (-1, eval_form(FormId.E2, z, order)),
+            (z ** (-2), eval_form(FormId.E2, w)),
+            (-1, eval_form(FormId.E2, z)),
             ((6j / math.pi) / z, EvalResult(value=1.0, tail_bound=0.0)),
         ]
     elif law == "PHI0" or (law == "S" and form is FormId.PHI_0):
         parts = [
-            (1, eval_form(FormId.PHI_0, w, order)),
-            (-1, eval_form(FormId.PHI_0, z, order)),
-            ((12j / math.pi) * (1 / z), eval_form(FormId.PHI_M2, z, order)),
-            ((36 / math.pi**2) * (1 / z**2), eval_form(FormId.PHI_M4, z, order)),
+            (1, eval_form(FormId.PHI_0, w)),
+            (-1, eval_form(FormId.PHI_0, z)),
+            ((12j / math.pi) * (1 / z), eval_form(FormId.PHI_M2, z)),
+            ((36 / math.pi**2) * (1 / z**2), eval_form(FormId.PHI_M4, z)),
         ]
     else:
         raise ValueError(f"no catalogued law {law!r} for {form}")
@@ -367,12 +371,11 @@ class BoundReport:
         return not self.violations
 
 
-def coefficient_bound_check(form: FormId, n_max, order: int = DEFAULT_ORDER) -> BoundReport:
-    """Check |c(n)| <= C e^{4 pi sqrt(n)} for every stored index in (0, n_max]."""
+def coefficient_bound_check(form: FormId, n_max) -> BoundReport:
+    """Check |c(n)| <= C e^{4 pi sqrt(n)} for every index in (0, n_max]."""
     n_max = Fraction(n_max)
-    series = build_form(form, order)
-    if Fraction(series.order, EIGHTH) < n_max:
-        raise ValueError(f"form built only to q^{series.order / 8}, need {n_max}")
+    # every catalog form leads at q^-1 or later, so this order reaches past n_max
+    series = build_form(form, math.floor(n_max) + 2)
     c, a = GROWTH_BOUNDS[form]
     max_ratio, worst, violations = 0.0, None, []
     for e, coeff in sorted(series.coeffs.items()):

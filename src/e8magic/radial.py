@@ -23,7 +23,8 @@ Every series value comes from ``QSeries.eval_at`` (the near range and the
 contour segments, one array of nodes per call) or ``QSeries.ray_laplace``
 (the far range and the contour's vertical ray), so each error estimate here
 carries their bound on truncation and roundoff, integrated against the
-quadrature weights.
+quadrature weights.  Each argument has Im z >= 1/2 (iu, it with u, t >= 1;
+-1/w on the contour), where q^64, the catalog's one order, suffices.
 
 Values of a and b are purely imaginary; all functions here return the real
 number with the global i factored out (g and ghat are genuinely real).
@@ -51,7 +52,6 @@ __all__ = [
 ]
 
 _PI = math.pi
-_SERIES_ORDER = 200  # integer q-steps: the series run to q^200
 _QUAD_TOL = 1e-12
 _SING_BAND = 1e-3
 
@@ -86,7 +86,7 @@ _G_COEFF_B = -1 / (240 * _PI)
 
 def _ray_laplace(form: FormId, p: int, y) -> EvalResult:
     """int_1^oo t^p f(it) e^{-pi y t} dt over the terms of f with n > 0."""
-    return build_form(form, _SERIES_ORDER).ray_laplace(p, y, *growth_bound(form))
+    return build_form(form).ray_laplace(p, y, *growth_bound(form))
 
 
 # (form, coefficient, power of t) of the series terms of each far-range integrand
@@ -167,7 +167,7 @@ def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray, float]:
     form, sign = _NEAR_FORMS[which]
 
     def integrand(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        series = eval_form(form, 1j * u, _SERIES_ORDER)
+        series = eval_form(form, 1j * u)
         return sign * series.value.real / u**4, series.tail_bound / u**4
 
     u_max = 14.0  # series integrand decays like e^{-2 pi u}: below 1e-33 past here
@@ -409,7 +409,7 @@ def contour_eval(r: float, which: str = "a") -> RadialValue:
         def f(s: np.ndarray):
             z = cusp + s * dz
             w = z - cusp
-            series = eval_form(form, -1.0 / w, _SERIES_ORDER)
+            series = eval_form(form, -1.0 / w)
             scale = w**2 * np.exp(1j * _PI * y * z) * dz
             return series.value * scale, series.tail_bound * np.abs(scale)
         return f

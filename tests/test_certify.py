@@ -239,6 +239,14 @@ def test_control_run_fails_near_one():
     assert abs(0.5 * (lo + hi) - 1.0) < 0.2, cert.failure_location
 
 
+def test_bisection_stops_at_float_resolution():
+    """The failing leaf is the last one bisection can split, one float wide,
+    never the degenerate [x, x], however large max_depth is."""
+    for max_depth in (60, 10**9):
+        chart, lo, hi = certify_sign("A", n=1, m=1, max_depth=max_depth).failure_location
+        assert lo < hi == math.nextafter(lo, math.inf), (max_depth, lo, hi)
+
+
 def test_certificates_deterministic():
     doc1 = json.dumps(certify_sign("A").to_doc(), sort_keys=True)
     doc2 = json.dumps(certify_sign("A").to_doc(), sort_keys=True)
@@ -280,9 +288,6 @@ def test_invalid_parameters_rejected():
         certify_sign("A", t_star=math.inf)
     with pytest.raises(ValueError):
         certify_sign("A", max_depth=-1)
-    for u_star in (0.5, 1.0, math.inf):
-        with pytest.raises(ValueError, match="u_star"):
-            certify_sign("A", u_star=u_star)
 
 
 # ---------------------------------------------------------------------------

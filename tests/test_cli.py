@@ -192,6 +192,7 @@ def test_exit_codes_distinguish_failure_kinds(capsys):
         (["certify", "--target", "A", "--tstar", "inf"], EXIT_INVALID_INPUT),
         (["certify", "--target", "A", "--tstar", "nan"], EXIT_INVALID_INPUT),
         (["certify", "--target", "B", "--max-depth", "-1"], EXIT_INVALID_INPUT),
+        (["certify", "--target", "A", "--n", "1", "--max-depth", "1000000000"], EXIT_CERT_FAILURE),
         (["certify", "--target", "A", "--tstar", "1e6"], EXIT_NUMERICAL_FAILURE),
         (["--threads", "2", "bound"], EXIT_INVALID_INPUT),
         (["eval", "--function", "g", "--r", "1e154"], EXIT_NUMERICAL_FAILURE),
@@ -245,6 +246,7 @@ _CERTIFY = st.tuples(
     st.just("certify"), st.just("--target"), st.sampled_from(("A", "B", "C")),
     st.just("--n"), _int_text(1, 12, MAX_CERTIFY_N, MAX_CERTIFY_N + 1),
     st.just("--tstar"), _float_text(2.0, 120.0, "1.99", "1e6"),
+    st.just("--max-depth"), _int_text(0, 60, 1000),
 ).map(list)
 _LATTICE = st.tuples(
     st.just("lattice"), st.just("--max-norm"),
@@ -264,8 +266,8 @@ _PLOT = st.tuples(
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_generated_argv_end_in_documented_exit_codes(argv):
     """NaN, +-inf, negative, huge and budget-edge values for eval --r, certify
-    --n/--tstar, lattice --max-norm and plot --samples.  The upper edge of
-    --samples is left to the budget test: 10 000 samples take about 6 s."""
+    --n/--tstar/--max-depth, lattice --max-norm and plot --samples.  The upper
+    edge of --samples is left to the budget test: 10 000 samples take 6 s."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

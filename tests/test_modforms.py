@@ -2,6 +2,11 @@
 circle-method diagnostics for the modular-form catalog."""
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +105,33 @@ def test_each_ingredient_built_once(monkeypatch):
     assert sorted(calls) == ["eisenstein"] * 3 + ["theta"] * 3
 
 
+_POLICY_PROBE = """
+from e8magic import certify, modforms, radial
+from e8magic.modforms import FormId
+radial.eval_g(1.0)
+radial.contour_eval(2.9, "b")
+modforms.eval_form(FormId.E2, 0.3 + 1.1j)
+modforms.verify_transform(FormId.PHI_0, "S", 0.2 + 1.2j)
+certify.numeric_value("A", 0.5)
+certify.numeric_value("B", 3.0)
+print(sorted({order for _, order in modforms._CACHE}))
+"""
+
+
+def test_numeric_paths_read_one_catalog_order():
+    """eval_g, contour_eval, eval_form, verify_transform and numeric_value
+    build the catalog at DEFAULT_ORDER and at no other order (a fresh process,
+    so no other test's builds are in the cache)."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _POLICY_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([modforms.DEFAULT_ORDER])
+
+
 def _sigma_by_trial_division(n: int, k: int) -> int:
     return sum(d**k for d in range(1, n + 1) if n % d == 0)
 
@@ -186,6 +218,13 @@ def test_rademacher_rejects_half_integer_kinds():
 def test_coefficient_bounds_to_50(form):
     report = coefficient_bound_check(form, 50)
     assert report.passed, (form, report.worst_index, report.max_ratio)
+
+
+def test_coefficient_bound_check_builds_the_order_n_max_needs():
+    """n_max past the numeric order q^64, integer and half-integer."""
+    for form, n_max in ((FormId.PHI_0, 150), (FormId.PSI_S, "301/2")):
+        report = coefficient_bound_check(form, n_max)
+        assert report.passed and report.n_max == Fraction(n_max), report
 
 
 def test_bound_spot_values():

@@ -1,12 +1,15 @@
 """Special values, zero ladder, sign conditions, and the two independent
 oracles (contour and Hankel) for the radial functions a, b, g, ghat."""
 
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from e8magic import radial
 from e8magic.radial import (
     _adaptive_gl,
     _unit_moment,
@@ -43,6 +46,21 @@ def test_g_normalization():
 def test_g_deriv_at_sqrt2():
     assert abs(eval_g_deriv(SQRT2, "g").value + SQRT2 / 60) <= 1e-8
     assert abs(eval_g_deriv(SQRT2, "ghat").value) <= 1e-8
+
+
+# Values recorded while the radial series were read at q^200, before the one
+# catalog order q^64: (function, r, which, value.hex(), err.hex(), residual.hex())
+RADIAL_GOLDENS = json.loads((Path(__file__).parent / "radial_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("call,r,which,value,err,residual", RADIAL_GOLDENS)
+def test_radial_values_match_goldens(call, r, which, value, err, residual):
+    """g, ghat, a, b, g', ghat' and both contours keep every bit of their
+    value, and no error bound grows."""
+    fn = getattr(radial, call)
+    rv = fn(r) if call in ("eval_a", "eval_b") else fn(r, which)
+    assert (rv.value.hex(), rv.residual.hex()) == (value, residual)
+    assert rv.err <= float.fromhex(err)
 
 
 # ---------------------------------------------------------------------------
