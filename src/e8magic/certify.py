@@ -49,6 +49,7 @@ __all__ = [
     "certify_sign",
     "numeric_value",
     "HYPOTHESES",
+    "MAX_CUTOFF",
 ]
 
 NEAR_ZERO = "near_zero"
@@ -61,6 +62,11 @@ HYPOTHESES = (
     "|c_phi-2(n)| <= e^(4 pi sqrt(n)) for integer n > 0",
     "|c_phi-4(n)| <= e^(4 pi sqrt(n)) for integer n > 0",
 )
+
+# the largest cutoff n = m that certify_sign accepts: the tail argument forms
+# e^{pi (19/20) n} on its own, which overflows a double from n = 238 on
+# (certify takes about 0.5 s at n = 200 on a 2-vCPU VM)
+MAX_CUTOFF = 200
 
 _PI_POW_INV = {0: Interval(1.0, 1.0), 1: INV_PI, 2: INV_PI_SQ}
 
@@ -454,6 +460,8 @@ def certify_sign(
         raise ValueError("target must be 'A' or 'B'")
     if n != m:
         raise ValueError("model and envelope cutoffs must agree")
+    if not 1 <= n <= MAX_CUTOFF:
+        raise ValueError(f"cutoff n = m must be between 1 and {MAX_CUTOFF}")
     if not 2 <= t_star < math.inf:
         raise ValueError("t_star must be finite and >= 2")
     if max_depth < 0:

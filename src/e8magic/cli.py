@@ -5,6 +5,9 @@ Verbs: series, certify, eval, plot, lattice, bound, selfcheck.  Exit codes:
 failure.  All numeric output carries explicit error-bound columns; series and
 certificate documents are JSON.  Series documents are cached per (form, order)
 under $E8MAGIC_CACHE_DIR (if set) with a content hash guarding staleness.
+
+The numeric layers ``radial`` and ``e8`` are imported by the verbs that call
+them, so ``series``, ``certify`` and ``lattice`` run without numpy.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import sys
 from pathlib import Path
 
 from . import certify as certify_mod
-from . import e8 as e8_mod
-from . import radial as radial_mod
 from .modforms import DEFAULT_ORDER, WEIGHTS, FormId, build_form
 from .qseries import QSeries
 
@@ -29,13 +30,13 @@ EXIT_CERT_FAILURE = 3
 EXIT_NUMERICAL_FAILURE = 4
 
 # input budgets: the largest --order, --max-norm, --samples and certify --n
-# accepted (on a 2-vCPU VM, build_form(phi_0) takes about 3 s at order 2000,
-# enumerate_shells about 1.5 s at max norm 400 and certify about 0.5 s at
-# n = 200; from n = 240 on, the tail argument's e^(0.95 pi n) overflows)
+# accepted (on a 2-vCPU VM, build_form(phi_0) takes about 3 s at order 2000
+# and enumerate_shells about 1.5 s at max norm 400; certify_sign sets its own
+# limit on the cutoff)
 MAX_SERIES_ORDER = 2000
 MAX_LATTICE_NORM = 400
 MAX_PLOT_SAMPLES = 10_000
-MAX_CERTIFY_N = 200
+MAX_CERTIFY_N = certify_mod.MAX_CUTOFF
 
 _FORM_BY_NAME = {f.value: f for f in FormId}
 
@@ -125,6 +126,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from . import radial as radial_mod
+
     fn = args.function
     if fn in ("a", "b"):
         if args.deriv:
@@ -163,6 +166,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
                 raise CliError("A and B need a positive range")
             value, err = certify_mod.numeric_value(fn, x)
         elif fn in ("g", "ghat"):
+            from . import radial as radial_mod
+
             rv = radial_mod.eval_g(x, fn)
             value, err = rv.value, rv.err
         else:
@@ -178,8 +183,12 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
+    from . import e8 as e8_mod
+
     if args.max_norm < 2 or args.max_norm % 2 or args.max_norm > MAX_LATTICE_NORM:
         raise CliError(f"--max-norm must be an even integer between 2 and {MAX_LATTICE_NORM}")
+    if args.poisson is not None and not (math.isfinite(args.poisson) and args.poisson > 0):
+        raise CliError("--poisson alpha must be finite and positive")
     table = e8_mod.enumerate_shells(args.max_norm)
     if args.shells:
         print("norm^2\tcount")
@@ -189,8 +198,6 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
         print(f"shells up to norm^2 = {args.max_norm}: {len(table.entries)} "
               f"(kissing number N(2) = {table.count(2)})")
     if args.poisson is not None:
-        if args.poisson <= 0:
-            raise CliError("--poisson alpha must be positive")
         rep = e8_mod.poisson_check(args.poisson, args.max_norm)
         print(
             f"poisson alpha={rep.alpha}: lhs={rep.lhs!r} rhs={rep.rhs!r} "
@@ -206,6 +213,8 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    from . import e8 as e8_mod
+
     rep = e8_mod.density_bound()
     print(f"f(0)/fhat(0) = {rep.ratio!r} +/- {rep.ratio_err:.3e}   "
           "[2^4 g(0)/ghat(0), scaling law f(x) = g(sqrt2 x)]")
@@ -225,6 +234,9 @@ _GOLDEN_LEADS = {
 
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
+    from . import e8 as e8_mod
+    from . import radial as radial_mod
+
     failures = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 from .qseries import U
-from .radial import eval_g
 
 __all__ = [
     "LatticePoint",
@@ -209,8 +208,8 @@ def poisson_check(alpha: float, max_norm: int = 40) -> PoissonReport:
     over sqrt2 Lambda_8 of fhat.  The reported bound covers the truncation of
     both sides at max_norm and the roundoff of every sum and difference.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError("alpha must be finite and positive")
     table = enumerate_shells(max_norm)
     n_max = max_norm // 2
     (lhs, e1), (rhs, e2), (scaled_lhs, e3), (scaled_rhs, e4) = (
@@ -239,6 +238,8 @@ def magic_poisson_check(max_norm: int = 16) -> tuple[float, float, float]:
     the right side sums ghat; both should equal 1 within the accumulated
     evaluation errors.  Returns (lhs, rhs, err_sum).
     """
+    from .radial import eval_g  # lazily: radial loads numpy; the lattice does not need it
+
     table = enumerate_shells(max_norm)
     lhs = rhs = err = 0.0
     for norm2, cnt in table.entries.items():
@@ -275,6 +276,8 @@ def density_bound() -> DensityBoundReport:
     so f(0)/fhat(0) = 2^4 g(0)/ghat(0); times Vol B_8(0, 1/2) = pi^4/6144 this
     is pi^4/384.
     """
+    from .radial import eval_g
+
     g0 = eval_g(0.0, "g")
     h0 = eval_g(0.0, "ghat")
     ratio = 16.0 * g0.value / h0.value

@@ -17,6 +17,8 @@ or many points of the upper half-plane (``eval_at``) and the termwise Laplace
 transform along the imaginary axis (``ray_laplace``) return one bound that
 covers both the discarded tail, derived from a caller-supplied coefficient
 growth bound |c(n)| <= C*e^{a*sqrt(n)}, and the float roundoff of the sum.
+numpy is imported by these numeric entry points, not by the module, so the
+exact kernel loads without it.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .rigor import PI, Interval, sqrt_interval
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["QSeries", "EvalResult", "combine", "EIGHTH", "U"]
 
@@ -43,6 +46,9 @@ U = 2.0**-53
 # below the smallest normal double, exp and products lose their relative
 # accuracy; every such term is off by at most this much times |c(n)|
 _TINY = 2.0**-1022
+# the smallest subnormal double: a product that underflows is off by at most
+# half of it (Higham, *Accuracy and Stability*, sec. 2.1)
+_ETA = 2.0**-1074
 # leading tail terms the majorant bounds one by one before its geometric part
 _MAX_EXPLICIT_TERMS = 100_000
 # array elements per block of closed forms in ray_laplace
@@ -68,11 +74,14 @@ class EvalResult:
 def combine(parts) -> EvalResult:
     """sum of coefficient * result over (coefficient, EvalResult) pairs, bounding
     each result's error and the roundoff of forming each float coefficient,
-    product and sum (a few u each, doubled for complex arithmetic)."""
+    product and sum (a few u each, doubled for complex arithmetic), plus the
+    absolute error of the products that underflow (a few eta per part: the
+    real and imaginary parts of c * value and the scaled bound)."""
     value = sum(c * r.value for c, r in parts)
     scaled = sum(abs(c) * r.tail_bound for c, r in parts)
     magnitude = sum(abs(c) * abs(r.value) for c, r in parts)
-    return EvalResult(value=value, tail_bound=scaled + 2 * (len(parts) + 8) * U * magnitude)
+    roundoff = 2 * (len(parts) + 8) * U * magnitude + 4 * len(parts) * _ETA
+    return EvalResult(value=value, tail_bound=scaled + roundoff)
 
 
 def _gamma(n: int) -> float:
@@ -82,6 +91,8 @@ def _gamma(n: int) -> float:
 
 def _exp_int(p: int, beta: np.ndarray) -> np.ndarray:
     """int_1^oo t^p e^{-beta t} dt = e^{-beta} sum_{i<=p} (p!/(p-i)!) beta^{-(i+1)}."""
+    import numpy as np
+
     inv = 1.0 / beta
     acc = inv.copy()
     fact = 1.0
@@ -462,6 +473,8 @@ class QSeries:
     @cached_property
     def _floats(self) -> tuple[np.ndarray, np.ndarray]:
         """Exponents in units of q (exact) and coefficients rounded to nearest."""
+        import numpy as np
+
         terms = list(self._terms())
         return np.array([e / EIGHTH for e, _ in terms]), np.array([x / self.den for _, x in terms])
 
@@ -478,6 +491,8 @@ class QSeries:
         error of about 2 pi |n z| u; the sum adds gamma_N.  Constants are
         doubled to cover the second-order terms.
         """
+        import numpy as np
+
         z = np.asarray(z, dtype=complex)
         y_min = float(np.min(z.imag))
         if not y_min > 0:
@@ -512,6 +527,8 @@ class QSeries:
         beta has a relative error of a few u, which e^{-beta} turns into one
         of about beta u.
         """
+        import numpy as np
+
         y = np.asarray(y, dtype=float)
         if not np.all(y >= 0):
             raise ValueError("ray Laplace transform needs y >= 0")

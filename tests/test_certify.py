@@ -8,6 +8,7 @@ import mpmath
 import pytest
 
 from e8magic.certify import (
+    MAX_CUTOFF,
     NEAR_INFINITY,
     NEAR_ZERO,
     Envelope,
@@ -288,6 +289,8 @@ def test_invalid_parameters_rejected():
         certify_sign("A", t_star=math.inf)
     with pytest.raises(ValueError):
         certify_sign("A", max_depth=-1)
+    with pytest.raises(ValueError, match=str(MAX_CUTOFF)):
+        certify_sign("A", n=240, m=240)  # the tail argument's e^{0.95 pi n} would overflow
 
 
 # ---------------------------------------------------------------------------
@@ -327,3 +330,10 @@ def test_numeric_value_b_keeps_its_digits(t):
     )
     assert value - err > 0
     assert abs(value - ref) <= err
+
+
+def test_numeric_value_bound_survives_underflow():
+    """At t = 1e-300 every product underflows to 0; the bound must still be
+    positive, since A(t) itself is not zero."""
+    value, err = numeric_value("A", 1e-300)
+    assert value == 0.0 and err > 0

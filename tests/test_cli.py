@@ -202,6 +202,7 @@ def test_exit_codes_distinguish_failure_kinds(capsys):
         (["lattice", "--max-norm", "1000000"], EXIT_INVALID_INPUT),
         (["plot", "--function", "g", "--range", "0:1", "--samples", "1000000000"], EXIT_INVALID_INPUT),
         (["certify", "--target", "A", "--n", "1", "--max-depth", "1000000000"], EXIT_CERT_FAILURE),
+        (["lattice", "--poisson", "nan"], EXIT_INVALID_INPUT),
     ],
 )
 def test_boundary_inputs_end_in_documented_exit_codes(capsys, argv, expected):
@@ -251,7 +252,8 @@ _CERTIFY = st.tuples(
 _LATTICE = st.tuples(
     st.just("lattice"), st.just("--max-norm"),
     _int_text(-4, 40, MAX_LATTICE_NORM - 1, MAX_LATTICE_NORM, MAX_LATTICE_NORM + 2),
-).map(list)
+    st.one_of(st.just(()), _float_text(0.5, 4.0, "0", "1e300").map(lambda a: ("--poisson", a))),
+).map(lambda t: [*t[:-1], *t[-1]])
 _PLOT = st.tuples(
     st.just("plot"), st.just("--function"), st.sampled_from(("g", "ghat", "A", "B", "x")),
     st.one_of(
@@ -266,7 +268,7 @@ _PLOT = st.tuples(
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_generated_argv_end_in_documented_exit_codes(argv):
     """NaN, +-inf, negative, huge and budget-edge values for eval --r, certify
-    --n/--tstar/--max-depth, lattice --max-norm and plot --samples.  The upper
+    --n/--tstar/--max-depth, lattice --max-norm/--poisson and plot --samples.  The upper
     edge of --samples is left to the budget test: 10 000 samples take 6 s."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

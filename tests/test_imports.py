@@ -1,0 +1,97 @@
+"""The import surface: each fresh process loads only the layers its verb uses.
+
+numpy is 0.14 s of a 0.25 s `import e8magic.cli` and scipy.special 0.35 s, so
+a top-level import of either in the exact layers would put that cost back on
+every `certify` and `series` process.  These tests run fresh interpreters
+(the CLI through runpy, as `python -m e8magic.cli` does) and read
+`sys.modules` at their end.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import e8magic
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# a probe runs its body, then writes the exit code and the heavy packages
+# loaded to the file named by its first argument
+_PROLOGUE = """
+import json, sys
+out, code = sys.argv.pop(1), 0
+"""
+_REPORT = """
+loaded = sorted({m.partition(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+open(out, "w").write(json.dumps([code, loaded]))
+"""
+# the CLI, reading the probe's remaining arguments as `python -m e8magic.cli`
+_RUN_CLI = """
+import runpy
+try:
+    runpy.run_module("e8magic.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+"""
+
+
+def _fresh(tmp_path, body: str, *argv: str) -> tuple[int, set[str]]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("E8MAGIC_CACHE_DIR", None)
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROLOGUE + body + _REPORT, str(out), *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and out.is_file(), proc.stderr
+    code, loaded = json.loads(out.read_text())
+    return code, set(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv,lean",
+    [
+        (["certify", "--target", "A"], True),
+        (["series", "--form", "phi_0", "--format", "json"], True),
+        (["lattice", "--max-norm", "40", "--poisson", "1.2"], True),
+        (["eval", "--function", "g", "--r", "1.0"], False),
+        (["plot", "--function", "A", "--range", "0.5:2", "--samples", "3"], False),
+        (["bound"], False),
+        (["selfcheck"], False),
+    ],
+)
+def test_verbs_load_only_their_layers(tmp_path, argv, lean):
+    """certify, series and lattice never load numpy; no verb loads scipy."""
+    code, loaded = _fresh(tmp_path, _RUN_CLI, *argv)
+    assert code == 0
+    assert "scipy" not in loaded
+    if lean:
+        assert "numpy" not in loaded
+
+
+def test_bare_import_loads_no_numpy(tmp_path):
+    _, loaded = _fresh(tmp_path, "import e8magic\n")
+    assert not loaded
+
+
+def test_scipy_is_loaded_by_the_two_diagnostics_that_need_it(tmp_path):
+    """The check above can see scipy: the Rademacher diagnostic loads it."""
+    body = "from e8magic import FormId, rademacher_coefficient\nrademacher_coefficient(FormId.J, 1, 5)\n"
+    _, loaded = _fresh(tmp_path, body)
+    assert "scipy" in loaded
+
+
+def test_every_public_name_resolves():
+    from e8magic import density_bound, eval_g
+
+    assert callable(eval_g) and callable(density_bound)
+    for name in e8magic.__all__:
+        assert getattr(e8magic, name) is not None, name
+    assert set(e8magic.__all__) <= set(dir(e8magic))
+    with pytest.raises(AttributeError):
+        e8magic.no_such_name  # noqa: B018
