@@ -358,16 +358,15 @@ class Certificate:
 
 
 def _leaf_check(model: ExpPolyModel, envelope: Envelope, x: Interval, sign: int):
-    """Returns (ok, model_iv, env_hi, margin)."""
+    """Returns (ok, model_iv, env_hi, margin).  A model enclosure without the
+    sign fails the leaf before the envelope is enclosed; env_hi and margin
+    are None then."""
     model_iv = model.enclose(x)
+    room = -model_iv.hi if sign < 0 else model_iv.lo  # the model's distance from 0 on its sign's side
+    if not room > 0:
+        return False, model_iv, None, None
     env_hi = envelope.enclose(x).hi
-    if sign < 0:
-        ok = model_iv.hi < 0 and env_hi < -model_iv.hi
-        margin = -model_iv.hi - env_hi
-    else:
-        ok = model_iv.lo > 0 and env_hi < model_iv.lo
-        margin = model_iv.lo - env_hi
-    return ok, model_iv, env_hi, margin
+    return env_hi < room, model_iv, env_hi, room - env_hi
 
 
 def _bisect_chart(model: ExpPolyModel, envelope: Envelope, x_star: float, max_depth: int, sign: int):

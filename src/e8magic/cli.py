@@ -207,6 +207,12 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
             f"scaled 2^4 identity: lhs={rep.scaled_lhs!r} rhs={rep.scaled_rhs!r} "
             f"discrepancy={rep.scaled_discrepancy:.3e}"
         )
+        if not rep.conclusive:
+            raise CliError(
+                f"poisson tail bound {rep.tail_bound:.3e} exceeds {e8_mod.POISSON_MAX_REL_BOUND:g} of the "
+                "smallest sum, so the check cannot fail at this alpha; use a larger --max-norm",
+                EXIT_NUMERICAL_FAILURE,
+            )
         if not rep.passed:
             raise CliError("poisson discrepancy exceeds tail bound", EXIT_NUMERICAL_FAILURE)
     return EXIT_OK

@@ -153,6 +153,11 @@ def shell_vectors(norm2: int) -> list[LatticePoint]:
 # ---------------------------------------------------------------------------
 # Poisson summation
 
+# the largest tail bound, relative to the smallest shell sum, at which the
+# Poisson check can still tell a wrong sum from a right one
+POISSON_MAX_REL_BOUND = 1e-6
+
+
 @dataclass(frozen=True)
 class PoissonReport:
     """Both sides of the two Poisson identities; ``tail_bound`` bounds the
@@ -169,8 +174,15 @@ class PoissonReport:
     scaled_discrepancy: float
 
     @property
+    def conclusive(self) -> bool:
+        """The bound is at most ``POISSON_MAX_REL_BOUND`` times the smallest of
+        the four sums; a bound as large as the sums would let any sum pass."""
+        return self.tail_bound <= POISSON_MAX_REL_BOUND * min(self.lhs, self.rhs, self.scaled_lhs, self.scaled_rhs)
+
+    @property
     def passed(self) -> bool:
-        return self.discrepancy <= self.tail_bound and self.scaled_discrepancy <= self.tail_bound
+        return (self.conclusive and self.discrepancy <= self.tail_bound
+                and self.scaled_discrepancy <= self.tail_bound)
 
 
 def _shell_sum(table: ShellTable, decay: float, n_max: int, scale: float) -> tuple[float, float]:

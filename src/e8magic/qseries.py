@@ -94,7 +94,7 @@ def _exp_int(p: int, beta: np.ndarray) -> np.ndarray:
     import numpy as np
 
     inv = 1.0 / beta
-    acc = inv.copy()
+    acc = inv
     fact = 1.0
     term = inv
     for i in range(1, p + 1):
@@ -104,11 +104,30 @@ def _exp_int(p: int, beta: np.ndarray) -> np.ndarray:
     return np.exp(-beta) * acc
 
 
+def _ray_constants(series: QSeries, p: int, bound_constant: float, bound_exponent: float) -> tuple:
+    """The parts of ``QSeries.ray_laplace`` that do not depend on y, for one
+    power and growth bound: 2n, c and |c| over the terms with n > 0, 2n|c|,
+    the tail majorant times F(beta0), the summation factor and the
+    subnormal term."""
+    import numpy as np
+
+    if series.order <= 0:
+        raise TruncationError("series truncated at or below q^0")
+    beta0 = 2 * math.pi * series.order / EIGHTH
+    factor = sum(math.perm(p, i) * beta0 ** -(i + 1) for i in range(p + 1))
+    majorant = _tail_majorant(series.lead, series.order, series.stride, bound_constant, bound_exponent, 1.0)
+    n, c = series._floats
+    n, c = n[n > 0], c[n > 0]
+    abs_c = np.abs(c)
+    return (2 * n, c, abs_c, 2 * n * abs_c, factor * majorant, 48 * U + 2 * _gamma(len(n)),
+            _TINY * abs_c.sum())
+
+
 @lru_cache(maxsize=1024)
 def _tail_majorant(lead: int, order: int, stride: int, c: float, a: float, y: float) -> float:
     """Rigorous bound on sum C e^{a sqrt(n)} e^{-2 pi n y} over the grid points
     n >= order of a series with this lead and stride (cached: it depends on
-    no coefficient, and ``ray_laplace`` asks for it at y = 1 on every call).
+    no coefficient, and ``eval_at`` asks for it at every call's smallest Im z).
 
     The majorant splits the tail at the index past which e^{a sqrt(n)} is
     beaten by e^{pi*y*n}: finitely many leading tail terms are bounded
@@ -516,6 +535,11 @@ class QSeries:
             return EvalResult(value=complex(value), tail_bound=float(bound))
         return EvalResult(value=value, tail_bound=bound)
 
+    @cached_property
+    def _ray_cache(self) -> dict:
+        """``_ray_constants`` by (p, bound_constant, bound_exponent)."""
+        return {}
+
     def ray_laplace(self, p: int, y, bound_constant: float, bound_exponent: float) -> EvalResult:
         """sum_{n>0} c(n) int_1^oo t^p e^{-2 pi n t} e^{-pi y t} dt, termwise in closed form.
 
@@ -530,28 +554,23 @@ class QSeries:
         import numpy as np
 
         y = np.asarray(y, dtype=float)
-        if not np.all(y >= 0):
+        if np.count_nonzero(y >= 0) < y.size:
             raise ValueError("ray Laplace transform needs y >= 0")
-        if self.order <= 0:
-            raise TruncationError("series truncated at or below q^0")
-        beta0 = 2 * math.pi * self.order / EIGHTH
-        factor = sum(math.perm(p, i) * beta0 ** -(i + 1) for i in range(p + 1))
-        majorant = _tail_majorant(self.lead, self.order, self.stride, bound_constant, bound_exponent, 1.0)
-        tail = factor * majorant * np.exp(-math.pi * y)
-        n, c = self._floats
-        n, c = n[n > 0], c[n > 0]
+        key = (p, bound_constant, bound_exponent)
+        if key not in self._ray_cache:
+            self._ray_cache[key] = _ray_constants(self, *key)
+        two_n, c, abs_c, two_n_abs_c, tail_factor, gamma_factor, tiny = self._ray_cache[key]
+        tail = tail_factor * np.exp(-math.pi * y)
         flat = y.reshape(-1)
         value, rounding = np.empty_like(flat), np.empty_like(flat)
-        rows = max(1, _BLOCK_ELEMS // max(1, len(n)))  # keep each block of closed forms small
+        rows = max(1, _BLOCK_ELEMS // max(1, len(c)))  # keep each block of closed forms small
         for lo in range(0, len(flat), rows):
             yb = flat[lo:lo + rows]
-            m = _exp_int(p, math.pi * (2 * n + yb[:, None]))
-            mc = m @ np.abs(c)
+            m = _exp_int(p, math.pi * (two_n + yb[:, None]))
+            mc = m @ abs_c
             value[lo:lo + rows] = m @ c
-            rounding[lo:lo + rows] = (48 * U + 2 * _gamma(len(n))) * mc + 6 * math.pi * U * (
-                m @ (2 * n * np.abs(c)) + yb * mc
-            )
-        bound = tail + rounding.reshape(y.shape) + _TINY * np.abs(c).sum()
+            rounding[lo:lo + rows] = gamma_factor * mc + 6 * math.pi * U * (m @ two_n_abs_c + yb * mc)
+        bound = tail + rounding.reshape(y.shape) + tiny
         if y.ndim == 0:
             return EvalResult(value=float(value[0]), tail_bound=float(bound))
         return EvalResult(value=value.reshape(y.shape), tail_bound=bound)

@@ -115,6 +115,13 @@ def _far_integral(which: str, y: np.ndarray, deriv: bool) -> EvalResult:
 _MAX_DEPTH = 24
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre_40() -> tuple[np.ndarray, np.ndarray]:
+    """The 40-point Gauss-Legendre rule on [-1, 1]: an eigenvalue solve of
+    about 0.8 ms, done on the first quadrature, so importing starts no LAPACK."""
+    return np.polynomial.legendre.leggauss(40)
+
+
 def _adaptive_gl(f, lo: float, hi: float, tol: float):
     """Adaptive Gauss-Legendre quadrature over [lo, hi].
 
@@ -125,7 +132,7 @@ def _adaptive_gl(f, lo: float, hi: float, tol: float):
     the nodes, weights, integrand values and bounds of the accepted halves, in
     increasing order of the nodes, and the sum of their estimates' changes.
     """
-    x0, w0 = np.polynomial.legendre.leggauss(40)  # here, not at import: it starts LAPACK
+    x0, w0 = _gauss_legendre_40()
 
     def panel(a: float, b: float):
         half = 0.5 * (b - a)
@@ -158,12 +165,13 @@ _NEAR_FORMS = {"a": (FormId.PHI_0, 1.0), "b": (FormId.PSI_S, -1.0)}
 
 
 @lru_cache(maxsize=None)
-def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nodes u_j and y-independent weights w_j * f(u_j) / u_j^2 for the series
-    part of the near-range integral of a ('a') or b ('b'), built once by
-    adaptive bisection at y = 0 where the integrand is largest, and the
-    weighted sum of the series bounds, which bounds the error of the series
-    part for every y >= 0 (the kernel e^{-pi y/u} is at most 1)."""
+def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """1/u_j and -pi/u_j at the nodes u_j, y-independent weights
+    w_j * f(u_j) / u_j^2 for the series part of the near-range integral of a
+    ('a') or b ('b'), built once by adaptive bisection at y = 0 where the
+    integrand is largest, and the weighted sum of the series bounds, which
+    bounds the error of the series part for every y >= 0 (the kernel
+    e^{-pi y/u} is at most 1)."""
     form, sign = _NEAR_FORMS[which]
 
     def integrand(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +180,23 @@ def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray, float]:
 
     u_max = 14.0  # series integrand decays like e^{-2 pi u}: below 1e-33 past here
     u, weights, values, bounds, _ = _adaptive_gl(integrand, 1.0, u_max, _QUAD_TOL)
-    return u, weights * values, float(np.dot(weights, bounds))
+    return 1.0 / u, -_PI / u, weights * values, float(np.dot(weights, bounds))
+
+
+def _closed_moment(p: int, b: np.ndarray) -> np.ndarray:
+    """int_0^1 t^p e^{-b t} dt in closed form, for |b| >= 1/2.  Where b^(p+1)
+    passes the double range the moment, below p!/b^(p+1), saturates to 0."""
+    if p == 0:
+        return -np.expm1(-b) / b
+    eb = np.exp(-b)
+    with np.errstate(over="ignore", invalid="ignore"):  # e^{-b} = 0 times an infinite power is nan
+        if p == 1:
+            out = (1.0 - eb * (1.0 + b)) / b**2
+        elif p == 2:
+            out = (2.0 - eb * (b**2 + 2 * b + 2)) / b**3
+        else:
+            out = (6.0 - eb * (b**3 + 3 * b**2 + 6 * b + 6)) / b**4
+    return np.where(np.isnan(out), 0.0, out)
 
 
 def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
@@ -182,19 +206,10 @@ def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
         raise ValueError("moment degree must be <= 3")
     beta = np.asarray(beta, dtype=float)
     small = np.abs(beta) < 0.5
+    if not np.count_nonzero(small):  # the cheapest emptiness test for a one-point array
+        return _closed_moment(p, beta)
     out = np.empty_like(beta)
-    b = beta[~small]
-    eb = np.exp(-b)
-    if p == 0:
-        out[~small] = -np.expm1(-b) / b
-    elif p == 1:
-        out[~small] = (1.0 - eb * (1.0 + b)) / b**2
-    elif p == 2:
-        out[~small] = (2.0 - eb * (b**2 + 2 * b + 2)) / b**3
-    else:
-        out[~small] = (6.0 - eb * (b**3 + 3 * b**2 + 6 * b + 6)) / b**4
-    if not small.any():
-        return out
+    out[~small] = _closed_moment(p, beta[~small])
     # Taylor branch: sum_k (-beta)^k / (k! (k + p + 1))
     b = beta[small]
     taylor = np.zeros_like(b)
@@ -214,28 +229,33 @@ _ELEM_TERMS = {
 }
 
 
-def _integral(which: str, y: np.ndarray, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
-    """int_0^oo (integrand)(t) e^{-pi y t} dt, optionally d/dy, as a function of
-    y, and a bound on the error of its series part.
+def _integral(which: str, y: np.ndarray, deriv: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """int_0^oo (integrand)(t) e^{-pi y t} dt as a function of y, and a bound
+    on the error of its series part; with ``deriv`` its d/dy follows as a
+    second pair.
 
     The q-series part of the near range is integrated by quadrature in the
     u = 1/t chart (its bound holds for every y >= 0: the kernel is at most 1,
     its d/dy at most pi); the subtracted elementary terms (which do not decay
     in u) use closed forms, and the far range comes from ``ray_laplace``.
     """
-    u, w, near_err = _near_quadrature(which)
-    total = np.empty(len(y))
-    rows = max(1, _BLOCK_ELEMS // len(u))  # keep each block of the kernel small
+    inv_u, d_scale, w, near_err = _near_quadrature(which)
+    orders = (0, 1) if deriv else (0,)
+    near = np.empty((len(orders), len(y)))
+    rows = max(1, _BLOCK_ELEMS // len(w))  # keep each block of the kernel small
     for lo in range(0, len(y), rows):
-        kernel = np.exp(-_PI * np.outer(y[lo:lo + rows], 1.0 / u))
+        kernel = np.exp(-_PI * (y[lo:lo + rows, None] * inv_u))
+        near[0, lo:lo + rows] = kernel @ w
         if deriv:
-            kernel = kernel * (-_PI / u)[None, :]
-        total[lo:lo + rows] = kernel @ w
-    d = 1 if deriv else 0
-    for c, p, m in _ELEM_TERMS[which]:
-        total = total + c * ((-_PI) ** d) * _unit_moment(p + d, _PI * (y + m))
-    far = _far_integral(which, y, deriv)
-    return total + far.value, near_err * _PI**d + far.tail_bound
+            near[1, lo:lo + rows] = (kernel * d_scale[None, :]) @ w
+    out = []
+    for d in orders:
+        total = near[d]
+        for c, p, m in _ELEM_TERMS[which]:
+            total = total + c * ((-_PI) ** d) * _unit_moment(p + d, _PI * (y + m))
+        far = _far_integral(which, y, d == 1)
+        out.append((total + far.value, near_err * _PI**d + far.tail_bound))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +272,26 @@ def _sin2_coeffs(k_max: int = 8) -> list[float]:
 _S2_COEFFS = _sin2_coeffs()
 
 
-def _reduce(y: np.ndarray) -> np.ndarray:
-    """y modulo 2, reduced to [-1, 1]: sin^2(pi y/2) = sin^2(pi x/2) at x = _reduce(y)."""
-    return y - 2.0 * np.round(0.5 * y)
+def _sines(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin^2(pi y/2) and its d/dy (pi/2) sin(pi y), both at y reduced modulo 2
+    to [-1, 1] for accuracy near shells; a and b share them."""
+    x = y - 2.0 * np.rint(0.5 * y)
+    return np.sin(0.5 * _PI * x) ** 2, 0.5 * _PI * np.sin(_PI * x)
 
 
-def _sin2(y: np.ndarray) -> np.ndarray:
-    return np.sin(0.5 * _PI * _reduce(y)) ** 2
+def _quotient(x: np.ndarray, s2: np.ndarray, s2_prime: np.ndarray, power: int, deriv: bool) -> np.ndarray:
+    """sin^2(pi y/2) / x^power, or its d/dy, from the sines at y and x = y - center.
+    Where a power of x passes the double range the quotient, below
+    |x|^-power, saturates to 0."""
+    with np.errstate(over="ignore"):
+        if deriv:
+            return s2_prime / x**power - power * s2 / x ** (power + 1)
+        return s2 / x**power
 
 
-def _sin2_prime(y: np.ndarray) -> np.ndarray:
-    """d/dy sin^2(pi y/2) = (pi/2) sin(pi y), reduced for accuracy near shells."""
-    return 0.5 * _PI * np.sin(_PI * _reduce(y))
-
-
-def _ratio(y: np.ndarray, center: float, power: int, deriv: bool) -> np.ndarray:
-    """Stable sin^2(pi y/2) / (y - center)^power (center in {0, 2}), or its d/dy.
+def _ratio(y: np.ndarray, sines, center: float, power: int, deriv: bool) -> np.ndarray:
+    """Stable sin^2(pi y/2) / (y - center)^power (center in {0, 2}), or its d/dy,
+    given ``sines`` = ``_sines(y)``.
 
     Away from the singularity the direct quotient is used; inside the band the
     power series of sin^2(pi x/2) in x = y - center takes over (the reduction
@@ -276,25 +300,20 @@ def _ratio(y: np.ndarray, center: float, power: int, deriv: bool) -> np.ndarray:
     """
     x = y - center
     near = np.abs(x) < _SING_BAND
+    if not np.count_nonzero(near):
+        return _quotient(x, *sines, power, deriv)
     out = np.empty_like(y, dtype=float)
     far = ~near
-    if far.any():
+    out[far] = _quotient(x[far], *(s[far] for s in sines), power, deriv)
+    xs = x[near]
+    acc = np.zeros_like(xs)
+    for k, s_k in enumerate(_S2_COEFFS, start=1):
+        e = 2 * k - power
         if deriv:
-            out[far] = _sin2_prime(y[far]) / x[far] ** power - power * _sin2(y[far]) / x[far] ** (
-                power + 1
-            )
+            acc += s_k * e * xs ** (e - 1) if e != 0 else 0.0
         else:
-            out[far] = _sin2(y[far]) / x[far] ** power
-    if near.any():
-        xs = x[near]
-        acc = np.zeros_like(xs)
-        for k, s_k in enumerate(_S2_COEFFS, start=1):
-            e = 2 * k - power
-            if deriv:
-                acc += s_k * e * xs ** (e - 1) if e != 0 else 0.0
-            else:
-                acc += s_k * xs**e
-        out[near] = acc
+            acc += s_k * xs**e
+    out[near] = acc
     return out
 
 
@@ -308,24 +327,26 @@ _PREFACTORS = {
 }
 
 
-def _im_core(which: str, y: np.ndarray, deriv: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _im_core(which: str, y: np.ndarray, sines, deriv: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Im a / 4 or Im b / 4 as a function of y = r^2 (or its d/dy), and the
-    bound on the error of its series part.
+    bound on the error of its series part; ``sines`` = ``_sines(y)``.
 
-    A kernel argument that overflows a double (a power of y in the prefactors,
-    pi*y in the Laplace kernels) raises ArithmeticError where it happens,
-    instead of running on with inf and NaN.
+    A kernel argument that overflows a double (pi*y in the Laplace kernels)
+    raises ArithmeticError where it happens, instead of running on with inf
+    and NaN; a power of y in the prefactors saturates its quotient instead.
     """
+    s2, s2_prime = sines
     try:
         with np.errstate(over="raise", invalid="raise"):
-            pref = sum(c * _ratio(y, center, power, deriv) for c, center, power in _PREFACTORS[which])
-            integral, err = _integral(which, y, False)
+            pref = sum(c * _ratio(y, sines, center, power, deriv) for c, center, power in _PREFACTORS[which])
+            parts = _integral(which, y, deriv)
+            integral, err = parts[0]
             if not deriv:
-                return pref + _sin2(y) * integral, _sin2(y) * err
-            d_integral, d_err = _integral(which, y, True)
+                return pref + s2 * integral, s2 * err
+            d_integral, d_err = parts[1]
             return (
-                pref + _sin2_prime(y) * integral + _sin2(y) * d_integral,
-                np.abs(_sin2_prime(y)) * err + _sin2(y) * d_err,
+                pref + s2_prime * integral + s2 * d_integral,
+                np.abs(s2_prime) * err + s2 * d_err,
             )
     except FloatingPointError as exc:
         raise ArithmeticError(f"y = r^2 up to {np.max(y):.6g} overflows a radial kernel: {exc}") from None
@@ -345,7 +366,8 @@ def _radius_sq(r: float) -> np.ndarray:
 
 
 def _radial(which: str, r: float) -> RadialValue:
-    value, err = _im_core(which, _radius_sq(r))
+    y = _radius_sq(r)
+    value, err = _im_core(which, y, _sines(y))
     value = 4.0 * float(value[0])
     return RadialValue(value=value, err=_eval_err(value, 4.0 * float(err[0])))
 
@@ -365,8 +387,9 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     if which not in ("g", "ghat"):
         raise ValueError("which must be 'g' or 'ghat'")
     cb = _G_COEFF_B if which == "g" else -_G_COEFF_B
-    a_im, a_err = _im_core("a", y, deriv)
-    b_im, b_err = _im_core("b", y, deriv)
+    sines = _sines(y)
+    a_im, a_err = _im_core("a", y, sines, deriv)
+    b_im, b_err = _im_core("b", y, sines, deriv)
     return 4.0 * (_G_COEFF_A * a_im + cb * b_im), 4.0 * (abs(_G_COEFF_A) * a_err + abs(cb) * b_err)
 
 
@@ -452,7 +475,7 @@ def _hankel_table(which: str) -> tuple[np.ndarray, np.ndarray]:
     grid = np.arange(0.0, _HANKEL_R_MAX + 0.5 * _HANKEL_STEP, _HANKEL_STEP)
     y = grid**2
     if which in ("a", "b"):
-        vals = 4.0 * _im_core(which, y)[0]
+        vals = 4.0 * _im_core(which, y, _sines(y))[0]
     elif which in ("g", "ghat"):
         vals = _g(y, which, False)[0]
     else:

@@ -96,6 +96,16 @@ def test_poisson_discrepancy_monotone(alpha):
         assert d2 <= d1 + 1e-15, discrepancies
 
 
+@pytest.mark.parametrize("alpha,conclusive", [(0.05, False), (0.4, True), (6.0, True), (30.0, False)])
+def test_poisson_check_fails_where_its_bound_rivals_the_sums(alpha, conclusive):
+    """At max_norm 40 the tail bound is 40 times the smallest sum at alpha =
+    0.05 and about equal to it at 30: no discrepancy could fail there, so the
+    check does not pass.  At 0.4 and 6 the bound is below 1e-6 of the sums."""
+    report = poisson_check(alpha, max_norm=40)
+    assert report.conclusive == conclusive
+    assert report.passed == conclusive
+
+
 def test_poisson_alpha2_tight():
     report = poisson_check(2.0, max_norm=40)
     assert report.discrepancy < 1e-10

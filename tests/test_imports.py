@@ -79,6 +79,23 @@ def test_bare_import_loads_no_numpy(tmp_path):
     assert not loaded
 
 
+def test_importing_radial_computes_no_quadrature_rule(tmp_path):
+    """The Gauss-Legendre rule (an eigenvalue solve) waits for the first
+    quadrature, which computes it once."""
+    body = (
+        "import numpy.polynomial.legendre as legendre\n"
+        "rules, leggauss = [], legendre.leggauss\n"
+        "legendre.leggauss = lambda n: rules.append(n) or leggauss(n)\n"
+        "import e8magic.radial as radial\n"
+        "code = [len(rules)]\n"
+        "for _ in range(2):\n"
+        "    radial._adaptive_gl(lambda x: (x, 0 * x), 0.0, 1.0, 1.0)\n"
+        "code.append(len(rules))\n"
+    )
+    code, _ = _fresh(tmp_path, body)
+    assert code == [0, 1]
+
+
 def test_scipy_is_loaded_by_the_two_diagnostics_that_need_it(tmp_path):
     """The check above can see scipy: the Rademacher diagnostic loads it."""
     body = "from e8magic import FormId, rademacher_coefficient\nrademacher_coefficient(FormId.J, 1, 5)\n"

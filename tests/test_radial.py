@@ -1,6 +1,7 @@
 """Special values, zero ladder, sign conditions, and the two independent
 oracles (contour and Hankel) for the radial functions a, b, g, ghat."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -9,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from e8magic import radial
+from e8magic import qseries, radial
 from e8magic.radial import (
     _adaptive_gl,
     _unit_moment,
@@ -157,9 +158,66 @@ def test_hankel_b_antieigenfunction(s):
     assert abs(got.value + ref.value) <= got.err + ref.err + 1e-6, s
 
 
+# sha256 of each Hankel table's grid then values (little-endian doubles),
+# recorded before the scalar evaluators stopped redoing their y-independent work
+HANKEL_TABLE_SHA256 = {
+    "a": "339f3f3dda035437c19124f82ee7d2132c9ee59b87d89c0b45dc041b78f45dc8",
+    "b": "c4d447b65109a7988f9d3abf38a3f30cba6e81eca287767ba35877edf8452c77",
+    "g": "eab0c86fe89aa183cf9359e5645eb416f6bc86c9c0519b1bedb7f24bebca632c",
+    "ghat": "6f187e3768768439d564ef742e0116714e87c2de9a4250ab6d044ffac77dbe30",
+}
+
+
+@pytest.mark.parametrize("which", sorted(HANKEL_TABLE_SHA256))
+def test_hankel_tables_match_goldens(which):
+    """The 12001-point tables run the vectorized path of every evaluator
+    (both branches of the singular ratios and of the unit moments) and keep
+    every bit."""
+    digest = hashlib.sha256()
+    for arr in radial._hankel_table(which):
+        digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    assert digest.hexdigest() == HANKEL_TABLE_SHA256[which]
+
+
 def test_hankel_g_zero_at_sqrt2():
     got = hankel_fourier_oracle("g", SQRT2)
     assert abs(got.value) <= got.err + 1e-6
+
+
+def test_warm_evaluations_reuse_the_rule_and_the_ray_constants(monkeypatch):
+    """Once warm, eval_g, eval_g_deriv and contour_eval compute no
+    Gauss-Legendre rule and no y-independent ray-Laplace constants."""
+    for which in ("g", "ghat"):
+        eval_g(1.3, which)
+        eval_g_deriv(1.3, which)
+    for which in ("a", "b"):
+        contour_eval(1.3, which)
+    calls = {"rule": 0, "ray": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting("rule", np.polynomial.legendre.leggauss))
+    monkeypatch.setattr(qseries, "_ray_constants", counting("ray", qseries._ray_constants))
+    for r in np.linspace(0.2, 5.0, 10):
+        eval_g(float(r), "g")
+        eval_g_deriv(float(r), "ghat")
+    for which in ("a", "b"):
+        contour_eval(2.2, which)
+    assert calls == {"rule": 0, "ray": 0}
+
+
+@pytest.mark.parametrize("r", [1e78, 1e100, 5e153])
+def test_huge_radii_are_zero_within_their_bound(r):
+    """Past r ~ 1e77 the powers of y in the prefactors and of pi y in the unit
+    moments pass the double range; their quotients saturate to 0, so each
+    function is 0 within its bound instead of a numerical failure (until pi y
+    itself overflows, near r = 7.6e153)."""
+    for rv in (eval_g(r, "g"), eval_g(r, "ghat"), eval_a(r), eval_b(r), eval_g_deriv(r, "g")):
+        assert abs(rv.value) <= rv.err
 
 
 def test_invalid_inputs():
