@@ -228,7 +228,7 @@ class Envelope:
 
     @staticmethod
     def _growth(k: int) -> Interval:
-        return TWO_SQRT2_PI * sqrt_interval(Interval.from_rational(k))
+        return TWO_SQRT2_PI * sqrt_interval(enclose_fraction(k))
 
     @staticmethod
     def _geometric_ratio(x: Interval, c: Interval) -> Interval:
@@ -243,9 +243,9 @@ class Envelope:
         each explicit k, the growth exponent and pi * k."""
         n_geo = self._n_geo(LEAF_SPLIT)
         explicit = tuple(
-            (self._growth(k), PI * Interval.from_rational(k)) for k in range(self.m, n_geo)
+            (self._growth(k), PI * enclose_fraction(k)) for k in range(self.m, n_geo)
         )
-        return enclose_fraction(LEAF_SPLIT), Interval.from_rational(n_geo), explicit
+        return enclose_fraction(LEAF_SPLIT), enclose_fraction(n_geo), explicit
 
     def enclose(self, x: Interval) -> Interval:
         """Upper enclosure over the segment x (the leaf bound, split LEAF_SPLIT)."""
@@ -269,7 +269,7 @@ class Envelope:
         n_geo = self._n_geo(TAIL_SPLIT)
         amps = [(2 * self._growth(k).exp(), Fraction(k)) for k in range(self.m, n_geo)]
         ratio = self._geometric_ratio(Interval.point(x_star), c)
-        amps.append((2 * (PI * c * Interval.from_rational(n_geo)).exp() / (1 - ratio), Fraction(n_geo)))
+        amps.append((2 * (PI * c * enclose_fraction(n_geo)).exp() / (1 - ratio), Fraction(n_geo)))
         return [(coeff * amp, p, decay) for coeff, p in _PREFACTOR[self.chart] for amp, decay in amps]
 
 
@@ -533,6 +533,6 @@ def numeric_value(target: str, t: float) -> tuple[float, float]:
         total = combine([
             (-(t**2), eval_form(FormId.PHI_0, w)),
             ((12 / math.pi) * t, eval_form(FormId.PHI_M2, w)),
-            (-36 / math.pi**2, _psi_phi4(target).eval_at(w, 2.0, 4 * math.pi)),
+            (-36 / math.pi**2, _psi_phi4(target).eval_at(w, 2.0)),
         ])
     return total.value.real, float(total.tail_bound) + abs(total.value.imag)

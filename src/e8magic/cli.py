@@ -30,9 +30,9 @@ EXIT_CERT_FAILURE = 3
 EXIT_NUMERICAL_FAILURE = 4
 
 # input budgets: the largest --order, --max-norm, --samples and certify --n
-# accepted (on a 2-vCPU VM, build_form(phi_0) takes about 3 s at order 2000
-# and enumerate_shells about 1.5 s at max norm 400; certify_sign sets its own
-# limit on the cutoff)
+# accepted (on a 2-vCPU VM, build_form(phi_0) takes about 3 s at order 2000;
+# max norm 400 bounds the divisor sieve and the Poisson sums, about 0.1 s for
+# a whole lattice process; certify_sign sets its own limit on the cutoff)
 MAX_SERIES_ORDER = 2000
 MAX_LATTICE_NORM = 400
 MAX_PLOT_SAMPLES = 10_000

@@ -1,9 +1,11 @@
-"""The E8 lattice: shell enumeration, Poisson summation, and the density bound.
+"""The E8 lattice: shell counts, Poisson summation, and the density bound.
 
-Lambda_8 = { x in Z^8 union (Z+1/2)^8 : sum x_i even } is handled in
-half-unit coordinates (stored integers equal to twice the coordinates), so
-both cosets become parity classes of an integer search.  Shell counts feed a
-Poisson-summation self-check with Gaussians and the final Cohn-Elkies
+Lambda_8 = { x in Z^8 union (Z+1/2)^8 : sum x_i even }.  Its theta series is
+E4, so the shell counts are E4's coefficients, N(2n) = 240 sigma_3(n) (Serre,
+*A Course in Arithmetic*, VII.6.6).  ``shell_vectors`` lists the vectors of a
+shell by a coordinate walk in half-unit coordinates (stored integers equal to
+twice the coordinates), where both cosets become parity classes.  The counts
+feed a Poisson-summation self-check with Gaussians and the final Cohn-Elkies
 arithmetic: the magic function gives f(0)/fhat(0) = 2^4, hence the packing
 density bound 2^4 * Vol B_8(0, 1/2) = pi^4/384.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .modforms import eisenstein
 from .qseries import U
 
 __all__ = [
@@ -35,13 +38,9 @@ class LatticePoint:
     coords: tuple[int, int, int, int, int, int, int, int]
 
     def __post_init__(self) -> None:
-        if len(self.coords) != 8:
-            raise ValueError("a lattice point has eight coordinates")
-        parities = {c & 1 for c in self.coords}
-        if len(parities) != 1:
-            raise ValueError("coordinates must be all integers or all half-integers")
-        if sum(self.coords) % 4 != 0:
-            raise ValueError("coordinate sum must be an even integer")
+        if not is_lattice_point(self.coords):
+            raise ValueError("need eight coordinates, all integers or all half-integers, "
+                             "with an even sum")
 
     @property
     def norm2(self) -> int:
@@ -59,11 +58,7 @@ class LatticePoint:
 
 def is_lattice_point(coords: tuple[int, ...]) -> bool:
     """Membership test in half-unit coordinates, straight off the congruences."""
-    if len(coords) != 8:
-        return False
-    if len({c & 1 for c in coords}) != 1:
-        return False
-    return sum(coords) % 4 == 0
+    return len(coords) == 8 and len({c & 1 for c in coords}) == 1 and sum(coords) % 4 == 0
 
 
 @dataclass(frozen=True)
@@ -88,44 +83,14 @@ def _coordinates(budget: int, odd: bool):
         c += 2
 
 
-def _suffix_counts(index: int, budget: int, parity_sum: int, odd: bool, memo: dict) -> dict[int, int]:
-    """Map exact stored-norm -> count over coordinates index..7.
-
-    Recursive coordinate search with partial-norm pruning: coordinate values
-    are stored half-units of one parity, |c| <= sqrt(budget).  ``memo`` holds
-    the answers of one search; each caller passes a fresh one, so nothing
-    outlives the call.
-    """
-    key = (index, budget, parity_sum, odd)
-    if key in memo:
-        return memo[key]
-    if index == 8:
-        out = {0: 1} if parity_sum % 4 == 0 else {}
-    else:
-        out = {}
-        for value in _coordinates(budget, odd):
-            square = value * value
-            sub = _suffix_counts(index + 1, budget - square, (parity_sum + value) % 4, odd, memo)
-            for norm, cnt in sub.items():
-                out[norm + square] = out.get(norm + square, 0) + cnt
-    memo[key] = out
-    return out
-
-
 def enumerate_shells(max_norm: int) -> ShellTable:
-    """Exact N(2n) for all even 2n <= max_norm, over both cosets."""
+    """Exact N(2n) for all even 2n <= max_norm: N(0) = 1 and N(2n) is the
+    coefficient of q^n in E4."""
     if max_norm < 2 or max_norm % 2 != 0:
         raise ValueError("max_norm must be an even integer >= 2")
-    budget = 4 * max_norm  # stored squares are 4x the true norm
-    entries: dict[int, int] = {}
-    memo: dict = {}
-    for odd in (False, True):
-        for stored_norm, cnt in _suffix_counts(0, budget, 0, odd, memo).items():
-            norm2, rem = divmod(stored_norm, 4)
-            assert rem == 0
-            if norm2 <= max_norm:
-                entries[norm2] = entries.get(norm2, 0) + cnt
-    return ShellTable(max_norm=max_norm, entries=dict(sorted(entries.items())))
+    e4 = eisenstein(4, max_norm // 2 + 1)
+    return ShellTable(max_norm=max_norm,
+                      entries={2 * n: int(e4.coeff_q(n)) for n in range(max_norm // 2 + 1)})
 
 
 def shell_vectors(norm2: int) -> list[LatticePoint]:
@@ -133,20 +98,15 @@ def shell_vectors(norm2: int) -> list[LatticePoint]:
     if norm2 < 0 or norm2 % 2 != 0:
         raise ValueError("squared norms in Lambda_8 are even and nonnegative")
     results: list[LatticePoint] = []
-    memo: dict = {}
     for odd in (False, True):
-        # (prefix, stored norm still to place, coordinate sum mod 4), keeping
-        # only prefixes that the remaining coordinates can complete exactly
+        # (prefix, stored norm still to place, coordinate sum mod 4)
         prefixes = [((), 4 * norm2, 0)]
-        for index in range(1, 9):
-            grown = []
-            for prefix, rest, parity_sum in prefixes:
-                for value in _coordinates(rest, odd):
-                    left, parity = rest - value * value, (parity_sum + value) % 4
-                    if left in _suffix_counts(index, left, parity, odd, memo):
-                        grown.append((prefix + (value,), left, parity))
-            prefixes = grown
-        results += [LatticePoint(prefix) for prefix, _, _ in prefixes]
+        for _ in range(8):
+            prefixes = [(prefix + (value,), rest - value * value, (parity_sum + value) % 4)
+                        for prefix, rest, parity_sum in prefixes
+                        for value in _coordinates(rest, odd)]
+        results += [LatticePoint(prefix) for prefix, rest, parity_sum in prefixes
+                    if rest == 0 and parity_sum == 0]
     return results
 
 
@@ -203,7 +163,8 @@ def _shell_sum(table: ShellTable, decay: float, n_max: int, scale: float) -> tup
 
 
 def _gaussian_tail(decay: float, n_max: int) -> float:
-    """Bound on sum_{n > n_max} N(2n) e^{-decay n}, using N(2n) <= 289 n^3."""
+    """Bound on sum_{n > n_max} N(2n) e^{-decay n}, using N(2n) <= 289 n^3:
+    N(2n) = 240 sigma_3(n) and sigma_3(n) <= zeta(3) n^3, with 240 zeta(3) = 288.49."""
     x = math.exp(-decay)
     first = 289.0 * (n_max + 1) ** 3 * x ** (n_max + 1)
     ratio = (1.0 + 1.0 / (n_max + 1)) ** 3 * x

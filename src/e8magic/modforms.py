@@ -31,7 +31,6 @@ from .qseries import EIGHTH, EvalResult, QSeries, combine
 
 __all__ = [
     "FormId",
-    "KloostermanSum",
     "eisenstein",
     "theta",
     "build_form",
@@ -39,7 +38,6 @@ __all__ = [
     "kloosterman_sum",
     "rademacher_coefficient",
     "coefficient_bound_check",
-    "growth_bound",
     "eval_form",
     "DEFAULT_ORDER",
 ]
@@ -87,32 +85,28 @@ WEIGHTS = {
     FormId.PSI_S: -2,
 }
 
-# coefficient growth hypotheses |c(n)| <= C * e^{a sqrt(n)}; the weakly
-# holomorphic bounds are the ones the remainder envelopes assume, the
+# the constant C of each coefficient growth hypothesis |c(n)| <= C * e^{4 pi sqrt(n)};
+# the weakly holomorphic bounds are the ones the remainder envelopes assume, the
 # holomorphic ones are generous blankets over polynomial growth.  All are
 # re-verified on the computed range by coefficient_bound_check.
 GROWTH_BOUNDS = {
-    FormId.E2: (1.0, FOUR_PI),
-    FormId.E4: (1.0, FOUR_PI),
-    FormId.E6: (1.0, FOUR_PI),
-    FormId.J: (1.0, FOUR_PI),
-    FormId.TH00_4: (1.0, FOUR_PI),
-    FormId.TH01_4: (1.0, FOUR_PI),
-    FormId.TH10_4: (1.0, FOUR_PI),
-    FormId.VPHI_M2: (2.0, FOUR_PI),
-    FormId.VPHI_M4: (1.0, FOUR_PI),
-    FormId.PHI_M4: (1.0, FOUR_PI),
-    FormId.PHI_M2: (1.0, FOUR_PI),
-    FormId.PHI_0: (2.0, FOUR_PI),
-    FormId.H: (1.0, FOUR_PI),
-    FormId.PSI_I: (1.0, FOUR_PI),
-    FormId.PSI_T: (1.0, FOUR_PI),
-    FormId.PSI_S: (2.0, FOUR_PI),
+    FormId.E2: 1.0,
+    FormId.E4: 1.0,
+    FormId.E6: 1.0,
+    FormId.J: 1.0,
+    FormId.TH00_4: 1.0,
+    FormId.TH01_4: 1.0,
+    FormId.TH10_4: 1.0,
+    FormId.VPHI_M2: 2.0,
+    FormId.VPHI_M4: 1.0,
+    FormId.PHI_M4: 1.0,
+    FormId.PHI_M2: 1.0,
+    FormId.PHI_0: 2.0,
+    FormId.H: 1.0,
+    FormId.PSI_I: 1.0,
+    FormId.PSI_T: 1.0,
+    FormId.PSI_S: 2.0,
 }
-
-
-def growth_bound(form: FormId) -> tuple[float, float]:
-    return GROWTH_BOUNDS[form]
 
 
 def eisenstein(k: int, order: int) -> QSeries:
@@ -219,8 +213,7 @@ def _build(form: FormId, order: int) -> QSeries:
 def eval_form(form: FormId, z) -> EvalResult:
     """Evaluate a catalog form at one z or an array of z, read at
     ``DEFAULT_ORDER``, with its bound on truncation and roundoff."""
-    c, a = GROWTH_BOUNDS[form]
-    return build_form(form).eval_at(z, c, a)
+    return build_form(form).eval_at(z, GROWTH_BOUNDS[form])
 
 
 # ---------------------------------------------------------------------------
@@ -307,27 +300,20 @@ def verify_transform(form: FormId, law: str, z: complex) -> TransformCheck:
 # ---------------------------------------------------------------------------
 # circle-method coefficients
 
-@dataclass(frozen=True)
-class KloostermanSum:
-    k: int
-    n: Fraction
-    value: complex
-
-
-def kloosterman_sum(n, k: int) -> KloostermanSum:
+def kloosterman_sum(n, k: int) -> complex:
     """A_k(n) = sum over h mod k, (h,k)=1 of e^{-2 pi i (n h + h')/k}, h h' = -1 mod k."""
     if k < 1:
         raise ValueError("modulus must be positive")
     n = Fraction(n)
     if k == 1:
-        return KloostermanSum(1, n, 1.0 + 0j)
+        return 1.0 + 0j
     total = 0j
     for h in range(k):
         if gcd(h, k) != 1:
             continue
         hp = -pow(h, -1, k) % k
         total += cmath.exp(-2j * math.pi / k * float(n * h + hp))
-    return KloostermanSum(k, n, total)
+    return total
 
 
 _RADEMACHER_KAPPA = {FormId.J: 0, FormId.VPHI_M2: -2, FormId.VPHI_M4: -4}
@@ -350,7 +336,7 @@ def rademacher_coefficient(kind: FormId, n: int, k_max: int) -> float:
     root = math.sqrt(n)
     total = 0.0
     for k in range(1, k_max + 1):
-        ak = kloosterman_sum(n, k).value.real
+        ak = kloosterman_sum(n, k).real
         total += ak / k * float(iv(nu, FOUR_PI * root / k))
     return 2 * math.pi * n ** ((kappa - 1) / 2) * total
 
@@ -376,13 +362,13 @@ def coefficient_bound_check(form: FormId, n_max) -> BoundReport:
     n_max = Fraction(n_max)
     # every catalog form leads at q^-1 or later, so this order reaches past n_max
     series = build_form(form, math.floor(n_max) + 2)
-    c, a = GROWTH_BOUNDS[form]
+    c = GROWTH_BOUNDS[form]
     max_ratio, worst, violations = 0.0, None, []
     for e, coeff in sorted(series.coeffs.items()):
         n = Fraction(e, EIGHTH)
         if n <= 0 or n > n_max:
             continue
-        bound = c * math.exp(a * math.sqrt(n))
+        bound = c * math.exp(FOUR_PI * math.sqrt(n))
         ratio = abs(float(coeff)) / bound
         if ratio > max_ratio:
             max_ratio, worst = ratio, n

@@ -15,8 +15,9 @@ This module is the one place where exact coefficients become floats: each
 series keeps float arrays of its terms, built on first use.  Evaluation at one
 or many points of the upper half-plane (``eval_at``) and the termwise Laplace
 transform along the imaginary axis (``ray_laplace``) return one bound that
-covers both the discarded tail, derived from a caller-supplied coefficient
-growth bound |c(n)| <= C*e^{a*sqrt(n)}, and the float roundoff of the sum.
+covers both the discarded tail, derived from the coefficient growth bound
+|c(n)| <= C*e^{4 pi sqrt(n)} with a caller-supplied C, and the float roundoff
+of the sum.
 numpy is imported by these numeric entry points, not by the module, so the
 exact kernel loads without it.
 """
@@ -32,7 +33,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .rigor import PI, Interval, sqrt_interval
+from .rigor import PI, Interval, enclose_fraction, sqrt_interval
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,9 +105,9 @@ def _exp_int(p: int, beta: np.ndarray) -> np.ndarray:
     return np.exp(-beta) * acc
 
 
-def _ray_constants(series: QSeries, p: int, bound_constant: float, bound_exponent: float) -> tuple:
+def _ray_constants(series: QSeries, p: int, bound_constant: float) -> tuple:
     """The parts of ``QSeries.ray_laplace`` that do not depend on y, for one
-    power and growth bound: 2n, c and |c| over the terms with n > 0, 2n|c|,
+    power and growth constant: 2n, c and |c| over the terms with n > 0, 2n|c|,
     the tail majorant times F(beta0), the summation factor and the
     subnormal term."""
     import numpy as np
@@ -115,7 +116,7 @@ def _ray_constants(series: QSeries, p: int, bound_constant: float, bound_exponen
         raise TruncationError("series truncated at or below q^0")
     beta0 = 2 * math.pi * series.order / EIGHTH
     factor = sum(math.perm(p, i) * beta0 ** -(i + 1) for i in range(p + 1))
-    majorant = _tail_majorant(series.lead, series.order, series.stride, bound_constant, bound_exponent, 1.0)
+    majorant = _tail_majorant(series.lead, series.order, series.stride, bound_constant, 1.0)
     n, c = series._floats
     n, c = n[n > 0], c[n > 0]
     abs_c = np.abs(c)
@@ -124,12 +125,12 @@ def _ray_constants(series: QSeries, p: int, bound_constant: float, bound_exponen
 
 
 @lru_cache(maxsize=1024)
-def _tail_majorant(lead: int, order: int, stride: int, c: float, a: float, y: float) -> float:
-    """Rigorous bound on sum C e^{a sqrt(n)} e^{-2 pi n y} over the grid points
+def _tail_majorant(lead: int, order: int, stride: int, c: float, y: float) -> float:
+    """Rigorous bound on sum C e^{4 pi sqrt(n)} e^{-2 pi n y} over the grid points
     n >= order of a series with this lead and stride (cached: it depends on
     no coefficient, and ``eval_at`` asks for it at every call's smallest Im z).
 
-    The majorant splits the tail at the index past which e^{a sqrt(n)} is
+    The majorant splits the tail at the index past which e^{4 pi sqrt(n)} is
     beaten by e^{pi*y*n}: finitely many leading tail terms are bounded
     individually in interval arithmetic, the rest by a geometric series
     with ratio exp(-pi*y*stride/8).
@@ -139,8 +140,8 @@ def _tail_majorant(lead: int, order: int, stride: int, c: float, a: float, y: fl
     n0 = Fraction(order, EIGHTH)
     k0 = math.ceil((n0 - Fraction(lead, EIGHTH)) / step)
     n0 = Fraction(lead, EIGHTH) + k0 * step
-    # geometric regime begins once a*sqrt(n) <= pi*y*n  <=>  n >= (a/(pi y))^2
-    n_star = Fraction(max(float(n0), (a / (math.pi * y)) ** 2 + 1))
+    # geometric regime begins once 4 pi sqrt(n) <= pi*y*n  <=>  n >= (4/y)^2
+    n_star = Fraction(max(float(n0), (4 / y) ** 2 + 1))
     n_explicit = math.ceil((n_star - n0) / step)
     if n_explicit > _MAX_EXPLICIT_TERMS:
         hint = math.ceil(float(n_star)) * EIGHTH
@@ -149,20 +150,20 @@ def _tail_majorant(lead: int, order: int, stride: int, c: float, a: float, y: fl
             f"rebuild the series to order >= {hint} grid units (q^{hint // 8})"
         )
     c_iv = Interval.point(c)
-    a_iv = Interval.point(a)
+    four_pi = 4 * PI  # encloses 4 pi; the float 4 * math.pi lies below it
     y_iv = Interval.point(y)
     two_pi_y = 2 * PI * y_iv
     tail = Interval.point(0.0)
     n = n0
     for _ in range(n_explicit):
-        n_iv = Interval.from_rational(n)
-        term = c_iv * (a_iv * sqrt_interval(n_iv) - two_pi_y * n_iv).exp()
+        n_iv = enclose_fraction(n)
+        term = c_iv * (four_pi * sqrt_interval(n_iv) - two_pi_y * n_iv).exp()
         tail = tail + term
         n += step
     # geometric remainder from n onward: each term <= C e^{-pi y n},
     # ratio exp(-pi*y*step)
-    n_iv = Interval.from_rational(n)
-    step_iv = Interval.from_rational(step)
+    n_iv = enclose_fraction(n)
+    step_iv = enclose_fraction(step)
     ratio = (-PI * y_iv * step_iv).exp()
     if ratio.hi >= 1.0:
         raise TruncationError("geometric tail ratio >= 1; Im z too small")
@@ -497,10 +498,10 @@ class QSeries:
         terms = list(self._terms())
         return np.array([e / EIGHTH for e, _ in terms]), np.array([x / self.den for _, x in terms])
 
-    def eval_at(self, z, bound_constant: float, bound_exponent: float) -> EvalResult:
+    def eval_at(self, z, bound_constant: float) -> EvalResult:
         """Evaluate sum c(n) e^{2*pi*i*n*z} over the stored terms, at one z or an array of z.
 
-        The caller asserts |c(n)| <= bound_constant * e^{bound_exponent*sqrt(n)}
+        The caller asserts |c(n)| <= bound_constant * e^{4 pi sqrt(n)}
         for every n >= order on the support grid.  ``tail_bound`` then
         majorizes the distance from ``value`` to the full series: the tail,
         bounded once at the smallest Im z, plus an a-priori roundoff bound at
@@ -516,9 +517,9 @@ class QSeries:
         y_min = float(np.min(z.imag))
         if not y_min > 0:
             raise ValueError("evaluation point must satisfy Im z > 0")
-        if bound_constant < 0 or bound_exponent < 0:
-            raise ValueError("growth-bound parameters must be nonnegative")
-        tail = _tail_majorant(self.lead, self.order, self.stride, bound_constant, bound_exponent, y_min)
+        if bound_constant < 0:
+            raise ValueError("the growth-bound constant must be nonnegative")
+        tail = _tail_majorant(self.lead, self.order, self.stride, bound_constant, y_min)
         n, c = self._floats
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             terms = np.exp((2j * math.pi) * np.multiply.outer(z, n)) * c
@@ -537,10 +538,10 @@ class QSeries:
 
     @cached_property
     def _ray_cache(self) -> dict:
-        """``_ray_constants`` by (p, bound_constant, bound_exponent)."""
+        """``_ray_constants`` by (p, bound_constant)."""
         return {}
 
-    def ray_laplace(self, p: int, y, bound_constant: float, bound_exponent: float) -> EvalResult:
+    def ray_laplace(self, p: int, y, bound_constant: float) -> EvalResult:
         """sum_{n>0} c(n) int_1^oo t^p e^{-2 pi n t} e^{-pi y t} dt, termwise in closed form.
 
         This is the Laplace transform along the ray z = it, t >= 1, of the
@@ -556,7 +557,7 @@ class QSeries:
         y = np.asarray(y, dtype=float)
         if np.count_nonzero(y >= 0) < y.size:
             raise ValueError("ray Laplace transform needs y >= 0")
-        key = (p, bound_constant, bound_exponent)
+        key = (p, bound_constant)
         if key not in self._ray_cache:
             self._ray_cache[key] = _ray_constants(self, *key)
         two_n, c, abs_c, two_n_abs_c, tail_factor, gamma_factor, tiny = self._ray_cache[key]

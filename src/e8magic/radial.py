@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modforms import FormId, build_form, eval_form, growth_bound
+from .modforms import GROWTH_BOUNDS, FormId, build_form, eval_form
 from .qseries import _BLOCK_ELEMS, EvalResult, combine
 
 __all__ = [
@@ -86,7 +86,7 @@ _G_COEFF_B = -1 / (240 * _PI)
 
 def _ray_laplace(form: FormId, p: int, y) -> EvalResult:
     """int_1^oo t^p f(it) e^{-pi y t} dt over the terms of f with n > 0."""
-    return build_form(form).ray_laplace(p, y, *growth_bound(form))
+    return build_form(form).ray_laplace(p, y, GROWTH_BOUNDS[form])
 
 
 # (form, coefficient, power of t) of the series terms of each far-range integrand

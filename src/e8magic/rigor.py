@@ -195,10 +195,6 @@ class Interval:
     def point(x: float) -> "Interval":
         return Interval(float(x), float(x))
 
-    @staticmethod
-    def from_rational(value: Fraction | int) -> "Interval":
-        return enclose_fraction(value)
-
     # -- queries -------------------------------------------------------
 
     @property
@@ -398,7 +394,7 @@ def ia_exp_poly(c: Interval, p: int, sigma: Interval, t: Interval) -> Interval:
         # sigma straddles zero: fall back to the boxed product
         return _exp_poly_boxed(c, p, sigma, t.lo, t.hi)
     # sigma > 0: increasing for tau < p/sigma.hi, decreasing for tau > p/sigma.lo
-    crit = Interval.from_rational(p) / sigma
+    crit = enclose_fraction(p) / sigma
     cuts = sorted({t.lo, t.hi, min(max(crit.lo, t.lo), t.hi), min(max(crit.hi, t.lo), t.hi)})
     result = None
     for a, b in zip(cuts, cuts[1:]):

@@ -243,10 +243,11 @@ def test_criterion_08_oracle_equivalences():
 
 # -- 9 ----------------------------------------------------------------------
 
-def test_criterion_09_lattice_and_bound():
+def test_criterion_09_lattice_and_bound(walk_shell_counts):
     shells = enumerate_shells(40)
+    walk = walk_shell_counts(40)
     e4 = build_form(FormId.E4, 24)
-    counts_ok = all(shells.count(2 * n) == e4.coeff_q(n) for n in range(1, 21))
+    counts_ok = shells.entries == walk and all(walk[2 * n] == e4.coeff_q(n) for n in range(1, 21))
     poisson = poisson_check(2.0, max_norm=40)
     rep = density_bound()
     ok = (
@@ -260,7 +261,7 @@ def test_criterion_09_lattice_and_bound():
     )
     _verdict(
         9,
-        "shell counts = 240 sigma_3, Poisson at alpha=2, bound = pi^4/384",
+        "walked shell counts = E4 coefficients, Poisson at alpha=2, bound = pi^4/384",
         ok,
         f"poisson={poisson.discrepancy:.2e} bound={rep.bound!r}",
     )

@@ -206,6 +206,7 @@ def test_exit_codes_distinguish_failure_kinds(capsys):
         (["lattice", "--max-norm", "40", "--poisson", "0.05"], EXIT_NUMERICAL_FAILURE),
         (["lattice", "--max-norm", "40", "--poisson", "30"], EXIT_NUMERICAL_FAILURE),
         (["eval", "--function", "g", "--r", "1e78"], EXIT_OK),
+        (["lattice", "--max-norm", "400", "--poisson", "2.0"], EXIT_OK),
     ],
 )
 def test_boundary_inputs_end_in_documented_exit_codes(capsys, argv, expected):

@@ -33,11 +33,23 @@ def test_counts_match_240_sigma3(shells):
         assert shells.count(2 * n) == 240 * _sigma3(n), n
 
 
-def test_counts_match_e4_expansion(shells):
-    """Theta series of E8 = E4: coefficients read from the catalog."""
+def test_counts_match_e4_expansion(walk_shell_counts):
+    """Theta series of E8 = E4: the coordinate walk counts E4's coefficients."""
     e4 = build_form(FormId.E4, 24)
-    for n in range(1, 21):
-        assert shells.count(2 * n) == e4.coeff_q(n), n
+    assert walk_shell_counts(40) == {2 * n: e4.coeff_q(n) for n in range(21)}
+
+
+def test_walk_matches_enumerate_shells_to_norm_100(walk_shell_counts):
+    assert walk_shell_counts(100) == enumerate_shells(100).entries
+
+
+def test_counts_obey_the_gaussian_tail_bound():
+    """N(2n) <= 289 n^3, which _gaussian_tail assumes: sigma_3(n) / n^3 is below
+    zeta(3), and 240 zeta(3) = 288.49.  Up to norm 400 the largest ratio is
+    286.65, at n = 120."""
+    table = enumerate_shells(400)
+    ratios = [table.count(2 * n) / n**3 for n in range(1, 201)]
+    assert max(ratios) <= 289, max(ratios)
 
 
 def test_first_shells():
@@ -134,8 +146,8 @@ def test_enumerate_shells_validation():
 
 
 def test_shell_search_keeps_nothing_after_the_call():
-    """The coordinate search's memo lives for one call: after
-    enumerate_shells(100) returns, under 1 MB is still held."""
+    """Shell counting caches nothing: after enumerate_shells(100) returns,
+    under 1 MB is still held."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -191,10 +191,10 @@ def test_e6_vanishes_at_i():
 
 
 def test_kloosterman_basics():
-    assert kloosterman_sum(1, 1).value == 1.0 + 0j
+    assert kloosterman_sum(1, 1) == 1.0 + 0j
     # A_k(n) is real for integer n (h -> -h' pairing)
     for k in (2, 3, 5, 7):
-        assert abs(kloosterman_sum(1, k).value.imag) < 1e-9
+        assert abs(kloosterman_sum(1, k).imag) < 1e-9
 
 
 @pytest.mark.parametrize(
