@@ -8,8 +8,8 @@ nonnegative Fourier transform because two explicit functions of one variable,
 
 keep a fixed sign.  Both are approximated by finite exponential-polynomial
 models with exact rational-times-pi-power coefficients read off the q-series
-catalog, and the discarded tails are dominated by an explicit remainder
-envelope built from the coefficient-growth hypotheses.  ``certify_sign``
+catalog through ``modforms.chart_terms``, and the discarded tails are
+dominated by an explicit remainder envelope built from the coefficient-growth hypotheses.  ``certify_sign``
 verifies model sign and envelope domination in interval arithmetic on an
 adaptive segmentation of the two charts (u = 1/t in (0, 1], t in [1, inf)),
 closing each unbounded end with a dominant-term ratio argument.  The result
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .modforms import FormId, build_form, eval_form
+from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_terms
 from .qseries import EIGHTH, QSeries, combine
 from .rigor import (
     INV_PI,
@@ -132,6 +132,16 @@ def _series_coefficients(form: FormId, max_index: Fraction):
     return out
 
 
+def _target_terms(target: str, chart: str) -> tuple:
+    """A = -I_a - (36/pi^2) I_b or B = -I_a + (36/pi^2) I_b, with I_a and I_b
+    the Laplace integrands of a and b, as terms (G, c, k, j) of
+    sum c / pi^k * x^j * G(ix) in the chart x = t ('t') or x = u = 1/t ('u')."""
+    psi_sign = -1 if target == "A" else 1
+    return tuple((g, -c, k, j) for g, c, k, j in chart_terms("a", chart)) + tuple(
+        (g, psi_sign * 36 * c, k + 2, j) for g, c, k, j in chart_terms("b", chart)
+    )
+
+
 def build_model(target: str, n: int, regime: str) -> ExpPolyModel:
     """Exact truncation model with cutoff n (error O(t^2 e^{-pi n t}) in its chart).
 
@@ -144,42 +154,18 @@ def build_model(target: str, n: int, regime: str) -> ExpPolyModel:
         raise ValueError(f"unknown regime {regime!r}")
     if n < 1:
         raise ValueError("cutoff must be >= 1")
-    psi_sign = -1 if target == "A" else 1
     kmax = Fraction(n - 1, 2)  # largest series index entering the model
-    merged: dict[tuple[int, int, Fraction], Fraction] = {}
-
-    def add(p: int, pi_pow: int, decay: Fraction, c: Fraction) -> None:
-        if c == 0:
-            return
-        key = (p, pi_pow, decay)
-        merged[key] = merged.get(key, Fraction(0)) + c
-        if merged[key] == 0:
-            del merged[key]
-
-    if regime == NEAR_INFINITY:
-        phi0 = _series_coefficients(FormId.PHI_0, kmax)
-        phi2 = _series_coefficients(FormId.PHI_M2, kmax)
-        phi4 = _series_coefficients(FormId.PHI_M4, kmax)
-        psii = _series_coefficients(FormId.PSI_I, kmax)
-        for k, c in phi0.items():
-            add(2, 0, 2 * k, -c)
-        for k, c in phi2.items():
-            add(1, 1, 2 * k, 12 * c)
-        for k, c in phi4.items():
-            add(0, 2, 2 * k, -36 * c)
-        for k, c in psii.items():
-            add(0, 2, 2 * k, psi_sign * 36 * c)
-    else:
-        phi0 = _series_coefficients(FormId.PHI_0, kmax)
-        psis = _series_coefficients(FormId.PSI_S, kmax)
-        for k, c in phi0.items():
-            add(0, 0, 2 * k, -c)
-        for k, c in psis.items():
-            add(0, 2, 2 * k, -psi_sign * 36 * c)
-
+    # the u-chart model is the target times u^2
+    chart, shift = ("t", 0) if regime == NEAR_INFINITY else ("u", 2)
+    merged: dict[tuple[int, int, Fraction], Fraction] = {}  # (p, pi_pow, decay) -> coefficient
+    for form, c, k, p in _target_terms(target, chart):
+        for idx, coeff in _series_coefficients(form, kmax).items():
+            key = (p + shift, k, 2 * idx)
+            merged[key] = merged.get(key, 0) + c * coeff
     terms = tuple(
         ModelTerm(coeff=c, pi_pow=key[1], p=key[0], decay=key[2])
         for key, c in sorted(merged.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]))
+        if c
     )
     return ExpPolyModel(target=target, regime=regime, cutoff=n, terms=terms)
 
@@ -503,36 +489,33 @@ def certify_sign(
 # plain numerical evaluation (for plots and consistency tests)
 
 @lru_cache(maxsize=None)
-def _psi_phi4(target: str) -> QSeries:
-    """phi_-4 -/+ psi_I for A / B in exact arithmetic, so that for B the q^-1
-    terms, whose e^{2 pi t} would cancel in floats, cancel in rationals.
-    |c(n)| <= 2 e^{4 pi sqrt(n)} follows from the two hypotheses."""
-    psi_sign = -1 if target == "A" else 1
-    return build_form(FormId.PHI_M4) - psi_sign * build_form(FormId.PSI_I)
+def _grouped_series(target: str, chart: str) -> tuple[tuple[int, int, QSeries, float], ...]:
+    """(k, p, S, C): the target's terms sharing x^p / pi^k summed into one exact
+    series S, with |c(n)| <= C e^{4 pi sqrt(n)} for C = sum |c| C_G.  For B the
+    q^-1 terms of phi_-4 and psi_I, whose e^{2 pi t} would cancel in floats,
+    cancel in rationals."""
+    groups: dict[tuple[int, int], tuple[QSeries, float]] = {}
+    for form, c, k, p in _target_terms(target, chart):
+        series, bound = c * build_form(form), abs(c) * GROWTH_BOUNDS[form]
+        if (k, p) in groups:
+            series, bound = groups[k, p][0] + series, groups[k, p][1] + bound
+        groups[k, p] = series, bound
+    return tuple((k, p, series, bound) for (k, p), (series, bound) in groups.items())
 
 
 def numeric_value(target: str, t: float) -> tuple[float, float]:
     """Float value of A(t) or B(t) with a bound on its truncation and roundoff.
 
-    Uses the near-zero representation for t <= 1 and the near-infinity one
-    for t >= 1, so every series argument has imaginary part >= 1.
+    Uses the u = 1/t chart for t <= 1 and the t chart for t > 1, so every
+    series argument has imaginary part >= 1.
     """
     if target not in ("A", "B"):
         raise ValueError("target must be 'A' or 'B'")
     if not (t > 0 and math.isfinite(t)):
         raise ValueError("t must be positive and finite")
-    psi_sign = -1 if target == "A" else 1
-    if t <= 1.0:
-        w = 1j / t
-        total = combine([
-            (-(t**2), eval_form(FormId.PHI_0, w)),
-            (-psi_sign * (36 / math.pi**2) * t**2, eval_form(FormId.PSI_S, w)),
-        ])
-    else:
-        w = 1j * t
-        total = combine([
-            (-(t**2), eval_form(FormId.PHI_0, w)),
-            ((12 / math.pi) * t, eval_form(FormId.PHI_M2, w)),
-            (-36 / math.pi**2, _psi_phi4(target).eval_at(w, 2.0)),
-        ])
+    chart, x = ("u", 1 / t) if t <= 1.0 else ("t", t)
+    total = combine([
+        (x**p / math.pi**k, series.eval_at(1j * x, bound))
+        for k, p, series, bound in _grouped_series(target, chart)
+    ])
     return total.value.real, float(total.tail_bound) + abs(total.value.imag)

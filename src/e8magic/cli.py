@@ -4,7 +4,9 @@ Verbs: series, certify, eval, plot, lattice, bound, selfcheck.  Exit codes:
 0 success/certified, 2 invalid input, 3 certification failure, 4 numerical
 failure.  All numeric output carries explicit error-bound columns; series and
 certificate documents are JSON.  Series documents are cached per (form, order)
-under $E8MAGIC_CACHE_DIR (if set) with a content hash guarding staleness.
+under $E8MAGIC_CACHE_DIR (if set).  Each entry carries the sha256 of its own
+coefficients, so a damaged file is rebuilt; an entry written by older code that
+built the series differently is still served.
 
 The numeric layers ``radial`` and ``e8`` are imported by the verbs that call
 them, so ``series``, ``certify`` and ``lattice`` run without numpy.

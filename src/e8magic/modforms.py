@@ -4,10 +4,10 @@ Everything is generated from first principles as an exact ``QSeries``:
 Eisenstein series from divisor sums, theta fourth powers from the lattice
 sums of the three theta constants, the weakly holomorphic forms from the
 explicit quotients, and the psi family from its closed theta expressions.
-The slash action of T (z -> z+1) is available at series level; the S action
-(z -> -1/z) has no series realization and is checked numerically through
-``verify_transform``, against the bound on truncation and roundoff that
-``QSeries.eval_at`` returns.
+The T-laws (z -> z+1) are checked at series level; the S-laws (z -> -1/z),
+stated once in ``S_LAWS`` and read by ``chart_terms``, the radial tables and
+the certificate models, are checked numerically through ``verify_transform``,
+against the bound on truncation and roundoff that ``QSeries.eval_at`` returns.
 
 Numeric evaluation reads every form at ``DEFAULT_ORDER`` = q^64: the S-law
 routes every series argument on the package's paths to Im z >= 1/2, where the
@@ -35,6 +35,7 @@ __all__ = [
     "theta",
     "build_form",
     "verify_transform",
+    "chart_terms",
     "kloosterman_sum",
     "rademacher_coefficient",
     "coefficient_bound_check",
@@ -87,8 +88,9 @@ WEIGHTS = {
 
 # the constant C of each coefficient growth hypothesis |c(n)| <= C * e^{4 pi sqrt(n)};
 # the weakly holomorphic bounds are the ones the remainder envelopes assume, the
-# holomorphic ones are generous blankets over polynomial growth.  All are
-# re-verified on the computed range by coefficient_bound_check.
+# holomorphic ones are generous blankets over polynomial growth.  They are
+# hypotheses, not proved here: coefficient_bound_check tests one on the indices
+# up to a caller's n_max (the tests go to n = 50).
 GROWTH_BOUNDS = {
     FormId.E2: 1.0,
     FormId.E4: 1.0,
@@ -217,20 +219,44 @@ def eval_form(form: FormId, z) -> EvalResult:
 
 
 # ---------------------------------------------------------------------------
-# transformation laws (numerical residuals, series-level where possible)
+# transformation laws
 
-# S action on theta fourth powers: z^-2 F(-1/z) = -G(z)
-_THETA_S_PARTNER = {
-    FormId.TH00_4: FormId.TH00_4,
-    FormId.TH01_4: FormId.TH10_4,
-    FormId.TH10_4: FormId.TH01_4,
+# S-laws as terms (G, c, k, j) of F(i/t) = sum c / pi^k * t^j * G(it), G = None
+# the constant 1; at a general z, t = -iz.  E2 and the theta fourth powers:
+# Zagier, "Elliptic modular forms and their applications" (2008), Mumford,
+# *Tata Lectures on Theta I*; phi_0 and psi_I follow by substitution.
+S_LAWS = {
+    FormId.E2: ((FormId.E2, -1, 0, 2), (None, 6, 1, 1)),
+    FormId.TH00_4: ((FormId.TH00_4, 1, 0, 2),),
+    FormId.TH01_4: ((FormId.TH10_4, 1, 0, 2),),
+    FormId.TH10_4: ((FormId.TH01_4, 1, 0, 2),),
+    FormId.PHI_0: ((FormId.PHI_0, 1, 0, 0), (FormId.PHI_M2, -12, 1, -1), (FormId.PHI_M4, 36, 2, -2)),
+    FormId.PSI_I: ((FormId.PSI_S, -1, 0, -2),),
 }
-# T action: F(z+1) = sign * G(z)
-_THETA_T_PARTNER = {
+
+# T-laws F(z + 1) = sign * G(z), as (G, sign)
+T_LAWS = {
     FormId.TH00_4: (FormId.TH01_4, 1),
     FormId.TH01_4: (FormId.TH00_4, 1),
     FormId.TH10_4: (FormId.TH10_4, -1),
+    FormId.PSI_I: (FormId.PSI_T, 1),
 }
+
+# Laplace integrands of a, t^2 phi_0(i/t), and of b, psi_I(it), as (chart, F, s):
+# x^s F(ix) in the chart x = t or x = u = 1/t where each is one series
+INTEGRANDS = {"a": ("u", FormId.PHI_0, -2), "b": ("t", FormId.PSI_I, 0)}
+
+
+def chart_terms(which: str, chart: str) -> tuple:
+    """The integrand of a or b in the chart x = t ('t') or x = u = 1/t ('u'),
+    as terms (G, c, k, j) of sum c / pi^k * x^j * G(ix); the other chart
+    reads the S-law of F."""
+    if chart not in ("t", "u"):
+        raise ValueError(f"unknown chart {chart!r}")
+    home, form, s = INTEGRANDS[which]
+    if chart == home:
+        return ((form, 1, 0, s),)
+    return tuple((g, c, k, j - s) for g, c, k, j in S_LAWS[form])
 
 
 @dataclass(frozen=True)
@@ -247,53 +273,26 @@ def verify_transform(form: FormId, law: str, z: complex) -> TransformCheck:
     """Residual of a transformation law at a point of the upper half-plane.
 
     law 'T' is checked exactly at series level (residual 0 when it holds);
-    the others write the law as sum coefficient * value = 0 over numerical
-    evaluations and return the residual together with the bound on the
+    law 'S' writes F(-1/z) - sum c / pi^k (-iz)^j G(z) = 0 over numerical
+    evaluations and returns the residual together with the bound on the
     truncation and roundoff of every evaluation and of their combination.
     """
     if z.imag <= 0:
         raise ValueError("need Im z > 0")
-    w = -1 / z
 
     if law == "T":
-        series = build_form(form)
-        if form in _THETA_T_PARTNER:
-            partner, sign = _THETA_T_PARTNER[form]
-            target = sign * build_form(partner)
-        elif form is FormId.PSI_I:
-            target = build_form(FormId.PSI_T)
-        else:
+        if form not in T_LAWS:
             raise ValueError(f"no catalogued T law for {form}")
-        diff = series.translate(+1) - target
+        partner, sign = T_LAWS[form]
+        diff = build_form(form).translate(+1) - sign * build_form(partner)
         return TransformCheck(residual=0.0 if diff.is_zero() else math.inf, bound=0.0)
 
-    if law == "S" and form in _THETA_S_PARTNER:
-        parts = [
-            (z ** (-2), eval_form(form, w)),
-            (1, eval_form(_THETA_S_PARTNER[form], z)),
-        ]
-    elif law == "S" and form is FormId.PSI_I:
-        # weight -2 slash: z^2 psi_I(-1/z) = psi_S(z)
-        parts = [
-            (z**2, eval_form(FormId.PSI_I, w)),
-            (-1, eval_form(FormId.PSI_S, z)),
-        ]
-    elif law == "E2" or (law == "S" and form is FormId.E2):
-        parts = [
-            (z ** (-2), eval_form(FormId.E2, w)),
-            (-1, eval_form(FormId.E2, z)),
-            ((6j / math.pi) / z, EvalResult(value=1.0, tail_bound=0.0)),
-        ]
-    elif law == "PHI0" or (law == "S" and form is FormId.PHI_0):
-        parts = [
-            (1, eval_form(FormId.PHI_0, w)),
-            (-1, eval_form(FormId.PHI_0, z)),
-            ((12j / math.pi) * (1 / z), eval_form(FormId.PHI_M2, z)),
-            ((36 / math.pi**2) * (1 / z**2), eval_form(FormId.PHI_M4, z)),
-        ]
-    else:
+    if law != "S" or form not in S_LAWS:
         raise ValueError(f"no catalogued law {law!r} for {form}")
-    total = combine(parts)
+    total = combine([(1, eval_form(form, -1 / z))] + [
+        (-c / math.pi**k * (-1j * z) ** j, EvalResult(1.0, 0.0) if g is None else eval_form(g, z))
+        for g, c, k, j in S_LAWS[form]
+    ])
     return TransformCheck(residual=abs(total.value), bound=float(total.tail_bound))
 
 

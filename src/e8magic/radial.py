@@ -12,9 +12,10 @@ transform are evaluated through their single-integral representations
 
 with the Laplace integrals split at t = 1: the far range integrates the
 q-expansions termwise in closed form, the near range substitutes u = 1/t and
-uses adaptive Gauss-Legendre panels.  The removable singularities at r = 0 and
-r^2 = 2 are handled by series branches, and derivatives are obtained by
-differentiating the representations analytically.  Two independent oracles are
+uses adaptive Gauss-Legendre panels; both read ``modforms.chart_terms``, and
+the constants above come from its principal parts.  The removable singularities at
+r = 0 and r^2 = 2 are handled by series branches, and derivatives are obtained
+by differentiating the representations analytically.  Two independent oracles are
 provided: ``contour_eval`` integrates the defining contours directly, and
 ``hankel_fourier_oracle`` checks the Fourier eigenfunction relations through a
 numerical Hankel transform of order 3.
@@ -34,12 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .modforms import GROWTH_BOUNDS, FormId, build_form, eval_form
-from .qseries import _BLOCK_ELEMS, EvalResult, combine
+from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_terms, eval_form
+from .qseries import _BLOCK_ELEMS, EIGHTH, EvalResult, combine
 
 __all__ = [
     "RadialValue",
@@ -89,22 +91,12 @@ def _ray_laplace(form: FormId, p: int, y) -> EvalResult:
     return build_form(form).ray_laplace(p, y, GROWTH_BOUNDS[form])
 
 
-# (form, coefficient, power of t) of the series terms of each far-range integrand
-_FAR_TERMS = {
-    # t^2 phi_0(i/t) - asymptote = sum_k (c_phi0(k) t^2 - (12/pi) c_phi-2(k) t
-    # + (36/pi^2) c_phi-4(k)) e^{-2 pi k t} by the transformation law, the
-    # asymptote cancelling the k <= 0 contributions exactly
-    "a": ((FormId.PHI_0, 1.0, 2), (FormId.PHI_M2, -12 / _PI, 1), (FormId.PHI_M4, 36 / _PI**2, 0)),
-    # psi_I(it) - 144 - e^{2 pi t}
-    "b": ((FormId.PSI_I, 1.0, 0),),
-}
-
-
 def _far_integral(which: str, y: np.ndarray, deriv: bool) -> EvalResult:
-    """int_1^oo (integrand)(t) e^{-pi y t} dt, optionally d/dy, with its bound."""
+    """int_1^oo (integrand)(t) e^{-pi y t} dt, optionally d/dy, with its bound,
+    over the series terms with n > 0 of the t-chart terms."""
     d = 1 if deriv else 0
     return combine([
-        (c * (-_PI) ** d, _ray_laplace(form, p + d, y)) for form, c, p in _FAR_TERMS[which]
+        (c / _PI**k * (-_PI) ** d, _ray_laplace(form, j + d, y)) for form, c, k, j in chart_terms(which, "t")
     ])
 
 
@@ -158,12 +150,6 @@ def _adaptive_gl(f, lo: float, hi: float, tol: float):
     return nodes, weights, values, bounds, err
 
 
-# (form, sign) with the series part of each near-range integrand at t = 1/u
-# equal to sign * F(iu) / u^2: t^2 phi_0(i/t) for a, and for b psi_I(it) via
-# psi_I(i/u) = -psi_S(iu)/u^2
-_NEAR_FORMS = {"a": (FormId.PHI_0, 1.0), "b": (FormId.PSI_S, -1.0)}
-
-
 @lru_cache(maxsize=None)
 def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """1/u_j and -pi/u_j at the nodes u_j, y-independent weights
@@ -171,12 +157,13 @@ def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, fl
     ('a') or b ('b'), built once by adaptive bisection at y = 0 where the
     integrand is largest, and the weighted sum of the series bounds, which
     bounds the error of the series part for every y >= 0 (the kernel
-    e^{-pi y/u} is at most 1)."""
-    form, sign = _NEAR_FORMS[which]
+    e^{-pi y/u} is at most 1).  The u-chart integrand is c/pi^k u^p F(iu)."""
+    (form, c, k, p), = chart_terms(which, "u")
+    scale = c / _PI**k
 
     def integrand(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         series = eval_form(form, 1j * u)
-        return sign * series.value.real / u**4, series.tail_bound / u**4
+        return scale * series.value.real / u ** (2 - p), abs(scale) * series.tail_bound / u ** (2 - p)
 
     u_max = 14.0  # series integrand decays like e^{-2 pi u}: below 1e-33 past here
     u, weights, values, bounds, _ = _adaptive_gl(integrand, 1.0, u_max, _QUAD_TOL)
@@ -221,12 +208,35 @@ def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-# (coefficient, power p, exponential shift m): terms c * t^p * e^{-pi m t} whose
-# integral against e^{-pi y t} over [0, 1] is done in closed form
-_ELEM_TERMS = {
-    "a": ((-36 / _PI**2, 0, -2.0), (8640 / _PI, 1, 0.0), (-18144 / _PI**2, 0, 0.0)),
-    "b": ((-144.0, 0, 0.0), (-1.0, 0, -2.0)),
+# the (form, exponent) keys of each principal part in the order the sums take
+# them, which fixes the roundoff the radial goldens pin
+_PRINCIPAL_ORDER = {
+    "a": ((FormId.PHI_M4, -1), (FormId.PHI_M2, 0), (FormId.PHI_M4, 0)),
+    "b": ((FormId.PSI_I, 0), (FormId.PSI_I, -1)),
 }
+
+
+@lru_cache(maxsize=None)
+def _principal_part(which: str) -> tuple[tuple, tuple]:
+    """The t-chart terms that do not decay (series exponent n <= 0), each
+    C/pi^k t^p e^{-pi m t} with m = 2n: subtracted over [0, 1] as elementary
+    terms (coefficient, p, m), and restored over (0, oo) as the prefactors
+    (coefficient, center, power) of C p! / pi^(k+p+1) / (y + m)^(p+1)."""
+    terms = {}
+    for form, c, k, p in chart_terms(which, "t"):
+        series = build_form(form)
+        for e in range(series.lead, 1, series.stride):
+            n, cn = Fraction(e, EIGHTH), series.coeff(e)
+            if cn:
+                terms[form, n] = (c * cn, k, p, 2 * n)
+    order = _PRINCIPAL_ORDER[which]
+    if len(order) != len(terms) or set(order) != set(terms):
+        raise AssertionError(f"principal order {order} does not list the principal part {list(terms)}")
+    ordered = [terms[key] for key in order]
+    return (
+        tuple((float(-c) / _PI**k, p, float(m)) for c, k, p, m in ordered),
+        tuple((float(c * math.factorial(p)) / _PI ** (k + p + 1), float(-m), p + 1) for c, k, p, m in ordered),
+    )
 
 
 def _integral(which: str, y: np.ndarray, deriv: bool) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -251,7 +261,7 @@ def _integral(which: str, y: np.ndarray, deriv: bool) -> list[tuple[np.ndarray, 
     out = []
     for d in orders:
         total = near[d]
-        for c, p, m in _ELEM_TERMS[which]:
+        for c, p, m in _principal_part(which)[0]:
             total = total + c * ((-_PI) ** d) * _unit_moment(p + d, _PI * (y + m))
         far = _far_integral(which, y, d == 1)
         out.append((total + far.value, near_err * _PI**d + far.tail_bound))
@@ -320,13 +330,6 @@ def _ratio(y: np.ndarray, sines, center: float, power: int, deriv: bool) -> np.n
 # ---------------------------------------------------------------------------
 # core vectorized evaluators (y = r^2)
 
-# (coefficient, center, power) of the prefactor terms c * sin^2(pi y/2) / (y - center)^power
-_PREFACTORS = {
-    "a": ((36 / _PI**3, 2.0, 1), (-8640 / _PI**3, 0.0, 2), (18144 / _PI**3, 0.0, 1)),
-    "b": ((144 / _PI, 0.0, 1), (1 / _PI, 2.0, 1)),
-}
-
-
 def _im_core(which: str, y: np.ndarray, sines, deriv: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Im a / 4 or Im b / 4 as a function of y = r^2 (or its d/dy), and the
     bound on the error of its series part; ``sines`` = ``_sines(y)``.
@@ -336,9 +339,10 @@ def _im_core(which: str, y: np.ndarray, sines, deriv: bool = False) -> tuple[np.
     and NaN; a power of y in the prefactors saturates its quotient instead.
     """
     s2, s2_prime = sines
+    prefactors = _principal_part(which)[1]
     try:
         with np.errstate(over="raise", invalid="raise"):
-            pref = sum(c * _ratio(y, sines, center, power, deriv) for c, center, power in _PREFACTORS[which])
+            pref = sum(c * _ratio(y, sines, center, power, deriv) for c, center, power in prefactors)
             parts = _integral(which, y, deriv)
             integral, err = parts[0]
             if not deriv:

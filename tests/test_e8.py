@@ -14,6 +14,7 @@ from e8magic.e8 import (
     magic_poisson_check,
     poisson_check,
     shell_vectors,
+    _gaussian_tail,
 )
 from e8magic.modforms import FormId, build_form
 
@@ -158,3 +159,25 @@ def test_shell_search_keeps_nothing_after_the_call():
     finally:
         tracemalloc.stop()
     assert held < 1_000_000, held
+
+
+@pytest.mark.parametrize(
+    "decay,n_max",
+    [(math.pi, 20), (0.4 * math.pi, 20), (4 * math.pi, 20), (math.pi / 2, 200)],
+)
+def test_gaussian_tail_bounds_the_exact_tail(decay, n_max):
+    """_gaussian_tail(decay, n_max) is at least the exact tail
+    sum_{n > n_max} 240 sigma_3(n) e^{-decay n}, summed to 30 digits until the
+    terms fall below 1e-40 of the first, and within 1.5 times it."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        sigma = [0] * (n_max + 401)
+        for d in range(1, len(sigma)):
+            for n in range(d, len(sigma), d):
+                sigma[n] += d**3
+        terms = [240 * sigma[n] * mpmath.exp(-mpmath.mpf(decay) * n) for n in range(n_max + 1, len(sigma))]
+        assert terms[-1] < terms[0] * mpmath.mpf(10) ** -40
+        exact = mpmath.fsum(terms)
+        bound = _gaussian_tail(decay, n_max)
+        assert exact <= bound <= 1.5 * exact, (bound, exact)

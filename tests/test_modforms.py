@@ -12,8 +12,10 @@ import pytest
 
 from e8magic import modforms
 from e8magic.modforms import (
+    S_LAWS,
     FormId,
     build_form,
+    chart_terms,
     coefficient_bound_check,
     eisenstein,
     eval_form,
@@ -21,6 +23,7 @@ from e8magic.modforms import (
     rademacher_coefficient,
     verify_transform,
 )
+from e8magic.qseries import combine
 
 ORDER = 64
 
@@ -162,10 +165,59 @@ SAMPLE_POINTS = [complex(0.0, 1.1), complex(0.3, 0.9), complex(-0.2, 1.4)]
 
 
 @pytest.mark.parametrize("z", SAMPLE_POINTS)
-@pytest.mark.parametrize("form", [FormId.TH00_4, FormId.TH01_4, FormId.TH10_4])
+@pytest.mark.parametrize("form", list(S_LAWS))
 def test_theta_s_laws(form, z):
+    """Every catalogued S-law, the theta fourth powers' and the others."""
     check = verify_transform(form, "S", z)
     assert check.passed, (form, z, check)
+
+
+def test_laws_outside_the_tables_are_refused():
+    """A form without a T-law, a form without an S-law, a law name that is
+    neither 'S' nor 'T' and an unknown chart raise ValueError."""
+    with pytest.raises(ValueError, match="unknown chart"):
+        chart_terms("a", "v")
+    with pytest.raises(ValueError, match="no catalogued T law"):
+        verify_transform(FormId.E4, "T", complex(0, 1))
+    with pytest.raises(ValueError, match="no catalogued law"):
+        verify_transform(FormId.J, "S", complex(0, 1))
+    for law in ("E2", "PHI0"):
+        with pytest.raises(ValueError, match="no catalogued law"):
+            verify_transform(FormId.E2, law, complex(0, 1))
+
+
+def _chart_sum(which, chart, x):
+    """sum c / pi^k * x^j * G(ix) over the chart terms, with its bound."""
+    return combine([
+        (c / math.pi**k * x**j, eval_form(g, complex(0, x))) for g, c, k, j in chart_terms(which, chart)
+    ])
+
+
+@pytest.mark.parametrize("t", [0.8, 1.0, 1.25])
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_charts_agree(which, t):
+    """The t-chart terms at t and the u-chart terms at u = 1/t are one
+    integrand: their sums agree within the summed bounds."""
+    in_t, in_u = _chart_sum(which, "t", t), _chart_sum(which, "u", 1 / t)
+    assert abs(in_t.value - in_u.value) <= in_t.tail_bound + in_u.tail_bound, (in_t, in_u)
+
+
+def _replace_coefficient(form, index, c):
+    terms = list(S_LAWS[form])
+    g, _, k, j = terms[index]
+    terms[index] = (g, c, k, j)
+    return {**S_LAWS, form: tuple(terms)}
+
+
+@pytest.mark.parametrize(
+    "form,index,c",
+    [(FormId.PHI_0, 2, 35), (FormId.PHI_0, 1, -11), (FormId.E2, 1, -6)],
+    ids=["phi0-36-to-35", "phi0-12-to-11", "e2-6-to-minus-6"],
+)
+def test_a_wrong_s_law_fails_verification(monkeypatch, form, index, c):
+    """verify_transform reads S_LAWS: a changed coefficient fails its check."""
+    monkeypatch.setattr(modforms, "S_LAWS", _replace_coefficient(form, index, c))
+    assert not verify_transform(form, "S", SAMPLE_POINTS[0]).passed
 
 
 @pytest.mark.parametrize("z", [complex(0, 2.0), complex(0, 0.5), complex(0.25, 1.3)])

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from e8magic.qseries import EIGHTH, QSeries, TruncationError, _tail_majorant
+from e8magic.qseries import EIGHTH, EvalResult, QSeries, TruncationError, _tail_majorant, combine
 from e8magic.modforms import FormId, build_form, eisenstein, eval_form, theta
 
 mpmath.mp.dps = 50
@@ -144,6 +144,70 @@ def test_eval_bound_covers_truncation_and_roundoff(form, x, y):
     assert abs(mpmath.mpc(got.value) - oracle) <= got.tail_bound
     magnitude = sum(abs(c * mpmath.exp(q * n)) for n, c in _mp_terms(form, 64))
     assert got.tail_bound <= 1e-10 * (1 + magnitude)
+
+
+@pytest.mark.parametrize(
+    "lead,order,stride,c,y",
+    [(-8, 512, 8, 2.0, 0.5), (-8, 512, 4, 1.0, 0.5), (0, 64, 8, 1.0, 1.0), (-8, 200, 4, 2.0, 0.8)],
+)
+def test_tail_majorant_bounds_the_tail_sum(lead, order, stride, c, y):
+    """The majorant is at least the 40-digit sum of C e^{4 pi sqrt(n) - 2 pi n y}
+    over the tail grid (every n >= order / 8 on lead / 8 + stride / 8 Z), and
+    within 1.5 times it, so a majorant scaled down or given a smaller growth
+    exponent fails here."""
+    majorant = _tail_majorant(lead, order, stride, c, y)
+    with mpmath.workdps(40):
+        step = Fraction(stride, EIGHTH)
+        n = Fraction(lead, EIGHTH)
+        while n < Fraction(order, EIGHTH):
+            n += step
+        pi, terms = mpmath.pi, []
+        while not terms or terms[-1] > terms[0] * mpmath.mpf(10) ** -45:
+            x = mpmath.mpf(n.numerator) / n.denominator
+            terms.append(c * mpmath.exp(4 * pi * mpmath.sqrt(x) - 2 * pi * x * y))
+            n += step
+        exact = mpmath.fsum(terms)
+        assert exact <= majorant <= 1.5 * exact, (majorant, exact)
+
+
+def _parts(draw_float):
+    return st.lists(
+        st.tuples(
+            st.one_of(draw_float, st.builds(complex, draw_float, draw_float)),
+            st.builds(complex, draw_float, draw_float),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+
+# floats from 2^-560 to 2^500 in magnitude: products reach the subnormal
+# range and underflow, sums of the largest stay finite
+_wide_float = st.builds(
+    lambda m, e: m * 2.0**e, st.floats(min_value=-1.0, max_value=1.0), st.integers(min_value=-560, max_value=500)
+)
+
+
+def _exact(x):
+    x = complex(x)
+    return Fraction(x.real), Fraction(x.imag)
+
+
+@given(_parts(_wide_float))
+@example([(1e-170, 1e-170 + 3e-171j), (-2e-160 + 1e-165j, 5e-170j)])
+@example([(3.0, 1e16 + 0j), (-3.0, 1e16 + 1j), (1.0, 0.1 + 0j)])
+@settings(max_examples=300, deadline=None)
+def test_combine_bound_covers_its_roundoff(parts):
+    """With exact inputs (zero tail bounds) the bound of combine is at least
+    the distance of its value from the exact sum of the same floats,
+    products that underflow included."""
+    got = combine([(c, EvalResult(value=v, tail_bound=0.0)) for c, v in parts])
+    re, im = Fraction(0), Fraction(0)
+    for c, v in parts:
+        (a, b), (x, y) = _exact(c), _exact(v)
+        re, im = re + a * x - b * y, im + a * y + b * x
+    got_re, got_im = _exact(got.value)
+    assert (got_re - re) ** 2 + (got_im - im) ** 2 <= Fraction(got.tail_bound) ** 2, (got, re, im)
 
 
 def test_eq_and_hash_use_the_same_fields():
