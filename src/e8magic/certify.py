@@ -7,9 +7,10 @@ nonnegative Fourier transform because two explicit functions of one variable,
     B(t) = -t^2 phi_0(i/t) + (36/pi^2) psi_I(it)   (must be > 0 on (0, inf)),
 
 keep a fixed sign.  Both are approximated by finite exponential-polynomial
-models with exact rational-times-pi-power coefficients read off the q-series
-catalog through ``modforms.chart_terms``, and the discarded tails are
-dominated by an explicit remainder envelope built from the coefficient-growth hypotheses.  ``certify_sign``
+models with exact rational-times-pi-power coefficients read off
+``modforms.chart_series``, the one exact expansion of each target in each
+chart, and the discarded tails are dominated by an explicit remainder envelope
+built from the coefficient-growth hypotheses.  ``certify_sign``
 verifies model sign and envelope domination in interval arithmetic on an
 adaptive segmentation of the two charts (u = 1/t in (0, 1], t in [1, inf)),
 closing each unbounded end with a dominant-term ratio argument.  The result
@@ -23,12 +24,12 @@ sum at c = 1/2 (leaves reach x = 1) and c = 19/20 (the tail starts at x >= 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_terms
-from .qseries import EIGHTH, QSeries, combine
+from .modforms import chart_series
+from .qseries import EIGHTH, combine
 from .rigor import (
     INV_PI,
     INV_PI_SQ,
@@ -122,31 +123,11 @@ class ExpPolyModel:
         return {(t.p, t.pi_pow, t.decay): t.coeff for t in self.terms}
 
 
-def _series_coefficients(form: FormId, max_index: Fraction):
-    series = build_form(form, int(max_index) + 4)
-    out = {}
-    for e, c in series.coeffs.items():
-        idx = Fraction(e, EIGHTH)
-        if idx <= max_index:
-            out[idx] = c
-    return out
-
-
-def _target_terms(target: str, chart: str) -> tuple:
-    """A = -I_a - (36/pi^2) I_b or B = -I_a + (36/pi^2) I_b, with I_a and I_b
-    the Laplace integrands of a and b, as terms (G, c, k, j) of
-    sum c / pi^k * x^j * G(ix) in the chart x = t ('t') or x = u = 1/t ('u')."""
-    psi_sign = -1 if target == "A" else 1
-    return tuple((g, -c, k, j) for g, c, k, j in chart_terms("a", chart)) + tuple(
-        (g, psi_sign * 36 * c, k + 2, j) for g, c, k, j in chart_terms("b", chart)
-    )
-
-
 def build_model(target: str, n: int, regime: str) -> ExpPolyModel:
     """Exact truncation model with cutoff n (error O(t^2 e^{-pi n t}) in its chart).
 
-    Coefficients combine the catalog Fourier coefficients at indices k with
-    2k < n, with explicit powers of pi in the denominators.
+    The terms are the coefficients of ``chart_series(target, chart)`` at
+    indices k with 2k < n, with explicit powers of pi in the denominators.
     """
     if target not in ("A", "B"):
         raise ValueError("target must be 'A' or 'B'")
@@ -157,17 +138,16 @@ def build_model(target: str, n: int, regime: str) -> ExpPolyModel:
     kmax = Fraction(n - 1, 2)  # largest series index entering the model
     # the u-chart model is the target times u^2
     chart, shift = ("t", 0) if regime == NEAR_INFINITY else ("u", 2)
-    merged: dict[tuple[int, int, Fraction], Fraction] = {}  # (p, pi_pow, decay) -> coefficient
-    for form, c, k, p in _target_terms(target, chart):
-        for idx, coeff in _series_coefficients(form, kmax).items():
-            key = (p + shift, k, 2 * idx)
-            merged[key] = merged.get(key, 0) + c * coeff
-    terms = tuple(
-        ModelTerm(coeff=c, pi_pow=key[1], p=key[0], decay=key[2])
-        for key, c in sorted(merged.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]))
-        if c
+    terms = sorted(
+        (
+            ModelTerm(coeff=c, pi_pow=k, p=p + shift, decay=2 * Fraction(e, EIGHTH))
+            for k, p, series, _ in chart_series(target, chart, int(kmax) + 4)
+            for e, c in series.coeffs.items()
+            if e <= kmax * EIGHTH
+        ),
+        key=lambda t: (t.decay, t.p, t.pi_pow),
     )
-    return ExpPolyModel(target=target, regime=regime, cutoff=n, terms=terms)
+    return ExpPolyModel(target=target, regime=regime, cutoff=n, terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +159,9 @@ def build_model(target: str, n: int, regime: str) -> ExpPolyModel:
 # both: env_hi and margin on the first, epsilon_bound on the second.
 LEAF_SPLIT = Fraction(1, 2)
 TAIL_SPLIT = Fraction(19, 20)
+
+# the envelope's amplitude: at least every constant C of HYPOTHESES
+ENVELOPE_AMPLITUDE = 2
 
 # (coefficient, power of x) of the envelope prefactor P in each chart; the
 # u-chart model is the target divided by t^2, so there P = (t^2 + 36/pi^2)/t^2
@@ -193,8 +176,9 @@ class Envelope:
     """Remainder envelope  P(x) * sum_{n>=m} 2 e^{2 sqrt2 pi sqrt(n)} e^{-pi n x}
     of the cutoff-m model in one chart (x = t or x = u = 1/t).
 
-    The amplitude 2 and the growth e^{2 sqrt2 pi sqrt(n)} are the hypotheses'
-    coefficient bound 2 e^{4 pi sqrt(k)} at q^k = e^{-pi n x}, n = 2k.  From
+    The amplitude 2 (``ENVELOPE_AMPLITUDE``) and the growth
+    e^{2 sqrt2 pi sqrt(n)} are the hypotheses' largest coefficient bound
+    2 e^{4 pi sqrt(k)} at q^k = e^{-pi n x}, n = 2k.  From
     n_geo = max(m, ceil(8/c^2)) on, 2 sqrt2 sqrt(n) <= c n, so the rest of
     the sum is geometric with ratio e^{-pi (x - c)}.
     """
@@ -243,9 +227,9 @@ class Envelope:
         c, n_geo, explicit = self._leaf_constants
         total = Interval(0.0, 0.0)
         for growth, pi_k in explicit:
-            total = total + 2 * (growth - pi_k * x).exp()
+            total = total + ENVELOPE_AMPLITUDE * (growth - pi_k * x).exp()
         ratio = self._geometric_ratio(x, c)
-        head = 2 * (-PI * (x - c) * n_geo).exp()
+        head = ENVELOPE_AMPLITUDE * (-PI * (x - c) * n_geo).exp()
         return pref * (total + head / (1 - ratio))
 
     def terms(self, x_star: float) -> list[tuple[Interval, int, Fraction]]:
@@ -253,9 +237,10 @@ class Envelope:
         the envelope for every x >= x_star (the tail argument, split TAIL_SPLIT)."""
         c = enclose_fraction(TAIL_SPLIT)
         n_geo = self._n_geo(TAIL_SPLIT)
-        amps = [(2 * self._growth(k).exp(), Fraction(k)) for k in range(self.m, n_geo)]
+        amps = [(ENVELOPE_AMPLITUDE * self._growth(k).exp(), Fraction(k)) for k in range(self.m, n_geo)]
         ratio = self._geometric_ratio(Interval.point(x_star), c)
-        amps.append((2 * (PI * c * enclose_fraction(n_geo)).exp() / (1 - ratio), Fraction(n_geo)))
+        amp = ENVELOPE_AMPLITUDE * (PI * c * enclose_fraction(n_geo)).exp()
+        amps.append((amp / (1 - ratio), Fraction(n_geo)))
         return [(coeff * amp, p, decay) for coeff, p in _PREFACTOR[self.chart] for amp, decay in amps]
 
 
@@ -315,18 +300,7 @@ class Certificate:
                 "max_depth": self.max_depth,
             },
             "hypotheses": list(self.hypotheses),
-            "segments": [
-                {
-                    "lo": s.lo,
-                    "hi": s.hi,
-                    "chart": s.chart,
-                    "model_lo": s.model_lo,
-                    "model_hi": s.model_hi,
-                    "env_hi": s.env_hi,
-                    "margin": s.margin,
-                }
-                for s in self.segments
-            ],
+            "segments": [asdict(s) for s in self.segments],
             "tail": {
                 t.chart: {
                     "x_star": t.x_star,
@@ -488,21 +462,6 @@ def certify_sign(
 # ---------------------------------------------------------------------------
 # plain numerical evaluation (for plots and consistency tests)
 
-@lru_cache(maxsize=None)
-def _grouped_series(target: str, chart: str) -> tuple[tuple[int, int, QSeries, float], ...]:
-    """(k, p, S, C): the target's terms sharing x^p / pi^k summed into one exact
-    series S, with |c(n)| <= C e^{4 pi sqrt(n)} for C = sum |c| C_G.  For B the
-    q^-1 terms of phi_-4 and psi_I, whose e^{2 pi t} would cancel in floats,
-    cancel in rationals."""
-    groups: dict[tuple[int, int], tuple[QSeries, float]] = {}
-    for form, c, k, p in _target_terms(target, chart):
-        series, bound = c * build_form(form), abs(c) * GROWTH_BOUNDS[form]
-        if (k, p) in groups:
-            series, bound = groups[k, p][0] + series, groups[k, p][1] + bound
-        groups[k, p] = series, bound
-    return tuple((k, p, series, bound) for (k, p), (series, bound) in groups.items())
-
-
 def numeric_value(target: str, t: float) -> tuple[float, float]:
     """Float value of A(t) or B(t) with a bound on its truncation and roundoff.
 
@@ -516,6 +475,6 @@ def numeric_value(target: str, t: float) -> tuple[float, float]:
     chart, x = ("u", 1 / t) if t <= 1.0 else ("t", t)
     total = combine([
         (x**p / math.pi**k, series.eval_at(1j * x, bound))
-        for k, p, series, bound in _grouped_series(target, chart)
+        for k, p, series, bound in chart_series(target, chart)
     ])
     return total.value.real, float(total.tail_bound) + abs(total.value.imag)

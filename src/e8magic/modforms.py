@@ -5,9 +5,13 @@ Eisenstein series from divisor sums, theta fourth powers from the lattice
 sums of the three theta constants, the weakly holomorphic forms from the
 explicit quotients, and the psi family from its closed theta expressions.
 The T-laws (z -> z+1) are checked at series level; the S-laws (z -> -1/z),
-stated once in ``S_LAWS`` and read by ``chart_terms``, the radial tables and
-the certificate models, are checked numerically through ``verify_transform``,
-against the bound on truncation and roundoff that ``QSeries.eval_at`` returns.
+stated once in ``S_LAWS``, are checked numerically through
+``verify_transform``, against the bound on truncation and roundoff that
+``QSeries.eval_at`` returns.  ``chart_terms`` expands the Laplace integrands of
+a and b, and the sign targets A and B built from them, through the S-laws in
+the chart t or u = 1/t; ``chart_series`` sums those terms into the one exact
+expansion that the certificate models, ``certify.numeric_value`` and the
+radial principal parts read.
 
 Numeric evaluation reads every form at ``DEFAULT_ORDER`` = q^64: the S-law
 routes every series argument on the package's paths to Im z >= 1/2, where the
@@ -25,6 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .qseries import EIGHTH, EvalResult, QSeries, combine
@@ -36,6 +41,7 @@ __all__ = [
     "build_form",
     "verify_transform",
     "chart_terms",
+    "chart_series",
     "kloosterman_sum",
     "rademacher_coefficient",
     "coefficient_bound_check",
@@ -246,17 +252,45 @@ T_LAWS = {
 # x^s F(ix) in the chart x = t or x = u = 1/t where each is one series
 INTEGRANDS = {"a": ("u", FormId.PHI_0, -2), "b": ("t", FormId.PSI_I, 0)}
 
+# the sign targets A = -I_a - (36/pi^2) I_b and B = -I_a + (36/pi^2) I_b over
+# the integrands I_a and I_b, as (integrand, c, k): each adds c / pi^k times it
+TARGETS = {
+    "A": (("a", -1, 0), ("b", -36, 2)),
+    "B": (("a", -1, 0), ("b", 36, 2)),
+}
+
 
 def chart_terms(which: str, chart: str) -> tuple:
-    """The integrand of a or b in the chart x = t ('t') or x = u = 1/t ('u'),
-    as terms (G, c, k, j) of sum c / pi^k * x^j * G(ix); the other chart
-    reads the S-law of F."""
+    """The integrand of a or b, or the target A or B, in the chart x = t ('t')
+    or x = u = 1/t ('u'), as terms (G, c, k, j) of sum c / pi^k * x^j * G(ix);
+    the chart other than an integrand's own reads the S-law of F."""
     if chart not in ("t", "u"):
         raise ValueError(f"unknown chart {chart!r}")
+    if which in TARGETS:
+        return tuple(
+            (g, w * c, k + kw, j) for part, w, kw in TARGETS[which] for g, c, k, j in chart_terms(part, chart)
+        )
     home, form, s = INTEGRANDS[which]
     if chart == home:
         return ((form, 1, 0, s),)
     return tuple((g, c, k, j - s) for g, c, k, j in S_LAWS[form])
+
+
+@lru_cache(maxsize=None)
+def chart_series(which: str, chart: str, order: int = DEFAULT_ORDER) -> tuple:
+    """The chart terms of ``chart_terms`` with one x^p / pi^k summed into one
+    exact series: groups (k, p, S, C) of sum x^p / pi^k * S(ix), in the order
+    of their first term, with S = sum c G read at ``order`` and
+    |c_S(n)| <= C e^{4 pi sqrt(n)} for C = sum |c| C_G.  For B the q^-1 terms
+    of phi_-4 and psi_I, whose e^{2 pi t} would cancel in floats, cancel in
+    rationals."""
+    groups: dict[tuple[int, int], tuple[QSeries, float]] = {}
+    for form, c, k, p in chart_terms(which, chart):
+        series, bound = c * build_form(form, order), abs(c) * GROWTH_BOUNDS[form]
+        if (k, p) in groups:
+            series, bound = groups[k, p][0] + series, groups[k, p][1] + bound
+        groups[k, p] = series, bound
+    return tuple((k, p, series, bound) for (k, p), (series, bound) in groups.items())
 
 
 @dataclass(frozen=True)

@@ -401,12 +401,11 @@ class QSeries:
     def __pow__(self, n: int) -> "QSeries":
         if n < 0:
             raise ValueError("negative powers: use divide")
-        # the truncation of n successive products, starting from one(10**9)
-        lead, order = 0, 10**9
-        for _ in range(n):
-            lead, order = lead + self.lead, min(order + self.lead, self.order + lead)
         if n == 0:
-            return QSeries.one(order)
+            return QSeries.one(10**9)
+        # the truncation of n successive products: each product after the
+        # first moves the order by the lead, as in __mul__
+        lead, order = n * self.lead, self.order + (n - 1) * self.lead
         step = self._step or EIGHTH
         k = _points(lead, step, order, n * self._last)
         base, acc, bits = self._on_grid(self.lead, step, k), [1], n

@@ -13,7 +13,8 @@ transform are evaluated through their single-integral representations
 with the Laplace integrals split at t = 1: the far range integrates the
 q-expansions termwise in closed form, the near range substitutes u = 1/t and
 uses adaptive Gauss-Legendre panels; both read ``modforms.chart_terms``, and
-the constants above come from its principal parts.  The removable singularities at
+the constants above come from the principal parts of ``modforms.chart_series``,
+the one exact expansion of each integrand.  The removable singularities at
 r = 0 and r^2 = 2 are handled by series branches, and derivatives are obtained
 by differentiating the representations analytically.  Two independent oracles are
 provided: ``contour_eval`` integrates the defining contours directly, and
@@ -40,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_terms, eval_form
+from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_series, chart_terms, eval_form
 from .qseries import _BLOCK_ELEMS, EIGHTH, EvalResult, combine
 
 __all__ = [
@@ -208,11 +209,11 @@ def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-# the (form, exponent) keys of each principal part in the order the sums take
-# them, which fixes the roundoff the radial goldens pin
+# the keys (k, p, n) of each principal part, its terms C/pi^k t^p q^n, in the
+# order the sums take them, which fixes the roundoff the radial goldens pin
 _PRINCIPAL_ORDER = {
-    "a": ((FormId.PHI_M4, -1), (FormId.PHI_M2, 0), (FormId.PHI_M4, 0)),
-    "b": ((FormId.PSI_I, 0), (FormId.PSI_I, -1)),
+    "a": ((2, 0, -1), (1, 1, 0), (2, 0, 0)),
+    "b": ((0, 0, 0), (0, 0, -1)),
 }
 
 
@@ -223,19 +224,17 @@ def _principal_part(which: str) -> tuple[tuple, tuple]:
     terms (coefficient, p, m), and restored over (0, oo) as the prefactors
     (coefficient, center, power) of C p! / pi^(k+p+1) / (y + m)^(p+1)."""
     terms = {}
-    for form, c, k, p in chart_terms(which, "t"):
-        series = build_form(form)
+    for k, p, series, _ in chart_series(which, "t"):
         for e in range(series.lead, 1, series.stride):
-            n, cn = Fraction(e, EIGHTH), series.coeff(e)
-            if cn:
-                terms[form, n] = (c * cn, k, p, 2 * n)
+            if series.coeff(e):
+                terms[k, p, Fraction(e, EIGHTH)] = series.coeff(e)
     order = _PRINCIPAL_ORDER[which]
     if len(order) != len(terms) or set(order) != set(terms):
         raise AssertionError(f"principal order {order} does not list the principal part {list(terms)}")
-    ordered = [terms[key] for key in order]
+    ordered = [(terms[key], *key) for key in order]
     return (
-        tuple((float(-c) / _PI**k, p, float(m)) for c, k, p, m in ordered),
-        tuple((float(c * math.factorial(p)) / _PI ** (k + p + 1), float(-m), p + 1) for c, k, p, m in ordered),
+        tuple((float(-c) / _PI**k, p, float(2 * n)) for c, k, p, n in ordered),
+        tuple((float(c * math.factorial(p)) / _PI ** (k + p + 1), float(-2 * n), p + 1) for c, k, p, n in ordered),
     )
 
 

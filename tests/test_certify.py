@@ -2,12 +2,15 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from e8magic.certify import (
+    ENVELOPE_AMPLITUDE,
+    HYPOTHESES,
     MAX_CUTOFF,
     NEAR_INFINITY,
     NEAR_ZERO,
@@ -16,7 +19,8 @@ from e8magic.certify import (
     certify_sign,
     numeric_value,
 )
-from e8magic.modforms import FormId, build_form, eval_form
+from e8magic.modforms import GROWTH_BOUNDS, TARGETS, FormId, build_form, chart_terms, eval_form
+from e8magic.qseries import EIGHTH
 from e8magic.rigor import Interval
 
 mpmath.mp.dps = 50
@@ -337,3 +341,25 @@ def test_numeric_value_bound_survives_underflow():
     positive, since A(t) itself is not zero."""
     value, err = numeric_value("A", 1e-300)
     assert value == 0.0 and err > 0
+
+
+_HYPOTHESIS = re.compile(r"\|c_(\S+)\(n\)\| <= (?:(\d+) )?e\^\(4 pi sqrt\(n\)\) for (integer|half-integer) n > 0")
+
+
+def test_hypotheses_match_the_forms_the_targets_read():
+    """Every form in the expansions of A and B has exactly one HYPOTHESES line;
+    its constant is the form's GROWTH_BOUNDS entry and its grid the form's
+    stride, and the envelope's amplitude is at least every such constant."""
+    lines = {}
+    for line in HYPOTHESES:
+        name, constant, grid = _HYPOTHESIS.fullmatch(line).groups()
+        assert name not in lines, line
+        lines[name] = (float(constant or 1), grid)
+    forms = {g for target in TARGETS for chart in ("t", "u") for g, *_ in chart_terms(target, chart)}
+    assert set(lines) == {form.value.replace("_", "") for form in forms}
+    grids = {EIGHTH: "integer", EIGHTH // 2: "half-integer"}
+    for form in forms:
+        constant, grid = lines[form.value.replace("_", "")]
+        assert constant == GROWTH_BOUNDS[form], form
+        assert grid == grids[build_form(form).stride], form
+    assert ENVELOPE_AMPLITUDE >= max(GROWTH_BOUNDS[form] for form in forms)

@@ -12,9 +12,11 @@ import pytest
 
 from e8magic import modforms
 from e8magic.modforms import (
+    GROWTH_BOUNDS,
     S_LAWS,
     FormId,
     build_form,
+    chart_series,
     chart_terms,
     coefficient_bound_check,
     eisenstein,
@@ -194,12 +196,32 @@ def _chart_sum(which, chart, x):
 
 
 @pytest.mark.parametrize("t", [0.8, 1.0, 1.25])
-@pytest.mark.parametrize("which", ["a", "b"])
+@pytest.mark.parametrize("which", ["a", "b", "A", "B"])
 def test_charts_agree(which, t):
     """The t-chart terms at t and the u-chart terms at u = 1/t are one
     integrand: their sums agree within the summed bounds."""
     in_t, in_u = _chart_sum(which, "t", t), _chart_sum(which, "u", 1 / t)
     assert abs(in_t.value - in_u.value) <= in_t.tail_bound + in_u.tail_bound, (in_t, in_u)
+
+
+@pytest.mark.parametrize("chart", ["t", "u"])
+@pytest.mark.parametrize("which", ["a", "b", "A", "B"])
+def test_chart_series_sums_the_chart_terms(which, chart):
+    """One group (k, p, S, C) per x^p / pi^k of the chart terms, in the order
+    of its first term, with S = sum c G exactly to the first order any G
+    leaves unknown, and C = sum |c| C_G."""
+    terms = chart_terms(which, chart)
+    groups = chart_series(which, chart)
+    assert [(k, p) for k, p, _, _ in groups] == list(dict.fromkeys((k, p) for _, _, k, p in terms))
+    for k, p, series, bound in groups:
+        members = [(g, c) for g, c, k_g, p_g in terms if (k_g, p_g) == (k, p)]
+        expected = {}
+        for g, c in members:
+            for e, coeff in build_form(g).coeffs.items():
+                expected[e] = expected.get(e, 0) + c * coeff
+        assert series.order == min(build_form(g).order for g, _ in members)
+        assert dict(series.coeffs) == {e: c for e, c in expected.items() if c and e < series.order}
+        assert bound == sum(abs(c) * GROWTH_BOUNDS[g] for g, c in members)
 
 
 def _replace_coefficient(form, index, c):
