@@ -12,9 +12,9 @@ models with exact rational-times-pi-power coefficients read off
 chart, and the discarded tails are dominated by an explicit remainder envelope
 built from the coefficient-growth hypotheses.  ``certify_sign``
 verifies model sign and envelope domination in interval arithmetic on an
-adaptive segmentation of the two charts (u = 1/t in (0, 1], t in [1, inf)),
-closing each unbounded end with a dominant-term ratio argument.  The result
-is a machine-checkable :class:`Certificate`.
+adaptive segmentation of the two charts t >= 1 and u = 1/t >= 1 ("t" and
+"u"), closing each unbounded end with a dominant-term ratio argument.  The
+result is a machine-checkable :class:`Certificate`.
 
 One :class:`Envelope` encodes the remainder envelope; the leaves read it
 through ``enclose`` and the tail argument through ``terms``, which split its
@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .modforms import chart_series
-from .qseries import EIGHTH, combine
+from .qseries import EIGHTH, EvalResult, combine
 from .rigor import (
     INV_PI,
     INV_PI_SQ,
@@ -53,8 +53,9 @@ __all__ = [
     "MAX_CUTOFF",
 ]
 
-NEAR_ZERO = "near_zero"
-NEAR_INFINITY = "near_infinity"
+# the two charts, t >= 1 and u = 1/t >= 1, under the names callers pass
+NEAR_INFINITY = "t"
+NEAR_ZERO = "u"
 
 HYPOTHESES = (
     "|c_psiI(n)| <= e^(4 pi sqrt(n)) for half-integer n > 0",
@@ -101,15 +102,12 @@ class ModelTerm:
 class ExpPolyModel:
     """Finite model of A or B in one chart.
 
-    In the near-infinity regime the terms sum to the truncation of the target
-    itself, as a function of t.  In the near-zero regime they sum to the
-    truncation divided by t^2, as a function of u = 1/t (so the sign of the
-    model is the sign of the truncated target).
+    In the t chart the terms sum to the truncation of the target itself, as a
+    function of t.  In the u chart they sum to the truncation divided by t^2,
+    as a function of u = 1/t (so the sign of the model is the sign of the
+    truncated target).
     """
 
-    target: str
-    regime: str
-    cutoff: int
     terms: tuple[ModelTerm, ...]
 
     def enclose(self, x: Interval) -> Interval:
@@ -123,21 +121,19 @@ class ExpPolyModel:
         return {(t.p, t.pi_pow, t.decay): t.coeff for t in self.terms}
 
 
-def build_model(target: str, n: int, regime: str) -> ExpPolyModel:
+def build_model(target: str, n: int, chart: str) -> ExpPolyModel:
     """Exact truncation model with cutoff n (error O(t^2 e^{-pi n t}) in its chart).
 
     The terms are the coefficients of ``chart_series(target, chart)`` at
-    indices k with 2k < n, with explicit powers of pi in the denominators.
+    indices k with 2k < n, with explicit powers of pi in the denominators;
+    ``chart_series`` refuses a chart other than "t" and "u".
     """
     if target not in ("A", "B"):
         raise ValueError("target must be 'A' or 'B'")
-    if regime not in (NEAR_ZERO, NEAR_INFINITY):
-        raise ValueError(f"unknown regime {regime!r}")
     if n < 1:
         raise ValueError("cutoff must be >= 1")
     kmax = Fraction(n - 1, 2)  # largest series index entering the model
-    # the u-chart model is the target times u^2
-    chart, shift = ("t", 0) if regime == NEAR_INFINITY else ("u", 2)
+    shift = 2 if chart == "u" else 0  # the u-chart model is the target times u^2
     terms = sorted(
         (
             ModelTerm(coeff=c, pi_pow=k, p=p + shift, decay=2 * Fraction(e, EIGHTH))
@@ -147,7 +143,7 @@ def build_model(target: str, n: int, regime: str) -> ExpPolyModel:
         ),
         key=lambda t: (t.decay, t.p, t.pi_pow),
     )
-    return ExpPolyModel(target=target, regime=regime, cutoff=n, terms=tuple(terms))
+    return ExpPolyModel(tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +406,17 @@ def _term_name(t: ModelTerm) -> str:
 def certify_sign(
     target: str,
     n: int = 6,
-    m: int = 6,
+    m: int | None = None,
     t_star: float = 4.0,
     max_depth: int = 60,
 ) -> Certificate:
-    """Certify A < 0 (target 'A') or B > 0 (target 'B') on (0, inf), both charts to t_star."""
+    """Certify A < 0 (target 'A') or B > 0 (target 'B') on (0, inf), both charts to t_star.
+
+    The envelope cutoff m must equal the model cutoff n, its default.
+    """
     if target not in ("A", "B"):
         raise ValueError("target must be 'A' or 'B'")
+    m = n if m is None else m
     if n != m:
         raise ValueError("model and envelope cutoffs must agree")
     if not 1 <= n <= MAX_CUTOFF:
@@ -430,8 +430,7 @@ def certify_sign(
     tails: list[TailRecord] = []
     failure = None
     for chart in ("t", "u"):
-        regime = NEAR_INFINITY if chart == "t" else NEAR_ZERO
-        model = build_model(target, n, regime)
+        model = build_model(target, n, chart)
         envelope = Envelope(chart, m)
         segs, fail = _bisect_chart(model, envelope, t_star, max_depth, sign)
         segments.extend(segs)
@@ -466,15 +465,25 @@ def numeric_value(target: str, t: float) -> tuple[float, float]:
     """Float value of A(t) or B(t) with a bound on its truncation and roundoff.
 
     Uses the u = 1/t chart for t <= 1 and the t chart for t > 1, so every
-    series argument has imaginary part >= 1.
+    series argument has imaginary part >= 1.  Each group's value and bound
+    take the factors of x^p one at a time: x^p alone overflows from
+    x = 1.34e154 on, where B is still a double.
     """
     if target not in ("A", "B"):
         raise ValueError("target must be 'A' or 'B'")
     if not (t > 0 and math.isfinite(t)):
         raise ValueError("t must be positive and finite")
     chart, x = ("u", 1 / t) if t <= 1.0 else ("t", t)
-    total = combine([
-        (x**p / math.pi**k, series.eval_at(1j * x, bound))
-        for k, p, series, bound in chart_series(target, chart)
-    ])
-    return total.value.real, float(total.tail_bound) + abs(total.value.imag)
+    if math.isinf(x):
+        raise ValueError("t must be at least 5.56268464626801e-309, where 1/t overflows a double")
+    parts = []
+    for k, p, series, bound in chart_series(target, chart):
+        r = series.eval_at(1j * x, bound)
+        for _ in range(abs(p)):
+            r = EvalResult(r.value * x, r.tail_bound * x) if p > 0 else EvalResult(r.value / x, r.tail_bound / x)
+        parts.append((1 / math.pi**k, r))
+    total = combine(parts)
+    err = float(total.tail_bound) + abs(total.value.imag)
+    if not math.isfinite(err):
+        raise ArithmeticError(f"the bound on {target}({t!r}) overflows a double")
+    return total.value.real, err

@@ -109,9 +109,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise CliError("--target must be A or B")
     if not 1 <= args.n <= MAX_CERTIFY_N:
         raise CliError(f"--n must be between 1 and {MAX_CERTIFY_N}")
-    cert = certify_mod.certify_sign(
-        args.target, n=args.n, m=args.n, t_star=args.tstar, max_depth=args.max_depth
-    )
+    cert = certify_mod.certify_sign(args.target, n=args.n, t_star=args.tstar, max_depth=args.max_depth)
     doc = cert.to_doc()
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:

@@ -175,15 +175,14 @@ def build_form(form: FormId, order: int = DEFAULT_ORDER) -> QSeries:
     return _CACHE[key]
 
 
-_EISENSTEIN_WEIGHT = {FormId.E2: 2, FormId.E4: 4, FormId.E6: 6}
 _THETA_KIND = {FormId.TH00_4: "00", FormId.TH01_4: "01", FormId.TH10_4: "10"}
 
 
 def _build(form: FormId, order: int) -> QSeries:
     """One catalog form from its ingredients, each read through ``build_form``
     so that every ingredient is built once per order."""
-    if form in _EISENSTEIN_WEIGHT:
-        return eisenstein(_EISENSTEIN_WEIGHT[form], order + 3)  # margin for the divisions
+    if form in (FormId.E2, FormId.E4, FormId.E6):
+        return eisenstein(WEIGHTS[form], order + 3)  # margin for the divisions
     if form in _THETA_KIND:
         return theta(_THETA_KIND[form], order + 3) ** 4
 
@@ -349,7 +348,7 @@ def kloosterman_sum(n, k: int) -> complex:
     return total
 
 
-_RADEMACHER_KAPPA = {FormId.J: 0, FormId.VPHI_M2: -2, FormId.VPHI_M4: -4}
+_CIRCLE_METHOD_FORMS = (FormId.J, FormId.VPHI_M2, FormId.VPHI_M4)
 
 
 def rademacher_coefficient(kind: FormId, n: int, k_max: int) -> float:
@@ -358,13 +357,13 @@ def rademacher_coefficient(kind: FormId, n: int, k_max: int) -> float:
     Supported for the integer-indexed forms only (j and the two varphi's);
     the Bessel order is 1 - kappa for weight kappa.
     """
-    if kind not in _RADEMACHER_KAPPA:
+    if kind not in _CIRCLE_METHOD_FORMS:
         raise ValueError(f"circle-method expansion not catalogued for {kind}")
     if n < 1 or k_max < 1:
         raise ValueError("need n >= 1 and k_max >= 1")
     from scipy.special import iv  # lazily: 0.35 s of import time, used only here
 
-    kappa = _RADEMACHER_KAPPA[kind]
+    kappa = WEIGHTS[kind]
     nu = 1 - kappa
     root = math.sqrt(n)
     total = 0.0

@@ -578,19 +578,14 @@ class QSeries:
     # -- persistence -----------------------------------------------------------
 
     def to_doc(self, name: str = "", weight: int | None = None) -> dict:
-        doc = {
+        return {
             "name": name,
             "weight": weight,
             "stride": self.stride,
             "lead": self.lead,
             "order": self.order,
-            "coefficients": [
-                [e, f"{x // g}/{self.den // g}"]
-                for e, x in self._terms()
-                for g in (gcd(x, self.den),)
-            ],
+            "coefficients": [[e, f"{c.numerator}/{c.denominator}"] for e, c in self.coeffs.items()],
         }
-        return doc
 
     @staticmethod
     def from_doc(doc: dict) -> "QSeries":

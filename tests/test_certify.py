@@ -81,20 +81,33 @@ B_ZERO_6 = {
 @pytest.mark.parametrize(
     "target,n,regime,expected",
     [
-        ("A", 1, NEAR_INFINITY, A_INF_1),
-        ("B", 1, NEAR_INFINITY, B_INF_1),
-        ("A", 2, NEAR_ZERO, A_ZERO_2),
-        ("B", 2, NEAR_ZERO, B_ZERO_2),
-        ("A", 6, NEAR_INFINITY, A_INF_6),
-        ("B", 6, NEAR_INFINITY, B_INF_6),
-        ("A", 6, NEAR_ZERO, A_ZERO_6),
-        ("B", 6, NEAR_ZERO, B_ZERO_6),
+        pytest.param("A", 1, NEAR_INFINITY, A_INF_1, id="A-1-near_infinity-expected0"),
+        pytest.param("B", 1, NEAR_INFINITY, B_INF_1, id="B-1-near_infinity-expected1"),
+        pytest.param("A", 2, NEAR_ZERO, A_ZERO_2, id="A-2-near_zero-expected2"),
+        pytest.param("B", 2, NEAR_ZERO, B_ZERO_2, id="B-2-near_zero-expected3"),
+        pytest.param("A", 6, NEAR_INFINITY, A_INF_6, id="A-6-near_infinity-expected4"),
+        pytest.param("B", 6, NEAR_INFINITY, B_INF_6, id="B-6-near_infinity-expected5"),
+        pytest.param("A", 6, NEAR_ZERO, A_ZERO_6, id="A-6-near_zero-expected6"),
+        pytest.param("B", 6, NEAR_ZERO, B_ZERO_6, id="B-6-near_zero-expected7"),
     ],
 )
 def test_model_goldens(target, n, regime, expected):
     model = build_model(target, n, regime)
     got = {k: v for k, v in model.term_map().items()}
     assert got == {k: Fraction(v) for k, v in expected.items()}
+
+
+@pytest.mark.parametrize("target", ["A", "B"])
+@pytest.mark.parametrize("n", [1, 6])
+def test_chart_names_are_the_charts(target, n):
+    """NEAR_INFINITY and NEAR_ZERO name the charts t and u themselves."""
+    assert build_model(target, n, NEAR_INFINITY).terms == build_model(target, n, "t").terms
+    assert build_model(target, n, NEAR_ZERO).terms == build_model(target, n, "u").terms
+
+
+def test_build_model_refuses_an_unknown_chart():
+    with pytest.raises(ValueError, match="near_infinity"):
+        build_model("A", 6, "near_infinity")
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +295,19 @@ def test_segments_cover_charts(cert_a):
             assert hi1 == lo2  # contiguous, no gaps
 
 
+@pytest.mark.parametrize("name", ["cert_a", "cert_b"])
+def test_segments_carry_the_chart_names(name, request):
+    assert {s.chart for s in request.getfixturevalue(name).segments} == {NEAR_INFINITY, NEAR_ZERO}
+
+
+def test_envelope_cutoff_defaults_to_the_model_cutoff():
+    cert = certify_sign("A", n=8)
+    assert cert.certified and cert.m == 8
+    assert cert.to_doc() == certify_sign("A", n=8, m=8).to_doc()
+    with pytest.raises(ValueError, match="cutoffs must agree"):
+        certify_sign("A", n=8, m=7)
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         certify_sign("C")
@@ -341,6 +367,22 @@ def test_numeric_value_bound_survives_underflow():
     positive, since A(t) itself is not zero."""
     value, err = numeric_value("A", 1e-300)
     assert value == 0.0 and err > 0
+
+
+@pytest.mark.parametrize("t", [1e155, 1e200])
+def test_numeric_value_b_at_huge_t(t):
+    """Past t = 1.34e154, t^2 alone overflows a double, yet
+    B(t) = 8640 t/pi - 12960/pi^2 + O(e^{-pi t}) is still one."""
+    value, err = numeric_value("B", t)
+    ref = 8640 * mpmath.mpf(t) / mpmath.pi - 12960 / mpmath.pi**2
+    assert abs(value - ref) <= err <= 1e-13 * value
+
+
+def test_numeric_value_names_its_limits():
+    with pytest.raises(ArithmeticError, match=re.escape("B(1e+300)")):
+        numeric_value("B", 1e300)  # the t^2 group's bound times t^2 overflows
+    with pytest.raises(ValueError, match="5.56268464626801e-309"):
+        numeric_value("A", 1e-320)  # 1/t overflows
 
 
 _HYPOTHESIS = re.compile(r"\|c_(\S+)\(n\)\| <= (?:(\d+) )?e\^\(4 pi sqrt\(n\)\) for (integer|half-integer) n > 0")

@@ -207,6 +207,8 @@ def test_exit_codes_distinguish_failure_kinds(capsys):
         (["lattice", "--max-norm", "40", "--poisson", "30"], EXIT_NUMERICAL_FAILURE),
         (["eval", "--function", "g", "--r", "1e78"], EXIT_OK),
         (["lattice", "--max-norm", "400", "--poisson", "2.0"], EXIT_OK),
+        (["plot", "--function", "B", "--range", "1e150:1e160", "--samples", "3"], EXIT_OK),
+        (["plot", "--function", "A", "--range", "1e-320:1e-300", "--samples", "2"], EXIT_INVALID_INPUT),
     ],
 )
 def test_boundary_inputs_end_in_documented_exit_codes(capsys, argv, expected):
