@@ -14,7 +14,8 @@ conservatively.  ``coeffs`` presents the same series as exact ``Fraction``s.
 This module is the one place where exact coefficients become floats: each
 series keeps float arrays of its terms, built on first use.  Evaluation at one
 or many points of the upper half-plane (``eval_at``) and the termwise Laplace
-transform along the imaginary axis (``ray_laplace``) return one bound that
+transform along the imaginary axis (``ray_laplace``, of several series and
+powers in one pass) return one bound that
 covers both the discarded tail, derived from the coefficient growth bound
 |c(n)| <= C*e^{4 pi sqrt(n)} with a caller-supplied C, and the float roundoff
 of the sum.
@@ -31,14 +32,14 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .rigor import PI, Interval, enclose_fraction, sqrt_interval
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["QSeries", "EvalResult", "combine", "EIGHTH", "U"]
+__all__ = ["QSeries", "EvalResult", "combine", "ray_laplace", "EIGHTH", "U"]
 
 # grid units per integer exponent step
 EIGHTH = 8
@@ -52,6 +53,9 @@ _TINY = 2.0**-1022
 _ETA = 2.0**-1074
 # leading tail terms the majorant bounds one by one before its geometric part
 _MAX_EXPLICIT_TERMS = 100_000
+# the height at which eval_at bounds the tail of a series evaluated above it:
+# the tail majorant's interval products 2 pi y n stay finite there
+_MAJORANT_Y_MAX = 1e300
 # array elements per block of closed forms in ray_laplace
 _BLOCK_ELEMS = 1 << 18
 
@@ -78,9 +82,11 @@ def combine(parts) -> EvalResult:
     product and sum (a few u each, doubled for complex arithmetic), plus the
     absolute error of the products that underflow (a few eta per part: the
     real and imaginary parts of c * value and the scaled bound)."""
-    value = sum(c * r.value for c, r in parts)
-    scaled = sum(abs(c) * r.tail_bound for c, r in parts)
-    magnitude = sum(abs(c) * abs(r.value) for c, r in parts)
+    value = scaled = magnitude = 0
+    for c, r in parts:
+        value = value + c * r.value
+        scaled = scaled + abs(c) * r.tail_bound
+        magnitude = magnitude + abs(c) * abs(r.value)
     roundoff = 2 * (len(parts) + 8) * U * magnitude + 4 * len(parts) * _ETA
     return EvalResult(value=value, tail_bound=scaled + roundoff)
 
@@ -90,26 +96,21 @@ def _gamma(n: int) -> float:
     return n * U / (1 - n * U)
 
 
-def _exp_int(p: int, beta: np.ndarray) -> np.ndarray:
-    """int_1^oo t^p e^{-beta t} dt = e^{-beta} sum_{i<=p} (p!/(p-i)!) beta^{-(i+1)}."""
-    import numpy as np
+class _RayConstants(NamedTuple):
+    """The parts of ``ray_laplace`` that do not depend on y, for one series,
+    power and growth constant."""
 
-    inv = 1.0 / beta
-    acc = inv
-    fact = 1.0
-    term = inv
-    for i in range(1, p + 1):
-        fact *= p - i + 1
-        term = term * inv
-        acc = acc + fact * term
-    return np.exp(-beta) * acc
+    grid: bytes  # the exponents n > 0: rows with equal grids share their closed forms
+    two_n: np.ndarray
+    c: np.ndarray
+    abs_c: np.ndarray
+    two_n_abs_c: np.ndarray
+    tail_factor: float  # the tail majorant at Im z = 1 times F(beta0)
+    gamma_factor: float  # the summation factor
+    tiny: float  # the subnormal term
 
 
-def _ray_constants(series: QSeries, p: int, bound_constant: float) -> tuple:
-    """The parts of ``QSeries.ray_laplace`` that do not depend on y, for one
-    power and growth constant: 2n, c and |c| over the terms with n > 0, 2n|c|,
-    the tail majorant times F(beta0), the summation factor and the
-    subnormal term."""
+def _ray_constants(series: QSeries, p: int, bound_constant: float) -> _RayConstants:
     import numpy as np
 
     if series.order <= 0:
@@ -120,8 +121,8 @@ def _ray_constants(series: QSeries, p: int, bound_constant: float) -> tuple:
     n, c = series._floats
     n, c = n[n > 0], c[n > 0]
     abs_c = np.abs(c)
-    return (2 * n, c, abs_c, 2 * n * abs_c, factor * majorant, 48 * U + 2 * _gamma(len(n)),
-            _TINY * abs_c.sum())
+    return _RayConstants(n.tobytes(), 2 * n, c, abs_c, 2 * n * abs_c, factor * majorant,
+                         48 * U + 2 * _gamma(len(n)), _TINY * abs_c.sum())
 
 
 @lru_cache(maxsize=1024)
@@ -503,7 +504,9 @@ class QSeries:
         The caller asserts |c(n)| <= bound_constant * e^{4 pi sqrt(n)}
         for every n >= order on the support grid.  ``tail_bound`` then
         majorizes the distance from ``value`` to the full series: the tail,
-        bounded once at the smallest Im z, plus an a-priori roundoff bound at
+        bounded once at the smallest Im z (or at ``_MAJORANT_Y_MAX`` if that
+        is smaller: the majorant decreases in Im z, and past that height its
+        products 2 pi y n would overflow), plus an a-priori roundoff bound at
         each point (Higham, *Accuracy and Stability*, ch. 3-4).  Each term
         carries the rounding of its coefficient, exp and product, and the error
         of a few u in the argument 2 pi n z, which exp turns into a relative
@@ -518,7 +521,7 @@ class QSeries:
             raise ValueError("evaluation point must satisfy Im z > 0")
         if bound_constant < 0:
             raise ValueError("the growth-bound constant must be nonnegative")
-        tail = _tail_majorant(self.lead, self.order, self.stride, bound_constant, y_min)
+        tail = _tail_majorant(self.lead, self.order, self.stride, bound_constant, min(y_min, _MAJORANT_Y_MAX))
         n, c = self._floats
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             terms = np.exp((2j * math.pi) * np.multiply.outer(z, n)) * c
@@ -541,39 +544,9 @@ class QSeries:
         return {}
 
     def ray_laplace(self, p: int, y, bound_constant: float) -> EvalResult:
-        """sum_{n>0} c(n) int_1^oo t^p e^{-2 pi n t} e^{-pi y t} dt, termwise in closed form.
-
-        This is the Laplace transform along the ray z = it, t >= 1, of the
-        terms with n > 0, at one y >= 0 or an array of them.  ``tail_bound``
-        covers truncation and roundoff as in ``eval_at``: a discarded term has
-        beta = pi (2n + y) >= beta0 = 2 pi order, so the tail is at most
-        F(beta0) e^{-pi y} times the tail majorant at Im z = 1; the computed
-        beta has a relative error of a few u, which e^{-beta} turns into one
-        of about beta u.
-        """
-        import numpy as np
-
-        y = np.asarray(y, dtype=float)
-        if np.count_nonzero(y >= 0) < y.size:
-            raise ValueError("ray Laplace transform needs y >= 0")
-        key = (p, bound_constant)
-        if key not in self._ray_cache:
-            self._ray_cache[key] = _ray_constants(self, *key)
-        two_n, c, abs_c, two_n_abs_c, tail_factor, gamma_factor, tiny = self._ray_cache[key]
-        tail = tail_factor * np.exp(-math.pi * y)
-        flat = y.reshape(-1)
-        value, rounding = np.empty_like(flat), np.empty_like(flat)
-        rows = max(1, _BLOCK_ELEMS // max(1, len(c)))  # keep each block of closed forms small
-        for lo in range(0, len(flat), rows):
-            yb = flat[lo:lo + rows]
-            m = _exp_int(p, math.pi * (two_n + yb[:, None]))
-            mc = m @ abs_c
-            value[lo:lo + rows] = m @ c
-            rounding[lo:lo + rows] = gamma_factor * mc + 6 * math.pi * U * (m @ two_n_abs_c + yb * mc)
-        bound = tail + rounding.reshape(y.shape) + tiny
-        if y.ndim == 0:
-            return EvalResult(value=float(value[0]), tail_bound=float(bound))
-        return EvalResult(value=value.reshape(y.shape), tail_bound=bound)
+        """The one-row case of the module function ``ray_laplace``: the
+        transform of this series times t^p, at one y >= 0 or an array of them."""
+        return ray_laplace(((self, p, bound_constant),), y)[0]
 
     # -- persistence -----------------------------------------------------------
 
@@ -611,3 +584,64 @@ class QSeries:
         body = " + ".join(f"{Fraction(x, self.den)}*q^({e}/8)" for e, x in terms[:6])
         more = " + ..." if len(terms) > 6 else ""
         return f"QSeries({body}{more}; order={self.order}/8)"
+
+
+def ray_laplace(rows, y) -> list[EvalResult]:
+    """sum_{n>0} c(n) int_1^oo t^p e^{-2 pi n t} e^{-pi y t} dt, termwise in closed
+    form, for each row (series, p, bound_constant), at one y >= 0 or an array of them.
+
+    This is the Laplace transform along the ray z = it, t >= 1, of the terms
+    with n > 0.  The closed forms int_1^oo t^p e^{-beta t} dt =
+    e^{-beta} sum_{i<=p} (p!/(p-i)!) beta^{-(i+1)} read beta = pi (2n + y),
+    1/beta with its powers and e^{-beta} once per block of y for all rows on
+    one exponent grid, and e^{-pi y} once per call; each row keeps its own
+    sums over its coefficients.  ``tail_bound`` covers truncation and roundoff
+    as in ``eval_at``: a discarded term has beta >= beta0 = 2 pi order, so the
+    tail is at most F(beta0) e^{-pi y} times the tail majorant at Im z = 1;
+    the computed beta has a relative error of a few u, which e^{-beta} turns
+    into one of about beta u.
+    """
+    import numpy as np
+
+    y = np.asarray(y, dtype=float)
+    if np.count_nonzero(y >= 0) < y.size:
+        raise ValueError("ray Laplace transform needs y >= 0")
+    consts, grids = [], {}
+    for i, (series, p, bound_constant) in enumerate(rows):
+        key = (p, bound_constant)
+        if key not in series._ray_cache:
+            series._ray_cache[key] = _ray_constants(series, *key)
+        consts.append(series._ray_cache[key])
+        grids.setdefault(consts[-1].grid, []).append(i)
+    flat = y.reshape(-1)
+    value, mc, m2 = (np.empty((len(rows), len(flat))) for _ in range(3))
+    for members in grids.values():
+        two_n = consts[members[0]].two_n
+        powers = sorted({rows[i][1] for i in members})
+        block = max(1, _BLOCK_ELEMS // max(1, len(two_n)))  # keep each block of closed forms small
+        for lo in range(0, len(flat), block):
+            cols = slice(lo, lo + block)
+            beta = math.pi * (two_n + flat[cols, None])
+            decay = np.exp(-beta)
+            inv = [1.0 / beta]  # beta^-(k+1), each the last one times 1/beta
+            for _ in range(powers[-1]):
+                inv.append(inv[-1] * inv[0])
+            for p in powers:
+                acc, fact = inv[0], 1.0
+                for k in range(1, p + 1):
+                    fact *= p - k + 1
+                    acc = acc + fact * inv[k]
+                m = decay * acc
+                for i in members:
+                    if rows[i][1] == p:
+                        value[i, cols] = m @ consts[i].c
+                        mc[i, cols] = m @ consts[i].abs_c
+                        m2[i, cols] = m @ consts[i].two_n_abs_c
+    tail_factor, gamma_factor, tiny = (
+        np.array([getattr(k, name) for k in consts])[:, None] for name in ("tail_factor", "gamma_factor", "tiny")
+    )
+    tail = tail_factor * np.exp(-math.pi * flat)
+    bound = tail + (gamma_factor * mc + 6 * math.pi * U * (m2 + flat * mc)) + tiny
+    if y.ndim == 0:
+        return [EvalResult(value=float(v[0]), tail_bound=float(b[0])) for v, b in zip(value, bound)]
+    return [EvalResult(value=v.reshape(y.shape), tail_bound=b.reshape(y.shape)) for v, b in zip(value, bound)]

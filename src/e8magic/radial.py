@@ -21,12 +21,19 @@ provided: ``contour_eval`` integrates the defining contours directly, and
 ``hankel_fourier_oracle`` checks the Fourier eigenfunction relations through a
 numerical Hankel transform of order 3.
 
+One pass over y = r^2 evaluates every function an evaluator needs (a and b
+for g), each y-dependent array operation once: the prefactor quotients are
+stacked per power and the principal moments per degree, and the far range is
+one ``qseries.ray_laplace`` call over all its rows (series, power), where
+phi_0, phi_-2 and phi_-4 share one exponent grid and so one set of closed
+forms, and d/dy rides along as the next power.
+
 Every series value comes from ``QSeries.eval_at`` (the near range and the
-contour segments, one array of nodes per call) or ``QSeries.ray_laplace``
-(the far range and the contour's vertical ray), so each error estimate here
-carries their bound on truncation and roundoff, integrated against the
-quadrature weights.  Each argument has Im z >= 1/2 (iu, it with u, t >= 1;
--1/w on the contour), where q^64, the catalog's one order, suffices.
+contour segments, one array of nodes per call) or ``ray_laplace`` (the far
+range and the contour's vertical ray), so each error estimate here carries
+their bound on truncation and roundoff, integrated against the quadrature
+weights.  Each argument has Im z >= 1/2 (iu, it with u, t >= 1; -1/w on the
+contour), where q^64, the catalog's one order, suffices.
 
 Values of a and b are purely imaginary; all functions here return the real
 number with the global i factored out (g and ghat are genuinely real).
@@ -42,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_series, chart_terms, eval_form
-from .qseries import _BLOCK_ELEMS, EIGHTH, EvalResult, combine
+from .qseries import _BLOCK_ELEMS, EIGHTH, combine, ray_laplace
 
 __all__ = [
     "RadialValue",
@@ -82,23 +89,6 @@ class RadialValue:
 # because a has Fourier eigenvalue +1 and b has eigenvalue -1
 _G_COEFF_A = -_PI / 8640
 _G_COEFF_B = -1 / (240 * _PI)
-
-
-# ---------------------------------------------------------------------------
-# far range [1, oo): termwise closed forms of the q-series
-
-def _ray_laplace(form: FormId, p: int, y) -> EvalResult:
-    """int_1^oo t^p f(it) e^{-pi y t} dt over the terms of f with n > 0."""
-    return build_form(form).ray_laplace(p, y, GROWTH_BOUNDS[form])
-
-
-def _far_integral(which: str, y: np.ndarray, deriv: bool) -> EvalResult:
-    """int_1^oo (integrand)(t) e^{-pi y t} dt, optionally d/dy, with its bound,
-    over the series terms with n > 0 of the t-chart terms."""
-    d = 1 if deriv else 0
-    return combine([
-        (c / _PI**k * (-_PI) ** d, _ray_laplace(form, j + d, y)) for form, c, k, j in chart_terms(which, "t")
-    ])
 
 
 # ---------------------------------------------------------------------------
@@ -238,35 +228,6 @@ def _principal_part(which: str) -> tuple[tuple, tuple]:
     )
 
 
-def _integral(which: str, y: np.ndarray, deriv: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """int_0^oo (integrand)(t) e^{-pi y t} dt as a function of y, and a bound
-    on the error of its series part; with ``deriv`` its d/dy follows as a
-    second pair.
-
-    The q-series part of the near range is integrated by quadrature in the
-    u = 1/t chart (its bound holds for every y >= 0: the kernel is at most 1,
-    its d/dy at most pi); the subtracted elementary terms (which do not decay
-    in u) use closed forms, and the far range comes from ``ray_laplace``.
-    """
-    inv_u, d_scale, w, near_err = _near_quadrature(which)
-    orders = (0, 1) if deriv else (0,)
-    near = np.empty((len(orders), len(y)))
-    rows = max(1, _BLOCK_ELEMS // len(w))  # keep each block of the kernel small
-    for lo in range(0, len(y), rows):
-        kernel = np.exp(-_PI * (y[lo:lo + rows, None] * inv_u))
-        near[0, lo:lo + rows] = kernel @ w
-        if deriv:
-            near[1, lo:lo + rows] = (kernel * d_scale[None, :]) @ w
-    out = []
-    for d in orders:
-        total = near[d]
-        for c, p, m in _principal_part(which)[0]:
-            total = total + c * ((-_PI) ** d) * _unit_moment(p + d, _PI * (y + m))
-        far = _far_integral(which, y, d == 1)
-        out.append((total + far.value, near_err * _PI**d + far.tail_bound))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # singular prefactors: stable ratios of sin(pi y/2)^2
 
@@ -298,9 +259,9 @@ def _quotient(x: np.ndarray, s2: np.ndarray, s2_prime: np.ndarray, power: int, d
         return s2 / x**power
 
 
-def _ratio(y: np.ndarray, sines, center: float, power: int, deriv: bool) -> np.ndarray:
+def _ratio(y: np.ndarray, sines, center: np.ndarray, power: int, deriv: bool) -> np.ndarray:
     """Stable sin^2(pi y/2) / (y - center)^power (center in {0, 2}), or its d/dy,
-    given ``sines`` = ``_sines(y)``.
+    given ``sines`` = ``_sines(y)``; one row per entry of the column ``center``.
 
     Away from the singularity the direct quotient is used; inside the band the
     power series of sin^2(pi x/2) in x = y - center takes over (the reduction
@@ -311,9 +272,9 @@ def _ratio(y: np.ndarray, sines, center: float, power: int, deriv: bool) -> np.n
     near = np.abs(x) < _SING_BAND
     if not np.count_nonzero(near):
         return _quotient(x, *sines, power, deriv)
-    out = np.empty_like(y, dtype=float)
+    out = np.empty_like(x)
     far = ~near
-    out[far] = _quotient(x[far], *(s[far] for s in sines), power, deriv)
+    out[far] = _quotient(x[far], *(np.broadcast_to(s, x.shape)[far] for s in sines), power, deriv)
     xs = x[near]
     acc = np.zeros_like(xs)
     for k, s_k in enumerate(_S2_COEFFS, start=1):
@@ -327,32 +288,121 @@ def _ratio(y: np.ndarray, sines, center: float, power: int, deriv: bool) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# core vectorized evaluators (y = r^2)
+# core vectorized evaluator (y = r^2)
 
-def _im_core(which: str, y: np.ndarray, sines, deriv: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Im a / 4 or Im b / 4 as a function of y = r^2 (or its d/dy), and the
-    bound on the error of its series part; ``sines`` = ``_sines(y)``.
+# the functions each evaluator name needs: a or b alone, both for g and ghat
+_FUNCTIONS = {"a": ("a",), "b": ("b",), "g": ("a", "b"), "ghat": ("a", "b")}
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """The y-independent plan of one pass over y for some of a and b.
+
+    ``quotients``: (power, centers) of the prefactor quotients, and
+    ``moments``: (degree, centers) of the principal moments of degree p + d,
+    each with its distinct centers as a column; ``rays``: the far-range rows
+    (series, power, C) for ``ray_laplace``, and ``far``: the (coefficient,
+    row) pairs of the far range of each (function, d).
+    """
+
+    orders: tuple[int, ...]
+    quotients: tuple
+    moments: tuple
+    rays: tuple
+    far: dict
+
+
+@lru_cache(maxsize=None)
+def _layout(names: tuple[str, ...], deriv: bool) -> _Layout:
+    orders = (0, 1) if deriv else (0,)
+    by_power, by_degree = {}, {}
+    for name in names:
+        principal, prefactors = _principal_part(name)
+        for _, center, power in prefactors:
+            by_power.setdefault(power, {})[center] = None
+        for _, p, m in principal:
+            for d in orders:
+                by_degree.setdefault(p + d, {})[m] = None
+    rays, far = [], {}
+    for name in names:
+        for d in orders:
+            far[name, d] = []
+            for form, c, k, j in chart_terms(name, "t"):
+                far[name, d].append((c / _PI**k * (-_PI) ** d, len(rays)))
+                rays.append((build_form(form), j + d, GROWTH_BOUNDS[form]))
+    return _Layout(
+        orders=orders,
+        quotients=tuple((power, np.array(list(cs))[:, None]) for power, cs in by_power.items()),
+        moments=tuple((degree, np.array(list(ms))[:, None]) for degree, ms in by_degree.items()),
+        rays=tuple(rays),
+        far=far,
+    )
+
+
+def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Im a, Im b, g or ghat (``which``) as a function of y = r^2, or its d/dy,
+    and the bound on the error of its series part.
+
+    Im a / 4 and Im b / 4 are their prefactors plus sin^2(pi y/2) times
+    int_0^oo (integrand)(t) e^{-pi y t} dt.  The q-series part of the near
+    range is integrated by quadrature in the u = 1/t chart (its bound holds
+    for every y >= 0: the kernel is at most 1, its d/dy at most pi); the
+    subtracted elementary terms (which do not decay in u) use closed-form
+    moments, and the far range comes from ``ray_laplace``.  One pass serves
+    every function ``which`` needs: the prefactor quotients are stacked per
+    power, the moments per degree and the far range per exponent grid, with
+    d/dy of the integral alongside it.
 
     A kernel argument that overflows a double (pi*y in the Laplace kernels)
     raises ArithmeticError where it happens, instead of running on with inf
     and NaN; a power of y in the prefactors saturates its quotient instead.
     """
-    s2, s2_prime = sines
-    prefactors = _principal_part(which)[1]
+    if which not in _FUNCTIONS:
+        raise ValueError("which must be one of 'a', 'b', 'g', 'ghat'")
+    names = _FUNCTIONS[which]
+    plan = _layout(names, deriv)
+    sines = s2, s2_prime = _sines(y)
+    parts = []
     try:
         with np.errstate(over="raise", invalid="raise"):
-            pref = sum(c * _ratio(y, sines, center, power, deriv) for c, center, power in prefactors)
-            parts = _integral(which, y, deriv)
-            integral, err = parts[0]
-            if not deriv:
-                return pref + s2 * integral, s2 * err
-            d_integral, d_err = parts[1]
-            return (
-                pref + s2_prime * integral + s2 * d_integral,
-                np.abs(s2_prime) * err + s2 * d_err,
-            )
+            quotient, moment = {}, {}
+            for power, centers in plan.quotients:
+                quotient.update(zip(((c, power) for c in centers[:, 0]), _ratio(y, sines, centers, power, deriv)))
+            for degree, centers in plan.moments:
+                moment.update(zip(((degree, m) for m in centers[:, 0]), _unit_moment(degree, _PI * (y + centers))))
+            rays = ray_laplace(plan.rays, y)
+            for name in names:
+                principal, prefactors = _principal_part(name)
+                inv_u, d_scale, w, near_err = _near_quadrature(name)
+                near = np.empty((len(plan.orders), len(y)))
+                block = max(1, _BLOCK_ELEMS // len(w))  # keep each block of the kernel small
+                for lo in range(0, len(y), block):
+                    kernel = np.exp(-_PI * (y[lo:lo + block, None] * inv_u))
+                    near[0, lo:lo + block] = kernel @ w
+                    if deriv:
+                        near[1, lo:lo + block] = (kernel * d_scale[None, :]) @ w
+                integral = []
+                for d in plan.orders:
+                    total = near[d]
+                    for c, p, m in principal:
+                        total = total + c * ((-_PI) ** d) * moment[p + d, m]
+                    far = combine([(coeff, rays[row]) for coeff, row in plan.far[name, d]])
+                    integral.append((total + far.value, near_err * _PI**d + far.tail_bound))
+                pref = sum(c * quotient[center, power] for c, center, power in prefactors)
+                if deriv:
+                    (value, err), (d_value, d_err) = integral
+                    parts.append((pref + s2_prime * value + s2 * d_value, np.abs(s2_prime) * err + s2 * d_err))
+                else:
+                    (value, err), = integral
+                    parts.append((pref + s2 * value, s2 * err))
     except FloatingPointError as exc:
         raise ArithmeticError(f"y = r^2 up to {np.max(y):.6g} overflows a radial kernel: {exc}") from None
+    if len(parts) == 1:
+        (value, err), = parts
+        return 4.0 * value, 4.0 * err
+    cb = _G_COEFF_B if which == "g" else -_G_COEFF_B
+    (a_im, a_err), (b_im, b_err) = parts
+    return 4.0 * (_G_COEFF_A * a_im + cb * b_im), 4.0 * (abs(_G_COEFF_A) * a_err + abs(cb) * b_err)
 
 
 def _eval_err(value: float, series_err: float) -> float:
@@ -369,10 +419,9 @@ def _radius_sq(r: float) -> np.ndarray:
 
 
 def _radial(which: str, r: float) -> RadialValue:
-    y = _radius_sq(r)
-    value, err = _im_core(which, y, _sines(y))
-    value = 4.0 * float(value[0])
-    return RadialValue(value=value, err=_eval_err(value, 4.0 * float(err[0])))
+    value, err = _g(_radius_sq(r), which, False)
+    value = float(value[0])
+    return RadialValue(value=value, err=_eval_err(value, float(err[0])))
 
 
 def eval_a(r: float) -> RadialValue:
@@ -385,26 +434,20 @@ def eval_b(r: float) -> RadialValue:
     return _radial("b", r)
 
 
-def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
-    """g or ghat (or d/dy) at y, and the bound on its series part."""
+def _check_g(which: str) -> None:
     if which not in ("g", "ghat"):
         raise ValueError("which must be 'g' or 'ghat'")
-    cb = _G_COEFF_B if which == "g" else -_G_COEFF_B
-    sines = _sines(y)
-    a_im, a_err = _im_core("a", y, sines, deriv)
-    b_im, b_err = _im_core("b", y, sines, deriv)
-    return 4.0 * (_G_COEFF_A * a_im + cb * b_im), 4.0 * (abs(_G_COEFF_A) * a_err + abs(cb) * b_err)
 
 
 def eval_g(r: float, which: str = "g") -> RadialValue:
     """The magic function g(r) (or ghat), a real number."""
-    value, err = _g(_radius_sq(r), which, False)
-    value = float(value[0])
-    return RadialValue(value=value, err=_eval_err(value, float(err[0])))
+    _check_g(which)
+    return _radial(which, r)
 
 
 def eval_g_deriv(r: float, which: str = "g") -> RadialValue:
     """d/dr of g or ghat, by analytic differentiation (d/dr = 2r d/dy)."""
+    _check_g(which)
     if r == 0:
         raise ValueError("r must be positive")
     dy, err = _g(_radius_sq(r), which, True)
@@ -451,7 +494,7 @@ def contour_eval(r: float, which: str = "a") -> RadialValue:
     mid = segment(0.0, 1j)
     i3, e3, b3 = integral(lambda s: mid(np.maximum(s, 1e-12)))
     # int_i^{i oo} f(z) e^{pi i y z} dz = i int_1^oo f(it) e^{-pi y t} dt
-    ray = _ray_laplace(form, 0, y)
+    ray = build_form(form).ray_laplace(0, y, GROWTH_BOUNDS[form])
     ray_sign = 1.0 if which == "a" else -1.0
     total = i1 + i2 - 2.0 * i3 + ray_sign * 2.0 * 1j * ray.value
     if which == "b":
@@ -474,16 +517,37 @@ _HANKEL_STEP = 1e-3
 
 
 @lru_cache(maxsize=None)
-def _hankel_table(which: str) -> tuple[np.ndarray, np.ndarray]:
+def _hankel_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The tabulation grid r_j, and Simpson's weights on it times r_j^4."""
     grid = np.arange(0.0, _HANKEL_R_MAX + 0.5 * _HANKEL_STEP, _HANKEL_STEP)
-    y = grid**2
-    if which in ("a", "b"):
-        vals = 4.0 * _im_core(which, y, _sines(y))[0]
-    elif which in ("g", "ghat"):
-        vals = _g(y, which, False)[0]
-    else:
-        raise ValueError("which must be one of 'a', 'b', 'g', 'ghat'")
-    return grid, vals
+    n = len(grid) - 1
+    if n % 2 != 0:
+        raise AssertionError("Simpson's rule needs an even number of intervals")
+    weights = np.ones(n + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return grid, _HANKEL_STEP / 3.0 * weights * grid**4
+
+
+@lru_cache(maxsize=None)
+def _hankel_table(which: str) -> tuple[np.ndarray, np.ndarray]:
+    grid = _hankel_grid()[0]
+    return grid, _g(grid**2, which, False)[0]
+
+
+def _bessel_j3(x: np.ndarray) -> np.ndarray:
+    """J_3(x) for x >= 0 from J_0 and J_1 by the recurrence
+    J_{n+1}(x) = (2n/x) J_n(x) - J_{n-1}(x) (Abramowitz-Stegun 9.1.27), with
+    J_3(0) = 0.  For small x it loses about u/x absolutely, where J_3 ~ x^3/48
+    is itself small."""
+    from scipy.special import j0, j1  # lazily: 0.35 s of import time, used only here
+
+    out = np.zeros_like(x)
+    pos = x > 0
+    xp = x[pos]
+    j_0, j_1 = j0(xp), j1(xp)
+    out[pos] = (4 / xp) * ((2 / xp) * j_1 - j_0) - j_1
+    return out
 
 
 def hankel_fourier_oracle(which: str, s: float) -> RadialValue:
@@ -494,19 +558,10 @@ def hankel_fourier_oracle(which: str, s: float) -> RadialValue:
     cached tabulation, with the truncation beyond r = 12 negligible because
     all four functions decay faster than e^{-2 pi r}.
     """
-    from scipy.special import jv  # lazily: 0.35 s of import time, used only here
-
     if s <= 0:
         raise ValueError("s must be positive")
     grid, vals = _hankel_table(which)
-    integrand = vals * jv(3, 2 * _PI * grid * s) * grid**4
-    n = len(grid) - 1
-    if n % 2 != 0:
-        raise AssertionError("Simpson's rule needs an even number of intervals")
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    integral = _HANKEL_STEP / 3.0 * float(np.dot(weights, integrand))
+    integral = float(np.dot(_hankel_grid()[1], vals * _bessel_j3(2 * _PI * grid * s)))
     value = 2 * _PI * s ** (-3) * integral
     # Simpson error ~ h^4 |f''''|; the integrand oscillates at scale 1/(2 pi s)
     err = 1e-8 * (1.0 + abs(value)) + 1e-9 * max(1.0, s) ** 4

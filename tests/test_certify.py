@@ -378,6 +378,17 @@ def test_numeric_value_b_at_huge_t(t):
     assert abs(value - ref) <= err <= 1e-13 * value
 
 
+def test_numeric_value_just_above_its_lower_limit():
+    """From t = 5.57e-309 up to 1.2e-306, Im z = 1/t passes the height where
+    the tail majorant's products 2 pi y n overflow; the tail is bounded at
+    that height instead, and A and B are 0 within their bound."""
+    for target in ("A", "B"):
+        for i in range(400):
+            t = 5.57e-309 * (1.2e-306 / 5.57e-309) ** (i / 399)
+            value, err = numeric_value(target, t)
+            assert abs(value) <= err <= 1e-300, (target, t)
+
+
 def test_numeric_value_names_its_limits():
     with pytest.raises(ArithmeticError, match=re.escape("B(1e+300)")):
         numeric_value("B", 1e300)  # the t^2 group's bound times t^2 overflows

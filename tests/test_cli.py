@@ -142,6 +142,19 @@ def test_plot_csv(capsys):
     assert all(v < 0 for v in values)  # A < 0 throughout
 
 
+def test_plot_g_at_ten_thousand_samples(capsys):
+    """The largest plot of g the ROADMAP names: every row is printed, and
+    past sqrt(2) g is nonpositive within its printed bound."""
+    code, out, _ = run(capsys, "plot", "--function", "g", "--range", "0:6", "--samples", "10000")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 10001 and lines[0] == "x,value,err"
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    beyond = [(x, value, err) for x, value, err in rows if x >= math.sqrt(2)]
+    assert len(beyond) > 7000
+    assert all(value <= err for _, value, err in beyond), max(beyond, key=lambda row: row[1] - row[2])
+
+
 def test_plot_bad_range(capsys):
     code, _, _ = run(capsys, "plot", "--function", "g", "--range", "4:1")
     assert code == EXIT_INVALID_INPUT
@@ -209,6 +222,7 @@ def test_exit_codes_distinguish_failure_kinds(capsys):
         (["lattice", "--max-norm", "400", "--poisson", "2.0"], EXIT_OK),
         (["plot", "--function", "B", "--range", "1e150:1e160", "--samples", "3"], EXIT_OK),
         (["plot", "--function", "A", "--range", "1e-320:1e-300", "--samples", "2"], EXIT_INVALID_INPUT),
+        (["plot", "--function", "A", "--range", "1e-308:1e-306", "--samples", "3"], EXIT_OK),
     ],
 )
 def test_boundary_inputs_end_in_documented_exit_codes(capsys, argv, expected):

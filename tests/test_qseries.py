@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from e8magic.qseries import EIGHTH, EvalResult, QSeries, TruncationError, _tail_majorant, combine
-from e8magic.modforms import FormId, build_form, eisenstein, eval_form, theta
+from e8magic.qseries import EIGHTH, EvalResult, QSeries, TruncationError, _tail_majorant, combine, ray_laplace
+from e8magic.modforms import GROWTH_BOUNDS, FormId, build_form, eisenstein, eval_form, theta
 
 mpmath.mp.dps = 50
 
@@ -208,6 +208,39 @@ def test_combine_bound_covers_its_roundoff(parts):
         re, im = re + a * x - b * y, im + a * y + b * x
     got_re, got_im = _exact(got.value)
     assert (got_re - re) ** 2 + (got_im - im) ** 2 <= Fraction(got.tail_bound) ** 2, (got, re, im)
+
+
+_RAY_FORMS = (FormId.PHI_0, FormId.PHI_M2, FormId.PHI_M4, FormId.PSI_I)
+
+
+def test_ray_laplace_rows_match_one_row_calls_bit_for_bit():
+    """Rows sharing an exponent grid share their closed forms; over y that
+    span several blocks each row keeps every bit of its own one-row call."""
+    import numpy as np
+
+    y = np.linspace(0.0, 40.0, 9001)
+    rows = [(build_form(form), p, GROWTH_BOUNDS[form]) for form in _RAY_FORMS for p in range(4)]
+    for row, got in zip(rows, ray_laplace(rows[::-1], y)[::-1]):
+        alone = row[0].ray_laplace(row[1], y, row[2])
+        assert got.value.tobytes() == alone.value.tobytes()
+        assert got.tail_bound.tobytes() == alone.tail_bound.tobytes()
+
+
+@pytest.mark.parametrize("form", _RAY_FORMS)
+@pytest.mark.parametrize("p", [0, 3])
+def test_ray_laplace_bound_covers_the_stored_terms(form, p):
+    """Against 50-digit upper incomplete gammas: sum over the stored terms
+    with n > 0 of c(n) Gamma(p + 1, beta) / beta^(p + 1), beta = pi (2n + y)."""
+    series = build_form(form)
+    ys = [0.0, 0.3, 2.0, 9.5]
+    got = ray_laplace([(series, p, GROWTH_BOUNDS[form])], ys)[0]
+    for y, value, bound in zip(ys, got.value, got.tail_bound):
+        ref = mpmath.mpf(0)
+        for e, c in series.coeffs.items():
+            if e > 0:
+                beta = mpmath.pi * (mpmath.mpf(2 * e) / EIGHTH + y)
+                ref += mpmath.mpf(c.numerator) / c.denominator * mpmath.gammainc(p + 1, beta) / beta ** (p + 1)
+        assert abs(value - ref) <= bound, (y, value, ref, bound)
 
 
 def test_eq_and_hash_use_the_same_fields():

@@ -179,6 +179,32 @@ def test_hankel_tables_match_goldens(which):
     assert digest.hexdigest() == HANKEL_TABLE_SHA256[which]
 
 
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
+def test_bessel_j3_recurrence_matches_jv(s):
+    """J_3 from J_0 and J_1 by the three-term recurrence, on the arguments
+    2 pi r s the oracle reads, against scipy's J_nu at nu = 3."""
+    from scipy.special import jv
+
+    x = 2 * math.pi * radial._hankel_grid()[0] * s
+    assert np.max(np.abs(radial._bessel_j3(x) - jv(3, x))) <= 1e-11
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, SQRT2, 2.5])
+@pytest.mark.parametrize("which", ["a", "b", "g", "ghat"])
+def test_hankel_oracle_matches_a_jv_transform(which, s):
+    """The oracle against Simpson's rule on the same table with scipy's J_3."""
+    from scipy.special import jv
+
+    grid, vals = radial._hankel_table(which)
+    weights = np.ones(len(grid))
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    step = grid[1] - grid[0]
+    ref = 2 * math.pi * s**-3 * step / 3 * float(np.dot(weights, vals * jv(3, 2 * math.pi * grid * s) * grid**4))
+    got = hankel_fourier_oracle(which, s).value
+    assert abs(got - ref) <= 1e-12 * (1 + abs(ref))
+
+
 def test_hankel_g_zero_at_sqrt2():
     got = hankel_fourier_oracle("g", SQRT2)
     assert abs(got.value) <= got.err + 1e-6
