@@ -294,26 +294,13 @@ def _ratio(y: np.ndarray, sines, center: np.ndarray, power: int, deriv: bool) ->
 _FUNCTIONS = {"a": ("a",), "b": ("b",), "g": ("a", "b"), "ghat": ("a", "b")}
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """The y-independent plan of one pass over y for some of a and b.
-
-    ``quotients``: (power, centers) of the prefactor quotients, and
-    ``moments``: (degree, centers) of the principal moments of degree p + d,
-    each with its distinct centers as a column; ``rays``: the far-range rows
-    (series, power, C) for ``ray_laplace``, and ``far``: the (coefficient,
-    row) pairs of the far range of each (function, d).
-    """
-
-    orders: tuple[int, ...]
-    quotients: tuple
-    moments: tuple
-    rays: tuple
-    far: dict
-
-
 @lru_cache(maxsize=None)
-def _layout(names: tuple[str, ...], deriv: bool) -> _Layout:
+def _layout(names: tuple[str, ...], deriv: bool) -> tuple:
+    """The y-independent plan of one pass over y for the functions ``names``:
+    (power, centers) of the prefactor quotients and (degree, centers) of the
+    principal moments of degree p + d, each with its distinct centers as a
+    column; the far-range rows (series, power, C) for ``ray_laplace``; and the
+    (coefficient, row) pairs of the far range of each (function, d)."""
     orders = (0, 1) if deriv else (0,)
     by_power, by_degree = {}, {}
     for name in names:
@@ -330,12 +317,11 @@ def _layout(names: tuple[str, ...], deriv: bool) -> _Layout:
             for form, c, k, j in chart_terms(name, "t"):
                 far[name, d].append((c / _PI**k * (-_PI) ** d, len(rays)))
                 rays.append((build_form(form), j + d, GROWTH_BOUNDS[form]))
-    return _Layout(
-        orders=orders,
-        quotients=tuple((power, np.array(list(cs))[:, None]) for power, cs in by_power.items()),
-        moments=tuple((degree, np.array(list(ms))[:, None]) for degree, ms in by_degree.items()),
-        rays=tuple(rays),
-        far=far,
+    return (
+        tuple((power, np.array(list(cs))[:, None]) for power, cs in by_power.items()),
+        tuple((degree, np.array(list(ms))[:, None]) for degree, ms in by_degree.items()),
+        tuple(rays),
+        far,
     )
 
 
@@ -360,21 +346,22 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     if which not in _FUNCTIONS:
         raise ValueError("which must be one of 'a', 'b', 'g', 'ghat'")
     names = _FUNCTIONS[which]
-    plan = _layout(names, deriv)
+    orders = (0, 1) if deriv else (0,)
+    quotients, moments, rays, far = _layout(names, deriv)
     sines = s2, s2_prime = _sines(y)
     parts = []
     try:
         with np.errstate(over="raise", invalid="raise"):
             quotient, moment = {}, {}
-            for power, centers in plan.quotients:
+            for power, centers in quotients:
                 quotient.update(zip(((c, power) for c in centers[:, 0]), _ratio(y, sines, centers, power, deriv)))
-            for degree, centers in plan.moments:
+            for degree, centers in moments:
                 moment.update(zip(((degree, m) for m in centers[:, 0]), _unit_moment(degree, _PI * (y + centers))))
-            rays = ray_laplace(plan.rays, y)
+            ray_parts = ray_laplace(rays, y)
             for name in names:
                 principal, prefactors = _principal_part(name)
                 inv_u, d_scale, w, near_err = _near_quadrature(name)
-                near = np.empty((len(plan.orders), len(y)))
+                near = np.empty((len(orders), len(y)))
                 block = max(1, _BLOCK_ELEMS // len(w))  # keep each block of the kernel small
                 for lo in range(0, len(y), block):
                     kernel = np.exp(-_PI * (y[lo:lo + block, None] * inv_u))
@@ -382,12 +369,12 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
                     if deriv:
                         near[1, lo:lo + block] = (kernel * d_scale[None, :]) @ w
                 integral = []
-                for d in plan.orders:
+                for d in orders:
                     total = near[d]
                     for c, p, m in principal:
                         total = total + c * ((-_PI) ** d) * moment[p + d, m]
-                    far = combine([(coeff, rays[row]) for coeff, row in plan.far[name, d]])
-                    integral.append((total + far.value, near_err * _PI**d + far.tail_bound))
+                    far_range = combine([(coeff, ray_parts[row]) for coeff, row in far[name, d]])
+                    integral.append((total + far_range.value, near_err * _PI**d + far_range.tail_bound))
                 pref = sum(c * quotient[center, power] for c, center, power in prefactors)
                 if deriv:
                     (value, err), (d_value, d_err) = integral
