@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .rigor import PI, Interval, enclose_fraction, sqrt_interval
 
@@ -96,21 +96,12 @@ def _gamma(n: int) -> float:
     return n * U / (1 - n * U)
 
 
-class _RayConstants(NamedTuple):
+def _ray_constants(series: QSeries, p: int, bound_constant: float) -> tuple:
     """The parts of ``ray_laplace`` that do not depend on y, for one series,
-    power and growth constant."""
-
-    grid: bytes  # the exponents n > 0: rows with equal grids share their closed forms
-    two_n: np.ndarray
-    c: np.ndarray
-    abs_c: np.ndarray
-    two_n_abs_c: np.ndarray
-    tail_factor: float  # the tail majorant at Im z = 1 times F(beta0)
-    gamma_factor: float  # the summation factor
-    tiny: float  # the subnormal term
-
-
-def _ray_constants(series: QSeries, p: int, bound_constant: float) -> _RayConstants:
+    power and growth constant: the exponent grid as bytes (rows with equal
+    grids share their closed forms), 2n, c and |c| over the terms with n > 0,
+    2n|c|, the tail majorant times F(beta0), the summation factor and the
+    subnormal term."""
     import numpy as np
 
     if series.order <= 0:
@@ -121,8 +112,8 @@ def _ray_constants(series: QSeries, p: int, bound_constant: float) -> _RayConsta
     n, c = series._floats
     n, c = n[n > 0], c[n > 0]
     abs_c = np.abs(c)
-    return _RayConstants(n.tobytes(), 2 * n, c, abs_c, 2 * n * abs_c, factor * majorant,
-                         48 * U + 2 * _gamma(len(n)), _TINY * abs_c.sum())
+    return (n.tobytes(), 2 * n, c, abs_c, 2 * n * abs_c, factor * majorant, 48 * U + 2 * _gamma(len(n)),
+            _TINY * abs_c.sum())
 
 
 @lru_cache(maxsize=1024)
@@ -612,11 +603,11 @@ def ray_laplace(rows, y) -> list[EvalResult]:
         if key not in series._ray_cache:
             series._ray_cache[key] = _ray_constants(series, *key)
         consts.append(series._ray_cache[key])
-        grids.setdefault(consts[-1].grid, []).append(i)
+        grids.setdefault(consts[-1][0], []).append(i)
     flat = y.reshape(-1)
     value, mc, m2 = (np.empty((len(rows), len(flat))) for _ in range(3))
     for members in grids.values():
-        two_n = consts[members[0]].two_n
+        two_n = consts[members[0]][1]
         powers = sorted({rows[i][1] for i in members})
         block = max(1, _BLOCK_ELEMS // max(1, len(two_n)))  # keep each block of closed forms small
         for lo in range(0, len(flat), block):
@@ -634,12 +625,11 @@ def ray_laplace(rows, y) -> list[EvalResult]:
                 m = decay * acc
                 for i in members:
                     if rows[i][1] == p:
-                        value[i, cols] = m @ consts[i].c
-                        mc[i, cols] = m @ consts[i].abs_c
-                        m2[i, cols] = m @ consts[i].two_n_abs_c
-    tail_factor, gamma_factor, tiny = (
-        np.array([getattr(k, name) for k in consts])[:, None] for name in ("tail_factor", "gamma_factor", "tiny")
-    )
+                        _, _, c, abs_c, two_n_abs_c, *_ = consts[i]
+                        value[i, cols] = m @ c
+                        mc[i, cols] = m @ abs_c
+                        m2[i, cols] = m @ two_n_abs_c
+    tail_factor, gamma_factor, tiny = (np.array(column)[:, None] for column in list(zip(*consts))[5:])
     tail = tail_factor * np.exp(-math.pi * flat)
     bound = tail + (gamma_factor * mc + 6 * math.pi * U * (m2 + flat * mc)) + tiny
     if y.ndim == 0:
