@@ -351,25 +351,44 @@ def kloosterman_sum(n, k: int) -> complex:
 _CIRCLE_METHOD_FORMS = (FormId.J, FormId.VPHI_M2, FormId.VPHI_M4)
 
 
+def _bessel_i(nu: int, x: float) -> float:
+    """I_nu(x) for an integer nu >= 0 and x > 0, from its power series
+    sum_k (x/2)^(2k+nu) / (k! (k+nu)!) (DLMF 10.25.2), whose terms are all
+    positive, summed until they stop changing the sum.  Past x ~ 714 I_nu(x)
+    leaves the double range, which raises ValueError."""
+    half = x / 2
+    term = 1.0
+    for j in range(1, nu + 1):  # float products saturate to inf instead of raising
+        term *= half / j
+    total, k = 0.0, 0
+    while total + term > total:
+        total += term
+        k += 1
+        term *= half * half / (k * (k + nu))
+    if not math.isfinite(total):
+        raise ValueError(f"I_{nu}({x!r}) passes the double range")
+    return total
+
+
 def rademacher_coefficient(kind: FormId, n: int, k_max: int) -> float:
     """Partial sum of the convergent circle-method expansion of c(n).
 
     Supported for the integer-indexed forms only (j and the two varphi's);
-    the Bessel order is 1 - kappa for weight kappa.
+    the Bessel order is 1 - kappa for weight kappa.  Once 4 pi sqrt(n) passes
+    about 714, the first Bessel value leaves the double range and this raises
+    ValueError, naming that argument.
     """
     if kind not in _CIRCLE_METHOD_FORMS:
         raise ValueError(f"circle-method expansion not catalogued for {kind}")
     if n < 1 or k_max < 1:
         raise ValueError("need n >= 1 and k_max >= 1")
-    from scipy.special import iv  # lazily: 0.35 s of import time, used only here
-
     kappa = WEIGHTS[kind]
     nu = 1 - kappa
     root = math.sqrt(n)
     total = 0.0
     for k in range(1, k_max + 1):
         ak = kloosterman_sum(n, k).real
-        total += ak / k * float(iv(nu, FOUR_PI * root / k))
+        total += ak / k * _bessel_i(nu, FOUR_PI * root / k)
     return 2 * math.pi * n ** ((kappa - 1) / 2) * total
 
 

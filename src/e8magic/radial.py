@@ -89,6 +89,7 @@ class RadialValue:
 # because a has Fourier eigenvalue +1 and b has eigenvalue -1
 _G_COEFF_A = -_PI / 8640
 _G_COEFF_B = -1 / (240 * _PI)
+_G_COEFFS = {"g": (_G_COEFF_A, _G_COEFF_B), "ghat": (_G_COEFF_A, -_G_COEFF_B)}
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +178,21 @@ def _closed_moment(p: int, b: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(out), 0.0, out)
 
 
+def _taylor_terms(p: int) -> int:
+    """The terms the Taylor branch of ``_unit_moment`` sums for degree p.  For
+    |beta| < 1/2 the moment is at least e^{-1/2}/(p+1), and term k is below
+    2^-k/(k! (k+p+1)); once that is under half an ulp of the moment's lower
+    bound, it and every later term leave the partial sum's bits unchanged."""
+    floor = math.ulp(math.exp(-0.5) / (p + 1)) / 2
+    k = 0
+    while 0.5**k / (math.factorial(k) * (k + p + 1)) >= floor:
+        k += 1
+    return k
+
+
+_TAYLOR_TERMS = tuple(_taylor_terms(p) for p in range(4))
+
+
 def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
     """int_0^1 t^p e^{-beta t} dt, stable for beta of either sign and near zero:
     the closed form where |beta| >= 1/2, a Taylor series below."""
@@ -192,7 +208,7 @@ def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
     b = beta[small]
     taylor = np.zeros_like(b)
     term = np.ones_like(b)
-    for k in range(0, 26):
+    for k in range(_TAYLOR_TERMS[p]):
         taylor = taylor + term / (k + p + 1)
         term = term * (-b) / (k + 1)
     out[small] = taylor
@@ -387,9 +403,9 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     if len(parts) == 1:
         (value, err), = parts
         return 4.0 * value, 4.0 * err
-    cb = _G_COEFF_B if which == "g" else -_G_COEFF_B
+    ca, cb = _G_COEFFS[which]
     (a_im, a_err), (b_im, b_err) = parts
-    return 4.0 * (_G_COEFF_A * a_im + cb * b_im), 4.0 * (abs(_G_COEFF_A) * a_err + abs(cb) * b_err)
+    return 4.0 * (ca * a_im + cb * b_im), 4.0 * (abs(ca) * a_err + abs(cb) * b_err)
 
 
 def _eval_err(value: float, series_err: float) -> float:
@@ -518,22 +534,89 @@ def _hankel_grid() -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _hankel_table(which: str) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and the function on it; g and ghat combine the a and b tables."""
     grid = _hankel_grid()[0]
+    if which in _G_COEFFS:
+        ca, cb = _G_COEFFS[which]
+        return grid, ca * _hankel_table("a")[1] + cb * _hankel_table("b")[1]
     return grid, _g(grid**2, which, False)[0]
 
 
-def _bessel_j3(x: np.ndarray) -> np.ndarray:
-    """J_3(x) for x >= 0 from J_0 and J_1 by the recurrence
-    J_{n+1}(x) = (2n/x) J_n(x) - J_{n-1}(x) (Abramowitz-Stegun 9.1.27), with
-    J_3(0) = 0.  For small x it loses about u/x absolutely, where J_3 ~ x^3/48
-    is itself small."""
-    from scipy.special import j0, j1  # lazily: 0.35 s of import time, used only here
+# J_3 takes its method from x alone; the thresholds and the start order are
+# accuracy constants: below x = 2 the power series' 13th term is under 2e-21,
+# Miller's recurrence from order 60 agrees with J_3 to 5e-16 on [2, 25] (from
+# order 52 only to 2e-14), and from x = 25 on the Hankel expansion's terms
+# fall below 2^-56 within 20 terms.
+_J3_SERIES_BELOW = 2.0
+_J3_ASYMPTOTIC_FROM = 25.0
+_J3_MILLER_START = 60
+# 1/(k! (k+3)!), the power series of J_3(x)/(x/2)^3 in -x^2/4 (DLMF 10.2.2)
+_J3_SERIES = tuple(1 / (math.factorial(k) * math.factorial(k + 3)) for k in range(12))
 
-    out = np.zeros_like(x)
-    pos = x > 0
-    xp = x[pos]
-    j_0, j_1 = j0(xp), j1(xp)
-    out[pos] = (4 / xp) * ((2 / xp) * j_1 - j_0) - j_1
+
+def _j3_hankel_coeffs() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(-1)^k a_2k(3) and (-1)^k a_2k+1(3), the coefficients of P and Q in
+    J_3's Hankel expansion (DLMF 10.17.1 and 10.17.3), from
+    a_k = a_k-1 (36 - (2k - 1)^2) / (8k), up to the first term a_k / x^k
+    below 2^-56 at x = 25."""
+    coeffs, a, k = [], 1.0, 0
+    while abs(a) >= 2.0**-56 * _J3_ASYMPTOTIC_FROM**k:
+        coeffs.append((-1) ** (k // 2) * a)
+        k += 1
+        a *= (36 - (2 * k - 1) ** 2) / (8 * k)
+    return tuple(coeffs[0::2]), tuple(coeffs[1::2])
+
+
+_J3_P, _J3_Q = _j3_hankel_coeffs()
+
+
+def _horner(coeffs: tuple[float, ...], t: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] t^k by Horner's rule."""
+    acc = np.full_like(t, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= t
+        acc += c
+    return acc
+
+
+def _bessel_j3(x: np.ndarray) -> np.ndarray:
+    """J_3(x) for x >= 0 to within about 5e-16, in numpy alone.
+
+    Below x = 2 the power series (DLMF 10.2.2), which gives J_3(0) = 0
+    exactly.  From 2 to 25 Miller's backward recurrence (DLMF §3.6(vi)):
+    J_n-1 = (2n/x) J_n - J_n+1 from J_61 = 0, J_60 = 1 down to J_0, scaled by
+    the identity J_0 + 2(J_2 + J_4 + ...) = 1 (DLMF §10.12).  From 25 on the
+    Hankel expansion (DLMF 10.17.3), with cos and sin of x - 7 pi/4 taken from
+    cos x and sin x so that no rounding of the phase enters.
+    """
+    out = np.empty_like(x)
+    small = x < _J3_SERIES_BELOW
+    large = x >= _J3_ASYMPTOTIC_FROM
+    mid = ~(small | large)
+
+    half = 0.5 * x[small]
+    out[small] = half**3 * _horner(_J3_SERIES, -half * half)
+
+    inv = 2.0 / x[mid]
+    j_next, j = np.zeros_like(inv), np.ones_like(inv)
+    even, scratch = np.zeros_like(inv), np.empty_like(inv)
+    for n in range(_J3_MILLER_START, 0, -1):  # j holds J_n, up to one common factor
+        if n % 2 == 0:
+            even += j
+        if n == 3:
+            j3 = j.copy()
+        np.multiply(inv, j, out=scratch)
+        scratch *= n
+        np.subtract(scratch, j_next, out=j_next)
+        j_next, j = j, j_next
+    even *= 2.0
+    even += j
+    out[mid] = j3 / even
+
+    xl = x[large]
+    cos, sin, t = np.cos(xl), np.sin(xl), 1.0 / (xl * xl)
+    p, q = _horner(_J3_P, t), _horner(_J3_Q, t) / xl
+    out[large] = (p * (cos - sin) - q * (cos + sin)) / np.sqrt(_PI * xl)
     return out
 
 
@@ -541,9 +624,11 @@ def hankel_fourier_oracle(which: str, s: float) -> RadialValue:
     """Numerically Fourier-transform the tabulated radial function.
 
     For a radial function f on R^8, fhat(s) = 2 pi s^{-3} int_0^oo f(r)
-    J_3(2 pi r s) r^4 dr.  Non-rigorous diagnostic: Simpson's rule on the
-    cached tabulation, with the truncation beyond r = 12 negligible because
-    all four functions decay faster than e^{-2 pi r}.
+    J_3(2 pi r s) r^4 dr, a Hankel transform of order 3.  Non-rigorous
+    diagnostic: Simpson's rule on the cached tabulation, with the truncation
+    beyond r = 12 negligible because all four functions decay faster than
+    e^{-2 pi r}, and J_3 from ``_bessel_j3`` (DLMF 10.2.2, §3.6(vi) and
+    10.17.3 by range), which needs numpy alone.
     """
     if s <= 0:
         raise ValueError("s must be positive")

@@ -1,10 +1,11 @@
 """The import surface: each fresh process loads only the layers its verb uses.
 
-numpy is 0.14 s of a 0.25 s `import e8magic.cli` and scipy.special 0.35 s, so
-a top-level import of either in the exact layers would put that cost back on
-every `certify` and `series` process.  These tests run fresh interpreters
-(the CLI through runpy, as `python -m e8magic.cli` does) and read
-`sys.modules` at their end.
+numpy is 0.14 s of a 0.25 s `import e8magic.cli`, so a top-level import of it
+in the exact layers would put that cost back on every `certify` and `series`
+process.  scipy.special (0.35 s) is loaded by no module of the package, not
+even by the two Bessel diagnostics; only the tests use it, as a reference.
+These tests run fresh interpreters (the CLI through runpy, as
+`python -m e8magic.cli` does) and read `sys.modules` at their end.
 """
 
 import json
@@ -96,11 +97,22 @@ def test_importing_radial_computes_no_quadrature_rule(tmp_path):
     assert code == [0, 1]
 
 
-def test_scipy_is_loaded_by_the_two_diagnostics_that_need_it(tmp_path):
-    """The check above can see scipy: the Rademacher diagnostic loads it."""
-    body = "from e8magic import FormId, rademacher_coefficient\nrademacher_coefficient(FormId.J, 1, 5)\n"
-    _, loaded = _fresh(tmp_path, body)
+def test_the_probe_sees_scipy_once_it_is_imported(tmp_path):
+    """The checks for scipy can fail: a probe that imports it sees it."""
+    _, loaded = _fresh(tmp_path, "import scipy.special\n")
     assert "scipy" in loaded
+
+
+def test_the_bessel_diagnostics_load_no_scipy(tmp_path):
+    """The Hankel oracle's J_3 and the Rademacher sum's I_nu are computed in
+    numpy and math."""
+    body = (
+        "from e8magic import FormId, hankel_fourier_oracle, rademacher_coefficient\n"
+        "hankel_fourier_oracle('a', 1.0)\n"
+        "rademacher_coefficient(FormId.J, 1, 5)\n"
+    )
+    _, loaded = _fresh(tmp_path, body)
+    assert "scipy" not in loaded
 
 
 def test_every_public_name_resolves():

@@ -288,6 +288,29 @@ def test_rademacher_rejects_half_integer_kinds():
         rademacher_coefficient(FormId.PSI_I, 1, 10)
 
 
+@pytest.mark.parametrize("nu", [1, 3, 5])
+def test_bessel_i_matches_scipy(nu):
+    """The power series against scipy's I_nu at every argument 4 pi sqrt(n)/k
+    the Rademacher sums above read."""
+    from scipy.special import iv
+
+    for n in (1, 2, 5):
+        for k in range(1, 51):
+            x = 4 * math.pi * math.sqrt(n) / k
+            ref = float(iv(nu, x))
+            assert abs(modforms._bessel_i(nu, x) - ref) <= 1e-13 * ref, (n, k)
+
+
+def test_rademacher_refuses_a_bessel_value_past_the_double_range():
+    """I_1(x) ~ e^x / sqrt(2 pi x) leaves the double range near x = 714;
+    4 pi sqrt(4000) is about 794.8, so the k = 1 term cannot be a double."""
+    assert math.isfinite(modforms._bessel_i(1, 713.0))
+    with pytest.raises(ValueError, match=r"I_1\(794\.76"):
+        rademacher_coefficient(FormId.J, 4000, 3)
+    with pytest.raises(ValueError, match=r"I_5\(1e\+300\)"):
+        modforms._bessel_i(5, 1e300)
+
+
 @pytest.mark.parametrize("form", list(FormId))
 def test_coefficient_bounds_to_50(form):
     report = coefficient_bound_check(form, 50)

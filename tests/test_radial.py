@@ -179,14 +179,24 @@ def test_hankel_tables_match_goldens(which):
     assert digest.hexdigest() == HANKEL_TABLE_SHA256[which]
 
 
-@pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
+# the floats at and next to the ends of J_3's Miller range [2, 25)
+J3_EDGES = [edge + d for edge in (2.0, 25.0) for d in (-1e-9, 0.0, 1e-9)] + [
+    float(np.nextafter(edge, to)) for edge in (2.0, 25.0) for to in (0.0, 30.0)
+]
+
+
+@pytest.mark.parametrize("s", [0.01, 0.5, 1.0, SQRT2, 2.5, 3.0, 10.0])
 def test_bessel_j3_recurrence_matches_jv(s):
-    """J_3 from J_0 and J_1 by the three-term recurrence, on the arguments
-    2 pi r s the oracle reads, against scipy's J_nu at nu = 3."""
+    """J_3 by power series, Miller's backward recurrence and the Hankel
+    expansion, each on its range of x, against scipy's J_nu at nu = 3 on the
+    arguments 2 pi r s the oracle reads and on both sides of each range's
+    end; J_3(0) is exactly 0."""
     from scipy.special import jv
 
-    x = 2 * math.pi * radial._hankel_grid()[0] * s
-    assert np.max(np.abs(radial._bessel_j3(x) - jv(3, x))) <= 1e-11
+    x = np.concatenate((2 * math.pi * radial._hankel_grid()[0] * s, J3_EDGES))
+    j3 = radial._bessel_j3(x)
+    assert j3[0] == 0.0
+    assert np.max(np.abs(j3 - jv(3, x))) <= 1e-14
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, SQRT2, 2.5])
@@ -203,6 +213,15 @@ def test_hankel_oracle_matches_a_jv_transform(which, s):
     ref = 2 * math.pi * s**-3 * step / 3 * float(np.dot(weights, vals * jv(3, 2 * math.pi * grid * s) * grid**4))
     got = hankel_fourier_oracle(which, s).value
     assert abs(got - ref) <= 1e-12 * (1 + abs(ref))
+
+
+@pytest.mark.parametrize("s", [1e-3, 0.02, 5.0, 50.0])
+def test_hankel_oracle_is_finite_at_the_ends_of_its_range(s):
+    """From s = 1e-3, where every argument takes the power series, to s = 50,
+    where almost all take the Hankel expansion: finite values and no
+    RuntimeWarning (an error under this suite's settings)."""
+    for which in ("a", "b", "g", "ghat"):
+        assert math.isfinite(hankel_fourier_oracle(which, s).value)
 
 
 def test_hankel_g_zero_at_sqrt2():
@@ -270,6 +289,20 @@ def test_quadrature_refuses_a_jump_it_cannot_resolve():
     converges; the quadrature raises instead of accepting the last panels."""
     with pytest.raises(ArithmeticError, match="failed to converge"):
         _adaptive_gl(lambda x: (np.where(x < 1 / 3, 1.0, 0.0), np.zeros_like(x)), 0.0, 1.0, 1e-12)
+
+
+def test_unit_moment_taylor_branch_keeps_the_bits_of_26_terms():
+    """The Taylor branch stops once the terms cannot move the sum; every value
+    keeps the bits of the 26-term loop it replaced, which is kept here."""
+    rng = np.random.default_rng(7)
+    edge = float(np.nextafter(0.5, 0.0))
+    beta = np.concatenate((rng.uniform(-0.5, 0.5, 20000), [-edge, -0.25, -1e-300, -0.0, 0.0, 1e-300, 0.125, edge]))
+    for p in range(4):
+        taylor, term = np.zeros_like(beta), np.ones_like(beta)
+        for k in range(26):
+            taylor = taylor + term / (k + p + 1)
+            term = term * (-beta) / (k + 1)
+        assert np.array_equal(_unit_moment(p, beta), taylor), p
 
 
 def test_unit_moment_matches_quadrature_on_both_branches():
