@@ -179,7 +179,7 @@ def test_hankel_tables_match_goldens(which):
     assert digest.hexdigest() == HANKEL_TABLE_SHA256[which]
 
 
-# the floats at and next to the ends of J_3's Miller range [2, 25)
+# arguments at, next to and 1e-9 either side of the ends of J_3's Miller range [2, 25)
 J3_EDGES = [edge + d for edge in (2.0, 25.0) for d in (-1e-9, 0.0, 1e-9)] + [
     float(np.nextafter(edge, to)) for edge in (2.0, 25.0) for to in (0.0, 30.0)
 ]
