@@ -5,7 +5,7 @@ them against 240 sigma_3(n) and, for the first four shells, against the
 vectors a coordinate walk lists, verifies Poisson summation with
 a Gaussian, evaluates the magic function over the shells (Poisson summation
 collapses to 1 = 1 because every nonzero shell sits on a zero of g), and
-prints the resulting density bound.
+prints the exact special values of g and the resulting density bound.
 """
 
 import math
@@ -17,6 +17,12 @@ from e8magic import (
     poisson_check,
     shell_vectors,
 )
+from e8magic.modforms import special_values
+
+
+def exact_text(value) -> str:
+    """An exact record c pi^k sqrt(2)^j as text."""
+    return " * ".join([str(value.c)] + [f"pi^{value.k}"] * (value.k != 0) + ["sqrt2"] * value.j)
 
 
 def sigma3(n: int) -> int:
@@ -50,11 +56,15 @@ def main() -> None:
     print(f"dual sum of ghat                    = {rhs!r}")
     print(f"(both collapse to the origin term: every shell is a zero; err ~ {err:.1e})")
 
+    print("\n== exact special values, from the principal parts of a and b ==")
+    for name, value in special_values().items():
+        print(f"{name:<13} = {exact_text(value)}")
+
     print("\n== the density bound ==")
     rep = density_bound()
-    print(f"f(0)/fhat(0)   = {rep.ratio!r}  (the scaling law gives 2^4)")
+    print(f"f(0)/fhat(0)   = {rep.ratio!r}  (2^4 g(0)/ghat(0) by the scaling law, exact)")
     print(f"Vol B_8(0,1/2) = {rep.ball_volume!r}  (pi^4/6144)")
-    print(f"bound          = {rep.bound!r} +/- {rep.err:.1e}")
+    print(f"bound          = {rep.bound!r}  (equal to pi^4/384 in floats: {rep.matches_reference})")
     print(f"pi^4/384       = {math.pi**4 / 384!r}")
     print(f"Delta_8       <= {rep.bound:.9f}  -- attained by E8, so equality holds.")
 

@@ -2,14 +2,15 @@
 
 Verbs: series, certify, eval, plot, lattice, bound, selfcheck.  Exit codes:
 0 success/certified, 2 invalid input, 3 certification failure, 4 numerical
-failure.  All numeric output carries explicit error-bound columns; series and
-certificate documents are JSON.  Series documents are cached per (form, order)
+failure.  Numeric output carries explicit error-bound columns (``bound``'s is
+exact); series and certificate documents are JSON.  Series documents are cached per (form, order)
 under $E8MAGIC_CACHE_DIR (if set).  Each entry carries the sha256 of its own
 coefficients, so a damaged file is rebuilt; an entry written by older code that
 built the series differently is still served.
 
 The numeric layers ``radial`` and ``e8`` are imported by the verbs that call
-them, so ``series``, ``certify`` and ``lattice`` run without numpy.
+them, so ``series``, ``certify``, ``lattice`` and ``bound`` (exact, from
+``modforms.special_values``) run without numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from pathlib import Path
 
 from . import certify as certify_mod
-from .modforms import DEFAULT_ORDER, WEIGHTS, FormId, build_form
+from .modforms import DEFAULT_ORDER, WEIGHTS, FormId, build_form, special_values
 from .qseries import QSeries
 
 EXIT_OK = 0
@@ -222,10 +223,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     from . import e8 as e8_mod
 
     rep = e8_mod.density_bound()
-    print(f"f(0)/fhat(0) = {rep.ratio!r} +/- {rep.ratio_err:.3e}   "
-          "[2^4 g(0)/ghat(0), scaling law f(x) = g(sqrt2 x)]")
+    print(f"f(0)/fhat(0) = {rep.ratio!r}   [2^4 g(0)/ghat(0), g(0) = ghat(0) = 1 exactly, f(x) = g(sqrt2 x)]")
     print(f"Vol B_8(0, 1/2) = {rep.ball_volume!r}   [pi^4/6144]")
-    print(f"density bound = {rep.bound!r} +/- {rep.err:.3e}   [pi^4/384 = {rep.reference!r}]")
+    print(f"density bound pi^4/384 = {rep.bound!r}")
     if not rep.matches_reference:
         raise CliError("density bound does not match pi^4/384", EXIT_NUMERICAL_FAILURE)
     return EXIT_OK
@@ -259,14 +259,13 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
         cert = certify_mod.certify_sign(target)
         check(f"certificate {target}", cert.certified, cert.status)
 
-    ladder_ok = True
-    for n in range(1, 7):
-        r = math.sqrt(2 * n)
-        for which in ("g", "ghat"):
-            rv = radial_mod.eval_g(r, which)
-            if abs(rv.value) > rv.err:
-                ladder_ok = False
-    check("zero ladder g, ghat at sqrt(2n), n=1..6", ladder_ok)
+    exact, root2 = special_values(), math.sqrt(2)
+    for name, rv in (("g(0)", radial_mod.eval_g(0.0)), ("ghat(0)", radial_mod.eval_g(0.0, "ghat")),
+                     ("g'(sqrt2)", radial_mod.eval_g_deriv(root2)), ("ghat'(sqrt2)", radial_mod.eval_g_deriv(root2, "ghat"))):
+        value = float(exact[name])
+        check(f"{name} = {value!r} (exact)", abs(rv.value - value) <= rv.err, f"{rv.value!r} +/- {rv.err:.1e}")
+    ladder = [radial_mod.eval_g(math.sqrt(2 * n), which) for n in range(1, 7) for which in ("g", "ghat")]
+    check("zero ladder g, ghat at sqrt(2n), n=1..6", all(abs(rv.value) <= rv.err for rv in ladder))
 
     rep = e8_mod.density_bound()
     check("density bound pi^4/384", rep.matches_reference, f"{rep.bound!r}")

@@ -6,8 +6,8 @@ E4, so the shell counts are E4's coefficients, N(2n) = 240 sigma_3(n) (Serre,
 shell by a coordinate walk in half-unit coordinates (stored integers equal to
 twice the coordinates), where both cosets become parity classes.  The counts
 feed a Poisson-summation self-check with Gaussians and the final Cohn-Elkies
-arithmetic: the magic function gives f(0)/fhat(0) = 2^4, hence the packing
-density bound 2^4 * Vol B_8(0, 1/2) = pi^4/384.
+arithmetic: the exact g(0) = ghat(0) = 1 give f(0)/fhat(0) = 2^4, hence the
+packing density bound 2^4 * Vol B_8(0, 1/2) = pi^4/384.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .modforms import eisenstein
+from .modforms import Exact, eisenstein, special_values
 from .qseries import U
 
 __all__ = [
@@ -230,37 +230,25 @@ def magic_poisson_check(max_norm: int = 16) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class DensityBoundReport:
-    ratio: float  # f(0) / fhat(0)
-    ratio_err: float
+    ratio: float  # f(0) / fhat(0), exactly 2^4
     ball_volume: float  # Vol B_8(0, 1/2) = pi^4 / 6144
     bound: float  # ratio * ball_volume
     reference: float  # pi^4 / 384
-    err: float
 
     @property
     def matches_reference(self) -> bool:
-        return abs(self.bound - self.reference) <= self.err
+        """Exact: 16 (pi^4/6144) and pi^4/384 round alike, as 6144 = 16 * 384."""
+        return self.bound == self.reference
 
 
 def density_bound() -> DensityBoundReport:
     """The Cohn-Elkies bound made tight by the magic function.
 
     With f(x) = g(sqrt2 x) the scaling law gives fhat(y) = 2^{-4} ghat(y/sqrt2),
-    so f(0)/fhat(0) = 2^4 g(0)/ghat(0); times Vol B_8(0, 1/2) = pi^4/6144 this
-    is pi^4/384.
+    so f(0)/fhat(0) = 2^4 g(0)/ghat(0), exact from ``modforms.special_values``;
+    times Vol B_8(0, 1/2) = pi^4/6144 this is pi^4/384.
     """
-    from .radial import eval_g
-
-    g0 = eval_g(0.0, "g")
-    h0 = eval_g(0.0, "ghat")
-    ratio = 16.0 * g0.value / h0.value
-    ratio_err = 16.0 * (g0.err + h0.err) * (1.0 + abs(g0.value)) / abs(h0.value)
+    values = special_values()
+    ratio = float(Exact(16) * values["g(0)"] / values["ghat(0)"])
     ball = math.pi**4 / 6144.0
-    return DensityBoundReport(
-        ratio=ratio,
-        ratio_err=ratio_err,
-        ball_volume=ball,
-        bound=ratio * ball,
-        reference=math.pi**4 / 384.0,
-        err=ratio_err * ball + 1e-15,
-    )
+    return DensityBoundReport(ratio=ratio, ball_volume=ball, bound=ratio * ball, reference=math.pi**4 / 384.0)

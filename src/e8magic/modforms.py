@@ -292,6 +292,59 @@ def chart_series(which: str, chart: str, order: int = DEFAULT_ORDER) -> tuple:
     return tuple((k, p, series, bound) for (k, p), (series, bound) in groups.items())
 
 
+def principal_part(which: str) -> tuple:
+    """The terms C / pi^k t^p q^n with n <= 0 of the t-chart expansion of a or
+    b, as ((k, p, n), C); they do not decay, since q^n = e^{-2 pi n t}."""
+    return tuple(((k, p, Fraction(e, EIGHTH)), s.coeff(e)) for k, p, s, _ in chart_series(which, "t")
+                 for e in range(s.lead, 1, s.stride) if s.coeff(e))
+
+
+@dataclass(frozen=True)
+class Exact:
+    """The real number c pi^k sqrt(2)^j, c rational and j in {0, 1}; zero is Exact(0)."""
+
+    c: Fraction
+    k: int = 0
+    j: int = 0
+
+    def __mul__(self, other: "Exact") -> "Exact":
+        c = self.c * other.c * 2 ** (self.j & other.j)
+        return Exact(c, self.k + other.k, self.j ^ other.j) if c else Exact(0)
+
+    def __truediv__(self, other: "Exact") -> "Exact":
+        return self * Exact(Fraction(1, other.c * 2**other.j), -other.k, other.j)
+
+    def __add__(self, other: "Exact") -> "Exact":
+        if self.c and other.c and (self.k, self.j) != (other.k, other.j):
+            raise ArithmeticError(f"{self} + {other} is not one term c pi^k sqrt(2)^j")
+        c = self.c + other.c
+        return Exact(c, *((self.k, self.j) if self.c else (other.k, other.j))) if c else Exact(0)
+
+    def __float__(self) -> float:
+        """Rounded as the typed constants num * pi / den and num / (den * pi) are."""
+        num, den = self.c.numerator * math.sqrt(2) ** self.j, self.c.denominator
+        return num * math.pi**self.k / den if self.k >= 0 else num / (den * math.pi**-self.k)
+
+
+def special_values() -> dict[str, Exact]:
+    """Exact values at y = r^2 = 0 and 2 from the principal parts.  Im f / 4
+    (f = a, b) sums sin^2(pi y/2) C p! / pi^(k+p+1) / (y + 2n)^(p+1) over the
+    terms, plus sin^2(pi y/2) times an integral finite at 0 and 2, so
+    Im f(0) = C / pi^k from the n = 0, p = 1 terms and d/dy Im f(2) =
+    C pi^(1-k) from the n = -1, p = 0 terms.  g(0) = 1 and ghat'(sqrt2) = 0
+    fix c_a and c_b in g, ghat = c_a Im a +- c_b Im b; d/dr = 2 sqrt2 d/dy."""
+    def surviving(which: str, p: int, n: int, shift: int) -> Exact:
+        return sum((Exact(c, shift - k) for (k, *pn), c in principal_part(which) if pn == [p, n]), Exact(0))
+
+    (a0, b0), (a2, b2) = ((surviving(w, 1, 0, 0) for w in "ab"), (surviving(w, 0, -1, 1) for w in "ab"))
+    ca = Exact(1) / (a0 + a2 * b0 / b2)
+    cb = ca * a2 / b2
+    values = {"Im a(0)": a0, "Im b(0)": b0, "d/dy Im a(2)": a2, "d/dy Im b(2)": b2, "c_a": ca, "c_b": cb}
+    for name, cs in (("g", cb), ("ghat", Exact(-1) * cb)):
+        values[f"{name}(0)"], values[f"{name}'(sqrt2)"] = ca * a0 + cs * b0, Exact(2, 0, 1) * (ca * a2 + cs * b2)
+    return values
+
+
 @dataclass(frozen=True)
 class TransformCheck:
     residual: float

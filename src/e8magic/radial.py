@@ -43,13 +43,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_series, chart_terms, eval_form
-from .qseries import _BLOCK_ELEMS, EIGHTH, combine, ray_laplace
+from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_terms, eval_form, principal_part, special_values
+from .qseries import _BLOCK_ELEMS, combine, ray_laplace
 
 __all__ = [
     "RadialValue",
@@ -84,11 +83,10 @@ class RadialValue:
             raise ArithmeticError(f"radial value {self.value} +/- {self.err} is not finite")
 
 
-# g = (i pi/8640) a + (i/(240 pi)) b, so with a = i Im a and b = i Im b its
-# coefficients on Im a and Im b are real; ghat flips the sign of the b part
-# because a has Fourier eigenvalue +1 and b has eigenvalue -1
-_G_COEFF_A = -_PI / 8640
-_G_COEFF_B = -1 / (240 * _PI)
+# g = c_a Im a + c_b Im b, with c_a and c_b solved exactly from g(0) = 1 and
+# ghat'(sqrt2) = 0 by ``modforms.special_values``; ghat flips the sign of the b
+# part because a has Fourier eigenvalue +1 and b has eigenvalue -1
+_G_COEFF_A, _G_COEFF_B = (float(special_values()[name]) for name in ("c_a", "c_b"))
 _G_COEFFS = {"g": (_G_COEFF_A, _G_COEFF_B), "ghat": (_G_COEFF_A, -_G_COEFF_B)}
 
 
@@ -225,15 +223,11 @@ _PRINCIPAL_ORDER = {
 
 @lru_cache(maxsize=None)
 def _principal_part(which: str) -> tuple[tuple, tuple]:
-    """The t-chart terms that do not decay (series exponent n <= 0), each
-    C/pi^k t^p e^{-pi m t} with m = 2n: subtracted over [0, 1] as elementary
-    terms (coefficient, p, m), and restored over (0, oo) as the prefactors
-    (coefficient, center, power) of C p! / pi^(k+p+1) / (y + m)^(p+1)."""
-    terms = {}
-    for k, p, series, _ in chart_series(which, "t"):
-        for e in range(series.lead, 1, series.stride):
-            if series.coeff(e):
-                terms[k, p, Fraction(e, EIGHTH)] = series.coeff(e)
+    """The terms of ``modforms.principal_part``, C/pi^k t^p e^{-pi m t} with
+    m = 2n: subtracted over [0, 1] as elementary terms (coefficient, p, m), and
+    restored over (0, oo) as the prefactors (coefficient, center, power) of
+    C p! / pi^(k+p+1) / (y + m)^(p+1)."""
+    terms = dict(principal_part(which))
     order = _PRINCIPAL_ORDER[which]
     if len(order) != len(terms) or set(order) != set(terms):
         raise AssertionError(f"principal order {order} does not list the principal part {list(terms)}")
@@ -517,6 +511,8 @@ def contour_eval(r: float, which: str = "a") -> RadialValue:
 
 _HANKEL_R_MAX = 12.0
 _HANKEL_STEP = 1e-3
+# the s at which the scale 2 pi s^-3 and the error term's s^4 are doubles
+_HANKEL_S_MIN, _HANKEL_S_MAX = (2 * _PI / np.finfo(float).max) ** (1 / 3), np.finfo(float).max ** 0.25
 
 
 @lru_cache(maxsize=None)
@@ -628,10 +624,11 @@ def hankel_fourier_oracle(which: str, s: float) -> RadialValue:
     diagnostic: Simpson's rule on the cached tabulation, with the truncation
     beyond r = 12 negligible because all four functions decay faster than
     e^{-2 pi r}, and J_3 from ``_bessel_j3`` (DLMF 10.2.2, §3.6(vi) and
-    10.17.3 by range), which needs numpy alone.
+    10.17.3 by range), which needs numpy alone.  An s outside
+    [_HANKEL_S_MIN, _HANKEL_S_MAX), nan included, raises ValueError first.
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
+    if not _HANKEL_S_MIN <= s < _HANKEL_S_MAX:
+        raise ValueError(f"s must lie in [{_HANKEL_S_MIN!r}, {_HANKEL_S_MAX!r}), where 2 pi s^-3 and s^4 are doubles")
     grid, vals = _hankel_table(which)
     integral = float(np.dot(_hankel_grid()[1], vals * _bessel_j3(2 * _PI * grid * s)))
     value = 2 * _PI * s ** (-3) * integral

@@ -207,12 +207,6 @@ class Interval:
     def contains_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
 
-    def mig(self) -> float:
-        """inf |x| over the interval."""
-        if self.contains_zero():
-            return 0.0
-        return min(abs(self.lo), abs(self.hi))
-
     # -- arithmetic ----------------------------------------------------
 
     def __neg__(self) -> "Interval":
@@ -273,10 +267,6 @@ class Interval:
 
     def hull(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def intersect(self, other: "Interval") -> "Interval | None":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return Interval(lo, hi) if lo <= hi else None
 
 
 _ZERO = Interval(0.0, 0.0)

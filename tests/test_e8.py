@@ -131,11 +131,12 @@ def test_magic_poisson():
 
 
 def test_density_bound():
+    """2^4 g(0)/ghat(0) from the exact special values, and pi^4/384 exactly."""
     report = density_bound()
-    assert abs(report.ratio - 16.0) <= report.ratio_err + 1e-12
-    assert math.isclose(report.ball_volume, math.pi**4 / 6144, rel_tol=1e-15)
+    assert report.ratio == 16.0
+    assert report.ball_volume == math.pi**4 / 6144
+    assert report.bound == report.reference == math.pi**4 / 384
     assert report.matches_reference
-    assert abs(report.bound - math.pi**4 / 384) < 1e-8
     assert f"{report.bound:.9f}" == "0.253669508"
 
 

@@ -20,14 +20,15 @@ import e8magic
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# a probe runs its body, then writes the exit code and the heavy packages
-# loaded to the file named by its first argument
+# a probe runs its body, then writes the exit code, the heavy packages and
+# the e8magic modules loaded to the file named by its first argument
 _PROLOGUE = """
 import json, sys
 out, code = sys.argv.pop(1), 0
 """
 _REPORT = """
 loaded = sorted({m.partition(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+loaded += sorted(m for m in sys.modules if m.startswith("e8magic."))
 open(out, "w").write(json.dumps([code, loaded]))
 """
 # the CLI, reading the probe's remaining arguments as `python -m e8magic.cli`
@@ -62,22 +63,24 @@ def _fresh(tmp_path, body: str, *argv: str) -> tuple[int, set[str]]:
         (["lattice", "--max-norm", "40", "--poisson", "1.2"], True),
         (["eval", "--function", "g", "--r", "1.0"], False),
         (["plot", "--function", "A", "--range", "0.5:2", "--samples", "3"], False),
-        (["bound"], False),
+        (["bound"], True),
         (["selfcheck"], False),
     ],
 )
 def test_verbs_load_only_their_layers(tmp_path, argv, lean):
-    """certify, series and lattice never load numpy; no verb loads scipy."""
+    """certify, series, lattice and bound load neither numpy nor the radial
+    layer; no verb loads scipy."""
     code, loaded = _fresh(tmp_path, _RUN_CLI, *argv)
     assert code == 0
     assert "scipy" not in loaded
     if lean:
-        assert "numpy" not in loaded
+        assert not loaded & {"numpy", "e8magic.radial"}
 
 
 def test_bare_import_loads_no_numpy(tmp_path):
+    """Only the exact layers; radial and e8 wait for their first name."""
     _, loaded = _fresh(tmp_path, "import e8magic\n")
-    assert not loaded
+    assert loaded == {"e8magic.rigor", "e8magic.qseries", "e8magic.modforms", "e8magic.certify"}
 
 
 def test_importing_radial_computes_no_quadrature_rule(tmp_path):

@@ -14,6 +14,7 @@ from e8magic import modforms
 from e8magic.modforms import (
     GROWTH_BOUNDS,
     S_LAWS,
+    Exact,
     FormId,
     build_form,
     chart_series,
@@ -22,7 +23,9 @@ from e8magic.modforms import (
     eisenstein,
     eval_form,
     kloosterman_sum,
+    principal_part,
     rademacher_coefficient,
+    special_values,
     verify_transform,
 )
 from e8magic.qseries import combine
@@ -240,6 +243,67 @@ def test_a_wrong_s_law_fails_verification(monkeypatch, form, index, c):
     """verify_transform reads S_LAWS: a changed coefficient fails its check."""
     monkeypatch.setattr(modforms, "S_LAWS", _replace_coefficient(form, index, c))
     assert not verify_transform(form, "S", SAMPLE_POINTS[0]).passed
+
+
+def test_principal_parts_are_the_non_decaying_terms():
+    """a: (36/pi^2) q^-1 - (8640/pi) t + 18144/pi^2; b: q^-1 + 144."""
+    assert dict(principal_part("a")) == {(2, 0, -1): 36, (1, 1, 0): -8640, (2, 0, 0): 18144}
+    assert dict(principal_part("b")) == {(0, 0, -1): 1, (0, 0, 0): 144}
+
+
+# the values that close the proof, each c pi^k sqrt(2)^j as Exact(c, k, j)
+SPECIAL_VALUES = {
+    "Im a(0)": Exact(-8640, -1),
+    "Im b(0)": Exact(0),
+    "d/dy Im a(2)": Exact(36, -1),
+    "d/dy Im b(2)": Exact(1, 1),
+    "c_a": Exact(Fraction(-1, 8640), 1),
+    "c_b": Exact(Fraction(-1, 240), -1),
+    "g(0)": Exact(1),
+    "ghat(0)": Exact(1),
+    "g'(sqrt2)": Exact(Fraction(-1, 60), 0, 1),
+    "ghat'(sqrt2)": Exact(0),
+}
+
+
+def _special_values_hold() -> bool:
+    try:
+        return special_values() == SPECIAL_VALUES
+    except ArithmeticError:  # a normalisation with no solution divides by zero
+        return False
+
+
+def test_special_values_are_exact():
+    assert special_values() == SPECIAL_VALUES
+
+
+@pytest.mark.parametrize(
+    "which,mutate",
+    [
+        ("a", lambda terms: {**terms, (1, 1, 0): terms[1, 1, 0] - 1}),
+        ("a", lambda terms: {(k, p, -1 - n): c for (k, p, n), c in terms.items()}),
+        ("b", lambda terms: {**terms, (0, 0, -1): -terms[0, 0, -1]}),
+    ],
+    ids=["a-8640-to-8641", "a-q^-1-and-q^0-swapped", "b-q^-1-sign-flipped"],
+)
+def test_a_wrong_principal_part_fails_the_exact_values(monkeypatch, which, mutate):
+    original = modforms.principal_part
+
+    def mutated(name: str) -> tuple:
+        return tuple(mutate(dict(original(name))).items()) if name == which else original(name)
+
+    monkeypatch.setattr(modforms, "principal_part", mutated)
+    assert not _special_values_hold()
+
+
+def test_exact_arithmetic():
+    root2 = Exact(1, 0, 1)
+    assert root2 * root2 == Exact(2)
+    assert Exact(1) / root2 == Exact(Fraction(1, 2), 0, 1)
+    assert Exact(3, 1) + Exact(-3, 1) == Exact(0) == Exact(0) * root2
+    assert float(Exact(Fraction(-1, 60), 0, 1)) == -math.sqrt(2) / 60
+    with pytest.raises(ArithmeticError):
+        Exact(1, 1) + Exact(1)
 
 
 @pytest.mark.parametrize("z", [complex(0, 2.0), complex(0, 0.5), complex(0.25, 1.3)])

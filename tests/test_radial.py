@@ -49,6 +49,12 @@ def test_g_deriv_at_sqrt2():
     assert abs(eval_g_deriv(SQRT2, "ghat").value) <= 1e-8
 
 
+def test_g_coefficients_keep_the_bits_of_the_typed_constants():
+    """c_a and c_b, solved exactly, round as -pi/8640 and -1/(240 pi) did."""
+    assert radial._G_COEFF_A.hex() == (-math.pi / 8640).hex()
+    assert radial._G_COEFF_B.hex() == (-1 / (240 * math.pi)).hex()
+
+
 # Values recorded while the radial series were read at q^200, before the one
 # catalog order q^64: (function, r, which, value.hex(), err.hex(), residual.hex())
 RADIAL_GOLDENS = json.loads((Path(__file__).parent / "radial_goldens.json").read_text())
@@ -222,6 +228,19 @@ def test_hankel_oracle_is_finite_at_the_ends_of_its_range(s):
     RuntimeWarning (an error under this suite's settings)."""
     for which in ("a", "b", "g", "ghat"):
         assert math.isfinite(hankel_fourier_oracle(which, s).value)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -1.0, 0.0, 1e300, 1e-300])
+def test_hankel_oracle_refuses_s_outside_its_range_before_any_work(monkeypatch, s):
+    """No table is read and no RuntimeWarning (an error here) is raised."""
+    monkeypatch.setattr(radial, "_hankel_table", lambda which: pytest.fail("tabulated before checking s"))
+    with pytest.raises(ValueError, match=r"s must lie in \["):
+        hankel_fourier_oracle("a", s)
+
+
+def test_hankel_oracle_is_finite_at_the_ends_of_the_double_range():
+    for s in (radial._HANKEL_S_MIN, math.nextafter(radial._HANKEL_S_MAX, 0.0)):
+        assert math.isfinite(hankel_fourier_oracle("a", s).value)
 
 
 def test_hankel_g_zero_at_sqrt2():

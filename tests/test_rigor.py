@@ -44,7 +44,7 @@ def test_arith_containment_hypothesis(a, b, c, d):
         lambda u, v: u * v,
     ):
         assert op(x, y).contains(op(px, py))
-    if not y.contains_zero() and y.mig() > 1e-150:
+    if not y.contains_zero() and min(abs(y.lo), abs(y.hi)) > 1e-150:
         assert (x / y).contains(px / py)
 
 
