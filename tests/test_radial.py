@@ -70,6 +70,42 @@ def test_radial_values_match_goldens(call, r, which, value, err, residual):
     assert rv.err <= float.fromhex(err)
 
 
+def _seeded_radii() -> list[float]:
+    """The radii of ``radial_seeded_goldens.json``: one draw in each of 200
+    strata of width 0.03 over [0, 6], 12 in each band |r^2 - 2n| < 1e-3 for
+    n = 1, 2, 3, and 14 in the Taylor band pi r^2 < 0.5."""
+    rng = np.random.default_rng(1603)
+    strata = [(i + rng.uniform()) * 0.03 for i in range(200)]
+    bands = [math.sqrt(2 * n + rng.uniform(-1e-3, 1e-3)) for n in (1, 2, 3) for _ in range(12)]
+    taylor = [math.sqrt(rng.uniform(0, 0.5 / math.pi)) for _ in range(14)]
+    return [float(r) for r in strata + bands + taylor]
+
+
+# Rows (function, r, which, value.hex(), err.hex(), residual.hex()) recorded
+# before the radial pass compiled its plan: g, ghat, g', ghat', a and b at every
+# seeded radius, and both contours at 8 of the strata radii in [0.7, 3.1]
+SEEDED_GOLDENS = json.loads((Path(__file__).parent / "radial_seeded_goldens.json").read_text())
+
+
+def test_seeded_goldens_cover_the_seeded_radii():
+    radii = _seeded_radii()
+    assert [row[1] for row in SEEDED_GOLDENS if row[0] == "eval_a"] == radii
+    contour = [r for r in radii[:200] if 0.7 <= r <= 3.1][::10][:8]
+    assert [row[1] for row in SEEDED_GOLDENS if row[0] == "contour_eval"] == [r for r in contour for _ in "ab"]
+
+
+@pytest.mark.parametrize("call", ["eval_g", "eval_g_deriv", "eval_a", "eval_b", "contour_eval"])
+def test_seeded_radial_values_keep_their_bits(call):
+    """Every seeded value and residual keeps its bits, and no error bound grows."""
+    fn = getattr(radial, call)
+    changed = []
+    for _, r, which, value, err, residual in (row for row in SEEDED_GOLDENS if row[0] == call):
+        rv = fn(r) if call in ("eval_a", "eval_b") else fn(r, which)
+        if (rv.value.hex(), rv.residual.hex()) != (value, residual) or rv.err > float.fromhex(err):
+            changed.append((r, which, rv.value.hex(), value, rv.err.hex(), err))
+    assert not changed
+
+
 # ---------------------------------------------------------------------------
 # zero ladder and sign conditions
 
