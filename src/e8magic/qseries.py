@@ -39,7 +39,7 @@ from .rigor import PI, Interval, enclose_fraction, sqrt_interval
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["QSeries", "EvalResult", "combine", "ray_laplace", "EIGHTH", "U"]
+__all__ = ["QSeries", "EvalResult", "RayPlan", "combine", "ray_laplace", "EIGHTH", "U"]
 
 # grid units per integer exponent step
 EIGHTH = 8
@@ -502,7 +502,9 @@ class QSeries:
         carries the rounding of its coefficient, exp and product, and the error
         of a few u in the argument 2 pi n z, which exp turns into a relative
         error of about 2 pi |n z| u; the sum adds gamma_N.  Constants are
-        doubled to cover the second-order terms.
+        doubled to cover the second-order terms.  A term that may fall below
+        the smallest normal double adds 2^-1022 |c(n)|, or, when it is computed
+        as 0, its own size |c(n)| e^{-2 pi n Im z}, bounded in logs.
         """
         import numpy as np
 
@@ -514,14 +516,18 @@ class QSeries:
             raise ValueError("the growth-bound constant must be nonnegative")
         tail = _tail_majorant(self.lead, self.order, self.stride, bound_constant, min(y_min, _MAJORANT_Y_MAX))
         n, c = self._floats
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             terms = np.exp((2j * math.pi) * np.multiply.outer(z, n)) * c
             value = terms.sum(axis=-1)
             mag = np.abs(terms)
+            floor, zero = _TINY * np.abs(c).sum(), terms == 0
+            if np.count_nonzero(zero):  # each off by its own size |c| e^{-2 pi n y}, bounded in logs
+                logs = np.log(np.abs(c)) - (2 * math.pi * (1 - 4 * U)) * np.multiply.outer(z.imag, n)
+                floor = np.where(zero, np.nextafter(np.exp(logs) * (1 + 8 * U), np.inf), _TINY * np.abs(c)).sum(axis=-1)
             bound = tail + (
                 (16 * U + 2 * _gamma(len(n))) * mag.sum(axis=-1)
                 + 10 * math.pi * U * np.abs(z) * (mag @ np.abs(n))
-                + _TINY * np.abs(c).sum()
+                + floor
             )
         if not (np.all(np.isfinite(value)) and np.all(np.isfinite(bound))):
             raise OverflowError(f"series value overflows a double at Im z = {y_min!r}")
@@ -531,13 +537,16 @@ class QSeries:
 
     @cached_property
     def _ray_cache(self) -> dict:
-        """``_ray_constants`` by (p, bound_constant)."""
+        """One-row ``RayPlan``s by (p, bound_constant)."""
         return {}
 
     def ray_laplace(self, p: int, y, bound_constant: float) -> EvalResult:
         """The one-row case of the module function ``ray_laplace``: the
         transform of this series times t^p, at one y >= 0 or an array of them."""
-        return ray_laplace(((self, p, bound_constant),), y)[0]
+        key = (p, bound_constant)
+        if key not in self._ray_cache:
+            self._ray_cache[key] = RayPlan(((self, p, bound_constant),))
+        return self._ray_cache[key](y)[0]
 
     # -- persistence -----------------------------------------------------------
 
@@ -578,60 +587,70 @@ class QSeries:
 
 
 def ray_laplace(rows, y) -> list[EvalResult]:
+    """``RayPlan(rows)(y)``, for rows evaluated once."""
+    return RayPlan(rows)(y)
+
+
+class RayPlan:
     """sum_{n>0} c(n) int_1^oo t^p e^{-2 pi n t} e^{-pi y t} dt, termwise in closed
-    form, for each row (series, p, bound_constant), at one y >= 0 or an array of them.
+    form, for each of fixed rows (series, p, bound_constant), at one y >= 0 or
+    an array of them; callers that evaluate the same rows again keep the plan.
 
     This is the Laplace transform along the ray z = it, t >= 1, of the terms
     with n > 0.  The closed forms int_1^oo t^p e^{-beta t} dt =
     e^{-beta} sum_{i<=p} (p!/(p-i)!) beta^{-(i+1)} read beta = pi (2n + y),
     1/beta with its powers and e^{-beta} once per block of y for all rows on
     one exponent grid, and e^{-pi y} once per call; each row keeps its own
-    sums over its coefficients.  ``tail_bound`` covers truncation and roundoff
-    as in ``eval_at``: a discarded term has beta >= beta0 = 2 pi order, so the
-    tail is at most F(beta0) e^{-pi y} times the tail majorant at Im z = 1;
-    the computed beta has a relative error of a few u, which e^{-beta} turns
-    into one of about beta u.
+    sums over its coefficients.  The plan holds all that does not depend on y:
+    the rows grouped by grid and power, and their ``_ray_constants``.
+    ``tail_bound`` covers truncation and roundoff as in ``eval_at``: a
+    discarded term has beta >= beta0 = 2 pi order, so the tail is at most
+    F(beta0) e^{-pi y} times the tail majorant at Im z = 1; the computed beta
+    has a relative error of a few u, which e^{-beta} turns into one of about
+    beta u.
     """
-    import numpy as np
 
-    y = np.asarray(y, dtype=float)
-    if np.count_nonzero(y >= 0) < y.size:
-        raise ValueError("ray Laplace transform needs y >= 0")
-    consts, grids = [], {}
-    for i, (series, p, bound_constant) in enumerate(rows):
-        key = (p, bound_constant)
-        if key not in series._ray_cache:
-            series._ray_cache[key] = _ray_constants(series, *key)
-        consts.append(series._ray_cache[key])
-        grids.setdefault(consts[-1][0], []).append(i)
-    flat = y.reshape(-1)
-    value, mc, m2 = (np.empty((len(rows), len(flat))) for _ in range(3))
-    for members in grids.values():
-        two_n = consts[members[0]][1]
-        powers = sorted({rows[i][1] for i in members})
-        block = max(1, _BLOCK_ELEMS // max(1, len(two_n)))  # keep each block of closed forms small
-        for lo in range(0, len(flat), block):
-            cols = slice(lo, lo + block)
-            beta = math.pi * (two_n + flat[cols, None])
-            decay = np.exp(-beta)
-            inv = [1.0 / beta]  # beta^-(k+1), each the last one times 1/beta
-            for _ in range(powers[-1]):
-                inv.append(inv[-1] * inv[0])
-            for p in powers:
-                acc, fact = inv[0], 1.0
-                for k in range(1, p + 1):
-                    fact *= p - k + 1
-                    acc = acc + fact * inv[k]
-                m = decay * acc
-                for i in members:
-                    if rows[i][1] == p:
-                        _, _, c, abs_c, two_n_abs_c, *_ = consts[i]
+    def __init__(self, rows) -> None:
+        import numpy as np
+
+        consts = [_ray_constants(*row) for row in rows]
+        grids = {}
+        for i, ((_, p, _), const) in enumerate(zip(rows, consts)):
+            grids.setdefault(const[0], (const[1], {}))[1].setdefault(p, []).append((i, *const[2:5]))
+        # per grid: 2n, the y per block (blocks of closed forms stay small), the
+        # largest power, and per power its rows (index, c, |c|, 2n|c|)
+        self.grids = [(two_n, max(1, _BLOCK_ELEMS // max(1, len(two_n))), max(powers), sorted(powers.items()))
+                      for two_n, powers in grids.values()]
+        self.tail_factor, self.gamma_factor, self.tiny = (np.array(column)[:, None] for column in list(zip(*consts))[5:])
+
+    def __call__(self, y) -> list[EvalResult]:
+        import numpy as np
+
+        y = np.asarray(y, dtype=float)
+        if np.count_nonzero(y >= 0) < y.size:
+            raise ValueError("ray Laplace transform needs y >= 0")
+        flat = y.reshape(-1)
+        value, mc, m2 = (np.empty((len(self.tiny), len(flat))) for _ in range(3))
+        for two_n, block, top, powers in self.grids:
+            for lo in range(0, len(flat), block):
+                cols = slice(lo, lo + block)
+                beta = math.pi * (two_n + flat[cols, None])
+                decay = np.exp(-beta)
+                inv = [1.0 / beta]  # beta^-(k+1), each the last one times 1/beta
+                for _ in range(top):
+                    inv.append(inv[-1] * inv[0])
+                for p, members in powers:
+                    acc, fact = inv[0], 1.0
+                    for k in range(1, p + 1):
+                        fact *= p - k + 1
+                        acc = acc + fact * inv[k]
+                    m = decay * acc
+                    for i, c, abs_c, two_n_abs_c in members:
                         value[i, cols] = m @ c
                         mc[i, cols] = m @ abs_c
                         m2[i, cols] = m @ two_n_abs_c
-    tail_factor, gamma_factor, tiny = (np.array(column)[:, None] for column in list(zip(*consts))[5:])
-    tail = tail_factor * np.exp(-math.pi * flat)
-    bound = tail + (gamma_factor * mc + 6 * math.pi * U * (m2 + flat * mc)) + tiny
-    if y.ndim == 0:
-        return [EvalResult(value=float(v[0]), tail_bound=float(b[0])) for v, b in zip(value, bound)]
-    return [EvalResult(value=v.reshape(y.shape), tail_bound=b.reshape(y.shape)) for v, b in zip(value, bound)]
+        tail = self.tail_factor * np.exp(-math.pi * flat)
+        bound = tail + (self.gamma_factor * mc + 6 * math.pi * U * (m2 + flat * mc)) + self.tiny
+        if y.ndim == 0:
+            return [EvalResult(value=float(v[0]), tail_bound=float(b[0])) for v, b in zip(value, bound)]
+        return [EvalResult(value=v.reshape(y.shape), tail_bound=b.reshape(y.shape)) for v, b in zip(value, bound)]

@@ -22,18 +22,20 @@ provided: ``contour_eval`` integrates the defining contours directly, and
 numerical Hankel transform of order 3.
 
 One pass over y = r^2 evaluates every function an evaluator needs (a and b
-for g), each y-dependent array operation once: the prefactor quotients are
-stacked per power and the principal moments per degree, and the far range is
-one ``qseries.ray_laplace`` call over all its rows (series, power), where
-phi_0, phi_-2 and phi_-4 share one exponent grid and so one set of closed
-forms, and d/dy rides along as the next power.
+for g), each y-dependent array operation once, by a plan compiled on the first
+call (``_layout``): the prefactor quotients are stacked per power and the
+principal moments per degree, each term reads its row by index with its
+coefficient folded in, and the far range is one ``qseries.RayPlan`` over all
+its rows (series, power), where phi_0, phi_-2 and phi_-4 share one exponent
+grid and so one set of closed forms, and d/dy rides along as the next power.
 
 Every series value comes from ``QSeries.eval_at`` (the near range and the
-contour segments, one array of nodes per call) or ``ray_laplace`` (the far
-range and the contour's vertical ray), so each error estimate here carries
-their bound on truncation and roundoff, integrated against the quadrature
-weights.  Each argument has Im z >= 1/2 (iu, it with u, t >= 1; -1/w on the
-contour), where q^64, the catalog's one order, suffices.
+contour segments, one array of nodes per panel; the contour keeps its panels'
+values, which do not depend on r) or a ``RayPlan`` (the far range and the
+contour's vertical ray), so each error estimate here carries their bound on
+truncation and roundoff, integrated against the quadrature weights.  Each
+argument has Im z >= 1/2 (iu, it with u, t >= 1; -1/w on the contour), where
+q^64, the catalog's one order, suffices.
 
 Values of a and b are purely imaginary; all functions here return the real
 number with the global i factored out (g and ghat are genuinely real).
@@ -48,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_terms, eval_form, principal_part, special_values
-from .qseries import _BLOCK_ELEMS, combine, ray_laplace
+from .qseries import _BLOCK_ELEMS, RayPlan, combine
 
 __all__ = [
     "RadialValue",
@@ -309,8 +311,11 @@ def _layout(names: tuple[str, ...], deriv: bool) -> tuple:
     """The y-independent plan of one pass over y for the functions ``names``:
     (power, centers) of the prefactor quotients and (degree, centers) of the
     principal moments of degree p + d, each with its distinct centers as a
-    column; the far-range rows (series, power, C) for ``ray_laplace``; and the
-    (coefficient, row) pairs of the far range of each (function, d)."""
+    column, whose rows are numbered in this order; the ``RayPlan`` of the
+    far-range rows (series, power, C); and per function its near quadrature,
+    its prefactors (coefficient, quotient row), and per d its principal terms
+    (coefficient (-pi)^d, moment row), far-range parts (coefficient, ray row)
+    and near-range bound times pi^d."""
     orders = (0, 1) if deriv else (0,)
     by_power, by_degree = {}, {}
     for name in names:
@@ -320,18 +325,27 @@ def _layout(names: tuple[str, ...], deriv: bool) -> tuple:
         for _, p, m in principal:
             for d in orders:
                 by_degree.setdefault(p + d, {})[m] = None
-    rays, far = [], {}
+    quotient_rows = [(center, power) for power, cs in by_power.items() for center in cs]
+    moment_rows = [(degree, m) for degree, ms in by_degree.items() for m in ms]
+    rays, functions = [], []
     for name in names:
+        principal, prefactors = _principal_part(name)
+        *near, near_err = _near_quadrature(name)
+        integrals = []
         for d in orders:
-            far[name, d] = []
+            far = []
             for form, c, k, j in chart_terms(name, "t"):
-                far[name, d].append((c / _PI**k * (-_PI) ** d, len(rays)))
+                far.append((c / _PI**k * (-_PI) ** d, len(rays)))
                 rays.append((build_form(form), j + d, GROWTH_BOUNDS[form]))
+            terms = tuple((c * ((-_PI) ** d), moment_rows.index((p + d, m))) for c, p, m in principal)
+            integrals.append((terms, tuple(far), near_err * _PI**d))
+        terms = tuple((c, quotient_rows.index((center, power))) for c, center, power in prefactors)
+        functions.append((tuple(near), terms, tuple(integrals)))
     return (
         tuple((power, np.array(list(cs))[:, None]) for power, cs in by_power.items()),
         tuple((degree, np.array(list(ms))[:, None]) for degree, ms in by_degree.items()),
-        tuple(rays),
-        far,
+        RayPlan(rays),
+        tuple(functions),
     )
 
 
@@ -344,10 +358,10 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     range is integrated by quadrature in the u = 1/t chart (its bound holds
     for every y >= 0: the kernel is at most 1, its d/dy at most pi); the
     subtracted elementary terms (which do not decay in u) use closed-form
-    moments, and the far range comes from ``ray_laplace``.  One pass serves
-    every function ``which`` needs: the prefactor quotients are stacked per
-    power, the moments per degree and the far range per exponent grid, with
-    d/dy of the integral alongside it.
+    moments, and the far range comes from ``RayPlan``.  One pass, laid out by
+    ``_layout``, serves every function ``which`` needs: the prefactor
+    quotients are stacked per power, the moments per degree and the far range
+    per exponent grid, with d/dy of the integral alongside it.
 
     A kernel argument that overflows a double (pi*y in the Laplace kernels)
     raises ArithmeticError where it happens, instead of running on with inf
@@ -355,23 +369,16 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     """
     if which not in _FUNCTIONS:
         raise ValueError("which must be one of 'a', 'b', 'g', 'ghat'")
-    names = _FUNCTIONS[which]
-    orders = (0, 1) if deriv else (0,)
-    quotients, moments, rays, far = _layout(names, deriv)
+    quotients, moments, far_plan, functions = _layout(_FUNCTIONS[which], deriv)
     sines = s2, s2_prime = _sines(y)
     parts = []
     try:
         with np.errstate(over="raise", invalid="raise"):
-            quotient, moment = {}, {}
-            for power, centers in quotients:
-                quotient.update(zip(((c, power) for c in centers[:, 0]), _ratio(y, sines, centers, power, deriv)))
-            for degree, centers in moments:
-                moment.update(zip(((degree, m) for m in centers[:, 0]), _unit_moment(degree, _PI * (y + centers))))
-            ray_parts = ray_laplace(rays, y)
-            for name in names:
-                principal, prefactors = _principal_part(name)
-                inv_u, d_scale, w, near_err = _near_quadrature(name)
-                near = np.empty((len(orders), len(y)))
+            quotient = [row for power, centers in quotients for row in _ratio(y, sines, centers, power, deriv)]
+            moment = [row for degree, centers in moments for row in _unit_moment(degree, _PI * (y + centers))]
+            ray_parts = far_plan(y)
+            for (inv_u, d_scale, w), prefactors, integrals in functions:
+                near = np.empty((len(integrals), len(y)))
                 block = max(1, _BLOCK_ELEMS // len(w))  # keep each block of the kernel small
                 for lo in range(0, len(y), block):
                     kernel = np.exp(-_PI * (y[lo:lo + block, None] * inv_u))
@@ -379,13 +386,12 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
                     if deriv:
                         near[1, lo:lo + block] = (kernel * d_scale[None, :]) @ w
                 integral = []
-                for d in orders:
-                    total = near[d]
-                    for c, p, m in principal:
-                        total = total + c * ((-_PI) ** d) * moment[p + d, m]
-                    far_range = combine([(coeff, ray_parts[row]) for coeff, row in far[name, d]])
-                    integral.append((total + far_range.value, near_err * _PI**d + far_range.tail_bound))
-                pref = sum(c * quotient[center, power] for c, center, power in prefactors)
+                for total, (principal, far, near_err) in zip(near, integrals):
+                    for c, i in principal:
+                        total = total + c * moment[i]
+                    far_range = combine([(coeff, ray_parts[row]) for coeff, row in far])
+                    integral.append((total + far_range.value, near_err + far_range.tail_bound))
+                pref = sum(c * quotient[i] for c, i in prefactors)
                 if deriv:
                     (value, err), (d_value, d_err) = integral
                     parts.append((pref + s2_prime * value + s2 * d_value, np.abs(s2_prime) * err + s2 * d_err))
@@ -455,6 +461,20 @@ def eval_g_deriv(r: float, which: str = "g") -> RadialValue:
 # ---------------------------------------------------------------------------
 # oracle 1: the defining contour integrals
 
+# panels kept by ``_panel_series``, about 1.8 kB each: four radii in [0.69, 3.1] use 186
+_PANEL_MEMO_SIZE = 384
+
+
+@lru_cache(maxsize=_PANEL_MEMO_SIZE)
+def _panel_series(form: FormId, cusp: float, dz: complex, nodes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """F(-1/w) and its bound at the nodes s of one panel of the contour segment
+    cusp + s dz, w = z - cusp, kept for the panels of recent calls."""
+    s = np.frombuffer(nodes)
+    series = eval_form(form, -1.0 / ((cusp + s * dz) - cusp))
+    series.value.flags.writeable = series.tail_bound.flags.writeable = False
+    return series.value, series.tail_bound
+
+
 def contour_eval(r: float, which: str = "a") -> RadialValue:
     """Independent oracle: quadrature of the defining four-segment contours.
 
@@ -464,7 +484,8 @@ def contour_eval(r: float, which: str = "a") -> RadialValue:
     quadrature nodes per call: with w = z - cusp the integrand is
     phi_0(-1/w) w^2 for a and psi_S(-1/w) w^2 = psi_I(w) for b, which is
     psi_T(z) on the outer segments (psi_T has period 2) and psi_I(z) on the
-    middle one.
+    middle one.  The series factor at a panel's nodes does not depend on r
+    and comes from ``_panel_series``; w^2 e^{pi i r^2 z} dz is formed per call.
     """
     if which not in ("a", "b"):
         raise ValueError("which must be 'a' or 'b'")
@@ -475,9 +496,9 @@ def contour_eval(r: float, which: str = "a") -> RadialValue:
         def f(s: np.ndarray):
             z = cusp + s * dz
             w = z - cusp
-            series = eval_form(form, -1.0 / w)
+            value, bound = _panel_series(form, cusp, dz, s.tobytes())
             scale = w**2 * np.exp(1j * _PI * y * z) * dz
-            return series.value * scale, series.tail_bound * np.abs(scale)
+            return value * scale, bound * np.abs(scale)
         return f
 
     def integral(f) -> tuple[complex, float, float]:

@@ -286,13 +286,15 @@ def test_hankel_g_zero_at_sqrt2():
 
 def test_warm_evaluations_reuse_the_rule_and_the_ray_constants(monkeypatch):
     """Once warm, eval_g, eval_g_deriv and contour_eval compute no
-    Gauss-Legendre rule and no y-independent ray-Laplace constants."""
+    Gauss-Legendre rule, build no ray-Laplace plan and no y-independent
+    ray-Laplace constants; contour_eval at a radius it has seen evaluates no
+    series, and the panel memo stays within its bound."""
     for which in ("g", "ghat"):
         eval_g(1.3, which)
         eval_g_deriv(1.3, which)
     for which in ("a", "b"):
-        contour_eval(1.3, which)
-    calls = {"rule": 0, "ray": 0}
+        contour_eval(2.2, which)
+    calls = {"rule": 0, "ray": 0, "plan": 0, "series": 0}
 
     def counting(key, fn):
         def wrapped(*args):
@@ -302,12 +304,18 @@ def test_warm_evaluations_reuse_the_rule_and_the_ray_constants(monkeypatch):
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting("rule", np.polynomial.legendre.leggauss))
     monkeypatch.setattr(qseries, "_ray_constants", counting("ray", qseries._ray_constants))
+    monkeypatch.setattr(qseries.RayPlan, "__init__", counting("plan", qseries.RayPlan.__init__))
+    monkeypatch.setattr(qseries.QSeries, "eval_at", counting("series", qseries.QSeries.eval_at))
     for r in np.linspace(0.2, 5.0, 10):
         eval_g(float(r), "g")
         eval_g_deriv(float(r), "ghat")
     for which in ("a", "b"):
         contour_eval(2.2, which)
-    assert calls == {"rule": 0, "ray": 0}
+    assert calls == {"rule": 0, "ray": 0, "plan": 0, "series": 0}
+    for i, r in enumerate(np.random.default_rng(17).uniform(0.0, 3.1, 40)):
+        contour_eval(float(r), "ab"[i % 2])
+    assert 0 < radial._panel_series.cache_info().currsize <= radial._PANEL_MEMO_SIZE
+    assert calls["rule"] == calls["ray"] == calls["plan"] == 0
 
 
 @pytest.mark.parametrize("r", [1e78, 1e100, 5e153])
