@@ -503,8 +503,8 @@ class QSeries:
         of a few u in the argument 2 pi n z, which exp turns into a relative
         error of about 2 pi |n z| u; the sum adds gamma_N.  Constants are
         doubled to cover the second-order terms.  A term that may fall below
-        the smallest normal double adds 2^-1022 |c(n)|, or, when it is computed
-        as 0, its own size |c(n)| e^{-2 pi n Im z}, bounded in logs.
+        the smallest normal double adds 2^-1022 |c(n)|; at a point where every
+        term is computed as 0, their true sum bounded in logs replaces these.
         """
         import numpy as np
 
@@ -516,14 +516,17 @@ class QSeries:
             raise ValueError("the growth-bound constant must be nonnegative")
         tail = _tail_majorant(self.lead, self.order, self.stride, bound_constant, min(y_min, _MAJORANT_Y_MAX))
         n, c = self._floats
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             terms = np.exp((2j * math.pi) * np.multiply.outer(z, n)) * c
             value = terms.sum(axis=-1)
             mag = np.abs(terms)
-            floor, zero = _TINY * np.abs(c).sum(), terms == 0
-            if np.count_nonzero(zero):  # each off by its own size |c| e^{-2 pi n y}, bounded in logs
-                logs = np.log(np.abs(c)) - (2 * math.pi * (1 - 4 * U)) * np.multiply.outer(z.imag, n)
-                floor = np.where(zero, np.nextafter(np.exp(logs) * (1 + 8 * U), np.inf), _TINY * np.abs(c)).sum(axis=-1)
+            floor = _TINY * np.abs(c).sum()
+            if np.count_nonzero(mag[..., :1]) < mag[..., :1].size:  # the first term is 0 somewhere
+                # where every term is 0 the error is below sum |c| e^{-2 pi n_0 Im z}, bounded in
+                # logs so that a caller's x^p cannot blow it up; 8u, 2^-40 and 4 eta cover roundoff
+                scale = 2 * math.pi * n[0] * (1 - 8 * U if n[0] > 0 else 1 + 8 * U)
+                own = np.exp(math.log(np.abs(c).sum()) - scale * z.imag) * (1 + 2.0**-40) + 4 * _ETA
+                floor = np.where(np.count_nonzero(mag, axis=-1) == 0, own, floor)
             bound = tail + (
                 (16 * U + 2 * _gamma(len(n))) * mag.sum(axis=-1)
                 + 10 * math.pi * U * np.abs(z) * (mag @ np.abs(n))
@@ -544,9 +547,8 @@ class QSeries:
         """The one-row case of the module function ``ray_laplace``: the
         transform of this series times t^p, at one y >= 0 or an array of them."""
         key = (p, bound_constant)
-        if key not in self._ray_cache:
-            self._ray_cache[key] = RayPlan(((self, p, bound_constant),))
-        return self._ray_cache[key](y)[0]
+        plan = self._ray_cache.get(key) or self._ray_cache.setdefault(key, RayPlan(((self, p, bound_constant),)))
+        return plan(y)[0]
 
     # -- persistence -----------------------------------------------------------
 
@@ -617,11 +619,10 @@ class RayPlan:
         grids = {}
         for i, ((_, p, _), const) in enumerate(zip(rows, consts)):
             grids.setdefault(const[0], (const[1], {}))[1].setdefault(p, []).append((i, *const[2:5]))
-        # per grid: 2n, the y per block (blocks of closed forms stay small), the
-        # largest power, and per power its rows (index, c, |c|, 2n|c|)
+        # per grid: 2n, y per block (blocks stay small), top power, rows (i, c, |c|, 2n|c|) per power
         self.grids = [(two_n, max(1, _BLOCK_ELEMS // max(1, len(two_n))), max(powers), sorted(powers.items()))
                       for two_n, powers in grids.values()]
-        self.tail_factor, self.gamma_factor, self.tiny = (np.array(column)[:, None] for column in list(zip(*consts))[5:])
+        self.tail_factor, self.gamma_factor, self.tiny = (np.array(col)[:, None] for col in list(zip(*consts))[5:])
 
     def __call__(self, y) -> list[EvalResult]:
         import numpy as np

@@ -310,12 +310,11 @@ _FUNCTIONS = {"a": ("a",), "b": ("b",), "g": ("a", "b"), "ghat": ("a", "b")}
 def _layout(names: tuple[str, ...], deriv: bool) -> tuple:
     """The y-independent plan of one pass over y for the functions ``names``:
     (power, centers) of the prefactor quotients and (degree, centers) of the
-    principal moments of degree p + d, each with its distinct centers as a
-    column, whose rows are numbered in this order; the ``RayPlan`` of the
-    far-range rows (series, power, C); and per function its near quadrature,
-    its prefactors (coefficient, quotient row), and per d its principal terms
-    (coefficient (-pi)^d, moment row), far-range parts (coefficient, ray row)
-    and near-range bound times pi^d."""
+    principal moments of degree p + d, their rows numbered in this order; the
+    ``RayPlan`` of the far-range rows (series, power, C); and per function its
+    near quadrature, its prefactors (coefficient, quotient row), and per d its
+    principal terms (coefficient (-pi)^d, moment row), far-range parts
+    (coefficient, ray row) and near-range bound times pi^d."""
     orders = (0, 1) if deriv else (0,)
     by_power, by_degree = {}, {}
     for name in names:
