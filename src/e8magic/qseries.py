@@ -603,8 +603,8 @@ class RayPlan:
     e^{-beta} sum_{i<=p} (p!/(p-i)!) beta^{-(i+1)} read beta = pi (2n + y),
     1/beta with its powers and e^{-beta} once per block of y for all rows on
     one exponent grid, and e^{-pi y} once per call; each row keeps its own
-    sums over its coefficients.  The plan holds all that does not depend on y:
-    the rows grouped by grid and power, and their ``_ray_constants``.
+    sums over its coefficients (numpy scalars at a 0-d y).  The plan holds all
+    that does not depend on y: rows grouped by grid and power, ``_ray_constants``.
     ``tail_bound`` covers truncation and roundoff as in ``eval_at``: a
     discarded term has beta >= beta0 = 2 pi order, so the tail is at most
     F(beta0) e^{-pi y} times the tail majorant at Im z = 1; the computed beta
@@ -619,23 +619,20 @@ class RayPlan:
         grids = {}
         for i, ((_, p, _), const) in enumerate(zip(rows, consts)):
             grids.setdefault(const[0], (const[1], {}))[1].setdefault(p, []).append((i, *const[2:5]))
-        # per grid: 2n, y per block (blocks stay small), top power, rows (i, c, |c|, 2n|c|) per power
-        self.grids = [(two_n, max(1, _BLOCK_ELEMS // max(1, len(two_n))), max(powers), sorted(powers.items()))
-                      for two_n, powers in grids.values()]
+        # per grid: 2n, top power, rows (i, c, |c|, 2n|c|) per power
+        self.grids = [(two_n, max(powers), sorted(powers.items())) for two_n, powers in grids.values()]
         self.tail_factor, self.gamma_factor, self.tiny = (np.array(col)[:, None] for col in list(zip(*consts))[5:])
 
     def __call__(self, y) -> list[EvalResult]:
         import numpy as np
 
-        y = np.asarray(y, dtype=float)
+        y = np.asarray(y, dtype=float)[()]
         if np.count_nonzero(y >= 0) < y.size:
             raise ValueError("ray Laplace transform needs y >= 0")
-        flat = y.reshape(-1)
-        value, mc, m2 = (np.empty((len(self.tiny), len(flat))) for _ in range(3))
-        for two_n, block, top, powers in self.grids:
-            for lo in range(0, len(flat), block):
-                cols = slice(lo, lo + block)
-                beta = math.pi * (two_n + flat[cols, None])
+        value, mc, m2 = (np.empty((len(self.tiny), y.size)) for _ in range(3))
+        for two_n, top, powers in self.grids:
+            for cols, yb in _blocks(y, len(two_n)):
+                beta = math.pi * (two_n + yb)
                 decay = np.exp(-beta)
                 inv = [1.0 / beta]  # beta^-(k+1), each the last one times 1/beta
                 for _ in range(top):
@@ -650,8 +647,19 @@ class RayPlan:
                         value[i, cols] = m @ c
                         mc[i, cols] = m @ abs_c
                         m2[i, cols] = m @ two_n_abs_c
+        flat = y.reshape(-1)
         tail = self.tail_factor * np.exp(-math.pi * flat)
         bound = tail + (self.gamma_factor * mc + 6 * math.pi * U * (m2 + flat * mc)) + self.tiny
-        if y.ndim == 0:
-            return [EvalResult(value=float(v[0]), tail_bound=float(b[0])) for v, b in zip(value, bound)]
-        return [EvalResult(value=v.reshape(y.shape), tail_bound=b.reshape(y.shape)) for v, b in zip(value, bound)]
+        rows = (-1, *y.shape)  # a row per series, y's axes trailing: numpy scalars at a 0-d y
+        return [EvalResult(value=v, tail_bound=b) for v, b in zip(value.reshape(rows), bound.reshape(rows))]
+
+
+def _blocks(y, width: int) -> list:
+    """(columns, y) for each block of a pass that broadcasts y against rows of
+    ``width`` values: a 0-d y is one block, column 0, as a numpy scalar; an
+    array is cut into columns of about _BLOCK_ELEMS / width values, so the
+    pass's arrays stay small."""
+    if y.ndim == 0:
+        return [(0, y)]
+    flat, block = y.reshape(-1, 1), max(1, _BLOCK_ELEMS // max(1, width))
+    return [(slice(lo, lo + block), flat[lo:lo + block]) for lo in range(0, y.size, block)]

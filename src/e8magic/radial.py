@@ -28,6 +28,7 @@ principal moments per degree, each term reads its row by index with its
 coefficient folded in, and the far range is one ``qseries.RayPlan`` over all
 its rows (series, power), where phi_0, phi_-2 and phi_-4 share one exponent
 grid and so one set of closed forms, and d/dy rides along as the next power.
+A single radius runs this code on numpy scalars: y's axes trail each row.
 
 Every series value comes from ``QSeries.eval_at`` (the near range and the
 contour segments, one array of nodes per panel; the contour keeps its panels'
@@ -50,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_terms, eval_form, principal_part, special_values
-from .qseries import _BLOCK_ELEMS, RayPlan, combine
+from .qseries import RayPlan, _blocks, combine
 
 __all__ = [
     "RadialValue",
@@ -72,8 +73,8 @@ class RadialValue:
     """Function value with the global i factored out, plus an error estimate.
 
     ``residual`` carries the spurious real part discarded by quadrature-based
-    oracles (exactly zero for the Laplace-integral evaluators).  A value or
-    error that is not finite is a numerical failure (ArithmeticError).
+    oracles (exactly zero for the Laplace-integral evaluators).  Fields are
+    Python floats; one that is not finite is a numerical failure (ArithmeticError).
     """
 
     value: float
@@ -81,6 +82,8 @@ class RadialValue:
     residual: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("value", "err", "residual"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (math.isfinite(self.value) and math.isfinite(self.err)):
             raise ArithmeticError(f"radial value {self.value} +/- {self.err} is not finite")
 
@@ -198,9 +201,8 @@ def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
     the closed form where |beta| >= 1/2, a Taylor series below."""
     if not 0 <= p <= 3:
         raise ValueError("moment degree must be <= 3")
-    beta = np.asarray(beta, dtype=float)
     small = np.abs(beta) < 0.5
-    if not np.count_nonzero(small):  # the cheapest emptiness test for a one-point array
+    if not np.count_nonzero(small):  # the cheapest emptiness test for a short array
         return _closed_moment(p, beta)
     out = np.empty_like(beta)
     out[~small] = _closed_moment(p, beta[~small])
@@ -258,7 +260,8 @@ def _sines(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sin^2(pi y/2) and its d/dy (pi/2) sin(pi y), both at y reduced modulo 2
     to [-1, 1] for accuracy near shells; a and b share them."""
     x = y - 2.0 * np.rint(0.5 * y)
-    return np.sin(0.5 * _PI * x) ** 2, 0.5 * _PI * np.sin(_PI * x)
+    # np.square is s * s, as an array's ** 2 is; a numpy scalar's ** 2 can round otherwise
+    return np.square(np.sin(0.5 * _PI * x)), 0.5 * _PI * np.sin(_PI * x)
 
 
 def _quotient(x: np.ndarray, s2: np.ndarray, s2_prime: np.ndarray, power: int, deriv: bool) -> np.ndarray:
@@ -341,8 +344,8 @@ def _layout(names: tuple[str, ...], deriv: bool) -> tuple:
         terms = tuple((c, quotient_rows.index((center, power))) for c, center, power in prefactors)
         functions.append((tuple(near), terms, tuple(integrals)))
     return (
-        tuple((power, np.array(list(cs))[:, None]) for power, cs in by_power.items()),
-        tuple((degree, np.array(list(ms))[:, None]) for degree, ms in by_degree.items()),
+        tuple((power, np.array(list(cs))) for power, cs in by_power.items()),
+        tuple((degree, np.array(list(ms))) for degree, ms in by_degree.items()),
         RayPlan(rays),
         tuple(functions),
     )
@@ -370,22 +373,22 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("which must be one of 'a', 'b', 'g', 'ghat'")
     quotients, moments, far_plan, functions = _layout(_FUNCTIONS[which], deriv)
     sines = s2, s2_prime = _sines(y)
+    col = (-1,) + (1,) * y.ndim  # one row per center, y's axes trailing
     parts = []
     try:
         with np.errstate(over="raise", invalid="raise"):
-            quotient = [row for power, centers in quotients for row in _ratio(y, sines, centers, power, deriv)]
-            moment = [row for degree, centers in moments for row in _unit_moment(degree, _PI * (y + centers))]
+            quotient = [row for power, cs in quotients for row in _ratio(y, sines, cs.reshape(col), power, deriv)]
+            moment = [row for degree, cs in moments for row in _unit_moment(degree, _PI * (y + cs.reshape(col)))]
             ray_parts = far_plan(y)
             for (inv_u, d_scale, w), prefactors, integrals in functions:
-                near = np.empty((len(integrals), len(y)))
-                block = max(1, _BLOCK_ELEMS // len(w))  # keep each block of the kernel small
-                for lo in range(0, len(y), block):
-                    kernel = np.exp(-_PI * (y[lo:lo + block, None] * inv_u))
-                    near[0, lo:lo + block] = kernel @ w
+                near = np.empty((len(integrals), y.size))
+                for cols, yb in _blocks(y, len(w)):
+                    kernel = np.exp(-_PI * (yb * inv_u))
+                    near[0, cols] = kernel @ w
                     if deriv:
-                        near[1, lo:lo + block] = (kernel * d_scale[None, :]) @ w
+                        near[1, cols] = (kernel * d_scale) @ w
                 integral = []
-                for total, (principal, far, near_err) in zip(near, integrals):
+                for total, (principal, far, near_err) in zip(near.reshape(-1, *y.shape), integrals):
                     for c, i in principal:
                         total = total + c * moment[i]
                     far_range = combine([(coeff, ray_parts[row]) for coeff, row in far])
@@ -412,18 +415,19 @@ def _eval_err(value: float, series_err: float) -> float:
     return 4.0 * _QUAD_TOL + series_err + 1e-13 * (1.0 + abs(value))
 
 
-def _radius_sq(r: float) -> np.ndarray:
-    """y = r^2 as a one-point array, for r >= 0 with a finite square."""
+def _radius_sq(r: float) -> np.float64:
+    """y = r^2 as a numpy scalar (``np.errstate`` sees its overflows), for r >= 0 with y and pi y finite."""
     y = float(r) * float(r)
     if not (r >= 0 and math.isfinite(y)):
         raise ValueError("r must be nonnegative with a finite square")
-    return np.array([y])
+    if not math.isfinite(_PI * y):
+        raise ArithmeticError(f"y = r^2 = {y:.6g} overflows a radial kernel: pi y is not a double")
+    return np.float64(y)
 
 
 def _radial(which: str, r: float) -> RadialValue:
     value, err = _g(_radius_sq(r), which, False)
-    value = float(value[0])
-    return RadialValue(value=value, err=_eval_err(value, float(err[0])))
+    return RadialValue(value=value, err=_eval_err(value, err))
 
 
 def eval_a(r: float) -> RadialValue:
@@ -453,8 +457,8 @@ def eval_g_deriv(r: float, which: str = "g") -> RadialValue:
     if r == 0:
         raise ValueError("r must be positive")
     dy, err = _g(_radius_sq(r), which, True)
-    value = 2.0 * float(r) * float(dy[0])
-    return RadialValue(value=value, err=(1 + 2 * r) * _eval_err(value, float(err[0])))
+    value = 2.0 * float(r) * dy
+    return RadialValue(value=value, err=(1 + 2 * r) * _eval_err(value, err))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +492,7 @@ def contour_eval(r: float, which: str = "a") -> RadialValue:
     """
     if which not in ("a", "b"):
         raise ValueError("which must be 'a' or 'b'")
-    y = float(_radius_sq(r)[0])
+    y = _radius_sq(r)
     form = FormId.PHI_0 if which == "a" else FormId.PSI_S
 
     def segment(cusp: float, dz: complex):

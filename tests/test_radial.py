@@ -318,21 +318,76 @@ def test_warm_evaluations_reuse_the_rule_and_the_ray_constants(monkeypatch):
     assert calls["rule"] == calls["ray"] == calls["plan"] == 0
 
 
-@pytest.mark.parametrize("r", [1e78, 1e100, 5e153])
+# the five scalar evaluators with each of their functions: (evaluator, which)
+SCALAR_CALLS = [
+    (eval_a, ()), (eval_b, ()), (eval_g, ("g",)), (eval_g, ("ghat",)), (eval_g_deriv, ("g",)),
+    (eval_g_deriv, ("ghat",)), (contour_eval, ("a",)), (contour_eval, ("b",)),
+]
+
+
+@pytest.mark.parametrize("r", [1e78, 1e100, 5e153, 7.6e153, 1e154])
 def test_huge_radii_are_zero_within_their_bound(r):
     """Past r ~ 1e77 the powers of y in the prefactors and of pi y in the unit
     moments pass the double range; their quotients saturate to 0, so each
-    function is 0 within its bound instead of a numerical failure (until pi y
-    itself overflows, near r = 7.6e153)."""
-    for rv in (eval_g(r, "g"), eval_g(r, "ghat"), eval_a(r), eval_b(r), eval_g_deriv(r, "g")):
-        assert abs(rv.value) <= rv.err
+    function is 0 within its bound instead of a numerical failure, until pi y
+    itself overflows, near r = 7.6e153: there every evaluator raises
+    ArithmeticError instead of running on with inf and NaN."""
+    for fn, which in SCALAR_CALLS:
+        if math.pi * r * r > np.finfo(float).max:
+            with pytest.raises(ArithmeticError, match="overflows a radial kernel"):
+                fn(r, *which)
+        else:
+            rv = fn(r, *which)
+            assert abs(rv.value) <= rv.err, (fn.__name__, which)
+
+
+@pytest.mark.parametrize("r", [-0.0, 5e-324])
+def test_radii_that_square_to_zero_give_the_value_at_zero(r):
+    """-0 and the smallest subnormal square to y = 0, so each evaluator
+    returns its value at r = 0; g' and ghat', refused at r = 0, refuse -0 too
+    and are 0 within their bound at 5e-324."""
+    for fn, which in SCALAR_CALLS:
+        if fn is not eval_g_deriv:
+            assert fn(r, *which) == fn(0.0, *which), (fn.__name__, which)
+        elif r == 0:
+            with pytest.raises(ValueError):
+                fn(r, *which)
+        else:
+            rv = fn(r, *which)
+            assert abs(rv.value) <= rv.err
 
 
 def test_invalid_inputs():
     with pytest.raises(ValueError):
-        eval_g(-1.0, "g")
-    with pytest.raises(ValueError):
         eval_g(1.0, "gh")
+    for fn, which in SCALAR_CALLS:
+        for r in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                fn(r, *which)
+
+
+def test_fields_are_python_floats():
+    """Every field of every scalar evaluator's value is a Python float, not
+    a numpy scalar (whose repr prints as np.float64(...))."""
+    for fn, which in SCALAR_CALLS:
+        rv = fn(1.3, *which)
+        assert [type(x) for x in (rv.value, rv.err, rv.residual)] == [float] * 3, (fn.__name__, which)
+
+
+@pytest.mark.parametrize("which", ["a", "b", "g", "ghat"])
+@pytest.mark.parametrize("deriv", [False, True])
+def test_a_radius_runs_as_its_one_point_grid_bit_for_bit(which, deriv):
+    """The pass at one radius (y a numpy scalar) keeps every bit of value and
+    bound of the pass over the one-point array [y], at the seeded radii and 0.
+    (A longer grid may differ in the last bit: its quadrature is one
+    matrix-vector product, not a dot product per point.)"""
+    changed = []
+    for r in [0.0] + _seeded_radii():
+        y = r * r
+        scalar, grid = radial._g(np.float64(y), which, deriv), radial._g(np.array([y]), which, deriv)
+        if [type(x) for x in scalar] != [np.float64] * 2 or [x.hex() for x in scalar] != [x[0].hex() for x in grid]:
+            changed.append((r, scalar, grid))
+    assert not changed
 
 
 def test_quadrature_bisects_to_a_peak_and_keeps_the_nodes_in_order():
