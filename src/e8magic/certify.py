@@ -183,6 +183,8 @@ class Envelope:
     m: int
 
     def __post_init__(self) -> None:
+        if self.chart not in _PREFACTOR:
+            raise ValueError(f"unknown chart {self.chart!r}")
         if self.m < 1:
             raise ValueError("cutoff must be >= 1")
 

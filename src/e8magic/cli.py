@@ -4,9 +4,9 @@ Verbs: series, certify, eval, plot, lattice, bound, selfcheck.  Exit codes:
 0 success/certified, 2 invalid input, 3 certification failure, 4 numerical
 failure.  Numeric output carries explicit error-bound columns (``bound``'s is
 exact); series and certificate documents are JSON.  Series documents are cached per (form, order)
-under $E8MAGIC_CACHE_DIR (if set).  Each entry carries the sha256 of its own
-coefficients, so a damaged file is rebuilt; an entry written by older code that
-built the series differently is still served.
+under $E8MAGIC_CACHE_DIR (if set).  An entry is served only if its series writes
+back exactly its bytes, sha256 included, so a damaged file is rebuilt; an entry
+written by older code that built the series differently is still served.
 
 The numeric layers ``radial`` and ``e8`` are imported by the verbs that call
 them, so ``series``, ``certify``, ``lattice`` and ``bound`` (exact, from
@@ -53,36 +53,50 @@ class CliError(Exception):
 # ---------------------------------------------------------------------------
 # series cache
 
-def _cache_dir() -> Path | None:
+def _cache_path(form: FormId, order: int) -> Path | None:
+    """The cache entry of (form, order), its directory created; None with no cache set."""
     value = os.environ.get("E8MAGIC_CACHE_DIR")
-    return Path(value) if value else None
+    if not value:
+        return None
+    try:
+        Path(value).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"E8MAGIC_CACHE_DIR={value!r} cannot be created: {exc}") from None
+    return Path(value) / f"{form.name.lower()}_o{order}.json"
 
 
-def _series_doc(form: FormId, order: int) -> dict:
-    series = build_form(form, order)
+def _series_doc(form: FormId, series: QSeries) -> dict:
     doc = series.to_doc(name=form.value, weight=WEIGHTS[form])
     payload = json.dumps(doc["coefficients"], sort_keys=True)
     doc["sha256"] = hashlib.sha256(payload.encode()).hexdigest()
     return doc
 
 
-def _load_or_build_series(form: FormId, order: int) -> dict:
-    cache = _cache_dir()
-    if cache is None:
-        return _series_doc(form, order)
-    cache.mkdir(parents=True, exist_ok=True)
-    path = cache / f"{form.name.lower()}_o{order}.json"
-    if path.exists():
+def _cached_series(form: FormId, path: Path) -> tuple[QSeries, dict] | None:
+    """The series of a cache entry and its document, if the series rebuilds
+    exactly the bytes of the entry, sha256 included; None for any other entry."""
+    try:
+        raw = path.read_bytes()
+        series = QSeries.from_doc(json.loads(raw))
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError):
+        return None  # missing, unreadable or damaged: rebuilt by the caller
+    doc = _series_doc(form, series)
+    return (series, doc) if json.dumps(doc, sort_keys=True).encode() == raw else None
+
+
+def _load_or_build_series(form: FormId, order: int) -> tuple[QSeries, dict]:
+    path = _cache_path(form, order)
+    cached = path and _cached_series(form, path)
+    if cached:
+        return cached
+    series = build_form(form, order)
+    doc = _series_doc(form, series)
+    if path:
         try:
-            doc = json.loads(path.read_text())
-            payload = json.dumps(doc["coefficients"], sort_keys=True)
-            if doc.get("sha256") == hashlib.sha256(payload.encode()).hexdigest():
-                return doc
-        except (json.JSONDecodeError, KeyError):
-            pass  # fall through and rebuild a corrupted cache entry
-    doc = _series_doc(form, order)
-    path.write_text(json.dumps(doc, sort_keys=True))
-    return doc
+            path.write_text(json.dumps(doc, sort_keys=True))
+        except OSError as exc:
+            raise CliError(f"the series cache under E8MAGIC_CACHE_DIR cannot be written: {exc}") from None
+    return series, doc
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +108,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
         raise CliError(f"unknown form {args.form!r}; choose from {sorted(_FORM_BY_NAME)}")
     if not 0 < args.order <= MAX_SERIES_ORDER:
         raise CliError(f"--order must be between 1 and {MAX_SERIES_ORDER}")
-    doc = _load_or_build_series(form, args.order)
+    series, doc = _load_or_build_series(form, args.order)
     if args.format == "json":
         print(json.dumps(doc, sort_keys=True))
     else:
-        series = QSeries.from_doc(doc)
         print(f"# {form.value} (weight {WEIGHTS[form]}), known below q^({series.order}/8)")
         for e, c in sorted(series.coeffs.items()):
             print(f"q^({e}/8)\t{c}")

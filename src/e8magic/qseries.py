@@ -14,11 +14,10 @@ conservatively.  ``coeffs`` presents the same series as exact ``Fraction``s.
 This module is the one place where exact coefficients become floats: each
 series keeps float arrays of its terms, built on first use.  Evaluation at one
 or many points of the upper half-plane (``eval_at``) and the termwise Laplace
-transform along the imaginary axis (``ray_laplace``, of several series and
-powers in one pass) return one bound that
-covers both the discarded tail, derived from the coefficient growth bound
-|c(n)| <= C*e^{4 pi sqrt(n)} with a caller-supplied C, and the float roundoff
-of the sum.
+transform along the imaginary axis (``RayPlan``, of several series and
+powers in one pass) return one bound that covers both the discarded tail,
+derived from the coefficient growth bound |c(n)| <= C*e^{4 pi sqrt(n)} with a
+caller-supplied C, and the float roundoff of the sum.
 numpy is imported by these numeric entry points, not by the module, so the
 exact kernel loads without it.
 """
@@ -39,7 +38,7 @@ from .rigor import PI, Interval, enclose_fraction, sqrt_interval
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["QSeries", "EvalResult", "RayPlan", "combine", "ray_laplace", "EIGHTH", "U"]
+__all__ = ["QSeries", "EvalResult", "RayPlan", "combine", "EIGHTH", "U"]
 
 # grid units per integer exponent step
 EIGHTH = 8
@@ -56,7 +55,7 @@ _MAX_EXPLICIT_TERMS = 100_000
 # the height at which eval_at bounds the tail of a series evaluated above it:
 # the tail majorant's interval products 2 pi y n stay finite there
 _MAJORANT_Y_MAX = 1e300
-# array elements per block of closed forms in ray_laplace
+# array elements per block of a pass over y (``_blocks``)
 _BLOCK_ELEMS = 1 << 18
 
 
@@ -94,26 +93,6 @@ def combine(parts) -> EvalResult:
 def _gamma(n: int) -> float:
     """Higham's gamma_n = n u / (1 - n u), the summation error factor."""
     return n * U / (1 - n * U)
-
-
-def _ray_constants(series: QSeries, p: int, bound_constant: float) -> tuple:
-    """The parts of ``ray_laplace`` that do not depend on y, for one series,
-    power and growth constant: the exponent grid as bytes (rows with equal
-    grids share their closed forms), 2n, c and |c| over the terms with n > 0,
-    2n|c|, the tail majorant times F(beta0), the summation factor and the
-    subnormal term."""
-    import numpy as np
-
-    if series.order <= 0:
-        raise TruncationError("series truncated at or below q^0")
-    beta0 = 2 * math.pi * series.order / EIGHTH
-    factor = sum(math.perm(p, i) * beta0 ** -(i + 1) for i in range(p + 1))
-    majorant = _tail_majorant(series.lead, series.order, series.stride, bound_constant, 1.0)
-    n, c = series._floats
-    n, c = n[n > 0], c[n > 0]
-    abs_c = np.abs(c)
-    return (n.tobytes(), 2 * n, c, abs_c, 2 * n * abs_c, factor * majorant, 48 * U + 2 * _gamma(len(n)),
-            _TINY * abs_c.sum())
 
 
 @lru_cache(maxsize=1024)
@@ -538,18 +517,6 @@ class QSeries:
             return EvalResult(value=complex(value), tail_bound=float(bound))
         return EvalResult(value=value, tail_bound=bound)
 
-    @cached_property
-    def _ray_cache(self) -> dict:
-        """One-row ``RayPlan``s by (p, bound_constant)."""
-        return {}
-
-    def ray_laplace(self, p: int, y, bound_constant: float) -> EvalResult:
-        """The one-row case of the module function ``ray_laplace``: the
-        transform of this series times t^p, at one y >= 0 or an array of them."""
-        key = (p, bound_constant)
-        plan = self._ray_cache.get(key) or self._ray_cache.setdefault(key, RayPlan(((self, p, bound_constant),)))
-        return plan(y)[0]
-
     # -- persistence -----------------------------------------------------------
 
     def to_doc(self, name: str = "", weight: int | None = None) -> dict:
@@ -588,11 +555,6 @@ class QSeries:
         return f"QSeries({body}{more}; order={self.order}/8)"
 
 
-def ray_laplace(rows, y) -> list[EvalResult]:
-    """``RayPlan(rows)(y)``, for rows evaluated once."""
-    return RayPlan(rows)(y)
-
-
 class RayPlan:
     """sum_{n>0} c(n) int_1^oo t^p e^{-2 pi n t} e^{-pi y t} dt, termwise in closed
     form, for each of fixed rows (series, p, bound_constant), at one y >= 0 or
@@ -604,7 +566,9 @@ class RayPlan:
     1/beta with its powers and e^{-beta} once per block of y for all rows on
     one exponent grid, and e^{-pi y} once per call; each row keeps its own
     sums over its coefficients (numpy scalars at a 0-d y).  The plan holds all
-    that does not depend on y: rows grouped by grid and power, ``_ray_constants``.
+    that does not depend on y: the rows grouped by grid and power, with 2n, c,
+    |c| and 2n|c| over their terms with n > 0, and per row the tail majorant
+    times F(beta0), the summation factor and the subnormal term.
     ``tail_bound`` covers truncation and roundoff as in ``eval_at``: a
     discarded term has beta >= beta0 = 2 pi order, so the tail is at most
     F(beta0) e^{-pi y} times the tail majorant at Im z = 1; the computed beta
@@ -615,13 +579,22 @@ class RayPlan:
     def __init__(self, rows) -> None:
         import numpy as np
 
-        consts = [_ray_constants(*row) for row in rows]
-        grids = {}
-        for i, ((_, p, _), const) in enumerate(zip(rows, consts)):
-            grids.setdefault(const[0], (const[1], {}))[1].setdefault(p, []).append((i, *const[2:5]))
+        grids, consts = {}, []
+        for i, (series, p, bound_constant) in enumerate(rows):
+            if series.order <= 0:
+                raise TruncationError("series truncated at or below q^0")
+            beta0 = 2 * math.pi * series.order / EIGHTH
+            factor = sum(math.perm(p, k) * beta0 ** -(k + 1) for k in range(p + 1))
+            majorant = _tail_majorant(series.lead, series.order, series.stride, bound_constant, 1.0)
+            n, c = series._floats
+            n, c = n[n > 0], c[n > 0]
+            abs_c = np.abs(c)
+            # rows with equal exponent grids share their closed forms
+            grids.setdefault(n.tobytes(), (2 * n, {}))[1].setdefault(p, []).append((i, c, abs_c, 2 * n * abs_c))
+            consts.append((factor * majorant, 48 * U + 2 * _gamma(len(n)), _TINY * abs_c.sum()))
         # per grid: 2n, top power, rows (i, c, |c|, 2n|c|) per power
         self.grids = [(two_n, max(powers), sorted(powers.items())) for two_n, powers in grids.values()]
-        self.tail_factor, self.gamma_factor, self.tiny = (np.array(col)[:, None] for col in list(zip(*consts))[5:])
+        self.tail_factor, self.gamma_factor, self.tiny = (np.array(col)[:, None] for col in zip(*consts))
 
     def __call__(self, y) -> list[EvalResult]:
         import numpy as np

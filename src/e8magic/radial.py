@@ -478,6 +478,12 @@ def _panel_series(form: FormId, cusp: float, dz: complex, nodes: bytes) -> tuple
     return series.value, series.tail_bound
 
 
+@lru_cache(maxsize=None)
+def _ray_plan(form: FormId) -> RayPlan:
+    """The one-row ``RayPlan`` of the contour's vertical ray: F(it) itself, power 0."""
+    return RayPlan(((build_form(form), 0, GROWTH_BOUNDS[form]),))
+
+
 def contour_eval(r: float, which: str = "a") -> RadialValue:
     """Independent oracle: quadrature of the defining four-segment contours.
 
@@ -515,7 +521,7 @@ def contour_eval(r: float, which: str = "a") -> RadialValue:
     mid = segment(0.0, 1j)
     i3, e3, b3 = integral(lambda s: mid(np.maximum(s, 1e-12)))
     # int_i^{i oo} f(z) e^{pi i y z} dz = i int_1^oo f(it) e^{-pi y t} dt
-    ray = build_form(form).ray_laplace(0, y, GROWTH_BOUNDS[form])
+    ray, = _ray_plan(form)(y)
     ray_sign = 1.0 if which == "a" else -1.0
     total = i1 + i2 - 2.0 * i3 + ray_sign * 2.0 * 1j * ray.value
     if which == "b":

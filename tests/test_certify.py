@@ -139,6 +139,8 @@ def test_envelope_domain_checks():
         Envelope("u", 6).enclose(Interval(0.5, 0.9))
     with pytest.raises(ValueError):
         Envelope("t", 0)
+    with pytest.raises(ValueError, match="unknown chart 'x'"):
+        Envelope("x", 6)
 
 
 def _mp_envelope(chart, m, x):

@@ -74,19 +74,60 @@ def test_series_json_round_trip(capsys):
     assert "sha256" in doc
 
 
-def test_series_cache(tmp_path, capsys, monkeypatch):
+def _edit(change):
+    """A damage that loads the cached document, applies change and writes it back."""
+    def damage(path):
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc, sort_keys=True))
+    return damage
+
+
+# ways a cache entry can be damaged; each must be rebuilt, not served or fatal
+_DAMAGES = {
+    "coefficient": _edit(lambda doc: doc["coefficients"][0].__setitem__(1, "999/1")),
+    "no-lead": _edit(lambda doc: doc.pop("lead")),
+    "order-not-a-number": _edit(lambda doc: doc.__setitem__("order", "x")),
+    "lead-and-name": _edit(lambda doc: doc.update(lead=800, name="psi_S")),
+    "name": _edit(lambda doc: doc.__setitem__("name", "psi_S")),
+    "not-a-document": lambda path: path.write_text("[1,2]"),
+    "not-utf8": lambda path: path.write_bytes(b'{"lead": "\xff\xfe\x80"}'),
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:100]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("damage", sorted(_DAMAGES))
+def test_series_cache(tmp_path, capsys, monkeypatch, damage, fmt):
+    """A cached entry is served as built; a damaged one is rebuilt and
+    rewritten, and the output equals a fresh build."""
+    argv = ("series", "--form", "phi_0", "--order", "8", "--format", fmt)
+    monkeypatch.delenv("E8MAGIC_CACHE_DIR", raising=False)
+    fresh = run(capsys, *argv)
+    assert fresh[0] == EXIT_OK
     monkeypatch.setenv("E8MAGIC_CACHE_DIR", str(tmp_path))
-    code, out1, _ = run(capsys, "series", "--form", "phi_0", "--order", "8", "--format", "json")
-    assert code == EXIT_OK
-    cached = list(tmp_path.glob("*.json"))
-    assert len(cached) == 1
-    # corrupt the cache: the command must detect the hash mismatch and rebuild
-    doc = json.loads(cached[0].read_text())
-    doc["coefficients"][0][1] = "999/1"
-    cached[0].write_text(json.dumps(doc))
-    code, out2, _ = run(capsys, "series", "--form", "phi_0", "--order", "8", "--format", "json")
-    assert code == EXIT_OK
-    assert json.loads(out2)["coefficients"] == json.loads(out1)["coefficients"]
+    assert run(capsys, *argv) == fresh
+    cached, = tmp_path.glob("*.json")
+    written = cached.read_bytes()
+    assert run(capsys, *argv) == fresh
+    _DAMAGES[damage](cached)
+    assert cached.read_bytes() != written
+    assert run(capsys, *argv) == fresh
+    assert cached.read_bytes() == written
+
+
+@pytest.mark.parametrize("where", ["under-a-file", "entry-is-a-directory"])
+def test_series_cache_directory_unusable(tmp_path, capsys, monkeypatch, where):
+    """A cache that cannot be created or written exits 2 and names the variable."""
+    if where == "under-a-file":
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("E8MAGIC_CACHE_DIR", str(tmp_path / "file" / "cache"))
+    else:
+        (tmp_path / "phi_0_o8.json").mkdir()
+        monkeypatch.setenv("E8MAGIC_CACHE_DIR", str(tmp_path))
+    code, out, err = run(capsys, "series", "--form", "phi_0", "--order", "8")
+    assert code == EXIT_INVALID_INPUT
+    assert "E8MAGIC_CACHE_DIR" in err and not out
 
 
 def test_series_unknown_form(capsys):

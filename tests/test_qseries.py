@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from e8magic.qseries import EIGHTH, EvalResult, QSeries, TruncationError, _tail_majorant, combine, ray_laplace
+from e8magic.qseries import EIGHTH, EvalResult, QSeries, RayPlan, TruncationError, _tail_majorant, combine
 from e8magic.modforms import GROWTH_BOUNDS, FormId, build_form, eisenstein, eval_form, theta
 
 mpmath.mp.dps = 50
@@ -220,8 +220,8 @@ def test_ray_laplace_rows_match_one_row_calls_bit_for_bit():
 
     y = np.linspace(0.0, 40.0, 9001)
     rows = [(build_form(form), p, GROWTH_BOUNDS[form]) for form in _RAY_FORMS for p in range(4)]
-    for row, got in zip(rows, ray_laplace(rows[::-1], y)[::-1]):
-        alone = row[0].ray_laplace(row[1], y, row[2])
+    for row, got in zip(rows, RayPlan(rows[::-1])(y)[::-1]):
+        alone, = RayPlan((row,))(y)
         assert got.value.tobytes() == alone.value.tobytes()
         assert got.tail_bound.tobytes() == alone.tail_bound.tobytes()
 
@@ -233,7 +233,7 @@ def test_ray_laplace_bound_covers_the_stored_terms(form, p):
     with n > 0 of c(n) Gamma(p + 1, beta) / beta^(p + 1), beta = pi (2n + y)."""
     series = build_form(form)
     ys = [0.0, 0.3, 2.0, 9.5]
-    got = ray_laplace([(series, p, GROWTH_BOUNDS[form])], ys)[0]
+    got, = RayPlan([(series, p, GROWTH_BOUNDS[form])])(ys)
     for y, value, bound in zip(ys, got.value, got.tail_bound):
         ref = mpmath.mpf(0)
         for e, c in series.coeffs.items():
