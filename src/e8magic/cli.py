@@ -350,7 +350,14 @@ def main(argv: list[str] | None = None) -> int:
         # argparse uses 2 for usage errors, which matches EXIT_INVALID_INPUT
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has what it wanted: point stdout at devnull, so that the
+        # flush at exit cannot fail again (the SIGPIPE note in the Python docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -15,9 +15,12 @@ This module is the one place where exact coefficients become floats: each
 series keeps float arrays of its terms, built on first use.  Evaluation at one
 or many points of the upper half-plane (``eval_at``) and the termwise Laplace
 transform along the imaginary axis (``RayPlan``, of several series and
-powers in one pass) return one bound that covers both the discarded tail,
-derived from the coefficient growth bound |c(n)| <= C*e^{4 pi sqrt(n)} with a
-caller-supplied C, and the float roundoff of the sum.
+powers in one pass) return one bound that covers both the discarded tail and
+the float roundoff of the sum.  The tail is bounded by ``_tail_majorant``
+from the coefficient growth bound |c(n)| <= C*e^{4 pi sqrt(n)} with a
+caller-supplied C: its terms are summed in floats and enlarged by an a-priori
+roundoff factor derived in its docstring, so the module needs no interval
+arithmetic and imports nothing from ``rigor``.
 numpy is imported by these numeric entry points, not by the module, so the
 exact kernel loads without it.
 """
@@ -28,12 +31,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .rigor import PI, Interval, enclose_fraction, sqrt_interval
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,8 +54,10 @@ _TINY = 2.0**-1022
 _ETA = 2.0**-1074
 # leading tail terms the majorant bounds one by one before its geometric part
 _MAX_EXPLICIT_TERMS = 100_000
+# the majorant's raise of an exp argument, relative to its size: 8u
+_RAISE = 2.0**-50
 # the height at which eval_at bounds the tail of a series evaluated above it:
-# the tail majorant's interval products 2 pi y n stay finite there
+# the tail majorant's products 2 pi y n stay finite there
 _MAJORANT_Y_MAX = 1e300
 # array elements per block of a pass over y (``_blocks``)
 _BLOCK_ELEMS = 1 << 18
@@ -95,51 +99,66 @@ def _gamma(n: int) -> float:
     return n * U / (1 - n * U)
 
 
-@lru_cache(maxsize=1024)
 def _tail_majorant(lead: int, order: int, stride: int, c: float, y: float) -> float:
     """Rigorous bound on sum C e^{4 pi sqrt(n)} e^{-2 pi n y} over the grid points
-    n >= order of a series with this lead and stride (cached: it depends on
-    no coefficient, and ``eval_at`` asks for it at every call's smallest Im z).
+    n >= order of a series with this lead and stride, summed in floats.
 
-    The majorant splits the tail at the index past which e^{4 pi sqrt(n)} is
-    beaten by e^{pi*y*n}: finitely many leading tail terms are bounded
-    individually in interval arithmetic, the rest by a geometric series
-    with ratio exp(-pi*y*stride/8).
+    The tail splits at n* = max(n0, (4/y)^2 + 1), past which 4 pi sqrt(n) <=
+    pi y n: the N grid points n0 <= n < n* are summed term by term, the rest
+    as the geometric series C e^{-pi y n_N} / (1 - r), r = e^{-pi y s}, from
+    the first grid point n_N >= n*, with s = stride/8.  The grid start and N
+    are integers; n, s and n/8 are exact floats.
+
+    Roundoff (Higham, *Accuracy and Stability*, ch. 3-4; u = 2^-53, eta =
+    2^-1074, gamma_k = k u / (1 - k u)):
+
+    * Arguments.  p = 4 pi sqrt(n) and q = 2 pi n y are each computed with a
+      relative error below gamma_3 (the rounding of pi, the square root and
+      two products), so x = p - q carries an error below gamma_4 (p + q),
+      which exp would turn into a relative error of about (p + q) u.  Each
+      argument is raised by 2^-50 fl(p + q) >= 8u (1 - gamma_4)(p + q) before
+      exp; that covers gamma_4 (p + q) and the rounding of the raise itself,
+      so every argument lies above the exact one and exp, being increasing,
+      gives at least the exact term.  The geometric part's arguments -pi y
+      n_N and -pi y s are raised the same way, by the factor 1 - 2^-50.
+    * exp.  Under the libm assumption ``rigor`` states, exp is within 2 ulp:
+      e^x <= (1 + 5u) fl(e^x) + 3 eta, the eta covering results that fall
+      below 2^-1022, where an ulp is eta.
+    * Ratio and division.  r <= fl(e^x) (1 + 5u) + 3 eta < fl(e^x) + 2^-50 =
+      r_hi after its own rounding; then 1 - r >= fl(1 - r_hi) / (1 + u) =: d
+      / (1 + u), and the quotient first / d adds a factor 1 + u and eta / 2.
+    * The sum of the N + 1 nonnegative parts in order has a relative error
+      below gamma_N (sums are exact when they underflow); N <= 10^5 gives
+      gamma_N < 1.12e-11.
+
+    Together the exact tail is below C S (1 + 8u + gamma_N) / (1 - u)^2 +
+    C eta (3N + 4/d + 1) for the computed sum S.  The factor 1 + 2^-36 >=
+    1 + 1.45e-11 covers the first term with the roundings of C S times it and
+    of the final sum, and the floor (C + 1)(4N + 4/d + 4) eta, itself rounded,
+    covers the second, so a positive tail never comes back as 0.  A tail that
+    needs more than ``_MAX_EXPLICIT_TERMS`` explicit terms, or whose r_hi
+    reaches 1, raises TruncationError.
     """
-    # tail starts at the first grid point >= order
-    step = Fraction(stride, EIGHTH)
-    n0 = Fraction(order, EIGHTH)
-    k0 = math.ceil((n0 - Fraction(lead, EIGHTH)) / step)
-    n0 = Fraction(lead, EIGHTH) + k0 * step
-    # geometric regime begins once 4 pi sqrt(n) <= pi*y*n  <=>  n >= (4/y)^2
-    n_star = Fraction(max(float(n0), (4 / y) ** 2 + 1))
-    n_explicit = math.ceil((n_star - n0) / step)
-    if n_explicit > _MAX_EXPLICIT_TERMS:
-        hint = math.ceil(float(n_star)) * EIGHTH
+    e0 = lead - (lead - order) // stride * stride  # first grid point >= order, in 1/8 units
+    n_star = max(e0 / EIGHTH, (4 / y) ** 2 + 1)
+    if n_star * EIGHTH > e0 + _MAX_EXPLICIT_TERMS * stride:
+        hint = math.ceil(n_star) * EIGHTH
         raise TruncationError(
             "tail majorant needs too many explicit terms at this point; "
             f"rebuild the series to order >= {hint} grid units (q^{hint // 8})"
         )
-    c_iv = Interval.point(c)
-    four_pi = 4 * PI  # encloses 4 pi; the float 4 * math.pi lies below it
-    y_iv = Interval.point(y)
-    two_pi_y = 2 * PI * y_iv
-    tail = Interval.point(0.0)
-    n = n0
-    for _ in range(n_explicit):
-        n_iv = enclose_fraction(n)
-        term = c_iv * (four_pi * sqrt_interval(n_iv) - two_pi_y * n_iv).exp()
-        tail = tail + term
-        n += step
-    # geometric remainder from n onward: each term <= C e^{-pi y n},
-    # ratio exp(-pi*y*step)
-    n_iv = enclose_fraction(n)
-    step_iv = enclose_fraction(step)
-    ratio = (-PI * y_iv * step_iv).exp()
-    if ratio.hi >= 1.0:
+    explicit = (math.ceil(n_star * EIGHTH) - e0 + stride - 1) // stride
+    total = 0.0
+    for e in range(e0, e0 + explicit * stride, stride):
+        n = e / EIGHTH
+        p, q = 4 * math.pi * math.sqrt(n), 2 * math.pi * n * y
+        total += math.exp(p - q + _RAISE * (p + q))
+    ratio = math.exp(-math.pi * y * (stride / EIGHTH) * (1 - _RAISE)) + _RAISE
+    if ratio >= 1.0:
         raise TruncationError("geometric tail ratio >= 1; Im z too small")
-    first = c_iv * (-PI * y_iv * n_iv).exp()
-    return (tail + first / (1 - ratio)).hi
+    d = 1.0 - ratio
+    total += math.exp(-math.pi * y * ((e0 + explicit * stride) / EIGHTH) * (1 - _RAISE)) / d
+    return total * (1 + 2.0**-36) * c + (c + 1) * (4 * explicit + 4 / d + 4) * _ETA
 
 
 def _bias(width: int, n: int) -> int:
@@ -565,8 +584,10 @@ class RayPlan:
     e^{-beta} sum_{i<=p} (p!/(p-i)!) beta^{-(i+1)} read beta = pi (2n + y),
     1/beta with its powers and e^{-beta} once per block of y for all rows on
     one exponent grid, and e^{-pi y} once per call; each row keeps its own
-    sums over its coefficients (numpy scalars at a 0-d y).  The plan holds all
-    that does not depend on y: the rows grouped by grid and power, with 2n, c,
+    sums over its coefficients (``ndarray.dot``, which is cheaper than ``@``
+    on a short vector).  At a 0-d y the bound is formed on Python floats, by
+    the same operations in the same order as on an array, and each value and
+    bound is a Python float.  The plan holds all that does not depend on y: the rows grouped by grid and power, with 2n, c,
     |c| and 2n|c| over their terms with n > 0, and per row the tail majorant
     times F(beta0), the summation factor and the subnormal term.
     ``tail_bound`` covers truncation and roundoff as in ``eval_at``: a
@@ -594,7 +615,9 @@ class RayPlan:
             consts.append((factor * majorant, 48 * U + 2 * _gamma(len(n)), _TINY * abs_c.sum()))
         # per grid: 2n, top power, rows (i, c, |c|, 2n|c|) per power
         self.grids = [(two_n, max(powers), sorted(powers.items())) for two_n, powers in grids.values()]
-        self.tail_factor, self.gamma_factor, self.tiny = (np.array(col)[:, None] for col in zip(*consts))
+        # per row (tail factor, summation factor, subnormal term), and the same as columns
+        self.consts = consts
+        self.columns = tuple(np.array(col)[:, None] for col in zip(*consts))
 
     def __call__(self, y) -> list[EvalResult]:
         import numpy as np
@@ -602,7 +625,7 @@ class RayPlan:
         y = np.asarray(y, dtype=float)[()]
         if np.count_nonzero(y >= 0) < y.size:
             raise ValueError("ray Laplace transform needs y >= 0")
-        value, mc, m2 = (np.empty((len(self.tiny), y.size)) for _ in range(3))
+        value, mc, m2 = (np.empty((len(self.consts), y.size)) for _ in range(3))
         for two_n, top, powers in self.grids:
             for cols, yb in _blocks(y, len(two_n)):
                 beta = math.pi * (two_n + yb)
@@ -614,16 +637,22 @@ class RayPlan:
                     acc, fact = inv[0], 1.0
                     for k in range(1, p + 1):
                         fact *= p - k + 1
-                        acc = acc + fact * inv[k]
+                        acc = acc + (inv[k] if fact == 1 else fact * inv[k])  # 1 * x is x
                     m = decay * acc
                     for i, c, abs_c, two_n_abs_c in members:
-                        value[i, cols] = m @ c
-                        mc[i, cols] = m @ abs_c
-                        m2[i, cols] = m @ two_n_abs_c
+                        value[i, cols] = m.dot(c)
+                        mc[i, cols] = m.dot(abs_c)
+                        m2[i, cols] = m.dot(two_n_abs_c)
+        if y.ndim == 0:  # one radius: the bound below on Python floats, term by term
+            flat, decay = float(y), float(np.exp(-math.pi * y))
+            return [
+                EvalResult(value=v, tail_bound=t * decay + (g * b + 6 * math.pi * U * (d + flat * b)) + tiny)
+                for v, b, d, (t, g, tiny) in zip(value[:, 0].tolist(), mc[:, 0].tolist(), m2[:, 0].tolist(), self.consts)
+            ]
         flat = y.reshape(-1)
-        tail = self.tail_factor * np.exp(-math.pi * flat)
-        bound = tail + (self.gamma_factor * mc + 6 * math.pi * U * (m2 + flat * mc)) + self.tiny
-        rows = (-1, *y.shape)  # a row per series, y's axes trailing: numpy scalars at a 0-d y
+        tail_factor, gamma_factor, tiny = self.columns
+        bound = tail_factor * np.exp(-math.pi * flat) + (gamma_factor * mc + 6 * math.pi * U * (m2 + flat * mc)) + tiny
+        rows = (-1, *y.shape)  # a row per series, y's axes trailing
         return [EvalResult(value=v, tail_bound=b) for v, b in zip(value.reshape(rows), bound.reshape(rows))]
 
 

@@ -22,13 +22,17 @@ provided: ``contour_eval`` integrates the defining contours directly, and
 numerical Hankel transform of order 3.
 
 One pass over y = r^2 evaluates every function an evaluator needs (a and b
-for g), each y-dependent array operation once, by a plan compiled on the first
-call (``_layout``): the prefactor quotients are stacked per power and the
-principal moments per degree, each term reads its row by index with its
-coefficient folded in, and the far range is one ``qseries.RayPlan`` over all
-its rows (series, power), where phi_0, phi_-2 and phi_-4 share one exponent
-grid and so one set of closed forms, and d/dy rides along as the next power.
-A single radius runs this code on numpy scalars: y's axes trail each row.
+for g), each y-dependent operation once, by a plan compiled on the first call
+(``_layout``): one prefactor quotient row per (center, power) and one
+principal moment row per (degree, center), each of y's shape, each term
+reading its row by index with its coefficient folded in, and the far range is
+one ``qseries.RayPlan`` over all its rows (series, power), where phi_0,
+phi_-2 and phi_-4 share one exponent grid and so one set of closed forms, and
+d/dy rides along as the next power.  A single radius runs this code on numpy
+scalars, so every quotient and moment is a scalar operation.  The pass runs
+under one ``np.errstate``: overflowing powers saturate to 0, and a NaN
+raises ArithmeticError (``_g``); ``_radius_sq`` refuses a radius whose pi*y
+overflows.
 
 Every series value comes from ``QSeries.eval_at`` (the near range and the
 contour segments, one array of nodes per panel; the contour keeps its panels'
@@ -167,18 +171,19 @@ def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, fl
 
 def _closed_moment(p: int, b: np.ndarray) -> np.ndarray:
     """int_0^1 t^p e^{-b t} dt in closed form, for |b| >= 1/2.  Where b^(p+1)
-    passes the double range the moment, below p!/b^(p+1), saturates to 0."""
+    passes the double range (``_g`` lets powers overflow) the moment, below
+    p!/b^(p+1), saturates to 0.  The polynomial times e^{-b} reads b capped at
+    1e100: past b = 746 e^{-b} is 0, so the cap changes no product, and
+    keeps it from being 0 * inf."""
     if p == 0:
         return -np.expm1(-b) / b
     eb = np.exp(-b)
-    with np.errstate(over="ignore", invalid="ignore"):  # e^{-b} = 0 times an infinite power is nan
-        if p == 1:
-            out = (1.0 - eb * (1.0 + b)) / b**2
-        elif p == 2:
-            out = (2.0 - eb * (b**2 + 2 * b + 2)) / b**3
-        else:
-            out = (6.0 - eb * (b**3 + 3 * b**2 + 6 * b + 6)) / b**4
-    return np.where(np.isnan(out), 0.0, out)
+    if p == 1:
+        return (1.0 - eb * (1.0 + b)) / np.square(b)
+    c = np.minimum(b, 1e100)
+    if p == 2:
+        return (2.0 - eb * (np.square(c) + 2 * c + 2)) / np.power(b, 3)
+    return (6.0 - eb * (np.power(c, 3) + 3 * np.square(c) + 6 * c + 6)) / np.power(b, 4)
 
 
 def _taylor_terms(p: int) -> int:
@@ -198,21 +203,25 @@ _TAYLOR_TERMS = tuple(_taylor_terms(p) for p in range(4))
 
 def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
     """int_0^1 t^p e^{-beta t} dt, stable for beta of either sign and near zero:
-    the closed form where |beta| >= 1/2, a Taylor series below."""
+    the closed form where |beta| >= 1/2, a Taylor series below.  A beta that
+    lies wholly on one side (a numpy scalar always does) takes its branch
+    whole; only a mixed grid is split by a mask."""
     if not 0 <= p <= 3:
         raise ValueError("moment degree must be <= 3")
     small = np.abs(beta) < 0.5
-    if not np.count_nonzero(small):  # the cheapest emptiness test for a short array
+    count = np.count_nonzero(small)  # the cheapest emptiness test for a short array
+    if not count:
         return _closed_moment(p, beta)
-    out = np.empty_like(beta)
-    out[~small] = _closed_moment(p, beta[~small])
     # Taylor branch: sum_k (-beta)^k / (k! (k + p + 1))
-    b = beta[small]
-    taylor = np.zeros_like(b)
-    term = np.ones_like(b)
+    b = beta if count == small.size else beta[small]
+    taylor, term = 0.0, 1.0
     for k in range(_TAYLOR_TERMS[p]):
         taylor = taylor + term / (k + p + 1)
         term = term * (-b) / (k + 1)
+    if b is beta:
+        return taylor
+    out = np.empty_like(beta)
+    out[~small] = _closed_moment(p, beta[~small])
     out[small] = taylor
     return out
 
@@ -266,38 +275,43 @@ def _sines(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _quotient(x: np.ndarray, s2: np.ndarray, s2_prime: np.ndarray, power: int, deriv: bool) -> np.ndarray:
     """sin^2(pi y/2) / x^power, or its d/dy, from the sines at y and x = y - center.
-    Where a power of x passes the double range the quotient, below
-    |x|^-power, saturates to 0."""
-    with np.errstate(over="ignore"):
-        if deriv:
-            return s2_prime / x**power - power * s2 / x ** (power + 1)
-        return s2 / x**power
+    Where a power of x passes the double range (``_g`` lets powers overflow)
+    the quotient, below |x|^-power, saturates to 0."""
+    if deriv:
+        return s2_prime / np.power(x, power) - power * s2 / np.power(x, power + 1)
+    return s2 / np.power(x, power)
 
 
-def _ratio(y: np.ndarray, sines, center: np.ndarray, power: int, deriv: bool) -> np.ndarray:
+def _ratio(y: np.ndarray, sines, center: float, power: int, deriv: bool) -> np.ndarray:
     """Stable sin^2(pi y/2) / (y - center)^power (center in {0, 2}), or its d/dy,
-    given ``sines`` = ``_sines(y)``; one row per entry of the column ``center``.
+    given ``sines`` = ``_sines(y)``.
 
     Away from the singularity the direct quotient is used; inside the band the
     power series of sin^2(pi x/2) in x = y - center takes over (the reduction
     makes x the distance to the nearest even integer, which equals y - center
-    exactly when y is near center).
+    exactly when y is near center).  A y that lies wholly on one side (a
+    numpy scalar always does) takes its branch whole; only a mixed grid is
+    split by a mask.  Powers are ``np.power``, which rounds a numpy scalar as
+    it rounds an array (a numpy scalar's ``**`` need not).
     """
     x = y - center
     near = np.abs(x) < _SING_BAND
-    if not np.count_nonzero(near):
+    count = np.count_nonzero(near)
+    if not count:
         return _quotient(x, *sines, power, deriv)
-    out = np.empty_like(x)
-    far = ~near
-    out[far] = _quotient(x[far], *(np.broadcast_to(s, x.shape)[far] for s in sines), power, deriv)
-    xs = x[near]
-    acc = np.zeros_like(xs)
+    xs = x if count == near.size else x[near]
+    acc = 0.0
     for k, s_k in enumerate(_S2_COEFFS, start=1):
         e = 2 * k - power
         if deriv:
-            acc += s_k * e * xs ** (e - 1) if e != 0 else 0.0
+            acc = acc + (s_k * e * np.power(xs, e - 1) if e != 0 else 0.0)
         else:
-            acc += s_k * xs**e
+            acc = acc + s_k * np.power(xs, e)
+    if xs is x:
+        return acc
+    out = np.empty_like(x)
+    far = ~near
+    out[far] = _quotient(x[far], *(s[far] for s in sines), power, deriv)
     out[near] = acc
     return out
 
@@ -312,23 +326,23 @@ _FUNCTIONS = {"a": ("a",), "b": ("b",), "g": ("a", "b"), "ghat": ("a", "b")}
 @lru_cache(maxsize=None)
 def _layout(names: tuple[str, ...], deriv: bool) -> tuple:
     """The y-independent plan of one pass over y for the functions ``names``:
-    (power, centers) of the prefactor quotients and (degree, centers) of the
-    principal moments of degree p + d, their rows numbered in this order; the
-    ``RayPlan`` of the far-range rows (series, power, C); and per function its
-    near quadrature, its prefactors (coefficient, quotient row), and per d its
-    principal terms (coefficient (-pi)^d, moment row), far-range parts
-    (coefficient, ray row) and near-range bound times pi^d."""
+    the rows (center, power) of the prefactor quotients and (degree, m) of the
+    principal moments of degree p + d, one per pair that any term reads, so
+    that at one radius each row is a numpy scalar; the ``RayPlan`` of the
+    far-range rows (series, power, C); and per function its near quadrature,
+    its prefactors (coefficient, quotient row), and per d its principal terms
+    (coefficient (-pi)^d, moment row), far-range parts (coefficient, ray row)
+    and near-range bound times pi^d."""
     orders = (0, 1) if deriv else (0,)
-    by_power, by_degree = {}, {}
+    quotient_rows, moment_rows = {}, {}
     for name in names:
         principal, prefactors = _principal_part(name)
         for _, center, power in prefactors:
-            by_power.setdefault(power, {})[center] = None
+            quotient_rows[center, power] = None
         for _, p, m in principal:
             for d in orders:
-                by_degree.setdefault(p + d, {})[m] = None
-    quotient_rows = [(center, power) for power, cs in by_power.items() for center in cs]
-    moment_rows = [(degree, m) for degree, ms in by_degree.items() for m in ms]
+                moment_rows[p + d, m] = None
+    quotient_rows, moment_rows = list(quotient_rows), list(moment_rows)
     rays, functions = [], []
     for name in names:
         principal, prefactors = _principal_part(name)
@@ -343,12 +357,7 @@ def _layout(names: tuple[str, ...], deriv: bool) -> tuple:
             integrals.append((terms, tuple(far), near_err * _PI**d))
         terms = tuple((c, quotient_rows.index((center, power))) for c, center, power in prefactors)
         functions.append((tuple(near), terms, tuple(integrals)))
-    return (
-        tuple((power, np.array(list(cs))) for power, cs in by_power.items()),
-        tuple((degree, np.array(list(ms))) for degree, ms in by_degree.items()),
-        RayPlan(rays),
-        tuple(functions),
-    )
+    return tuple(quotient_rows), tuple(moment_rows), RayPlan(rays), tuple(functions)
 
 
 def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -361,24 +370,26 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     for every y >= 0: the kernel is at most 1, its d/dy at most pi); the
     subtracted elementary terms (which do not decay in u) use closed-form
     moments, and the far range comes from ``RayPlan``.  One pass, laid out by
-    ``_layout``, serves every function ``which`` needs: the prefactor
-    quotients are stacked per power, the moments per degree and the far range
-    per exponent grid, with d/dy of the integral alongside it.
+    ``_layout``, serves every function ``which`` needs: one quotient row per
+    (center, power) and one moment row per (degree, center), each of y's
+    shape (a numpy scalar at one radius), and the far range per exponent
+    grid, with d/dy of the integral alongside it.
 
-    A kernel argument that overflows a double (pi*y in the Laplace kernels)
-    raises ArithmeticError where it happens, instead of running on with inf
-    and NaN; a power of y in the prefactors saturates its quotient instead.
+    The pass runs under one ``np.errstate``.  Overflow is let through, so a
+    power of y saturates its quotient or moment to 0; an invalid operation
+    (a NaN) raises ArithmeticError where it happens, instead of running on.
+    A radius whose kernel argument pi*y overflows never gets here:
+    ``_radius_sq`` refuses it with ArithmeticError.
     """
     if which not in _FUNCTIONS:
         raise ValueError("which must be one of 'a', 'b', 'g', 'ghat'")
     quotients, moments, far_plan, functions = _layout(_FUNCTIONS[which], deriv)
     sines = s2, s2_prime = _sines(y)
-    col = (-1,) + (1,) * y.ndim  # one row per center, y's axes trailing
     parts = []
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            quotient = [row for power, cs in quotients for row in _ratio(y, sines, cs.reshape(col), power, deriv)]
-            moment = [row for degree, cs in moments for row in _unit_moment(degree, _PI * (y + cs.reshape(col)))]
+        with np.errstate(over="ignore", invalid="raise"):
+            quotient = [_ratio(y, sines, center, power, deriv) for center, power in quotients]
+            moment = [_unit_moment(degree, _PI * (y + m)) for degree, m in moments]
             ray_parts = far_plan(y)
             for (inv_u, d_scale, w), prefactors, integrals in functions:
                 near = np.empty((len(integrals), y.size))

@@ -4,8 +4,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -133,6 +137,34 @@ def test_series_cache_directory_unusable(tmp_path, capsys, monkeypatch, where):
 def test_series_unknown_form(capsys):
     code, _, _ = run(capsys, "series", "--form", "nope")
     assert code == EXIT_INVALID_INPUT
+
+
+def test_output_into_a_closed_pipe_ends_quietly(tmp_path):
+    """A reader that closes the pipe after the first line, as `| head -1`
+    does, ends the command with exit 0 and no traceback.  The pipe holds one
+    page, so the command is still writing when the reader closes it."""
+    import fcntl
+
+    read_end, write_end = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")])))
+    env.pop("E8MAGIC_CACHE_DIR", None)
+    argv = ["series", "--form", "phi_0", "--order", "200", "--format", "text"]  # 12 kB of text
+    proc = subprocess.Popen([sys.executable, "-m", "e8magic.cli", *argv], stdout=write_end,
+                            stderr=subprocess.PIPE, cwd=tmp_path, env=env, text=True)
+    os.close(write_end)
+    line = b""
+    while not line.endswith(b"\n"):
+        byte = os.read(read_end, 1)
+        assert byte, line
+        line += byte
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert line.startswith(b"# phi_0")
+    assert proc.returncode == EXIT_OK, err
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_certify_writes_certificate(tmp_path, capsys):

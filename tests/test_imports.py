@@ -83,6 +83,20 @@ def test_bare_import_loads_no_numpy(tmp_path):
     assert loaded == {"e8magic.rigor", "e8magic.qseries", "e8magic.modforms", "e8magic.certify"}
 
 
+def test_qseries_loads_no_rigor(tmp_path):
+    """The series layer bounds its tails in floats: importing it alone (the
+    package's own ``__init__`` imports every exact layer, so the probe stands
+    in a bare package for it) loads no ``e8magic.rigor``."""
+    body = (
+        "import types\n"
+        f"package = types.ModuleType('e8magic'); package.__path__ = [{str(SRC / 'e8magic')!r}]\n"
+        "sys.modules['e8magic'] = package\n"
+        "import e8magic.qseries\n"
+    )
+    _, loaded = _fresh(tmp_path, body)
+    assert loaded == {"e8magic.qseries"}
+
+
 def test_importing_radial_computes_no_quadrature_rule(tmp_path):
     """The Gauss-Legendre rule (an eigenvalue solve) waits for the first
     quadrature, which computes it once."""

@@ -2,18 +2,30 @@
 
 import cmath
 import hashlib
+import itertools
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from e8magic.qseries import EIGHTH, EvalResult, QSeries, RayPlan, TruncationError, _tail_majorant, combine
+from e8magic.qseries import (
+    _MAJORANT_Y_MAX,
+    EIGHTH,
+    EvalResult,
+    QSeries,
+    RayPlan,
+    TruncationError,
+    _tail_majorant,
+    combine,
+)
 from e8magic.modforms import GROWTH_BOUNDS, FormId, build_form, eisenstein, eval_form, theta
 
 mpmath.mp.dps = 50
@@ -168,6 +180,67 @@ def test_tail_majorant_bounds_the_tail_sum(lead, order, stride, c, y):
             n += step
         exact = mpmath.fsum(terms)
         assert exact <= majorant <= 1.5 * exact, (majorant, exact)
+
+
+
+@lru_cache(maxsize=None)
+def _mp_growth(e):
+    """e^{4 pi sqrt(n)} at n = e/8, to 60 digits."""
+    with mpmath.workdps(60):
+        return mpmath.exp(4 * mpmath.pi * mpmath.sqrt(mpmath.mpf(e) / EIGHTH))
+
+
+def _mp_tail_above(lead, order, stride, y):
+    """An upper end, within 1e-30 of it, of the 60-digit sum of e^{4 pi sqrt(n)
+    - 2 pi n y} over the tail grid: every n >= order / 8 on lead / 8 + stride / 8 Z.
+    The sum runs term by term until a term is below 1e-32 of it and the terms
+    decrease (looked at every 8th term); the rest from n on is at most its first term over
+    1 - e^{(2 pi / sqrt(n) - 2 pi y) s}, since sqrt(n + k s) <= sqrt(n) + k s / (2 sqrt(n))."""
+    with mpmath.workdps(60):
+        e = lead
+        while e < order:
+            e += stride
+        s, two_pi_y = mpmath.mpf(stride) / EIGHTH, 2 * mpmath.pi * mpmath.mpf(y)
+        decay, step = mpmath.exp(-two_pi_y * e / EIGHTH), mpmath.exp(-two_pi_y * s)
+        total, cut = mpmath.mpf(0), mpmath.mpf(10) ** -32
+        for k in itertools.count():
+            term = _mp_growth(e) * decay
+            if k % 8 == 7 and term <= total * cut:
+                slope = (2 * mpmath.pi / mpmath.sqrt(mpmath.mpf(e) / EIGHTH) - two_pi_y) * s
+                if slope < 0:
+                    return total + term / (1 - mpmath.exp(slope))
+            total += term
+            e += stride
+            decay *= step
+
+
+def test_tail_majorant_bounds_seeded_tails_at_60_digits():
+    """Over 10^4 seeded (lead, order, stride, c, y) draws the float majorant is at
+    least the 60-digit tail sum.  A quarter of the draws take y within 1e-3 of 4/sqrt(n0),
+    where the explicit terms end and the geometric rest starts at the grid
+    start n0; y = _MAJORANT_Y_MAX, 1 ulp below 4/sqrt(n0) and 1 ulp above it
+    are drawn too."""
+    rng = np.random.default_rng(2026)
+    wrong = []
+    for i in range(10_000):
+        stride = int(rng.choice([1, 2, 4, 8]))
+        lead = int(rng.integers(-8, 9))
+        order = int(rng.integers(max(lead, 0) + 1, 600))
+        c = float(rng.uniform(0.25, 4.0))
+        n0 = (lead + -(-(order - lead) // stride) * stride) / EIGHTH
+        edge = 4 / math.sqrt(n0)
+        y = [
+            float(rng.uniform(0.4, 3.0)),
+            edge * float(rng.uniform(1 - 1e-3, 1 + 1e-3)),
+            float(10 ** rng.uniform(0.5, 3.0)),
+            [_MAJORANT_Y_MAX, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), 0.5][i // 4 % 4],
+        ][i % 4]
+        majorant = _tail_majorant(lead, order, stride, c, y)
+        with mpmath.workdps(60):
+            exact = c * _mp_tail_above(lead, order, stride, y)
+            if not exact <= majorant:
+                wrong.append((lead, order, stride, c, y, majorant, exact))
+    assert not wrong, wrong[:5]
 
 
 def _parts(draw_float):

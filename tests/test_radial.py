@@ -13,6 +13,8 @@ import pytest
 from e8magic import qseries, radial
 from e8magic.radial import (
     _adaptive_gl,
+    _ratio,
+    _sines,
     _unit_moment,
     contour_eval,
     eval_a,
@@ -23,6 +25,7 @@ from e8magic.radial import (
 )
 
 SQRT2 = math.sqrt(2.0)
+_SING = radial._SING_BAND
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +320,26 @@ def test_warm_evaluations_reuse_the_rule_and_the_ray_constants(monkeypatch):
     assert calls["rule"] == calls["plan"] == 0
 
 
+
+@pytest.mark.parametrize("deriv", [False, True])
+def test_a_warm_pass_enters_one_errstate(monkeypatch, deriv):
+    """One warm eval_g or eval_g_deriv sets numpy's error state once, for its
+    whole pass, not once per quotient, moment and pass."""
+    evaluate = eval_g_deriv if deriv else eval_g
+    evaluate(1.3)
+    calls = []
+    errstate = np.errstate
+
+    def counting(**kwargs):
+        calls.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counting)
+    for r in (0.1, 1.3, SQRT2 + 1e-4, 5.0):
+        calls.clear()
+        evaluate(r)
+        assert len(calls) == 1, (r, calls)
+
 # the five scalar evaluators with each of their functions: (evaluator, which)
 SCALAR_CALLS = [
     (eval_a, ()), (eval_b, ()), (eval_g, ("g",)), (eval_g, ("ghat",)), (eval_g_deriv, ("g",)),
@@ -421,6 +444,39 @@ def test_unit_moment_taylor_branch_keeps_the_bits_of_26_terms():
             term = term * (-beta) / (k + 1)
         assert np.array_equal(_unit_moment(p, beta), taylor), p
 
+
+
+def test_unit_moment_on_a_numpy_scalar_keeps_the_bits_of_the_masked_grid():
+    """A numpy scalar beta takes its branch whole; a grid that straddles
+    |beta| = 1/2 is split by a mask.  Both give the same bits at 20,000 beta
+    per degree, 1/2 and 1 ulp either side of it included."""
+    rng = np.random.default_rng(29)
+    half = [math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)]
+    beta = np.concatenate((rng.uniform(-1.0, 1.0, 20000 - 6), half, [-b for b in half]))
+    for p in range(4):
+        grid = _unit_moment(p, beta)
+        scalar = np.array([_unit_moment(p, b) for b in beta])
+        assert grid.tobytes() == scalar.tobytes(), p
+
+
+@pytest.mark.parametrize("center", [0.0, 2.0])
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("deriv", [False, True])
+def test_ratio_band_branch_keeps_its_bits_whole_and_masked(center, power, deriv):
+    """The series branch of ``_ratio`` gives the same bits on a grid wholly in
+    the band, on a mixed grid split by a mask and on each point as a numpy
+    scalar, with |y - center| = 1e-3 and 1 ulp either side of it in the grid."""
+    rng = np.random.default_rng(31)
+    edge = [math.nextafter(_SING, 0.0), _SING, math.nextafter(_SING, 1.0)]
+    x = np.concatenate((rng.uniform(-2e-3, 2e-3, 2000), edge, [-e for e in edge]))
+    y = np.abs(center + x)  # y >= 0; at center 0 the band is 0 <= y < 1e-3
+    mixed = _ratio(y, _sines(y), center, power, deriv)
+    inside = np.abs(y - center) < _SING
+    assert 0 < np.count_nonzero(inside) < y.size
+    whole = _ratio(y[inside], _sines(y[inside]), center, power, deriv)
+    scalar = np.array([_ratio(v, _sines(v), center, power, deriv) for v in y])
+    assert mixed[inside].tobytes() == whole.tobytes()
+    assert mixed.tobytes() == scalar.tobytes()
 
 def test_unit_moment_matches_quadrature_on_both_branches():
     """int_0^1 t^p e^{-beta t} dt from one array whose beta straddle +-1/2, so
