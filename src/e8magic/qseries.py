@@ -623,7 +623,7 @@ class RayPlan:
         import numpy as np
 
         y = np.asarray(y, dtype=float)[()]
-        if np.count_nonzero(y >= 0) < y.size:
+        if _count(y >= 0) < y.size:
             raise ValueError("ray Laplace transform needs y >= 0")
         value, mc, m2 = (np.empty((len(self.consts), y.size)) for _ in range(3))
         for two_n, top, powers in self.grids:
@@ -654,6 +654,14 @@ class RayPlan:
         bound = tail_factor * np.exp(-math.pi * flat) + (gamma_factor * mc + 6 * math.pi * U * (m2 + flat * mc)) + tiny
         rows = (-1, *y.shape)  # a row per series, y's axes trailing
         return [EvalResult(value=v, tail_bound=b) for v, b in zip(value.reshape(rows), bound.reshape(rows))]
+
+
+def _count(mask) -> int:
+    """np.count_nonzero(mask), the cheapest emptiness test for a short array,
+    without its conversion of a numpy scalar (a 0-d mask) to an array."""
+    import numpy as np
+
+    return int(mask) if mask.ndim == 0 else np.count_nonzero(mask)
 
 
 def _blocks(y, width: int) -> list:

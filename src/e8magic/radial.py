@@ -55,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_terms, eval_form, principal_part, special_values
-from .qseries import RayPlan, _blocks, combine
+from .qseries import RayPlan, _blocks, _count, combine
 
 __all__ = [
     "RadialValue",
@@ -208,8 +208,8 @@ def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
     whole; only a mixed grid is split by a mask."""
     if not 0 <= p <= 3:
         raise ValueError("moment degree must be <= 3")
-    small = np.abs(beta) < 0.5
-    count = np.count_nonzero(small)  # the cheapest emptiness test for a short array
+    small = abs(beta) < 0.5
+    count = _count(small)
     if not count:
         return _closed_moment(p, beta)
     # Taylor branch: sum_k (-beta)^k / (k! (k + p + 1))
@@ -273,13 +273,19 @@ def _sines(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.square(np.sin(0.5 * _PI * x)), 0.5 * _PI * np.sin(_PI * x)
 
 
+def _power(x: np.ndarray, k: int) -> np.ndarray:
+    """x^k as an array's ``**`` rounds it (x itself for k = 1, ``np.square`` for
+    k = 2, else ``np.power``), also for a numpy scalar, whose ``**`` need not."""
+    return x if k == 1 else np.square(x) if k == 2 else np.power(x, k)
+
+
 def _quotient(x: np.ndarray, s2: np.ndarray, s2_prime: np.ndarray, power: int, deriv: bool) -> np.ndarray:
     """sin^2(pi y/2) / x^power, or its d/dy, from the sines at y and x = y - center.
     Where a power of x passes the double range (``_g`` lets powers overflow)
     the quotient, below |x|^-power, saturates to 0."""
     if deriv:
-        return s2_prime / np.power(x, power) - power * s2 / np.power(x, power + 1)
-    return s2 / np.power(x, power)
+        return s2_prime / _power(x, power) - power * s2 / _power(x, power + 1)
+    return s2 / _power(x, power)
 
 
 def _ratio(y: np.ndarray, sines, center: float, power: int, deriv: bool) -> np.ndarray:
@@ -291,12 +297,11 @@ def _ratio(y: np.ndarray, sines, center: float, power: int, deriv: bool) -> np.n
     makes x the distance to the nearest even integer, which equals y - center
     exactly when y is near center).  A y that lies wholly on one side (a
     numpy scalar always does) takes its branch whole; only a mixed grid is
-    split by a mask.  Powers are ``np.power``, which rounds a numpy scalar as
-    it rounds an array (a numpy scalar's ``**`` need not).
+    split by a mask.
     """
     x = y - center
-    near = np.abs(x) < _SING_BAND
-    count = np.count_nonzero(near)
+    near = abs(x) < _SING_BAND
+    count = _count(near)
     if not count:
         return _quotient(x, *sines, power, deriv)
     xs = x if count == near.size else x[near]
@@ -304,9 +309,9 @@ def _ratio(y: np.ndarray, sines, center: float, power: int, deriv: bool) -> np.n
     for k, s_k in enumerate(_S2_COEFFS, start=1):
         e = 2 * k - power
         if deriv:
-            acc = acc + (s_k * e * np.power(xs, e - 1) if e != 0 else 0.0)
+            acc = acc + (s_k * e * _power(xs, e - 1) if e != 0 else 0.0)
         else:
-            acc = acc + s_k * np.power(xs, e)
+            acc = acc + s_k * _power(xs, e)
     if xs is x:
         return acc
     out = np.empty_like(x)
@@ -395,9 +400,9 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
                 near = np.empty((len(integrals), y.size))
                 for cols, yb in _blocks(y, len(w)):
                     kernel = np.exp(-_PI * (yb * inv_u))
-                    near[0, cols] = kernel @ w
+                    near[0, cols] = kernel.dot(w)
                     if deriv:
-                        near[1, cols] = (kernel * d_scale) @ w
+                        near[1, cols] = (kernel * d_scale).dot(w)
                 integral = []
                 for total, (principal, far, near_err) in zip(near.reshape(-1, *y.shape), integrals):
                     for c, i in principal:
