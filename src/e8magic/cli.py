@@ -353,9 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
         return code
-    except BrokenPipeError:
-        # the reader has what it wanted: point stdout at devnull, so that the
-        # flush at exit cannot fail again (the SIGPIPE note in the Python docs)
+    except BrokenPipeError:  # stdout to devnull, so the flush at exit fails no more (Python docs, SIGPIPE)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     except CliError as exc:

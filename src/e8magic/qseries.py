@@ -36,7 +36,6 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-
 if TYPE_CHECKING:
     import numpy as np
 
@@ -584,12 +583,11 @@ class RayPlan:
     e^{-beta} sum_{i<=p} (p!/(p-i)!) beta^{-(i+1)} read beta = pi (2n + y),
     1/beta with its powers and e^{-beta} once per block of y for all rows on
     one exponent grid, and e^{-pi y} once per call; each row keeps its own
-    sums over its coefficients (``ndarray.dot``, which is cheaper than ``@``
-    on a short vector).  At a 0-d y the bound is formed on Python floats, by
-    the same operations in the same order as on an array, and each value and
-    bound is a Python float.  The plan holds all that does not depend on y: the rows grouped by grid and power, with 2n, c,
-    |c| and 2n|c| over their terms with n > 0, and per row the tail majorant
-    times F(beta0), the summation factor and the subnormal term.
+    sums over its coefficients; at a 0-d y the bound takes the same operations
+    in the same order on Python floats.  The plan holds all that does not
+    depend on y: the rows grouped by grid and power, with 2n, c, |c| and 2n|c|
+    over their terms with n > 0, and per row the tail majorant times F(beta0),
+    the summation factor and the subnormal term.
     ``tail_bound`` covers truncation and roundoff as in ``eval_at``: a
     discarded term has beta >= beta0 = 2 pi order, so the tail is at most
     F(beta0) e^{-pi y} times the tail majorant at Im z = 1; the computed beta
@@ -615,15 +613,14 @@ class RayPlan:
             consts.append((factor * majorant, 48 * U + 2 * _gamma(len(n)), _TINY * abs_c.sum()))
         # per grid: 2n, top power, rows (i, c, |c|, 2n|c|) per power
         self.grids = [(two_n, max(powers), sorted(powers.items())) for two_n, powers in grids.values()]
-        # per row (tail factor, summation factor, subnormal term), and the same as columns
-        self.consts = consts
+        self.consts = consts  # per row: tail factor, summation factor, subnormal term
         self.columns = tuple(np.array(col)[:, None] for col in zip(*consts))
 
     def __call__(self, y) -> list[EvalResult]:
         import numpy as np
 
         y = np.asarray(y, dtype=float)[()]
-        if _count(y >= 0) < y.size:
+        if np.count_nonzero(y >= 0) < y.size:
             raise ValueError("ray Laplace transform needs y >= 0")
         value, mc, m2 = (np.empty((len(self.consts), y.size)) for _ in range(3))
         for two_n, top, powers in self.grids:
@@ -643,7 +640,7 @@ class RayPlan:
                         value[i, cols] = m.dot(c)
                         mc[i, cols] = m.dot(abs_c)
                         m2[i, cols] = m.dot(two_n_abs_c)
-        if y.ndim == 0:  # one radius: the bound below on Python floats, term by term
+        if y.ndim == 0:  # one radius: the bound below on Python floats
             flat, decay = float(y), float(np.exp(-math.pi * y))
             return [
                 EvalResult(value=v, tail_bound=t * decay + (g * b + 6 * math.pi * U * (d + flat * b)) + tiny)
@@ -654,14 +651,6 @@ class RayPlan:
         bound = tail_factor * np.exp(-math.pi * flat) + (gamma_factor * mc + 6 * math.pi * U * (m2 + flat * mc)) + tiny
         rows = (-1, *y.shape)  # a row per series, y's axes trailing
         return [EvalResult(value=v, tail_bound=b) for v, b in zip(value.reshape(rows), bound.reshape(rows))]
-
-
-def _count(mask) -> int:
-    """np.count_nonzero(mask), the cheapest emptiness test for a short array,
-    without its conversion of a numpy scalar (a 0-d mask) to an array."""
-    import numpy as np
-
-    return int(mask) if mask.ndim == 0 else np.count_nonzero(mask)
 
 
 def _blocks(y, width: int) -> list:

@@ -29,10 +29,9 @@ reading its row by index with its coefficient folded in, and the far range is
 one ``qseries.RayPlan`` over all its rows (series, power), where phi_0,
 phi_-2 and phi_-4 share one exponent grid and so one set of closed forms, and
 d/dy rides along as the next power.  A single radius runs this code on numpy
-scalars, so every quotient and moment is a scalar operation.  The pass runs
-under one ``np.errstate``: overflowing powers saturate to 0, and a NaN
-raises ArithmeticError (``_g``); ``_radius_sq`` refuses a radius whose pi*y
-overflows.
+scalars.  The pass runs under one ``np.errstate``, where powers of y that
+overflow saturate to 0 and a NaN raises ArithmeticError; ``_radius_sq``
+refuses a radius whose pi*y overflows.
 
 Every series value comes from ``QSeries.eval_at`` (the near range and the
 contour segments, one array of nodes per panel; the contour keeps its panels'
@@ -55,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_terms, eval_form, principal_part, special_values
-from .qseries import RayPlan, _blocks, _count, combine
+from .qseries import RayPlan, _blocks, combine
 
 __all__ = [
     "RadialValue",
@@ -171,10 +170,8 @@ def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, fl
 
 def _closed_moment(p: int, b: np.ndarray) -> np.ndarray:
     """int_0^1 t^p e^{-b t} dt in closed form, for |b| >= 1/2.  Where b^(p+1)
-    passes the double range (``_g`` lets powers overflow) the moment, below
-    p!/b^(p+1), saturates to 0.  The polynomial times e^{-b} reads b capped at
-    1e100: past b = 746 e^{-b} is 0, so the cap changes no product, and
-    keeps it from being 0 * inf."""
+    overflows the moment, below p!/b^(p+1), saturates to 0; the polynomial
+    times e^{-b} = 0 reads b capped at 1e100, so that it is 0, not 0 * inf."""
     if p == 0:
         return -np.expm1(-b) / b
     eb = np.exp(-b)
@@ -203,9 +200,8 @@ _TAYLOR_TERMS = tuple(_taylor_terms(p) for p in range(4))
 
 def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
     """int_0^1 t^p e^{-beta t} dt, stable for beta of either sign and near zero:
-    the closed form where |beta| >= 1/2, a Taylor series below.  A beta that
-    lies wholly on one side (a numpy scalar always does) takes its branch
-    whole; only a mixed grid is split by a mask."""
+    the closed form where |beta| >= 1/2, a Taylor series below; only a beta
+    with points on both sides is split by a mask."""
     if not 0 <= p <= 3:
         raise ValueError("moment degree must be <= 3")
     small = abs(beta) < 0.5
@@ -274,15 +270,18 @@ def _sines(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _power(x: np.ndarray, k: int) -> np.ndarray:
-    """x^k as an array's ``**`` rounds it (x itself for k = 1, ``np.square`` for
-    k = 2, else ``np.power``), also for a numpy scalar, whose ``**`` need not."""
+    """x^k rounded as an array's ``**`` rounds it, also for a numpy scalar."""
     return x if k == 1 else np.square(x) if k == 2 else np.power(x, k)
+
+
+def _count(mask: np.ndarray) -> int:
+    """np.count_nonzero(mask), without converting a numpy scalar to an array."""
+    return int(mask) if mask.ndim == 0 else np.count_nonzero(mask)
 
 
 def _quotient(x: np.ndarray, s2: np.ndarray, s2_prime: np.ndarray, power: int, deriv: bool) -> np.ndarray:
     """sin^2(pi y/2) / x^power, or its d/dy, from the sines at y and x = y - center.
-    Where a power of x passes the double range (``_g`` lets powers overflow)
-    the quotient, below |x|^-power, saturates to 0."""
+    Where a power of x overflows the quotient, below |x|^-power, saturates to 0."""
     if deriv:
         return s2_prime / _power(x, power) - power * s2 / _power(x, power + 1)
     return s2 / _power(x, power)
@@ -295,8 +294,7 @@ def _ratio(y: np.ndarray, sines, center: float, power: int, deriv: bool) -> np.n
     Away from the singularity the direct quotient is used; inside the band the
     power series of sin^2(pi x/2) in x = y - center takes over (the reduction
     makes x the distance to the nearest even integer, which equals y - center
-    exactly when y is near center).  A y that lies wholly on one side (a
-    numpy scalar always does) takes its branch whole; only a mixed grid is
+    exactly when y is near center); only a y with points on both sides is
     split by a mask.
     """
     x = y - center
@@ -380,11 +378,10 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     shape (a numpy scalar at one radius), and the far range per exponent
     grid, with d/dy of the integral alongside it.
 
-    The pass runs under one ``np.errstate``.  Overflow is let through, so a
-    power of y saturates its quotient or moment to 0; an invalid operation
-    (a NaN) raises ArithmeticError where it happens, instead of running on.
-    A radius whose kernel argument pi*y overflows never gets here:
-    ``_radius_sq`` refuses it with ArithmeticError.
+    The pass runs under one ``np.errstate``: a power of y that overflows
+    saturates its quotient or moment to 0, and an invalid operation (a NaN)
+    raises ArithmeticError where it happens.  A radius whose pi*y overflows
+    never gets here: ``_radius_sq`` refuses it with ArithmeticError.
     """
     if which not in _FUNCTIONS:
         raise ValueError("which must be one of 'a', 'b', 'g', 'ghat'")
