@@ -1,5 +1,6 @@
 """Truncation models, remainder envelopes, and the sign certificates."""
 
+import hashlib
 import json
 import math
 import re
@@ -271,6 +272,50 @@ def test_certificates_deterministic():
     doc1 = json.dumps(certify_sign("A").to_doc(), sort_keys=True)
     doc2 = json.dumps(certify_sign("A").to_doc(), sort_keys=True)
     assert doc1 == doc2
+
+
+# sha256 of json.dumps(certify_sign(target, n, t_star=t_star).to_doc(),
+# sort_keys=True), recorded before the sign-case interval products: any change
+# to the arithmetic of the trust kernel must leave every certificate byte as is
+CERTIFICATE_SHA256 = {
+    ("A", 6, 4): "c680fcf54010028e37d1e03e38c995d84eec477cc7aa35f7a24e9dd2cfd9be6a",
+    ("A", 6, 6.5): "dde0f7920a9e1a52ea3e9cb2b3e4e5d062357f61c7fab53f2843ad04017ec0b2",
+    ("A", 6, 9): "b5bf2757ab3ccafabba9b3d020c1f9d15c93cf3412cfc1c6b155aa0395fb1ec2",
+    ("A", 6, 12): "f91c06dc8f2281c5c49e04af6090a20d0f8bcf43a8054e52150897813722d955",
+    ("A", 8, 4): "742922180b8b3f77a7bc9dfbac6e2bd4f07c910d51e1a8deedc58d55c9148adb",
+    ("A", 8, 6.5): "72311a22437622b95bf2a664f70f11e3dabe6243812e872334b654bc269cd78d",
+    ("A", 8, 9): "d228ce6d34b30fe91c5bccaeeedf5b7d4fcb8cdc022ae577b656a691bf23b41f",
+    ("A", 8, 12): "a045479a3a2043ca2909c4f8137585c14ca50b7a94986a9af9b49b706488c490",
+    ("A", 10, 4): "7a73d62c5ee083ede704d19e5bb7734658579963e0b64d60b7bdcc38142822ac",
+    ("A", 10, 6.5): "064706f8932e5963ca51a387169a06fabda982202c9dbbe909c5f77742646bba",
+    ("A", 10, 9): "5529ca04a966103588398cdce57fd11035323e6d93720d01e3f964e58d83bbf6",
+    ("A", 10, 12): "fce88f50379338810b312148147d5039fa0b81bbd385252af8bef12b22bcb1c4",
+    ("B", 6, 4): "4c2e6037a1796c6cc1e4e644bd41d45f04e8b72ab4a7109d827d6fb0b52ee65a",
+    ("B", 6, 6.5): "8fab2713b6576a294cd343ce496b73359e067ff247bb8b0d2424dc92a6a044ee",
+    ("B", 6, 9): "8917332fc2535996e0a3ec180856abeb7a315cd8e165a0692391a839937eb5cc",
+    ("B", 6, 12): "8be66646cd869eeaacbae2c7279e8b32601483febf48023786dbe7f0d0492f66",
+    ("B", 8, 4): "70d27de4a7700bc80ae4ed70b8912275ec46d4fe77eaf99865abc86d45e27c12",
+    ("B", 8, 6.5): "d2ab840c76fcd5ff3b9e64cbc5e1c69096124f727670346806d61d2f9d6d8972",
+    ("B", 8, 9): "6d479342f9baf9a1768d0cd33b196d66b3b284886027dd3373a95105b862b048",
+    ("B", 8, 12): "4d1f0cb000e9172b6f20145b356edf5f4fb59fb1747dbcf4d99111c53562aabe",
+    ("B", 10, 4): "5c7e9fc9887fadf2a9ae86dbd3f0cee122eeb48e299a4cda337f3c6cfeded53d",
+    ("B", 10, 6.5): "9cc1c36b8345b0e6fec074592f787e0508d9ea1b7c4857bd9c083575a1a27c42",
+    ("B", 10, 9): "abc9304bb16cadb500ee31fee2b0e2f4be0776879e487e2b4c23f3b1ad2073f6",
+    ("B", 10, 12): "733a92262339fe977baa92703d9b45d6fc015c32d2e7cb0c0d23d24d9e8d0fb2",
+}
+
+
+@pytest.mark.parametrize("target,n,t_star", sorted(CERTIFICATE_SHA256))
+def test_certificate_bytes_are_pinned(target, n, t_star):
+    doc = json.dumps(certify_sign(target, n, t_star=t_star).to_doc(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == CERTIFICATE_SHA256[target, n, t_star]
+
+
+@pytest.mark.parametrize("target", ["A", "B"])
+def test_control_failure_is_pinned(target):
+    cert = certify_sign(target, n=1)
+    assert cert.status == "failed"
+    assert cert.failure_location == ("t", 1.0, 1.0000000000000002)
 
 
 @pytest.mark.parametrize("name,target", [("cert_a", "A"), ("cert_b", "B")])
