@@ -25,7 +25,12 @@ The errors come from error-free transformations, in floats only:
 
 Rounding down and rounding up are monotone, so the min and max of the
 directed roundings of the four endpoint products (or quotients) are the
-directed roundings of the exact min and max.
+directed roundings of the exact min and max.  Products form only two of them
+in the four strict sign cases (both operands positive, both negative, or one
+of each), where the exact min and max are known endpoint products (Moore,
+Kearfott and Cloud, *Introduction to Interval Analysis*, sec. 2.3); when an
+operand touches or contains 0 they take the min and max of all four, and so
+do quotients.
 
 TwoProduct is exact only away from overflow and underflow, so products and
 quotients take it directly only for operands and results in [2^-960, 2^995]
@@ -64,6 +69,7 @@ __all__ = [
 ]
 
 _INF = math.inf
+_nextafter = math.nextafter
 _HUGE = 2.0**995  # below this, Veltkamp's split does not overflow
 _TINY = 2.0**-960  # above this, products have exact Dekker error terms
 _SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a 53-bit double
@@ -119,7 +125,14 @@ def _product(a: float, b: float) -> tuple[float, float]:
     subnormal, and d with the sign of a*b - p."""
     p = a * b
     if _TINY <= abs(p) <= _HUGE and _TINY <= abs(a) <= _HUGE and _TINY <= abs(b) <= _HUGE:
-        return p, _product_error(a, b, p)
+        # _product_error inline: this is the kernel's innermost call
+        t = _SPLITTER * a
+        ah = t - (t - a)
+        al = a - ah
+        t = _SPLITTER * b
+        bh = t - (t - b)
+        bl = b - bh
+        return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
     _finite("*", a, b)
     if a == 0 or b == 0:
         return 0.0, 0.0
@@ -176,18 +189,27 @@ def _outward(values: list[tuple[float, float | Fraction]]) -> "Interval":
     return Interval(lo, hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Interval:
     """Closed interval [lo, hi] of real numbers with float endpoints."""
 
+    # slots named here, not by dataclass(slots=True): that builds a second
+    # class, on which the frozen __setattr__ raises TypeError for other names
+    __slots__ = ("lo", "hi")
     lo: float
     hi: float
 
-    def __post_init__(self) -> None:
-        if not self.lo <= self.hi:  # also false for a NaN endpoint
-            if math.isnan(self.lo) or math.isnan(self.hi):
+    def __init__(self, lo: float, hi: float) -> None:
+        if not lo <= hi:  # also false for a NaN endpoint
+            if math.isnan(lo) or math.isnan(hi):
                 raise ValueError("interval endpoints must not be NaN")
-            raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
+            raise ValueError(f"invalid interval [{lo}, {hi}]")
+        # the slots' own setters: the frozen __setattr__ refuses every assignment
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+
+    def __reduce__(self):  # copy and pickle through __init__, not the frozen __setattr__
+        return Interval, (self.lo, self.hi)
 
     # -- constructors -------------------------------------------------
 
@@ -213,23 +235,47 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __add__(self, other: "Interval") -> "Interval":
-        other = _coerce(other)
+        if not isinstance(other, Interval):
+            other = _coerce(other)
         lo, d = _sum(self.lo, other.lo)
         hi, e = _sum(self.hi, other.hi)
-        return Interval(_down(lo, d), _up(hi, e))
+        # _down and _up inline
+        return Interval(lo if d >= 0 else _nextafter(lo, -_INF), hi if e <= 0 else _nextafter(hi, _INF))
 
     def __radd__(self, other):
         return _coerce(other) + self
 
     def __sub__(self, other: "Interval") -> "Interval":
-        return self + (-_coerce(other))
+        if not isinstance(other, Interval):
+            other = _coerce(other)
+        lo, d = _sum(self.lo, -other.hi)
+        hi, e = _sum(self.hi, -other.lo)
+        return Interval(lo if d >= 0 else _nextafter(lo, -_INF), hi if e <= 0 else _nextafter(hi, _INF))
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other: "Interval") -> "Interval":
-        other = _coerce(other)
-        return _outward([_product(a, b) for a in (self.lo, self.hi) for b in (other.lo, other.hi)])
+        if not isinstance(other, Interval):
+            other = _coerce(other)
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        # strict sign cases: (p, e) is the exact max, (q, f) the exact min, the
+        # larger in magnitude formed first so that an infinite endpoint raises
+        if a > 0.0 and c > 0.0:
+            p, e = _product(b, d)
+            q, f = _product(a, c)
+        elif b < 0.0 and d < 0.0:
+            p, e = _product(a, c)
+            q, f = _product(b, d)
+        elif a > 0.0 and d < 0.0:
+            q, f = _product(b, c)
+            p, e = _product(a, d)
+        elif b < 0.0 and c > 0.0:
+            q, f = _product(a, d)
+            p, e = _product(b, c)
+        else:  # an operand touches or contains 0
+            return _outward([_product(a, c), _product(a, d), _product(b, c), _product(b, d)])
+        return Interval(q if f >= 0 else _nextafter(q, -_INF), p if e <= 0 else _nextafter(p, _INF))
 
     def __rmul__(self, other):
         return _coerce(other) * self
@@ -269,6 +315,8 @@ class Interval:
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
 
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
 _ZERO = Interval(0.0, 0.0)
 
 

@@ -1,7 +1,11 @@
 """Containment and width properties of the interval arithmetic layer."""
 
+import copy
+import dataclasses
+import itertools
 import math
 import operator
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -13,6 +17,8 @@ from hypothesis import strategies as st
 
 from e8magic.rigor import (
     Interval,
+    _outward,
+    _product,
     enclose_fraction,
     ia_exp_poly,
     sqrt_interval,
@@ -199,12 +205,25 @@ def _check(kernel, reference) -> None:
     assert (got.lo, got.hi) == expected
 
 
+def _neighbours(x: float) -> list[float]:
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
+# the kernel's edges: 0, the subnormals and the smallest normal, and the
+# bounds 2^-960 and 2^995 of the direct TwoProduct path (2^960 squares to
+# 2^1920 / 2^-960 ... to 2^-1920, past both ends of the float range)
+_EDGES = sorted({
+    0.0, *_neighbours(2.0**-1074), *_neighbours(2.0**-1022), 2.0**-1060,
+    *_neighbours(2.0**-960), *_neighbours(2.0**960), *_neighbours(2.0**995),
+})
+
 # magnitudes from the smallest subnormal to 1e308: any float, any binade with
-# a full or a short mantissa (exact products and quotients), and 0
+# a full or a short mantissa (exact products and quotients), 0 and the edges
 _magnitudes = st.one_of(
     st.floats(min_value=0.0, max_value=1e308),
     st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1023)),
     st.builds(math.ldexp, st.integers(1, 2**12), st.integers(-1086, 1010)),
+    st.sampled_from(_EDGES),
 )
 _endpoints = st.builds(lambda sign, m: sign * m, st.sampled_from((1.0, -1.0)), _magnitudes)
 _intervals = st.builds(lambda a, b: Interval(min(a, b), max(a, b)), _endpoints, _endpoints)
@@ -244,3 +263,59 @@ def test_infinite_endpoint_raises_overflow_naming_it(op):
         Interval(1.0, math.inf).powi(2)
     with pytest.raises(OverflowError, match="infinite interval endpoint"):
         sqrt_interval(Interval(1.0, math.inf))
+
+
+def _outcome(compute):
+    """Both endpoints by .hex(), so that -0.0 and 0.0 differ, or the type of
+    the exception raised."""
+    try:
+        iv = compute()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+    return iv.lo.hex(), iv.hi.hex()
+
+
+_endpoints_or_inf = st.one_of(_endpoints, st.sampled_from((math.inf, -math.inf)))
+
+
+@given(_intervals | st.builds(lambda a, b: Interval(min(a, b), max(a, b)), _endpoints_or_inf, _endpoints),
+       _intervals)
+@settings(max_examples=1500, deadline=None)
+def test_product_equals_the_four_product_rule(x, y):
+    """x * y, with its two-product sign cases, gives the same floats, signed
+    zeros included, as _outward over all four endpoint products, and raises
+    the same exception type where either side raises."""
+    four = lambda: _outward([_product(a, b) for a in (x.lo, x.hi) for b in (y.lo, y.hi)])
+    assert _outcome(lambda: x * y) == _outcome(four)
+    assert _outcome(lambda: y * x) == _outcome(four)
+
+
+def test_product_sign_cases_keep_signed_zeros_and_range_edges():
+    """Every sign case on the edge values, against the four-product rule."""
+    magnitudes = (0.0, 2.0**-1074, math.nextafter(2.0**-1022, 0.0), 2.0**-960,
+                  math.nextafter(2.0**-960, 0.0), 1.0, 3.0, 2.0**960, 2.0**995,
+                  math.nextafter(2.0**995, math.inf))
+    values = [v for m in magnitudes for v in (m, -m)]
+    intervals = [Interval(a, b) for a, b in itertools.product(values, repeat=2) if a <= b]
+    for x, y in itertools.product(intervals, repeat=2):
+        four = lambda: _outward([_product(a, b) for a in (x.lo, x.hi) for b in (y.lo, y.hi)])
+        assert _outcome(lambda: x * y) == _outcome(four), (x, y)
+
+
+def test_interval_is_immutable_and_round_trips():
+    iv = Interval(-0.5, 2.0**-1074)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        iv.lo = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        iv.width = 1.0
+    for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            Interval(lo, hi)
+    with pytest.raises(ValueError, match="invalid interval"):
+        Interval(1.0, 0.5)
+    assert repr(iv) == "Interval(lo=-0.5, hi=5e-324)"
+    for copy_ in (copy.deepcopy(iv), copy.copy(iv), pickle.loads(pickle.dumps(iv))):
+        assert copy_ == iv and hash(copy_) == hash(iv) and copy_ is not iv
+        assert (copy_.lo, copy_.hi) == (-0.5, 2.0**-1074)
+    assert iv == Interval(-0.5, 2.0**-1074) and iv != Interval(-0.5, 1.0)
+    assert len({iv, Interval(-0.5, 2.0**-1074)}) == 1
