@@ -55,6 +55,9 @@ _ETA = 2.0**-1074
 _MAX_EXPLICIT_TERMS = 100_000
 # the majorant's raise of an exp argument, relative to its size: 8u
 _RAISE = 2.0**-50
+# the largest 4/y whose square the tail majorant forms: (2^511)^2 = 2^1022 is
+# finite; far below that height the majorant already needs too many terms
+_SPLIT_ROOT_MAX = 2.0**511
 # the height at which eval_at bounds the tail of a series evaluated above it:
 # the tail majorant's products 2 pi y n stay finite there
 _MAJORANT_Y_MAX = 1e300
@@ -135,9 +138,15 @@ def _tail_majorant(lead: int, order: int, stride: int, c: float, y: float) -> fl
     1 + 1.45e-11 covers the first term with the roundings of C S times it and
     of the final sum, and the floor (C + 1)(4N + 4/d + 4) eta, itself rounded,
     covers the second, so a positive tail never comes back as 0.  A tail that
-    needs more than ``_MAX_EXPLICIT_TERMS`` explicit terms, or whose r_hi
-    reaches 1, raises TruncationError.
+    needs more than ``_MAX_EXPLICIT_TERMS`` explicit terms, whose split point
+    (4/y)^2 passes the float range, or whose r_hi reaches 1, raises
+    TruncationError.
     """
+    if not 4 / y <= _SPLIT_ROOT_MAX:
+        raise TruncationError(
+            f"Im z = {y!r} is too small for the tail majorant: its split point "
+            "(4 / Im z)^2 passes the float range, so no finite order suffices"
+        )
     e0 = lead - (lead - order) // stride * stride  # first grid point >= order, in 1/8 units
     n_star = max(e0 / EIGHTH, (4 / y) ** 2 + 1)
     if n_star * EIGHTH > e0 + _MAX_EXPLICIT_TERMS * stride:

@@ -28,7 +28,7 @@ from e8magic.modforms import (
     special_values,
     verify_transform,
 )
-from e8magic.qseries import combine
+from e8magic.qseries import TruncationError, combine
 
 ORDER = 64
 
@@ -326,6 +326,20 @@ def test_j_at_i_is_1728():
 def test_e6_vanishes_at_i():
     res = eval_form(FormId.E6, complex(0, 1))
     assert abs(res.value) <= res.tail_bound + 1e-8
+
+
+@pytest.mark.parametrize("form", list(FormId))
+@pytest.mark.parametrize("z", [1e-200j, 0.3 + 1e-160j, 5e-324j, 1e-3j])
+def test_eval_form_near_the_real_axis_raises_truncation(form, z):
+    """Too close to the real axis for the stored order: a TruncationError,
+    never an OverflowError from the tail majorant's split point (4/Im z)^2;
+    past the float range it says no finite order suffices."""
+    with pytest.raises(TruncationError) as info:
+        eval_form(form, z)
+    if z.imag < 1e-150:
+        assert "no finite order suffices" in str(info.value)
+    else:
+        assert "rebuild the series to order" in str(info.value)
 
 
 def test_kloosterman_basics():
