@@ -118,6 +118,13 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"--out {path!r} cannot be written: {exc.strerror or exc}") from None
+
+
 def _cmd_certify(args: argparse.Namespace) -> int:
     if args.target not in ("A", "B"):
         raise CliError("--target must be A or B")
@@ -127,7 +134,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     doc = cert.to_doc()
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_out(args.out, text)
     else:
         print(text)
     sign = "< 0" if args.target == "A" else "> 0"
@@ -190,7 +197,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     lines = ["x,value,err"] + [f"{x!r},{v!r},{e:.6e}" for x, v, e in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

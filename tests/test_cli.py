@@ -176,6 +176,22 @@ def test_certify_writes_certificate(tmp_path, capsys):
     assert "certified" in err
 
 
+@pytest.mark.parametrize("verb", [["certify", "--target", "A"],
+                                  ["plot", "--function", "g", "--range", "0:1", "--samples", "3"]])
+@pytest.mark.parametrize("where", ["a-directory", "a-missing-parent"])
+def test_out_that_cannot_be_written_exits_2(tmp_path, verb, where):
+    """An --out path that is a directory or under a missing directory exits
+    2 with a message naming --out and the path, and no traceback."""
+    out = tmp_path if where == "a-directory" else tmp_path / "missing" / "x.out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "e8magic.cli", *verb, "--out", str(out)],
+                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == EXIT_INVALID_INPUT, proc.stderr
+    assert "--out" in proc.stderr and str(out) in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+
+
 def test_certify_control_failure_exit_code(capsys):
     code, _, err = run(capsys, "certify", "--target", "A", "--n", "1")
     assert code == EXIT_CERT_FAILURE
