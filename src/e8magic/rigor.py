@@ -69,7 +69,6 @@ __all__ = [
 ]
 
 _INF = math.inf
-_nextafter = math.nextafter
 _HUGE = 2.0**995  # below this, Veltkamp's split does not overflow
 _TINY = 2.0**-960  # above this, products have exact Dekker error terms
 _SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a 53-bit double
@@ -125,14 +124,7 @@ def _product(a: float, b: float) -> tuple[float, float]:
     subnormal, and d with the sign of a*b - p."""
     p = a * b
     if _TINY <= abs(p) <= _HUGE and _TINY <= abs(a) <= _HUGE and _TINY <= abs(b) <= _HUGE:
-        # _product_error inline: this is the kernel's innermost call
-        t = _SPLITTER * a
-        ah = t - (t - a)
-        al = a - ah
-        t = _SPLITTER * b
-        bh = t - (t - b)
-        bl = b - bh
-        return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        return p, _product_error(a, b, p)
     _finite("*", a, b)
     if a == 0 or b == 0:
         return 0.0, 0.0
@@ -235,32 +227,30 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __add__(self, other: "Interval") -> "Interval":
-        if not isinstance(other, Interval):
-            other = _coerce(other)
+        other = _coerce(other)
         lo, d = _sum(self.lo, other.lo)
         hi, e = _sum(self.hi, other.hi)
         # _down and _up inline
-        return Interval(lo if d >= 0 else _nextafter(lo, -_INF), hi if e <= 0 else _nextafter(hi, _INF))
+        return Interval(lo if d >= 0 else math.nextafter(lo, -_INF), hi if e <= 0 else math.nextafter(hi, _INF))
 
     def __radd__(self, other):
         return _coerce(other) + self
 
     def __sub__(self, other: "Interval") -> "Interval":
-        if not isinstance(other, Interval):
-            other = _coerce(other)
+        other = _coerce(other)
         lo, d = _sum(self.lo, -other.hi)
         hi, e = _sum(self.hi, -other.lo)
-        return Interval(lo if d >= 0 else _nextafter(lo, -_INF), hi if e <= 0 else _nextafter(hi, _INF))
+        return Interval(lo if d >= 0 else math.nextafter(lo, -_INF), hi if e <= 0 else math.nextafter(hi, _INF))
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other: "Interval") -> "Interval":
-        if not isinstance(other, Interval):
-            other = _coerce(other)
+        other = _coerce(other)
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        # strict sign cases: (p, e) is the exact max, (q, f) the exact min, the
-        # larger in magnitude formed first so that an infinite endpoint raises
+        # strict sign cases: (p, e) is the exact max, (q, f) the exact min; the
+        # one larger in magnitude holds any infinite endpoint and is formed
+        # first, so that the error names it rather than an overflow
         if a > 0.0 and c > 0.0:
             p, e = _product(b, d)
             q, f = _product(a, c)
@@ -275,7 +265,7 @@ class Interval:
             p, e = _product(b, c)
         else:  # an operand touches or contains 0
             return _outward([_product(a, c), _product(a, d), _product(b, c), _product(b, d)])
-        return Interval(q if f >= 0 else _nextafter(q, -_INF), p if e <= 0 else _nextafter(p, _INF))
+        return Interval(q if f >= 0 else math.nextafter(q, -_INF), p if e <= 0 else math.nextafter(p, _INF))
 
     def __rmul__(self, other):
         return _coerce(other) * self
