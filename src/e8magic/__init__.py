@@ -56,38 +56,9 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Certificate",
-    "DensityBoundReport",
-    "EvalResult",
-    "ExpPolyModel",
-    "FormId",
-    "Interval",
-    "LatticePoint",
-    "ModelTerm",
-    "PoissonReport",
-    "QSeries",
-    "RadialValue",
-    "ShellTable",
-    "TruncationError",
-    "build_form",
-    "build_model",
-    "certify_sign",
-    "contour_eval",
-    "density_bound",
-    "enclose_fraction",
-    "enumerate_shells",
-    "eval_a",
-    "eval_b",
-    "eval_form",
-    "eval_g",
-    "eval_g_deriv",
-    "hankel_fourier_oracle",
-    "ia_exp_poly",
-    "magic_poisson_check",
-    "numeric_value",
-    "poisson_check",
-    "rademacher_coefficient",
-    "shell_vectors",
-    "verify_transform",
-]
+# the public names: the classes and functions imported above from the exact
+# layers, and the lazy names of the numeric layers
+__all__ = sorted(
+    [name for name, value in globals().items() if getattr(value, "__module__", "").startswith(f"{__name__}.")]
+    + list(_LAZY)
+)

@@ -416,10 +416,9 @@ def certify_sign(
 ) -> Certificate:
     """Certify A < 0 (target 'A') or B > 0 (target 'B') on (0, inf), both charts to t_star.
 
-    The envelope cutoff m must equal the model cutoff n, its default.
+    The envelope cutoff m must equal the model cutoff n, its default;
+    ``build_model`` refuses a target other than 'A' and 'B'.
     """
-    if target not in ("A", "B"):
-        raise ValueError("target must be 'A' or 'B'")
     m = n if m is None else m
     if n != m:
         raise ValueError("model and envelope cutoffs must agree")

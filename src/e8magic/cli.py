@@ -3,9 +3,17 @@
 Verbs: series, certify, eval, plot, lattice, bound, selfcheck.  Exit codes:
 0 success/certified, 2 invalid input, 3 certification failure, 4 numerical
 failure.  Numeric output carries explicit error-bound columns (``bound``'s is
-exact); series and certificate documents are JSON.  Series documents are cached per (form, order)
-under $E8MAGIC_CACHE_DIR (if set).  An entry is served only if its series writes
-back exactly its bytes, sha256 included, so a damaged file is rebuilt; an entry
+exact); series and certificate documents are JSON.
+
+Each input is checked once: a name (form, target, function) by argparse's
+choices, a value by the library function that takes it, whose ValueError
+exits 2.  The CLI itself checks only what no library function limits: the
+budgets on --order, --max-norm and --samples, and plot's --range.
+
+Series documents are cached per (form, order) under $E8MAGIC_CACHE_DIR (if
+set).  An entry holds the document and the order it was built for.  It is
+served only for that order, and only if its series writes back exactly its
+bytes, sha256 included, so a damaged or copied file is rebuilt; an entry
 written by older code that built the series differently is still served.
 
 The numeric layers ``radial`` and ``e8`` are imported by the verbs that call
@@ -21,6 +29,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import certify as certify_mod
@@ -32,16 +41,13 @@ EXIT_INVALID_INPUT = 2
 EXIT_CERT_FAILURE = 3
 EXIT_NUMERICAL_FAILURE = 4
 
-# input budgets: the largest --order, --max-norm, --samples and certify --n
-# accepted (on a 2-vCPU VM, build_form(phi_0) takes about 3 s at order 2000;
-# max norm 400 bounds the divisor sieve and the Poisson sums, about 0.1 s for
-# a whole lattice process; certify_sign sets its own limit on the cutoff)
+# input budgets: the largest --order, --max-norm and --samples accepted (on a
+# 2-vCPU VM, build_form(phi_0) takes about 3 s at order 2000; max norm 400
+# bounds the divisor sieve and the Poisson sums, about 0.1 s for a whole
+# lattice process); certify_sign sets its own limit on the cutoff --n
 MAX_SERIES_ORDER = 2000
 MAX_LATTICE_NORM = 400
 MAX_PLOT_SAMPLES = 10_000
-MAX_CERTIFY_N = certify_mod.MAX_CUTOFF
-
-_FORM_BY_NAME = {f.value: f for f in FormId}
 
 
 class CliError(Exception):
@@ -72,28 +78,34 @@ def _series_doc(form: FormId, series: QSeries) -> dict:
     return doc
 
 
-def _cached_series(form: FormId, path: Path) -> tuple[QSeries, dict] | None:
-    """The series of a cache entry and its document, if the series rebuilds
-    exactly the bytes of the entry, sha256 included; None for any other entry."""
+def _entry(doc: dict, order: int) -> str:
+    """The cache entry of a series document: the document and the order it was built for."""
+    return json.dumps({**doc, "built_for_order": order}, sort_keys=True)
+
+
+def _cached_series(form: FormId, order: int, path: Path) -> tuple[QSeries, dict] | None:
+    """The series of a cache entry and its document, if the series, built for
+    this order, writes back exactly the bytes of the entry, sha256 included;
+    None for any other entry."""
     try:
         raw = path.read_bytes()
         series = QSeries.from_doc(json.loads(raw))
     except (OSError, ValueError, LookupError, TypeError, AttributeError, ArithmeticError):
         return None  # missing, unreadable or damaged: rebuilt by the caller
     doc = _series_doc(form, series)
-    return (series, doc) if json.dumps(doc, sort_keys=True).encode() == raw else None
+    return (series, doc) if _entry(doc, order).encode() == raw else None
 
 
 def _load_or_build_series(form: FormId, order: int) -> tuple[QSeries, dict]:
     path = _cache_path(form, order)
-    cached = path and _cached_series(form, path)
+    cached = path and _cached_series(form, order, path)
     if cached:
         return cached
     series = build_form(form, order)
     doc = _series_doc(form, series)
     if path:
         try:
-            path.write_text(json.dumps(doc, sort_keys=True))
+            path.write_text(_entry(doc, order))
         except OSError as exc:
             raise CliError(f"the series cache under E8MAGIC_CACHE_DIR cannot be written: {exc}") from None
     return series, doc
@@ -103,9 +115,7 @@ def _load_or_build_series(form: FormId, order: int) -> tuple[QSeries, dict]:
 # verbs
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    form = _FORM_BY_NAME.get(args.form)
-    if form is None:
-        raise CliError(f"unknown form {args.form!r}; choose from {sorted(_FORM_BY_NAME)}")
+    form = FormId(args.form)
     if not 0 < args.order <= MAX_SERIES_ORDER:
         raise CliError(f"--order must be between 1 and {MAX_SERIES_ORDER}")
     series, doc = _load_or_build_series(form, args.order)
@@ -126,10 +136,6 @@ def _write_out(path: str, text: str) -> None:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    if args.target not in ("A", "B"):
-        raise CliError("--target must be A or B")
-    if not 1 <= args.n <= MAX_CERTIFY_N:
-        raise CliError(f"--n must be between 1 and {MAX_CERTIFY_N}")
     cert = certify_mod.certify_sign(args.target, n=args.n, t_star=args.tstar, max_depth=args.max_depth)
     doc = cert.to_doc()
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -154,10 +160,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if args.deriv:
             raise CliError("--deriv supports g and ghat only")
         rv = radial_mod.eval_a(args.r) if fn == "a" else radial_mod.eval_b(args.r)
-    elif fn in ("g", "ghat"):
-        rv = radial_mod.eval_g_deriv(args.r, fn) if args.deriv else radial_mod.eval_g(args.r, fn)
     else:
-        raise CliError("--function must be one of a, b, g, ghat")
+        rv = radial_mod.eval_g_deriv(args.r, fn) if args.deriv else radial_mod.eval_g(args.r, fn)
     label = f"{fn}'" if args.deriv else fn
     print(f"{label}({args.r!r}) = {rv.value!r} +/- {rv.err:.3e}")
     return EXIT_OK
@@ -179,22 +183,16 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     if not 2 <= args.samples <= MAX_PLOT_SAMPLES:
         raise CliError(f"--samples must be between 2 and {MAX_PLOT_SAMPLES}")
     fn = args.function
-    rows = []
-    for i in range(args.samples):
-        x = lo + (hi - lo) * i / (args.samples - 1)
-        if fn in ("A", "B"):
-            if x <= 0:
-                raise CliError("A and B need a positive range")
-            value, err = certify_mod.numeric_value(fn, x)
-        elif fn in ("g", "ghat"):
-            from . import radial as radial_mod
+    if fn in ("A", "B"):
+        evaluate = partial(certify_mod.numeric_value, fn)
+    else:
+        from .radial import eval_g
 
-            rv = radial_mod.eval_g(x, fn)
-            value, err = rv.value, rv.err
-        else:
-            raise CliError("--function must be one of g, ghat, A, B")
-        rows.append((x, value, err))
-    lines = ["x,value,err"] + [f"{x!r},{v!r},{e:.6e}" for x, v, e in rows]
+        def evaluate(x: float) -> tuple[float, float]:
+            rv = eval_g(x, fn)
+            return rv.value, rv.err
+    xs = [lo + (hi - lo) * i / (args.samples - 1) for i in range(args.samples)]
+    lines = ["x,value,err"] + [f"{x!r},{v!r},{e:.6e}" for x, (v, e) in zip(xs, map(evaluate, xs))]
     text = "\n".join(lines) + "\n"
     if args.out:
         _write_out(args.out, text)
@@ -206,10 +204,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 def _cmd_lattice(args: argparse.Namespace) -> int:
     from . import e8 as e8_mod
 
-    if args.max_norm < 2 or args.max_norm % 2 or args.max_norm > MAX_LATTICE_NORM:
-        raise CliError(f"--max-norm must be an even integer between 2 and {MAX_LATTICE_NORM}")
-    if args.poisson is not None and not (math.isfinite(args.poisson) and args.poisson > 0):
-        raise CliError("--poisson alpha must be finite and positive")
+    if args.max_norm > MAX_LATTICE_NORM:
+        raise CliError(f"--max-norm must be at most {MAX_LATTICE_NORM}")
+    rep = None if args.poisson is None else e8_mod.poisson_check(args.poisson, args.max_norm)
     table = e8_mod.enumerate_shells(args.max_norm)
     if args.shells:
         print("norm^2\tcount")
@@ -218,8 +215,7 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     else:
         print(f"shells up to norm^2 = {args.max_norm}: {len(table.entries)} "
               f"(kissing number N(2) = {table.count(2)})")
-    if args.poisson is not None:
-        rep = e8_mod.poisson_check(args.poisson, args.max_norm)
+    if rep is not None:
         print(
             f"poisson alpha={rep.alpha}: lhs={rep.lhs!r} rhs={rep.rhs!r} "
             f"discrepancy={rep.discrepancy:.3e} tail_bound={rep.tail_bound:.3e}"
@@ -307,14 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("series", help="print a catalog q-expansion")
-    p.add_argument("--form", required=True)
+    p.add_argument("--form", required=True, choices=[f.value for f in FormId])
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_series)
 
     # no abbreviations: --m would otherwise be read as --max-depth
     p = sub.add_parser("certify", help="certify A < 0 or B > 0 on (0, oo)", allow_abbrev=False)
-    p.add_argument("--target", required=True)
+    p.add_argument("--target", required=True, choices=("A", "B"))
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--tstar", type=float, default=4.0)
     p.add_argument("--max-depth", type=int, default=60)
@@ -322,13 +318,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("eval", help="evaluate a, b, g or ghat at a radius")
-    p.add_argument("--function", required=True)
+    p.add_argument("--function", required=True, choices=("a", "b", "g", "ghat"))
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--deriv", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("plot", help="emit CSV samples of g, ghat, A or B")
-    p.add_argument("--function", required=True)
+    p.add_argument("--function", required=True, choices=("g", "ghat", "A", "B"))
     p.add_argument("--range", required=True)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--out")
@@ -363,12 +359,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # stdout to devnull, so the flush at exit fails no more (Python docs, SIGPIPE)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        return getattr(exc, "code", EXIT_INVALID_INPUT)
     except ArithmeticError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

@@ -169,7 +169,7 @@ def _gaussian_tail(decay: float, n_max: int) -> float:
     first = 289.0 * (n_max + 1) ** 3 * x ** (n_max + 1)
     ratio = (1.0 + 1.0 / (n_max + 1)) ** 3 * x
     if ratio >= 1.0:
-        raise ValueError("increase max_norm: Gaussian tail does not contract")
+        raise ValueError("Gaussian tail does not contract")
     return first / (1.0 - ratio)
 
 
@@ -184,13 +184,19 @@ def poisson_check(alpha: float, max_norm: int = 40) -> PoissonReport:
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError("alpha must be finite and positive")
     table = enumerate_shells(max_norm)
-    n_max = max_norm // 2
-    (lhs, e1), (rhs, e2), (scaled_lhs, e3), (scaled_rhs, e4) = (
-        _shell_sum(table, 2 * math.pi * alpha, n_max, 1.0),
-        _shell_sum(table, 2 * math.pi / alpha, n_max, alpha**-4),
-        _shell_sum(table, math.pi * alpha, n_max, 1.0),
-        _shell_sum(table, 4 * math.pi / alpha, n_max, 16.0 * alpha**-4),
-    )
+    sums = []
+    for name, decay, scale in (
+        ("e^(-pi alpha |x|^2) over Lambda_8", 2 * math.pi * alpha, 1.0),
+        ("e^(-pi |x|^2 / alpha) over Lambda_8", 2 * math.pi / alpha, alpha**-4),
+        ("e^(-pi alpha |x|^2) over Lambda_8 / sqrt2", math.pi * alpha, 1.0),
+        ("e^(-pi |x|^2 / alpha) over sqrt2 Lambda_8", 4 * math.pi / alpha, 16.0 * alpha**-4),
+    ):
+        try:
+            sums.append(_shell_sum(table, decay, max_norm // 2, scale))
+        except ValueError:
+            raise ValueError(f"alpha = {alpha!r}: the tail bound of the sum of {name} does not contract "
+                             f"past norm^2 {max_norm}; take alpha nearer 1") from None
+    (lhs, e1), (rhs, e2), (scaled_lhs, e3), (scaled_rhs, e4) = sums
     return PoissonReport(
         alpha=alpha,
         max_norm=max_norm,

@@ -76,7 +76,7 @@ _EXACT_INT = 2**53  # every integer up to this magnitude is a float
 
 
 def _finite(op: str, *values: float) -> None:
-    if any(math.isinf(v) for v in values):
+    if any(map(math.isinf, values)):
         raise OverflowError(f"infinite interval endpoint in {op}: {', '.join(map(repr, values))}")
 
 
@@ -263,7 +263,8 @@ class Interval:
         elif b < 0.0 and c > 0.0:
             q, f = _product(a, d)
             p, e = _product(b, c)
-        else:  # an operand touches or contains 0
+        else:  # an operand touches or contains 0; an infinite endpoint is named before any overflow
+            _finite("*", a, b, c, d)
             return _outward([_product(a, c), _product(a, d), _product(b, c), _product(b, d)])
         return Interval(q if f >= 0 else math.nextafter(q, -_INF), p if e <= 0 else math.nextafter(p, _INF))
 
@@ -276,6 +277,7 @@ class Interval:
             raise ZeroDivisionError(
                 f"interval division by [{other.lo}, {other.hi}] containing 0"
             )
+        _finite("/", self.lo, self.hi, other.lo, other.hi)
         return _outward([_quotient(a, b) for a in (self.lo, self.hi) for b in (other.lo, other.hi)])
 
     def __rtruediv__(self, other):
@@ -289,10 +291,10 @@ class Interval:
             return Interval(1.0, 1.0)
         if p == 1:
             return self + _ZERO  # exact; turns -0.0 into 0.0 like the rational power
+        _finite("**", self.lo, self.hi)
         if p == 2:
             result = _outward([_product(self.lo, self.lo), _product(self.hi, self.hi)])
         else:
-            _finite("**", self.lo, self.hi)
             result = _outward([_rounded(Fraction(self.lo) ** p), _rounded(Fraction(self.hi) ** p)])
         if p % 2 == 0 and self.contains_zero():
             return Interval(0.0, result.hi)

@@ -1,13 +1,16 @@
 """The benchmark's hold on the package: every e8magic name that a script
 under perfbench/ imports, or reads as an attribute of such an import, still
-resolves.  The scripts are parsed, not run; strings such as metric names are
-not attribute reads and are skipped by the parse."""
+resolves, and every command line it runs still parses.  The scripts are
+parsed, not run; strings such as metric names are not attribute reads and
+are skipped by the parse."""
 
 import ast
 import importlib
 from pathlib import Path
 
 import pytest
+
+from e8magic.cli import build_parser
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SCRIPTS = sorted(PERFBENCH.glob("*.py"))
@@ -75,3 +78,23 @@ def test_the_parse_sees_imports_and_attribute_reads():
     assert {("e8magic.modforms", "build_form"), ("e8magic", "certify.NEAR_INFINITY"),
             ("e8magic.qseries", "QSeries.loads"), ("e8magic", "radial.contour_eval")} <= uses
     assert ("e8magic", "radial.eval_g_first") not in uses
+
+
+# the shapes of the command lines that perfbench/workloads.py runs
+_BENCHMARK_ARGV = [
+    *(["eval", "--function", fn, "--r", "1.25", *deriv]
+      for fn in ("a", "b", "g", "ghat") for deriv in ((), ("--deriv",))),
+    ["selfcheck"],
+    *(["series", "--form", form, "--order", "200", "--format", "json"] for form in ("phi_0", "psi_S")),
+    *(["certify", "--target", target, *out] for target in "AB" for out in ((), ("--out", "cert.json"))),
+    ["certify", "--target", "A", "--tstar", "inf"],
+]
+
+
+@pytest.mark.parametrize("argv", _BENCHMARK_ARGV, ids=" ".join)
+def test_every_command_line_the_benchmark_runs_parses(argv):
+    """A choices list that drops a value the benchmark passes fails here, not
+    in a benchmark run; eval's --deriv on a and b parses and is refused by the
+    verb."""
+    args = build_parser().parse_args(argv)
+    assert args.verb == argv[0]

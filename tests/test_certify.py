@@ -465,3 +465,5 @@ def test_hypotheses_match_the_forms_the_targets_read():
         assert constant == GROWTH_BOUNDS[form], form
         assert grid == grids[build_form(form).stride], form
     assert ENVELOPE_AMPLITUDE >= max(GROWTH_BOUNDS[form] for form in forms)
+    assert lines == {"psiI": (1.0, "half-integer"), "psiS": (2.0, "half-integer"), "phi0": (2.0, "integer"),
+                     "phi-2": (1.0, "integer"), "phi-4": (1.0, "integer")}

@@ -20,12 +20,12 @@ from e8magic.cli import (
     EXIT_INVALID_INPUT,
     EXIT_NUMERICAL_FAILURE,
     EXIT_OK,
-    MAX_CERTIFY_N,
     MAX_LATTICE_NORM,
     MAX_PLOT_SAMPLES,
     MAX_SERIES_ORDER,
     main,
 )
+from e8magic.certify import MAX_CUTOFF as MAX_CERTIFY_N
 from e8magic.modforms import FormId, build_form
 from e8magic.qseries import QSeries
 
@@ -87,8 +87,20 @@ def _edit(change):
     return damage
 
 
+def _entry_of_order(order):
+    """A replacement by the entry that the CLI writes for phi_0 at another
+    order, which is whole but not built for this one."""
+    def damage(path):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["series", "--form", "phi_0", "--order", str(order)]) == EXIT_OK
+        path.write_bytes(path.with_name(f"phi_0_o{order}.json").read_bytes())
+    return damage
+
+
 # ways a cache entry can be damaged; each must be rebuilt, not served or fatal
 _DAMAGES = {
+    "entry-of-a-lower-order": _entry_of_order(4),
+    "entry-of-a-higher-order": _entry_of_order(12),
     "coefficient": _edit(lambda doc: doc["coefficients"][0].__setitem__(1, "999/1")),
     "no-lead": _edit(lambda doc: doc.pop("lead")),
     "order-not-a-number": _edit(lambda doc: doc.__setitem__("order", "x")),
@@ -259,6 +271,17 @@ def test_lattice_poisson(capsys):
     code, out, _ = run(capsys, "lattice", "--max-norm", "24", "--poisson", "2.0")
     assert code == EXIT_OK
     assert "discrepancy" in out
+
+
+@pytest.mark.parametrize("alpha,series", [("500", "|x|^2 / alpha"), ("0.004", "alpha |x|^2")])
+def test_lattice_poisson_alpha_out_of_range(capsys, alpha, series):
+    """At the largest max-norm, an alpha whose shell sum has no contracting
+    tail bound exits 2 before any output, naming alpha and that sum rather
+    than a larger max-norm."""
+    code, out, err = run(capsys, "lattice", "--max-norm", str(MAX_LATTICE_NORM), "--poisson", alpha)
+    assert code == EXIT_INVALID_INPUT and not out
+    assert f"alpha = {float(alpha)!r}" in err and series in err
+    assert "max_norm" not in err and "max-norm" not in err
 
 
 def test_bound(capsys):

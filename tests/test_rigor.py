@@ -265,6 +265,18 @@ def test_infinite_endpoint_raises_overflow_naming_it(op):
         sqrt_interval(Interval(1.0, math.inf))
 
 
+@pytest.mark.parametrize("compute", [
+    lambda: Interval(-1e300, math.inf) * Interval(1e300, 2e300),
+    lambda: Interval(1e300, math.inf) / Interval(1e-300, 1e-300),
+    lambda: Interval(1e300, math.inf).powi(2),
+], ids=["four-products", "quotient", "square"])
+def test_infinite_endpoint_is_named_before_a_finite_overflow(compute):
+    """Where a product or quotient of finite endpoints would overflow too, the
+    error names the infinite endpoint, not the overflow."""
+    with pytest.raises(OverflowError, match="infinite interval endpoint"):
+        compute()
+
+
 def _outcome(compute):
     """Both endpoints by .hex(), so that -0.0 and 0.0 differ, or the type of
     the exception raised."""
