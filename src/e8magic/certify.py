@@ -37,6 +37,7 @@ from .rigor import (
     TWO_SQRT2_PI,
     Interval,
     enclose_fraction,
+    exp_poly_peak,
     ia_exp_poly,
     sqrt_interval,
 )
@@ -361,8 +362,9 @@ def _tail_check(model: ExpPolyModel, envelope: Envelope, x_star: float, sign: in
     """Dominant-term argument on [x_star, inf).
 
     Writes model + envelope <= dominant * (1 - eps(x)) with eps a sum of
-    ratio terms C x^k e^{-beta x}; each ratio is checked monotone decreasing
-    beyond x_star and eps(x_star) is evaluated in interval arithmetic.
+    ratio terms C x^k e^{-beta x}; each ratio is checked nonincreasing on
+    [x_star, inf), for k > 0 against the enclosure ``exp_poly_peak`` of its
+    maximum point, and eps(x_star) is evaluated in interval arithmetic.
     """
     chart = envelope.chart
     terms = sorted(model.terms, key=lambda t: (t.decay, -t.p))
@@ -379,13 +381,12 @@ def _tail_check(model: ExpPolyModel, envelope: Envelope, x_star: float, sign: in
     competitors += envelope.terms(x_star)  # (|C|, p, decay)
 
     eps = Interval(0.0, 0.0)
-    pi_lo = PI.lo
     for mag, p, decay in competitors:
         k = p - dom.p
         beta = decay - dom.decay  # in units of pi
-        if beta < 0 or (beta == 0 and k > 0):
-            return TailRecord(chart, x_star, _term_name(dom), math.inf, False)
-        if beta > 0 and k > 0 and x_star < k / (pi_lo * float(beta)):
+        sigma = PI * enclose_fraction(beta)
+        # refused unless x^k e^{-sigma x} is nonincreasing on [x_star, inf) for every sigma
+        if beta < 0 or (k > 0 and (beta == 0 or x_star < exp_poly_peak(k, sigma).hi)):
             return TailRecord(chart, x_star, _term_name(dom), math.inf, False)
         ratio = mag / dom_mag
         if k > 0:
@@ -393,7 +394,7 @@ def _tail_check(model: ExpPolyModel, envelope: Envelope, x_star: float, sign: in
         elif k < 0:
             ratio = ratio / x.powi(-k)
         if beta != 0:
-            ratio = ratio * (-PI * enclose_fraction(beta) * x).exp()
+            ratio = ratio * (-sigma * x).exp()
         eps = eps + ratio
     return TailRecord(chart, x_star, _term_name(dom), eps.hi, eps.hi < 1.0)
 

@@ -185,14 +185,16 @@ def poisson_check(alpha: float, max_norm: int = 40) -> PoissonReport:
         raise ValueError("alpha must be finite and positive")
     table = enumerate_shells(max_norm)
     sums = []
-    for name, decay, scale in (
-        ("e^(-pi alpha |x|^2) over Lambda_8", 2 * math.pi * alpha, 1.0),
-        ("e^(-pi |x|^2 / alpha) over Lambda_8", 2 * math.pi / alpha, alpha**-4),
-        ("e^(-pi alpha |x|^2) over Lambda_8 / sqrt2", math.pi * alpha, 1.0),
-        ("e^(-pi |x|^2 / alpha) over sqrt2 Lambda_8", 4 * math.pi / alpha, 16.0 * alpha**-4),
+    # scale = factor * alpha^power, formed after the sums before it: alpha^-4
+    # overflows below about 1e-77, where the first sum's tail bound fails first
+    for name, decay, factor, power in (
+        ("e^(-pi alpha |x|^2) over Lambda_8", 2 * math.pi * alpha, 1.0, 0),
+        ("e^(-pi |x|^2 / alpha) over Lambda_8", 2 * math.pi / alpha, 1.0, -4),
+        ("e^(-pi alpha |x|^2) over Lambda_8 / sqrt2", math.pi * alpha, 1.0, 0),
+        ("e^(-pi |x|^2 / alpha) over sqrt2 Lambda_8", 4 * math.pi / alpha, 16.0, -4),
     ):
         try:
-            sums.append(_shell_sum(table, decay, max_norm // 2, scale))
+            sums.append(_shell_sum(table, decay, max_norm // 2, factor * alpha**power))
         except ValueError:
             raise ValueError(f"alpha = {alpha!r}: the tail bound of the sum of {name} does not contract "
                              f"past norm^2 {max_norm}; take alpha nearer 1") from None

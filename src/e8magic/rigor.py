@@ -48,6 +48,15 @@ quotient of two floats (``enclose_fraction``) and to ``powi(p)`` for p >= 3.
 ``exp`` is the only transcendental provided.  ``math.exp`` on current
 platforms is accurate to well under 1 ulp; we nudge the endpoints two steps
 outward, which absorbs any sub-ulp libm error.
+
+One rule decides where tau^p e^{-sigma tau} (p >= 1, tau >= 0) is monotone:
+for sigma <= 0 everywhere, and for sigma > 0 on each side of its maximum
+point p/sigma, whose enclosure is ``exp_poly_peak(p, sigma)``.  An interval
+wholly on one side of that enclosure, or any interval when sigma <= 0, is
+monotone for every sigma in the sigma interval.  ``ia_exp_poly`` encloses
+c tau^p e^{-sigma tau} there by the values at the two endpoints, and
+elsewhere by the boxed product; the tail argument of ``certify`` asks the
+same helper whether a ratio term still increases past x_star.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ from fractions import Fraction
 __all__ = [
     "Interval",
     "ia_exp_poly",
+    "exp_poly_peak",
     "enclose_fraction",
     "sqrt_interval",
     "PI",
@@ -388,28 +398,19 @@ def sqrt_interval(x: Interval | Fraction | int | float) -> Interval:
     return Interval(max(rlo, 0.0), rhi)
 
 
-def _exp_poly_monotone(c: Interval, p: int, sigma: Interval, lo: float, hi: float) -> Interval:
-    """Enclose c * tau^p * exp(-sigma tau) over [lo, hi] assuming tau^p e^{-sigma tau}
-    is monotone there for every sigma in the sigma interval."""
-    vals = []
-    for tau in (lo, hi):
-        tpt = Interval.point(tau)
-        vals.append(tpt.powi(p) * (-sigma * tpt).exp())
-    core = vals[0].hull(vals[1])
-    return c * core
-
-
-def _exp_poly_boxed(c: Interval, p: int, sigma: Interval, lo: float, hi: float) -> Interval:
-    t = Interval(lo, hi)
-    return c * t.powi(p) * (-sigma * t).exp()
+def exp_poly_peak(p: int, sigma: Interval) -> Interval:
+    """Enclosure of p/sigma, for p >= 1 and sigma > 0: where tau^p e^{-sigma tau}
+    on tau >= 0 has its maximum, increasing before it and decreasing after."""
+    return enclose_fraction(p) / sigma
 
 
 def ia_exp_poly(c: Interval, p: int, sigma: Interval, t: Interval) -> Interval:
     """Enclosure of {c * tau^p * exp(-sigma tau) : tau in t}, t.lo >= 0.
 
-    For sign-definite sigma the factor tau^p e^{-sigma tau} is piecewise
-    monotone with a single interior maximum at tau = p/sigma, so the interval
-    is split there and each monotone piece is evaluated at its endpoints.
+    Where the factor tau^p e^{-sigma tau} is monotone on t for every sigma in
+    the sigma interval (sigma <= 0, or t wholly on one side of
+    ``exp_poly_peak``), it is c times the hull of the factor's values at the
+    two endpoints of t; elsewhere it is the boxed product over t.
     """
     if p not in (0, 1, 2):
         raise ValueError("polynomial degree must be 0, 1 or 2")
@@ -417,27 +418,15 @@ def ia_exp_poly(c: Interval, p: int, sigma: Interval, t: Interval) -> Interval:
         raise ValueError("ia_exp_poly requires t.lo >= 0")
     if p == 0:
         return c * (-sigma * t).exp()
-    if sigma.hi <= 0:
-        # growing * growing: monotone increasing on t >= 0
-        return _exp_poly_monotone(c, p, sigma, t.lo, t.hi)
-    if sigma.lo <= 0:
-        # sigma straddles zero: fall back to the boxed product
-        return _exp_poly_boxed(c, p, sigma, t.lo, t.hi)
-    # sigma > 0: increasing for tau < p/sigma.hi, decreasing for tau > p/sigma.lo
-    crit = enclose_fraction(p) / sigma
-    cuts = sorted({t.lo, t.hi, min(max(crit.lo, t.lo), t.hi), min(max(crit.hi, t.lo), t.hi)})
-    result = None
-    for a, b in zip(cuts, cuts[1:]):
-        if a == b:
-            continue
-        if b <= crit.lo or a >= crit.hi:
-            piece = _exp_poly_monotone(c, p, sigma, a, b)
-        else:
-            piece = _exp_poly_boxed(c, p, sigma, a, b)
-        result = piece if result is None else result.hull(piece)
-    if result is None:  # degenerate t
-        result = _exp_poly_monotone(c, p, sigma, t.lo, t.lo)
-    return result
+    if sigma.lo > 0:
+        peak = exp_poly_peak(p, sigma)
+        monotone = t.hi <= peak.lo or t.lo >= peak.hi
+    else:
+        monotone = sigma.hi <= 0  # growing times growing on t >= 0
+    if not monotone:
+        return c * t.powi(p) * (-sigma * t).exp()
+    lo, hi = Interval.point(t.lo), Interval.point(t.hi)
+    return c * (lo.powi(p) * (-sigma * lo).exp()).hull(hi.powi(p) * (-sigma * hi).exp())
 
 
 def _pi_fraction() -> Fraction:

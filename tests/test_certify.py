@@ -16,13 +16,17 @@ from e8magic.certify import (
     NEAR_INFINITY,
     NEAR_ZERO,
     Envelope,
+    ExpPolyModel,
+    ModelTerm,
+    _tail_check,
     build_model,
     certify_sign,
     numeric_value,
 )
+from e8magic.cli import EXIT_CERT_FAILURE, main
 from e8magic.modforms import GROWTH_BOUNDS, TARGETS, FormId, build_form, chart_terms, eval_form
 from e8magic.qseries import EIGHTH
-from e8magic.rigor import Interval
+from e8magic.rigor import PI, Interval, enclose_fraction, exp_poly_peak
 
 mpmath.mp.dps = 50
 
@@ -368,6 +372,52 @@ def test_invalid_parameters_rejected():
         certify_sign("A", max_depth=-1)
     with pytest.raises(ValueError, match=str(MAX_CUTOFF)):
         certify_sign("A", n=240, m=240)  # the tail argument's e^{0.95 pi n} would overflow
+
+
+# ---------------------------------------------------------------------------
+# the tail argument's refusals: each is certified False with an infinite epsilon
+
+# a competitor x^2 e^{-pi x / 100} of the dominant constant -1, increasing up
+# to its peak 2 / (pi / 100), about 63.7
+_SLOW = (ModelTerm(Fraction(-1), 0, 0, Fraction(0)), ModelTerm(Fraction(1, 10**9), 0, 2, Fraction(1, 100)))
+_SLOW_PEAK = exp_poly_peak(2, PI * enclose_fraction(Fraction(1, 100)))
+
+
+@pytest.mark.parametrize(
+    "terms,m,x_star,sign",
+    [
+        pytest.param(build_model("A", 6, "t").terms, 6, 4.0, 1, id="dominant-of-the-wrong-sign"),
+        pytest.param((ModelTerm(Fraction(-1), 0, 0, Fraction(10)),), 6, 4.0, -1, id="beta-below-0"),
+        pytest.param((ModelTerm(Fraction(-1), 0, 0, Fraction(6)),), 6, 4.0, -1, id="beta-0-with-k-above-0"),
+        pytest.param(_SLOW, 6, _SLOW_PEAK.lo, -1, id="increasing-at-the-peak-lower-end"),
+        pytest.param(_SLOW, 6, math.nextafter(_SLOW_PEAK.hi, 0.0), -1, id="increasing-one-ulp-below-the-peak-upper-end"),
+    ],
+)
+def test_tail_refusals(terms, m, x_star, sign):
+    tail = _tail_check(ExpPolyModel(tuple(terms)), Envelope("t", m), x_star, sign)
+    assert not tail.certified and tail.epsilon_hi == math.inf
+
+
+def test_tail_is_accepted_from_the_peak_upper_end_on():
+    """From the upper end of the peak's enclosure on, x^2 e^{-sigma x}
+    decreases for every sigma in the rate's enclosure."""
+    assert _SLOW_PEAK.lo < math.nextafter(_SLOW_PEAK.hi, 0.0)  # the two refusals above differ
+    tail = _tail_check(ExpPolyModel(_SLOW), Envelope("t", 6), _SLOW_PEAK.hi, -1)
+    assert tail.certified and tail.epsilon_hi < 1e-3
+
+
+def test_a_failing_tail_fails_the_certificate(monkeypatch, capsys):
+    """An envelope term that outweighs the dominant term at T* fails the
+    t-chart tail: the failure spans [T*, inf), and the CLI exits 3."""
+    huge = [(Interval(1e300, 1e300), 0, Fraction(6))]
+    monkeypatch.setattr(Envelope, "terms", lambda self, x_star: huge)
+    cert = certify_sign("A")
+    assert cert.failure_location == ("t", 4.0, math.inf)
+    assert [t.chart for t in cert.tails] == ["t"] and not cert.tails[0].certified
+    assert math.isfinite(cert.tails[0].epsilon_hi)
+    assert cert.to_doc()["status"] == "failed(t-chart [4.0, inf])"
+    assert main(["certify", "--target", "A"]) == EXIT_CERT_FAILURE
+    assert json.loads(capsys.readouterr().out)["status"] == "failed(t-chart [4.0, inf])"
 
 
 # ---------------------------------------------------------------------------

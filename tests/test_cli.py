@@ -25,9 +25,15 @@ from e8magic.cli import (
     MAX_SERIES_ORDER,
     main,
 )
+from e8magic import certify, e8, radial
 from e8magic.certify import MAX_CUTOFF as MAX_CERTIFY_N
-from e8magic.modforms import FormId, build_form
+from e8magic.modforms import FormId, build_form, special_values
 from e8magic.qseries import QSeries
+
+
+# a density bound one ulp off pi^4/384
+_WRONG_BOUND = e8.DensityBoundReport(ratio=16.0, ball_volume=math.pi**4 / 6144.0,
+                                     bound=math.nextafter(math.pi**4 / 384.0, 0.0), reference=math.pi**4 / 384.0)
 
 
 def run(capsys, *argv):
@@ -293,6 +299,51 @@ def test_bound(capsys):
     assert abs(value - math.pi**4 / 384) < 1e-8
 
 
+def test_bound_that_misses_the_reference_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(e8, "density_bound", lambda: _WRONG_BOUND)
+    code, _, err = run(capsys, "bound")
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert "density bound does not match pi^4/384" in err
+
+
+def test_poisson_discrepancy_past_its_bound_exits_4(capsys, monkeypatch):
+    report = e8.PoissonReport(alpha=2.0, max_norm=24, lhs=1.0, rhs=1.5, discrepancy=0.5, tail_bound=1e-12,
+                              scaled_lhs=1.0, scaled_rhs=1.0, scaled_discrepancy=0.0)
+    assert report.conclusive and not report.passed
+    monkeypatch.setattr(e8, "poisson_check", lambda alpha, max_norm: report)
+    code, out, err = run(capsys, "lattice", "--max-norm", "24", "--poisson", "2.0")
+    assert code == EXIT_NUMERICAL_FAILURE
+    assert "discrepancy=5.000e-01" in out
+    assert "poisson discrepancy exceeds tail bound" in err
+
+
+@pytest.mark.parametrize("certificates_fail,bound_fails,expected", [
+    (True, False, EXIT_CERT_FAILURE),
+    (True, True, EXIT_CERT_FAILURE),
+    (False, True, EXIT_NUMERICAL_FAILURE),
+])
+def test_selfcheck_failure_exit_codes(capsys, monkeypatch, certificates_fail, bound_fails, expected):
+    """A failed certificate exits 3, ahead of any numerical failure, which
+    exits 4; the radial values are stubbed by the exact ones."""
+    exact = {name: float(value) for name, value in special_values().items()}
+
+    def eval_g(r, which="g"):  # g(0), ghat(0), and 0 at the zeros sqrt(2n)
+        return radial.RadialValue(exact[f"{which}(0)"] if r == 0 else 0.0, 0.0)
+
+    monkeypatch.setattr(radial, "eval_g", eval_g)
+    monkeypatch.setattr(radial, "eval_g_deriv", lambda r, which="g": radial.RadialValue(exact[f"{which}'(sqrt2)"], 0.0))
+    if certificates_fail:
+        real = certify.certify_sign
+        monkeypatch.setattr(certify, "certify_sign", lambda target: real(target, n=1))
+    if bound_fails:
+        monkeypatch.setattr(e8, "density_bound", lambda: _WRONG_BOUND)
+    code, out, _ = run(capsys, "selfcheck")
+    failed = [line for line in out.splitlines() if line.startswith("FAIL  ")]
+    assert code == expected
+    assert len(failed) == 2 * certificates_fail + bound_fails, out
+    assert out.splitlines()[-1] == f"FAIL ({len(failed)} checks)"
+
+
 def test_missing_verb(capsys):
     code, _, _ = run(capsys, )
     assert code == EXIT_INVALID_INPUT
@@ -335,6 +386,8 @@ def test_exit_codes_distinguish_failure_kinds(capsys):
         (["plot", "--function", "B", "--range", "1e150:1e160", "--samples", "3"], EXIT_OK),
         (["plot", "--function", "A", "--range", "1e-320:1e-300", "--samples", "2"], EXIT_INVALID_INPUT),
         (["plot", "--function", "A", "--range", "1e-308:1e-306", "--samples", "3"], EXIT_OK),
+        (["lattice", "--poisson", "1e-80"], EXIT_INVALID_INPUT),
+        (["lattice", "--poisson", "1e-200"], EXIT_INVALID_INPUT),
     ],
 )
 def test_boundary_inputs_end_in_documented_exit_codes(capsys, argv, expected):

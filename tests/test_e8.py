@@ -68,6 +68,17 @@ def test_shell_vectors_roots(shells):
     assert all(p.norm2 == 2 for p in roots)
 
 
+def test_shells_refuse_norms_they_do_not_hold(shells):
+    """A count past the enumerated range names it; an odd or negative norm
+    has no vectors to list."""
+    assert shells.count(40) == 240 * _sigma3(20)
+    with pytest.raises(KeyError, match="shell 42 beyond enumerated range 40"):
+        shells.count(42)
+    for norm2 in (3, -2):
+        with pytest.raises(ValueError, match="even and nonnegative"):
+            shell_vectors(norm2)
+
+
 def test_closure_under_addition():
     roots = shell_vectors(2)
     rng = random.Random(11)

@@ -112,6 +112,59 @@ def test_exp_poly_interior_max():
     assert enc.lo <= 0.1 * math.exp(-0.1 * math.pi) * (1 + 1e-12)
 
 
+def _exp_poly_cases(rng: random.Random):
+    """Seeded (c, p, sigma, t) for every side of ia_exp_poly's monotonicity
+    rule: sigma > 0 with t below, straddling and past the peak p/sigma,
+    sigma <= 0, sigma straddling 0, and point t."""
+    for case in range(900):
+        p = case % 3
+        kind = case // 3 % 6
+        c = Interval(*sorted(rng.uniform(-5.0, 5.0) for _ in range(2)))
+        if kind == 4:
+            lo, hi = sorted(-rng.uniform(0.0, 4.0) for _ in range(2))
+            sigma = Interval(lo, hi if case % 2 else 0.0)  # <= 0, touching 0 in every other case
+            yield c, p, sigma, Interval(*sorted(rng.uniform(0.0, 8.0) for _ in range(2)))
+            continue
+        if kind == 5:
+            sigma = Interval(-rng.uniform(0.0, 4.0), rng.uniform(0.0, 4.0))  # straddles 0
+            yield c, p, sigma, Interval(*sorted(rng.uniform(0.0, 8.0) for _ in range(2)))
+            continue
+        s = rng.uniform(0.2, 6.0)
+        sigma = Interval(s, s * rng.choice((1.0, 1.0 + rng.uniform(0.0, 0.5))))
+        # the peak's ends (for p = 0, whose factor is monotone, those of p = 1)
+        near, far = max(p, 1) / sigma.hi, max(p, 1) / sigma.lo
+        if kind == 0:  # below the peak
+            t = sorted(rng.uniform(0.0, near) for _ in range(2))
+        elif kind == 1:  # straddling the peak, or a part of its enclosure
+            t = [rng.uniform(0.0, far), rng.uniform(near, 3 * far)]
+        elif kind == 2:  # past the peak
+            t = sorted(rng.uniform(far, 4 * far) for _ in range(2))
+        else:  # a point, anywhere
+            t = [rng.uniform(0.0, 3 * far)] * 2
+        yield c, p, sigma, Interval(min(t), max(t))
+
+
+def test_exp_poly_contains_40_digit_values():
+    """The enclosure holds c tau^p e^{-sigma tau} at 40 digits for c and sigma
+    at their ends and middle, and tau at the ends of t, inside it, and at the
+    peak p/sigma where that lies in t."""
+    rng = random.Random(20261019)
+    with mpmath.workdps(40):
+        for c, p, sigma, t in _exp_poly_cases(rng):
+            enc = ia_exp_poly(c, p, sigma, t)
+            lo, hi = mpmath.mpf(enc.lo), mpmath.mpf(enc.hi)
+            for s in (sigma.lo, sigma.hi, (sigma.lo + sigma.hi) / 2):
+                s = mpmath.mpf(s)
+                taus = [t.lo, t.hi] + [rng.uniform(t.lo, t.hi) for _ in range(3)]
+                taus = [mpmath.mpf(tau) for tau in taus]
+                if p > 0 and s > 0 and t.lo <= p / s <= t.hi:
+                    taus.append(p / s)
+                for cc in (c.lo, c.hi, (c.lo + c.hi) / 2):
+                    for tau in taus:
+                        value = mpmath.mpf(cc) * tau**p * mpmath.exp(-s * tau)
+                        assert lo <= value <= hi, (c, p, sigma, t, cc, s, tau)
+
+
 def test_exp_overflow_and_underflow():
     big = Interval(800.0, 800.0).exp()
     assert math.isinf(big.hi) and big.lo > 0
