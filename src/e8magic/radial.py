@@ -75,9 +75,12 @@ _SING_BAND = 1e-3
 class RadialValue:
     """Function value with the global i factored out, plus an error estimate.
 
-    ``residual`` carries the spurious real part discarded by quadrature-based
-    oracles (exactly zero for the Laplace-integral evaluators).  Fields are
-    Python floats; one that is not finite is a numerical failure (ArithmeticError).
+    ``residual`` is the real part that ``contour_eval`` discards, and 0 for
+    every other evaluator.  It is exactly +-0 there too: the two outer
+    segments are mirror images, whose real parts cancel exactly, and the
+    middle segment and the ray are purely imaginary; a nonzero residual flags
+    a broken symmetry.  Fields are Python floats; one that is not finite is a
+    numerical failure (ArithmeticError).
     """
 
     value: float
@@ -183,19 +186,11 @@ def _closed_moment(p: int, b: np.ndarray) -> np.ndarray:
     return (6.0 - eb * (np.power(c, 3) + 3 * np.square(c) + 6 * c + 6)) / np.power(b, 4)
 
 
-def _taylor_terms(p: int) -> int:
-    """The terms the Taylor branch of ``_unit_moment`` sums for degree p.  For
-    |beta| < 1/2 the moment is at least e^{-1/2}/(p+1), and term k is below
-    2^-k/(k! (k+p+1)); once that is under half an ulp of the moment's lower
-    bound, it and every later term leave the partial sum's bits unchanged."""
-    floor = math.ulp(math.exp(-0.5) / (p + 1)) / 2
-    k = 0
-    while 0.5**k / (math.factorial(k) * (k + p + 1)) >= floor:
-        k += 1
-    return k
-
-
-_TAYLOR_TERMS = tuple(_taylor_terms(p) for p in range(4))
+# The terms the Taylor branch of ``_unit_moment`` sums, for every degree p <= 3.
+# For |beta| < 1/2 the moment is at least e^{-1/2}/(p+1), and term k is below
+# 2^-k/(k! (k+p+1)); from k = 15 on (k = 14 for p = 0) that is under half an
+# ulp of the moment's lower bound, so every later term leaves the bits unchanged.
+_TAYLOR_TERMS = 15
 
 
 def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
@@ -211,7 +206,7 @@ def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
     # Taylor branch: sum_k (-beta)^k / (k! (k + p + 1))
     b = beta if count == small.size else beta[small]
     taylor, term = 0.0, 1.0
-    for k in range(_TAYLOR_TERMS[p]):
+    for k in range(_TAYLOR_TERMS):
         taylor = taylor + term / (k + p + 1)
         term = term * (-b) / (k + 1)
     if b is beta:
@@ -250,15 +245,8 @@ def _principal_part(which: str) -> tuple[tuple, tuple]:
 # ---------------------------------------------------------------------------
 # singular prefactors: stable ratios of sin(pi y/2)^2
 
-def _sin2_coeffs(k_max: int = 8) -> list[float]:
-    """Taylor coefficients of sin^2(pi x / 2) = sum_k s_k x^{2k}."""
-    return [
-        (-1) ** (k + 1) * 2 ** (2 * k - 1) * (_PI / 2) ** (2 * k) / math.factorial(2 * k)
-        for k in range(1, k_max + 1)
-    ]
-
-
-_S2_COEFFS = _sin2_coeffs()
+# Taylor coefficients s_1 .. s_8 of sin^2(pi x / 2) = sum_k s_k x^{2k}
+_S2_COEFFS = [(-1) ** (k + 1) * 2 ** (2 * k - 1) * (_PI / 2) ** (2 * k) / math.factorial(2 * k) for k in range(1, 9)]
 
 
 def _sines(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,18 +323,10 @@ def _layout(names: tuple[str, ...], deriv: bool) -> tuple:
     far-range rows (series, power, C); and per function its near quadrature,
     its prefactors (coefficient, quotient row), and per d its principal terms
     (coefficient (-pi)^d, moment row), far-range parts (coefficient, ray row)
-    and near-range bound times pi^d."""
+    and near-range bound times pi^d.  Each row is numbered when a term first
+    reads it; rows are computed independently, so their order moves no bit."""
     orders = (0, 1) if deriv else (0,)
-    quotient_rows, moment_rows = {}, {}
-    for name in names:
-        principal, prefactors = _principal_part(name)
-        for _, center, power in prefactors:
-            quotient_rows[center, power] = None
-        for _, p, m in principal:
-            for d in orders:
-                moment_rows[p + d, m] = None
-    quotient_rows, moment_rows = list(quotient_rows), list(moment_rows)
-    rays, functions = [], []
+    quotient_rows, moment_rows, rays, functions = {}, {}, [], []
     for name in names:
         principal, prefactors = _principal_part(name)
         *near, near_err = _near_quadrature(name)
@@ -356,9 +336,13 @@ def _layout(names: tuple[str, ...], deriv: bool) -> tuple:
             for form, c, k, j in chart_terms(name, "t"):
                 far.append((c / _PI**k * (-_PI) ** d, len(rays)))
                 rays.append((build_form(form), j + d, GROWTH_BOUNDS[form]))
-            terms = tuple((c * ((-_PI) ** d), moment_rows.index((p + d, m))) for c, p, m in principal)
+            terms = tuple(
+                (c * ((-_PI) ** d), moment_rows.setdefault((p + d, m), len(moment_rows))) for c, p, m in principal
+            )
             integrals.append((terms, tuple(far), near_err * _PI**d))
-        terms = tuple((c, quotient_rows.index((center, power))) for c, center, power in prefactors)
+        terms = tuple(
+            (c, quotient_rows.setdefault((center, power), len(quotient_rows))) for c, center, power in prefactors
+        )
         functions.append((tuple(near), terms, tuple(integrals)))
     return tuple(quotient_rows), tuple(moment_rows), RayPlan(rays), tuple(functions)
 
@@ -414,7 +398,7 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
                     (value, err), = integral
                     parts.append((pref + s2 * value, s2 * err))
     except FloatingPointError as exc:
-        raise ArithmeticError(f"y = r^2 up to {np.max(y):.6g} overflows a radial kernel: {exc}") from None
+        raise ArithmeticError(f"invalid operation in a radial kernel at y = r^2 up to {np.max(y):.6g}: {exc}") from None
     if len(parts) == 1:
         (value, err), = parts
         return 4.0 * value, 4.0 * err
@@ -480,6 +464,12 @@ def eval_g_deriv(r: float, which: str = "g") -> RadialValue:
 # panels kept by ``_panel_series``, about 1.8 kB each: four radii in [0.69, 3.1] use 186
 _PANEL_MEMO_SIZE = 384
 
+# the finite segments z = cusp + s dz, s in [0, 1], from each cusp to i, as
+# (cusp, dz, weight in the sum).  Gauss-Legendre nodes are interior, so no
+# segment is evaluated at its cusp w = 0: the smallest node, on a panel at
+# depth _MAX_DEPTH, is about 2.6e-11.
+_SEGMENTS = ((-1.0, 1.0 + 1j, 1.0), (1.0, -1.0 + 1j, 1.0), (0.0, 1j, -2.0))
+
 
 @lru_cache(maxsize=_PANEL_MEMO_SIZE)
 def _panel_series(form: FormId, cusp: float, dz: complex, nodes: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -513,39 +503,29 @@ def contour_eval(r: float, which: str = "a") -> RadialValue:
         raise ValueError("which must be 'a' or 'b'")
     y = _radius_sq(r)
     form = FormId.PHI_0 if which == "a" else FormId.PSI_S
-
-    def segment(cusp: float, dz: complex):
+    finite, quad_err, series_err = 0j, 0.0, 0.0
+    for cusp, dz, weight in _SEGMENTS:
         def f(s: np.ndarray):
             z = cusp + s * dz
             w = z - cusp
             value, bound = _panel_series(form, cusp, dz, s.tobytes())
             scale = w**2 * np.exp(1j * _PI * y * z) * dz
             return value * scale, bound * np.abs(scale)
-        return f
 
-    def integral(f) -> tuple[complex, float, float]:
-        """The integral of f over s in [0, 1], the quadrature error estimate
-        and the integral of the series bound."""
         _, weights, values, bounds, err = _adaptive_gl(f, 0.0, 1.0, 1e-13)
-        return complex(np.dot(weights, values)), err, float(np.dot(weights, bounds))
-
-    i1, e1, b1 = integral(segment(-1.0, 1.0 + 1j))
-    i2, e2, b2 = integral(segment(1.0, -1.0 + 1j))
-    mid = segment(0.0, 1j)
-    i3, e3, b3 = integral(lambda s: mid(np.maximum(s, 1e-12)))
+        finite = finite + weight * complex(np.dot(weights, values))
+        quad_err = quad_err + abs(weight) * err
+        series_err = series_err + abs(weight) * float(np.dot(weights, bounds))
+    # b's three finite segments take the opposite sign to a's, and its ray
+    # piece the same: with that orientation b's contour deforms onto the
+    # imaginary axis as 4i sin^2(pi r^2/2) int psi_I(it) e^{-pi r^2 t} dt, the
+    # representation behind eval_b (fixed by b'(sqrt 2) = 2 sqrt(2) pi i and
+    # ghat >= 0).  The sign is typed here, not derived.
     # int_i^{i oo} f(z) e^{pi i y z} dz = i int_1^oo f(it) e^{-pi y t} dt
     ray, = _ray_plan(form)(y)
-    ray_sign = 1.0 if which == "a" else -1.0
-    total = i1 + i2 - 2.0 * i3 + ray_sign * 2.0 * 1j * ray.value
-    if which == "b":
-        # Orientation normalization: deforming this contour onto the imaginary
-        # axis gives -4i sin^2(pi r^2/2) Int psi_I(it) e^{-pi r^2 t} dt, which is
-        # the negative of the single-integral representation behind eval_b (the
-        # one fixed by b'(sqrt 2) = 2 sqrt(2) pi i and ghat >= 0).  Flip the
-        # sign so the oracle measures the same function.
-        total = -total
-    series_err = b1 + b2 + 2 * b3 + 2 * ray.tail_bound
-    err = e1 + e2 + 2 * e3 + series_err + 1e-12 * (1.0 + abs(total))
+    total = (finite if which == "a" else -finite) + 2.0 * 1j * ray.value
+    series_err = series_err + 2 * ray.tail_bound
+    err = quad_err + series_err + 1e-12 * (1.0 + abs(total))
     return RadialValue(value=total.imag, err=err, residual=total.real)
 
 

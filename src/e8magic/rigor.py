@@ -45,9 +45,11 @@ on the inner side and to inf on the outer one.  An infinite endpoint raises
 rational value to round.  ``Fraction`` is left to rationals that are not the
 quotient of two floats (``enclose_fraction``) and to ``powi(p)`` for p >= 3.
 
-``exp`` is the only transcendental provided.  ``math.exp`` on current
-platforms is accurate to well under 1 ulp; we nudge the endpoints two steps
-outward, which absorbs any sub-ulp libm error.
+``exp`` is the only transcendental provided.  It nudges the endpoints of
+``math.exp`` two steps outward, so it contains the true value only if libm's
+``exp`` is within 2 ulp.  That is an assumption, not a proof, and no
+``certify.HYPOTHESES`` line states it; glibc's ``exp`` was measured within
+about half an ulp on random arguments.
 
 One rule decides where tau^p e^{-sigma tau} (p >= 1, tau >= 0) is monotone:
 for sigma <= 0 everywhere, and for sigma > 0 on each side of its maximum

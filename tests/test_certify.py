@@ -146,6 +146,18 @@ def test_envelope_domain_checks():
         Envelope("t", 0)
     with pytest.raises(ValueError, match="unknown chart 'x'"):
         Envelope("x", 6)
+    with pytest.raises(ValueError, match="geometric tail ratio >= 1"):
+        Envelope("t", 6).terms(0.9)  # below TAIL_SPLIT = 19/20 the rest does not contract
+
+
+def test_a_model_refuses_a_cutoff_below_one():
+    with pytest.raises(ValueError, match="cutoff must be >= 1"):
+        build_model("A", 0, "t")
+
+
+def test_numeric_value_refuses_an_unknown_target():
+    with pytest.raises(ValueError, match="target must be 'A' or 'B'"):
+        numeric_value("C", 1.0)
 
 
 def _mp_envelope(chart, m, x):

@@ -388,6 +388,8 @@ def test_exit_codes_distinguish_failure_kinds(capsys):
         (["plot", "--function", "A", "--range", "1e-308:1e-306", "--samples", "3"], EXIT_OK),
         (["lattice", "--poisson", "1e-80"], EXIT_INVALID_INPUT),
         (["lattice", "--poisson", "1e-200"], EXIT_INVALID_INPUT),
+        (["plot", "--function", "g", "--range", "1:2:3"], EXIT_INVALID_INPUT),
+        (["plot", "--function", "g", "--range", "abc"], EXIT_INVALID_INPUT),
     ],
 )
 def test_boundary_inputs_end_in_documented_exit_codes(capsys, argv, expected):
@@ -397,6 +399,8 @@ def test_boundary_inputs_end_in_documented_exit_codes(capsys, argv, expected):
     assert code == expected, (out, err)
     assert "Traceback" not in err
     assert "nan" not in out
+    if code == EXIT_INVALID_INPUT:  # a refused input prints nothing
+        assert out == "", out
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
     if argv[0] == "eval" and code == EXIT_OK:  # a huge radius: 0 within the printed bound

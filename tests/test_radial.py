@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from e8magic import qseries, radial
+from e8magic.cli import EXIT_NUMERICAL_FAILURE, main
 from e8magic.radial import (
     _adaptive_gl,
     _ratio,
@@ -382,10 +383,32 @@ def test_radii_that_square_to_zero_give_the_value_at_zero(r):
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         eval_g(1.0, "gh")
+    with pytest.raises(ValueError, match="which must be 'a' or 'b'"):
+        contour_eval(1.0, "g")
+    # ``_g``'s name check is the only one the Hankel oracle has
+    with pytest.raises(ValueError, match="which must be one of 'a', 'b', 'g', 'ghat'"):
+        hankel_fourier_oracle("c", 1.0)
     for fn, which in SCALAR_CALLS:
         for r in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 fn(r, *which)
+
+
+@pytest.mark.parametrize("fields", [(math.nan, 0.0), (1.0, math.inf)])
+def test_a_value_that_is_not_finite_is_refused(fields):
+    with pytest.raises(ArithmeticError, match="is not finite"):
+        radial.RadialValue(*fields)
+
+
+def test_an_invalid_operation_in_the_pass_is_a_numerical_failure(monkeypatch):
+    """Only an invalid operation reaches the handler (overflows saturate), and
+    the message names it; ArithmeticError is the CLI's exit 4."""
+    monkeypatch.setattr(radial, "_unit_moment", lambda p, beta: beta * 0.0 * np.inf)
+    message = "invalid operation in a radial kernel at y = r^2 up to 1.69: invalid value encountered in scalar multiply"
+    with pytest.raises(ArithmeticError) as caught:
+        eval_g(1.3)
+    assert str(caught.value) == message
+    assert main(["eval", "--function", "g", "--r", "1.3"]) == EXIT_NUMERICAL_FAILURE
 
 
 def test_fields_are_python_floats():
