@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -61,8 +62,10 @@ _SPLIT_ROOT_MAX = 2.0**511
 # the height at which eval_at bounds the tail of a series evaluated above it:
 # the tail majorant's products 2 pi y n stay finite there
 _MAJORANT_Y_MAX = 1e300
-# array elements per block of a pass over y (``_blocks``)
-_BLOCK_ELEMS = 1 << 18
+# values of y per block of a ``RayPlan`` pass (``_blocks``): a constant, so
+# that each row's sums fall in the same blocks whatever other rows its plan
+# holds (a matrix-vector product rounds the last rows of a block otherwise)
+_RAY_BLOCK = 256
 
 
 class TruncationError(ValueError):
@@ -589,14 +592,24 @@ class RayPlan:
 
     This is the Laplace transform along the ray z = it, t >= 1, of the terms
     with n > 0.  The closed forms int_1^oo t^p e^{-beta t} dt =
-    e^{-beta} sum_{i<=p} (p!/(p-i)!) beta^{-(i+1)} read beta = pi (2n + y),
-    1/beta with its powers and e^{-beta} once per block of y for all rows on
-    one exponent grid, and e^{-pi y} once per call; each row keeps its own
-    sums over its coefficients; at a 0-d y the bound takes the same operations
-    in the same order on Python floats.  The plan holds all that does not
-    depend on y: the rows grouped by grid and power, with 2n, c, |c| and 2n|c|
-    over their terms with n > 0, and per row the tail majorant times F(beta0),
-    the summation factor and the subnormal term.
+    e^{-beta} sum_{i<=p} (p!/(p-i)!) beta^{-(i+1)} read beta = pi (2n + y).
+    The exponent grids of all rows lie in one row of 2n: per block of y, one
+    add, multiply, exp and divide give -beta = (-pi)(2n + y), e^{-beta} and
+    1/beta = -1/(-beta) over that row (exact rewritings of pi (2n + y) and
+    its inverse), and the powers of 1/beta and the closed form m_p of each
+    power p are formed once for every row.  Each row sums m_p against its own
+    coefficients, and one ``np.matmul`` per grid forms all those sums: a dot
+    product per sum at a 0-d y, a matrix-vector product per sum and block of
+    an array, the kernels of ``ndarray.dot``.  At a 0-d y the sums and the
+    bounds are Python floats.
+
+    The plan holds all that does not depend on y: the row of 2n; the factors
+    p!/(p-k)! per power; per grid its span of the row and the stack of the
+    vectors each m_p meets there, c, |c| and 2n|c| of each row of power p
+    (|c| left out where c has one sign: sum m_p |c| is then |sum m_p c| bit
+    for bit, as m_p >= 0); the picker of each row's three sums among the
+    products; and per row the tail majorant times F(beta0), the summation
+    factor and the subnormal term.
     ``tail_bound`` covers truncation and roundoff as in ``eval_at``: a
     discarded term has beta >= beta0 = 2 pi order, so the tail is at most
     F(beta0) e^{-pi y} times the tail majorant at Im z = 1; the computed beta
@@ -617,57 +630,88 @@ class RayPlan:
             n, c = series._floats
             n, c = n[n > 0], c[n > 0]
             abs_c = np.abs(c)
+            one_sign = np.all(c > 0) or np.all(c < 0)
             # rows with equal exponent grids share their closed forms
-            grids.setdefault(n.tobytes(), (2 * n, {}))[1].setdefault(p, []).append((i, c, abs_c, 2 * n * abs_c))
+            grids.setdefault(n.tobytes(), (2 * n, []))[1].append((i, p, [c, None if one_sign else abs_c, 2 * n * abs_c]))
             consts.append((factor * majorant, 48 * U + 2 * _gamma(len(n)), _TINY * abs_c.sum()))
-        # per grid: 2n, top power, rows (i, c, |c|, 2n|c|) per power
-        self.grids = [(two_n, max(powers), sorted(powers.items())) for two_n, powers in grids.values()]
+        # per power p, the factor p!/(p-k)! of beta^-(k+1) in its closed form, k = 1 .. p (None for
+        # 1: 1 * x is x); the factors, -pi and -1 are 0-d arrays, which numpy takes faster than floats
+        self.factors = [[None if math.perm(p, k) == 1 else np.array(float(math.perm(p, k))) for k in range(1, p + 1)]
+                        for p in range(1 + max(p for _, p, _ in rows))]
+        self.neg_pi, self.minus_one = np.array(-math.pi), np.array(-1.0)
+        powers = len(self.factors)
+        self.grids, keys, start = [], [], 0
+        for two_n, members in grids.values():
+            met = [[] for _ in range(powers)]  # per power p, the vectors m_p meets: ((row, j), vector j)
+            for i, p, vectors in members:
+                met[p] += [((i, j), v) for j, v in enumerate(vectors) if v is not None]
+            stack = np.zeros((max(map(len, met)), powers, len(two_n), 1))
+            for p, vectors in enumerate(met):
+                for k, (_, v) in enumerate(vectors):
+                    stack[k, p, :, 0] = v
+            # np.matmul lays out m_p times vector k of the stack at k * powers + p
+            keys += [met[p][k][0] if k < len(met[p]) else None for k in range(len(stack)) for p in range(powers)]
+            self.grids.append((slice(start, start + len(two_n)), stack))
+            start += len(two_n)
+        self.two_n = np.concatenate([two_n for two_n, _ in grids.values()])
+        place = {key: at for at, key in enumerate(keys) if key is not None}
+        # each row's value, sum m_p |c| (the value's place where c has one sign) and sum m_p 2n|c|
+        self.pick = itemgetter(*(place.get((i, j), place[i, 0]) for i in range(len(rows)) for j in range(3)))
         self.consts = consts  # per row: tail factor, summation factor, subnormal term
-        self.columns = tuple(np.array(col)[:, None] for col in zip(*consts))
 
     def __call__(self, y) -> list[EvalResult]:
         import numpy as np
 
         y = np.asarray(y, dtype=float)[()]
-        if np.count_nonzero(y >= 0) < y.size:
+        nonnegative = y >= 0
+        if not (nonnegative if y.ndim == 0 else nonnegative.all()):
             raise ValueError("ray Laplace transform needs y >= 0")
-        value, mc, m2 = (np.empty((len(self.consts), y.size)) for _ in range(3))
-        for two_n, top, powers in self.grids:
-            for cols, yb in _blocks(y, len(two_n)):
-                beta = math.pi * (two_n + yb)
-                decay = np.exp(-beta)
-                inv = [1.0 / beta]  # beta^-(k+1), each the last one times 1/beta
-                for _ in range(top):
-                    inv.append(inv[-1] * inv[0])
-                for p, members in powers:
-                    acc, fact = inv[0], 1.0
-                    for k in range(1, p + 1):
-                        fact *= p - k + 1
-                        acc = acc + (inv[k] if fact == 1 else fact * inv[k])  # 1 * x is x
-                    m = decay * acc
-                    for i, c, abs_c, two_n_abs_c in members:
-                        value[i, cols] = m.dot(c)
-                        mc[i, cols] = m.dot(abs_c)
-                        m2[i, cols] = m.dot(two_n_abs_c)
-        if y.ndim == 0:  # one radius: the bound below on Python floats
-            flat, decay = float(y), float(np.exp(-math.pi * y))
-            return [
-                EvalResult(value=v, tail_bound=t * decay + (g * b + 6 * math.pi * U * (d + flat * b)) + tiny)
-                for v, b, d, (t, g, tiny) in zip(value[:, 0].tolist(), mc[:, 0].tolist(), m2[:, 0].tolist(), self.consts)
-            ]
-        flat = y.reshape(-1)
-        tail_factor, gamma_factor, tiny = self.columns
-        bound = tail_factor * np.exp(-math.pi * flat) + (gamma_factor * mc + 6 * math.pi * U * (m2 + flat * mc)) + tiny
-        rows = (-1, *y.shape)  # a row per series, y's axes trailing
-        return [EvalResult(value=v, tail_bound=b) for v, b in zip(value.reshape(rows), bound.reshape(rows))]
+        blocks = []
+        for yb in _blocks(y, _RAY_BLOCK):
+            neg_beta = self.neg_pi * (self.two_n + yb)
+            decay = np.exp(neg_beta)
+            inv = [self.minus_one / neg_beta]  # beta^-(k+1), each the last one times 1/beta
+            for _ in range(len(self.factors) - 1):
+                inv.append(inv[-1] * inv[0])
+            m = np.empty((len(self.factors), *neg_beta.shape))
+            for p, factors in enumerate(self.factors):
+                acc = inv[0]
+                for k, fact in enumerate(factors, start=1):
+                    acc = acc + (inv[k] if fact is None else fact * inv[k])
+                np.multiply(decay, acc, out=m[p])
+            products = []
+            for span, stack in self.grids:
+                grid = np.matmul(m[:, ..., span].reshape(1, len(m), -1, stack.shape[2]), stack)
+                products += grid.ravel().tolist() if y.ndim == 0 else list(grid.reshape(-1, len(yb)))
+            blocks.append((np.exp((-math.pi) * yb), *self.pick(products)))
+        decay, *sums = _gather(blocks, y.shape)  # e^{-pi y}, then each row's three sums
+        flat = y if y.ndim else float(y)
+        return [
+            EvalResult(value=v, tail_bound=t * decay + (g * b + 6 * math.pi * U * (d + flat * b)) + tiny)
+            for v, b, d, (t, g, tiny) in zip(sums[0::3], map(abs, sums[1::3]), sums[2::3], self.consts)
+        ]
 
 
-def _blocks(y, width: int) -> list:
-    """(columns, y) for each block of a pass that broadcasts y against rows of
-    ``width`` values: a 0-d y is one block, column 0, as a numpy scalar; an
-    array is cut into columns of about _BLOCK_ELEMS / width values, so the
-    pass's arrays stay small."""
+def _blocks(y, size: int) -> list:
+    """The blocks of a pass over y: a 0-d y is one block, as a 0-d array
+    (numpy takes an array operand faster than a scalar); an array is cut into
+    columns of ``size`` values, so the pass's arrays stay small.  ``_gather``
+    joins the results of the blocks."""
+    import numpy as np
+
     if y.ndim == 0:
-        return [(0, y)]
-    flat, block = y.reshape(-1, 1), max(1, _BLOCK_ELEMS // max(1, width))
-    return [(slice(lo, lo + block), flat[lo:lo + block]) for lo in range(0, y.size, block)]
+        return [np.asarray(y)]
+    flat = y.reshape(-1, 1)
+    return [flat[lo:lo + size] for lo in range(0, y.size, size)]
+
+
+def _gather(blocks, shape: tuple) -> list:
+    """The per-block results of a pass over y (per block, one value or array
+    per quantity), joined quantity by quantity into arrays of y's shape; at a
+    0-d y, the one block's as Python floats."""
+    import numpy as np
+
+    if not shape:
+        block, = blocks
+        return list(map(float, block))
+    return [np.concatenate(column).reshape(shape) for column in zip(*blocks)]

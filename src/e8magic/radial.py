@@ -25,12 +25,15 @@ One pass over y = r^2 evaluates every function an evaluator needs (a and b
 for g), each y-dependent operation once, by a plan compiled on the first call
 (``_layout``): one prefactor quotient row per (center, power) and one
 principal moment row per (degree, center), each of y's shape, each term
-reading its row by index with its coefficient folded in, and the far range is
-one ``qseries.RayPlan`` over all its rows (series, power), where phi_0,
-phi_-2 and phi_-4 share one exponent grid and so one set of closed forms, and
-d/dy rides along as the next power.  A single radius runs this code on numpy
-scalars.  The pass runs under one ``np.errstate``, where powers of y that
-overflow saturate to 0 and a NaN raises ArithmeticError; ``_radius_sq``
+reading its row by index with its coefficient folded in; one near kernel
+over the quadrature nodes of every function; and the far range is one
+``qseries.RayPlan`` over all its rows (series, power), whose exponent grids
+share one exp, and where phi_0, phi_-2 and phi_-4 share one grid and so one
+set of closed forms, and d/dy rides along as the next power.  A single
+radius runs the same code: its leaves give Python floats, so the glue
+between numpy's transcendentals and dot products runs on Python floats.  The
+pass runs under one ``np.errstate``, where powers of y that overflow
+saturate to 0 and a NaN from numpy raises ArithmeticError; ``_radius_sq``
 refuses a radius whose pi*y overflows.
 
 Every series value comes from ``QSeries.eval_at`` (the near range and the
@@ -54,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_terms, eval_form, principal_part, special_values
-from .qseries import RayPlan, _blocks, combine
+from .qseries import RayPlan, _blocks, _gather, combine
 
 __all__ = [
     "RadialValue",
@@ -69,6 +72,11 @@ __all__ = [
 _PI = math.pi
 _QUAD_TOL = 1e-12
 _SING_BAND = 1e-3
+# near kernel elements per block of a pass over y: a block's length moves the
+# bits of its last rows' sums, and the Hankel tables keep those of 2^18
+_NEAR_BLOCK_ELEMS = 1 << 18
+# -pi as a 0-d array, which numpy takes faster than a float
+_NEG_PI = np.array(-_PI)
 
 
 @dataclass(frozen=True)
@@ -171,19 +179,26 @@ def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, fl
     return 1.0 / u, -_PI / u, weights * values, float(np.dot(weights, bounds))
 
 
+def _float(x):
+    """x as a Python float where it is one number (a float or a numpy scalar),
+    an array as it is: the glue of a one-radius pass runs on Python floats,
+    and numpy only forms its transcendentals, whose bits libm would change."""
+    return float(x) if isinstance(x, float) else x
+
+
 def _closed_moment(p: int, b: np.ndarray) -> np.ndarray:
     """int_0^1 t^p e^{-b t} dt in closed form, for |b| >= 1/2.  Where b^(p+1)
     overflows the moment, below p!/b^(p+1), saturates to 0; the polynomial
     times e^{-b} = 0 reads b capped at 1e100, so that it is 0, not 0 * inf."""
     if p == 0:
-        return -np.expm1(-b) / b
-    eb = np.exp(-b)
+        return -_float(np.expm1(-b)) / b
+    eb = _float(np.exp(-b))
     if p == 1:
-        return (1.0 - eb * (1.0 + b)) / np.square(b)
-    c = np.minimum(b, 1e100)
+        return (1.0 - eb * (1.0 + b)) / _power(b, 2)
+    c = _float(np.minimum(b, 1e100))
     if p == 2:
-        return (2.0 - eb * (np.square(c) + 2 * c + 2)) / np.power(b, 3)
-    return (6.0 - eb * (np.power(c, 3) + 3 * np.square(c) + 6 * c + 6)) / np.power(b, 4)
+        return (2.0 - eb * (_power(c, 2) + 2 * c + 2)) / _power(b, 3)
+    return (6.0 - eb * (_power(c, 3) + 3 * _power(c, 2) + 6 * c + 6)) / _power(b, 4)
 
 
 # The terms the Taylor branch of ``_unit_moment`` sums, for every degree p <= 3.
@@ -196,15 +211,17 @@ _TAYLOR_TERMS = 15
 def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
     """int_0^1 t^p e^{-beta t} dt, stable for beta of either sign and near zero:
     the closed form where |beta| >= 1/2, a Taylor series below; only a beta
-    with points on both sides is split by a mask."""
+    with points on both sides is split by a mask.  A numpy scalar beta gives
+    a Python float."""
     if not 0 <= p <= 3:
         raise ValueError("moment degree must be <= 3")
+    beta = _float(beta)
     small = abs(beta) < 0.5
-    count = _count(small)
+    count, size = _count(small)
     if not count:
         return _closed_moment(p, beta)
     # Taylor branch: sum_k (-beta)^k / (k! (k + p + 1))
-    b = beta if count == small.size else beta[small]
+    b = beta if count == size else beta[small]
     taylor, term = 0.0, 1.0
     for k in range(_TAYLOR_TERMS):
         taylor = taylor + term / (k + p + 1)
@@ -251,20 +268,22 @@ _S2_COEFFS = [(-1) ** (k + 1) * 2 ** (2 * k - 1) * (_PI / 2) ** (2 * k) / math.f
 
 def _sines(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sin^2(pi y/2) and its d/dy (pi/2) sin(pi y), both at y reduced modulo 2
-    to [-1, 1] for accuracy near shells; a and b share them."""
-    x = y - 2.0 * np.rint(0.5 * y)
-    # np.square is s * s, as an array's ** 2 is; a numpy scalar's ** 2 can round otherwise
-    return np.square(np.sin(0.5 * _PI * x)), 0.5 * _PI * np.sin(_PI * x)
+    to [-1, 1] for accuracy near shells; a and b share them.  A Python float
+    y gives Python floats."""
+    x = y - 2.0 * _float(np.rint(0.5 * y))
+    s = _float(np.sin(0.5 * _PI * x))
+    return s * s, 0.5 * _PI * _float(np.sin(_PI * x))
 
 
 def _power(x: np.ndarray, k: int) -> np.ndarray:
-    """x^k rounded as an array's ``**`` rounds it, also for a numpy scalar."""
-    return x if k == 1 else np.square(x) if k == 2 else np.power(x, k)
+    """x^k rounded as an array's ``**`` rounds it, a product up to k = 2 (so a
+    Python float stays one, and overflows to inf where ``**`` would raise)."""
+    return x if k == 1 else x * x if k == 2 else _float(np.power(x, k))
 
 
-def _count(mask: np.ndarray) -> int:
-    """np.count_nonzero(mask), without converting a numpy scalar to an array."""
-    return int(mask) if mask.ndim == 0 else np.count_nonzero(mask)
+def _count(mask: np.ndarray) -> tuple[int, int]:
+    """The points mask sets and all its points; a Python bool is one point."""
+    return (mask, 1) if isinstance(mask, bool) else (np.count_nonzero(mask), mask.size)
 
 
 def _quotient(x: np.ndarray, s2: np.ndarray, s2_prime: np.ndarray, power: int, deriv: bool) -> np.ndarray:
@@ -283,14 +302,14 @@ def _ratio(y: np.ndarray, sines, center: float, power: int, deriv: bool) -> np.n
     power series of sin^2(pi x/2) in x = y - center takes over (the reduction
     makes x the distance to the nearest even integer, which equals y - center
     exactly when y is near center); only a y with points on both sides is
-    split by a mask.
+    split by a mask.  A Python float y gives a Python float.
     """
     x = y - center
     near = abs(x) < _SING_BAND
-    count = _count(near)
+    count, size = _count(near)
     if not count:
         return _quotient(x, *sines, power, deriv)
-    xs = x if count == near.size else x[near]
+    xs = x if count == size else x[near]
     acc = 0.0
     for k, s_k in enumerate(_S2_COEFFS, start=1):
         e = 2 * k - power
@@ -319,17 +338,21 @@ def _layout(names: tuple[str, ...], deriv: bool) -> tuple:
     """The y-independent plan of one pass over y for the functions ``names``:
     the rows (center, power) of the prefactor quotients and (degree, m) of the
     principal moments of degree p + d, one per pair that any term reads, so
-    that at one radius each row is a numpy scalar; the ``RayPlan`` of the
-    far-range rows (series, power, C); and per function its near quadrature,
-    its prefactors (coefficient, quotient row), and per d its principal terms
+    that at one radius each row is one Python float; the ``RayPlan`` of the
+    far-range rows (series, power, C); the near-range nodes 1/u_j and -pi/u_j
+    of every function in one row each, so that one exp forms every near
+    kernel; and per function its span of that row with its weights, its
+    prefactors (coefficient, quotient row), and per d its principal terms
     (coefficient (-pi)^d, moment row), far-range parts (coefficient, ray row)
     and near-range bound times pi^d.  Each row is numbered when a term first
     reads it; rows are computed independently, so their order moves no bit."""
     orders = (0, 1) if deriv else (0,)
-    quotient_rows, moment_rows, rays, functions = {}, {}, [], []
+    quotient_rows, moment_rows, rays, nodes, functions = {}, {}, [], [], []
     for name in names:
         principal, prefactors = _principal_part(name)
-        *near, near_err = _near_quadrature(name)
+        inv_u, d_scale, w, near_err = _near_quadrature(name)
+        start = sum(len(x) for x, _ in nodes)
+        nodes.append((inv_u, d_scale))
         integrals = []
         for d in orders:
             far = []
@@ -343,8 +366,9 @@ def _layout(names: tuple[str, ...], deriv: bool) -> tuple:
         terms = tuple(
             (c, quotient_rows.setdefault((center, power), len(quotient_rows))) for c, center, power in prefactors
         )
-        functions.append((tuple(near), terms, tuple(integrals)))
-    return tuple(quotient_rows), tuple(moment_rows), RayPlan(rays), tuple(functions)
+        functions.append(((slice(start, start + len(w)), w), terms, tuple(integrals)))
+    near_nodes = tuple(np.concatenate(column) for column in zip(*nodes))
+    return tuple(quotient_rows), tuple(moment_rows), RayPlan(rays), near_nodes, tuple(functions)
 
 
 def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -359,41 +383,54 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     moments, and the far range comes from ``RayPlan``.  One pass, laid out by
     ``_layout``, serves every function ``which`` needs: one quotient row per
     (center, power) and one moment row per (degree, center), each of y's
-    shape (a numpy scalar at one radius), and the far range per exponent
-    grid, with d/dy of the integral alongside it.
+    shape; one near kernel over the nodes of every function, formed per
+    block of y in one buffer that the later blocks of a grid reuse, with a
+    dot product per function; and one ``RayPlan`` call for the far range,
+    with d/dy of the integral alongside it.  At one radius (y a numpy
+    scalar) the leaves ``_sines``, ``_ratio``, ``_unit_moment`` and
+    ``_power``, the quadrature sums and ``RayPlan`` give Python floats, so
+    the sums, ``combine`` and the assembly run on Python floats, and numpy
+    forms only the transcendentals and the dot products; the result is a
+    numpy scalar, as a grid's is an array.
 
     The pass runs under one ``np.errstate``: a power of y that overflows
-    saturates its quotient or moment to 0, and an invalid operation (a NaN)
-    raises ArithmeticError where it happens.  A radius whose pi*y overflows
-    never gets here: ``_radius_sq`` refuses it with ArithmeticError.
+    saturates its quotient or moment to 0, and an invalid operation of numpy
+    (a NaN) raises ArithmeticError where it happens.  A radius whose pi*y
+    overflows never gets here: ``_radius_sq`` refuses it with ArithmeticError.
     """
     if which not in _FUNCTIONS:
         raise ValueError("which must be one of 'a', 'b', 'g', 'ghat'")
-    quotients, moments, far_plan, functions = _layout(_FUNCTIONS[which], deriv)
-    sines = s2, s2_prime = _sines(y)
+    quotients, moments, far_plan, (inv_u, d_scale), functions = _layout(_FUNCTIONS[which], deriv)
+    y_glue = _float(y)  # at one radius a Python float; the unit moments read y's numpy scalar
+    sines = s2, s2_prime = _sines(y_glue)
     parts = []
     try:
         with np.errstate(over="ignore", invalid="raise"):
-            quotient = [_ratio(y, sines, center, power, deriv) for center, power in quotients]
+            quotient = [_ratio(y_glue, sines, center, power, deriv) for center, power in quotients]
             moment = [_unit_moment(degree, _PI * (y + m)) for degree, m in moments]
             ray_parts = far_plan(y)
-            for (inv_u, d_scale, w), prefactors, integrals in functions:
-                near = np.empty((len(integrals), y.size))
-                for cols, yb in _blocks(y, len(w)):
-                    kernel = np.exp(-_PI * (yb * inv_u))
-                    near[0, cols] = kernel.dot(w)
-                    if deriv:
-                        near[1, cols] = (kernel * d_scale).dot(w)
+            near, kernel = [], None
+            for yb in _blocks(y, _NEAR_BLOCK_ELEMS // len(inv_u)):
+                # the later blocks of a grid reuse the first block's buffer
+                kernel = np.multiply(yb, inv_u, out=None if kernel is None else kernel[:len(yb)])
+                np.exp(np.multiply(_NEG_PI, kernel, out=kernel), out=kernel)
+                sums = [kernel[..., span].dot(w) for (span, w), _, _ in functions]
+                if deriv:
+                    np.multiply(kernel, d_scale, out=kernel)
+                    sums += [kernel[..., span].dot(w) for (span, w), _, _ in functions]
+                near.append(sums)
+            near = _gather(near, y.shape)
+            for f, (_, prefactors, integrals) in enumerate(functions):
                 integral = []
-                for total, (principal, far, near_err) in zip(near.reshape(-1, *y.shape), integrals):
+                for total, (principal, far, near_err) in zip(near[f::len(functions)], integrals):
                     for c, i in principal:
                         total = total + c * moment[i]
                     far_range = combine([(coeff, ray_parts[row]) for coeff, row in far])
                     integral.append((total + far_range.value, near_err + far_range.tail_bound))
-                pref = sum(c * quotient[i] for c, i in prefactors)
+                pref = sum([c * quotient[i] for c, i in prefactors])
                 if deriv:
                     (value, err), (d_value, d_err) = integral
-                    parts.append((pref + s2_prime * value + s2 * d_value, np.abs(s2_prime) * err + s2 * d_err))
+                    parts.append((pref + s2_prime * value + s2 * d_value, abs(s2_prime) * err + s2 * d_err))
                 else:
                     (value, err), = integral
                     parts.append((pref + s2 * value, s2 * err))
@@ -401,10 +438,11 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
         raise ArithmeticError(f"invalid operation in a radial kernel at y = r^2 up to {np.max(y):.6g}: {exc}") from None
     if len(parts) == 1:
         (value, err), = parts
-        return 4.0 * value, 4.0 * err
-    ca, cb = _G_COEFFS[which]
-    (a_im, a_err), (b_im, b_err) = parts
-    return 4.0 * (ca * a_im + cb * b_im), 4.0 * (abs(ca) * a_err + abs(cb) * b_err)
+    else:
+        ca, cb = _G_COEFFS[which]
+        (a_im, a_err), (b_im, b_err) = parts
+        value, err = ca * a_im + cb * b_im, abs(ca) * a_err + abs(cb) * b_err
+    return np.float64(4.0 * value), np.float64(4.0 * err)
 
 
 def _eval_err(value: float, series_err: float) -> float:
@@ -413,7 +451,7 @@ def _eval_err(value: float, series_err: float) -> float:
 
 
 def _radius_sq(r: float) -> np.float64:
-    """y = r^2 as a numpy scalar (``np.errstate`` sees its overflows), for r >= 0 with y and pi y finite."""
+    """y = r^2 as a numpy scalar, the 0-d y of a pass, for r >= 0 with y and pi y finite."""
     y = float(r) * float(r)
     if not (r >= 0 and math.isfinite(y)):
         raise ValueError("r must be nonnegative with a finite square")

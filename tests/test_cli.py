@@ -390,6 +390,8 @@ def test_exit_codes_distinguish_failure_kinds(capsys):
         (["lattice", "--poisson", "1e-200"], EXIT_INVALID_INPUT),
         (["plot", "--function", "g", "--range", "1:2:3"], EXIT_INVALID_INPUT),
         (["plot", "--function", "g", "--range", "abc"], EXIT_INVALID_INPUT),
+        # "--r -inf" above reads -inf as an option, so argparse refuses it; "--r=-inf" reaches the radius check
+        (["eval", "--function", "ghat", "--r=-inf", "--deriv"], EXIT_INVALID_INPUT),
     ],
 )
 def test_boundary_inputs_end_in_documented_exit_codes(capsys, argv, expected):
@@ -403,6 +405,8 @@ def test_boundary_inputs_end_in_documented_exit_codes(capsys, argv, expected):
         assert out == "", out
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+    if "--r=-inf" in argv:
+        assert "r must be nonnegative with a finite square" in err, err
     if argv[0] == "eval" and code == EXIT_OK:  # a huge radius: 0 within the printed bound
         value, err_bound = map(float, out.split("=")[1].split("+/-"))
         assert abs(value) <= err_bound, out

@@ -23,6 +23,7 @@ from e8magic.qseries import (
     QSeries,
     RayPlan,
     TruncationError,
+    U,
     _tail_majorant,
     combine,
 )
@@ -297,6 +298,33 @@ def test_ray_laplace_rows_match_one_row_calls_bit_for_bit():
         alone, = RayPlan((row,))(y)
         assert got.value.tobytes() == alone.value.tobytes()
         assert got.tail_bound.tobytes() == alone.tail_bound.tobytes()
+
+
+def test_ray_laplace_bounds_read_each_row_s_own_sum_of_m_abs_c():
+    """At one y each row's value and bound keep the bits of its closed form
+    recomputed here, with sum m |c| from its own dot product with |c|.  The
+    plan reuses the value's dot for that sum where c has one sign, where the
+    two agree bit for bit; psi_I's row has both signs, and a bound that read
+    |sum m c| for it would be too small."""
+    rows = [(build_form(form), p, GROWTH_BOUNDS[form]) for form in _RAY_FORMS for p in range(4)]
+    signs = {form: set(np.sign(c[n > 0]).tolist()) for form in _RAY_FORMS for n, c in [build_form(form)._floats]}
+    assert signs[FormId.PSI_I] == {-1.0, 1.0} and signs[FormId.PHI_0] == {1.0}
+    plan = RayPlan(rows)
+    for y in (0.0, 0.3, 2.0, 9.5):
+        for (series, p, _), got, (tail, gamma, tiny) in zip(rows, plan(y), plan.consts):
+            n, c = series._floats
+            n, c = n[n > 0], c[n > 0]
+            neg_beta = -math.pi * (2 * n + y)
+            inv = [-1.0 / neg_beta]
+            for _ in range(p):
+                inv.append(inv[-1] * inv[0])
+            acc = inv[0]
+            for k in range(1, p + 1):
+                acc = acc + math.perm(p, k) * inv[k]
+            m = np.exp(neg_beta) * acc
+            m_abs_c, m_2n_abs_c = m.dot(np.abs(c)), m.dot(2 * n * np.abs(c))
+            bound = tail * np.exp(-math.pi * y) + (gamma * m_abs_c + 6 * math.pi * U * (m_2n_abs_c + y * m_abs_c)) + tiny
+            assert (got.value, got.tail_bound) == (m.dot(c), bound), (series, p, y)
 
 
 @pytest.mark.parametrize("form", _RAY_FORMS)

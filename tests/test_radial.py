@@ -419,15 +419,27 @@ def test_fields_are_python_floats():
         assert [type(x) for x in (rv.value, rv.err, rv.residual)] == [float] * 3, (fn.__name__, which)
 
 
+def _branch_edge_radii() -> list[float]:
+    """Radii one ulp either side of the edges where the pass picks a branch
+    by a test on y: the singular band |y - 2n| = _SING_BAND (n = 1, 2, 3),
+    the Taylor band |pi (y + m)| = 1/2 of the unit moments (m = 0, -2), and
+    the radii 1e78 and 1e100, where powers of y saturate."""
+    edges = [2 * n + side * _SING for n in (1, 2, 3) for side in (-1, 1)]
+    edges += [0.5 / math.pi, 2 + 0.5 / math.pi, 2 - 0.5 / math.pi]
+    return [math.nextafter(math.sqrt(y), to) for y in edges for to in (0.0, math.inf)] + [1e78, 1e100]
+
+
 @pytest.mark.parametrize("which", ["a", "b", "g", "ghat"])
 @pytest.mark.parametrize("deriv", [False, True])
 def test_a_radius_runs_as_its_one_point_grid_bit_for_bit(which, deriv):
-    """The pass at one radius (y a numpy scalar) keeps every bit of value and
-    bound of the pass over the one-point array [y], at the seeded radii and 0.
-    (A longer grid may differ in the last bit: its quadrature is one
-    matrix-vector product, not a dot product per point.)"""
+    """The pass at one radius (y a numpy scalar, its glue on Python floats)
+    keeps every bit of value and bound of the pass over the one-point array
+    [y], at 0, the seeded radii and the branch edges, where a scalar test and
+    a grid's mask could pick different branches.  (A longer grid may differ
+    in the last bit: its quadrature is one matrix-vector product, not a dot
+    product per point.)"""
     changed = []
-    for r in [0.0] + _seeded_radii():
+    for r in [0.0] + _seeded_radii() + _branch_edge_radii():
         y = r * r
         scalar, grid = radial._g(np.float64(y), which, deriv), radial._g(np.array([y]), which, deriv)
         if [type(x) for x in scalar] != [np.float64] * 2 or [x.hex() for x in scalar] != [x[0].hex() for x in grid]:
