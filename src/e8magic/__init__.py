@@ -5,39 +5,28 @@ inequalities for the Laplace densities A and B, numerical evaluation of the
 radial eigenfunctions a, b and the magic function g, and the E8 lattice
 arithmetic closing the Cohn-Elkies bound at pi^4/384.
 
-``import e8magic`` loads the exact layers (``rigor``, ``qseries``,
-``modforms``, ``certify``) and not numpy.  The names of ``radial`` and ``e8``
-are resolved on first use (PEP 562), so a process that only certifies or
-prints series never pays for numpy; numpy itself is imported by the first
-numeric evaluation.
+``import e8magic`` loads no submodule.  Each public name is resolved on first
+use (PEP 562) from its module in ``_LAZY``, which loads that module and the
+layers it imports, and nothing else: a process that only prints series never
+compiles the certifier, and one that only certifies never pays for numpy,
+which is imported by the first numeric evaluation.
 """
 
 from importlib import import_module
 
-from .certify import (
-    Certificate,
-    ExpPolyModel,
-    ModelTerm,
-    build_model,
-    certify_sign,
-    numeric_value,
-)
-from .modforms import FormId, build_form, eval_form, rademacher_coefficient, verify_transform
-from .qseries import EvalResult, QSeries, TruncationError
-from .rigor import Interval, enclose_fraction, ia_exp_poly
-
-# public names of the numeric layers, by module, imported on first access
+# every public name, by the module that defines it, imported on first access
 _LAZY = {
-    **dict.fromkeys(
-        ("RadialValue", "contour_eval", "eval_a", "eval_b", "eval_g", "eval_g_deriv",
-         "hankel_fourier_oracle"),
-        "radial",
-    ),
-    **dict.fromkeys(
-        ("DensityBoundReport", "LatticePoint", "PoissonReport", "ShellTable", "density_bound",
-         "enumerate_shells", "magic_poisson_check", "poisson_check", "shell_vectors"),
-        "e8",
-    ),
+    name: module
+    for module, names in {
+        "certify": "Certificate ExpPolyModel ModelTerm build_model certify_sign numeric_value",
+        "modforms": "FormId build_form eval_form rademacher_coefficient verify_transform",
+        "qseries": "EvalResult QSeries TruncationError",
+        "rigor": "Interval enclose_fraction ia_exp_poly",
+        "radial": "RadialValue contour_eval eval_a eval_b eval_g eval_g_deriv hankel_fourier_oracle",
+        "e8": "DensityBoundReport LatticePoint PoissonReport ShellTable density_bound enumerate_shells "
+              "magic_poisson_check poisson_check shell_vectors",
+    }.items()
+    for name in names.split()
 }
 
 
@@ -56,9 +45,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-# the public names: the classes and functions imported above from the exact
-# layers, and the lazy names of the numeric layers
-__all__ = sorted(
-    [name for name, value in globals().items() if getattr(value, "__module__", "").startswith(f"{__name__}.")]
-    + list(_LAZY)
-)
+__all__ = sorted(_LAZY)

@@ -16,15 +16,18 @@ served only for that order, and only if its series writes back exactly its
 bytes, sha256 included, so a damaged or copied file is rebuilt; an entry
 written by older code that built the series differently is still served.
 
-The numeric layers ``radial`` and ``e8`` are imported by the verbs that call
-them, so ``series``, ``certify``, ``lattice`` and ``bound`` (exact, from
-``modforms.special_values``) run without numpy.
+Every verb loads ``modforms`` and ``qseries``; the other layers, and
+hashlib, are imported by the verbs that call them: ``certify`` (with
+``rigor``) by certify, plot of A or B and selfcheck, ``radial`` (with numpy)
+by eval, plot of g or ghat and selfcheck, ``e8`` by lattice, bound and
+selfcheck, and hashlib by series alone.  So ``series``, ``certify``,
+``lattice`` and ``bound`` (exact, from ``modforms.special_values``) run
+without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -32,7 +35,6 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from . import certify as certify_mod
 from .modforms import DEFAULT_ORDER, WEIGHTS, FormId, build_form, special_values
 from .qseries import QSeries
 
@@ -72,6 +74,8 @@ def _cache_path(form: FormId, order: int) -> Path | None:
 
 
 def _series_doc(form: FormId, series: QSeries) -> dict:
+    import hashlib
+
     doc = series.to_doc(name=form.value, weight=WEIGHTS[form])
     payload = json.dumps(doc["coefficients"], sort_keys=True)
     doc["sha256"] = hashlib.sha256(payload.encode()).hexdigest()
@@ -136,7 +140,9 @@ def _write_out(path: str, text: str) -> None:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    cert = certify_mod.certify_sign(args.target, n=args.n, t_star=args.tstar, max_depth=args.max_depth)
+    from .certify import certify_sign
+
+    cert = certify_sign(args.target, n=args.n, t_star=args.tstar, max_depth=args.max_depth)
     doc = cert.to_doc()
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.out:
@@ -184,7 +190,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         raise CliError(f"--samples must be between 2 and {MAX_PLOT_SAMPLES}")
     fn = args.function
     if fn in ("A", "B"):
-        evaluate = partial(certify_mod.numeric_value, fn)
+        from .certify import numeric_value
+
+        evaluate = partial(numeric_value, fn)
     else:
         from .radial import eval_g
 
@@ -258,6 +266,7 @@ _GOLDEN_LEADS = {
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
     from . import e8 as e8_mod
     from . import radial as radial_mod
+    from .certify import certify_sign
 
     failures = []
 
@@ -272,7 +281,7 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
         check(f"golden expansion {form.value}", got == expected)
 
     for target in ("A", "B"):
-        cert = certify_mod.certify_sign(target)
+        cert = certify_sign(target)
         check(f"certificate {target}", cert.certified, cert.status)
 
     exact, root2 = special_values(), math.sqrt(2)

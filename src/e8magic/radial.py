@@ -102,11 +102,16 @@ class RadialValue:
             raise ArithmeticError(f"radial value {self.value} +/- {self.err} is not finite")
 
 
-# g = c_a Im a + c_b Im b, with c_a and c_b solved exactly from g(0) = 1 and
-# ghat'(sqrt2) = 0 by ``modforms.special_values``; ghat flips the sign of the b
-# part because a has Fourier eigenvalue +1 and b has eigenvalue -1
-_G_COEFF_A, _G_COEFF_B = (float(special_values()[name]) for name in ("c_a", "c_b"))
-_G_COEFFS = {"g": (_G_COEFF_A, _G_COEFF_B), "ghat": (_G_COEFF_A, -_G_COEFF_B)}
+@lru_cache(maxsize=None)
+def _g_coeffs(which: str) -> tuple[float, float]:
+    """(c_a, c_b) of g = c_a Im a + c_b Im b, solved exactly from g(0) = 1 and
+    ghat'(sqrt2) = 0 by ``modforms.special_values`` on the first g or ghat
+    pass (which builds the chart series of both a and b, so a pass of a or b
+    alone builds only its own forms); ghat flips the sign of the b part
+    because a has Fourier eigenvalue +1 and b has eigenvalue -1."""
+    values = special_values()
+    ca, cb = float(values["c_a"]), float(values["c_b"])
+    return ca, cb if which == "g" else -cb
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +444,7 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     if len(parts) == 1:
         (value, err), = parts
     else:
-        ca, cb = _G_COEFFS[which]
+        ca, cb = _g_coeffs(which)
         (a_im, a_err), (b_im, b_err) = parts
         value, err = ca * a_im + cb * b_im, abs(ca) * a_err + abs(cb) * b_err
     return np.float64(4.0 * value), np.float64(4.0 * err)
@@ -593,8 +598,8 @@ def _hankel_grid() -> tuple[np.ndarray, np.ndarray]:
 def _hankel_table(which: str) -> tuple[np.ndarray, np.ndarray]:
     """The grid and the function on it; g and ghat combine the a and b tables."""
     grid = _hankel_grid()[0]
-    if which in _G_COEFFS:
-        ca, cb = _G_COEFFS[which]
+    if which in ("g", "ghat"):
+        ca, cb = _g_coeffs(which)
         return grid, ca * _hankel_table("a")[1] + cb * _hankel_table("b")[1]
     return grid, _g(grid**2, which, False)[0]
 

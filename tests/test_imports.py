@@ -1,10 +1,16 @@
 """The import surface: each fresh process loads only the layers its verb uses.
 
-numpy is 0.14 s of a 0.25 s `import e8magic.cli`, so a top-level import of it
-in the exact layers would put that cost back on every `certify` and `series`
-process.  scipy.special (0.35 s) is loaded by no module of the package, not
-even by the two Bessel diagnostics; only the tests use it, as a reference.
-These tests run fresh interpreters (the CLI through runpy, as
+numpy takes 73-93 ms to import, against 37-56 ms for the whole of
+`import e8magic.cli` (`python -X importtime`, 2-vCPU VM), so a top-level
+import of it in the exact layers would at least double that cost for every
+`certify` and `series` process.  `import e8magic` loads no submodule:
+importing `certify` and `rigor` with it put 0.057-0.061 s on the benchmark's
+`cold-eval` `setup_s` (0.0008 s without; medians of 10 alternated pairs,
+2-vCPU VM).  hashlib, which only `series` uses, loads OpenSSL's libcrypto:
+4.7 ms of import time and 3.7 MB of RSS over a bare interpreter.
+scipy.special (0.35 s) is loaded by no module of the package, not even by
+the two Bessel diagnostics; only the tests use it, as a reference.  These
+tests run fresh interpreters (the CLI through runpy, as
 `python -m e8magic.cli` does) and read `sys.modules` at their end.
 """
 
@@ -12,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -20,14 +27,15 @@ import e8magic
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# a probe runs its body, then writes the exit code, the heavy packages and
-# the e8magic modules loaded to the file named by its first argument
+# a probe runs its body, then writes the exit code, the heavy packages (and
+# _hashlib, OpenSSL's libcrypto) and the e8magic modules loaded to the file
+# named by its first argument
 _PROLOGUE = """
 import json, sys
 out, code = sys.argv.pop(1), 0
 """
 _REPORT = """
-loaded = sorted({m.partition(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+loaded = sorted({m.partition(".")[0] for m in sys.modules} & {"numpy", "scipy", "_hashlib"})
 loaded += sorted(m for m in sys.modules if m.startswith("e8magic."))
 open(out, "w").write(json.dumps([code, loaded]))
 """
@@ -55,6 +63,21 @@ def _fresh(tmp_path, body: str, *argv: str) -> tuple[int, set[str]]:
     return code, set(loaded)
 
 
+_SERIES = {"modforms", "qseries"}
+_CERTIFY = _SERIES | {"certify", "rigor"}
+# the layers of the package each verb below loads (plot of A: the certifier's
+# numeric_value)
+_VERB_LAYERS = {
+    "certify": _CERTIFY,
+    "series": _SERIES,
+    "lattice": _SERIES | {"e8"},
+    "eval": _SERIES | {"radial"},
+    "plot": _CERTIFY,
+    "bound": _SERIES | {"e8"},
+    "selfcheck": _CERTIFY | {"radial", "e8"},
+}
+
+
 @pytest.mark.parametrize(
     "argv,lean",
     [
@@ -68,32 +91,29 @@ def _fresh(tmp_path, body: str, *argv: str) -> tuple[int, set[str]]:
     ],
 )
 def test_verbs_load_only_their_layers(tmp_path, argv, lean):
-    """certify, series, lattice and bound load neither numpy nor the radial
-    layer; no verb loads scipy."""
+    """Each verb loads exactly its layers of the package; certify, series,
+    lattice and bound load no numpy; series alone loads libcrypto (hashlib,
+    for its documents' sha256); no verb loads scipy."""
     code, loaded = _fresh(tmp_path, _RUN_CLI, *argv)
     assert code == 0
+    layers = _VERB_LAYERS[argv[0]]
+    assert {m for m in loaded if m.startswith("e8magic.")} == {f"e8magic.{layer}" for layer in layers}
+    assert ("_hashlib" in loaded) == (argv[0] == "series")
     assert "scipy" not in loaded
     if lean:
-        assert not loaded & {"numpy", "e8magic.radial"}
+        assert "numpy" not in loaded
 
 
 def test_bare_import_loads_no_numpy(tmp_path):
-    """Only the exact layers; radial and e8 wait for their first name."""
+    """No submodule: every public name waits for its first use."""
     _, loaded = _fresh(tmp_path, "import e8magic\n")
-    assert loaded == {"e8magic.rigor", "e8magic.qseries", "e8magic.modforms", "e8magic.certify"}
+    assert loaded == set()
 
 
 def test_qseries_loads_no_rigor(tmp_path):
-    """The series layer bounds its tails in floats: importing it alone (the
-    package's own ``__init__`` imports every exact layer, so the probe stands
-    in a bare package for it) loads no ``e8magic.rigor``."""
-    body = (
-        "import types\n"
-        f"package = types.ModuleType('e8magic'); package.__path__ = [{str(SRC / 'e8magic')!r}]\n"
-        "sys.modules['e8magic'] = package\n"
-        "import e8magic.qseries\n"
-    )
-    _, loaded = _fresh(tmp_path, body)
+    """The series layer bounds its tails in floats: importing it loads no
+    ``e8magic.rigor``."""
+    _, loaded = _fresh(tmp_path, "import e8magic.qseries\n")
     assert loaded == {"e8magic.qseries"}
 
 
@@ -112,6 +132,23 @@ def test_importing_radial_computes_no_quadrature_rule(tmp_path):
     )
     code, _ = _fresh(tmp_path, body)
     assert code == [0, 1]
+
+
+@pytest.mark.parametrize("fn,built", [("a", {"phi"}), ("b", {"psi"}), ("g", {"phi", "psi"})])
+def test_importing_radial_builds_no_series(tmp_path, fn, built):
+    """radial does no exact work at import, and c_a and c_b, which read the
+    chart series of both a and b, wait for the first g or ghat pass: a pass of
+    a builds no psi form, and one of b no phi (or varphi) form."""
+    body = (
+        "import e8magic.modforms as modforms\n"
+        "import e8magic.radial as radial\n"
+        "code = [len(modforms._CACHE)]\n"
+        f"radial.eval_{fn}(1.0)\n"
+        "code.append(sorted({form.value for form, _ in modforms._CACHE}))\n"
+    )
+    (cached_at_import, forms), _ = _fresh(tmp_path, body)
+    assert cached_at_import == 0
+    assert {family for family in ("phi", "psi") if any(family in form for form in forms)} == built
 
 
 def test_the_probe_sees_scipy_once_it_is_imported(tmp_path):
@@ -141,3 +178,34 @@ def test_every_public_name_resolves():
     assert set(e8magic.__all__) <= set(dir(e8magic))
     with pytest.raises(AttributeError):
         e8magic.no_such_name  # noqa: B018
+
+
+# the public names, by their defining module
+PUBLIC_NAMES = {
+    "certify": ("Certificate", "ExpPolyModel", "ModelTerm", "build_model", "certify_sign", "numeric_value"),
+    "modforms": ("FormId", "build_form", "eval_form", "rademacher_coefficient", "verify_transform"),
+    "qseries": ("EvalResult", "QSeries", "TruncationError"),
+    "rigor": ("Interval", "enclose_fraction", "ia_exp_poly"),
+    "radial": ("RadialValue", "contour_eval", "eval_a", "eval_b", "eval_g", "eval_g_deriv",
+               "hankel_fourier_oracle"),
+    "e8": ("DensityBoundReport", "LatticePoint", "PoissonReport", "ShellTable", "density_bound",
+           "enumerate_shells", "magic_poisson_check", "poisson_check", "shell_vectors"),
+}
+
+
+def test_the_public_surface_is_pinned():
+    """33 names, each the object its module defines, bound by a star import
+    and listed by dir()."""
+    names = sorted(name for group in PUBLIC_NAMES.values() for name in group)
+    assert len(names) == 33
+    assert e8magic.__all__ == names
+    for module, group in PUBLIC_NAMES.items():
+        defining = import_module(f"e8magic.{module}")
+        for name in group:
+            value = getattr(e8magic, name)
+            assert value is getattr(defining, name), name
+            assert value.__module__ == defining.__name__, name
+    namespace: dict = {}
+    exec("from e8magic import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)
+    assert set(names) <= set(dir(e8magic))

@@ -55,8 +55,9 @@ def test_g_deriv_at_sqrt2():
 
 def test_g_coefficients_keep_the_bits_of_the_typed_constants():
     """c_a and c_b, solved exactly, round as -pi/8640 and -1/(240 pi) did."""
-    assert radial._G_COEFF_A.hex() == (-math.pi / 8640).hex()
-    assert radial._G_COEFF_B.hex() == (-1 / (240 * math.pi)).hex()
+    c_a, c_b = radial._g_coeffs("g")
+    assert c_a.hex() == (-math.pi / 8640).hex()
+    assert c_b.hex() == (-1 / (240 * math.pi)).hex()
 
 
 # Values recorded while the radial series were read at q^200, before the one

@@ -4,11 +4,11 @@
 
 Runs ``perfbench/run.py`` from the root of each checkout, untraced, as pairs
 in ABBA order: pair i runs the parent first when i is even and the change
-first when it is odd, and both runs of pair i take seed ``--seed`` + i.  It
-prints each pair's ``pass_s`` and the median of every part timing the run
-reports (such as ``eval_warm_s``), then each side's median and quartiles of
-these, of ``setup_s`` and ``peak_rss_mb`` and of the share of failed
-operations, and the pairs the change won (a tie counts for neither side).  A gain
+first when it is odd, and both runs of pair i take seed ``--seed`` + i; the
+workloads are those ``BENCHMARK.json`` declares.  It prints each pair's
+``setup_s``, ``pass_s`` and the median of every part timing the run reports
+(such as ``eval_warm_s``), then each side's median and quartiles of these, of
+``peak_rss_mb`` and of the share of failed operations, and the pairs the change won (a tie counts for neither side).  A gain
 is shown when the change wins at least nine pairs in ten and the medians
 differ by more than the parent's interquartile range.
 """
@@ -21,6 +21,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
@@ -53,7 +55,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True, choices=("cold-eval", "proof", "oracles"))
+    workloads = [workload["name"] for workload in json.loads(BENCHMARK.read_text())["workloads"]]
+    parser.add_argument("--workload", required=True, choices=workloads)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=100, help="seed of the first pair")
     parser.add_argument("--seconds", type=float, default=10.0, help="run length, as the benchmark's --seconds")
@@ -68,8 +71,8 @@ def main() -> int:
         parent, change = runs["parent"][-1], runs["change"][-1]
         parts = "  ".join(f"{key} {parent[key]:.4f} -> {change[key]:.4f}" for key in parent if key.endswith("_s")
                           and key not in ("pass_s", "setup_s"))
-        print(f"pair {i} seed {args.seed + i} ({order[0]} first): pass_s {parent['pass_s']:.4f} -> "
-              f"{change['pass_s']:.4f}  [{parts}]", flush=True)
+        ends = "  ".join(f"{key} {parent[key]:.4f} -> {change[key]:.4f}" for key in ("setup_s", "pass_s"))
+        print(f"pair {i} seed {args.seed + i} ({order[0]} first): {ends}  [{parts}]", flush=True)
 
     print(f"\n{args.workload}, {args.pairs} pairs: median [q1, q3]")
     for key in runs["parent"][0]:
