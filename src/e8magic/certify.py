@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .modforms import chart_series
-from .qseries import EIGHTH, EvalResult, combine
+from .qseries import EIGHTH, combine
 from .rigor import (
     INV_PI,
     INV_PI_SQ,
@@ -68,7 +68,7 @@ HYPOTHESES = (
 
 # the largest cutoff n = m that certify_sign accepts: the tail argument forms
 # e^{pi (19/20) n} on its own, which overflows a double from n = 238 on
-# (certify takes about 0.5 s at n = 200 on a 2-vCPU VM)
+# (a whole `certify --target A --n 200` process takes about 0.25 s on a 2-vCPU VM)
 MAX_CUTOFF = 200
 
 _PI_POW_INV = {0: Interval(1.0, 1.0), 1: INV_PI, 2: INV_PI_SQ}
@@ -483,11 +483,12 @@ def numeric_value(target: str, t: float) -> tuple[float, float]:
     parts = []
     for k, p, series, bound in chart_series(target, chart):
         r = series.eval_at(1j * x, bound)
+        value, err = r.value, r.tail_bound
         for _ in range(abs(p)):
-            r = EvalResult(r.value * x, r.tail_bound * x) if p > 0 else EvalResult(r.value / x, r.tail_bound / x)
-        parts.append((1 / math.pi**k, r))
-    total = combine(parts)
-    err = float(total.tail_bound) + abs(total.value.imag)
+            value, err = (value * x, err * x) if p > 0 else (value / x, err / x)
+        parts.append((1 / math.pi**k, (value, err)))
+    value, bound = combine(parts)
+    err = float(bound) + abs(value.imag)
     if not math.isfinite(err):
         raise ArithmeticError(f"the bound on {target}({t!r}) overflows a double")
-    return total.value.real, err
+    return value.real, err

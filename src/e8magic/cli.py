@@ -32,7 +32,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 from .modforms import DEFAULT_ORDER, WEIGHTS, FormId, build_form, special_values
@@ -150,11 +150,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     else:
         print(text)
     sign = "< 0" if args.target == "A" else "> 0"
-    print(
-        f"target {args.target} {sign}: {cert.status} "
-        f"({len(cert.segments)} segments, min margin {cert.min_margin:.6g})",
-        file=sys.stderr,
-    )
+    margin = f", min margin {cert.min_margin:.6g}" if cert.segments else ""  # no segment has no margin
+    print(f"target {args.target} {sign}: {cert.status} ({len(cert.segments)} segments{margin})", file=sys.stderr)
     return EXIT_OK if cert.certified else EXIT_CERT_FAILURE
 
 
@@ -304,7 +301,11 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once per process (``main`` parses each
+    argv with it); the verbs look up the library functions they call when
+    they run."""
     parser = argparse.ArgumentParser(
         prog="e8magic",
         description="The E8 magic function: series, certificates, evaluation, lattice sums.",

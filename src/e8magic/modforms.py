@@ -375,11 +375,12 @@ def verify_transform(form: FormId, law: str, z: complex) -> TransformCheck:
 
     if law != "S" or form not in S_LAWS:
         raise ValueError(f"no catalogued law {law!r} for {form}")
-    total = combine([(1, eval_form(form, -1 / z))] + [
+    results = [(1, eval_form(form, -1 / z))] + [
         (-c / math.pi**k * (-1j * z) ** j, EvalResult(1.0, 0.0) if g is None else eval_form(g, z))
         for g, c, k, j in S_LAWS[form]
-    ])
-    return TransformCheck(residual=abs(total.value), bound=float(total.tail_bound))
+    ]
+    value, bound = combine([(c, (r.value, r.tail_bound)) for c, r in results])
+    return TransformCheck(residual=abs(value), bound=float(bound))
 
 
 # ---------------------------------------------------------------------------

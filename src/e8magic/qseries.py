@@ -66,6 +66,8 @@ _MAJORANT_Y_MAX = 1e300
 # that each row's sums fall in the same blocks whatever other rows its plan
 # holds (a matrix-vector product rounds the last rows of a block otherwise)
 _RAY_BLOCK = 256
+# the factor of the argument error that RayPlan's bounds carry, 6 pi u
+_SIX_PI_U = 6 * math.pi * U
 
 
 class TruncationError(ValueError):
@@ -84,19 +86,20 @@ class EvalResult:
     tail_bound: float | np.ndarray
 
 
-def combine(parts) -> EvalResult:
-    """sum of coefficient * result over (coefficient, EvalResult) pairs, bounding
-    each result's error and the roundoff of forming each float coefficient,
-    product and sum (a few u each, doubled for complex arithmetic), plus the
-    absolute error of the products that underflow (a few eta per part: the
-    real and imaginary parts of c * value and the scaled bound)."""
+def combine(parts) -> tuple:
+    """(value, bound) of the sum of coefficient * value over (coefficient,
+    (value, bound)) pairs, bounding each value's error and the roundoff of
+    forming each float coefficient, product and sum (a few u each, doubled for
+    complex arithmetic), plus the absolute error of the products that
+    underflow (a few eta per part: the real and imaginary parts of c * value
+    and the scaled bound)."""
     value = scaled = magnitude = 0
-    for c, r in parts:
-        value = value + c * r.value
-        scaled = scaled + abs(c) * r.tail_bound
-        magnitude = magnitude + abs(c) * abs(r.value)
+    for c, (v, b) in parts:
+        value = value + c * v
+        scaled = scaled + abs(c) * b
+        magnitude = magnitude + abs(c) * abs(v)
     roundoff = 2 * (len(parts) + 8) * U * magnitude + 4 * len(parts) * _ETA
-    return EvalResult(value=value, tail_bound=scaled + roundoff)
+    return value, scaled + roundoff
 
 
 def _gamma(n: int) -> float:
@@ -498,6 +501,15 @@ class QSeries:
         terms = list(self._terms())
         return np.array([e / EIGHTH for e, _ in terms]), np.array([x / self.den for _, x in terms])
 
+    @cached_property
+    def _reductions(self) -> tuple[np.ndarray, float, float]:
+        """What ``eval_at`` reads of the terms beyond ``_floats``: |n|, sum |c|
+        and the summation factor 16u + 2 gamma_N."""
+        import numpy as np
+
+        n, c = self._floats
+        return np.abs(n), float(np.abs(c).sum()), 16 * U + 2 * _gamma(len(n))
+
     def eval_at(self, z, bound_constant: float) -> EvalResult:
         """Evaluate sum c(n) e^{2*pi*i*n*z} over the stored terms, at one z or an array of z.
 
@@ -518,30 +530,27 @@ class QSeries:
         import numpy as np
 
         z = np.asarray(z, dtype=complex)
-        y_min = float(np.min(z.imag))
+        y_min = float(z.imag.min())
         if not y_min > 0:
             raise ValueError("evaluation point must satisfy Im z > 0")
         if bound_constant < 0:
             raise ValueError("the growth-bound constant must be nonnegative")
         tail = _tail_majorant(self.lead, self.order, self.stride, bound_constant, min(y_min, _MAJORANT_Y_MAX))
         n, c = self._floats
+        abs_n, abs_c_sum, summation = self._reductions
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             terms = np.exp((2j * math.pi) * np.multiply.outer(z, n)) * c
             value = terms.sum(axis=-1)
             mag = np.abs(terms)
-            floor = _TINY * np.abs(c).sum()
+            floor = _TINY * abs_c_sum
             if np.count_nonzero(mag[..., :1]) < mag[..., :1].size:  # the first term is 0 somewhere
                 # where every term is 0 the error is below sum |c| e^{-2 pi n_0 Im z}, bounded in
                 # logs so that a caller's x^p cannot blow it up; 8u, 2^-40 and 4 eta cover roundoff
                 scale = 2 * math.pi * n[0] * (1 - 8 * U if n[0] > 0 else 1 + 8 * U)
-                own = np.exp(math.log(np.abs(c).sum()) - scale * z.imag) * (1 + 2.0**-40) + 4 * _ETA
+                own = np.exp(math.log(abs_c_sum) - scale * z.imag) * (1 + 2.0**-40) + 4 * _ETA
                 floor = np.where(np.count_nonzero(mag, axis=-1) == 0, own, floor)
-            bound = tail + (
-                (16 * U + 2 * _gamma(len(n))) * mag.sum(axis=-1)
-                + 10 * math.pi * U * np.abs(z) * (mag @ np.abs(n))
-                + floor
-            )
-        if not (np.all(np.isfinite(value)) and np.all(np.isfinite(bound))):
+            bound = tail + (summation * mag.sum(axis=-1) + 10 * math.pi * U * np.abs(z) * (mag @ abs_n) + floor)
+        if not (np.isfinite(value).all() and np.isfinite(bound).all()):
             raise OverflowError(f"series value overflows a double at Im z = {y_min!r}")
         if z.ndim == 0:
             return EvalResult(value=complex(value), tail_bound=float(bound))
@@ -600,17 +609,17 @@ class RayPlan:
     power p are formed once for every row.  Each row sums m_p against its own
     coefficients, and one ``np.matmul`` per grid forms all those sums: a dot
     product per sum at a 0-d y, a matrix-vector product per sum and block of
-    an array, the kernels of ``ndarray.dot``.  At a 0-d y the sums and the
-    bounds are Python floats.
+    an array, the kernels of ``ndarray.dot``.  Each row gives a pair (value,
+    bound): Python floats at a 0-d y, arrays of y's shape otherwise.
 
     The plan holds all that does not depend on y: the row of 2n; the factors
-    p!/(p-k)! per power; per grid its span of the row and the stack of the
-    vectors each m_p meets there, c, |c| and 2n|c| of each row of power p
-    (|c| left out where c has one sign: sum m_p |c| is then |sum m_p c| bit
-    for bit, as m_p >= 0); the picker of each row's three sums among the
-    products; and per row the tail majorant times F(beta0), the summation
-    factor and the subnormal term.
-    ``tail_bound`` covers truncation and roundoff as in ``eval_at``: a
+    p!/(p-k)! per power; per grid its span of the row, the number of powers
+    its rows read and the stack of the vectors each m_p meets there, c, |c|
+    and 2n|c| of each row of power p (|c| left out where c has one sign:
+    sum m_p |c| is then |sum m_p c| bit for bit, as m_p >= 0); the picker of
+    each row's three sums among the products; and per row the tail majorant
+    times F(beta0), the summation factor and the subnormal term.
+    The bound covers truncation and roundoff as in ``eval_at``: a
     discarded term has beta >= beta0 = 2 pi order, so the tail is at most
     F(beta0) e^{-pi y} times the tail majorant at Im z = 1; the computed beta
     has a relative error of a few u, which e^{-beta} turns into one of about
@@ -634,24 +643,24 @@ class RayPlan:
             # rows with equal exponent grids share their closed forms
             grids.setdefault(n.tobytes(), (2 * n, []))[1].append((i, p, [c, None if one_sign else abs_c, 2 * n * abs_c]))
             consts.append((factor * majorant, 48 * U + 2 * _gamma(len(n)), _TINY * abs_c.sum()))
-        # per power p, the factor p!/(p-k)! of beta^-(k+1) in its closed form, k = 1 .. p (None for
-        # 1: 1 * x is x); the factors, -pi and -1 are 0-d arrays, which numpy takes faster than floats
-        self.factors = [[None if math.perm(p, k) == 1 else np.array(float(math.perm(p, k))) for k in range(1, p + 1)]
+        # per power p, each k = 1 .. p with the factor p!/(p-k)! of beta^-(k+1) in its closed form (None
+        # for 1: 1 * x is x); the factors, -pi and -1 are 0-d arrays, which numpy takes faster than floats
+        self.factors = [[(k, None if math.perm(p, k) == 1 else np.array(float(math.perm(p, k)))) for k in range(1, p + 1)]
                         for p in range(1 + max(p for _, p, _ in rows))]
         self.neg_pi, self.minus_one = np.array(-math.pi), np.array(-1.0)
-        powers = len(self.factors)
         self.grids, keys, start = [], [], 0
         for two_n, members in grids.values():
-            met = [[] for _ in range(powers)]  # per power p, the vectors m_p meets: ((row, j), vector j)
+            # per power p up to the grid's largest, the vectors m_p meets: ((row, j), vector j)
+            met = [[] for _ in range(1 + max(p for _, p, _ in members))]
             for i, p, vectors in members:
                 met[p] += [((i, j), v) for j, v in enumerate(vectors) if v is not None]
-            stack = np.zeros((max(map(len, met)), powers, len(two_n), 1))
+            stack = np.zeros((max(map(len, met)), len(met), len(two_n), 1))
             for p, vectors in enumerate(met):
                 for k, (_, v) in enumerate(vectors):
                     stack[k, p, :, 0] = v
-            # np.matmul lays out m_p times vector k of the stack at k * powers + p
-            keys += [met[p][k][0] if k < len(met[p]) else None for k in range(len(stack)) for p in range(powers)]
-            self.grids.append((slice(start, start + len(two_n)), stack))
+            # np.matmul lays out m_p times vector k of the stack at k * len(met) + p
+            keys += [met[p][k][0] if k < len(met[p]) else None for k in range(len(stack)) for p in range(len(met))]
+            self.grids.append((slice(start, start + len(two_n)), len(met), stack))
             start += len(two_n)
         self.two_n = np.concatenate([two_n for two_n, _ in grids.values()])
         place = {key: at for at, key in enumerate(keys) if key is not None}
@@ -659,35 +668,36 @@ class RayPlan:
         self.pick = itemgetter(*(place.get((i, j), place[i, 0]) for i in range(len(rows)) for j in range(3)))
         self.consts = consts  # per row: tail factor, summation factor, subnormal term
 
-    def __call__(self, y) -> list[EvalResult]:
+    def __call__(self, y) -> list[tuple]:
         import numpy as np
 
-        y = np.asarray(y, dtype=float)[()]
-        nonnegative = y >= 0
-        if not (nonnegative if y.ndim == 0 else nonnegative.all()):
+        y = np.asarray(y, dtype=float)
+        if not (y[()] >= 0 if y.ndim == 0 else (y >= 0).all()):
             raise ValueError("ray Laplace transform needs y >= 0")
         blocks = []
         for yb in _blocks(y, _RAY_BLOCK):
             neg_beta = self.neg_pi * (self.two_n + yb)
             decay = np.exp(neg_beta)
             inv = [self.minus_one / neg_beta]  # beta^-(k+1), each the last one times 1/beta
-            for _ in range(len(self.factors) - 1):
+            for _ in self.factors[1:]:
                 inv.append(inv[-1] * inv[0])
             m = np.empty((len(self.factors), *neg_beta.shape))
             for p, factors in enumerate(self.factors):
                 acc = inv[0]
-                for k, fact in enumerate(factors, start=1):
+                for k, fact in factors:
                     acc = acc + (inv[k] if fact is None else fact * inv[k])
                 np.multiply(decay, acc, out=m[p])
             products = []
-            for span, stack in self.grids:
-                grid = np.matmul(m[:, ..., span].reshape(1, len(m), -1, stack.shape[2]), stack)
+            for span, grid_powers, stack in self.grids:
+                grid = np.matmul(m[:grid_powers, ..., span].reshape(1, grid_powers, -1, stack.shape[2]), stack)
                 products += grid.ravel().tolist() if y.ndim == 0 else list(grid.reshape(-1, len(yb)))
-            blocks.append((np.exp((-math.pi) * yb), *self.pick(products)))
-        decay, *sums = _gather(blocks, y.shape)  # e^{-pi y}, then each row's three sums
+            blocks.append(self.pick(products))
+        sums = _gather(blocks, y.shape) if y.ndim else blocks[0]  # each row's three sums, floats at one y
         flat = y if y.ndim else float(y)
+        decay = np.exp((-math.pi) * flat)  # e^{-pi y}: numpy takes a float faster than a 0-d array
+        decay = decay if y.ndim else float(decay)
         return [
-            EvalResult(value=v, tail_bound=t * decay + (g * b + 6 * math.pi * U * (d + flat * b)) + tiny)
+            (v, t * decay + (g * b + _SIX_PI_U * (d + flat * b)) + tiny)
             for v, b, d, (t, g, tiny) in zip(sums[0::3], map(abs, sums[1::3]), sums[2::3], self.consts)
         ]
 
@@ -697,10 +707,8 @@ def _blocks(y, size: int) -> list:
     (numpy takes an array operand faster than a scalar); an array is cut into
     columns of ``size`` values, so the pass's arrays stay small.  ``_gather``
     joins the results of the blocks."""
-    import numpy as np
-
     if y.ndim == 0:
-        return [np.asarray(y)]
+        return [y[...]]  # a 0-d array, also of a numpy scalar
     flat = y.reshape(-1, 1)
     return [flat[lo:lo + size] for lo in range(0, y.size, size)]
 
@@ -709,9 +717,9 @@ def _gather(blocks, shape: tuple) -> list:
     """The per-block results of a pass over y (per block, one value or array
     per quantity), joined quantity by quantity into arrays of y's shape; at a
     0-d y, the one block's as Python floats."""
-    import numpy as np
-
     if not shape:
         block, = blocks
         return list(map(float, block))
+    import numpy as np
+
     return [np.concatenate(column).reshape(shape) for column in zip(*blocks)]

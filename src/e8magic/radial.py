@@ -75,8 +75,8 @@ _SING_BAND = 1e-3
 # near kernel elements per block of a pass over y: a block's length moves the
 # bits of its last rows' sums, and the Hankel tables keep those of 2^18
 _NEAR_BLOCK_ELEMS = 1 << 18
-# -pi as a 0-d array, which numpy takes faster than a float
-_NEG_PI = np.array(-_PI)
+# -pi and the cap of a unit moment's polynomial as 0-d arrays, which numpy takes faster than floats
+_NEG_PI, _CAP = np.array(-_PI), np.array(1e100)
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,9 @@ class RadialValue:
     residual: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("value", "err", "residual"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        if not type(self.value) is type(self.err) is type(self.residual) is float:
+            for name in ("value", "err", "residual"):
+                object.__setattr__(self, name, float(getattr(self, name)))
         if not (math.isfinite(self.value) and math.isfinite(self.err)):
             raise ArithmeticError(f"radial value {self.value} +/- {self.err} is not finite")
 
@@ -123,8 +124,10 @@ _MAX_DEPTH = 24
 
 @lru_cache(maxsize=None)
 def _gauss_legendre_40() -> tuple[np.ndarray, np.ndarray]:
-    """The 40-point Gauss-Legendre rule on [-1, 1]: an eigenvalue solve of
-    about 0.8 ms, done on the first quadrature, so importing starts no LAPACK."""
+    """The 40-point Gauss-Legendre rule on [-1, 1], made on the first
+    quadrature, so importing loads neither numpy.polynomial nor LAPACK: in a
+    fresh process that first call takes about 3.7 ms on a 2-vCPU VM, 2.7 ms of
+    it the import of numpy.polynomial and the rest the eigenvalue solve."""
     return np.polynomial.legendre.leggauss(40)
 
 
@@ -199,11 +202,11 @@ def _closed_moment(p: int, b: np.ndarray) -> np.ndarray:
         return -_float(np.expm1(-b)) / b
     eb = _float(np.exp(-b))
     if p == 1:
-        return (1.0 - eb * (1.0 + b)) / _power(b, 2)
-    c = _float(np.minimum(b, 1e100))
+        return (1.0 - eb * (1.0 + b)) / (b * b)
+    c = _float(np.minimum(b, _CAP))
     if p == 2:
-        return (2.0 - eb * (_power(c, 2) + 2 * c + 2)) / _power(b, 3)
-    return (6.0 - eb * (_power(c, 3) + 3 * _power(c, 2) + 6 * c + 6)) / _power(b, 4)
+        return (2.0 - eb * (c * c + 2 * c + 2)) / _power(b, 3)
+    return (6.0 - eb * (_power(c, 3) + 3 * (c * c) + 6 * c + 6)) / _power(b, 4)
 
 
 # The terms the Taylor branch of ``_unit_moment`` sums, for every degree p <= 3.
@@ -222,11 +225,10 @@ def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
         raise ValueError("moment degree must be <= 3")
     beta = _float(beta)
     small = abs(beta) < 0.5
-    count, size = _count(small)
-    if not count:
+    if small is False or not np.count_nonzero(small):  # small is a Python bool at one radius
         return _closed_moment(p, beta)
     # Taylor branch: sum_k (-beta)^k / (k! (k + p + 1))
-    b = beta if count == size else beta[small]
+    b = beta if small is True or small.all() else beta[small]
     taylor, term = 0.0, 1.0
     for k in range(_TAYLOR_TERMS):
         taylor = taylor + term / (k + p + 1)
@@ -286,11 +288,6 @@ def _power(x: np.ndarray, k: int) -> np.ndarray:
     return x if k == 1 else x * x if k == 2 else _float(np.power(x, k))
 
 
-def _count(mask: np.ndarray) -> tuple[int, int]:
-    """The points mask sets and all its points; a Python bool is one point."""
-    return (mask, 1) if isinstance(mask, bool) else (np.count_nonzero(mask), mask.size)
-
-
 def _quotient(x: np.ndarray, s2: np.ndarray, s2_prime: np.ndarray, power: int, deriv: bool) -> np.ndarray:
     """sin^2(pi y/2) / x^power, or its d/dy, from the sines at y and x = y - center.
     Where a power of x overflows the quotient, below |x|^-power, saturates to 0."""
@@ -311,10 +308,9 @@ def _ratio(y: np.ndarray, sines, center: float, power: int, deriv: bool) -> np.n
     """
     x = y - center
     near = abs(x) < _SING_BAND
-    count, size = _count(near)
-    if not count:
+    if near is False or not np.count_nonzero(near):  # near is a Python bool at one radius
         return _quotient(x, *sines, power, deriv)
-    xs = x if count == size else x[near]
+    xs = x if near is True or near.all() else x[near]
     acc = 0.0
     for k, s_k in enumerate(_S2_COEFFS, start=1):
         e = 2 * k - power
@@ -346,34 +342,36 @@ def _layout(names: tuple[str, ...], deriv: bool) -> tuple:
     that at one radius each row is one Python float; the ``RayPlan`` of the
     far-range rows (series, power, C); the near-range nodes 1/u_j and -pi/u_j
     of every function in one row each, so that one exp forms every near
-    kernel; and per function its span of that row with its weights, its
-    prefactors (coefficient, quotient row), and per d its principal terms
-    (coefficient (-pi)^d, moment row), far-range parts (coefficient, ray row)
-    and near-range bound times pi^d.  Each row is numbered when a term first
+    kernel, and per function its span of that row with its weights; per
+    function its prefactors (coefficient, quotient row); and per d, then per
+    function, in the order of the near sums, its principal terms (coefficient
+    (-pi)^d, moment row), far-range parts (coefficient, ray row) and
+    near-range bound times pi^d.  Each row is numbered when a term first
     reads it; rows are computed independently, so their order moves no bit."""
     orders = (0, 1) if deriv else (0,)
-    quotient_rows, moment_rows, rays, nodes, functions = {}, {}, [], [], []
+    quotient_rows, moment_rows, rays, nodes, spans, prefactors = {}, {}, [], [], [], []
+    integrals = [[] for _ in orders]
     for name in names:
-        principal, prefactors = _principal_part(name)
+        principal, terms = _principal_part(name)
         inv_u, d_scale, w, near_err = _near_quadrature(name)
         start = sum(len(x) for x, _ in nodes)
         nodes.append((inv_u, d_scale))
-        integrals = []
+        spans.append((slice(start, start + len(w)), w))
         for d in orders:
             far = []
             for form, c, k, j in chart_terms(name, "t"):
                 far.append((c / _PI**k * (-_PI) ** d, len(rays)))
                 rays.append((build_form(form), j + d, GROWTH_BOUNDS[form]))
-            terms = tuple(
+            moment_terms = tuple(
                 (c * ((-_PI) ** d), moment_rows.setdefault((p + d, m), len(moment_rows))) for c, p, m in principal
             )
-            integrals.append((terms, tuple(far), near_err * _PI**d))
-        terms = tuple(
-            (c, quotient_rows.setdefault((center, power), len(quotient_rows))) for c, center, power in prefactors
-        )
-        functions.append(((slice(start, start + len(w)), w), terms, tuple(integrals)))
+            integrals[d].append((moment_terms, tuple(far), near_err * _PI**d))
+        prefactors.append(tuple(
+            (c, quotient_rows.setdefault((center, power), len(quotient_rows))) for c, center, power in terms
+        ))
     near_nodes = tuple(np.concatenate(column) for column in zip(*nodes))
-    return tuple(quotient_rows), tuple(moment_rows), RayPlan(rays), near_nodes, tuple(functions)
+    return (tuple(quotient_rows), tuple(moment_rows), RayPlan(rays), near_nodes, tuple(spans), tuple(prefactors),
+            tuple(sum(integrals, [])))
 
 
 def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -391,8 +389,9 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     shape; one near kernel over the nodes of every function, formed per
     block of y in one buffer that the later blocks of a grid reuse, with a
     dot product per function; and one ``RayPlan`` call for the far range,
-    with d/dy of the integral alongside it.  At one radius (y a numpy
-    scalar) the leaves ``_sines``, ``_ratio``, ``_unit_moment`` and
+    with d/dy of the integral alongside it.  The assembly is a few flat loops
+    over the (coefficient, row) pairs of the layout.  At one radius (y a
+    numpy scalar) the leaves ``_sines``, ``_ratio``, ``_unit_moment`` and
     ``_power``, the quadrature sums and ``RayPlan`` give Python floats, so
     the sums, ``combine`` and the assembly run on Python floats, and numpy
     forms only the transcendentals and the dot products; the result is a
@@ -405,39 +404,41 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     """
     if which not in _FUNCTIONS:
         raise ValueError("which must be one of 'a', 'b', 'g', 'ghat'")
-    quotients, moments, far_plan, (inv_u, d_scale), functions = _layout(_FUNCTIONS[which], deriv)
+    quotients, moments, far_plan, (inv_u, d_scale), spans, prefactors, integrals = _layout(_FUNCTIONS[which], deriv)
     y_glue = _float(y)  # at one radius a Python float; the unit moments read y's numpy scalar
     sines = s2, s2_prime = _sines(y_glue)
-    parts = []
     try:
         with np.errstate(over="ignore", invalid="raise"):
             quotient = [_ratio(y_glue, sines, center, power, deriv) for center, power in quotients]
             moment = [_unit_moment(degree, _PI * (y + m)) for degree, m in moments]
-            ray_parts = far_plan(y)
+            ray = far_plan(y)
             near, kernel = [], None
             for yb in _blocks(y, _NEAR_BLOCK_ELEMS // len(inv_u)):
                 # the later blocks of a grid reuse the first block's buffer
-                kernel = np.multiply(yb, inv_u, out=None if kernel is None else kernel[:len(yb)])
-                np.exp(np.multiply(_NEG_PI, kernel, out=kernel), out=kernel)
-                sums = [kernel[..., span].dot(w) for (span, w), _, _ in functions]
+                kernel = yb * inv_u if kernel is None else np.multiply(yb, inv_u, out=kernel[:len(yb)])
+                kernel *= _NEG_PI
+                np.exp(kernel, out=kernel)
+                sums = [kernel[..., span].dot(w) for span, w in spans]
                 if deriv:
                     np.multiply(kernel, d_scale, out=kernel)
-                    sums += [kernel[..., span].dot(w) for (span, w), _, _ in functions]
+                    sums += [kernel[..., span].dot(w) for span, w in spans]
                 near.append(sums)
-            near = _gather(near, y.shape)
-            for f, (_, prefactors, integrals) in enumerate(functions):
-                integral = []
-                for total, (principal, far, near_err) in zip(near[f::len(functions)], integrals):
-                    for c, i in principal:
-                        total = total + c * moment[i]
-                    far_range = combine([(coeff, ray_parts[row]) for coeff, row in far])
-                    integral.append((total + far_range.value, near_err + far_range.tail_bound))
-                pref = sum([c * quotient[i] for c, i in prefactors])
+            integral = []  # per d, then per function: (value, bound) of the integral
+            for total, (principal, far, near_err) in zip(_gather(near, y.shape), integrals):
+                for c, i in principal:
+                    total = total + c * moment[i]
+                value, bound = combine([(c, ray[row]) for c, row in far])
+                integral.append((total + value, near_err + bound))
+            parts = []
+            for f, terms in enumerate(prefactors):
+                pref = 0
+                for c, i in terms:
+                    pref = pref + c * quotient[i]
+                value, err = integral[f]
                 if deriv:
-                    (value, err), (d_value, d_err) = integral
+                    d_value, d_err = integral[f + len(prefactors)]
                     parts.append((pref + s2_prime * value + s2 * d_value, abs(s2_prime) * err + s2 * d_err))
                 else:
-                    (value, err), = integral
                     parts.append((pref + s2 * value, s2 * err))
     except FloatingPointError as exc:
         raise ArithmeticError(f"invalid operation in a radial kernel at y = r^2 up to {np.max(y):.6g}: {exc}") from None
@@ -466,8 +467,8 @@ def _radius_sq(r: float) -> np.float64:
 
 
 def _radial(which: str, r: float) -> RadialValue:
-    value, err = _g(_radius_sq(r), which, False)
-    return RadialValue(value=value, err=_eval_err(value, err))
+    value, err = map(float, _g(_radius_sq(r), which, False))
+    return RadialValue(value, _eval_err(value, err))
 
 
 def eval_a(r: float) -> RadialValue:
@@ -496,9 +497,9 @@ def eval_g_deriv(r: float, which: str = "g") -> RadialValue:
     _check_g(which)
     if r == 0:
         raise ValueError("r must be positive")
-    dy, err = _g(_radius_sq(r), which, True)
+    dy, err = map(float, _g(_radius_sq(r), which, True))
     value = 2.0 * float(r) * dy
-    return RadialValue(value=value, err=(1 + 2 * r) * _eval_err(value, err))
+    return RadialValue(value, (1 + 2 * r) * _eval_err(value, err))
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +566,9 @@ def contour_eval(r: float, which: str = "a") -> RadialValue:
     # representation behind eval_b (fixed by b'(sqrt 2) = 2 sqrt(2) pi i and
     # ghat >= 0).  The sign is typed here, not derived.
     # int_i^{i oo} f(z) e^{pi i y z} dz = i int_1^oo f(it) e^{-pi y t} dt
-    ray, = _ray_plan(form)(y)
-    total = (finite if which == "a" else -finite) + 2.0 * 1j * ray.value
-    series_err = series_err + 2 * ray.tail_bound
+    (ray, ray_bound), = _ray_plan(form)(y)
+    total = (finite if which == "a" else -finite) + 2.0 * 1j * ray
+    series_err = series_err + 2 * ray_bound
     err = quad_err + series_err + 1e-12 * (1.0 + abs(total))
     return RadialValue(value=total.imag, err=err, residual=total.real)
 

@@ -23,6 +23,7 @@ from e8magic.cli import (
     MAX_LATTICE_NORM,
     MAX_PLOT_SAMPLES,
     MAX_SERIES_ORDER,
+    build_parser,
     main,
 )
 from e8magic import certify, e8, radial
@@ -214,6 +215,23 @@ def test_certify_control_failure_exit_code(capsys):
     code, _, err = run(capsys, "certify", "--target", "A", "--n", "1")
     assert code == EXIT_CERT_FAILURE
     assert "failed" in err
+
+
+@pytest.mark.parametrize("argv", [["--target", "B", "--n", "1"], ["--target", "A", "--max-depth", "0"]])
+def test_a_failed_certificate_without_segments_prints_no_margin(capsys, argv):
+    """A certificate that fails before it certifies any segment has no
+    margin, so its status line names none (it used to print "inf")."""
+    code, _, err = run(capsys, "certify", *argv)
+    assert code == EXIT_CERT_FAILURE
+    line, = err.splitlines()
+    assert "failed (0 segments)" in line and "inf" not in line, line
+
+
+def test_main_builds_one_parser_per_process(capsys):
+    """Every call of main parses with the one parser build_parser made."""
+    assert build_parser() is build_parser()
+    run(capsys, "eval", "--function", "g", "--r", "-1")
+    assert build_parser.cache_info().currsize == 1
 
 
 def test_certify_invalid_target(capsys):

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from e8magic.qseries import (
     _MAJORANT_Y_MAX,
     EIGHTH,
-    EvalResult,
     QSeries,
     RayPlan,
     TruncationError,
@@ -275,13 +274,13 @@ def test_combine_bound_covers_its_roundoff(parts):
     """With exact inputs (zero tail bounds) the bound of combine is at least
     the distance of its value from the exact sum of the same floats,
     products that underflow included."""
-    got = combine([(c, EvalResult(value=v, tail_bound=0.0)) for c, v in parts])
+    value, bound = combine([(c, (v, 0.0)) for c, v in parts])
     re, im = Fraction(0), Fraction(0)
     for c, v in parts:
         (a, b), (x, y) = _exact(c), _exact(v)
         re, im = re + a * x - b * y, im + a * y + b * x
-    got_re, got_im = _exact(got.value)
-    assert (got_re - re) ** 2 + (got_im - im) ** 2 <= Fraction(got.tail_bound) ** 2, (got, re, im)
+    got_re, got_im = _exact(value)
+    assert (got_re - re) ** 2 + (got_im - im) ** 2 <= Fraction(bound) ** 2, (value, bound, re, im)
 
 
 _RAY_FORMS = (FormId.PHI_0, FormId.PHI_M2, FormId.PHI_M4, FormId.PSI_I)
@@ -294,10 +293,10 @@ def test_ray_laplace_rows_match_one_row_calls_bit_for_bit():
 
     y = np.linspace(0.0, 40.0, 9001)
     rows = [(build_form(form), p, GROWTH_BOUNDS[form]) for form in _RAY_FORMS for p in range(4)]
-    for row, got in zip(rows, RayPlan(rows[::-1])(y)[::-1]):
-        alone, = RayPlan((row,))(y)
-        assert got.value.tobytes() == alone.value.tobytes()
-        assert got.tail_bound.tobytes() == alone.tail_bound.tobytes()
+    for row, (value, bound) in zip(rows, RayPlan(rows[::-1])(y)[::-1]):
+        (alone, alone_bound), = RayPlan((row,))(y)
+        assert value.tobytes() == alone.tobytes()
+        assert bound.tobytes() == alone_bound.tobytes()
 
 
 def test_ray_laplace_bounds_read_each_row_s_own_sum_of_m_abs_c():
@@ -324,7 +323,7 @@ def test_ray_laplace_bounds_read_each_row_s_own_sum_of_m_abs_c():
             m = np.exp(neg_beta) * acc
             m_abs_c, m_2n_abs_c = m.dot(np.abs(c)), m.dot(2 * n * np.abs(c))
             bound = tail * np.exp(-math.pi * y) + (gamma * m_abs_c + 6 * math.pi * U * (m_2n_abs_c + y * m_abs_c)) + tiny
-            assert (got.value, got.tail_bound) == (m.dot(c), bound), (series, p, y)
+            assert got == (m.dot(c), bound), (series, p, y)
 
 
 @pytest.mark.parametrize("form", _RAY_FORMS)
@@ -334,14 +333,50 @@ def test_ray_laplace_bound_covers_the_stored_terms(form, p):
     with n > 0 of c(n) Gamma(p + 1, beta) / beta^(p + 1), beta = pi (2n + y)."""
     series = build_form(form)
     ys = [0.0, 0.3, 2.0, 9.5]
-    got, = RayPlan([(series, p, GROWTH_BOUNDS[form])])(ys)
-    for y, value, bound in zip(ys, got.value, got.tail_bound):
+    (values, bounds), = RayPlan([(series, p, GROWTH_BOUNDS[form])])(ys)
+    for y, value, bound in zip(ys, values, bounds):
         ref = mpmath.mpf(0)
         for e, c in series.coeffs.items():
             if e > 0:
                 beta = mpmath.pi * (mpmath.mpf(2 * e) / EIGHTH + y)
                 ref += mpmath.mpf(c.numerator) / c.denominator * mpmath.gammainc(p + 1, beta) / beta ** (p + 1)
         assert abs(value - ref) <= bound, (y, value, ref, bound)
+
+
+@pytest.mark.parametrize("form", _RAY_FORMS)
+@pytest.mark.parametrize("p", [0, 3])
+def test_ray_laplace_bound_covers_stored_terms_that_all_underflow(form, p):
+    """At y = 240 every e^{-beta} of the stored terms underflows to 0, so the
+    value is 0; its bound still covers the 50-digit sum of those terms, which
+    only the subnormal term of the bound does."""
+    series = build_form(form)
+    y = 240.0
+    (value, bound), = RayPlan([(series, p, GROWTH_BOUNDS[form])])(y)
+    ref = mpmath.mpf(0)
+    for e, c in series.coeffs.items():
+        if e > 0:
+            beta = mpmath.pi * (mpmath.mpf(2 * e) / EIGHTH + y)
+            ref += mpmath.mpf(c.numerator) / c.denominator * mpmath.gammainc(p + 1, beta) / beta ** (p + 1)
+    assert value == 0.0 and ref != 0
+    assert abs(value - ref) <= bound, (value, ref, bound)
+
+
+@pytest.mark.parametrize("form", list(FormId))
+def test_eval_at_a_scalar_keeps_the_bits_of_its_one_point_array(form):
+    """eval_at at one z returns the value and bound bits of eval_at at the
+    one-point array [z], at seeded z with Im z in [0.5, 3] and, for a series
+    with no term at or below q^0, at a height where every term underflows,
+    so that the bound of the terms there is the floor in logs."""
+    series, bound = build_form(form), GROWTH_BOUNDS[form]
+    rng = np.random.default_rng(43)
+    zs = [complex(x, y) for x, y in zip(rng.uniform(-0.5, 0.5, 8), rng.uniform(0.5, 3.0, 8))]
+    if series.lead > 0:
+        zs.append(complex(0.3, 2000.0))
+        assert not np.count_nonzero(np.exp(-2 * math.pi * series._floats[0] * 2000.0))
+    for z in zs:
+        one, grid = series.eval_at(z, bound), series.eval_at(np.array([z]), bound)
+        assert [one.value.real.hex(), one.value.imag.hex(), one.tail_bound.hex()] == [
+            float(grid.value[0].real).hex(), float(grid.value[0].imag).hex(), float(grid.tail_bound[0]).hex()], z
 
 
 def test_eq_and_hash_use_the_same_fields():

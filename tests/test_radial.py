@@ -323,6 +323,31 @@ def test_warm_evaluations_reuse_the_rule_and_the_ray_constants(monkeypatch):
 
 
 
+def test_a_warm_radius_builds_one_radial_value_and_no_eval_result(monkeypatch):
+    """Once warm, eval_g and eval_g_deriv at one radius build their one
+    RadialValue and nothing else of the result types: the ray rows and their
+    combination are (value, bound) pairs of Python floats."""
+    for fn in (eval_g, eval_g_deriv):
+        fn(1.3)
+    built = {}
+
+    def counting(cls):
+        init = cls.__init__
+
+        def wrapped(self, *args, **kwargs):
+            built[cls.__name__] = built.get(cls.__name__, 0) + 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", wrapped)
+
+    counting(radial.RadialValue)
+    counting(qseries.EvalResult)
+    for fn in (eval_g, eval_g_deriv):
+        for r in (0.1, 1.3, SQRT2 + 1e-4, 5.0):
+            built.clear()
+            fn(r)
+            assert built == {"RadialValue": 1}, (fn.__name__, r, built)
+
+
 @pytest.mark.parametrize("deriv", [False, True])
 def test_a_warm_pass_enters_one_errstate(monkeypatch, deriv):
     """One warm eval_g or eval_g_deriv sets numpy's error state once, for its
