@@ -153,13 +153,15 @@ def _shell_sum(table: ShellTable, decay: float, n_max: int, scale: float) -> tup
     error of about decay * n * u; exp, the products, the sum (gamma_K) and the
     caller's difference add a few u each.  Constants are doubled.
     """
-    terms = [
-        (cnt * math.exp(-decay * (norm2 // 2)), decay * (norm2 // 2))
-        for norm2, cnt in table.entries.items()
-    ]
-    total = scale * sum(t for t, _ in terms)
-    roundoff = 2 * U * sum(t * (len(terms) + 4 + 4 * x) for t, x in terms)
-    return total, scale * (_gaussian_tail(decay, n_max) + roundoff) + 8 * U * abs(total)
+    # left to right, not by sum(), which CPython >= 3.12 compensates: one rounding on every Python
+    total = roundoff = 0.0
+    for norm2, cnt in table.entries.items():
+        x = decay * (norm2 // 2)
+        t = cnt * math.exp(-x)
+        total = total + t
+        roundoff = roundoff + t * (len(table.entries) + 4 + 4 * x)
+    total = scale * total
+    return total, scale * (_gaussian_tail(decay, n_max) + 2 * U * roundoff) + 8 * U * abs(total)
 
 
 def _gaussian_tail(decay: float, n_max: int) -> float:

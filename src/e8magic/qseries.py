@@ -615,9 +615,8 @@ class RayPlan:
     The plan holds all that does not depend on y: the row of 2n; the factors
     p!/(p-k)! per power; per grid its span of the row, the number of powers
     its rows read and the stack of the vectors each m_p meets there, c, |c|
-    and 2n|c| of each row of power p (|c| left out where c has one sign:
-    sum m_p |c| is then |sum m_p c| bit for bit, as m_p >= 0); the picker of
-    each row's three sums among the products; and per row the tail majorant
+    and 2n|c| of each row of power p; the picker of each row's three sums
+    among the products; and per row the tail majorant
     times F(beta0), the summation factor and the subnormal term.
     The bound covers truncation and roundoff as in ``eval_at``: a
     discarded term has beta >= beta0 = 2 pi order, so the tail is at most
@@ -634,14 +633,15 @@ class RayPlan:
             if series.order <= 0:
                 raise TruncationError("series truncated at or below q^0")
             beta0 = 2 * math.pi * series.order / EIGHTH
-            factor = sum(math.perm(p, k) * beta0 ** -(k + 1) for k in range(p + 1))
+            factor = 0.0  # left to right, not by sum(), which CPython >= 3.12 compensates
+            for k in range(p + 1):
+                factor = factor + math.perm(p, k) * beta0 ** -(k + 1)
             majorant = _tail_majorant(series.lead, series.order, series.stride, bound_constant, 1.0)
             n, c = series._floats
             n, c = n[n > 0], c[n > 0]
             abs_c = np.abs(c)
-            one_sign = np.all(c > 0) or np.all(c < 0)
             # rows with equal exponent grids share their closed forms
-            grids.setdefault(n.tobytes(), (2 * n, []))[1].append((i, p, [c, None if one_sign else abs_c, 2 * n * abs_c]))
+            grids.setdefault(n.tobytes(), (2 * n, []))[1].append((i, p, [c, abs_c, 2 * n * abs_c]))
             consts.append((factor * majorant, 48 * U + 2 * _gamma(len(n)), _TINY * abs_c.sum()))
         # per power p, each k = 1 .. p with the factor p!/(p-k)! of beta^-(k+1) in its closed form (None
         # for 1: 1 * x is x); the factors, -pi and -1 are 0-d arrays, which numpy takes faster than floats
@@ -653,7 +653,7 @@ class RayPlan:
             # per power p up to the grid's largest, the vectors m_p meets: ((row, j), vector j)
             met = [[] for _ in range(1 + max(p for _, p, _ in members))]
             for i, p, vectors in members:
-                met[p] += [((i, j), v) for j, v in enumerate(vectors) if v is not None]
+                met[p] += [((i, j), v) for j, v in enumerate(vectors)]
             stack = np.zeros((max(map(len, met)), len(met), len(two_n), 1))
             for p, vectors in enumerate(met):
                 for k, (_, v) in enumerate(vectors):
@@ -664,8 +664,8 @@ class RayPlan:
             start += len(two_n)
         self.two_n = np.concatenate([two_n for two_n, _ in grids.values()])
         place = {key: at for at, key in enumerate(keys) if key is not None}
-        # each row's value, sum m_p |c| (the value's place where c has one sign) and sum m_p 2n|c|
-        self.pick = itemgetter(*(place.get((i, j), place[i, 0]) for i in range(len(rows)) for j in range(3)))
+        # each row's value, sum m_p |c| and sum m_p 2n|c|
+        self.pick = itemgetter(*(place[i, j] for i in range(len(rows)) for j in range(3)))
         self.consts = consts  # per row: tail factor, summation factor, subnormal term
 
     def __call__(self, y) -> list[tuple]:
@@ -698,7 +698,7 @@ class RayPlan:
         decay = decay if y.ndim else float(decay)
         return [
             (v, t * decay + (g * b + _SIX_PI_U * (d + flat * b)) + tiny)
-            for v, b, d, (t, g, tiny) in zip(sums[0::3], map(abs, sums[1::3]), sums[2::3], self.consts)
+            for v, b, d, (t, g, tiny) in zip(sums[0::3], sums[1::3], sums[2::3], self.consts)
         ]
 
 

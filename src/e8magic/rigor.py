@@ -20,8 +20,10 @@ The errors come from error-free transformations, in floats only:
 * products: Dekker's TwoProduct on Veltkamp's split by 2^27 + 1 (Python has
   no fused multiply-add to lean on);
 * quotients: the remainder a - q*b of q = fl(a/b), which is exact (Ogita,
-  Rump and Oishi, SIAM J. Sci. Comput. 26, 2005), through TwoProduct;
-* ``sqrt_interval``: r*r - x for r = fl(sqrt(x)), through TwoProduct.
+  Rump and Oishi, SIAM J. Sci. Comput. 26, 2005), through TwoProduct.
+
+``sqrt_interval`` reads the sign of r*r - x, for r = fl(sqrt(x)), exactly
+from the integer ratios of r and x.
 
 Rounding down and rounding up are monotone, so the min and max of the
 directed roundings of the four endpoint products (or quotients) are the
@@ -33,17 +35,16 @@ operand touches or contains 0 they take the min and max of all four, and so
 do quotients.
 
 TwoProduct is exact only away from overflow and underflow, so products and
-quotients take it directly only for operands and results in [2^-960, 2^995]
-in magnitude.  Outside that range, and for square roots, they run on the
-mantissas that ``math.frexp`` gives and are scaled back by ``math.ldexp``.
-Scaling is exact but for a second rounding into the subnormals, which keeps
-the result within one ulp, so the one-step nudge still lands on the directed
-rounding.  A product or quotient past the float range raises
-``OverflowError``; a sum that overflows rounds to the largest finite float
-on the inner side and to inf on the outer one.  An infinite endpoint raises
-``OverflowError`` in ``+ - * /``, ``powi`` and ``sqrt_interval``: it has no
-rational value to round.  ``Fraction`` is left to rationals that are not the
-quotient of two floats (``enclose_fraction``) and to ``powi(p)`` for p >= 3.
+quotients take it only for operands and results in [2^-960, 2^995] in
+magnitude.  Every other endpoint has one exact fallback: the exact rational
+result as a ``Fraction``, rounded to nearest by ``float`` with its error
+kept exactly.  ``powi(p)`` for p >= 3 and ``enclose_fraction``, for every
+rational but an integer that is a float, take the same path.  A product or
+quotient past the float range raises ``OverflowError``; a sum that
+overflows rounds to the largest finite float on the inner side and to inf
+on the outer one.  An infinite endpoint raises ``OverflowError`` in
+``+ - * /``, ``powi`` and ``sqrt_interval``: it has no rational value to
+round.
 
 ``exp`` is the only transcendental provided.  It nudges the endpoints of
 ``math.exp`` two steps outward, so it contains the true value only if libm's
@@ -123,52 +124,38 @@ def _sum(a: float, b: float) -> tuple[float, float]:
     return s, -s  # finite operands whose sum overflows: it lies inside +-inf
 
 
-def _scaled(m: float, e: int, op: str, a: float, b: float) -> float:
-    """m * 2^e for the result of a op b; OverflowError past the float range."""
+def _fallback(exact: Fraction, op: str, a: float, b: float) -> tuple[float, Fraction]:
+    """``_rounded(exact)`` for the exact result of a op b; the OverflowError
+    past the float range names the operation."""
     try:
-        return math.ldexp(m, e)
+        return _rounded(exact)
     except OverflowError:
         raise OverflowError(f"interval {op} overflows the float range: {a!r} {op} {b!r}") from None
 
 
-def _product(a: float, b: float) -> tuple[float, float]:
-    """(p, d): p = fl(a*b), or a float within one ulp of a*b where that is
-    subnormal, and d with the sign of a*b - p."""
+def _product(a: float, b: float) -> tuple[float, float | Fraction]:
+    """(p, d): p = fl(a*b) and d with the sign of a*b - p."""
     p = a * b
     if _TINY <= abs(p) <= _HUGE and _TINY <= abs(a) <= _HUGE and _TINY <= abs(b) <= _HUGE:
         return p, _product_error(a, b, p)
     _finite("*", a, b)
     if a == 0 or b == 0:
         return 0.0, 0.0
-    # the same on the mantissas in [1/2, 1), scaled back by 2^e (exact but for
-    # a second rounding into the subnormals)
-    ma, ea = math.frexp(a)
-    mb, eb = math.frexp(b)
-    pm = ma * mb
-    p = _scaled(pm, ea + eb, "*", a, b)
-    return p, (pm - math.ldexp(p, -ea - eb)) + _product_error(ma, mb, pm)
+    return _fallback(Fraction(a) * Fraction(b), "*", a, b)
 
 
-def _quotient(a: float, b: float) -> tuple[float, float]:
-    """(q, d): q = fl(a/b), or a float within one ulp of a/b where that is
-    subnormal, and d with the sign of a/b - q, for b != 0.  The remainder
-    a - q*b is exact: a - fl(q*b) by Sterbenz, q*b - fl(q*b) by TwoProduct."""
+def _quotient(a: float, b: float) -> tuple[float, float | Fraction]:
+    """(q, d): q = fl(a/b) and d with the sign of a/b - q, for finite a and
+    b != 0.  The remainder a - q*b is exact: a - fl(q*b) by Sterbenz,
+    q*b - fl(q*b) by TwoProduct."""
     q = a / b
     if _TINY <= abs(q) <= _HUGE and _TINY <= abs(a) <= _HUGE and _TINY <= abs(b) <= _HUGE:
         p = q * b
         r = (a - p) - _product_error(q, b, p)
         return q, r if b > 0 else -r
-    _finite("/", a, b)
     if a == 0:
         return 0.0, 0.0
-    # the same on the mantissas, as in _product
-    ma, ea = math.frexp(a)
-    mb, eb = math.frexp(b)
-    q = _scaled(ma / mb, ea - eb, "/", a, b)
-    qm = math.ldexp(q, eb - ea)
-    p = qm * mb
-    r = (ma - p) - _product_error(qm, mb, p)
-    return q, r if b > 0 else -r
+    return _fallback(Fraction(a) / Fraction(b), "/", a, b)
 
 
 def _down(approx: float, d: float | Fraction) -> float:
@@ -361,28 +348,19 @@ def _exp_up(x: float) -> float:
 
 def enclose_fraction(value: Fraction | int) -> Interval:
     """Tightest float interval containing an exact rational."""
-    num, den = value.numerator, value.denominator
-    if -_EXACT_INT <= num <= _EXACT_INT and den <= _EXACT_INT:  # both are floats
-        if den == 1:
-            return Interval(float(num), float(num))
-        q, d = _quotient(float(num), float(den))
-    else:
-        q, d = _rounded(Fraction(value))
+    num = value.numerator
+    if value.denominator == 1 and -_EXACT_INT <= num <= _EXACT_INT:  # an integer that is a float
+        return Interval(float(num), float(num))
+    q, d = _rounded(Fraction(value))
     return Interval(_down(q, d), _up(q, d))
 
 
-def _square_excess(r: float, x: float) -> float:
-    """A number with the sign of r*r - x, for r = fl(sqrt(x)).  With x scaled
-    to m = x / 4^k in [1/2, 2) and r to r / 2^k (both exact), the square is
-    close to m, so its difference to m is exact (Sterbenz), and so is the
-    TwoProduct error."""
+def _square_excess(r: float, x: float) -> int:
+    """An integer with the sign of r*r - x, exact from the integer ratios of
+    r and x."""
     _finite("sqrt", x)
-    m, e = math.frexp(x)
-    k = e // 2
-    m = math.ldexp(m, e - 2 * k)
-    r = math.ldexp(r, -k)
-    p = r * r
-    return (p - m) + _product_error(r, r, p)
+    (p, q), (s, t) = r.as_integer_ratio(), x.as_integer_ratio()
+    return p * p * t - s * q * q
 
 
 def sqrt_interval(x: Interval | Fraction | int | float) -> Interval:

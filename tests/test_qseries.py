@@ -1,5 +1,6 @@
 """Ring laws, operators, evaluation bounds, and persistence of QSeries."""
 
+import builtins
 import cmath
 import hashlib
 import itertools
@@ -301,10 +302,9 @@ def test_ray_laplace_rows_match_one_row_calls_bit_for_bit():
 
 def test_ray_laplace_bounds_read_each_row_s_own_sum_of_m_abs_c():
     """At one y each row's value and bound keep the bits of its closed form
-    recomputed here, with sum m |c| from its own dot product with |c|.  The
-    plan reuses the value's dot for that sum where c has one sign, where the
-    two agree bit for bit; psi_I's row has both signs, and a bound that read
-    |sum m c| for it would be too small."""
+    recomputed here, with sum m |c| from its own dot product with |c|;
+    psi_I's row has both signs, and a bound that read |sum m c| for it would
+    be too small."""
     rows = [(build_form(form), p, GROWTH_BOUNDS[form]) for form in _RAY_FORMS for p in range(4)]
     signs = {form: set(np.sign(c[n > 0]).tolist()) for form in _RAY_FORMS for n, c in [build_form(form)._floats]}
     assert signs[FormId.PSI_I] == {-1.0, 1.0} and signs[FormId.PHI_0] == {1.0}
@@ -324,6 +324,36 @@ def test_ray_laplace_bounds_read_each_row_s_own_sum_of_m_abs_c():
             m_abs_c, m_2n_abs_c = m.dot(np.abs(c)), m.dot(2 * n * np.abs(c))
             bound = tail * np.exp(-math.pi * y) + (gamma * m_abs_c + 6 * math.pi * U * (m_2n_abs_c + y * m_abs_c)) + tiny
             assert got == (m.dot(c), bound), (series, p, y)
+
+
+def _compensated_sum(values, start=0):
+    """builtin ``sum`` as CPython >= 3.12 has it: Neumaier's compensated sum
+    where every term is a float, the plain sum otherwise."""
+    values = list(values)
+    if not all(isinstance(x, float) for x in values):
+        return builtins.sum(values, start)
+    total, c = float(start), 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_float_sums_keep_their_bits_under_a_compensated_sum(monkeypatch):
+    """The goldens hold on every supported Python: with builtin ``sum`` made
+    compensated in ``e8`` and ``qseries``, as CPython >= 3.12 makes it, the
+    Poisson checks and the constants of a ray plan over the whole catalog
+    keep every bit."""
+    from e8magic import e8, qseries
+
+    rows = [(build_form(form), p, GROWTH_BOUNDS[form]) for form in FormId for p in range(4)]
+    alphas = [0.5 + k / 100 for k in range(0, 200, 7)]
+    consts, checks = RayPlan(rows).consts, [e8.poisson_check(alpha) for alpha in alphas]
+    for module in (e8, qseries):
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    assert RayPlan(rows).consts == consts
+    assert [e8.poisson_check(alpha) for alpha in alphas] == checks
 
 
 @pytest.mark.parametrize("form", _RAY_FORMS)

@@ -7,6 +7,7 @@ import math
 import operator
 import pickle
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -328,6 +329,19 @@ def test_infinite_endpoint_is_named_before_a_finite_overflow(compute):
     error names the infinite endpoint, not the overflow."""
     with pytest.raises(OverflowError, match="infinite interval endpoint"):
         compute()
+
+
+@pytest.mark.parametrize("op, symbol, divisor", [
+    (operator.mul, "*", 1e10),
+    (operator.truediv, "/", 1e-10),
+], ids=["product", "quotient"])
+def test_finite_overflow_names_the_operation_and_its_operands(op, symbol, divisor):
+    """A product or quotient of finite endpoints past the float range raises
+    OverflowError naming the operation and the endpoints it read; the CLI
+    prints that message and exits 4."""
+    message = f"interval {symbol} overflows the float range: 1e+300 {symbol} {divisor!r}"
+    with pytest.raises(OverflowError, match=re.escape(message)):
+        op(Interval(1e300, 1e300), Interval(divisor, divisor))
 
 
 def _outcome(compute):

@@ -18,7 +18,7 @@ def _interleave(parent, change, call="eval_g"):
 def test_interleave_runs_the_repository_against_itself():
     """Both sides load as their own packages, return the same bits, and the
     report names each side's time and bytecodes and the per-pair ratio."""
-    for call in ("eval_g", "numeric_value"):
+    for call in ("eval_g", "numeric_value", "certify_sign"):
         proc = _interleave(ROOT, ROOT, call)
         assert proc.returncode == 0, proc.stderr
         counts = re.findall(r"^(parent|change) .* (\d+) bytecodes per call$", proc.stdout, re.M)

@@ -18,7 +18,10 @@ The calls and their inputs:
 - ``numeric_value``: ``certify.numeric_value(target, t)``, target A and B
   alternated, t log-uniform on [0.1, 10];
 - ``eval_form``: ``modforms.eval_form(form, z)``, form drawn from the
-  catalog, Re z uniform on [-0.5, 0.5] and Im z on [0.5, 2].
+  catalog, Re z uniform on [-0.5, 0.5] and Im z on [0.5, 2];
+- ``certify_sign``: ``certify.certify_sign(target, n, None, t)``, target
+  drawn from A and B, n from 6, 8 and 10, and t uniform on [4, 12]; its bits
+  are those of the certificate's JSON document.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import json
 import math
 import random
 import statistics
@@ -57,6 +61,9 @@ def calls(package: str, call: str, count: int, seed: int):
     if call == "numeric_value":
         fn = importlib.import_module(f"{package}.certify").numeric_value
         return fn, [("AB"[i % 2], math.exp(rng.uniform(math.log(0.1), math.log(10.0)))) for i in range(count)]
+    if call == "certify_sign":
+        fn = importlib.import_module(f"{package}.certify").certify_sign
+        return fn, [(rng.choice("AB"), rng.choice((6, 8, 10)), None, rng.uniform(4.0, 12.0)) for _ in range(count)]
     modforms = importlib.import_module(f"{package}.modforms")
     forms = list(modforms.FormId)
     return modforms.eval_form, [
@@ -66,7 +73,10 @@ def calls(package: str, call: str, count: int, seed: int):
 
 def bits(result) -> bytes:
     """The bytes of every float a result holds: the fields of a dataclass, the
-    items of a tuple, the parts of a complex number."""
+    items of a tuple, the parts of a complex number; of a certificate, its
+    JSON document."""
+    if hasattr(result, "to_doc"):
+        return json.dumps(result.to_doc(), sort_keys=True).encode()
     fields = getattr(result, "__dataclass_fields__", None)
     items = [getattr(result, f) for f in fields] if fields else list(result)
     floats = []
@@ -108,7 +118,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--call", required=True, choices=("eval_g", "eval_g_deriv", "numeric_value", "eval_form"))
+    parser.add_argument("--call", required=True,
+                        choices=("eval_g", "eval_g_deriv", "numeric_value", "eval_form", "certify_sign"))
     parser.add_argument("--calls", type=int, default=4000)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
