@@ -19,14 +19,17 @@ result is a machine-checkable :class:`Certificate`.
 One :class:`Envelope` encodes the remainder envelope; the leaves read it
 through ``enclose`` and the tail argument through ``terms``, which split its
 sum at c = 1/2 (leaves reach x = 1) and c = 19/20 (the tail starts at x >= 2).
+A leaf's model and envelope enclosures are formed from parts evaluated at its
+two ends, each end once per chart of a ``certify_sign`` call (a memo that the
+chart's bisection owns), and equal those formed over the whole leaf bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 from .modforms import chart_series
 from .qseries import EIGHTH, combine
@@ -37,8 +40,9 @@ from .rigor import (
     TWO_SQRT2_PI,
     Interval,
     enclose_fraction,
+    exp_poly_at,
     exp_poly_peak,
-    ia_exp_poly,
+    exp_poly_window,
     sqrt_interval,
 )
 
@@ -74,33 +78,46 @@ MAX_CUTOFF = 200
 _PI_POW_INV = {0: Interval(1.0, 1.0), 1: INV_PI, 2: INV_PI_SQ}
 
 
-@dataclass(frozen=True)
 class ModelTerm:
-    """One exponential-polynomial term  (coeff / pi^pi_pow) * x^p * e^(-pi*decay*x)."""
+    """One exponential-polynomial term  (coeff / pi^pi_pow) * x^p * e^(-pi*decay*x),
+    with the enclosures every leaf reads formed once: the coefficient, the
+    rate sigma = pi * decay, -sigma, and ``rigor.exp_poly_window``."""
 
-    coeff: Fraction
-    pi_pow: int
-    p: int
-    decay: Fraction  # negative decay means growth (the e^{2 pi t} term)
+    __slots__ = ("coeff", "pi_pow", "p", "decay", "coeff_interval", "sigma", "neg_sigma", "window")
+
+    def __init__(self, coeff: Fraction, pi_pow: int, p: int, decay: Fraction) -> None:
+        # negative decay means growth (the e^{2 pi t} term)
+        self.coeff, self.pi_pow, self.p, self.decay = coeff, pi_pow, p, decay
+        self.coeff_interval = enclose_fraction(coeff) * _PI_POW_INV[pi_pow]
+        self.sigma = PI * enclose_fraction(decay)
+        self.neg_sigma = -self.sigma
+        self.window = exp_poly_window(p, self.sigma)
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is ModelTerm else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "ModelTerm(coeff={!r}, pi_pow={!r}, p={!r}, decay={!r})".format(*self._key())
+
+    def _key(self) -> tuple:
+        return self.coeff, self.pi_pow, self.p, self.decay
 
     def magnitude_interval(self) -> Interval:
         return enclose_fraction(abs(self.coeff)) * _PI_POW_INV[self.pi_pow]
 
-    @cached_property
-    def coeff_interval(self) -> Interval:
-        return enclose_fraction(self.coeff) * _PI_POW_INV[self.pi_pow]
 
-    @cached_property
-    def sigma(self) -> Interval:
-        """The exponential rate pi * decay."""
-        return PI * enclose_fraction(self.decay)
-
-    def enclose(self, x: Interval) -> Interval:
-        return ia_exp_poly(self.coeff_interval, self.p, self.sigma, x)
+def _memo(memo: dict, tau: float, at):
+    """at(tau), evaluated once per memo."""
+    parts = memo.get(tau)
+    if parts is None:
+        parts = memo[tau] = at(tau)
+    return parts
 
 
-@dataclass(frozen=True)
-class ExpPolyModel:
+class ExpPolyModel(NamedTuple):
     """Finite model of A or B in one chart.
 
     In the t chart the terms sum to the truncation of the target itself, as a
@@ -112,9 +129,25 @@ class ExpPolyModel:
     terms: tuple[ModelTerm, ...]
 
     def enclose(self, x: Interval) -> Interval:
+        """The sum of ``rigor.ia_exp_poly`` over the terms, bit for bit."""
+        return self._enclose(x, {})
+
+    def _at(self, tau: float) -> list[Interval]:
+        """Every term's tau^p e^{-sigma tau} at the point tau."""
+        return [exp_poly_at(t.p, t.neg_sigma, tau) for t in self.terms]
+
+    def _enclose(self, x: Interval, memo: dict) -> Interval:
+        """``enclose``, with the endpoint values of the monotone terms read
+        from memo (endpoint -> ``_at``)."""
+        if x.lo < 0:
+            raise ValueError("a model needs x.lo >= 0")
         total = Interval(0.0, 0.0)
-        for term in self.terms:
-            total = total + term.enclose(x)
+        for term, at_lo, at_hi in zip(self.terms, _memo(memo, x.lo, self._at), _memo(memo, x.hi, self._at)):
+            lo, hi = term.window
+            if x.hi <= lo or x.lo >= hi:
+                total = total + term.coeff_interval * at_lo.hull(at_hi)
+            else:
+                total = total + term.coeff_interval * x.powi(term.p) * (term.neg_sigma * x).exp()
         return total
 
     def term_map(self) -> dict[tuple[int, int, Fraction], Fraction]:
@@ -170,7 +203,6 @@ _PREFACTOR = {
 }
 
 
-@dataclass(frozen=True)
 class Envelope:
     """Remainder envelope  P(x) * sum_{n>=m} 2 e^{2 sqrt2 pi sqrt(n)} e^{-pi n x}
     of the cutoff-m model in one chart (x = t or x = u = 1/t).
@@ -182,14 +214,19 @@ class Envelope:
     the sum is geometric with ratio e^{-pi (x - c)}.
     """
 
-    chart: str
-    m: int
+    __slots__ = ("chart", "m", "_leaf_constants")
 
-    def __post_init__(self) -> None:
-        if self.chart not in _PREFACTOR:
-            raise ValueError(f"unknown chart {self.chart!r}")
-        if self.m < 1:
+    def __init__(self, chart: str, m: int) -> None:
+        if chart not in _PREFACTOR:
+            raise ValueError(f"unknown chart {chart!r}")
+        if m < 1:
             raise ValueError("cutoff must be >= 1")
+        self.chart, self.m = chart, m
+        # the parts of ``enclose`` that no leaf changes: c, n_geo and, for
+        # each explicit k, the growth exponent and pi * k
+        n_geo = self._n_geo(LEAF_SPLIT)
+        explicit = tuple((self._growth(k), PI * enclose_fraction(k)) for k in range(m, n_geo))
+        self._leaf_constants = enclose_fraction(LEAF_SPLIT), enclose_fraction(n_geo), explicit
 
     def _n_geo(self, c: Fraction) -> int:
         n_geo = max(self.m, math.ceil(Fraction(8) / (c * c)))
@@ -208,30 +245,36 @@ class Envelope:
             raise ValueError("geometric tail ratio >= 1 on this segment")
         return ratio
 
-    @cached_property
-    def _leaf_constants(self) -> tuple[Interval, Interval, tuple[tuple[Interval, Interval], ...]]:
-        """The parts of ``enclose`` that no leaf changes: c, n_geo and, for
-        each explicit k, the growth exponent and pi * k."""
-        n_geo = self._n_geo(LEAF_SPLIT)
-        explicit = tuple(
-            (self._growth(k), PI * enclose_fraction(k)) for k in range(self.m, n_geo)
-        )
-        return enclose_fraction(LEAF_SPLIT), enclose_fraction(n_geo), explicit
-
     def enclose(self, x: Interval) -> Interval:
         """Upper enclosure over the segment x (the leaf bound, split LEAF_SPLIT)."""
-        if x.lo < 0.55:
-            raise ValueError("remainder envelope needs the chart variable >= 0.55")
+        return self._enclose(x, {})
+
+    def _at(self, tau: float) -> tuple[Interval, Interval]:
+        """The prefactor P and the decaying sum S at the point tau."""
+        x = Interval(tau, tau)
         pref = Interval(0.0, 0.0)
         for coeff, p in _PREFACTOR[self.chart]:
             pref = pref + coeff * x.powi(p)
         c, n_geo, explicit = self._leaf_constants
         total = Interval(0.0, 0.0)
         for growth, pi_k in explicit:
-            total = total + _AMPLITUDE * (growth - pi_k * x).exp()
+            total = total + (growth - pi_k * x).exp()
         ratio = self._geometric_ratio(x, c)
         head = _AMPLITUDE * (-PI * (x - c) * n_geo).exp()
-        return pref * (total + head / (1 - ratio))
+        # doubling is exact: the amplitude times the sum is the sum of the
+        # amplitude times each term, bit for bit
+        return pref, _AMPLITUDE * total + head / (1 - ratio)
+
+    def _enclose(self, x: Interval, memo: dict) -> Interval:
+        """P * S over x, from the endpoint parts in memo (endpoint -> ``_at``).
+        For x >= 0.55 every operand of P and S has one sign, so P.lo and S.hi
+        read only x.lo, and P.hi and S.lo only x.hi: the product of the two
+        endpoints' parts is that over x, bit for bit."""
+        if x.lo < 0.55:
+            raise ValueError("remainder envelope needs the chart variable >= 0.55")
+        pref_lo, sum_lo = _memo(memo, x.lo, self._at)
+        pref_hi, sum_hi = _memo(memo, x.hi, self._at)
+        return Interval((pref_lo * sum_hi).lo, (pref_hi * sum_lo).hi)
 
     def terms(self, x_star: float) -> list[tuple[Interval, int, Fraction]]:
         """Terms (|C|, p, decay), each |C| x^p e^{-pi decay x}, whose sum bounds
@@ -248,8 +291,7 @@ class Envelope:
 # ---------------------------------------------------------------------------
 # certificates
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     chart: str
     lo: float
     hi: float
@@ -259,8 +301,7 @@ class Segment:
     margin: float
 
 
-@dataclass(frozen=True)
-class TailRecord:
+class TailRecord(NamedTuple):
     chart: str
     x_star: float
     dominant: str
@@ -268,8 +309,7 @@ class TailRecord:
     certified: bool
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     target: str
     n: int
     m: int
@@ -301,7 +341,7 @@ class Certificate:
                 "max_depth": self.max_depth,
             },
             "hypotheses": list(self.hypotheses),
-            "segments": [asdict(s) for s in self.segments],
+            "segments": [s._asdict() for s in self.segments],
             "tail": {
                 t.chart: {
                     "x_star": t.x_star,
@@ -318,36 +358,29 @@ class Certificate:
         }
 
 
-def _leaf_check(model: ExpPolyModel, envelope: Envelope, x: Interval, sign: int):
+def _leaf_check(model: ExpPolyModel, envelope: Envelope, x: Interval, sign: int, model_memo: dict,
+                env_memo: dict):
     """Returns (ok, model_iv, env_hi, margin).  A model enclosure without the
     sign fails the leaf before the envelope is enclosed; env_hi and margin
-    are None then."""
-    model_iv = model.enclose(x)
+    are None then.  The memos keep each endpoint's parts for the chart."""
+    model_iv = model._enclose(x, model_memo)
     room = -model_iv.hi if sign < 0 else model_iv.lo  # the model's distance from 0 on its sign's side
     if not room > 0:
         return False, model_iv, None, None
-    env_hi = envelope.enclose(x).hi
+    env_hi = envelope._enclose(x, env_memo).hi
     return env_hi < room, model_iv, env_hi, room - env_hi
 
 
 def _bisect_chart(model: ExpPolyModel, envelope: Envelope, x_star: float, max_depth: int, sign: int):
     segments: list[Segment] = []
+    model_memo: dict = {}  # one chart's endpoints, each evaluated once
+    env_memo: dict = {}
     stack = [(1.0, x_star, 0)]
     while stack:
         lo, hi, depth = stack.pop()
-        ok, model_iv, env_hi, margin = _leaf_check(model, envelope, Interval(lo, hi), sign)
+        ok, model_iv, env_hi, margin = _leaf_check(model, envelope, Interval(lo, hi), sign, model_memo, env_memo)
         if ok:
-            segments.append(
-                Segment(
-                    chart=envelope.chart,
-                    lo=lo,
-                    hi=hi,
-                    model_lo=model_iv.lo,
-                    model_hi=model_iv.hi,
-                    env_hi=env_hi,
-                    margin=margin,
-                )
-            )
+            segments.append(Segment(envelope.chart, lo, hi, model_iv.lo, model_iv.hi, env_hi, margin))
             continue
         mid = 0.5 * (lo + hi)
         if depth >= max_depth or not lo < mid < hi:  # float resolution ends the bisection

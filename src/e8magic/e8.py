@@ -13,7 +13,7 @@ packing density bound 2^4 * Vol B_8(0, 1/2) = pi^4/384.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .modforms import Exact, eisenstein, special_values
 from .qseries import U
@@ -31,16 +31,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class LatticePoint:
     """A point of Lambda_8 in half-unit coordinates (coordinate = stored/2)."""
 
-    coords: tuple[int, int, int, int, int, int, int, int]
+    __slots__ = ("coords",)
 
-    def __post_init__(self) -> None:
-        if not is_lattice_point(self.coords):
+    def __init__(self, coords: tuple[int, int, int, int, int, int, int, int]) -> None:
+        if not is_lattice_point(coords):
             raise ValueError("need eight coordinates, all integers or all half-integers, "
                              "with an even sum")
+        self.coords = coords
+
+    def __eq__(self, other) -> bool:
+        return self.coords == other.coords if type(other) is LatticePoint else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
+
+    def __repr__(self) -> str:
+        return f"LatticePoint(coords={self.coords!r})"
 
     @property
     def norm2(self) -> int:
@@ -61,12 +70,13 @@ def is_lattice_point(coords: tuple[int, ...]) -> bool:
     return len(coords) == 8 and len({c & 1 for c in coords}) == 1 and sum(coords) % 4 == 0
 
 
-@dataclass(frozen=True)
 class ShellTable:
     """Vector counts N(2n) for the shells of Lambda_8 up to max_norm."""
 
-    max_norm: int
-    entries: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("max_norm", "entries")
+
+    def __init__(self, max_norm: int, entries: dict[int, int] | None = None) -> None:
+        self.max_norm, self.entries = max_norm, {} if entries is None else entries
 
     def count(self, norm2: int) -> int:
         if norm2 > self.max_norm:
@@ -118,8 +128,7 @@ def shell_vectors(norm2: int) -> list[LatticePoint]:
 POISSON_MAX_REL_BOUND = 1e-6
 
 
-@dataclass(frozen=True)
-class PoissonReport:
+class PoissonReport(NamedTuple):
     """Both sides of the two Poisson identities; ``tail_bound`` bounds the
     truncation of every shell sum and the float roundoff of computing them."""
 
@@ -238,8 +247,7 @@ def magic_poisson_check(max_norm: int = 16) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 # the density bound
 
-@dataclass(frozen=True)
-class DensityBoundReport:
+class DensityBoundReport(NamedTuple):
     ratio: float  # f(0) / fhat(0), exactly 2^4
     ball_volume: float  # Vol B_8(0, 1/2) = pi^4 / 6144
     bound: float  # ratio * ball_volume

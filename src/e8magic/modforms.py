@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .qseries import EIGHTH, EvalResult, QSeries, combine
 
@@ -299,13 +299,22 @@ def principal_part(which: str) -> tuple:
                  for e in range(s.lead, 1, s.stride) if s.coeff(e))
 
 
-@dataclass(frozen=True)
 class Exact:
     """The real number c pi^k sqrt(2)^j, c rational and j in {0, 1}; zero is Exact(0)."""
 
-    c: Fraction
-    k: int = 0
-    j: int = 0
+    __slots__ = ("c", "k", "j")
+
+    def __init__(self, c: Fraction, k: int = 0, j: int = 0) -> None:
+        self.c, self.k, self.j = c, k, j
+
+    def __eq__(self, other) -> bool:
+        return (self.c, self.k, self.j) == (other.c, other.k, other.j) if type(other) is Exact else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.c, self.k, self.j))
+
+    def __repr__(self) -> str:
+        return f"Exact(c={self.c!r}, k={self.k!r}, j={self.j!r})"
 
     def __mul__(self, other: "Exact") -> "Exact":
         c = self.c * other.c * 2 ** (self.j & other.j)
@@ -345,8 +354,7 @@ def special_values() -> dict[str, Exact]:
     return values
 
 
-@dataclass(frozen=True)
-class TransformCheck:
+class TransformCheck(NamedTuple):
     residual: float
     bound: float
 
@@ -449,8 +457,7 @@ def rademacher_coefficient(kind: FormId, n: int, k_max: int) -> float:
 # ---------------------------------------------------------------------------
 # coefficient bound verification
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     form: FormId
     n_max: Fraction
     constant: float

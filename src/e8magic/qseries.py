@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,8 +73,7 @@ class TruncationError(ValueError):
     """Raised when an operation would need more series terms than stored."""
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Value of the stored terms plus a bound on its distance to the full series.
 
     ``tail_bound`` covers both the discarded tail and the float roundoff of
@@ -238,7 +236,6 @@ def _points(origin: int, step: int, order: int, last: int) -> int:
     return max(0, min(-(-(order - origin) // step), (last - origin) // step + 1))
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
 class QSeries:
     """Truncated series  sum_{lead <= e < order} c(e) q^(e/8).
 
@@ -281,6 +278,11 @@ class QSeries:
         object.__setattr__(self, "stride", step * g if g else stride)
         object.__setattr__(self, "den", den // content if nums else 1)
         object.__setattr__(self, "nums", tuple(x // content for x in nums))
+
+    def __setattr__(self, name, value=None):  # immutable: ``_set`` stores through object.__setattr__
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     @staticmethod
     def _make(lead: int, order: int, step: int, den: int, nums: Sequence[int],

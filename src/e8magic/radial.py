@@ -51,7 +51,6 @@ number with the global i factored out (g and ghat are genuinely real).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -79,7 +78,6 @@ _NEAR_BLOCK_ELEMS = 1 << 18
 _NEG_PI, _CAP = np.array(-_PI), np.array(1e100)
 
 
-@dataclass(frozen=True)
 class RadialValue:
     """Function value with the global i factored out, plus an error estimate.
 
@@ -91,16 +89,25 @@ class RadialValue:
     numerical failure (ArithmeticError).
     """
 
-    value: float
-    err: float
-    residual: float = 0.0
+    __slots__ = ("value", "err", "residual")
 
-    def __post_init__(self) -> None:
-        if not type(self.value) is type(self.err) is type(self.residual) is float:
-            for name in ("value", "err", "residual"):
-                object.__setattr__(self, name, float(getattr(self, name)))
-        if not (math.isfinite(self.value) and math.isfinite(self.err)):
-            raise ArithmeticError(f"radial value {self.value} +/- {self.err} is not finite")
+    def __init__(self, value: float, err: float, residual: float = 0.0) -> None:
+        if not type(value) is type(err) is type(residual) is float:
+            value, err, residual = float(value), float(err), float(residual)
+        if not (math.isfinite(value) and math.isfinite(err)):
+            raise ArithmeticError(f"radial value {value} +/- {err} is not finite")
+        self.value, self.err, self.residual = value, err, residual
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not RadialValue:
+            return NotImplemented
+        return (self.value, self.err, self.residual) == (other.value, other.err, other.residual)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.err, self.residual))
+
+    def __repr__(self) -> str:
+        return f"RadialValue(value={self.value!r}, err={self.err!r}, residual={self.residual!r})"
 
 
 @lru_cache(maxsize=None)

@@ -27,12 +27,12 @@ from the integer ratios of r and x.
 
 Rounding down and rounding up are monotone, so the min and max of the
 directed roundings of the four endpoint products (or quotients) are the
-directed roundings of the exact min and max.  Products form only two of them
-in the four strict sign cases (both operands positive, both negative, or one
-of each), where the exact min and max are known endpoint products (Moore,
-Kearfott and Cloud, *Introduction to Interval Analysis*, sec. 2.3); when an
-operand touches or contains 0 they take the min and max of all four, and so
-do quotients.
+directed roundings of the exact min and max.  Products and quotients form
+only two of them in the four strict sign cases (both operands positive, both
+negative, or one of each), where the exact min and max are known endpoint
+products or quotients (Moore, Kearfott and Cloud, *Introduction to Interval
+Analysis*, sec. 2.3); when an operand (of a quotient, the dividend) touches
+or contains 0 they take the min and max of all four.
 
 TwoProduct is exact only away from overflow and underflow, so products and
 quotients take it only for operands and results in [2^-960, 2^995] in
@@ -52,26 +52,29 @@ round.
 ``certify.HYPOTHESES`` line states it; glibc's ``exp`` was measured within
 about half an ulp on random arguments.
 
-One rule decides where tau^p e^{-sigma tau} (p >= 1, tau >= 0) is monotone:
-for sigma <= 0 everywhere, and for sigma > 0 on each side of its maximum
-point p/sigma, whose enclosure is ``exp_poly_peak(p, sigma)``.  An interval
-wholly on one side of that enclosure, or any interval when sigma <= 0, is
-monotone for every sigma in the sigma interval.  ``ia_exp_poly`` encloses
-c tau^p e^{-sigma tau} there by the values at the two endpoints, and
-elsewhere by the boxed product; the tail argument of ``certify`` asks the
-same helper whether a ratio term still increases past x_star.
+One rule, ``exp_poly_window``, decides where tau^p e^{-sigma tau} (tau >= 0)
+is monotone: for p = 0 or sigma <= 0 everywhere, and for sigma > 0 on each
+side of its maximum point p/sigma, whose enclosure is
+``exp_poly_peak(p, sigma)``.  An interval wholly on one side of that
+enclosure, or any interval when p = 0 or sigma <= 0, is monotone for every
+sigma in the sigma interval.  ``ia_exp_poly`` encloses c tau^p e^{-sigma tau}
+there by the values at the two endpoints (``exp_poly_at``), and elsewhere by
+the boxed product; the models of ``certify`` take the same rule and the same
+endpoint values, and its tail argument asks ``exp_poly_peak`` whether a ratio
+term still increases past x_star.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "Interval",
     "ia_exp_poly",
     "exp_poly_peak",
+    "exp_poly_window",
+    "exp_poly_at",
     "enclose_fraction",
     "sqrt_interval",
     "PI",
@@ -180,27 +183,36 @@ def _outward(values: list[tuple[float, float | Fraction]]) -> "Interval":
     return Interval(lo, hi)
 
 
-@dataclass(frozen=True, init=False)
 class Interval:
     """Closed interval [lo, hi] of real numbers with float endpoints."""
 
-    # slots named here, not by dataclass(slots=True): that builds a second
-    # class, on which the frozen __setattr__ raises TypeError for other names
     __slots__ = ("lo", "hi")
-    lo: float
-    hi: float
 
     def __init__(self, lo: float, hi: float) -> None:
         if not lo <= hi:  # also false for a NaN endpoint
             if math.isnan(lo) or math.isnan(hi):
                 raise ValueError("interval endpoints must not be NaN")
             raise ValueError(f"invalid interval [{lo}, {hi}]")
-        # the slots' own setters: the frozen __setattr__ refuses every assignment
+        # the slots' own setters: __setattr__ refuses every assignment
         _set_lo(self, lo)
         _set_hi(self, hi)
 
-    def __reduce__(self):  # copy and pickle through __init__, not the frozen __setattr__
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle through __init__, not __setattr__
         return Interval, (self.lo, self.hi)
+
+    def __eq__(self, other):
+        return (self.lo, self.hi) == (other.lo, other.hi) if type(other) is Interval else NotImplemented
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
     # -- constructors -------------------------------------------------
 
@@ -226,7 +238,8 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __add__(self, other: "Interval") -> "Interval":
-        other = _coerce(other)
+        if type(other) is not Interval:  # the common case without a call
+            other = _coerce(other)
         lo, d = _sum(self.lo, other.lo)
         hi, e = _sum(self.hi, other.hi)
         # _down and _up inline
@@ -236,7 +249,8 @@ class Interval:
         return _coerce(other) + self
 
     def __sub__(self, other: "Interval") -> "Interval":
-        other = _coerce(other)
+        if type(other) is not Interval:
+            other = _coerce(other)
         lo, d = _sum(self.lo, -other.hi)
         hi, e = _sum(self.hi, -other.lo)
         return Interval(lo if d >= 0 else math.nextafter(lo, -_INF), hi if e <= 0 else math.nextafter(hi, _INF))
@@ -245,7 +259,8 @@ class Interval:
         return _coerce(other) - self
 
     def __mul__(self, other: "Interval") -> "Interval":
-        other = _coerce(other)
+        if type(other) is not Interval:
+            other = _coerce(other)
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         # strict sign cases: (p, e) is the exact max, (q, f) the exact min; the
         # one larger in magnitude holds any infinite endpoint and is formed
@@ -271,13 +286,20 @@ class Interval:
         return _coerce(other) * self
 
     def __truediv__(self, other: "Interval") -> "Interval":
-        other = _coerce(other)
-        if other.contains_zero():
-            raise ZeroDivisionError(
-                f"interval division by [{other.lo}, {other.hi}] containing 0"
-            )
-        _finite("/", self.lo, self.hi, other.lo, other.hi)
-        return _outward([_quotient(a, b) for a in (self.lo, self.hi) for b in (other.lo, other.hi)])
+        if type(other) is not Interval:
+            other = _coerce(other)
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if c <= 0.0 <= d:
+            raise ZeroDivisionError(f"interval division by [{c}, {d}] containing 0")
+        _finite("/", a, b, c, d)
+        # strict sign cases, as for products: (q, f) is the exact min, (p, e) the exact max
+        if a > 0.0:
+            (q, f), (p, e) = (_quotient(a, d), _quotient(b, c)) if c > 0.0 else (_quotient(b, d), _quotient(a, c))
+        elif b < 0.0:
+            (q, f), (p, e) = (_quotient(a, c), _quotient(b, d)) if c > 0.0 else (_quotient(b, c), _quotient(a, d))
+        else:  # the dividend touches or contains 0
+            return _outward([_quotient(a, c), _quotient(a, d), _quotient(b, c), _quotient(b, d)])
+        return Interval(q if f >= 0 else math.nextafter(q, -_INF), p if e <= 0 else math.nextafter(p, _INF))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -328,9 +350,7 @@ def _exp_down(x: float) -> float:
         v = math.exp(x)
     except OverflowError:
         return math.nextafter(_INF, 0.0)  # largest finite float <= exp(x)
-    for _ in range(2):
-        v = math.nextafter(v, -_INF)
-    return max(v, 0.0)
+    return max(math.nextafter(math.nextafter(v, -_INF), -_INF), 0.0)
 
 
 def _exp_up(x: float) -> float:
@@ -341,9 +361,7 @@ def _exp_up(x: float) -> float:
     if v == 0.0:
         # exp underflowed, but exp(x) > 0: round up to the smallest subnormal
         return math.nextafter(0.0, _INF)
-    for _ in range(2):
-        v = math.nextafter(v, _INF)
-    return v
+    return math.nextafter(math.nextafter(v, _INF), _INF)
 
 
 def enclose_fraction(value: Fraction | int) -> Interval:
@@ -384,29 +402,43 @@ def exp_poly_peak(p: int, sigma: Interval) -> Interval:
     return enclose_fraction(p) / sigma
 
 
+def exp_poly_window(p: int, sigma: Interval) -> tuple[float, float]:
+    """(lo, hi) such that tau^p e^{-sigma tau} is monotone on every t >= 0
+    with t.hi <= lo or t.lo >= hi, for every sigma in the sigma interval: the
+    ends of ``exp_poly_peak`` for p >= 1 and sigma > 0, (inf, -inf) (monotone
+    everywhere) for p = 0 or sigma <= 0, and (-inf, inf) (nowhere) else."""
+    if p == 0 or sigma.hi <= 0:
+        return _INF, -_INF
+    if sigma.lo > 0:
+        peak = exp_poly_peak(p, sigma)
+        return peak.lo, peak.hi
+    return -_INF, _INF
+
+
+def exp_poly_at(p: int, neg_sigma: Interval, tau: float) -> Interval:
+    """Enclosure of tau^p e^{-sigma tau} at the point tau, given -sigma."""
+    x = Interval(tau, tau)
+    factor = (neg_sigma * x).exp()
+    return x.powi(p) * factor if p else factor
+
+
 def ia_exp_poly(c: Interval, p: int, sigma: Interval, t: Interval) -> Interval:
     """Enclosure of {c * tau^p * exp(-sigma tau) : tau in t}, t.lo >= 0.
 
     Where the factor tau^p e^{-sigma tau} is monotone on t for every sigma in
-    the sigma interval (sigma <= 0, or t wholly on one side of
-    ``exp_poly_peak``), it is c times the hull of the factor's values at the
-    two endpoints of t; elsewhere it is the boxed product over t.
+    the sigma interval (``exp_poly_window``), it is c times the hull of the
+    factor's values at the two endpoints of t; elsewhere it is the boxed
+    product over t.
     """
     if p not in (0, 1, 2):
         raise ValueError("polynomial degree must be 0, 1 or 2")
     if t.lo < 0:
         raise ValueError("ia_exp_poly requires t.lo >= 0")
-    if p == 0:
-        return c * (-sigma * t).exp()
-    if sigma.lo > 0:
-        peak = exp_poly_peak(p, sigma)
-        monotone = t.hi <= peak.lo or t.lo >= peak.hi
-    else:
-        monotone = sigma.hi <= 0  # growing times growing on t >= 0
-    if not monotone:
-        return c * t.powi(p) * (-sigma * t).exp()
-    lo, hi = Interval.point(t.lo), Interval.point(t.hi)
-    return c * (lo.powi(p) * (-sigma * lo).exp()).hull(hi.powi(p) * (-sigma * hi).exp())
+    lo, hi = exp_poly_window(p, sigma)
+    neg_sigma = -sigma
+    if t.hi <= lo or t.lo >= hi:
+        return c * exp_poly_at(p, neg_sigma, t.lo).hull(exp_poly_at(p, neg_sigma, t.hi))
+    return c * t.powi(p) * (neg_sigma * t).exp()
 
 
 def _pi_fraction() -> Fraction:

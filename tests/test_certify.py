@@ -1,17 +1,22 @@
 """Truncation models, remainder envelopes, and the sign certificates."""
 
+import gc
 import hashlib
 import json
 import math
+import random
 import re
+import weakref
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from e8magic.certify import (
+    _PREFACTOR,
     ENVELOPE_AMPLITUDE,
     HYPOTHESES,
+    LEAF_SPLIT,
     MAX_CUTOFF,
     NEAR_INFINITY,
     NEAR_ZERO,
@@ -26,7 +31,17 @@ from e8magic.certify import (
 from e8magic.cli import EXIT_CERT_FAILURE, main
 from e8magic.modforms import GROWTH_BOUNDS, TARGETS, FormId, build_form, chart_terms, eval_form
 from e8magic.qseries import EIGHTH
-from e8magic.rigor import PI, Interval, enclose_fraction, exp_poly_peak
+from e8magic.rigor import (
+    INV_PI,
+    INV_PI_SQ,
+    PI,
+    TWO_SQRT2_PI,
+    Interval,
+    enclose_fraction,
+    exp_poly_peak,
+    ia_exp_poly,
+    sqrt_interval,
+)
 
 mpmath.mp.dps = 50
 
@@ -384,6 +399,134 @@ def test_invalid_parameters_rejected():
         certify_sign("A", max_depth=-1)
     with pytest.raises(ValueError, match=str(MAX_CUTOFF)):
         certify_sign("A", n=240, m=240)  # the tail argument's e^{0.95 pi n} would overflow
+
+
+# ---------------------------------------------------------------------------
+# the endpoint memo: a leaf check reads each endpoint's parts once per chart
+
+_PI_POW = {0: Interval(1.0, 1.0), 1: INV_PI, 2: INV_PI_SQ}
+
+
+def _direct_model(terms, x):
+    """The model over x as the sum of ia_exp_poly over its (c, p, sigma)."""
+    total = Interval(0.0, 0.0)
+    for c, p, sigma in terms:
+        total = total + ia_exp_poly(c, p, sigma, x)
+    return total
+
+
+def _direct_envelope(chart, m, x):
+    """The envelope over x with every term enclosed on x itself: P(x) times
+    the explicit terms, each of amplitude 2, and the geometric rest."""
+    two, c = enclose_fraction(ENVELOPE_AMPLITUDE), enclose_fraction(LEAF_SPLIT)
+    n_geo = max(m, math.ceil(8 / LEAF_SPLIT**2))
+    pref = Interval(0.0, 0.0)
+    for coeff, p in _PREFACTOR[chart]:
+        pref = pref + coeff * x.powi(p)
+    total = Interval(0.0, 0.0)
+    for k in range(m, n_geo):
+        growth = TWO_SQRT2_PI * sqrt_interval(enclose_fraction(k))
+        total = total + two * (growth - PI * enclose_fraction(k) * x).exp()
+    ratio = (-PI * (x - c)).exp()
+    head = two * (-PI * (x - c) * enclose_fraction(n_geo)).exp()
+    return pref * (total + head / (1 - ratio))
+
+
+def _bits(iv):
+    return iv.lo.hex(), iv.hi.hex()
+
+
+@pytest.mark.parametrize("n", [1, 6, 8, 10])
+@pytest.mark.parametrize("chart", ["t", "u"])
+def test_memoized_enclosures_equal_the_direct_formulas(chart, n):
+    """2,000 seeded leaves per chart and cutoff, whose ends come from a pool so
+    that one memo per model and envelope serves many leaves: every model
+    enclosure equals the sum of ia_exp_poly over its terms and every envelope
+    enclosure (x.lo >= 0.55) P(x) * S(x) formed over x, both endpoints bit for
+    bit.  The pool holds 0.55, the ends of every term's peak enclosure and
+    floats next to them, so that leaves straddle a peak (the boxed path)."""
+    rng = random.Random(3100 + n)
+    models = {target: build_model(target, n, chart) for target in "AB"}
+    direct = {target: [(enclose_fraction(t.coeff) * _PI_POW[t.pi_pow], t.p, PI * enclose_fraction(t.decay))
+                       for t in model.terms] for target, model in models.items()}
+    envelope = Envelope(chart, n)
+    pool = [0.0, 0.55, 1.0, 12.0] + [rng.uniform(0.0, 0.55) for _ in range(20)]
+    pool += [rng.uniform(0.55, 12.0) for _ in range(100)]
+    for lo, hi in {t.window for model in models.values() for t in model.terms if math.isfinite(t.window[0])}:
+        pool += [lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, math.inf), lo - 0.01, hi + 0.01]
+    memos = {target: {} for target in "AB"}
+    env_memo = {}
+    straddling = 0
+    for i in range(2000):
+        lo, hi = sorted((0.55 if i % 10 == 0 else rng.choice(pool), rng.choice(pool)))
+        x = Interval(lo, hi)
+        target = "AB"[i % 2]
+        got = models[target]._enclose(x, memos[target])
+        assert _bits(got) == _bits(_direct_model(direct[target], x)), (target, x)
+        if i % 50 == 0:
+            assert _bits(models[target].enclose(x)) == _bits(got)
+        straddling += any(hi > t.window[0] and lo < t.window[1] for t in models[target].terms)
+        if lo >= 0.55:
+            got = envelope._enclose(x, env_memo)
+            assert _bits(got) == _bits(_direct_envelope(chart, n, x)), x
+            if i % 50 == 0:
+                assert _bits(envelope.enclose(x)) == _bits(got)
+    assert straddling > 0 or not any(math.isfinite(t.window[0]) for t in models["A"].terms)
+    assert 0.55 in env_memo and len(env_memo) < 2000
+
+
+class _Held(list):
+    """An evaluator's result, which a weak reference can follow."""
+
+
+def _count_endpoints(monkeypatch):
+    """Patches both endpoint evaluators: each call is logged as (evaluator,
+    its model or envelope, the endpoint), and its result is a _Held whose
+    weak reference is kept."""
+    calls, refs = [], []
+
+    def patch(cls, name):
+        at = cls._at
+
+        def counted(self, tau):
+            calls.append((name, self, tau))
+            held = _Held(at(self, tau))
+            refs.append(weakref.ref(held))
+            return held
+        monkeypatch.setattr(cls, "_at", counted)
+
+    patch(ExpPolyModel, "model")
+    patch(Envelope, "envelope")
+    return calls, refs
+
+
+@pytest.mark.parametrize("target,n,t_star", [("A", 6, 4.0), ("B", 8, 7.3), ("A", 10, 11.9)])
+def test_each_endpoint_is_evaluated_once_per_chart(monkeypatch, target, n, t_star):
+    """One certify_sign evaluates the model at each end of its chart's
+    segments exactly once, the envelope at most once, and nothing else; the
+    t and u charts keep their own memos, so each chart evaluates its own."""
+    calls, _ = _count_endpoints(monkeypatch)
+    cert = certify_sign(target, n=n, t_star=t_star)
+    assert cert.certified
+    for name in ("model", "envelope"):
+        owners = list(dict.fromkeys(owner for kind, owner, _ in calls if kind == name))
+        assert len(owners) == 2, name  # one model and one envelope per chart
+        for chart, owner in zip("tu", owners):
+            taus = [tau for kind, who, tau in calls if who is owner]
+            ends = {x for s in cert.segments if s.chart == chart for x in (s.lo, s.hi)}
+            assert len(taus) == len(set(taus)), (name, chart)
+            assert set(taus) == ends if name == "model" else set(taus) <= ends, (name, chart)
+
+
+def test_no_endpoint_outlives_its_certify_sign(monkeypatch):
+    """After 20 calls no endpoint value is held anywhere (by a model, an
+    envelope or a module global), so memory does not grow with the calls."""
+    calls, refs = _count_endpoints(monkeypatch)
+    for i in range(20):
+        certify_sign("AB"[i % 2], n=(6, 8)[i // 2 % 2], t_star=4.0 + i / 4)
+        calls.clear()
+    gc.collect()
+    assert len(refs) > 100 and not [ref for ref in refs if ref() is not None]
 
 
 # ---------------------------------------------------------------------------

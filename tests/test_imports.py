@@ -1,16 +1,21 @@
 """The import surface: each fresh process loads only the layers its verb uses.
 
-numpy takes 73-93 ms to import, against 37-56 ms for the whole of
-`import e8magic.cli` (`python -X importtime`, 2-vCPU VM), so a top-level
-import of it in the exact layers would at least double that cost for every
-`certify` and `series` process.  `import e8magic` loads no submodule:
-importing `certify` and `rigor` with it put 0.057-0.061 s on the benchmark's
-`cold-eval` `setup_s` (0.0008 s without; medians of 10 alternated pairs,
-2-vCPU VM).  hashlib, which only `series` uses, loads OpenSSL's libcrypto:
-4.7 ms of import time and 3.7 MB of RSS over a bare interpreter.
-scipy.special (0.35 s) is loaded by no module of the package, not even by
-the two Bessel diagnostics; only the tests use it, as a reference.  These
-tests run fresh interpreters (the CLI through runpy, as
+numpy takes 76-110 ms to import, against 33-41 ms for the whole of
+`import e8magic.cli` (`python -X importtime`, 8 runs each, 2-vCPU VM), so a
+top-level import of it in the exact layers would at least double that cost
+for every `certify` and `series` process.  dataclasses, with the inspect,
+ast, dis and tokenize it imports, takes 7-11 ms, and a frozen dataclass of
+seven fields 1.0-1.1 ms to build against 0.11-0.17 ms for a
+`typing.NamedTuple`: the package builds its records as NamedTuples and
+small slotted classes, and no verb loads dataclasses (`import e8magic.cli`
+took 36-54 ms while the layers used it).  `import e8magic` loads no
+submodule: importing `certify` and `rigor` with it put 0.057-0.061 s on the
+benchmark's `cold-eval` `setup_s` (0.0008 s without; medians of 10
+alternated pairs, 2-vCPU VM).  hashlib, which only `series` uses, loads
+OpenSSL's libcrypto: 3-4 ms of import time and 3.6 MB of RSS over a bare
+interpreter.  scipy.special (0.29-0.38 s) is loaded by no module of the
+package, not even by the two Bessel diagnostics; only the tests use it, as a
+reference.  These tests run fresh interpreters (the CLI through runpy, as
 `python -m e8magic.cli` does) and read `sys.modules` at their end.
 """
 
@@ -28,14 +33,14 @@ import e8magic
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # a probe runs its body, then writes the exit code, the heavy packages (and
-# _hashlib, OpenSSL's libcrypto) and the e8magic modules loaded to the file
-# named by its first argument
+# _hashlib, OpenSSL's libcrypto, and dataclasses and inspect) and the e8magic
+# modules loaded to the file named by its first argument
 _PROLOGUE = """
 import json, sys
 out, code = sys.argv.pop(1), 0
 """
 _REPORT = """
-loaded = sorted({m.partition(".")[0] for m in sys.modules} & {"numpy", "scipy", "_hashlib"})
+loaded = sorted({m.partition(".")[0] for m in sys.modules} & {"numpy", "scipy", "_hashlib", "dataclasses", "inspect"})
 loaded += sorted(m for m in sys.modules if m.startswith("e8magic."))
 open(out, "w").write(json.dumps([code, loaded]))
 """
@@ -102,6 +107,26 @@ def test_verbs_load_only_their_layers(tmp_path, argv, lean):
     assert "scipy" not in loaded
     if lean:
         assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("argv,lean", [
+    (["certify", "--target", "B"], True),
+    (["series", "--form", "psi_I", "--format", "json"], True),
+    (["lattice", "--max-norm", "24"], True),
+    (["bound"], True),
+    (["eval", "--function", "a", "--r", "2.0"], False),
+    (["plot", "--function", "B", "--range", "1:2", "--samples", "2"], False),
+    (["selfcheck"], False),
+])
+def test_no_verb_loads_dataclasses(tmp_path, argv, lean):
+    """The package builds its records without dataclasses (whose import
+    brings inspect, ast, dis and tokenize); the verbs that load no numpy load
+    no inspect either (numpy itself imports it)."""
+    code, loaded = _fresh(tmp_path, _RUN_CLI, *argv)
+    assert code == 0
+    assert "dataclasses" not in loaded
+    if lean:
+        assert "inspect" not in loaded
 
 
 def test_bare_import_loads_no_numpy(tmp_path):

@@ -1,7 +1,6 @@
 """Containment and width properties of the interval arithmetic layer."""
 
 import copy
-import dataclasses
 import itertools
 import math
 import operator
@@ -20,6 +19,7 @@ from e8magic.rigor import (
     Interval,
     _outward,
     _product,
+    _quotient,
     enclose_fraction,
     ia_exp_poly,
     sqrt_interval,
@@ -287,8 +287,8 @@ _intervals = st.builds(lambda a, b: Interval(min(a, b), max(a, b)), _endpoints, 
 @settings(max_examples=1000, deadline=None)
 def test_endpoints_equal_the_fraction_reference(x, y):
     """+ - * /, powi(0..3) and sqrt_interval against exact rationals, from
-    subnormal to huge operands: both the float transforms and the scaled
-    edge paths, with OverflowError exactly where a product leaves the range."""
+    subnormal to huge operands: both the float transforms and the exact
+    fallback, with OverflowError exactly where a product leaves the range."""
     xl, xh, yl, yh = (Fraction(v) for v in (x.lo, x.hi, y.lo, y.hi))
     _check(lambda: x + y, lambda: (_ref_down(xl + yl), _ref_up(xh + yh)))
     _check(lambda: x - y, lambda: (_ref_down(xl - yh), _ref_up(xh - yl)))
@@ -381,12 +381,29 @@ def test_product_sign_cases_keep_signed_zeros_and_range_edges():
         assert _outcome(lambda: x * y) == _outcome(four), (x, y)
 
 
+def test_quotient_sign_cases_keep_signed_zeros_and_range_edges():
+    """Every sign case of dividend and divisor on the edge values, against
+    the four-quotient rule: the same endpoints, zeros by sign, or the same
+    exception."""
+    magnitudes = (0.0, 2.0**-1074, math.nextafter(2.0**-1022, 0.0), 2.0**-960,
+                  math.nextafter(2.0**-960, 0.0), 1.0, 3.0, 2.0**960, 2.0**995,
+                  math.nextafter(2.0**995, math.inf))
+    values = [v for m in magnitudes for v in (m, -m)]
+    intervals = [Interval(a, b) for a, b in itertools.product(values, repeat=2) if a <= b]
+    for x, y in itertools.product(intervals, repeat=2):
+        if y.contains_zero():
+            continue
+        four = lambda: _outward([_quotient(a, b) for a in (x.lo, x.hi) for b in (y.lo, y.hi)])
+        assert _outcome(lambda: x / y) == _outcome(four), (x, y)
+
+
 def test_interval_is_immutable_and_round_trips():
     iv = Interval(-0.5, 2.0**-1074)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="'lo'"):
         iv.lo = 0.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="'width'"):
         iv.width = 1.0
+    assert iv.lo == -0.5
     for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
         with pytest.raises(ValueError, match="NaN"):
             Interval(lo, hi)

@@ -72,13 +72,15 @@ def calls(package: str, call: str, count: int, seed: int):
 
 
 def bits(result) -> bytes:
-    """The bytes of every float a result holds: the fields of a dataclass, the
-    items of a tuple, the parts of a complex number; of a certificate, its
-    JSON document."""
+    """The bytes of every float a result holds: the slots or the attributes of
+    a record, the items of a tuple, the parts of a complex number; of a
+    certificate, its JSON document."""
     if hasattr(result, "to_doc"):
         return json.dumps(result.to_doc(), sort_keys=True).encode()
-    fields = getattr(result, "__dataclass_fields__", None)
-    items = [getattr(result, f) for f in fields] if fields else list(result)
+    if getattr(type(result), "__slots__", ()):
+        items = [getattr(result, name) for name in type(result).__slots__]
+    else:
+        items = list(vars(result).values()) if hasattr(result, "__dict__") else list(result)
     floats = []
     for x in items:
         x = complex(x)
