@@ -20,7 +20,8 @@ _LAZY = {
     for module, names in {
         "certify": "Certificate ExpPolyModel ModelTerm build_model certify_sign numeric_value",
         "modforms": "FormId build_form eval_form rademacher_coefficient verify_transform",
-        "qseries": "EvalResult QSeries TruncationError",
+        "qseries": "QSeries TruncationError",
+        "qfloat": "EvalResult",
         "rigor": "Interval enclose_fraction ia_exp_poly",
         "radial": "RadialValue contour_eval eval_a eval_b eval_g eval_g_deriv hankel_fourier_oracle",
         "e8": "DensityBoundReport LatticePoint PoissonReport ShellTable density_bound enumerate_shells "

@@ -31,8 +31,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .modforms import chart_series
-from .qseries import EIGHTH, combine
+from .modforms import _float_layer, chart_series
+from .qseries import EIGHTH
 from .rigor import (
     INV_PI,
     INV_PI_SQ,
@@ -104,9 +104,6 @@ class ModelTerm:
 
     def _key(self) -> tuple:
         return self.coeff, self.pi_pow, self.p, self.decay
-
-    def magnitude_interval(self) -> Interval:
-        return enclose_fraction(abs(self.coeff)) * _PI_POW_INV[self.pi_pow]
 
 
 def _memo(memo: dict, tau: float, at):
@@ -409,8 +406,10 @@ def _tail_check(model: ExpPolyModel, envelope: Envelope, x_star: float, sign: in
         return TailRecord(chart, x_star, _term_name(dom), math.inf, False)
 
     x = Interval.point(x_star)
-    dom_mag = dom.magnitude_interval()
-    competitors = [(t.magnitude_interval(), t.p, t.decay) for t in terms[1:]]
+    # |coeff| / pi^k: directed rounding is symmetric under negation, so the
+    # coefficient's own enclosure, negated where it is negative, encloses it
+    dom_mag, *mags = (-t.coeff_interval if t.coeff < 0 else t.coeff_interval for t in terms)
+    competitors = [(mag, t.p, t.decay) for mag, t in zip(mags, terms[1:])]
     competitors += envelope.terms(x_star)  # (|C|, p, decay)
 
     eps = Interval(0.0, 0.0)
@@ -513,14 +512,14 @@ def numeric_value(target: str, t: float) -> tuple[float, float]:
     chart, x = ("u", 1 / t) if t <= 1.0 else ("t", t)
     if math.isinf(x):
         raise ValueError("t must be at least 5.56268464626801e-309, where 1/t overflows a double")
+    qfloat = _float_layer()
     parts = []
     for k, p, series, bound in chart_series(target, chart):
-        r = series.eval_at(1j * x, bound)
-        value, err = r.value, r.tail_bound
+        value, err = qfloat.eval_at(series, 1j * x, bound)
         for _ in range(abs(p)):
             value, err = (value * x, err * x) if p > 0 else (value / x, err / x)
         parts.append((1 / math.pi**k, (value, err)))
-    value, bound = combine(parts)
+    value, bound = qfloat.combine(parts)
     err = float(bound) + abs(value.imag)
     if not math.isfinite(err):
         raise ArithmeticError(f"the bound on {target}({t!r}) overflows a double")

@@ -18,11 +18,12 @@ written by older code that built the series differently is still served.
 
 Every verb loads ``modforms`` and ``qseries``; the other layers, and
 hashlib, are imported by the verbs that call them: ``certify`` (with
-``rigor``) by certify, plot of A or B and selfcheck, ``radial`` (with numpy)
-by eval, plot of g or ghat and selfcheck, ``e8`` by lattice, bound and
-selfcheck, and hashlib by series alone.  So ``series``, ``certify``,
-``lattice`` and ``bound`` (exact, from ``modforms.special_values``) run
-without numpy.
+``rigor``) by certify, plot of A or B and selfcheck, ``radial`` by eval,
+plot of g or ghat and selfcheck, the float layer ``qfloat`` (with numpy) by
+eval, plot and selfcheck, ``e8`` by lattice, bound and selfcheck, and
+hashlib by series alone.  So ``series``, ``certify``, ``lattice`` and
+``bound`` (exact, from ``modforms.special_values``) load no float code and
+run without numpy.
 """
 
 from __future__ import annotations
@@ -159,12 +160,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     from . import radial as radial_mod
 
     fn = args.function
-    if fn in ("a", "b"):
-        if args.deriv:
-            raise CliError("--deriv supports g and ghat only")
+    if fn in ("a", "b") and not args.deriv:
         rv = radial_mod.eval_a(args.r) if fn == "a" else radial_mod.eval_b(args.r)
-    else:
-        rv = radial_mod.eval_g_deriv(args.r, fn) if args.deriv else radial_mod.eval_g(args.r, fn)
+    else:  # eval_g_deriv refuses a and b
+        rv = (radial_mod.eval_g_deriv if args.deriv else radial_mod.eval_g)(args.r, fn)
     label = f"{fn}'" if args.deriv else fn
     print(f"{label}({args.r!r}) = {rv.value!r} +/- {rv.err:.3e}")
     return EXIT_OK

@@ -7,7 +7,7 @@ explicit quotients, and the psi family from its closed theta expressions.
 The T-laws (z -> z+1) are checked at series level; the S-laws (z -> -1/z),
 stated once in ``S_LAWS``, are checked numerically through
 ``verify_transform``, against the bound on truncation and roundoff that
-``QSeries.eval_at`` returns.  ``chart_terms`` expands the Laplace integrands of
+``qfloat.eval_at`` returns.  ``chart_terms`` expands the Laplace integrands of
 a and b, and the sign targets A and B built from them, through the S-laws in
 the chart t or u = 1/t; ``chart_series`` sums those terms into the one exact
 expansion that the certificate models, ``certify.numeric_value`` and the
@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .qseries import EIGHTH, EvalResult, QSeries, combine
+from .qseries import EIGHTH, QSeries
 
 __all__ = [
     "FormId",
@@ -217,10 +217,21 @@ def _build(form: FormId, order: int) -> QSeries:
     raise ValueError(f"unknown form {form}")
 
 
-def eval_form(form: FormId, z) -> EvalResult:
+@lru_cache(maxsize=None)
+def _float_layer():
+    """The float layer ``qfloat`` (and numpy), imported by the first float
+    evaluation: an import statement in each evaluating function would cost
+    1.4-2.8 us a call (2-vCPU VM), up to a twentieth of a warm ``eval_form``."""
+    from . import qfloat
+
+    return qfloat
+
+
+def eval_form(form: FormId, z):
     """Evaluate a catalog form at one z or an array of z, read at
-    ``DEFAULT_ORDER``, with its bound on truncation and roundoff."""
-    return build_form(form).eval_at(z, GROWTH_BOUNDS[form])
+    ``DEFAULT_ORDER``, as a ``qfloat.EvalResult``: the value with its bound on
+    truncation and roundoff."""
+    return _float_layer().eval_at(build_form(form), z, GROWTH_BOUNDS[form])
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +394,10 @@ def verify_transform(form: FormId, law: str, z: complex) -> TransformCheck:
 
     if law != "S" or form not in S_LAWS:
         raise ValueError(f"no catalogued law {law!r} for {form}")
-    results = [(1, eval_form(form, -1 / z))] + [
-        (-c / math.pi**k * (-1j * z) ** j, EvalResult(1.0, 0.0) if g is None else eval_form(g, z))
+    value, bound = _float_layer().combine([(1, eval_form(form, -1 / z))] + [
+        (-c / math.pi**k * (-1j * z) ** j, (1.0, 0.0) if g is None else eval_form(g, z))
         for g, c, k, j in S_LAWS[form]
-    ]
-    value, bound = combine([(c, (r.value, r.tail_bound)) for c, r in results])
+    ])
     return TransformCheck(residual=abs(value), bound=float(bound))
 
 

@@ -27,7 +27,7 @@ for g), each y-dependent operation once, by a plan compiled on the first call
 principal moment row per (degree, center), each of y's shape, each term
 reading its row by index with its coefficient folded in; one near kernel
 over the quadrature nodes of every function; and the far range is one
-``qseries.RayPlan`` over all its rows (series, power), whose exponent grids
+``qfloat.RayPlan`` over all its rows (series, power), whose exponent grids
 share one exp, and where phi_0, phi_-2 and phi_-4 share one grid and so one
 set of closed forms, and d/dy rides along as the next power.  A single
 radius runs the same code: its leaves give Python floats, so the glue
@@ -36,7 +36,7 @@ pass runs under one ``np.errstate``, where powers of y that overflow
 saturate to 0 and a NaN from numpy raises ArithmeticError; ``_radius_sq``
 refuses a radius whose pi*y overflows.
 
-Every series value comes from ``QSeries.eval_at`` (the near range and the
+Every series value comes from ``qfloat.eval_at`` (the near range and the
 contour segments, one array of nodes per panel; the contour keeps its panels'
 values, which do not depend on r) or a ``RayPlan`` (the far range and the
 contour's vertical ray), so each error estimate here carries their bound on
@@ -56,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_terms, eval_form, principal_part, special_values
-from .qseries import RayPlan, _blocks, _gather, combine
+from .qfloat import RayPlan, _blocks, _gather, combine
 
 __all__ = [
     "RadialValue",

@@ -19,10 +19,14 @@ reference.  These tests run fresh interpreters (the CLI through runpy, as
 `python -m e8magic.cli` does) and read `sys.modules` at their end.
 """
 
+import ast
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from importlib import import_module
 from pathlib import Path
 
@@ -71,15 +75,15 @@ def _fresh(tmp_path, body: str, *argv: str) -> tuple[int, set[str]]:
 _SERIES = {"modforms", "qseries"}
 _CERTIFY = _SERIES | {"certify", "rigor"}
 # the layers of the package each verb below loads (plot of A: the certifier's
-# numeric_value)
+# numeric_value); the float layer qfloat only where a verb evaluates in floats
 _VERB_LAYERS = {
     "certify": _CERTIFY,
     "series": _SERIES,
     "lattice": _SERIES | {"e8"},
-    "eval": _SERIES | {"radial"},
-    "plot": _CERTIFY,
+    "eval": _SERIES | {"radial", "qfloat"},
+    "plot": _CERTIFY | {"qfloat"},
     "bound": _SERIES | {"e8"},
-    "selfcheck": _CERTIFY | {"radial", "e8"},
+    "selfcheck": _CERTIFY | {"radial", "e8", "qfloat"},
 }
 
 
@@ -97,8 +101,8 @@ _VERB_LAYERS = {
 )
 def test_verbs_load_only_their_layers(tmp_path, argv, lean):
     """Each verb loads exactly its layers of the package; certify, series,
-    lattice and bound load no numpy; series alone loads libcrypto (hashlib,
-    for its documents' sha256); no verb loads scipy."""
+    lattice and bound load no float layer and no numpy; series alone loads
+    libcrypto (hashlib, for its documents' sha256); no verb loads scipy."""
     code, loaded = _fresh(tmp_path, _RUN_CLI, *argv)
     assert code == 0
     layers = _VERB_LAYERS[argv[0]]
@@ -140,6 +144,55 @@ def test_qseries_loads_no_rigor(tmp_path):
     ``e8magic.rigor``."""
     _, loaded = _fresh(tmp_path, "import e8magic.qseries\n")
     assert loaded == {"e8magic.qseries"}
+
+
+def test_qseries_imports_no_numpy():
+    """The exact kernel imports numpy nowhere, not even inside a function or
+    for type checking: float evaluation lives in ``qfloat``."""
+    tree = ast.parse((SRC / "e8magic" / "qseries.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+    assert [name for name in imported if name.partition(".")[0] == "numpy"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--target", "A"],
+    ["series", "--form", "phi_0", "--format", "json"],
+    ["lattice"],
+    ["bound"],
+])
+def test_the_exact_verbs_run_where_numpy_cannot_be_imported(tmp_path, argv):
+    """With numpy unimportable (a None entry in sys.modules makes every import
+    of it raise ImportError), certify, series, lattice and bound still exit 0."""
+    code, loaded = _fresh(tmp_path, "sys.modules['numpy'] = None\n" + _RUN_CLI, *argv)
+    assert code == 0
+    assert "e8magic.qfloat" not in loaded
+
+
+def _code_lines(path: Path) -> int:
+    """Non-blank lines outside docstrings and comments."""
+    text = path.read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node) is not None:
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    code = set()
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in layout:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstrings)
+
+
+def test_the_proof_path_is_no_larger_than_the_readme_states():
+    """The modules the certify verb loads besides cli and __init__ hold at most
+    the code lines README states, so any growth of the code a reader of the
+    proof must trust shows up as a diff of that figure."""
+    readme = (SRC.parent / "README.md").read_text()
+    stated = re.search(r"The proof path is ([\d,]+) code lines", readme)
+    assert stated, "README states no size of the proof path"
+    count = sum(_code_lines(SRC / "e8magic" / f"{layer}.py") for layer in _VERB_LAYERS["certify"])
+    assert count <= int(stated[1].replace(",", ""))
 
 
 def test_importing_radial_computes_no_quadrature_rule(tmp_path):
@@ -209,7 +262,8 @@ def test_every_public_name_resolves():
 PUBLIC_NAMES = {
     "certify": ("Certificate", "ExpPolyModel", "ModelTerm", "build_model", "certify_sign", "numeric_value"),
     "modforms": ("FormId", "build_form", "eval_form", "rademacher_coefficient", "verify_transform"),
-    "qseries": ("EvalResult", "QSeries", "TruncationError"),
+    "qseries": ("QSeries", "TruncationError"),
+    "qfloat": ("EvalResult",),
     "rigor": ("Interval", "enclose_fraction", "ia_exp_poly"),
     "radial": ("RadialValue", "contour_eval", "eval_a", "eval_b", "eval_g", "eval_g_deriv",
                "hankel_fourier_oracle"),

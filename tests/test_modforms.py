@@ -28,7 +28,8 @@ from e8magic.modforms import (
     special_values,
     verify_transform,
 )
-from e8magic.qseries import TruncationError, combine
+from e8magic.qfloat import combine
+from e8magic.qseries import TruncationError
 
 ORDER = 64
 

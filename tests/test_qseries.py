@@ -17,16 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from e8magic.qseries import (
-    _MAJORANT_Y_MAX,
-    EIGHTH,
-    QSeries,
-    RayPlan,
-    TruncationError,
-    U,
-    _tail_majorant,
-    combine,
-)
+from e8magic.qfloat import _MAJORANT_Y_MAX, RayPlan, _floats, _tail_majorant, combine
+from e8magic.qseries import EIGHTH, QSeries, TruncationError, U
 from e8magic.modforms import GROWTH_BOUNDS, FormId, build_form, eisenstein, eval_form, theta
 
 mpmath.mp.dps = 50
@@ -306,12 +298,12 @@ def test_ray_laplace_bounds_read_each_row_s_own_sum_of_m_abs_c():
     psi_I's row has both signs, and a bound that read |sum m c| for it would
     be too small."""
     rows = [(build_form(form), p, GROWTH_BOUNDS[form]) for form in _RAY_FORMS for p in range(4)]
-    signs = {form: set(np.sign(c[n > 0]).tolist()) for form in _RAY_FORMS for n, c in [build_form(form)._floats]}
+    signs = {form: set(np.sign(c[n > 0]).tolist()) for form in _RAY_FORMS for n, c, *_ in [_floats(build_form(form))]}
     assert signs[FormId.PSI_I] == {-1.0, 1.0} and signs[FormId.PHI_0] == {1.0}
     plan = RayPlan(rows)
     for y in (0.0, 0.3, 2.0, 9.5):
         for (series, p, _), got, (tail, gamma, tiny) in zip(rows, plan(y), plan.consts):
-            n, c = series._floats
+            n, c = _floats(series)[:2]
             n, c = n[n > 0], c[n > 0]
             neg_beta = -math.pi * (2 * n + y)
             inv = [-1.0 / neg_beta]
@@ -402,7 +394,7 @@ def test_eval_at_a_scalar_keeps_the_bits_of_its_one_point_array(form):
     zs = [complex(x, y) for x, y in zip(rng.uniform(-0.5, 0.5, 8), rng.uniform(0.5, 3.0, 8))]
     if series.lead > 0:
         zs.append(complex(0.3, 2000.0))
-        assert not np.count_nonzero(np.exp(-2 * math.pi * series._floats[0] * 2000.0))
+        assert not np.count_nonzero(np.exp(-2 * math.pi * _floats(series)[0] * 2000.0))
     for z in zs:
         one, grid = series.eval_at(z, bound), series.eval_at(np.array([z]), bound)
         assert [one.value.real.hex(), one.value.imag.hex(), one.tail_bound.hex()] == [

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from e8magic import qseries, radial
+from e8magic import qfloat, radial
 from e8magic.cli import EXIT_NUMERICAL_FAILURE, main
 from e8magic.radial import (
     _adaptive_gl,
@@ -308,8 +308,8 @@ def test_warm_evaluations_reuse_the_rule_and_the_ray_constants(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting("rule", np.polynomial.legendre.leggauss))
-    monkeypatch.setattr(qseries.RayPlan, "__init__", counting("plan", qseries.RayPlan.__init__))
-    monkeypatch.setattr(qseries.QSeries, "eval_at", counting("series", qseries.QSeries.eval_at))
+    monkeypatch.setattr(qfloat.RayPlan, "__init__", counting("plan", qfloat.RayPlan.__init__))
+    monkeypatch.setattr(qfloat, "eval_at", counting("series", qfloat.eval_at))
     for r in np.linspace(0.2, 5.0, 10):
         eval_g(float(r), "g")
         eval_g_deriv(float(r), "ghat")
@@ -340,7 +340,7 @@ def test_a_warm_radius_builds_one_radial_value_and_no_eval_result(monkeypatch):
         monkeypatch.setattr(cls, "__init__", wrapped)
 
     counting(radial.RadialValue)
-    counting(qseries.EvalResult)
+    counting(qfloat.EvalResult)
     for fn in (eval_g, eval_g_deriv):
         for r in (0.1, 1.3, SQRT2 + 1e-4, 5.0):
             built.clear()
