@@ -19,7 +19,8 @@ _LAZY = {
     name: module
     for module, names in {
         "certify": "Certificate ExpPolyModel ModelTerm build_model certify_sign numeric_value",
-        "modforms": "FormId build_form eval_form rademacher_coefficient verify_transform",
+        "modforms": "FormId build_form eval_form verify_transform",
+        "growth": "rademacher_coefficient",
         "qseries": "QSeries TruncationError",
         "qfloat": "EvalResult",
         "rigor": "Interval enclose_fraction ia_exp_poly",

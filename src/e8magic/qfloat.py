@@ -4,21 +4,20 @@ This module is the one place where the exact coefficients of a ``QSeries``
 become floats.  Each series' float view (``_floats``: its exponents and
 coefficients as arrays, with the reductions ``eval_at`` reads) is formed on
 first use, once per series, and freed with it.  Evaluation at one or many
-points of the upper half-plane (``eval_at``, which ``QSeries.eval_at``
-calls) and the termwise Laplace transform along the imaginary axis
-(``RayPlan``, of several series and powers in one pass) return one bound
-that covers both the discarded tail and the float roundoff of the sum;
-``combine`` sums such (value, bound) pairs with coefficients.  The tail is
-bounded by ``_tail_majorant`` from the coefficient growth bound
-|c(n)| <= C*e^{4 pi sqrt(n)} with a caller-supplied C: its terms are summed
-in floats and enlarged by an a-priori roundoff factor derived in its
-docstring, so the module needs no interval arithmetic and imports nothing
-from ``rigor``.
+points of the upper half-plane (``eval_at``) and the termwise Laplace
+transform along the imaginary axis (``RayPlan``, of several series and
+powers in one pass) return one bound that covers both the discarded tail
+and the float roundoff of the sum; ``combine`` sums such (value, bound)
+pairs with coefficients.  The tail is bounded by ``_tail_majorant`` from the
+coefficient growth bound |c(n)| <= C*e^{4 pi sqrt(n)} with a caller-supplied
+C: its terms are summed in floats and enlarged by an a-priori roundoff
+factor derived in its docstring, so the module needs no interval arithmetic
+and imports nothing from ``rigor``.
 
 The exact layers import this module only where they evaluate in floats
-(``QSeries.eval_at``, and ``modforms._float_layer`` on the first call of
-``eval_form``, ``verify_transform`` or ``certify.numeric_value``), so the
-proof path loads neither it nor numpy.
+(``modforms._float_layer``, on the first call of ``eval_form``,
+``verify_transform`` or ``certify.numeric_value``), so the proof path loads
+neither it nor numpy.
 """
 
 from __future__ import annotations

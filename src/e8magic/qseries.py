@@ -11,7 +11,7 @@ a quotient an integer power-series inverse.  The only approximation anywhere
 is the explicit truncation order, which each operation propagates
 conservatively.  ``coeffs`` presents the same series as exact ``Fraction``s.
 
-Evaluation in floats lives in ``qfloat``, which ``QSeries.eval_at`` calls:
+Evaluation in floats lives in ``qfloat`` (``qfloat.eval_at(series, z, C)``):
 this module imports no numpy, so the exact kernel loads without it.
 """
 
@@ -355,18 +355,6 @@ class QSeries:
                 )
         nums = [x if (self.lead + i * self.stride) % 8 == 0 else -x for i, x in enumerate(self.nums)]
         return QSeries._make(self.lead, self.order, self.stride, self.den, nums)
-
-    # -- numerical evaluation ------------------------------------------------
-
-    def eval_at(self, z, bound_constant: float):
-        """Evaluate sum c(n) e^{2*pi*i*n*z} over the stored terms, at one z or an
-        array of z, as a ``qfloat.EvalResult`` (value, bound on truncation and
-        roundoff); the caller asserts |c(n)| <= bound_constant * e^{4 pi sqrt(n)}
-        for every n >= order on the support grid.  ``qfloat.eval_at`` documents
-        the bound."""
-        from .qfloat import eval_at
-
-        return eval_at(self, z, bound_constant)
 
     # -- persistence -----------------------------------------------------------
 

@@ -12,10 +12,10 @@ import numpy as np
 
 from e8magic.certify import NEAR_INFINITY, NEAR_ZERO, build_model, certify_sign
 from e8magic.e8 import density_bound, enumerate_shells, poisson_check
+from e8magic.growth import rademacher_coefficient
 from e8magic.modforms import (
     FormId,
     build_form,
-    rademacher_coefficient,
     verify_transform,
 )
 from e8magic.radial import (

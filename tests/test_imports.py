@@ -169,6 +169,25 @@ def test_the_exact_verbs_run_where_numpy_cannot_be_imported(tmp_path, argv):
     assert "e8magic.qfloat" not in loaded
 
 
+def test_the_growth_diagnostics_run_where_numpy_cannot_be_imported(tmp_path):
+    """The circle-method sum and the coefficient-growth check of the five
+    forms the certificates' hypotheses name run with numpy unimportable, and
+    load the exact catalog and nothing else of the package."""
+    body = (
+        "sys.modules['numpy'] = None\n"
+        "from e8magic.growth import coefficient_bound_check, rademacher_coefficient\n"
+        "from e8magic.modforms import FormId\n"
+        "code = [rademacher_coefficient(FormId.J, 1, 50)]\n"
+        "code += [coefficient_bound_check(FormId(f), 50).passed for f in sys.argv[1:]]\n"
+    )
+    forms = ("phi_0", "phi_-2", "phi_-4", "psi_I", "psi_S")
+    code, loaded = _fresh(tmp_path, body, *forms)
+    assert abs(code[0] - 196884) < 1e-6 * 196884
+    assert code[1:] == [True] * len(forms)
+    layers = {m for m in loaded if m.startswith("e8magic.")}
+    assert layers == {"e8magic.growth", "e8magic.modforms", "e8magic.qseries"}
+
+
 def _code_lines(path: Path) -> int:
     """Non-blank lines outside docstrings and comments."""
     text = path.read_text()
@@ -261,7 +280,8 @@ def test_every_public_name_resolves():
 # the public names, by their defining module
 PUBLIC_NAMES = {
     "certify": ("Certificate", "ExpPolyModel", "ModelTerm", "build_model", "certify_sign", "numeric_value"),
-    "modforms": ("FormId", "build_form", "eval_form", "rademacher_coefficient", "verify_transform"),
+    "modforms": ("FormId", "build_form", "eval_form", "verify_transform"),
+    "growth": ("rademacher_coefficient",),
     "qseries": ("QSeries", "TruncationError"),
     "qfloat": ("EvalResult",),
     "rigor": ("Interval", "enclose_fraction", "ia_exp_poly"),

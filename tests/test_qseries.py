@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import types
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from e8magic.qfloat import _MAJORANT_Y_MAX, RayPlan, _floats, _tail_majorant, combine
+from e8magic import qfloat
+from e8magic.qfloat import _MAJORANT_Y_MAX, _RAISE, RayPlan, _floats, _tail_majorant, combine, eval_at
 from e8magic.qseries import EIGHTH, QSeries, TruncationError, U
 from e8magic.modforms import GROWTH_BOUNDS, FormId, build_form, eisenstein, eval_form, theta
 
@@ -97,7 +99,7 @@ def test_eval_at_matches_high_precision_sum():
     """Explicit-term part of eval_at agrees with a 50-digit resummation."""
     series = eisenstein(4, 32)
     z = complex(0.31, 1.07)
-    got = series.eval_at(z, 1.0)
+    got = eval_at(series, z, 1.0)
     oracle = mpmath.mpc(0)
     for e, c in sorted(series.coeffs.items()):
         oracle += mpmath.mpf(c.numerator) / c.denominator * mpmath.exp(
@@ -115,8 +117,8 @@ def test_eval_monotone_in_truncation():
     """
     z = complex(0.2, 0.9)
     for form in (FormId.E4, FormId.J, FormId.PSI_I):
-        short = build_form(form, 24).eval_at(z, 2.0)
-        long = build_form(form, 48).eval_at(z, 2.0)
+        short = eval_at(build_form(form, 24), z, 2.0)
+        long = eval_at(build_form(form, 48), z, 2.0)
         assert abs(short.value - long.value) <= short.tail_bound + 1e-15
         tails = [
             _tail_majorant(s.lead, s.order, s.stride, 2.0, z.imag)
@@ -235,6 +237,58 @@ def test_tail_majorant_bounds_seeded_tails_at_60_digits():
                 wrong.append((lead, order, stride, c, y, majorant, exact))
     assert not wrong, wrong[:5]
 
+
+@lru_cache(maxsize=None)
+def _mp_growth_exponent(e):
+    """4 pi sqrt(n) at n = e/8, to 60 digits."""
+    with mpmath.workdps(60):
+        return 4 * mpmath.pi * mpmath.sqrt(mpmath.mpf(e) / EIGHTH)
+
+
+def test_tail_majorant_rounds_each_of_its_parts_up(monkeypatch):
+    """White box, over 2,000 seeded draws, from the exp calls of the majorant:
+    the argument of each explicit term is at least the 60-digit value of
+    4 pi sqrt(n) - 2 pi n y, and the majorant is at least C S (1 + 8u), in
+    Fractions, for the exact sum S of the float parts it formed (the explicit
+    terms plus the geometric head over d).  The 60-digit check of the result
+    alone misses either roundoff cover dropped by itself, since each absorbs
+    what the other covers: here the first check fails without the raised
+    arguments, the second without the factor 1 + 2^-36."""
+    calls = []
+
+    def exp(x):
+        calls.append((x, math.exp(x)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(qfloat, "math", types.SimpleNamespace(**{**vars(math), "exp": exp}))
+    rng = np.random.default_rng(34)
+    low_args, low_sums = [], []
+    for i in range(2_000):
+        stride = int(rng.choice([1, 2, 4, 8]))
+        lead = int(rng.integers(-8, 9))
+        order = int(rng.integers(max(lead, 0) + 1, 600))
+        c = float(rng.uniform(0.25, 4.0))
+        e0 = lead + -(-(order - lead) // stride) * stride
+        y = [
+            float(rng.uniform(0.4, 3.0)),
+            4 / math.sqrt(e0 / EIGHTH) * float(rng.uniform(1 - 1e-3, 1 + 1e-3)),
+            float(10 ** rng.uniform(0.5, 3.0)),
+        ][i % 3]
+        calls.clear()
+        majorant = _tail_majorant(lead, order, stride, c, y)
+        *explicit, (_, ratio), (_, head) = calls
+        with mpmath.workdps(60):
+            two_pi_y = 2 * mpmath.pi * mpmath.mpf(y)
+            for k, (x, _) in enumerate(explicit):
+                e = e0 + k * stride
+                if not mpmath.mpf(x) >= _mp_growth_exponent(e) - two_pi_y * e / EIGHTH:
+                    low_args.append((lead, order, stride, y, e, x))
+        d = 1.0 - (ratio + _RAISE)
+        total = sum(Fraction(v) for _, v in explicit) + Fraction(head) / Fraction(d)
+        if not Fraction(majorant) >= Fraction(c) * total * (1 + 8 * Fraction(U)):
+            low_sums.append((lead, order, stride, c, y, majorant))
+    assert not low_args, low_args[:5]
+    assert not low_sums, low_sums[:5]
 
 def _parts(draw_float):
     return st.lists(
@@ -396,7 +450,7 @@ def test_eval_at_a_scalar_keeps_the_bits_of_its_one_point_array(form):
         zs.append(complex(0.3, 2000.0))
         assert not np.count_nonzero(np.exp(-2 * math.pi * _floats(series)[0] * 2000.0))
     for z in zs:
-        one, grid = series.eval_at(z, bound), series.eval_at(np.array([z]), bound)
+        one, grid = eval_at(series, z, bound), eval_at(series, np.array([z]), bound)
         assert [one.value.real.hex(), one.value.imag.hex(), one.tail_bound.hex()] == [
             float(grid.value[0].real).hex(), float(grid.value[0].imag).hex(), float(grid.tail_bound[0]).hex()], z
 
@@ -411,7 +465,7 @@ def test_eq_and_hash_use_the_same_fields():
 
 def test_theta00_limit_is_one():
     series = theta("00", 32) ** 4
-    res = series.eval_at(complex(0.0, 40.0), 1.0)
+    res = eval_at(series, complex(0.0, 40.0), 1.0)
     assert abs(res.value - 1.0) <= res.tail_bound + 1e-15
 
 
@@ -444,7 +498,7 @@ def test_negative_lead_division():
 
 def test_eval_requires_upper_half_plane():
     with pytest.raises(ValueError):
-        QSeries.one(8).eval_at(complex(1.0, 0.0), 1.0)
+        eval_at(QSeries.one(8), complex(1.0, 0.0), 1.0)
 
 
 def test_pow_matches_repeated_mul():
