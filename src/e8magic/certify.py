@@ -80,18 +80,18 @@ _PI_POW_INV = {0: Interval(1.0, 1.0), 1: INV_PI, 2: INV_PI_SQ}
 
 class ModelTerm:
     """One exponential-polynomial term  (coeff / pi^pi_pow) * x^p * e^(-pi*decay*x),
-    with the enclosures every leaf reads formed once: the coefficient, the
-    rate sigma = pi * decay, -sigma, and ``rigor.exp_poly_window``."""
+    with the enclosures every leaf reads formed once: the coefficient, -sigma
+    for the rate sigma = pi * decay, and ``rigor.exp_poly_window``."""
 
-    __slots__ = ("coeff", "pi_pow", "p", "decay", "coeff_interval", "sigma", "neg_sigma", "window")
+    __slots__ = ("coeff", "pi_pow", "p", "decay", "coeff_interval", "neg_sigma", "window")
 
     def __init__(self, coeff: Fraction, pi_pow: int, p: int, decay: Fraction) -> None:
         # negative decay means growth (the e^{2 pi t} term)
         self.coeff, self.pi_pow, self.p, self.decay = coeff, pi_pow, p, decay
         self.coeff_interval = enclose_fraction(coeff) * _PI_POW_INV[pi_pow]
-        self.sigma = PI * enclose_fraction(decay)
-        self.neg_sigma = -self.sigma
-        self.window = exp_poly_window(p, self.sigma)
+        sigma = PI * enclose_fraction(decay)
+        self.neg_sigma = -sigma
+        self.window = exp_poly_window(p, sigma)
 
     def __eq__(self, other) -> bool:
         return self._key() == other._key() if type(other) is ModelTerm else NotImplemented

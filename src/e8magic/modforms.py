@@ -378,7 +378,7 @@ def verify_transform(form: FormId, law: str, z: complex) -> TransformCheck:
         if form not in T_LAWS:
             raise ValueError(f"no catalogued T law for {form}")
         partner, sign = T_LAWS[form]
-        diff = build_form(form).translate(+1) - sign * build_form(partner)
+        diff = build_form(form).translate() - sign * build_form(partner)
         return TransformCheck(residual=0.0 if diff.is_zero() else math.inf, bound=0.0)
 
     if law != "S" or form not in S_LAWS:

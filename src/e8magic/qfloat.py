@@ -127,8 +127,11 @@ def _tail_majorant(lead: int, order: int, stride: int, c: float, y: float) -> fl
     covers the second, so a positive tail never comes back as 0.  A tail that
     needs more than ``_MAX_EXPLICIT_TERMS`` explicit terms, whose split point
     (4/y)^2 passes the float range, or whose r_hi reaches 1, raises
-    TruncationError.
+    TruncationError; a C that is NaN, infinite or negative raises ValueError.
+    This is the one check of C for ``eval_at`` and ``RayPlan``.
     """
+    if not 0 <= c < math.inf:
+        raise ValueError(f"the growth-bound constant must be finite and nonnegative, got {c!r}")
     if not 4 / y <= _SPLIT_ROOT_MAX:
         raise TruncationError(
             f"Im z = {y!r} is too small for the tail majorant: its split point "
@@ -194,8 +197,6 @@ def eval_at(series: QSeries, z, bound_constant: float) -> EvalResult:
     y_min = float(z.imag.min())
     if not y_min > 0:
         raise ValueError("evaluation point must satisfy Im z > 0")
-    if bound_constant < 0:
-        raise ValueError("the growth-bound constant must be nonnegative")
     tail = _tail_majorant(series.lead, series.order, series.stride, bound_constant, min(y_min, _MAJORANT_Y_MAX))
     n, c, abs_n, abs_c_sum, summation = _floats(series)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -263,7 +264,7 @@ class RayPlan:
             abs_c = np.abs(c)
             # rows with equal exponent grids share their closed forms
             grids.setdefault(n.tobytes(), (2 * n, []))[1].append((i, p, [c, abs_c, 2 * n * abs_c]))
-            consts.append((factor * majorant, 48 * U + 2 * _gamma(len(n)), _TINY * abs_c.sum()))
+            consts.append((factor * majorant, 48 * U + 2 * _gamma(len(n)), _TINY * float(abs_c.sum())))
         # per power p, each k = 1 .. p with the factor p!/(p-k)! of beta^-(k+1) in its closed form (None
         # for 1: 1 * x is x); the factors, -pi and -1 are 0-d arrays, which numpy takes faster than floats
         self.factors = [[(k, None if math.perm(p, k) == 1 else np.array(float(math.perm(p, k)))) for k in range(1, p + 1)]

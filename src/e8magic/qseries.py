@@ -5,11 +5,12 @@ with half-integer square exponents; everything else (theta fourth powers,
 Eisenstein series, the weakly holomorphic forms) embeds in it.  Exponents are
 integer counts of 1/8 units.  A series is stored as one positive integer
 denominator and a dense tuple of integer numerators on its stride grid, so
-every operation is exact integer arithmetic: a product or a power is a
-big-integer multiply (Kronecker substitution: Harvey, *J. Symb. Comp.* 2009),
-a quotient an integer power-series inverse.  The only approximation anywhere
-is the explicit truncation order, which each operation propagates
-conservatively.  ``coeffs`` presents the same series as exact ``Fraction``s.
+every operation is exact integer arithmetic: a product is a big-integer
+multiply (Kronecker substitution: Harvey, *J. Symb. Comp.* 2009), a power
+repeated products, a quotient an integer power-series inverse.  The only
+approximation anywhere is the explicit truncation order, which each
+operation propagates conservatively.  ``coeffs`` presents the same series as
+exact ``Fraction``s.
 
 Evaluation in floats lives in ``qfloat`` (``qfloat.eval_at(series, z, C)``):
 this module imports no numpy, so the exact kernel loads without it.
@@ -61,8 +62,7 @@ def _convolve(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
         raw = b"".join((x + half).to_bytes(width, "little") for x in xs)
         return int.from_bytes(raw, "little") - _bias(width, len(xs))
 
-    pa = pack(a)
-    product = pa * pa if b is a else pa * pack(b)
+    product = pack(a) * pack(b)
     raw = ((product + _bias(width, n)) & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
     return [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, width * n, width)]
 
@@ -268,24 +268,13 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QSeries":
+        """n successive products from 1, each truncated as ``__mul__`` truncates."""
         if n < 0:
             raise ValueError("negative powers: use divide")
-        if n == 0:
-            return QSeries.one(10**9)
-        # the truncation of n successive products: each product after the
-        # first moves the order by the lead, as in __mul__
-        lead, order = n * self.lead, self.order + (n - 1) * self.lead
-        step = self._step or EIGHTH
-        k = _points(lead, step, order, n * self._last)
-        base, acc, bits = self._on_grid(self.lead, step, k), [1], n
-        while True:  # square and multiply, each product truncated to k terms
-            if bits & 1:
-                acc = _convolve(acc, base, k)
-            bits >>= 1
-            if not bits:
-                break
-            base = _convolve(base, base, k)
-        return QSeries._make(lead, order, step, self.den**n, acc)
+        out = QSeries.one(10**9)
+        for _ in range(n):
+            out = out * self
+        return out
 
     def __truediv__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
@@ -339,15 +328,13 @@ class QSeries:
             [x * (self.lead + i * self.stride) for i, x in enumerate(self.nums)],
         )
 
-    def translate(self, shift: int) -> "QSeries":
-        """Substitute z -> z + shift (shift = +1 or -1).
+    def translate(self) -> "QSeries":
+        """Substitute z -> z + 1.
 
-        The coefficient of q^n picks up e^(2*pi*i*n*shift); on the half-integer
-        grid this is a sign.  Finer support would need roots of unity, which
-        are out of scope, so it is rejected.
+        The coefficient of q^n picks up e^(2*pi*i*n); on the half-integer grid
+        this is a sign, the same for z -> z - 1.  Finer support would need
+        roots of unity, which are out of scope, so it is rejected.
         """
-        if shift not in (1, -1):
-            raise ValueError("shift must be +1 or -1")
         for e, _ in self._terms():
             if e % 4 != 0:
                 raise ValueError(
@@ -370,15 +357,12 @@ class QSeries:
 
     @staticmethod
     def from_doc(doc: dict) -> "QSeries":
-        terms = {}
+        """The series of a ``to_doc`` document; each coefficient must read "num/den"."""
+        coeffs = {}
         for e, s in doc["coefficients"]:
             num, den = s.split("/")
-            if int(den) == 0:
-                raise ZeroDivisionError(f"coefficient {s} has a zero denominator")
-            if int(num) != 0:
-                terms[int(e)] = (int(num), int(den))
-        lead, order, stride = doc["lead"], doc["order"], doc["stride"]
-        return QSeries._make(lead, order, *_dense(lead, order, terms, stride), stride=stride)
+            coeffs[int(e)] = Fraction(int(num), int(den))  # ZeroDivisionError on a zero den
+        return QSeries(doc["lead"], doc["order"], coeffs, doc["stride"])
 
     def dumps(self, name: str = "", weight: int | None = None) -> str:
         return json.dumps(self.to_doc(name, weight), indent=None, sort_keys=True)

@@ -344,8 +344,6 @@ def _coerce(x) -> Interval:
 
 
 def _exp_down(x: float) -> float:
-    if x == -_INF:
-        return 0.0
     try:
         v = math.exp(x)
     except OverflowError:

@@ -76,7 +76,7 @@ def test_criterion_02_structural_identities():
     checks = {
         "jacobi": (t01 + t10 - t00).is_zero(),
         "psi_sum": (psi_t + psi_s - psi_i).is_zero(),
-        "psi_translate": (psi_i.translate(+1) - psi_t).is_zero(),
+        "psi_translate": (psi_i.translate() - psi_t).is_zero(),
         "phi_m2_from_D": (
             -3 * vphi4.D() + 3 * vphi2 - build_form(FormId.PHI_M2, order)
         ).is_zero(),

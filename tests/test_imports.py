@@ -214,6 +214,17 @@ def test_the_proof_path_is_no_larger_than_the_readme_states():
     assert count <= int(stated[1].replace(",", ""))
 
 
+def test_the_package_is_no_larger_than_the_readme_states():
+    """Every module of the package together holds at most the code lines
+    README states, counted as for the proof path, so any net growth of the
+    package shows up as a diff of that figure."""
+    readme = (SRC.parent / "README.md").read_text()
+    stated = re.search(r"The package is ([\d,]+) code lines", readme)
+    assert stated, "README states no size of the package"
+    count = sum(_code_lines(path) for path in (SRC / "e8magic").glob("*.py"))
+    assert count <= int(stated[1].replace(",", ""))
+
+
 def test_importing_radial_computes_no_quadrature_rule(tmp_path):
     """The Gauss-Legendre rule (an eigenvalue solve) waits for the first
     quadrature, which computes it once."""

@@ -73,7 +73,7 @@ def test_psi_sum_rule_exact():
 def test_psi_t_is_translate_of_psi_i():
     psi_i = build_form(FormId.PSI_I, ORDER)
     psi_t = build_form(FormId.PSI_T, ORDER)
-    assert (psi_i.translate(+1) - psi_t).is_zero()
+    assert (psi_i.translate() - psi_t).is_zero()
     check = verify_transform(FormId.PSI_I, "T", complex(0, 1))
     assert check.passed and check.residual == 0.0
 

@@ -437,6 +437,29 @@ def test_ray_laplace_bound_covers_stored_terms_that_all_underflow(form, p):
     assert abs(value - ref) <= bound, (value, ref, bound)
 
 
+def test_ray_laplace_pairs_at_one_y_are_python_floats():
+    """At one y, a float or a numpy scalar, each row's value and bound are
+    Python floats, as ``RayPlan`` states.  np.float64 subclasses float, so
+    only the exact type tells them apart."""
+    rows = [(build_form(form), p, GROWTH_BOUNDS[form]) for form in _RAY_FORMS for p in range(4)]
+    plan = RayPlan(rows)
+    for y in (0.3, np.float64(0.3), 240.0, np.float64(240.0)):
+        for value, bound in plan(y):
+            assert type(value) is float and type(bound) is float, (y, type(value), type(bound))
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -1.0])
+def test_both_tail_majorant_callers_refuse_a_growth_constant_that_is_not_finite_and_nonnegative(c):
+    """``eval_at`` and ``RayPlan`` refuse a growth constant C that is NaN,
+    infinite or negative with a ValueError naming it, rather than a NaN bound
+    or an overflow of the series value."""
+    e4 = build_form(FormId.E4)
+    with pytest.raises(ValueError, match="growth-bound constant"):
+        eval_at(e4, 1j, c)
+    with pytest.raises(ValueError, match="growth-bound constant"):
+        RayPlan([(e4, 0, c)])(1.0)
+
+
 @pytest.mark.parametrize("form", list(FormId))
 def test_eval_at_a_scalar_keeps_the_bits_of_its_one_point_array(form):
     """eval_at at one z returns the value and bound bits of eval_at at the
@@ -471,11 +494,11 @@ def test_theta00_limit_is_one():
 
 def test_translate_is_half_grid_sign_flip():
     psi_i = build_form(FormId.PSI_I, 16)
-    t = psi_i.translate(+1)
+    t = psi_i.translate()
     for e, c in psi_i.coeffs.items():
         assert t.coeff(e) == (c if e % 8 == 0 else -c)
     with pytest.raises(ValueError):
-        theta("10", 16).translate(+1)  # support on the 1/8 grid, not 1/2
+        theta("10", 16).translate()  # support on the 1/8 grid, not 1/2
 
 
 def test_coeff_beyond_order_raises():
