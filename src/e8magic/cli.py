@@ -2,8 +2,10 @@
 
 Verbs: series, certify, eval, plot, lattice, bound, selfcheck.  Exit codes:
 0 success/certified, 2 invalid input, 3 certification failure, 4 numerical
-failure.  Numeric output carries explicit error-bound columns (``bound``'s is
-exact); series and certificate documents are JSON.
+failure, which includes a float verb (eval, plot, selfcheck) run where numpy
+cannot be imported: its input is valid, but it cannot be evaluated.  Numeric
+output carries explicit error-bound columns (``bound``'s is exact); series
+and certificate documents are JSON.
 
 Each input is checked once: a name (form, target, function) by argparse's
 choices, a value by the library function that takes it, whose ValueError
@@ -373,6 +375,11 @@ def main(argv: list[str] | None = None) -> int:
         return getattr(exc, "code", EXIT_INVALID_INPUT)
     except ArithmeticError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE
+    except ModuleNotFoundError as exc:  # valid input, but the float layer cannot load
+        if exc.name != "numpy":
+            raise
+        print("error: numerical failure: this verb evaluates in floats with numpy, which cannot be imported", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
 
 

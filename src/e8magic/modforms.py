@@ -310,9 +310,6 @@ class Exact:
     def __eq__(self, other) -> bool:
         return (self.c, self.k, self.j) == (other.c, other.k, other.j) if type(other) is Exact else NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.c, self.k, self.j))
-
     def __repr__(self) -> str:
         return f"Exact(c={self.c!r}, k={self.k!r}, j={self.j!r})"
 

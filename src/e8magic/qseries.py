@@ -246,9 +246,6 @@ class QSeries:
     def __sub__(self, other) -> "QSeries":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "QSeries":
-        return self._coerce(other) - self
-
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
@@ -277,8 +274,6 @@ class QSeries:
         return out
 
     def __truediv__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
         den = self._coerce(other)
         if den.is_zero():
             raise ZeroDivisionError("division by the zero series")

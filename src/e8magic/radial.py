@@ -103,9 +103,6 @@ class RadialValue:
             return NotImplemented
         return (self.value, self.err, self.residual) == (other.value, other.err, other.residual)
 
-    def __hash__(self) -> int:
-        return hash((self.value, self.err, self.residual))
-
     def __repr__(self) -> str:
         return f"RadialValue(value={self.value!r}, err={self.err!r}, residual={self.residual!r})"
 

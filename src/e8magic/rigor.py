@@ -238,19 +238,12 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __add__(self, other: "Interval") -> "Interval":
-        if type(other) is not Interval:  # the common case without a call
-            other = _coerce(other)
         lo, d = _sum(self.lo, other.lo)
         hi, e = _sum(self.hi, other.hi)
         # _down and _up inline
         return Interval(lo if d >= 0 else math.nextafter(lo, -_INF), hi if e <= 0 else math.nextafter(hi, _INF))
 
-    def __radd__(self, other):
-        return _coerce(other) + self
-
     def __sub__(self, other: "Interval") -> "Interval":
-        if type(other) is not Interval:
-            other = _coerce(other)
         lo, d = _sum(self.lo, -other.hi)
         hi, e = _sum(self.hi, -other.lo)
         return Interval(lo if d >= 0 else math.nextafter(lo, -_INF), hi if e <= 0 else math.nextafter(hi, _INF))
@@ -259,8 +252,6 @@ class Interval:
         return _coerce(other) - self
 
     def __mul__(self, other: "Interval") -> "Interval":
-        if type(other) is not Interval:
-            other = _coerce(other)
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         # strict sign cases: (p, e) is the exact max, (q, f) the exact min; the
         # one larger in magnitude holds any infinite endpoint and is formed
@@ -286,8 +277,6 @@ class Interval:
         return _coerce(other) * self
 
     def __truediv__(self, other: "Interval") -> "Interval":
-        if type(other) is not Interval:
-            other = _coerce(other)
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         if c <= 0.0 <= d:
             raise ZeroDivisionError(f"interval division by [{c}, {d}] containing 0")
@@ -338,8 +327,6 @@ def _coerce(x) -> Interval:
         return x
     if isinstance(x, (int, Fraction)):
         return enclose_fraction(x)
-    if isinstance(x, float):
-        return Interval(x, x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Interval")
 
 
@@ -379,7 +366,7 @@ def _square_excess(r: float, x: float) -> int:
     return p * p * t - s * q * q
 
 
-def sqrt_interval(x: Interval | Fraction | int | float) -> Interval:
+def sqrt_interval(x: Interval | Fraction | int) -> Interval:
     """Enclosure of the square root (operand must be >= 0)."""
     x = _coerce(x)
     if x.lo < 0:

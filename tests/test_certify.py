@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import types
 import weakref
 from fractions import Fraction
 
@@ -672,3 +673,30 @@ def test_hypotheses_match_the_forms_the_targets_read():
     assert ENVELOPE_AMPLITUDE >= max(GROWTH_BOUNDS[form] for form in forms)
     assert lines == {"psiI": (1.0, "half-integer"), "psiS": (2.0, "half-integer"), "phi0": (2.0, "integer"),
                      "phi-2": (1.0, "integer"), "phi-4": (1.0, "integer")}
+
+
+# ---------------------------------------------------------------------------
+# error paths and soundness guards
+
+def test_a_model_refuses_a_negative_chart_variable():
+    with pytest.raises(ValueError, match=re.escape("a model needs x.lo >= 0")):
+        build_model("A", 6, "t").enclose(Interval(-1.0, 1.0))
+
+
+def test_the_tail_argument_needs_one_dominant_term():
+    """Two terms with the same decay and power (here of different powers of
+    pi) leave no single dominant term to divide by."""
+    model = ExpPolyModel((ModelTerm(Fraction(-1), 0, 0, Fraction(1)), ModelTerm(Fraction(-2), 1, 0, Fraction(1))))
+    with pytest.raises(ValueError, match="dominant model term is not unique"):
+        _tail_check(model, Envelope("t", 6), 4.0, -1)
+
+
+def test_the_geometric_threshold_guard_fires_below_8_over_c2(monkeypatch):
+    """White box: no input reaches this guard, since the ceiling of the exact
+    8/c^2 is exact, so n_geo >= 8/c^2 for every c and m.  It stands against
+    a rewrite that forms n_geo in floats: one less than the ceiling trips it."""
+    from e8magic import certify
+
+    monkeypatch.setattr(certify, "math", types.SimpleNamespace(ceil=lambda x: math.ceil(x) - 1))
+    with pytest.raises(AssertionError, match="geometric threshold miscomputed"):
+        Envelope("t", 1)

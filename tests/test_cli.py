@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit-code contract, and the series cache."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -26,7 +27,7 @@ from e8magic.cli import (
     build_parser,
     main,
 )
-from e8magic import certify, e8, radial
+from e8magic import certify, cli, e8, radial
 from e8magic.certify import MAX_CUTOFF as MAX_CERTIFY_N
 from e8magic.modforms import FormId, build_form, special_values
 from e8magic.qseries import QSeries
@@ -490,3 +491,23 @@ def test_generated_argv_end_in_documented_exit_codes(argv):
     assert code in (EXIT_OK, EXIT_INVALID_INPUT, EXIT_CERT_FAILURE, EXIT_NUMERICAL_FAILURE), argv
     assert "Traceback" not in err.getvalue(), argv
     assert not re.search(r"\bnan\b", out.getvalue(), re.IGNORECASE), argv
+
+
+@pytest.mark.parametrize("name,exits", [("numpy", True), ("e8magic.radial", False)])
+def test_only_a_missing_numpy_is_a_numerical_failure(monkeypatch, capsys, name, exits):
+    """A verb that cannot import numpy exits 4 with one line on stderr; any
+    other missing module is a fault of the installation or the code, and
+    propagates."""
+
+    def verb(args):
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+    parser = argparse.ArgumentParser()
+    parser.set_defaults(func=verb)
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    if exits:
+        assert main([]) == EXIT_NUMERICAL_FAILURE
+        assert capsys.readouterr().err.count("\n") == 1
+    else:
+        with pytest.raises(ModuleNotFoundError, match=name):
+            main([])

@@ -193,3 +193,10 @@ def test_gaussian_tail_bounds_the_exact_tail(decay, n_max):
         exact = mpmath.fsum(terms)
         bound = _gaussian_tail(decay, n_max)
         assert exact <= bound <= 1.5 * exact, (bound, exact)
+
+
+def test_lattice_points_compare_and_hash_by_coordinates():
+    p, q = LatticePoint((2, 2, 0, 0, 0, 0, 0, 0)), LatticePoint((2, 2, 0, 0, 0, 0, 0, 0))
+    assert p == q and p is not q and hash(p) == hash(q) and len({p, q, -p}) == 2
+    assert p != -p
+    assert p.__eq__(p.coords) is NotImplemented and p != p.coords

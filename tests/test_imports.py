@@ -169,6 +169,23 @@ def test_the_exact_verbs_run_where_numpy_cannot_be_imported(tmp_path, argv):
     assert "e8magic.qfloat" not in loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--function", "g", "--r", "1.0"],
+    ["plot", "--function", "A", "--range", "0.5:2", "--samples", "3"],
+    ["plot", "--function", "g", "--range", "0.5:2", "--samples", "3"],
+    ["selfcheck"],
+])
+def test_the_float_verbs_exit_4_where_numpy_cannot_be_imported(tmp_path, argv):
+    """A float verb run where numpy cannot be imported has valid input that
+    it cannot evaluate: it exits 4 (numerical failure) with one line naming
+    numpy, and no traceback."""
+    body = "sys.modules['numpy'] = None\nimport io\nsys.stderr = io.StringIO()\n" + _RUN_CLI
+    body += "code = [code, sys.stderr.getvalue()]\n"
+    (code, stderr), _ = _fresh(tmp_path, body, *argv)
+    assert code == 4
+    assert stderr == "error: numerical failure: this verb evaluates in floats with numpy, which cannot be imported\n"
+
+
 def test_the_growth_diagnostics_run_where_numpy_cannot_be_imported(tmp_path):
     """The circle-method sum and the coefficient-growth check of the five
     forms the certificates' hypotheses name run with numpy unimportable, and

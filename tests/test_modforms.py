@@ -3,6 +3,7 @@ circle-method diagnostics for the modular-form catalog."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,6 +25,7 @@ from e8magic.modforms import (
     eval_form,
     principal_part,
     special_values,
+    theta,
     verify_transform,
 )
 from e8magic.qfloat import combine
@@ -404,3 +406,43 @@ def test_bound_spot_values():
     """The two bound comparisons quoted alongside the envelope hypotheses."""
     assert 5120 <= math.exp(4 * math.pi * math.sqrt(0.5))
     assert 518400 <= 2 * math.exp(4 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# error paths
+
+def test_catalog_builders_refuse_what_they_do_not_hold():
+    with pytest.raises(ValueError, match="unsupported Eisenstein weight 3"):
+        eisenstein(3, 8)
+    with pytest.raises(ValueError, match="unknown theta kind '11'"):
+        theta("11", 8)
+    with pytest.raises(ValueError, match="unknown form psi_X"):
+        build_form("psi_X", 4)
+    assert ("psi_X", 4) not in modforms._CACHE
+
+
+@pytest.mark.parametrize("z", [1.0 + 0j, -1j])
+def test_verify_transform_needs_the_upper_half_plane(z):
+    for law in ("S", "T"):
+        with pytest.raises(ValueError, match=re.escape("need Im z > 0")):
+            verify_transform(FormId.TH00_4, law, z)
+
+
+def test_the_growth_diagnostics_refuse_bad_indices():
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        kloosterman_sum(1, 0)
+    for n, k_max in ((0, 5), (1, 0)):
+        with pytest.raises(ValueError, match="need n >= 1 and k_max >= 1"):
+            rademacher_coefficient(FormId.J, n, k_max)
+
+
+def test_a_growth_bound_that_fails_is_reported(monkeypatch):
+    """phi_0's c(1) = 518400 is 0.904 of 2 e^{4 pi}: a constant of 1.8 instead
+    of 2 fails there, and the report names it."""
+    monkeypatch.setattr(growth, "GROWTH_BOUNDS", {**growth.GROWTH_BOUNDS, FormId.PHI_0: 1.8})
+    report = coefficient_bound_check(FormId.PHI_0, 3)
+    assert not report.passed
+    assert report.violations[0] == (Fraction(1), Fraction(518400))
+    assert report.worst_index == 1
+    assert report.max_ratio == pytest.approx(518400 / (1.8 * math.exp(4 * math.pi)), rel=1e-12)
+    assert 1 < report.max_ratio < 1.01

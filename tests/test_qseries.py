@@ -682,3 +682,83 @@ def test_series_json_matches_golden(form, order):
     Fraction-dict kernel this one replaced."""
     text = build_form(form, order).dumps(form.value)
     assert hashlib.sha256(text.encode()).hexdigest() == _GOLDENS[str(order)][form.value]
+
+
+# ---------------------------------------------------------------------------
+# error paths and the mixed-type operations
+
+def test_fields_refuse_assignment():
+    """README promises an immutable series: no field can be set or deleted."""
+    s = QSeries(0, 16, {0: 1, 8: 2})
+    for name in ("lead", "order", "stride", "den", "nums", "other"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(s, name, 0)
+    with pytest.raises(AttributeError, match="cannot assign to field 'lead'"):
+        del s.lead
+    assert (s.lead, s.nums) == (0, (1, 2))
+
+
+def test_coeff_q_refuses_an_exponent_off_the_grid():
+    s = theta("00", 4)
+    assert s.coeff_q(Fraction(1, 2)) == 2
+    with pytest.raises(ValueError, match="exponent 1/16 is not on the 1/8 grid"):
+        s.coeff_q(Fraction(1, 16))
+
+
+def test_negative_powers_are_refused():
+    with pytest.raises(ValueError, match="negative powers: use divide"):
+        QSeries.one(8) ** -1
+
+
+@pytest.mark.parametrize("lead,order", [(0, 0), (8, 0)])
+def test_division_without_truncation_overlap_is_refused(lead, order):
+    """A dividend with no known term past its lead leaves no relative order."""
+    with pytest.raises(TruncationError, match=f"insufficient truncation overlap .* relative order {order - lead}"):
+        QSeries(lead, order) / QSeries.one(16)
+
+
+def test_mixed_type_operations_are_those_readme_lists():
+    """An int or Fraction on either side of + and *, and on the right of -
+    and /; a scalar divisor divides exactly, to the normal form of the product
+    by its inverse.  Anything else is a TypeError, and equality with a
+    non-series is NotImplemented."""
+    s = eisenstein(4, 6) + theta("10", 4)
+    assert 1 + s == s + 1 and Fraction(1, 3) * s == s * Fraction(1, 3)
+    assert s - 2 == s + (-2)
+    for c in (3, Fraction(-2, 5), -1):
+        quotient = s / c
+        assert quotient == s * (1 / Fraction(c)) and quotient.dumps() == (s * (1 / Fraction(c))).dumps()
+    with pytest.raises(ZeroDivisionError, match="division by the zero series"):
+        s / 0
+    with pytest.raises(TypeError):
+        1 - s
+    with pytest.raises(TypeError):
+        1 / s
+    for other, name in (("x", "str"), (1.5, "float")):
+        with pytest.raises(TypeError, match=f"cannot combine QSeries with {name}"):
+            s + other
+        with pytest.raises(TypeError, match=f"cannot combine QSeries with {name}"):
+            s / other
+    assert s.__eq__(1) is NotImplemented and s != 1 and not s == "x"
+
+
+def test_an_evaluation_that_overflows_is_refused():
+    """q^-1 at Im z = 200 is e^{400 pi}, past the double range."""
+    with pytest.raises(OverflowError, match="series value overflows a double at Im z = 200.0"):
+        eval_at(QSeries(-8, 64, {-8: 1}), 200j, 1.0)
+
+
+def test_a_tail_ratio_that_rounds_to_one_is_refused():
+    """Truncated at q^(2^137), no term is summed one by one at Im z = 1e-17,
+    and the geometric ratio e^{-pi y / 1}, plus its raise, rounds to 1."""
+    with pytest.raises(TruncationError, match="geometric tail ratio >= 1; Im z too small"):
+        eval_at(QSeries(0, 2**140, {0: 1}), 1e-17j, 1.0)
+
+
+def test_ray_plan_refuses_a_row_at_or_below_q0_and_a_negative_y():
+    with pytest.raises(TruncationError, match="series truncated at or below q\\^0"):
+        RayPlan([(QSeries(-8, 0, {-8: 1}), 0, 1.0)])
+    plan = RayPlan([(build_form(FormId.PSI_S, 16), 0, 2.0)])
+    for y in (-1.0, np.array([1.0, -0.5])):
+        with pytest.raises(ValueError, match="ray Laplace transform needs y >= 0"):
+            plan(y)

@@ -4,6 +4,7 @@ oracles (contour and Hankel) for the radial functions a, b, g, ghat."""
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import mpmath
@@ -549,3 +550,43 @@ def test_unit_moment_matches_quadrature_on_both_branches():
             for b, value in zip(beta, _unit_moment(p, beta)):
                 ref = mpmath.quad(lambda t: t**p * mpmath.exp(-mpmath.mpf(float(b)) * t), [0, 1])
                 assert abs(value - ref) <= 1e-12 * ref, (p, b)
+
+
+# ---------------------------------------------------------------------------
+# error paths and soundness guards
+
+def test_radial_values_compare_by_fields_and_do_not_hash():
+    rv = radial.RadialValue(1.0, 0.5)
+    assert rv == radial.RadialValue(1.0, 0.5, 0.0) and rv != radial.RadialValue(1.0, 0.25)
+    assert rv.__eq__(1.0) is NotImplemented and rv != (1.0, 0.5, 0.0)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(rv)
+
+
+@pytest.mark.parametrize("p", [-1, 4])
+def test_unit_moments_refuse_a_degree_outside_0_to_3(p):
+    with pytest.raises(ValueError, match="moment degree must be <= 3"):
+        _unit_moment(p, np.float64(1.0))
+
+
+def test_a_principal_order_that_does_not_list_the_principal_part_is_refused(monkeypatch):
+    """White box: no input reaches this guard, since the typed order lists
+    exactly the terms that ``modforms.principal_part`` derives from the
+    catalog.  It stands against a catalog change that moves the principal
+    part away from the order, which fixes the roundoff the radial goldens
+    pin.  The refused call caches nothing, so the next one rebuilds it."""
+    radial._principal_part.cache_clear()
+    monkeypatch.setitem(radial._PRINCIPAL_ORDER, "b", ((0, 0, 0), (0, 0, 1)))
+    with pytest.raises(AssertionError, match=re.escape("principal order ((0, 0, 0), (0, 0, 1)) does not list")):
+        radial._principal_part("b")
+
+
+def test_simpson_refuses_an_odd_number_of_intervals(monkeypatch):
+    """White box: no input reaches this guard, since the grid's 12 / 0.001 =
+    12000 intervals are typed constants.  It stands against a change of
+    either that leaves Simpson's rule a last interval without a pair.  The
+    refused call caches nothing, so the next one rebuilds the grid."""
+    radial._hankel_grid.cache_clear()
+    monkeypatch.setattr(radial, "_HANKEL_R_MAX", 12.001)
+    with pytest.raises(AssertionError, match="Simpson's rule needs an even number of intervals"):
+        radial._hankel_grid()

@@ -415,3 +415,52 @@ def test_interval_is_immutable_and_round_trips():
         assert (copy_.lo, copy_.hi) == (-0.5, 2.0**-1074)
     assert iv == Interval(-0.5, 2.0**-1074) and iv != Interval(-0.5, 1.0)
     assert len({iv, Interval(-0.5, 2.0**-1074)}) == 1
+
+
+# ---------------------------------------------------------------------------
+# error paths and the mixed-type operations
+
+def test_negative_powers_and_square_roots_are_refused():
+    with pytest.raises(ValueError, match="negative powers unsupported; divide instead"):
+        Interval(1.0, 2.0).powi(-1)
+    with pytest.raises(ValueError, match="sqrt of interval with negative lower endpoint"):
+        sqrt_interval(Interval(-1.0, 1.0))
+
+
+def test_ia_exp_poly_refuses_a_degree_past_2_and_a_negative_t():
+    c, sigma = Interval(1.0, 1.0), Interval(1.0, 2.0)
+    with pytest.raises(ValueError, match="polynomial degree must be 0, 1 or 2"):
+        ia_exp_poly(c, 3, sigma, Interval(0.0, 1.0))
+    with pytest.raises(ValueError, match=re.escape("ia_exp_poly requires t.lo >= 0")):
+        ia_exp_poly(c, 1, sigma, Interval(-1.0, 1.0))
+
+
+def test_mixed_type_operations_are_those_readme_lists():
+    """An exact int or Fraction on the left of -, * and /, through the
+    enclosure of the rational; nothing but an Interval on the right; no float
+    anywhere, and no scalar on the left of +."""
+    iv = Interval(1.0, 2.0)
+    third = enclose_fraction(Fraction(1, 3))
+    assert 1 - iv == Interval(-1.0, 0.0)
+    assert 2 * iv == Interval(2.0, 4.0)
+    assert Fraction(1, 3) * iv == third * iv
+    assert 1 / iv == Interval(0.5, 1.0)
+    for scalar, name in (("x", "str"), (1.5, "float")):
+        for op in (operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError, match=f"cannot coerce {name} to Interval"):
+                op(scalar, iv)
+    with pytest.raises(TypeError):
+        1 + iv
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(AttributeError):
+            op(iv, 2)
+
+
+def test_an_irrational_that_lands_on_a_float_widens_by_one_step_each_way():
+    """1/2 stands in for an irrational whose approximation is a float: the
+    enclosure must not be the point, whose true value it would miss."""
+    from e8magic.rigor import _enclose_irrational
+
+    enc = _enclose_irrational(Fraction(1, 2))
+    assert enc == Interval(math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0))
+    assert _enclose_irrational(Fraction(1, 3)) == enclose_fraction(Fraction(1, 3))
