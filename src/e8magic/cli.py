@@ -3,7 +3,8 @@
 Verbs: series, certify, eval, plot, lattice, bound, selfcheck.  Exit codes:
 0 success/certified, 2 invalid input, 3 certification failure, 4 numerical
 failure, which includes a float verb (eval, plot, selfcheck) run where numpy
-cannot be imported: its input is valid, but it cannot be evaluated.  Numeric
+cannot be imported: its input is valid, but it cannot be evaluated
+(selfcheck prints its exact checks before it exits).  Numeric
 output carries explicit error-bound columns (``bound``'s is exact); series
 and certificate documents are JSON.
 
@@ -263,7 +264,6 @@ _GOLDEN_LEADS = {
 
 def _cmd_selfcheck(args: argparse.Namespace) -> int:
     from . import e8 as e8_mod
-    from . import radial as radial_mod
     from .certify import certify_sign
 
     failures = []
@@ -282,6 +282,12 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
         cert = certify_sign(target)
         check(f"certificate {target}", cert.certified, cert.status)
 
+    rep = e8_mod.density_bound()
+    check("density bound pi^4/384", rep.matches_reference, f"{rep.bound!r}")
+
+    # the float checks last: the exact ones above run where numpy cannot be imported
+    from . import radial as radial_mod
+
     exact, root2 = special_values(), math.sqrt(2)
     for name, rv in (("g(0)", radial_mod.eval_g(0.0)), ("ghat(0)", radial_mod.eval_g(0.0, "ghat")),
                      ("g'(sqrt2)", radial_mod.eval_g_deriv(root2)), ("ghat'(sqrt2)", radial_mod.eval_g_deriv(root2, "ghat"))):
@@ -289,9 +295,6 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
         check(f"{name} = {value!r} (exact)", abs(rv.value - value) <= rv.err, f"{rv.value!r} +/- {rv.err:.1e}")
     ladder = [radial_mod.eval_g(math.sqrt(2 * n), which) for n in range(1, 7) for which in ("g", "ghat")]
     check("zero ladder g, ghat at sqrt(2n), n=1..6", all(abs(rv.value) <= rv.err for rv in ladder))
-
-    rep = e8_mod.density_bound()
-    check("density bound pi^4/384", rep.matches_reference, f"{rep.bound!r}")
 
     if failures:
         print(f"FAIL ({len(failures)} checks)")

@@ -44,66 +44,43 @@ DEFAULT_ORDER = 64
 
 
 class FormId(Enum):
-    E2 = "E2"
-    E4 = "E4"
-    E6 = "E6"
-    J = "j"
-    TH00_4 = "theta00^4"
-    TH01_4 = "theta01^4"
-    TH10_4 = "theta10^4"
-    VPHI_M2 = "varphi_-2"
-    VPHI_M4 = "varphi_-4"
-    PHI_M4 = "phi_-4"
-    PHI_M2 = "phi_-2"
-    PHI_0 = "phi_0"
-    H = "h"
-    PSI_I = "psi_I"
-    PSI_T = "psi_T"
-    PSI_S = "psi_S"
+    """The catalog, one row per form: its name (the member's value), its
+    weight and the constant C of its coefficient growth hypothesis
+    |c(n)| <= C e^{4 pi sqrt(n)}; ``WEIGHTS`` and ``GROWTH_BOUNDS`` are
+    views of the rows.
+
+    The weakly holomorphic bounds are the ones the remainder envelopes
+    assume, the holomorphic ones are generous blankets over polynomial
+    growth.  They are hypotheses, not proved here:
+    ``growth.coefficient_bound_check`` tests one on the indices up to a
+    caller's n_max (the tests go to n = 50).
+    """
+
+    E2 = "E2", 2, 1.0
+    E4 = "E4", 4, 1.0
+    E6 = "E6", 6, 1.0
+    J = "j", 0, 1.0
+    TH00_4 = "theta00^4", 2, 1.0
+    TH01_4 = "theta01^4", 2, 1.0
+    TH10_4 = "theta10^4", 2, 1.0
+    VPHI_M2 = "varphi_-2", -2, 2.0
+    VPHI_M4 = "varphi_-4", -4, 1.0
+    PHI_M4 = "phi_-4", -4, 1.0
+    PHI_M2 = "phi_-2", -2, 1.0
+    PHI_0 = "phi_0", 0, 2.0
+    H = "h", -2, 1.0
+    PSI_I = "psi_I", -2, 1.0
+    PSI_T = "psi_T", -2, 1.0
+    PSI_S = "psi_S", -2, 2.0
+
+    def __new__(cls, name: str, weight: int, growth_bound: float) -> "FormId":
+        member = object.__new__(cls)
+        member._value_, member.weight, member.growth_bound = name, weight, growth_bound
+        return member
 
 
-WEIGHTS = {
-    FormId.E2: 2,
-    FormId.E4: 4,
-    FormId.E6: 6,
-    FormId.J: 0,
-    FormId.TH00_4: 2,
-    FormId.TH01_4: 2,
-    FormId.TH10_4: 2,
-    FormId.VPHI_M2: -2,
-    FormId.VPHI_M4: -4,
-    FormId.PHI_M4: -4,
-    FormId.PHI_M2: -2,
-    FormId.PHI_0: 0,
-    FormId.H: -2,
-    FormId.PSI_I: -2,
-    FormId.PSI_T: -2,
-    FormId.PSI_S: -2,
-}
-
-# the constant C of each coefficient growth hypothesis |c(n)| <= C * e^{4 pi sqrt(n)};
-# the weakly holomorphic bounds are the ones the remainder envelopes assume, the
-# holomorphic ones are generous blankets over polynomial growth.  They are
-# hypotheses, not proved here: growth.coefficient_bound_check tests one on the
-# indices up to a caller's n_max (the tests go to n = 50).
-GROWTH_BOUNDS = {
-    FormId.E2: 1.0,
-    FormId.E4: 1.0,
-    FormId.E6: 1.0,
-    FormId.J: 1.0,
-    FormId.TH00_4: 1.0,
-    FormId.TH01_4: 1.0,
-    FormId.TH10_4: 1.0,
-    FormId.VPHI_M2: 2.0,
-    FormId.VPHI_M4: 1.0,
-    FormId.PHI_M4: 1.0,
-    FormId.PHI_M2: 1.0,
-    FormId.PHI_0: 2.0,
-    FormId.H: 1.0,
-    FormId.PSI_I: 1.0,
-    FormId.PSI_T: 1.0,
-    FormId.PSI_S: 2.0,
-}
+WEIGHTS = {form: form.weight for form in FormId}
+GROWTH_BOUNDS = {form: form.growth_bound for form in FormId}
 
 
 def eisenstein(k: int, order: int) -> QSeries:

@@ -186,6 +186,21 @@ def test_the_float_verbs_exit_4_where_numpy_cannot_be_imported(tmp_path, argv):
     assert stderr == "error: numerical failure: this verb evaluates in floats with numpy, which cannot be imported\n"
 
 
+def test_selfcheck_runs_its_exact_checks_where_numpy_cannot_be_imported(tmp_path):
+    """selfcheck with numpy unimportable still passes the checks that need no
+    floats (the golden expansions, both certificates and the density bound),
+    and prints them, before its float checks exit 4."""
+    body = "sys.modules['numpy'] = None\nimport io\nsys.stdout = io.StringIO()\n" + _RUN_CLI
+    body += "code = [code, sys.stdout.getvalue()]\n"
+    (code, stdout), loaded = _fresh(tmp_path, body, "selfcheck")
+    assert code == 4
+    assert [line.split("  ")[:2] for line in stdout.splitlines()] == [["PASS", name] for name in (
+        "golden expansion j", "golden expansion phi_0", "golden expansion psi_I", "golden expansion psi_S",
+        "certificate A", "certificate B", "density bound pi^4/384",
+    )]
+    assert "e8magic.qfloat" not in loaded
+
+
 def test_the_growth_diagnostics_run_where_numpy_cannot_be_imported(tmp_path):
     """The circle-method sum and the coefficient-growth check of the five
     forms the certificates' hypotheses name run with numpy unimportable, and

@@ -16,6 +16,8 @@ from e8magic.growth import coefficient_bound_check, kloosterman_sum, rademacher_
 from e8magic.modforms import (
     GROWTH_BOUNDS,
     S_LAWS,
+    T_LAWS,
+    WEIGHTS,
     Exact,
     FormId,
     build_form,
@@ -190,6 +192,50 @@ def test_laws_outside_the_tables_are_refused():
     for law in ("E2", "PHI0"):
         with pytest.raises(ValueError, match="no catalogued law"):
             verify_transform(FormId.E2, law, complex(0, 1))
+
+
+# the catalog's (name, weight, C) rows, typed a second time so that a slip in
+# either copy fails; C is the constant of |c(n)| <= C e^{4 pi sqrt(n)}
+ROWS = [
+    ("E2", 2, 1.0), ("E4", 4, 1.0), ("E6", 6, 1.0), ("j", 0, 1.0),
+    ("theta00^4", 2, 1.0), ("theta01^4", 2, 1.0), ("theta10^4", 2, 1.0),
+    ("varphi_-2", -2, 2.0), ("varphi_-4", -4, 1.0), ("phi_-4", -4, 1.0), ("phi_-2", -2, 1.0),
+    ("phi_0", 0, 2.0), ("h", -2, 1.0), ("psi_I", -2, 1.0), ("psi_T", -2, 1.0), ("psi_S", -2, 2.0),
+]
+
+
+def test_the_catalog_rows_are_pinned():
+    """Each form's name, weight (an int) and growth constant (a float) read
+    back through FormId, WEIGHTS and GROWTH_BOUNDS as the rows above, in
+    catalog order; this reaches what the law checks below cannot: h's
+    weight and every constant."""
+    got = [(form.value, WEIGHTS[form], GROWTH_BOUNDS[form]) for form in (FormId(name) for name, _, _ in ROWS)]
+    assert got == ROWS
+    assert [form.value for form in FormId] == [name for name, _, _ in ROWS]
+    assert all(type(w) is int and type(c) is float for _, w, c in got)
+
+
+def test_the_weights_agree_with_the_laws():
+    """Each S-law term c / pi^k t^j G(it) of F(i/t) has k = (w_F - w_G)/2 and
+    j = (w_F + w_G)/2 (G = None, E2's 6/(pi i z) term, has weight 0), and
+    each T-law partner has F's weight."""
+    for form, terms in S_LAWS.items():
+        for g, _, k, j in terms:
+            w_g = 0 if g is None else WEIGHTS[g]
+            assert (2 * k, 2 * j) == (WEIGHTS[form] - w_g, WEIGHTS[form] + w_g), (form, g)
+    for form, (partner, _) in T_LAWS.items():
+        assert WEIGHTS[partner] == WEIGHTS[form], (form, partner)
+
+
+@pytest.mark.parametrize("t", [0.8, 1.25, 2.0])
+@pytest.mark.parametrize(
+    "form", [FormId.E4, FormId.E6, FormId.J, FormId.VPHI_M2, FormId.VPHI_M4, FormId.PHI_M4],
+)
+def test_the_modular_rows_transform_with_their_weight(form, t):
+    """F(i/t) = i^w t^w F(it) for the forms modular under SL2(Z), within the
+    bound on both evaluations and their combination."""
+    value, bound = combine([(1, eval_form(form, 1j / t)), (-(1j * t) ** WEIGHTS[form], eval_form(form, 1j * t))])
+    assert abs(value) <= bound, (form, t, value, bound)
 
 
 def _chart_sum(which, chart, x):
