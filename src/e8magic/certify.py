@@ -327,6 +327,13 @@ class Certificate(NamedTuple):
     def min_margin(self) -> float:
         return min((s.margin for s in self.segments), default=math.inf)
 
+    @property
+    def worst_ratio(self) -> tuple[float, Segment] | None:
+        """The largest envelope/room ratio env_hi / (env_hi + margin) over the
+        segments, where the proof is nearest to failing, and its segment;
+        None without segments."""
+        return max(((s.env_hi / (s.env_hi + s.margin), s) for s in self.segments), key=lambda p: p[0], default=None)
+
     def to_doc(self) -> dict:
         return {
             "target": f"{self.target}_negative" if self.target == "A" else f"{self.target}_positive",

@@ -154,7 +154,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     else:
         print(text)
     sign = "< 0" if args.target == "A" else "> 0"
-    margin = f", min margin {cert.min_margin:.6g}" if cert.segments else ""  # no segment has no margin
+    margin = ""  # no segment has no margin
+    if cert.segments:
+        ratio, seg = cert.worst_ratio
+        margin = f", min margin {cert.min_margin:.6g}, envelope/room {ratio:.3g} on {seg.chart} [{seg.lo:.6g}, {seg.hi:.6g}]"
     print(f"target {args.target} {sign}: {cert.status} ({len(cert.segments)} segments{margin})", file=sys.stderr)
     return EXIT_OK if cert.certified else EXIT_CERT_FAILURE
 

@@ -196,6 +196,19 @@ def test_certify_writes_certificate(tmp_path, capsys):
     assert "certified" in err
 
 
+@pytest.mark.parametrize("target, expected", [("A", "0.638 on u [1, 1.375]"), ("B", "0.916 on u [1, 1.09375]")])
+def test_certify_reports_its_worst_envelope_to_room_ratio(capsys, target, expected):
+    """The status line names, after the min margin, the largest env_hi /
+    (env_hi + margin) over the document's segments and where it is."""
+    code, out, err = run(capsys, "certify", "--target", target)
+    assert code == EXIT_OK
+    ratio, seg = max(((s["env_hi"] / (s["env_hi"] + s["margin"]), s) for s in json.loads(out)["segments"]),
+                     key=lambda pair: pair[0])
+    line, = err.splitlines()
+    assert line.endswith(f", envelope/room {ratio:.3g} on {seg['chart']} [{seg['lo']:.6g}, {seg['hi']:.6g}])"), line
+    assert expected in line and "min margin" in line.split("envelope/room")[0]
+
+
 @pytest.mark.parametrize("verb", [["certify", "--target", "A"],
                                   ["plot", "--function", "g", "--range", "0:1", "--samples", "3"]])
 @pytest.mark.parametrize("where", ["a-directory", "a-missing-parent"])

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath
@@ -206,7 +207,25 @@ def test_hankel_b_antieigenfunction(s):
     assert abs(got.value + ref.value) <= got.err + ref.err + 1e-6, s
 
 
-# sha256 of each Hankel table's grid then values (little-endian doubles),
+# the 12,001-point grid r = 0, 0.001, ..., 12 the oracle tabulated on before
+# it took Gauss-Legendre panels, and Simpson's weights on it times r^4
+DENSE_GRID = np.arange(0.0, 12.0 + 0.5e-3, 1e-3)
+SIMPSON_WEIGHTS = np.where(np.arange(len(DENSE_GRID)) % 2, 4.0, 2.0)
+SIMPSON_WEIGHTS[[0, -1]] = 1.0
+SIMPSON_WEIGHTS = 1e-3 / 3 * SIMPSON_WEIGHTS * DENSE_GRID**4
+
+
+@lru_cache(maxsize=None)
+def dense_table(which):
+    """a, b, g or ghat on the dense grid, by the vectorized evaluator; g and
+    ghat combine the a and b tables as the oracle's tables do."""
+    if which in ("g", "ghat"):
+        ca, cb = radial._g_coeffs(which)
+        return ca * dense_table("a") + cb * dense_table("b")
+    return radial._g(DENSE_GRID**2, which, False)[0]
+
+
+# sha256 of each dense table's grid then values (little-endian doubles),
 # recorded before the scalar evaluators stopped redoing their y-independent work
 HANKEL_TABLE_SHA256 = {
     "a": "339f3f3dda035437c19124f82ee7d2132c9ee59b87d89c0b45dc041b78f45dc8",
@@ -222,7 +241,7 @@ def test_hankel_tables_match_goldens(which):
     (both branches of the singular ratios and of the unit moments) and keep
     every bit."""
     digest = hashlib.sha256()
-    for arr in radial._hankel_table(which):
+    for arr in (DENSE_GRID, dense_table(which)):
         digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     assert digest.hexdigest() == HANKEL_TABLE_SHA256[which]
 
@@ -237,11 +256,11 @@ J3_EDGES = [edge + d for edge in (2.0, 25.0) for d in (-1e-9, 0.0, 1e-9)] + [
 def test_bessel_j3_recurrence_matches_jv(s):
     """J_3 by power series, Miller's backward recurrence and the Hankel
     expansion, each on its range of x, against scipy's J_nu at nu = 3 on the
-    arguments 2 pi r s the oracle reads and on both sides of each range's
+    arguments 2 pi r s of the dense grid and on both sides of each range's
     end; J_3(0) is exactly 0."""
     from scipy.special import jv
 
-    x = np.concatenate((2 * math.pi * radial._hankel_grid()[0] * s, J3_EDGES))
+    x = np.concatenate((2 * math.pi * DENSE_GRID * s, J3_EDGES))
     j3 = radial._bessel_j3(x)
     assert j3[0] == 0.0
     assert np.max(np.abs(j3 - jv(3, x))) <= 1e-14
@@ -250,17 +269,34 @@ def test_bessel_j3_recurrence_matches_jv(s):
 @pytest.mark.parametrize("s", [0.5, 1.0, SQRT2, 2.5])
 @pytest.mark.parametrize("which", ["a", "b", "g", "ghat"])
 def test_hankel_oracle_matches_a_jv_transform(which, s):
-    """The oracle against Simpson's rule on the same table with scipy's J_3."""
+    """The oracle against its own rule on the same table with scipy's J_3."""
     from scipy.special import jv
 
     grid, vals = radial._hankel_table(which)
-    weights = np.ones(len(grid))
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    step = grid[1] - grid[0]
-    ref = 2 * math.pi * s**-3 * step / 3 * float(np.dot(weights, vals * jv(3, 2 * math.pi * grid * s) * grid**4))
+    ref = 2 * math.pi * s**-3 * float(np.dot(radial._hankel_grid()[1], vals * jv(3, 2 * math.pi * grid * s)))
     got = hankel_fourier_oracle(which, s).value
     assert abs(got - ref) <= 1e-12 * (1 + abs(ref))
+
+
+@pytest.mark.parametrize("which", ["a", "b", "g", "ghat"])
+def test_hankel_panels_agree_with_simpson_on_the_dense_grid(which):
+    """The oracle's 1,280 panel nodes lose nothing against Simpson's rule on
+    the 12,001-point table, with the same J_3 (worst 2.0e-13 relative)."""
+    for s in (0.5, 0.6, 0.9, 1.0, 1.3, SQRT2, 1.8, 2.4, 2.5, 3.0):
+        ref = 2 * math.pi * s**-3 * float(np.dot(SIMPSON_WEIGHTS, dense_table(which) * radial._bessel_j3(
+            2 * math.pi * DENSE_GRID * s)))
+        got = hankel_fourier_oracle(which, s).value
+        assert abs(got - ref) <= 1e-12 * (1 + abs(ref)), (s, got, ref)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+def test_hankel_rule_maps_the_gaussian_to_itself(s):
+    """e^{-pi r^2} is its own Fourier transform on R^8: the oracle's nodes,
+    weights, J_3 and scale give e^{-pi s^2} to 1e-15 (measured 1.2e-17)."""
+    grid, weights = radial._hankel_grid()
+    got = 2 * math.pi * s**-3 * float(np.dot(weights, np.exp(-math.pi * grid**2) * radial._bessel_j3(
+        2 * math.pi * grid * s)))
+    assert abs(got - math.exp(-math.pi * s * s)) <= 1e-15
 
 
 @pytest.mark.parametrize("s", [1e-3, 0.02, 5.0, 50.0])
@@ -579,14 +615,3 @@ def test_a_principal_order_that_does_not_list_the_principal_part_is_refused(monk
     monkeypatch.setitem(radial._PRINCIPAL_ORDER, "b", ((0, 0, 0), (0, 0, 1)))
     with pytest.raises(AssertionError, match=re.escape("principal order ((0, 0, 0), (0, 0, 1)) does not list")):
         radial._principal_part("b")
-
-
-def test_simpson_refuses_an_odd_number_of_intervals(monkeypatch):
-    """White box: no input reaches this guard, since the grid's 12 / 0.001 =
-    12000 intervals are typed constants.  It stands against a change of
-    either that leaves Simpson's rule a last interval without a pair.  The
-    refused call caches nothing, so the next one rebuilds the grid."""
-    radial._hankel_grid.cache_clear()
-    monkeypatch.setattr(radial, "_HANKEL_R_MAX", 12.001)
-    with pytest.raises(AssertionError, match="Simpson's rule needs an even number of intervals"):
-        radial._hankel_grid()
