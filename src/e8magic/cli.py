@@ -26,7 +26,7 @@ plot of g or ghat and selfcheck, the float layer ``qfloat`` (with numpy) by
 eval, plot and selfcheck, ``e8`` by lattice, bound and selfcheck, and
 hashlib by series alone.  So ``series``, ``certify``, ``lattice`` and
 ``bound`` (exact, from ``modforms.special_values``) load no float code and
-run without numpy.
+run without numpy, which the package's ``float`` extra installs.
 """
 
 from __future__ import annotations
@@ -385,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     except ModuleNotFoundError as exc:  # valid input, but the float layer cannot load
         if exc.name != "numpy":
             raise
-        print("error: numerical failure: this verb evaluates in floats with numpy, which cannot be imported", file=sys.stderr)
+        print("error: numerical failure: this verb evaluates in floats with numpy, which cannot be imported; install the float extra, e8magic[float]", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
 
 

@@ -7,23 +7,26 @@ contract is
     for all x in X and y in Y:  x op y  lies in  X op Y.
 
 Directed rounding is implemented without touching the hardware rounding mode.
-Each endpoint of ``+``, ``-``, ``*``, ``/`` and ``powi(2)`` is computed in
-round-to-nearest together with a float that has the sign of its exact
-rounding error, and it is nudged one ``math.nextafter`` step outward when the
-rounded value landed on the wrong side.  Round-to-nearest is within half an
-ulp of the exact value, so one step gives the tightest float on the right
-side: every endpoint is the directed rounding of the exact rational result.
-The errors come from error-free transformations, in floats only:
+Each endpoint is computed in round-to-nearest together with a number that
+has the sign of its exact rounding error, and it is nudged one
+``math.nextafter`` step outward when the rounded value landed on the wrong
+side.  Round-to-nearest is within half an ulp of the exact value, so one step
+gives the tightest float on the right side: every endpoint is the directed
+rounding of the exact rational result.  The error's sign rests on three
+facts only: IEEE 754 floats and CPython's ``int / int`` round to nearest,
+Python integers are exact, and Fast2Sum is exact.
 
-* sums: Fast2Sum (Dekker, Numer. Math. 18, 1971) on the operands ordered by
-  magnitude, exact whenever the sum does not overflow;
-* products: Dekker's TwoProduct on Veltkamp's split by 2^27 + 1 (Python has
-  no fused multiply-add to lean on);
-* quotients: the remainder a - q*b of q = fl(a/b), which is exact (Ogita,
-  Rump and Oishi, SIAM J. Sci. Comput. 26, 2005), through TwoProduct.
-
-``sqrt_interval`` reads the sign of r*r - x, for r = fl(sqrt(x)), exactly
-from the integer ratios of r and x.
+* ``+`` and ``-``: Fast2Sum (Dekker, Numer. Math. 18, 1971) on the operands
+  ordered by magnitude, exact whenever the sum does not overflow.
+* ``*``, ``/``, ``powi(p)`` for p >= 1 and ``enclose_fraction``: one rule,
+  ``_nearest``.  The exact result is a ratio of integers num/den, from the
+  operands' ``as_integer_ratio()``; its rounding to nearest v is the
+  hardware ``a*b`` or ``a/b``, or ``num / den`` for powers and rationals;
+  and num*e - m*den, for v = m/e, has the sign of the error.  It holds over
+  the whole float range, subnormals included, and raises ``OverflowError``
+  where the result rounds past it.
+* ``sqrt_interval`` reads the sign of r*r - x, for r = fl(sqrt(x)), from the
+  integer ratios of r and x in the same way.
 
 Rounding down and rounding up are monotone, so the min and max of the
 directed roundings of the four endpoint products (or quotients) are the
@@ -32,15 +35,10 @@ only two of them in the four strict sign cases (both operands positive, both
 negative, or one of each), where the exact min and max are known endpoint
 products or quotients (Moore, Kearfott and Cloud, *Introduction to Interval
 Analysis*, sec. 2.3); when an operand (of a quotient, the dividend) touches
-or contains 0 they take the min and max of all four.
+or contains 0 they take the min and max of all four.  An exact 0 is +0.0.
 
-TwoProduct is exact only away from overflow and underflow, so products and
-quotients take it only for operands and results in [2^-960, 2^995] in
-magnitude.  Every other endpoint has one exact fallback: the exact rational
-result as a ``Fraction``, rounded to nearest by ``float`` with its error
-kept exactly.  ``powi(p)`` for p >= 3 and ``enclose_fraction``, for every
-rational but an integer that is a float, take the same path.  A product or
-quotient past the float range raises ``OverflowError``; a sum that
+A product, quotient, power or rational past the float range raises
+``OverflowError`` naming the operation and its operands; a sum that
 overflows rounds to the largest finite float on the inner side and to inf
 on the outer one.  An infinite endpoint raises ``OverflowError`` in
 ``+ - * /``, ``powi`` and ``sqrt_interval``: it has no rational value to
@@ -85,34 +83,11 @@ __all__ = [
 ]
 
 _INF = math.inf
-_HUGE = 2.0**995  # below this, Veltkamp's split does not overflow
-_TINY = 2.0**-960  # above this, products have exact Dekker error terms
-_SPLITTER = 134217729.0  # 2^27 + 1: Veltkamp's split of a 53-bit double
-_EXACT_INT = 2**53  # every integer up to this magnitude is a float
 
 
 def _finite(op: str, *values: float) -> None:
     if any(map(math.isinf, values)):
         raise OverflowError(f"infinite interval endpoint in {op}: {', '.join(map(repr, values))}")
-
-
-def _rounded(exact: Fraction) -> tuple[float, Fraction]:
-    """(approx, exact - approx) with approx = round-to-nearest(exact); raises
-    OverflowError past the float range."""
-    approx = float(exact)
-    return approx, exact - Fraction(approx)
-
-
-def _product_error(a: float, b: float, p: float) -> float:
-    """a*b - p exactly, for p = fl(a*b) with |a|, |b|, |p| in [_TINY, _HUGE]
-    (Dekker's TwoProduct on Veltkamp's split)."""
-    t = _SPLITTER * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLITTER * b
-    bh = t - (t - b)
-    bl = b - bh
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def _sum(a: float, b: float) -> tuple[float, float]:
@@ -127,51 +102,55 @@ def _sum(a: float, b: float) -> tuple[float, float]:
     return s, -s  # finite operands whose sum overflows: it lies inside +-inf
 
 
-def _fallback(exact: Fraction, op: str, a: float, b: float) -> tuple[float, Fraction]:
-    """``_rounded(exact)`` for the exact result of a op b; the OverflowError
-    past the float range names the operation."""
+def _nearest(num: int, den: int, op: str, a, b, approx: float | None = None) -> tuple[float, int]:
+    """(v, d) for the exact rational num/den (den > 0) of a op b: v is num/den
+    rounded to nearest, ``approx`` when given (it must be that), else
+    CPython's correctly rounded int / int, and +0.0 for an exact 0; d is an
+    integer with the sign of num/den - v.  Past the float range it raises
+    OverflowError naming op, a and b, an integer of more than 64 bits by its
+    size (CPython refuses to print one of more than 4,300 digits)."""
+    if not num:
+        return 0.0, 0
     try:
-        return _rounded(exact)
+        v = num / den if approx is None else approx
+        m, e = v.as_integer_ratio()  # OverflowError for an approx of +-inf
     except OverflowError:
-        raise OverflowError(f"interval {op} overflows the float range: {a!r} {op} {b!r}") from None
+        a, b = (f"<{x.bit_length()}-bit integer>" if isinstance(x, int) and x.bit_length() > 64 else repr(x)
+                for x in (a, b))
+        raise OverflowError(f"interval {op} overflows the float range: {a} {op} {b}") from None
+    return v, num * e - m * den
 
 
-def _product(a: float, b: float) -> tuple[float, float | Fraction]:
-    """(p, d): p = fl(a*b) and d with the sign of a*b - p."""
+def _product(a: float, b: float) -> tuple[float, int]:
+    """(p, d): p = fl(a*b), +0.0 for an exact 0, and d with the sign of
+    a*b - p."""
     p = a * b
-    if _TINY <= abs(p) <= _HUGE and _TINY <= abs(a) <= _HUGE and _TINY <= abs(b) <= _HUGE:
-        return p, _product_error(a, b, p)
-    _finite("*", a, b)
-    if a == 0 or b == 0:
-        return 0.0, 0.0
-    return _fallback(Fraction(a) * Fraction(b), "*", a, b)
+    if not -_INF < p < _INF:  # inf or nan: name an infinite operand before an overflow
+        _finite("*", a, b)
+    (m, e), (n, f) = a.as_integer_ratio(), b.as_integer_ratio()
+    return _nearest(m * n, e * f, "*", a, b, p)
 
 
-def _quotient(a: float, b: float) -> tuple[float, float | Fraction]:
-    """(q, d): q = fl(a/b) and d with the sign of a/b - q, for finite a and
-    b != 0.  The remainder a - q*b is exact: a - fl(q*b) by Sterbenz,
-    q*b - fl(q*b) by TwoProduct."""
-    q = a / b
-    if _TINY <= abs(q) <= _HUGE and _TINY <= abs(a) <= _HUGE and _TINY <= abs(b) <= _HUGE:
-        p = q * b
-        r = (a - p) - _product_error(q, b, p)
-        return q, r if b > 0 else -r
-    if a == 0:
-        return 0.0, 0.0
-    return _fallback(Fraction(a) / Fraction(b), "/", a, b)
+def _quotient(a: float, b: float) -> tuple[float, int]:
+    """(q, d): q = fl(a/b), +0.0 for an exact 0, and d with the sign of
+    a/b - q, for finite a and b != 0."""
+    (m, e), (n, f) = a.as_integer_ratio(), b.as_integer_ratio()
+    if n < 0:  # a positive denominator
+        m, n = -m, -n
+    return _nearest(m * f, e * n, "/", a, b, a / b)
 
 
-def _down(approx: float, d: float | Fraction) -> float:
+def _down(approx: float, d: float | int) -> float:
     """Largest float <= approx + d, given approx within one ulp of it."""
     return approx if d >= 0 else math.nextafter(approx, -_INF)
 
 
-def _up(approx: float, d: float | Fraction) -> float:
+def _up(approx: float, d: float | int) -> float:
     """Smallest float >= approx + d, given approx within one ulp of it."""
     return approx if d <= 0 else math.nextafter(approx, _INF)
 
 
-def _outward(values: list[tuple[float, float | Fraction]]) -> "Interval":
+def _outward(values: list[tuple[float, float | int]]) -> "Interval":
     """[rounded-down min, rounded-up max] of exact values given as (approx, d)."""
     lo = min([_down(v, d) for v, d in values])
     ups = [_up(v, d) for v, d in values]
@@ -299,13 +278,9 @@ class Interval:
             raise ValueError("negative powers unsupported; divide instead")
         if p == 0:
             return Interval(1.0, 1.0)
-        if p == 1:
-            return self + _ZERO  # exact; turns -0.0 into 0.0 like the rational power
         _finite("**", self.lo, self.hi)
-        if p == 2:
-            result = _outward([_product(self.lo, self.lo), _product(self.hi, self.hi)])
-        else:
-            result = _outward([_rounded(Fraction(self.lo) ** p), _rounded(Fraction(self.hi) ** p)])
+        (m, e), (n, f) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
+        result = _outward([_nearest(m**p, e**p, "**", self.lo, p), _nearest(n**p, f**p, "**", self.hi, p)])
         if p % 2 == 0 and self.contains_zero():
             return Interval(0.0, result.hi)
         return result
@@ -319,7 +294,6 @@ class Interval:
 
 _set_lo = Interval.lo.__set__
 _set_hi = Interval.hi.__set__
-_ZERO = Interval(0.0, 0.0)
 
 
 def _coerce(x) -> Interval:
@@ -351,10 +325,8 @@ def _exp_up(x: float) -> float:
 
 def enclose_fraction(value: Fraction | int) -> Interval:
     """Tightest float interval containing an exact rational."""
-    num = value.numerator
-    if value.denominator == 1 and -_EXACT_INT <= num <= _EXACT_INT:  # an integer that is a float
-        return Interval(float(num), float(num))
-    q, d = _rounded(Fraction(value))
+    num, den = value.numerator, value.denominator
+    q, d = _nearest(num, den, "/", num, den)
     return Interval(_down(q, d), _up(q, d))
 
 

@@ -285,6 +285,18 @@ def test_margins_dominate_rounding(name, request):
         assert seg.margin > 10 * width, seg
 
 
+@pytest.mark.parametrize("target", ["A", "B"])
+def test_the_n8_certificates_keep_slack_to_spare(target):
+    """At n = 8 both certificates hold with their worst envelope/room ratio at
+    most 0.25 (0.187 for A, 0.0875 for B): a change that thins the envelope's
+    room, such as a doubled ENVELOPE_AMPLITUDE (A then reads 0.373), fails
+    here even where the certificate still passes."""
+    cert = certify_sign(target, n=8)
+    assert cert.certified
+    ratio, seg = cert.worst_ratio
+    assert ratio <= 0.25, (ratio, seg)
+
+
 def test_control_run_fails_near_one():
     cert = certify_sign("A", n=1, m=1)
     assert cert.status.startswith("failed")

@@ -178,12 +178,12 @@ def test_the_exact_verbs_run_where_numpy_cannot_be_imported(tmp_path, argv):
 def test_the_float_verbs_exit_4_where_numpy_cannot_be_imported(tmp_path, argv):
     """A float verb run where numpy cannot be imported has valid input that
     it cannot evaluate: it exits 4 (numerical failure) with one line naming
-    numpy, and no traceback."""
+    numpy and the extra that installs it, and no traceback."""
     body = "sys.modules['numpy'] = None\nimport io\nsys.stderr = io.StringIO()\n" + _RUN_CLI
     body += "code = [code, sys.stderr.getvalue()]\n"
     (code, stderr), _ = _fresh(tmp_path, body, *argv)
     assert code == 4
-    assert stderr == "error: numerical failure: this verb evaluates in floats with numpy, which cannot be imported\n"
+    assert stderr == "error: numerical failure: this verb evaluates in floats with numpy, which cannot be imported; install the float extra, e8magic[float]\n"
 
 
 def test_selfcheck_runs_its_exact_checks_where_numpy_cannot_be_imported(tmp_path):

@@ -263,12 +263,16 @@ def _neighbours(x: float) -> list[float]:
     return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
 
 
-# the kernel's edges: 0, the subnormals and the smallest normal, and the
-# bounds 2^-960 and 2^995 of the direct TwoProduct path (2^960 squares to
-# 2^1920 / 2^-960 ... to 2^-1920, past both ends of the float range)
+# the kernel's edges: 0, the subnormals and the smallest normal; 2^-960,
+# 2^960 and 2^995, whose products and quotients leave the float range at
+# either end (2^960 squares to 2^1920, 2^-960 to 2^-1920); 2^512 and
+# sqrt(DBL_MAX), whose products fall within an ulp of DBL_MAX, on either side
+# of where they round to DBL_MAX or overflow; and 2^-537, whose square is the
+# smallest subnormal (a product half as large rounds to +-0)
 _EDGES = sorted({
     0.0, *_neighbours(2.0**-1074), *_neighbours(2.0**-1022), 2.0**-1060,
     *_neighbours(2.0**-960), *_neighbours(2.0**960), *_neighbours(2.0**995),
+    *_neighbours(2.0**512), *_neighbours(math.sqrt(sys.float_info.max)), *_neighbours(2.0**-537),
 })
 
 # magnitudes from the smallest subnormal to 1e308: any float, any binade with
@@ -331,17 +335,26 @@ def test_infinite_endpoint_is_named_before_a_finite_overflow(compute):
         compute()
 
 
-@pytest.mark.parametrize("op, symbol, divisor", [
-    (operator.mul, "*", 1e10),
-    (operator.truediv, "/", 1e-10),
-], ids=["product", "quotient"])
-def test_finite_overflow_names_the_operation_and_its_operands(op, symbol, divisor):
-    """A product or quotient of finite endpoints past the float range raises
-    OverflowError naming the operation and the endpoints it read; the CLI
-    prints that message and exits 4."""
-    message = f"interval {symbol} overflows the float range: 1e+300 {symbol} {divisor!r}"
+@pytest.mark.parametrize("compute, message", [
+    (lambda: Interval(1e300, 1e300) * Interval(1e10, 1e10),
+     "interval * overflows the float range: 1e+300 * 10000000000.0"),
+    (lambda: Interval(1e300, 1e300) / Interval(1e-10, 1e-10),
+     "interval / overflows the float range: 1e+300 / 1e-10"),
+    (lambda: Interval(1e300, 1e300).powi(3), "interval ** overflows the float range: 1e+300 ** 3"),
+    (lambda: enclose_fraction(10**400), "interval / overflows the float range: <1329-bit integer> / 1"),
+    (lambda: 2**2000 * Interval(1.0, 1.0), "interval / overflows the float range: <2001-bit integer> / 1"),
+    (lambda: enclose_fraction(Fraction(10**5000, 3)),
+     "interval / overflows the float range: <16610-bit integer> / 3"),
+], ids=["product", "quotient", "power", "rational", "scalar", "rational-past-4300-digits"])
+def test_finite_overflow_names_the_operation_and_its_operands(compute, message):
+    """A product, quotient or power of finite endpoints, or a rational (as
+    numerator / denominator), past the float range raises OverflowError
+    naming the operation and the operands it read, an integer of more than
+    64 bits by its size, so that one too long for CPython to print (over
+    4,300 digits) raises OverflowError too; the CLI prints that
+    message and exits 4."""
     with pytest.raises(OverflowError, match=re.escape(message)):
-        op(Interval(1e300, 1e300), Interval(divisor, divisor))
+        compute()
 
 
 def _outcome(compute):

@@ -1,6 +1,7 @@
 """The measuring tools under tools/: a run on the repository against itself."""
 
 import ast
+import importlib.util
 import json
 import re
 import shutil
@@ -116,3 +117,18 @@ def test_linecov_reports_the_lines_a_selection_leaves_unrun():
     shells = (package / "e8.py").read_text().splitlines()
     walk = [n for n, text in enumerate(shells, 1) if "e4 = eisenstein(4, max_norm // 2 + 1)" in text]
     assert walk and not unrun["e8.py"] & set(walk)
+
+
+def test_each_mutant_targets_text_that_occurs_once_in_src():
+    """Every mutant of ``tools/mutants.py`` changes text that occurs exactly
+    once in ``src/``, in the module it names, and names an existing test
+    file to kill it; no mutant is run here."""
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    sources = {path.name: path.read_text() for path in (ROOT / "src" / "e8magic").glob("*.py")}
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert sources[m.module].count(m.target) == 1, m.name
+        assert sum(text.count(m.target) for text in sources.values()) == 1, m.name
+        assert m.mutated != m.target and (ROOT / m.killer).is_file(), m.name
