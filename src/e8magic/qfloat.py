@@ -10,9 +10,10 @@ powers in one pass) return one bound that covers both the discarded tail
 and the float roundoff of the sum; ``combine`` sums such (value, bound)
 pairs with coefficients.  The tail is bounded by ``_tail_majorant`` from the
 coefficient growth bound |c(n)| <= C*e^{4 pi sqrt(n)} with a caller-supplied
-C: its terms are summed in floats and enlarged by an a-priori roundoff
-factor derived in its docstring, so the module needs no interval arithmetic
-and imports nothing from ``rigor``.
+C: since sqrt(n) is concave, one geometric series from the first omitted
+term bounds it, formed in floats and enlarged by an a-priori roundoff factor
+derived in its docstring, so the module needs no interval arithmetic and
+imports nothing from ``rigor``.
 
 The exact layers import this module only where they evaluate in floats
 (``modforms._float_layer``, on the first call of ``eval_form``,
@@ -38,13 +39,11 @@ _TINY = 2.0**-1022
 # the smallest subnormal double: a product that underflows is off by at most
 # half of it (Higham, *Accuracy and Stability*, sec. 2.1)
 _ETA = 2.0**-1074
-# leading tail terms the majorant bounds one by one before its geometric part
-_MAX_EXPLICIT_TERMS = 100_000
 # the majorant's raise of an exp argument, relative to its size: 8u
 _RAISE = 2.0**-50
-# the largest 4/y whose square the tail majorant forms: (2^511)^2 = 2^1022 is
-# finite; far below that height the majorant already needs too many terms
-_SPLIT_ROOT_MAX = 2.0**511
+# the largest 2/y whose square the tail majorant's order hint forms: (2^500)^2
+# is finite
+_HINT_ROOT_MAX = 2.0**500
 # the height at which eval_at bounds the tail of a series evaluated above it:
 # the tail majorant's products 2 pi y n stay finite there
 _MAJORANT_Y_MAX = 1e300
@@ -90,73 +89,62 @@ def _gamma(n: int) -> float:
 
 def _tail_majorant(lead: int, order: int, stride: int, c: float, y: float) -> float:
     """Rigorous bound on sum C e^{4 pi sqrt(n)} e^{-2 pi n y} over the grid points
-    n >= order of a series with this lead and stride, summed in floats.
+    n >= order of a series with this lead and stride, in floats.
 
-    The tail splits at n* = max(n0, (4/y)^2 + 1), past which 4 pi sqrt(n) <=
-    pi y n: the N grid points n0 <= n < n* are summed term by term, the rest
-    as the geometric series C e^{-pi y n_N} / (1 - r), r = e^{-pi y s}, from
-    the first grid point n_N >= n*, with s = stride/8.  The grid start and N
-    are integers; n, s and n/8 are exact floats.
+    With n0 the first grid point at or past the order (exact, as is s =
+    stride/8), sqrt(n0 + k s) <= sqrt(n0) + k s / (2 sqrt(n0)) since the
+    square root is concave, so the tail is at most the geometric series
+    C e^{4 pi sqrt(n0) - 2 pi n0 y} / (1 - r), r = e^{-2 pi s (y -
+    1/sqrt(n0))}, which converges for y > 1/sqrt(n0) only.
 
     Roundoff (Higham, *Accuracy and Stability*, ch. 3-4; u = 2^-53, eta =
     2^-1074, gamma_k = k u / (1 - k u)):
 
-    * Arguments.  p = 4 pi sqrt(n) and q = 2 pi n y are each computed with a
-      relative error below gamma_3 (the rounding of pi, the square root and
-      two products), so x = p - q carries an error below gamma_4 (p + q),
-      which exp would turn into a relative error of about (p + q) u.  Each
-      argument is raised by 2^-50 fl(p + q) >= 8u (1 - gamma_4)(p + q) before
-      exp; that covers gamma_4 (p + q) and the rounding of the raise itself,
-      so every argument lies above the exact one and exp, being increasing,
-      gives at least the exact term.  The geometric part's arguments -pi y
-      n_N and -pi y s are raised the same way, by the factor 1 - 2^-50.
+    * Arguments.  p = 4 pi sqrt(n0) and q = 2 pi n0 y are each computed with
+      a relative error below gamma_3 (the rounding of pi, the square root and
+      two products), so x = p - q carries an error below gamma_4 (p + q).
+      The head's argument is raised by 2^-50 fl(p + q) >= 8u (1 - gamma_4)(p +
+      q), which covers that and the rounding of the raise itself.  The
+      ratio's argument -2 pi s (y - v) reads v >= 1/sqrt(n0), 1/sqrt(n0)
+      stepped outward by the factor 1 + 2^-50 over its two roundings, and
+      the factor 1 - 2^-50 raises it over its own five (pi, the difference
+      and three products).  Both arguments thus lie above the exact ones,
+      and exp, being increasing, gives at least the exact head and ratio.
     * exp.  Under the libm assumption ``rigor`` states, exp is within 2 ulp:
       e^x <= (1 + 5u) fl(e^x) + 3 eta, the eta covering results that fall
       below 2^-1022, where an ulp is eta.
     * Ratio and division.  r <= fl(e^x) (1 + 5u) + 3 eta < fl(e^x) + 2^-50 =
       r_hi after its own rounding; then 1 - r >= fl(1 - r_hi) / (1 + u) =: d
-      / (1 + u), and the quotient first / d adds a factor 1 + u and eta / 2.
-    * The sum of the N + 1 nonnegative parts in order has a relative error
-      below gamma_N (sums are exact when they underflow); N <= 10^5 gives
-      gamma_N < 1.12e-11.
+      / (1 + u), and the quotient H = head / d adds a factor 1 + u and eta / 2.
 
-    Together the exact tail is below C S (1 + 8u + gamma_N) / (1 - u)^2 +
-    C eta (3N + 4/d + 1) for the computed sum S.  The factor 1 + 2^-36 >=
-    1 + 1.45e-11 covers the first term with the roundings of C S times it and
-    of the final sum, and the floor (C + 1)(4N + 4/d + 4) eta, itself rounded,
-    covers the second, so a positive tail never comes back as 0.  A tail that
-    needs more than ``_MAX_EXPLICIT_TERMS`` explicit terms, whose split point
-    (4/y)^2 passes the float range, or whose r_hi reaches 1, raises
-    TruncationError; a C that is NaN, infinite or negative raises ValueError.
-    This is the one check of C for ``eval_at`` and ``RayPlan``.
+    Together the exact tail is below C H (1 + 8u) / (1 - u)^2 + C eta (4/d +
+    1).  The factor 1 + 2^-36 covers the first term with the roundings of C H
+    times it and of the final sum, and the floor (C + 1)(4/d + 4) eta, itself
+    rounded, covers the second, so a positive tail never comes back as 0.
+
+    This is the one check of C and of the order for ``eval_at`` and
+    ``RayPlan``: a C that is NaN, infinite or negative raises ValueError, and
+    a series truncated at or below q^0 (the growth bound holds for n > 0
+    only) raises TruncationError.  So does a y at which r_hi reaches 1: the
+    message names the order (2/y)^2, where 1/sqrt(n0) <= y/2, if that is past
+    the series' own and within the float range, and says no finite order
+    suffices otherwise (r is then within 2^-49 of 1 at any order).
     """
     if not 0 <= c < math.inf:
         raise ValueError(f"the growth-bound constant must be finite and nonnegative, got {c!r}")
-    if not 4 / y <= _SPLIT_ROOT_MAX:
-        raise TruncationError(
-            f"Im z = {y!r} is too small for the tail majorant: its split point "
-            "(4 / Im z)^2 passes the float range, so no finite order suffices"
-        )
-    e0 = lead - (lead - order) // stride * stride  # first grid point >= order, in 1/8 units
-    n_star = max(e0 / EIGHTH, (4 / y) ** 2 + 1)
-    if n_star * EIGHTH > e0 + _MAX_EXPLICIT_TERMS * stride:
-        hint = math.ceil(n_star) * EIGHTH
-        raise TruncationError(
-            "tail majorant needs too many explicit terms at this point; "
-            f"rebuild the series to order >= {hint} grid units (q^{hint // 8})"
-        )
-    explicit = (math.ceil(n_star * EIGHTH) - e0 + stride - 1) // stride
-    total = 0.0
-    for e in range(e0, e0 + explicit * stride, stride):
-        n = e / EIGHTH
-        p, q = 4 * math.pi * math.sqrt(n), 2 * math.pi * n * y
-        total += math.exp(p - q + _RAISE * (p + q))
-    ratio = math.exp(-math.pi * y * (stride / EIGHTH) * (1 - _RAISE)) + _RAISE
+    if order <= 0:
+        raise TruncationError("series truncated at or below q^0")
+    n0 = (lead - (lead - order) // stride * stride) / EIGHTH  # the first grid point >= order
+    ratio = math.exp(-2 * math.pi * (stride / EIGHTH) * (y - (1 + _RAISE) / math.sqrt(n0)) * (1 - _RAISE)) + _RAISE
     if ratio >= 1.0:
-        raise TruncationError("geometric tail ratio >= 1; Im z too small")
+        hint = math.ceil((2 / y) ** 2) * EIGHTH if 2 / y <= _HINT_ROOT_MAX else 0
+        raise TruncationError("geometric tail ratio >= 1; Im z too small: " + (
+            f"rebuild the series to order >= {hint} grid units (q^{hint // 8})" if hint > order
+            else "no finite order suffices"))
     d = 1.0 - ratio
-    total += math.exp(-math.pi * y * ((e0 + explicit * stride) / EIGHTH) * (1 - _RAISE)) / d
-    return total * (1 + 2.0**-36) * c + (c + 1) * (4 * explicit + 4 / d + 4) * _ETA
+    p, q = 4 * math.pi * math.sqrt(n0), 2 * math.pi * n0 * y
+    head = math.exp(p - q + _RAISE * (p + q))
+    return head / d * (1 + 2.0**-36) * c + (c + 1) * (4 / d + 4) * _ETA
 
 
 def _floats(series: QSeries) -> tuple:
@@ -180,7 +168,7 @@ def eval_at(series: QSeries, z, bound_constant: float) -> EvalResult:
     or an array of z.
 
     The caller asserts |c(n)| <= bound_constant * e^{4 pi sqrt(n)}
-    for every n >= order on the support grid.  ``tail_bound`` then
+    for every n >= order > 0 on the support grid.  ``tail_bound`` then
     majorizes the distance from ``value`` to the full series: the tail,
     bounded once at the smallest Im z (or at ``_MAJORANT_Y_MAX`` if that
     is smaller: the majorant decreases in Im z, and past that height its
@@ -252,13 +240,11 @@ class RayPlan:
     def __init__(self, rows) -> None:
         grids, consts = {}, []
         for i, (series, p, bound_constant) in enumerate(rows):
-            if series.order <= 0:
-                raise TruncationError("series truncated at or below q^0")
+            majorant = _tail_majorant(series.lead, series.order, series.stride, bound_constant, 1.0)
             beta0 = 2 * math.pi * series.order / EIGHTH
             factor = 0.0  # left to right, not by sum(), which CPython >= 3.12 compensates
             for k in range(p + 1):
                 factor = factor + math.perm(p, k) * beta0 ** -(k + 1)
-            majorant = _tail_majorant(series.lead, series.order, series.stride, bound_constant, 1.0)
             n, c = _floats(series)[:2]
             n, c = n[n > 0], c[n > 0]
             abs_c = np.abs(c)

@@ -378,7 +378,7 @@ def test_e6_vanishes_at_i():
 @pytest.mark.parametrize("z", [1e-200j, 0.3 + 1e-160j, 5e-324j, 1e-3j])
 def test_eval_form_near_the_real_axis_raises_truncation(form, z):
     """Too close to the real axis for the stored order: a TruncationError,
-    never an OverflowError from the tail majorant's split point (4/Im z)^2;
+    never an OverflowError from the tail majorant's order hint (2/Im z)^2;
     past the float range it says no finite order suffices."""
     with pytest.raises(TruncationError) as info:
         eval_form(form, z)
@@ -386,6 +386,19 @@ def test_eval_form_near_the_real_axis_raises_truncation(form, z):
         assert "no finite order suffices" in str(info.value)
     else:
         assert "rebuild the series to order" in str(info.value)
+
+
+@pytest.mark.parametrize("form", list(FormId))
+def test_eval_form_refuses_just_below_the_tail_majorant_s_edge(form):
+    """At 1/sqrt(n0), for the first omitted grid point n0 of the stored order,
+    the majorant's geometric ratio reaches 1: 1e-3 below it eval_form refuses
+    with the rebuild hint, and 1e-3 above it returns a finite bound."""
+    series = build_form(form)
+    n0 = -(-(series.order - series.lead) // series.stride) * series.stride + series.lead
+    edge = 1 / math.sqrt(n0 / 8)
+    with pytest.raises(TruncationError, match="rebuild the series to order"):
+        eval_form(form, 0.1 + edge * (1 - 1e-3) * 1j)
+    assert math.isfinite(eval_form(form, 0.1 + edge * (1 + 1e-3) * 1j).tail_bound)
 
 
 def test_kloosterman_basics():

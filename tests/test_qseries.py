@@ -211,31 +211,45 @@ def _mp_tail_above(lead, order, stride, y):
 
 def test_tail_majorant_bounds_seeded_tails_at_60_digits():
     """Over 10^4 seeded (lead, order, stride, c, y) draws the float majorant is at
-    least the 60-digit tail sum.  A quarter of the draws take y within 1e-3 of 4/sqrt(n0),
-    where the explicit terms end and the geometric rest starts at the grid
-    start n0; y = _MAJORANT_Y_MAX, 1 ulp below 4/sqrt(n0) and 1 ulp above it
-    are drawn too."""
+    least the 60-digit tail sum and, where that sum is above 1e-290, at most
+    10^3 times it.  A quarter of the draws take y within 1e-3 of 1/sqrt(n0),
+    for the grid start n0: at and below that edge the geometric ratio of the
+    majorant reaches 1 and it raises TruncationError, which it may also do
+    within 2^-40 above the edge, where the raised ratio rounds to 1.  Just
+    above the edge the geometric series counts about 1 / (2 pi s (y -
+    1/sqrt(n0))) terms while the tail's terms fall off as a Gaussian, so
+    there the ratio is held to 1 / (y sqrt(n0) - 1) instead.  y =
+    _MAJORANT_Y_MAX, 1 ulp below 1/sqrt(n0) and 1 ulp above it are drawn too."""
     rng = np.random.default_rng(2026)
-    wrong = []
+    wrong, loose = [], []
     for i in range(10_000):
         stride = int(rng.choice([1, 2, 4, 8]))
         lead = int(rng.integers(-8, 9))
         order = int(rng.integers(max(lead, 0) + 1, 600))
         c = float(rng.uniform(0.25, 4.0))
-        n0 = (lead + -(-(order - lead) // stride) * stride) / EIGHTH
-        edge = 4 / math.sqrt(n0)
+        e0 = lead + -(-(order - lead) // stride) * stride
+        edge = 1 / math.sqrt(e0 / EIGHTH)
         y = [
             float(rng.uniform(0.4, 3.0)),
             edge * float(rng.uniform(1 - 1e-3, 1 + 1e-3)),
             float(10 ** rng.uniform(0.5, 3.0)),
             [_MAJORANT_Y_MAX, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), 0.5][i // 4 % 4],
         ][i % 4]
-        majorant = _tail_majorant(lead, order, stride, c, y)
         with mpmath.workdps(60):
+            above = mpmath.mpf(y) * mpmath.sqrt(mpmath.mpf(e0) / EIGHTH) - 1  # y sqrt(n0) - 1
+            try:
+                majorant = _tail_majorant(lead, order, stride, c, y)
+            except TruncationError:
+                if above > 2.0**-40:
+                    wrong.append((lead, order, stride, c, y, "refused"))
+                continue
             exact = c * _mp_tail_above(lead, order, stride, y)
-            if not exact <= majorant:
+            if not (above > 0 and exact <= majorant):
                 wrong.append((lead, order, stride, c, y, majorant, exact))
+            elif exact > mpmath.mpf("1e-290") and majorant > exact * max(10**3, 1 / above):
+                loose.append((lead, order, stride, c, y, majorant / exact))
     assert not wrong, wrong[:5]
+    assert not loose, loose[:5]
 
 
 @lru_cache(maxsize=None)
@@ -246,14 +260,17 @@ def _mp_growth_exponent(e):
 
 
 def test_tail_majorant_rounds_each_of_its_parts_up(monkeypatch):
-    """White box, over 2,000 seeded draws, from the exp calls of the majorant:
-    the argument of each explicit term is at least the 60-digit value of
-    4 pi sqrt(n) - 2 pi n y, and the majorant is at least C S (1 + 8u), in
-    Fractions, for the exact sum S of the float parts it formed (the explicit
-    terms plus the geometric head over d).  The 60-digit check of the result
-    alone misses either roundoff cover dropped by itself, since each absorbs
-    what the other covers: here the first check fails without the raised
-    arguments, the second without the factor 1 + 2^-36."""
+    """White box, over 2,000 seeded draws, from the two exp calls of the
+    majorant: against 60 digits, the head's argument is at least 4 pi
+    sqrt(n0) - 2 pi n0 y and the ratio's at least -2 pi s (y - 1/sqrt(n0)),
+    so that each exp gives at least the exact head and ratio, and the
+    majorant is at least C head / d (1 + 8u), in Fractions, for the float
+    parts it formed.  The 60-digit check of the result alone misses either
+    roundoff cover dropped by itself, since each absorbs what the other
+    covers: here the argument checks fail without the raised arguments or
+    the outward step on 1/sqrt(n0), the last without the factor 1 + 2^-36.
+    A third of the draws take y within 1e-3 above 1/sqrt(n0), where the
+    rounding of 1/sqrt(n0) is large against y - 1/sqrt(n0)."""
     calls = []
 
     def exp(x):
@@ -271,24 +288,27 @@ def test_tail_majorant_rounds_each_of_its_parts_up(monkeypatch):
         e0 = lead + -(-(order - lead) // stride) * stride
         y = [
             float(rng.uniform(0.4, 3.0)),
-            4 / math.sqrt(e0 / EIGHTH) * float(rng.uniform(1 - 1e-3, 1 + 1e-3)),
+            1 / math.sqrt(e0 / EIGHTH) * float(rng.uniform(1 + 1e-12, 1 + 1e-3)),
             float(10 ** rng.uniform(0.5, 3.0)),
         ][i % 3]
         calls.clear()
-        majorant = _tail_majorant(lead, order, stride, c, y)
-        *explicit, (_, ratio), (_, head) = calls
+        try:
+            majorant = _tail_majorant(lead, order, stride, c, y)
+        except TruncationError:
+            continue
+        (ratio_arg, ratio), (head_arg, head) = calls
         with mpmath.workdps(60):
-            two_pi_y = 2 * mpmath.pi * mpmath.mpf(y)
-            for k, (x, _) in enumerate(explicit):
-                e = e0 + k * stride
-                if not mpmath.mpf(x) >= _mp_growth_exponent(e) - two_pi_y * e / EIGHTH:
-                    low_args.append((lead, order, stride, y, e, x))
+            n0, s = mpmath.mpf(e0) / EIGHTH, mpmath.mpf(stride) / EIGHTH
+            if not mpmath.mpf(head_arg) >= _mp_growth_exponent(e0) - 2 * mpmath.pi * mpmath.mpf(y) * n0:
+                low_args.append(("head", lead, order, stride, y, head_arg))
+            if not mpmath.mpf(ratio_arg) >= -2 * mpmath.pi * s * (mpmath.mpf(y) - 1 / mpmath.sqrt(n0)):
+                low_args.append(("ratio", lead, order, stride, y, ratio_arg))
         d = 1.0 - (ratio + _RAISE)
-        total = sum(Fraction(v) for _, v in explicit) + Fraction(head) / Fraction(d)
-        if not Fraction(majorant) >= Fraction(c) * total * (1 + 8 * Fraction(U)):
+        if not Fraction(majorant) >= Fraction(c) * Fraction(head) / Fraction(d) * (1 + 8 * Fraction(U)):
             low_sums.append((lead, order, stride, c, y, majorant))
     assert not low_args, low_args[:5]
     assert not low_sums, low_sums[:5]
+
 
 def _parts(draw_float):
     return st.lists(
@@ -435,6 +455,30 @@ def test_ray_laplace_bound_covers_stored_terms_that_all_underflow(form, p):
             ref += mpmath.mpf(c.numerator) / c.denominator * mpmath.gammainc(p + 1, beta) / beta ** (p + 1)
     assert value == 0.0 and ref != 0
     assert abs(value - ref) <= bound, (value, ref, bound)
+
+
+@pytest.mark.parametrize("p", range(4))
+def test_ray_laplace_bound_covers_a_tail_at_the_growth_bound(p):
+    """A series truncated at q^2 whose coefficients are floor(e^{4 pi sqrt(n)}),
+    the growth bound with C = 1: at y = 0, where the bound is within 1.15
+    times the tail, and above it, the distance from the value to the
+    50-digit transform of the whole series (the stored term and the tail to
+    n = 60) is within the bound.  The tail dominates the bound here, so a
+    tail factor that drops the falling factorials p!/(p-k)! of its closed
+    form is too small at p = 3."""
+    with mpmath.workdps(50):
+        coeffs = {n: int(mpmath.floor(mpmath.exp(4 * mpmath.pi * mpmath.sqrt(n)))) for n in range(1, 61)}
+
+        def transform(n, y):  # int_1^oo t^p e^{-beta t} dt, beta = pi (2n + y)
+            beta = mpmath.pi * (2 * n + mpmath.mpf(y))
+            return coeffs[n] * mpmath.gammainc(p + 1, beta) / beta ** (p + 1)
+
+        ys = [0.0, 0.5, 2.0]
+        (values, bounds), = RayPlan([(QSeries(8, 16, {8: coeffs[1]}), p, 1.0)])(ys)
+        for y, value, bound in zip(ys, values, bounds):
+            tail = mpmath.fsum(transform(n, y) for n in range(2, 61))
+            assert abs(value - transform(1, y) - tail) <= bound, (y, value, tail, bound)
+            assert bound <= 1.15 * tail or y > 0
 
 
 def test_ray_laplace_pairs_at_one_y_are_python_floats():
@@ -758,6 +802,10 @@ def test_a_tail_ratio_that_rounds_to_one_is_refused():
 def test_ray_plan_refuses_a_row_at_or_below_q0_and_a_negative_y():
     with pytest.raises(TruncationError, match="series truncated at or below q\\^0"):
         RayPlan([(QSeries(-8, 0, {-8: 1}), 0, 1.0)])
+    # eval_at too: the growth bound of the tail is stated for n > 0 only
+    for series in (QSeries(-16, -8, {-16: 1}), QSeries(-8, 0, {-8: 1})):
+        with pytest.raises(TruncationError, match="series truncated at or below q\\^0"):
+            eval_at(series, 1j, 1.0)
     plan = RayPlan([(build_form(FormId.PSI_S, 16), 0, 2.0)])
     for y in (-1.0, np.array([1.0, -0.5])):
         with pytest.raises(ValueError, match="ray Laplace transform needs y >= 0"):
