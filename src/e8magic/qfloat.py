@@ -24,6 +24,7 @@ neither it nor numpy.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -128,7 +129,9 @@ def _tail_majorant(lead: int, order: int, stride: int, c: float, y: float) -> fl
     only) raises TruncationError.  So does a y at which r_hi reaches 1: the
     message names the order (2/y)^2, where 1/sqrt(n0) <= y/2, if that is past
     the series' own and within the float range, and says no finite order
-    suffices otherwise (r is then within 2^-49 of 1 at any order).
+    suffices otherwise (r is then within 2^-49 of 1 at any order).  A head
+    past the double range, just above that edge of a long series, raises
+    OverflowError naming Im z and n0.
     """
     if not 0 <= c < math.inf:
         raise ValueError(f"the growth-bound constant must be finite and nonnegative, got {c!r}")
@@ -143,8 +146,34 @@ def _tail_majorant(lead: int, order: int, stride: int, c: float, y: float) -> fl
             else "no finite order suffices"))
     d = 1.0 - ratio
     p, q = 4 * math.pi * math.sqrt(n0), 2 * math.pi * n0 * y
-    head = math.exp(p - q + _RAISE * (p + q))
+    try:
+        head = math.exp(p - q + _RAISE * (p + q))
+    except OverflowError:
+        raise OverflowError(f"the tail bound overflows at Im z = {y!r}, first omitted grid point n = {n0!r}") from None
     return head / d * (1 + 2.0**-36) * c + (c + 1) * (4 / d + 4) * _ETA
+
+
+@lru_cache(maxsize=None)
+def _falling_factorials(top: int) -> tuple:
+    """Per p = 1 .. top, the pairs (k, p!/(p-k)!) for k = 1 .. p, the factor a
+    float, or None where it is 1 (p = 1: 1 * x is x)."""
+    return tuple(tuple((k, None if p == 1 else float(math.perm(p, k))) for k in range(1, p + 1)) for p in range(1, top + 1))
+
+
+def _falling_sums(inv, top: int) -> tuple[list, list]:
+    """The sums S_p = sum_{k<=p} p!/(p-k)! beta^-(k+1), each left to right, and
+    the powers beta^-(p+1), each the last one times inv = 1/beta, for p = 0
+    .. top, from inv a float or an array.  int_1^oo t^p e^{-beta t} dt =
+    e^{-beta} S_p and int_0^1 t^p e^{-beta t} dt = p! beta^-(p+1) - e^{-beta}
+    S_p.  A power that underflows is 0; none overflows for |beta| >= 1/2."""
+    powers, sums = [inv], [inv]
+    for row in _falling_factorials(top):
+        powers.append(powers[-1] * inv)
+        acc = inv
+        for k, f in row:
+            acc = acc + (powers[k] if f is None else f * powers[k])
+        sums.append(acc)
+    return sums, powers
 
 
 def _floats(series: QSeries) -> tuple:
@@ -212,49 +241,44 @@ class RayPlan:
     an array of them; callers that evaluate the same rows again keep the plan.
 
     This is the Laplace transform along the ray z = it, t >= 1, of the terms
-    with n > 0.  The closed forms int_1^oo t^p e^{-beta t} dt =
-    e^{-beta} sum_{i<=p} (p!/(p-i)!) beta^{-(i+1)} read beta = pi (2n + y).
-    The exponent grids of all rows lie in one row of 2n: per block of y, one
-    add, multiply, exp and divide give -beta = (-pi)(2n + y), e^{-beta} and
-    1/beta = -1/(-beta) over that row (exact rewritings of pi (2n + y) and
-    its inverse), and the powers of 1/beta and the closed form m_p of each
-    power p are formed once for every row.  Each row sums m_p against its own
-    coefficients, and one ``np.matmul`` per grid forms all those sums: a dot
-    product per sum at a 0-d y, a matrix-vector product per sum and block of
-    an array, the kernels of ``ndarray.dot``.  Each row gives a pair (value,
-    bound): Python floats at a 0-d y, arrays of y's shape otherwise.
+    with n > 0.  The closed forms int_1^oo t^p e^{-beta t} dt = e^{-beta} S_p
+    (``_falling_sums``) read beta = pi (2n + y).  The exponent grids of all
+    rows lie in one row of 2n: per block of y, one add, multiply, exp and
+    divide give -beta = (-pi)(2n + y), e^{-beta} and 1/beta = -1/(-beta)
+    over that row (exact rewritings of pi (2n + y) and its inverse), and the
+    sums S_p and the closed form m_p of each power p are formed once for
+    every row.  Each row sums m_p against its own coefficients, and one
+    ``np.matmul`` per grid forms all those sums: a dot product per sum at a
+    0-d y, a matrix-vector product per sum and block of an array, the
+    kernels of ``ndarray.dot``.  Each row gives a pair (value, bound):
+    Python floats at a 0-d y, arrays of y's shape otherwise.
 
-    The plan holds all that does not depend on y: the row of 2n; the factors
-    p!/(p-k)! per power; per grid its span of the row, the number of powers
-    its rows read and the stack of the vectors each m_p meets there, c, |c|
-    and 2n|c| of each row of power p; the picker of each row's three sums
-    among the products; and per row the tail majorant
-    times F(beta0), the summation factor and the subnormal term.
-    The bound covers truncation and roundoff as in ``eval_at``: a
-    discarded term has beta >= beta0 = 2 pi order, so the tail is at most
-    F(beta0) e^{-pi y} times the tail majorant at Im z = 1; the computed beta
-    has a relative error of a few u, which e^{-beta} turns into one of about
-    beta u.
+    The plan holds all that does not depend on y: the row of 2n; the largest
+    power; per grid its span of the row, the number of powers its rows read
+    and the stack of the vectors each m_p meets there, c, |c| and 2n|c| of
+    each row of power p; the picker of each row's three sums among the
+    products; and per row the tail majorant times F(beta0) = S_p(beta0), the
+    summation factor and the subnormal term.  The bound covers truncation
+    and roundoff as in ``eval_at``: a discarded term has beta >= beta0 = 2 pi
+    order, and S_p decreases in beta, so the tail is at most F(beta0)
+    e^{-pi y} times the tail majorant at Im z = 1; the computed beta has a
+    relative error of a few u, which e^{-beta} turns into one of about beta
+    u.
     """
 
     def __init__(self, rows) -> None:
         grids, consts = {}, []
         for i, (series, p, bound_constant) in enumerate(rows):
             majorant = _tail_majorant(series.lead, series.order, series.stride, bound_constant, 1.0)
-            beta0 = 2 * math.pi * series.order / EIGHTH
-            factor = 0.0  # left to right, not by sum(), which CPython >= 3.12 compensates
-            for k in range(p + 1):
-                factor = factor + math.perm(p, k) * beta0 ** -(k + 1)
+            factor = _falling_sums(1 / (2 * math.pi * series.order / EIGHTH), p)[0][p]  # F(beta0)
             n, c = _floats(series)[:2]
             n, c = n[n > 0], c[n > 0]
             abs_c = np.abs(c)
             # rows with equal exponent grids share their closed forms
             grids.setdefault(n.tobytes(), (2 * n, []))[1].append((i, p, [c, abs_c, 2 * n * abs_c]))
             consts.append((factor * majorant, 48 * U + 2 * _gamma(len(n)), _TINY * float(abs_c.sum())))
-        # per power p, each k = 1 .. p with the factor p!/(p-k)! of beta^-(k+1) in its closed form (None
-        # for 1: 1 * x is x); the factors, -pi and -1 are 0-d arrays, which numpy takes faster than floats
-        self.factors = [[(k, None if math.perm(p, k) == 1 else np.array(float(math.perm(p, k)))) for k in range(1, p + 1)]
-                        for p in range(1 + max(p for _, p, _ in rows))]
+        self.top = max(p for _, p, _ in rows)  # the largest power
+        # -pi and -1 are 0-d arrays, which numpy takes faster than floats
         self.neg_pi, self.minus_one = np.array(-math.pi), np.array(-1.0)
         self.grids, keys, start = [], [], 0
         for two_n, members in grids.values():
@@ -284,14 +308,9 @@ class RayPlan:
         for yb in _blocks(y, _RAY_BLOCK):
             neg_beta = self.neg_pi * (self.two_n + yb)
             decay = np.exp(neg_beta)
-            inv = [self.minus_one / neg_beta]  # beta^-(k+1), each the last one times 1/beta
-            for _ in self.factors[1:]:
-                inv.append(inv[-1] * inv[0])
-            m = np.empty((len(self.factors), *neg_beta.shape))
-            for p, factors in enumerate(self.factors):
-                acc = inv[0]
-                for k, fact in factors:
-                    acc = acc + (inv[k] if fact is None else fact * inv[k])
+            sums = _falling_sums(self.minus_one / neg_beta, self.top)[0]
+            m = np.empty((len(sums), *neg_beta.shape))
+            for p, acc in enumerate(sums):
                 np.multiply(decay, acc, out=m[p])
             products = []
             for span, grid_powers, stack in self.grids:

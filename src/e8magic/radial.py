@@ -57,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_terms, eval_form, principal_part, special_values
-from .qfloat import RayPlan, _blocks, _gather, combine
+from .qfloat import RayPlan, _blocks, _falling_sums, _gather, combine
 
 __all__ = [
     "RadialValue",
@@ -75,8 +75,8 @@ _SING_BAND = 1e-3
 # near kernel elements per block of a pass over y: a block's length moves the
 # bits of its last rows' sums, and the 12,001-point golden tables keep those of 2^18
 _NEAR_BLOCK_ELEMS = 1 << 18
-# -pi and the cap of a unit moment's polynomial as 0-d arrays, which numpy takes faster than floats
-_NEG_PI, _CAP = np.array(-_PI), np.array(1e100)
+# -pi as a 0-d array, which numpy takes faster than a float
+_NEG_PI = np.array(-_PI)
 
 
 class RadialValue:
@@ -200,18 +200,11 @@ def _float(x):
 
 
 def _closed_moment(p: int, b: np.ndarray) -> np.ndarray:
-    """int_0^1 t^p e^{-b t} dt in closed form, for |b| >= 1/2.  Where b^(p+1)
-    overflows the moment, below p!/b^(p+1), saturates to 0; the polynomial
-    times e^{-b} = 0 reads b capped at 1e100, so that it is 0, not 0 * inf."""
-    if p == 0:
-        return -_float(np.expm1(-b)) / b
-    eb = _float(np.exp(-b))
-    if p == 1:
-        return (1.0 - eb * (1.0 + b)) / (b * b)
-    c = _float(np.minimum(b, _CAP))
-    if p == 2:
-        return (2.0 - eb * (c * c + 2 * c + 2)) / _power(b, 3)
-    return (6.0 - eb * (_power(c, 3) + 3 * (c * c) + 6 * c + 6)) / _power(b, 4)
+    """int_0^1 t^p e^{-b t} dt = p! b^-(p+1) - e^{-b} S_p(b) in closed form
+    (``qfloat._falling_sums``), for |b| >= 1/2, where no power of 1/b
+    overflows; where b^-(p+1) underflows the moment saturates to 0."""
+    sums, powers = _falling_sums(1.0 / b, p)
+    return math.factorial(p) * powers[p] - _float(np.exp(-b)) * sums[p]
 
 
 # The terms the Taylor branch of ``_unit_moment`` sums, for every degree p <= 3.
@@ -246,28 +239,16 @@ def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
     return out
 
 
-# the keys (k, p, n) of each principal part, its terms C/pi^k t^p q^n, in the
-# order the sums take them, which fixes the roundoff the radial goldens pin
-_PRINCIPAL_ORDER = {
-    "a": ((2, 0, -1), (1, 1, 0), (2, 0, 0)),
-    "b": ((0, 0, 0), (0, 0, -1)),
-}
-
-
 @lru_cache(maxsize=None)
 def _principal_part(which: str) -> tuple[tuple, tuple]:
     """The terms of ``modforms.principal_part``, C/pi^k t^p e^{-pi m t} with
     m = 2n: subtracted over [0, 1] as elementary terms (coefficient, p, m), and
     restored over (0, oo) as the prefactors (coefficient, center, power) of
-    C p! / pi^(k+p+1) / (y + m)^(p+1)."""
-    terms = dict(principal_part(which))
-    order = _PRINCIPAL_ORDER[which]
-    if len(order) != len(terms) or set(order) != set(terms):
-        raise AssertionError(f"principal order {order} does not list the principal part {list(terms)}")
-    ordered = [(terms[key], *key) for key in order]
+    C p! / pi^(k+p+1) / (y + m)^(p+1), in the order of ``principal_part``."""
+    terms = principal_part(which)
     return (
-        tuple((float(-c) / _PI**k, p, float(2 * n)) for c, k, p, n in ordered),
-        tuple((float(c * math.factorial(p)) / _PI ** (k + p + 1), float(-2 * n), p + 1) for c, k, p, n in ordered),
+        tuple((float(-c) / _PI**k, p, float(2 * n)) for (k, p, n), c in terms),
+        tuple((float(c * math.factorial(p)) / _PI ** (k + p + 1), float(-2 * n), p + 1) for (k, p, n), c in terms),
     )
 
 
@@ -599,11 +580,8 @@ def _hankel_grid() -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _hankel_table(which: str) -> tuple[np.ndarray, np.ndarray]:
-    """The grid and the function on it; g and ghat combine the a and b tables."""
+    """The grid and the function on it, by one pass of ``_g``."""
     grid = _hankel_grid()[0]
-    if which in ("g", "ghat"):
-        ca, cb = _g_coeffs(which)
-        return grid, ca * _hankel_table("a")[1] + cb * _hankel_table("b")[1]
     return grid, _g(grid**2, which, False)[0]
 
 

@@ -4,7 +4,6 @@ oracles (contour and Hankel) for the radial functions a, b, g, ghat."""
 import hashlib
 import json
 import math
-import re
 from functools import lru_cache
 from pathlib import Path
 
@@ -62,8 +61,9 @@ def test_g_coefficients_keep_the_bits_of_the_typed_constants():
     assert c_b.hex() == (-1 / (240 * math.pi)).hex()
 
 
-# Values recorded while the radial series were read at q^200, before the one
-# catalog order q^64: (function, r, which, value.hex(), err.hex(), residual.hex())
+# (function, r, which, value.hex(), err.hex(), residual.hex()), kept by
+# tools/record_goldens.py --write, which last rewrote the rows whose values
+# moved on the child of 01a0a45 (one moment sum)
 RADIAL_GOLDENS = json.loads((Path(__file__).parent / "radial_goldens.json").read_text())
 
 
@@ -88,9 +88,11 @@ def _seeded_radii() -> list[float]:
     return [float(r) for r in strata + bands + taylor]
 
 
-# Rows (function, r, which, value.hex(), err.hex(), residual.hex()) recorded
-# before the radial pass compiled its plan: g, ghat, g', ghat', a and b at every
-# seeded radius, and both contours at 8 of the strata radii in [0.7, 3.1]
+# Rows (function, r, which, value.hex(), err.hex(), residual.hex()): g, ghat,
+# g', ghat', a and b at every seeded radius, and both contours at 8 of the
+# strata radii in [0.7, 3.1]; kept by tools/record_goldens.py --write, which
+# last rewrote the rows whose values moved on the child of 01a0a45 (one
+# moment sum)
 SEEDED_GOLDENS = json.loads((Path(__file__).parent / "radial_seeded_goldens.json").read_text())
 
 
@@ -217,22 +219,15 @@ SIMPSON_WEIGHTS = 1e-3 / 3 * SIMPSON_WEIGHTS * DENSE_GRID**4
 
 @lru_cache(maxsize=None)
 def dense_table(which):
-    """a, b, g or ghat on the dense grid, by the vectorized evaluator; g and
-    ghat combine the a and b tables as the oracle's tables do."""
-    if which in ("g", "ghat"):
-        ca, cb = radial._g_coeffs(which)
-        return ca * dense_table("a") + cb * dense_table("b")
+    """a, b, g or ghat on the dense grid, by the vectorized evaluator, as the
+    oracle's tables are."""
     return radial._g(DENSE_GRID**2, which, False)[0]
 
 
 # sha256 of each dense table's grid then values (little-endian doubles),
-# recorded before the scalar evaluators stopped redoing their y-independent work
-HANKEL_TABLE_SHA256 = {
-    "a": "339f3f3dda035437c19124f82ee7d2132c9ee59b87d89c0b45dc041b78f45dc8",
-    "b": "c4d447b65109a7988f9d3abf38a3f30cba6e81eca287767ba35877edf8452c77",
-    "g": "eab0c86fe89aa183cf9359e5645eb416f6bc86c9c0519b1bedb7f24bebca632c",
-    "ghat": "6f187e3768768439d564ef742e0116714e87c2de9a4250ab6d044ffac77dbe30",
-}
+# written by tools/record_goldens.py --write on the child of 01a0a45 (one
+# moment sum)
+HANKEL_TABLE_SHA256 = json.loads((Path(__file__).parent / "hankel_table_goldens.json").read_text())
 
 
 @pytest.mark.parametrize("which", sorted(HANKEL_TABLE_SHA256))
@@ -588,6 +583,30 @@ def test_unit_moment_matches_quadrature_on_both_branches():
                 assert abs(value - ref) <= 1e-12 * ref, (p, b)
 
 
+@pytest.mark.parametrize("p", range(5))
+def test_closed_moment_matches_50_digit_integrals(p):
+    """p! beta^-(p+1) - e^{-beta} S_p against int_0^1 t^p e^{-beta t} dt =
+    p!/beta^(p+1) (1 - e^{-beta} sum_{k<=p} beta^k/k!) at 50 digits, for p <= 4
+    at 60 beta log-uniform on [1/2, 1e3] and 60 uniform on [-2 pi, -1/2]
+    (beta = pi (y + m), m >= -2, as ``_unit_moment`` hands it over), the
+    ends included.  The error is within 32u of the two terms' magnitude, and
+    within 1e-12 relative for the degrees p <= 3 that ``_unit_moment``
+    takes; at p = 4 the cancellation near beta = 1/2 (about 4,800) costs up
+    to 1.5e-12 relative."""
+    rng = np.random.default_rng(47)
+    beta = np.concatenate(([0.5, 1e3, -0.5, -2 * math.pi], 10 ** rng.uniform(math.log10(0.5), 3, 60),
+                           rng.uniform(-2 * math.pi, -0.5, 60)))
+    with mpmath.workdps(50):
+        for b, value in zip(beta, radial._closed_moment(p, beta)):
+            mb = mpmath.mpf(float(b))
+            head = mpmath.fsum(mb**k / mpmath.factorial(k) for k in range(p + 1))
+            ref = mpmath.factorial(p) / mb ** (p + 1) * (1 - mpmath.exp(-mb) * head)
+            sums = mpmath.fsum(mpmath.factorial(p) / mpmath.factorial(p - k) / mb ** (k + 1) for k in range(p + 1))
+            scale = mpmath.factorial(p) / abs(mb) ** (p + 1) + mpmath.exp(-mb) * abs(sums)
+            assert abs(value - ref) <= 32 * 2.0**-53 * scale, (b, value, ref)
+            assert p == 4 or abs(value - ref) <= 1e-12 * abs(ref), (b, value, ref)
+
+
 # ---------------------------------------------------------------------------
 # error paths and soundness guards
 
@@ -603,15 +622,3 @@ def test_radial_values_compare_by_fields_and_do_not_hash():
 def test_unit_moments_refuse_a_degree_outside_0_to_3(p):
     with pytest.raises(ValueError, match="moment degree must be <= 3"):
         _unit_moment(p, np.float64(1.0))
-
-
-def test_a_principal_order_that_does_not_list_the_principal_part_is_refused(monkeypatch):
-    """White box: no input reaches this guard, since the typed order lists
-    exactly the terms that ``modforms.principal_part`` derives from the
-    catalog.  It stands against a catalog change that moves the principal
-    part away from the order, which fixes the roundoff the radial goldens
-    pin.  The refused call caches nothing, so the next one rebuilds it."""
-    radial._principal_part.cache_clear()
-    monkeypatch.setitem(radial._PRINCIPAL_ORDER, "b", ((0, 0, 0), (0, 0, 1)))
-    with pytest.raises(AssertionError, match=re.escape("principal order ((0, 0, 0), (0, 0, 1)) does not list")):
-        radial._principal_part("b")

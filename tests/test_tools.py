@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,13 +31,19 @@ def test_interleave_runs_the_repository_against_itself():
 
 
 def test_interleave_fails_where_the_bits_differ(tmp_path):
-    """A checkout whose error estimate differs returns other bits: exit 1."""
+    """A checkout whose error estimate differs returns other bits: exit 1,
+    after the whole run, with its timings, the count of differing inputs and
+    the first of them on stderr."""
     shutil.copytree(ROOT / "src", tmp_path / "src")
     radial = tmp_path / "src" / "e8magic" / "radial.py"
     text = radial.read_text()
     radial.write_text(text.replace("_QUAD_TOL = 1e-12", "_QUAD_TOL = 2e-12", 1))
     proc = _interleave(ROOT, tmp_path)
     assert proc.returncode == 1 and "!=" in proc.stderr, (proc.stdout, proc.stderr)
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    sides = re.findall(r"^(parent|change) .* bytecodes per call$", proc.stdout, re.M)
+    assert sides == ["parent", "change"] and "ratio change / parent: median" in proc.stdout, proc.stdout
+    assert "inputs whose bits differ: 4 of 4" in proc.stdout, proc.stdout
 
 
 def _interpreters(checkout):
@@ -69,6 +76,40 @@ def test_interpreters_fails_where_a_certificate_moves(tmp_path):
     assert proc.returncode == 1, (proc.stdout, proc.stderr)
     line, = map(json.loads, proc.stdout.splitlines())
     assert line["differ"] == ["certify.A.stdout", "certify.B.out"]
+
+
+def _record_goldens(checkout, mode):
+    return subprocess.run([sys.executable, str(checkout / "tools" / "record_goldens.py"), mode],
+                          capture_output=True, text=True, timeout=300)
+
+
+_RECORDED = ("radial_goldens.json", "radial_seeded_goldens.json", "hankel_table_goldens.json")
+
+
+def test_record_goldens_check_passes_on_the_committed_tree():
+    """``--check`` exits 0 and reports no change: every recorded radial value,
+    residual and dense-table digest holds, and no err is above its golden."""
+    proc = _record_goldens(ROOT, "--check")
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+    report = json.loads(proc.stdout)
+    assert report["changed"] is False and report["errs_grew"] == [], report
+
+
+def test_record_goldens_covers_every_row_and_digest(tmp_path):
+    """In a copy of the tree, ``--write`` rewrites the two row files and the
+    digests byte for byte, and its report counts every row of each function
+    and names the four dense tables."""
+    for part in ("src", "tests", "tools"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    proc = _record_goldens(tmp_path, "--write")
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+    for name in _RECORDED:
+        assert (tmp_path / "tests" / name).read_bytes() == (ROOT / "tests" / name).read_bytes(), name
+    report = json.loads(proc.stdout)
+    calls = [row[0] for name in _RECORDED[:2] for row in json.loads((ROOT / "tests" / name).read_text())]
+    assert {call: stats["rows"] for call, stats in report["functions"].items()} == Counter(calls)
+    assert sorted(report["digests"]) == sorted(json.loads((ROOT / "tests" / _RECORDED[2]).read_text())) == [
+        "a", "b", "g", "ghat"]
 
 
 def _statement_lines(path) -> set[int]:

@@ -7,9 +7,11 @@ Loads ``src/e8magic`` of each checkout under its own package name
 call on the same seeded inputs, one input at a time on both sides: the parent
 first on even inputs, the change first on odd ones.  It prints each side's
 median and quartiles of the time per call, the median and quartiles of the
-per-input ratios change / parent, and the Python bytecodes per call (opcode
-events of ``sys.settrace``, averaged over the first inputs).  It exits 1 if
-the two sides return different bits for any input.
+per-input ratios change / parent, the Python bytecodes per call (opcode
+events of ``sys.settrace``, averaged over the first inputs) and the number of
+inputs on which the two sides return different bits.  It exits 1 if there
+are any, after the whole run, with the first of them on stderr, so that a
+change that moves bits is timed too.
 
 The calls and their inputs:
 
@@ -136,7 +138,7 @@ def main() -> int:
             fn(*x)
     counts = {side: bytecodes(fn, inputs[:_TRACED]) for side, (fn, inputs) in sides.items()}
 
-    times = {side: [] for side in sides}
+    times, differ = {side: [] for side in sides}, []
     for i in range(args.calls):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         out = {}
@@ -147,8 +149,7 @@ def main() -> int:
             out[side] = fn(*x)
             times[side].append(time.perf_counter() - t0)
         if bits(out["parent"]) != bits(out["change"]):
-            print(f"{args.call}{x!r}: parent {out['parent']!r} != change {out['change']!r}", file=sys.stderr)
-            return 1
+            differ.append(f"{args.call}{x!r}: parent {out['parent']!r} != change {out['change']!r}")
 
     print(f"{args.call}, {args.calls} alternated calls, seed {args.seed}: median [q1, q3]")
     for side in sides:
@@ -156,7 +157,10 @@ def main() -> int:
         print(f"{side:6s} {median:9.1f} us [{q1:.1f}, {q3:.1f}]  {counts[side]:.0f} bytecodes per call")
     q1, median, q3 = quartiles([c / p for p, c in zip(times["parent"], times["change"])])
     print(f"ratio change / parent: median {median:.3f} [{q1:.3f}, {q3:.3f}]")
-    return 0
+    print(f"inputs whose bits differ: {len(differ)} of {args.calls}")
+    if differ:
+        print(differ[0], file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -86,13 +86,17 @@ MUTANTS = [
            "",
            "tests/test_certify.py"),
     Mutant("ray-factorial-one", "qfloat.py",
-           "None if math.perm(p, k) == 1 else np.array(float(math.perm(p, k)))",
+           "None if p == 1 else float(math.perm(p, k))",
            "None",
            "tests/test_qseries.py"),
     Mutant("ray-tail-factorial-one", "qfloat.py",
-           "factor = factor + math.perm(p, k) * beta0 ** -(k + 1)",
-           "factor = factor + beta0 ** -(k + 1)",
+           "factor = _falling_sums(1 / (2 * math.pi * series.order / EIGHTH), p)[0][p]",
+           "factor = sum(_falling_sums(1 / (2 * math.pi * series.order / EIGHTH), p)[1])",
            "tests/test_qseries.py"),
+    Mutant("closed-moment-head-one-degree-down", "radial.py",
+           "math.factorial(p) * powers[p]",
+           "math.factorial(p - 1) * powers[p - 1]",
+           "tests/test_radial.py"),
     Mutant("tail-flag-flipped", "certify.py",
            "eps.hi, eps.hi < 1.0)",
            "eps.hi, eps.hi >= 1.0)",
