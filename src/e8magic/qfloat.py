@@ -160,12 +160,11 @@ def _falling_factorials(top: int) -> tuple:
     return tuple(tuple((k, None if p == 1 else float(math.perm(p, k))) for k in range(1, p + 1)) for p in range(1, top + 1))
 
 
-def _falling_sums(inv, top: int) -> tuple[list, list]:
-    """The sums S_p = sum_{k<=p} p!/(p-k)! beta^-(k+1), each left to right, and
-    the powers beta^-(p+1), each the last one times inv = 1/beta, for p = 0
-    .. top, from inv a float or an array.  int_1^oo t^p e^{-beta t} dt =
-    e^{-beta} S_p and int_0^1 t^p e^{-beta t} dt = p! beta^-(p+1) - e^{-beta}
-    S_p.  A power that underflows is 0; none overflows for |beta| >= 1/2."""
+def _falling_sums(inv, top: int) -> list:
+    """The sums S_p = sum_{k<=p} p!/(p-k)! beta^-(k+1), each left to right, for
+    p = 0 .. top, from inv = 1/beta a float or an array, each power
+    beta^-(k+1) the last one times inv: int_1^oo t^p e^{-beta t} dt =
+    e^{-beta} S_p.  A power that underflows is 0."""
     powers, sums = [inv], [inv]
     for row in _falling_factorials(top):
         powers.append(powers[-1] * inv)
@@ -173,7 +172,7 @@ def _falling_sums(inv, top: int) -> tuple[list, list]:
         for k, f in row:
             acc = acc + (powers[k] if f is None else f * powers[k])
         sums.append(acc)
-    return sums, powers
+    return sums
 
 
 def _floats(series: QSeries) -> tuple:
@@ -270,7 +269,7 @@ class RayPlan:
         grids, consts = {}, []
         for i, (series, p, bound_constant) in enumerate(rows):
             majorant = _tail_majorant(series.lead, series.order, series.stride, bound_constant, 1.0)
-            factor = _falling_sums(1 / (2 * math.pi * series.order / EIGHTH), p)[0][p]  # F(beta0)
+            factor = _falling_sums(1 / (2 * math.pi * series.order / EIGHTH), p)[p]  # F(beta0)
             n, c = _floats(series)[:2]
             n, c = n[n > 0], c[n > 0]
             abs_c = np.abs(c)
@@ -308,7 +307,7 @@ class RayPlan:
         for yb in _blocks(y, _RAY_BLOCK):
             neg_beta = self.neg_pi * (self.two_n + yb)
             decay = np.exp(neg_beta)
-            sums = _falling_sums(self.minus_one / neg_beta, self.top)[0]
+            sums = _falling_sums(self.minus_one / neg_beta, self.top)
             m = np.empty((len(sums), *neg_beta.shape))
             for p, acc in enumerate(sums):
                 np.multiply(decay, acc, out=m[p])

@@ -10,32 +10,38 @@ transform are evaluated through their single-integral representations
     b(r) = 4i sin(pi r^2/2)^2 ( 144/(pi r^2) + 1/(pi(r^2-2))
             + int_0^oo (psi_I(it) - 144 - e^{2pi t}) e^{-pi r^2 t} dt ),
 
-with the Laplace integrals split at t = 1: the far range integrates the
-q-expansions termwise in closed form, the near range substitutes u = 1/t and
-uses adaptive Gauss-Legendre panels; both read ``modforms.chart_terms``, and
-the constants above come from the principal parts of ``modforms.chart_series``,
-the one exact expansion of each integrand.  The removable singularities at
-r = 0 and r^2 = 2 are handled by series branches, and derivatives are obtained
-by differentiating the representations analytically.  Two independent oracles are
-provided: ``contour_eval`` integrates the defining contours directly, and
-``hankel_fourier_oracle`` checks the Fourier eigenfunction relations through a
-numerical Hankel transform of order 3, by the near range's 40-point
-Gauss-Legendre rule on 32 equal panels of [0, 12].
+with the Laplace integrals split at t = 1.  The near range [0, 1] is the whole
+integrand: it substitutes u = 1/t and uses adaptive Gauss-Legendre panels.
+The far range [1, oo) integrates the q-expansions termwise in closed form:
+the terms with n > 0 by ``qfloat.RayPlan``, and the principal part (the
+terms with n <= 0, ``modforms.principal_part``, whence the constants above)
+by int_1^oo t^p e^{-pi (y + 2n) t} dt = e^{-pi (y + 2n)} times a sum of powers
+of 1/(pi (y + 2n)), continued in y to every y != -2n, which is the constants
+above minus their own integral over [0, 1]; so nothing is subtracted, and
+nothing cancels.  Both ranges read ``modforms.chart_terms``, from
+``modforms.chart_series``, the one exact expansion of each integrand.  The
+removable singularities at r = 0 and r^2 = 2 are handled by series branches,
+and derivatives are obtained by differentiating the representations
+analytically.  Two independent oracles are provided: ``contour_eval``
+integrates the defining contours directly, and ``hankel_fourier_oracle``
+checks the Fourier eigenfunction relations through a numerical Hankel
+transform of order 3, by the near range's 40-point Gauss-Legendre rule on 32
+equal panels of [0, 12].
 
 One pass over y = r^2 evaluates every function an evaluator needs (a and b
 for g), each y-dependent operation once, by a plan compiled on the first call
-(``_layout``): one prefactor quotient row per (center, power) and one
-principal moment row per (degree, center), each of y's shape, each term
-reading its row by index with its coefficient folded in; one near kernel
-over the quadrature nodes of every function; and the far range is one
-``qfloat.RayPlan`` over all its rows (series, power), whose exponent grids
-share one exp, and where phi_0, phi_-2 and phi_-4 share one grid and so one
-set of closed forms, and d/dy rides along as the next power.  A single
-radius runs the same code: its leaves give Python floats, so the glue
-between numpy's transcendentals and dot products runs on Python floats.  The
-pass runs under one ``np.errstate``, where powers of y that overflow
-saturate to 0 and a NaN from numpy raises ArithmeticError; ``_radius_sq``
-refuses a radius whose pi*y overflows.
+(``_layout``): one e^{-pi (y + 2n)} per center and one principal row per
+(center, power), each of y's shape, each term reading its row by index with
+its coefficient folded in; one near kernel over the quadrature nodes of
+every function; and the rest of the far range is one ``qfloat.RayPlan``
+over all its rows (series, power), whose exponent grids share one exp, and
+where phi_0, phi_-2 and phi_-4 share one grid and so one set of closed
+forms, and d/dy rides along as the next power.  A single radius runs the
+same code: its leaves give Python floats, so the glue between numpy's
+transcendentals and dot products runs on Python floats.  The pass runs
+under one ``np.errstate``, where powers of y that overflow saturate to 0 and
+a NaN from numpy raises ArithmeticError; ``_radius_sq`` refuses a radius
+whose pi*y overflows.
 
 Every series value comes from ``qfloat.eval_at`` (the near range and the
 contour segments, one array of nodes per panel; the contour keeps its panels'
@@ -57,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_terms, eval_form, principal_part, special_values
-from .qfloat import RayPlan, _blocks, _falling_sums, _gather, combine
+from .qfloat import RayPlan, _blocks, _gather, combine
 
 __all__ = [
     "RadialValue",
@@ -175,10 +181,10 @@ def _adaptive_gl(f, lo: float, hi: float, tol: float):
 @lru_cache(maxsize=None)
 def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """1/u_j and -pi/u_j at the nodes u_j, y-independent weights
-    w_j * f(u_j) / u_j^2 for the series part of the near-range integral of a
-    ('a') or b ('b'), built once by adaptive bisection at y = 0 where the
-    integrand is largest, and the weighted sum of the series bounds, which
-    bounds the error of the series part for every y >= 0 (the kernel
+    w_j * f(u_j) / u_j^2 for the near-range integral of a ('a') or b ('b'),
+    the whole integrand over t in [0, 1], built once by adaptive bisection at
+    y = 0 where the integrand is largest, and the weighted sum of the series
+    bounds, which bounds the error of the series for every y >= 0 (the kernel
     e^{-pi y/u} is at most 1).  The u-chart integrand is c/pi^k u^p F(iu)."""
     (form, c, k, p), = chart_terms(which, "u")
     scale = c / _PI**k
@@ -199,57 +205,16 @@ def _float(x):
     return float(x) if isinstance(x, float) else x
 
 
-def _closed_moment(p: int, b: np.ndarray) -> np.ndarray:
-    """int_0^1 t^p e^{-b t} dt = p! b^-(p+1) - e^{-b} S_p(b) in closed form
-    (``qfloat._falling_sums``), for |b| >= 1/2, where no power of 1/b
-    overflows; where b^-(p+1) underflows the moment saturates to 0."""
-    sums, powers = _falling_sums(1.0 / b, p)
-    return math.factorial(p) * powers[p] - _float(np.exp(-b)) * sums[p]
-
-
-# The terms the Taylor branch of ``_unit_moment`` sums, for every degree p <= 3.
-# For |beta| < 1/2 the moment is at least e^{-1/2}/(p+1), and term k is below
-# 2^-k/(k! (k+p+1)); from k = 15 on (k = 14 for p = 0) that is under half an
-# ulp of the moment's lower bound, so every later term leaves the bits unchanged.
-_TAYLOR_TERMS = 15
-
-
-def _unit_moment(p: int, beta: np.ndarray) -> np.ndarray:
-    """int_0^1 t^p e^{-beta t} dt, stable for beta of either sign and near zero:
-    the closed form where |beta| >= 1/2, a Taylor series below; only a beta
-    with points on both sides is split by a mask.  A numpy scalar beta gives
-    a Python float."""
-    if not 0 <= p <= 3:
-        raise ValueError("moment degree must be <= 3")
-    beta = _float(beta)
-    small = abs(beta) < 0.5
-    if small is False or not np.count_nonzero(small):  # small is a Python bool at one radius
-        return _closed_moment(p, beta)
-    # Taylor branch: sum_k (-beta)^k / (k! (k + p + 1))
-    b = beta if small is True or small.all() else beta[small]
-    taylor, term = 0.0, 1.0
-    for k in range(_TAYLOR_TERMS):
-        taylor = taylor + term / (k + p + 1)
-        term = term * (-b) / (k + 1)
-    if b is beta:
-        return taylor
-    out = np.empty_like(beta)
-    out[~small] = _closed_moment(p, beta[~small])
-    out[small] = taylor
-    return out
-
-
-@lru_cache(maxsize=None)
-def _principal_part(which: str) -> tuple[tuple, tuple]:
-    """The terms of ``modforms.principal_part``, C/pi^k t^p e^{-pi m t} with
-    m = 2n: subtracted over [0, 1] as elementary terms (coefficient, p, m), and
-    restored over (0, oo) as the prefactors (coefficient, center, power) of
-    C p! / pi^(k+p+1) / (y + m)^(p+1), in the order of ``principal_part``."""
-    terms = principal_part(which)
-    return (
-        tuple((float(-c) / _PI**k, p, float(2 * n)) for (k, p, n), c in terms),
-        tuple((float(c * math.factorial(p)) / _PI ** (k + p + 1), float(-2 * n), p + 1) for (k, p, n), c in terms),
-    )
+def _principal_part(terms: tuple) -> tuple:
+    """The principal terms ((k, p, n), C) of ``modforms.principal_part``,
+    C/pi^k t^p q^n, integrated over [1, oo) and continued in y:
+    int_1^oo t^p e^{-pi x t} dt = e^{-pi x} sum_{j<=p} p!/(p-j)! (pi x)^-(j+1)
+    with x = y + 2n, for every x != 0.  Times sin^2(pi y/2) each term is a
+    sum of prefactors (coefficient, center, power) of C p!/(p-j)! / pi^(k+j+1)
+    e^{-pi x} sin^2(pi y/2) / x^(j+1), center = -2n, each coefficient
+    rounded once from its exact rational, in the order of the terms, then of j."""
+    return tuple((float(c * math.perm(p, j)) / _PI ** (k + j + 1), float(-2 * n), j + 1)
+                 for (k, p, n), c in terms for j in range(p + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +278,16 @@ def _ratio(y: np.ndarray, sines, center: float, power: int, deriv: bool) -> np.n
     return out
 
 
+def _principal(y: np.ndarray, sines, decay: np.ndarray, center: float, power: int, deriv: bool) -> np.ndarray:
+    """e^{-pi x} sin^2(pi y/2) / x^power at x = y - center, given sines =
+    ``_sines(y)`` and decay = e^{-pi x}, or its d/dy e^{-pi x} (Q' - pi Q),
+    from the stable ``_ratio`` Q.  A Python float y gives a Python float."""
+    quotient = _ratio(y, sines, center, power, False)
+    if deriv:
+        quotient = _ratio(y, sines, center, power, True) - _PI * quotient
+    return decay * quotient
+
+
 # ---------------------------------------------------------------------------
 # core vectorized evaluator (y = r^2)
 
@@ -323,22 +298,22 @@ _FUNCTIONS = {"a": ("a",), "b": ("b",), "g": ("a", "b"), "ghat": ("a", "b")}
 @lru_cache(maxsize=None)
 def _layout(names: tuple[str, ...], deriv: bool) -> tuple:
     """The y-independent plan of one pass over y for the functions ``names``:
-    the rows (center, power) of the prefactor quotients and (degree, m) of the
-    principal moments of degree p + d, one per pair that any term reads, so
+    the centers of the principal terms, one e^{-pi (y - center)} each, and
+    the rows (center, power) of the principal prefactors of ``_principal``
+    (d/dy of each in a derivative pass), one per pair that any term reads, so
     that at one radius each row is one Python float; the ``RayPlan`` of the
     far-range rows (series, power, C); the near-range nodes 1/u_j and -pi/u_j
     of every function in one row each, so that one exp forms every near
     kernel, and per function its span of that row with its weights; per
-    function its prefactors (coefficient, quotient row); and per d, then per
-    function, in the order of the near sums, its principal terms (coefficient
-    (-pi)^d, moment row), far-range parts (coefficient, ray row) and
-    near-range bound times pi^d.  Each row is numbered when a term first
-    reads it; rows are computed independently, so their order moves no bit."""
+    function its prefactors (coefficient, row); and per d, then per
+    function, in the order of the near sums, its far-range parts
+    (coefficient, ray row) and near-range bound times pi^d.  Each row is
+    numbered when a term first reads it; rows are computed independently, so
+    their order moves no bit."""
     orders = (0, 1) if deriv else (0,)
-    quotient_rows, moment_rows, rays, nodes, spans, prefactors = {}, {}, [], [], [], []
+    principal_rows, rays, nodes, spans, prefactors = {}, [], [], [], []
     integrals = [[] for _ in orders]
     for name in names:
-        principal, terms = _principal_part(name)
         inv_u, d_scale, w, near_err = _near_quadrature(name)
         start = sum(len(x) for x, _ in nodes)
         nodes.append((inv_u, d_scale))
@@ -348,15 +323,14 @@ def _layout(names: tuple[str, ...], deriv: bool) -> tuple:
             for form, c, k, j in chart_terms(name, "t"):
                 far.append((c / _PI**k * (-_PI) ** d, len(rays)))
                 rays.append((build_form(form), j + d, GROWTH_BOUNDS[form]))
-            moment_terms = tuple(
-                (c * ((-_PI) ** d), moment_rows.setdefault((p + d, m), len(moment_rows))) for c, p, m in principal
-            )
-            integrals[d].append((moment_terms, tuple(far), near_err * _PI**d))
+            integrals[d].append((tuple(far), near_err * _PI**d))
         prefactors.append(tuple(
-            (c, quotient_rows.setdefault((center, power), len(quotient_rows))) for c, center, power in terms
+            (c, principal_rows.setdefault((center, power), len(principal_rows)))
+            for c, center, power in _principal_part(principal_part(name))
         ))
     near_nodes = tuple(np.concatenate(column) for column in zip(*nodes))
-    return (tuple(quotient_rows), tuple(moment_rows), RayPlan(rays), near_nodes, tuple(spans), tuple(prefactors),
+    centers = tuple(dict.fromkeys(center for center, _ in principal_rows))
+    return (centers, tuple(principal_rows), RayPlan(rays), near_nodes, tuple(spans), tuple(prefactors),
             tuple(sum(integrals, [])))
 
 
@@ -364,39 +338,41 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     """Im a, Im b, g or ghat (``which``) as a function of y = r^2, or its d/dy,
     and the bound on the error of its series part.
 
-    Im a / 4 and Im b / 4 are their prefactors plus sin^2(pi y/2) times
-    int_0^oo (integrand)(t) e^{-pi y t} dt.  The q-series part of the near
-    range is integrated by quadrature in the u = 1/t chart (its bound holds
-    for every y >= 0: the kernel is at most 1, its d/dy at most pi); the
-    subtracted elementary terms (which do not decay in u) use closed-form
-    moments, and the far range comes from ``RayPlan``.  One pass, laid out by
-    ``_layout``, serves every function ``which`` needs: one quotient row per
-    (center, power) and one moment row per (degree, center), each of y's
-    shape; one near kernel over the nodes of every function, formed per
-    block of y in one buffer that the later blocks of a grid reuse, with a
-    dot product per function; and one ``RayPlan`` call for the far range,
-    with d/dy of the integral alongside it.  The assembly is a few flat loops
-    over the (coefficient, row) pairs of the layout.  At one radius (y a
-    numpy scalar) the leaves ``_sines``, ``_ratio``, ``_unit_moment`` and
-    ``_power``, the quadrature sums and ``RayPlan`` give Python floats, so
-    the sums, ``combine`` and the assembly run on Python floats, and numpy
-    forms only the transcendentals and the dot products; the result is a
-    numpy scalar, as a grid's is an array.
+    Im a / 4 and Im b / 4 are sin^2(pi y/2) times the near range, the whole
+    integrand over t in [0, 1], and the far range, its terms with n > 0 over
+    [1, oo), plus the principal part (``modforms.principal_part``) times
+    sin^2(pi y/2) over [1, oo) in closed form, continued in y
+    (``_principal_part``): nothing is subtracted, so nothing cancels.  The
+    near range is integrated by quadrature in the u = 1/t chart (its bound
+    holds for every y >= 0: the kernel is at most 1, its d/dy at most pi),
+    and the far range comes from ``RayPlan``.  One pass, laid out by
+    ``_layout``, serves every function ``which`` needs: one
+    e^{-pi (y - center)} per center and one principal row per (center,
+    power), each of y's shape; one near kernel over the nodes of every
+    function, formed per block of y in one buffer that the later blocks of a
+    grid reuse, with a dot product per function; and one ``RayPlan`` call
+    for the far range, with d/dy of the integral alongside it.  The assembly
+    is a few flat loops over the (coefficient, row) pairs of the layout.  At
+    one radius (y a numpy scalar) the leaves ``_sines``, ``_principal``,
+    ``_ratio`` and ``_power``, the quadrature sums and ``RayPlan`` give
+    Python floats, so the sums, ``combine`` and the assembly run on Python
+    floats, and numpy forms only the transcendentals and the dot products;
+    the result is a numpy scalar, as a grid's is an array.
 
     The pass runs under one ``np.errstate``: a power of y that overflows
-    saturates its quotient or moment to 0, and an invalid operation of numpy
-    (a NaN) raises ArithmeticError where it happens.  A radius whose pi*y
-    overflows never gets here: ``_radius_sq`` refuses it with ArithmeticError.
+    saturates its quotient to 0, and an invalid operation of numpy (a NaN)
+    raises ArithmeticError where it happens.  A radius whose pi*y overflows
+    never gets here: ``_radius_sq`` refuses it with ArithmeticError.
     """
     if which not in _FUNCTIONS:
         raise ValueError("which must be one of 'a', 'b', 'g', 'ghat'")
-    quotients, moments, far_plan, (inv_u, d_scale), spans, prefactors, integrals = _layout(_FUNCTIONS[which], deriv)
-    y_glue = _float(y)  # at one radius a Python float; the unit moments read y's numpy scalar
+    centers, rows, far_plan, (inv_u, d_scale), spans, prefactors, integrals = _layout(_FUNCTIONS[which], deriv)
+    y_glue = _float(y)  # at one radius a Python float
     sines = s2, s2_prime = _sines(y_glue)
     try:
         with np.errstate(over="ignore", invalid="raise"):
-            quotient = [_ratio(y_glue, sines, center, power, deriv) for center, power in quotients]
-            moment = [_unit_moment(degree, _PI * (y + m)) for degree, m in moments]
+            decay = {center: _float(np.exp(_NEG_PI * (y_glue - center))) for center in centers}
+            principal = [_principal(y_glue, sines, decay[center], center, power, deriv) for center, power in rows]
             ray = far_plan(y)
             near, kernel = [], None
             for yb in _blocks(y, _NEAR_BLOCK_ELEMS // len(inv_u)):
@@ -410,16 +386,14 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
                     sums += [kernel[..., span].dot(w) for span, w in spans]
                 near.append(sums)
             integral = []  # per d, then per function: (value, bound) of the integral
-            for total, (principal, far, near_err) in zip(_gather(near, y.shape), integrals):
-                for c, i in principal:
-                    total = total + c * moment[i]
+            for total, (far, near_err) in zip(_gather(near, y.shape), integrals):
                 value, bound = combine([(c, ray[row]) for c, row in far])
                 integral.append((total + value, near_err + bound))
             parts = []
             for f, terms in enumerate(prefactors):
                 pref = 0
                 for c, i in terms:
-                    pref = pref + c * quotient[i]
+                    pref = pref + c * principal[i]
                 value, err = integral[f]
                 if deriv:
                     d_value, d_err = integral[f + len(prefactors)]

@@ -7,7 +7,6 @@ import math
 from functools import lru_cache
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +16,6 @@ from e8magic.radial import (
     _adaptive_gl,
     _ratio,
     _sines,
-    _unit_moment,
     contour_eval,
     eval_a,
     eval_b,
@@ -63,7 +61,7 @@ def test_g_coefficients_keep_the_bits_of_the_typed_constants():
 
 # (function, r, which, value.hex(), err.hex(), residual.hex()), kept by
 # tools/record_goldens.py --write, which last rewrote the rows whose values
-# moved on the child of 01a0a45 (one moment sum)
+# moved on the child of 62a4902 (the principal part over [1, oo))
 RADIAL_GOLDENS = json.loads((Path(__file__).parent / "radial_goldens.json").read_text())
 
 
@@ -91,8 +89,8 @@ def _seeded_radii() -> list[float]:
 # Rows (function, r, which, value.hex(), err.hex(), residual.hex()): g, ghat,
 # g', ghat', a and b at every seeded radius, and both contours at 8 of the
 # strata radii in [0.7, 3.1]; kept by tools/record_goldens.py --write, which
-# last rewrote the rows whose values moved on the child of 01a0a45 (one
-# moment sum)
+# last rewrote the rows whose values moved on the child of 62a4902 (the
+# principal part over [1, oo))
 SEEDED_GOLDENS = json.loads((Path(__file__).parent / "radial_seeded_goldens.json").read_text())
 
 
@@ -140,6 +138,15 @@ def test_g_nonpositive_beyond_sqrt2():
 def test_ghat_nonnegative():
     for r in np.linspace(0.16, 8.0, 50):
         assert eval_g(float(r), "ghat").value >= -1e-8, r
+
+
+def test_g_and_ghat_keep_their_signs_where_they_are_tiny():
+    """g <= 0 and ghat >= 0 exactly, not within a tolerance, at 4,001 radii
+    on [1.42, 12], where both fall below 1e-40: no cancellation floor may
+    hide their sign."""
+    radii = np.linspace(1.42, 12.0, 4001)
+    assert [r for r in radii if eval_g(float(r), "g").value > 0] == []
+    assert [r for r in radii if eval_g(float(r), "ghat").value < 0] == []
 
 
 def test_strict_nonvanishing_off_even_norms():
@@ -225,8 +232,8 @@ def dense_table(which):
 
 
 # sha256 of each dense table's grid then values (little-endian doubles),
-# written by tools/record_goldens.py --write on the child of 01a0a45 (one
-# moment sum)
+# written by tools/record_goldens.py --write on the child of 62a4902 (the
+# principal part over [1, oo))
 HANKEL_TABLE_SHA256 = json.loads((Path(__file__).parent / "hankel_table_goldens.json").read_text())
 
 
@@ -461,7 +468,7 @@ def test_a_value_that_is_not_finite_is_refused(fields):
 def test_an_invalid_operation_in_the_pass_is_a_numerical_failure(monkeypatch):
     """Only an invalid operation reaches the handler (overflows saturate), and
     the message names it; ArithmeticError is the CLI's exit 4."""
-    monkeypatch.setattr(radial, "_unit_moment", lambda p, beta: beta * 0.0 * np.inf)
+    monkeypatch.setattr(radial, "_ratio", lambda y, *_: np.float64(y) * 0.0 * np.inf)
     message = "invalid operation in a radial kernel at y = r^2 up to 1.69: invalid value encountered in scalar multiply"
     with pytest.raises(ArithmeticError) as caught:
         eval_g(1.3)
@@ -524,34 +531,6 @@ def test_quadrature_refuses_a_jump_it_cannot_resolve():
         _adaptive_gl(lambda x: (np.where(x < 1 / 3, 1.0, 0.0), np.zeros_like(x)), 0.0, 1.0, 1e-12)
 
 
-def test_unit_moment_taylor_branch_keeps_the_bits_of_26_terms():
-    """The Taylor branch stops once the terms cannot move the sum; every value
-    keeps the bits of the 26-term loop it replaced, which is kept here."""
-    rng = np.random.default_rng(7)
-    edge = float(np.nextafter(0.5, 0.0))
-    beta = np.concatenate((rng.uniform(-0.5, 0.5, 20000), [-edge, -0.25, -1e-300, -0.0, 0.0, 1e-300, 0.125, edge]))
-    for p in range(4):
-        taylor, term = np.zeros_like(beta), np.ones_like(beta)
-        for k in range(26):
-            taylor = taylor + term / (k + p + 1)
-            term = term * (-beta) / (k + 1)
-        assert np.array_equal(_unit_moment(p, beta), taylor), p
-
-
-
-def test_unit_moment_on_a_numpy_scalar_keeps_the_bits_of_the_masked_grid():
-    """A numpy scalar beta takes its branch whole; a grid that straddles
-    |beta| = 1/2 is split by a mask.  Both give the same bits at 20,000 beta
-    per degree, 1/2 and 1 ulp either side of it included."""
-    rng = np.random.default_rng(29)
-    half = [math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)]
-    beta = np.concatenate((rng.uniform(-1.0, 1.0, 20000 - 6), half, [-b for b in half]))
-    for p in range(4):
-        grid = _unit_moment(p, beta)
-        scalar = np.array([_unit_moment(p, b) for b in beta])
-        assert grid.tobytes() == scalar.tobytes(), p
-
-
 @pytest.mark.parametrize("center", [0.0, 2.0])
 @pytest.mark.parametrize("power", [1, 2])
 @pytest.mark.parametrize("deriv", [False, True])
@@ -571,42 +550,6 @@ def test_ratio_band_branch_keeps_its_bits_whole_and_masked(center, power, deriv)
     assert mixed[inside].tobytes() == whole.tobytes()
     assert mixed.tobytes() == scalar.tobytes()
 
-def test_unit_moment_matches_quadrature_on_both_branches():
-    """int_0^1 t^p e^{-beta t} dt from one array whose beta straddle +-1/2, so
-    the closed form (|beta| >= 1/2) and the Taylor branch run in one call.
-    The closed form cancels near |beta| = 1/2: 4e-14 relative for p = 3."""
-    beta = np.array([-40.0, -3.0, -0.5, -0.4999, -0.2, 0.0, 1e-9, 0.3, 0.4999, 0.5, 0.5001, 2.0, 60.0])
-    with mpmath.workdps(30):
-        for p in range(4):
-            for b, value in zip(beta, _unit_moment(p, beta)):
-                ref = mpmath.quad(lambda t: t**p * mpmath.exp(-mpmath.mpf(float(b)) * t), [0, 1])
-                assert abs(value - ref) <= 1e-12 * ref, (p, b)
-
-
-@pytest.mark.parametrize("p", range(5))
-def test_closed_moment_matches_50_digit_integrals(p):
-    """p! beta^-(p+1) - e^{-beta} S_p against int_0^1 t^p e^{-beta t} dt =
-    p!/beta^(p+1) (1 - e^{-beta} sum_{k<=p} beta^k/k!) at 50 digits, for p <= 4
-    at 60 beta log-uniform on [1/2, 1e3] and 60 uniform on [-2 pi, -1/2]
-    (beta = pi (y + m), m >= -2, as ``_unit_moment`` hands it over), the
-    ends included.  The error is within 32u of the two terms' magnitude, and
-    within 1e-12 relative for the degrees p <= 3 that ``_unit_moment``
-    takes; at p = 4 the cancellation near beta = 1/2 (about 4,800) costs up
-    to 1.5e-12 relative."""
-    rng = np.random.default_rng(47)
-    beta = np.concatenate(([0.5, 1e3, -0.5, -2 * math.pi], 10 ** rng.uniform(math.log10(0.5), 3, 60),
-                           rng.uniform(-2 * math.pi, -0.5, 60)))
-    with mpmath.workdps(50):
-        for b, value in zip(beta, radial._closed_moment(p, beta)):
-            mb = mpmath.mpf(float(b))
-            head = mpmath.fsum(mb**k / mpmath.factorial(k) for k in range(p + 1))
-            ref = mpmath.factorial(p) / mb ** (p + 1) * (1 - mpmath.exp(-mb) * head)
-            sums = mpmath.fsum(mpmath.factorial(p) / mpmath.factorial(p - k) / mb ** (k + 1) for k in range(p + 1))
-            scale = mpmath.factorial(p) / abs(mb) ** (p + 1) + mpmath.exp(-mb) * abs(sums)
-            assert abs(value - ref) <= 32 * 2.0**-53 * scale, (b, value, ref)
-            assert p == 4 or abs(value - ref) <= 1e-12 * abs(ref), (b, value, ref)
-
-
 # ---------------------------------------------------------------------------
 # error paths and soundness guards
 
@@ -616,9 +559,3 @@ def test_radial_values_compare_by_fields_and_do_not_hash():
     assert rv.__eq__(1.0) is NotImplemented and rv != (1.0, 0.5, 0.0)
     with pytest.raises(TypeError, match="unhashable"):
         hash(rv)
-
-
-@pytest.mark.parametrize("p", [-1, 4])
-def test_unit_moments_refuse_a_degree_outside_0_to_3(p):
-    with pytest.raises(ValueError, match="moment degree must be <= 3"):
-        _unit_moment(p, np.float64(1.0))

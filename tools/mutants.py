@@ -90,13 +90,17 @@ MUTANTS = [
            "None",
            "tests/test_qseries.py"),
     Mutant("ray-tail-factorial-one", "qfloat.py",
-           "factor = _falling_sums(1 / (2 * math.pi * series.order / EIGHTH), p)[0][p]",
-           "factor = sum(_falling_sums(1 / (2 * math.pi * series.order / EIGHTH), p)[1])",
+           "factor = _falling_sums(1 / (2 * math.pi * series.order / EIGHTH), p)[p]",
+           "factor = sum((2 * math.pi * series.order / EIGHTH) ** -(k + 1) for k in range(p + 1))",
            "tests/test_qseries.py"),
-    Mutant("closed-moment-head-one-degree-down", "radial.py",
-           "math.factorial(p) * powers[p]",
-           "math.factorial(p - 1) * powers[p - 1]",
-           "tests/test_radial.py"),
+    Mutant("principal-last-term-only", "radial.py",
+           "for (k, p, n), c in terms for j in range(p + 1))",
+           "for (k, p, n), c in terms for j in (p,))",
+           "tests/test_reference.py"),
+    Mutant("principal-deriv-pi-q-dropped", "radial.py",
+           "quotient = _ratio(y, sines, center, power, True) - _PI * quotient",
+           "quotient = _ratio(y, sines, center, power, True)",
+           "tests/test_reference.py"),
     Mutant("tail-flag-flipped", "certify.py",
            "eps.hi, eps.hi < 1.0)",
            "eps.hi, eps.hi >= 1.0)",
