@@ -28,20 +28,23 @@ checks the Fourier eigenfunction relations through a numerical Hankel
 transform of order 3, by the near range's 40-point Gauss-Legendre rule on 32
 equal panels of [0, 12].
 
-One pass over y = r^2 evaluates every function an evaluator needs (a and b
-for g), each y-dependent operation once, by a plan compiled on the first call
-(``_layout``): one e^{-pi (y + 2n)} per center and one principal row per
-(center, power), each of y's shape, each term reading its row by index with
-its coefficient folded in; one near kernel over the quadrature nodes of
-every function; and the rest of the far range is one ``qfloat.RayPlan``
-over all its rows (series, power), whose exponent grids share one exp, and
-where phi_0, phi_-2 and phi_-4 share one grid and so one set of closed
-forms, and d/dy rides along as the next power.  A single radius runs the
-same code: its leaves give Python floats, so the glue between numpy's
-transcendentals and dot products runs on Python floats.  The pass runs
-under one ``np.errstate``, where powers of y that overflow saturate to 0 and
-a NaN from numpy raises ArithmeticError; ``_radius_sq`` refuses a radius
-whose pi*y overflows.
+One pass over y = r^2 evaluates one integrand, each y-dependent operation
+once, by a plan compiled on the first call (``_layout``): a and b their own,
+and g and ghat the targets A and B whose signs the certificates prove,
+g = (pi/2160) sin^2(pi r^2/2) int_0^oo A(t) e^{-pi r^2 t} dt and ghat the
+same with B, that is -c_a times the pass of A or B (c_a from
+``modforms.special_values``).  The plan holds one e^{-pi (y + 2n)} per center
+and one principal row per (center, power), each of y's shape, each term
+reading its row by index with its coefficient folded in; one near kernel
+over the integrand's quadrature nodes; and the rest of the far range is one
+``qfloat.RayPlan`` over all its rows (series, power), whose exponent grids
+share one exp, and where phi_0, phi_-2 and phi_-4 share one grid and so one
+set of closed forms, and d/dy rides along as the next power.  A single radius
+runs the same code: its leaves give Python floats, so the glue between
+numpy's transcendentals and dot products runs on Python floats.  The pass
+runs under one ``np.errstate``, where powers of y that overflow saturate to
+0 and a NaN from numpy raises ArithmeticError; ``_radius_sq`` refuses a
+radius whose pi*y overflows.
 
 Every series value comes from ``qfloat.eval_at`` (the near range and the
 contour segments, one array of nodes per panel; the contour keeps its panels'
@@ -62,7 +65,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modforms import GROWTH_BOUNDS, FormId, build_form, chart_terms, eval_form, principal_part, special_values
+from .modforms import GROWTH_BOUNDS, TARGETS, FormId, build_form, chart_terms, eval_form, principal_part, special_values
 from .qfloat import RayPlan, _blocks, _gather, combine
 
 __all__ = [
@@ -112,18 +115,6 @@ class RadialValue:
 
     def __repr__(self) -> str:
         return f"RadialValue(value={self.value!r}, err={self.err!r}, residual={self.residual!r})"
-
-
-@lru_cache(maxsize=None)
-def _g_coeffs(which: str) -> tuple[float, float]:
-    """(c_a, c_b) of g = c_a Im a + c_b Im b, solved exactly from g(0) = 1 and
-    ghat'(sqrt2) = 0 by ``modforms.special_values`` on the first g or ghat
-    pass (which builds the chart series of both a and b, so a pass of a or b
-    alone builds only its own forms); ghat flips the sign of the b part
-    because a has Fourier eigenvalue +1 and b has eigenvalue -1."""
-    values = special_values()
-    ca, cb = float(values["c_a"]), float(values["c_b"])
-    return ca, cb if which == "g" else -cb
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +172,19 @@ def _adaptive_gl(f, lo: float, hi: float, tol: float):
 @lru_cache(maxsize=None)
 def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """1/u_j and -pi/u_j at the nodes u_j, y-independent weights
-    w_j * f(u_j) / u_j^2 for the near-range integral of a ('a') or b ('b'),
-    the whole integrand over t in [0, 1], built once by adaptive bisection at
-    y = 0 where the integrand is largest, and the weighted sum of the series
-    bounds, which bounds the error of the series for every y >= 0 (the kernel
-    e^{-pi y/u} is at most 1).  The u-chart integrand is c/pi^k u^p F(iu)."""
-    (form, c, k, p), = chart_terms(which, "u")
-    scale = c / _PI**k
+    w_j * f(u_j) / u_j^2 for the near-range integral of the integrand
+    ``which`` (a, b, A or B), the whole integrand over t in [0, 1], built once
+    by adaptive bisection at y = 0 where the integrand is largest, and the
+    weighted sum of the series bounds, which bounds the error of the series
+    for every y >= 0 (the kernel e^{-pi y/u} is at most 1).  The u-chart
+    integrand sums the terms c/pi^k u^p F(iu) of ``modforms.chart_terms``:
+    one for a and b, two for A and B."""
+    terms = chart_terms(which, "u")
 
     def integrand(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        series = eval_form(form, 1j * u)
-        return scale * series.value.real / u ** (2 - p), abs(scale) * series.tail_bound / u ** (2 - p)
+        parts = [(c / _PI**k, eval_form(form, 1j * u), u ** (2 - p)) for form, c, k, p in terms]
+        return (sum(scale * series.value.real / u_pow for scale, series, u_pow in parts),
+                sum(abs(scale) * series.tail_bound / u_pow for scale, series, u_pow in parts))
 
     u_max = 14.0  # series integrand decays like e^{-2 pi u}: below 1e-33 past here
     u, weights, values, bounds, _ = _adaptive_gl(integrand, 1.0, u_max, _QUAD_TOL)
@@ -291,73 +284,66 @@ def _principal(y: np.ndarray, sines, decay: np.ndarray, center: float, power: in
 # ---------------------------------------------------------------------------
 # core vectorized evaluator (y = r^2)
 
-# the functions each evaluator name needs: a or b alone, both for g and ghat
-_FUNCTIONS = {"a": ("a",), "b": ("b",), "g": ("a", "b"), "ghat": ("a", "b")}
+# the integrand of each evaluator name: a and b their own, g and ghat the
+# targets A and B of the certificates
+_FUNCTIONS = {"a": "a", "b": "b", "g": "A", "ghat": "B"}
 
 
 @lru_cache(maxsize=None)
-def _layout(names: tuple[str, ...], deriv: bool) -> tuple:
-    """The y-independent plan of one pass over y for the functions ``names``:
-    the centers of the principal terms, one e^{-pi (y - center)} each, and
-    the rows (center, power) of the principal prefactors of ``_principal``
-    (d/dy of each in a derivative pass), one per pair that any term reads, so
-    that at one radius each row is one Python float; the ``RayPlan`` of the
-    far-range rows (series, power, C); the near-range nodes 1/u_j and -pi/u_j
-    of every function in one row each, so that one exp forms every near
-    kernel, and per function its span of that row with its weights; per
-    function its prefactors (coefficient, row); and per d, then per
-    function, in the order of the near sums, its far-range parts
-    (coefficient, ray row) and near-range bound times pi^d.  Each row is
-    numbered when a term first reads it; rows are computed independently, so
-    their order moves no bit."""
-    orders = (0, 1) if deriv else (0,)
-    principal_rows, rays, nodes, spans, prefactors = {}, [], [], [], []
-    integrals = [[] for _ in orders]
-    for name in names:
-        inv_u, d_scale, w, near_err = _near_quadrature(name)
-        start = sum(len(x) for x, _ in nodes)
-        nodes.append((inv_u, d_scale))
-        spans.append((slice(start, start + len(w)), w))
-        for d in orders:
-            far = []
-            for form, c, k, j in chart_terms(name, "t"):
-                far.append((c / _PI**k * (-_PI) ** d, len(rays)))
-                rays.append((build_form(form), j + d, GROWTH_BOUNDS[form]))
-            integrals[d].append((tuple(far), near_err * _PI**d))
-        prefactors.append(tuple(
-            (c, principal_rows.setdefault((center, power), len(principal_rows)))
-            for c, center, power in _principal_part(principal_part(name))
-        ))
-    near_nodes = tuple(np.concatenate(column) for column in zip(*nodes))
-    centers = tuple(dict.fromkeys(center for center, _ in principal_rows))
-    return (centers, tuple(principal_rows), RayPlan(rays), near_nodes, tuple(spans), tuple(prefactors),
-            tuple(sum(integrals, [])))
+def _layout(name: str, deriv: bool) -> tuple:
+    """The y-independent plan of one pass over y for the integrand ``name``
+    (a, b, A or B): the centers of the principal terms, one
+    e^{-pi (y - center)} each, and the rows (center, power) of the principal
+    prefactors of ``_principal`` (d/dy of each in a derivative pass), one per
+    pair that a term reads, so that at one radius each row is one Python
+    float; the ``RayPlan`` of the far-range rows (series, power, C); the
+    near-range nodes 1/u_j and -pi/u_j with their weights; the prefactors
+    (coefficient, row); per d its far-range parts (coefficient, ray row) and
+    near-range bound times pi^d; and the scale of the pass, whose sum is
+    Im f / 4 for the integrand f: 4 for a and b, and -4 c_a for g and ghat,
+    which are c_a Im a +- c_b Im b = -c_a times the same sum over A and B
+    (c_b / c_a = 36/pi^2 is the b weight of ``TARGETS``).
+    Each row is numbered when a term first reads it; rows are computed
+    independently, so their order moves no bit."""
+    inv_u, d_scale, weights, near_err = _near_quadrature(name)
+    rays, integrals = [], []
+    for d in (0, 1) if deriv else (0,):
+        far = []
+        for form, c, k, j in chart_terms(name, "t"):
+            far.append((c / _PI**k * (-_PI) ** d, len(rays)))
+            rays.append((build_form(form), j + d, GROWTH_BOUNDS[form]))
+        integrals.append((tuple(far), near_err * _PI**d))
+    rows = {}
+    prefactors = tuple((c, rows.setdefault((center, power), len(rows)))
+                       for c, center, power in _principal_part(principal_part(name)))
+    centers = tuple(dict.fromkeys(center for center, _ in rows))
+    scale = -4.0 * float(special_values()["c_a"]) if name in TARGETS else 4.0
+    return centers, tuple(rows), RayPlan(rays), inv_u, d_scale, weights, prefactors, tuple(integrals), scale
 
 
 def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     """Im a, Im b, g or ghat (``which``) as a function of y = r^2, or its d/dy,
     and the bound on the error of its series part.
 
-    Im a / 4 and Im b / 4 are sin^2(pi y/2) times the near range, the whole
-    integrand over t in [0, 1], and the far range, its terms with n > 0 over
-    [1, oo), plus the principal part (``modforms.principal_part``) times
-    sin^2(pi y/2) over [1, oo) in closed form, continued in y
-    (``_principal_part``): nothing is subtracted, so nothing cancels.  The
-    near range is integrated by quadrature in the u = 1/t chart (its bound
-    holds for every y >= 0: the kernel is at most 1, its d/dy at most pi),
-    and the far range comes from ``RayPlan``.  One pass, laid out by
-    ``_layout``, serves every function ``which`` needs: one
-    e^{-pi (y - center)} per center and one principal row per (center,
-    power), each of y's shape; one near kernel over the nodes of every
-    function, formed per block of y in one buffer that the later blocks of a
-    grid reuse, with a dot product per function; and one ``RayPlan`` call
-    for the far range, with d/dy of the integral alongside it.  The assembly
-    is a few flat loops over the (coefficient, row) pairs of the layout.  At
-    one radius (y a numpy scalar) the leaves ``_sines``, ``_principal``,
-    ``_ratio`` and ``_power``, the quadrature sums and ``RayPlan`` give
-    Python floats, so the sums, ``combine`` and the assembly run on Python
-    floats, and numpy forms only the transcendentals and the dot products;
-    the result is a numpy scalar, as a grid's is an array.
+    Each is a scale times sin^2(pi y/2) times the near range of its integrand
+    (a, b, A or B), the whole integrand over t in [0, 1], and the far range,
+    its terms with n > 0 over [1, oo), plus the principal part
+    (``modforms.principal_part``) times sin^2(pi y/2) over [1, oo) in closed
+    form, continued in y (``_principal_part``): nothing is subtracted, so
+    nothing cancels.  The near range is integrated by quadrature in the
+    u = 1/t chart (its bound holds for every y >= 0: the kernel is at most 1,
+    its d/dy at most pi), and the far range comes from ``RayPlan``.  One
+    pass, laid out by ``_layout``, forms one e^{-pi (y - center)} per center
+    and one principal row per (center, power), each of y's shape; the near
+    kernel over the integrand's nodes, formed per block of y in one buffer
+    that the later blocks of a grid reuse, with one dot product; and one
+    ``RayPlan`` call for the far range, with d/dy of the integral alongside
+    it.  The assembly is a few flat loops over the (coefficient, row) pairs
+    of the layout.  At one radius (y a numpy scalar) the leaves ``_sines``,
+    ``_principal``, ``_ratio`` and ``_power``, the quadrature sums and
+    ``RayPlan`` give Python floats, so the sums, ``combine`` and the assembly
+    run on Python floats, and numpy forms only the transcendentals and the
+    dot products; the result is a numpy scalar, as a grid's is an array.
 
     The pass runs under one ``np.errstate``: a power of y that overflows
     saturates its quotient to 0, and an invalid operation of numpy (a NaN)
@@ -366,7 +352,7 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     """
     if which not in _FUNCTIONS:
         raise ValueError("which must be one of 'a', 'b', 'g', 'ghat'")
-    centers, rows, far_plan, (inv_u, d_scale), spans, prefactors, integrals = _layout(_FUNCTIONS[which], deriv)
+    centers, rows, far_plan, inv_u, d_scale, w, prefactors, integrals, scale = _layout(_FUNCTIONS[which], deriv)
     y_glue = _float(y)  # at one radius a Python float
     sines = s2, s2_prime = _sines(y_glue)
     try:
@@ -380,35 +366,27 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
                 kernel = yb * inv_u if kernel is None else np.multiply(yb, inv_u, out=kernel[:len(yb)])
                 kernel *= _NEG_PI
                 np.exp(kernel, out=kernel)
-                sums = [kernel[..., span].dot(w) for span, w in spans]
+                sums = [kernel.dot(w)]
                 if deriv:
                     np.multiply(kernel, d_scale, out=kernel)
-                    sums += [kernel[..., span].dot(w) for span, w in spans]
+                    sums.append(kernel.dot(w))
                 near.append(sums)
-            integral = []  # per d, then per function: (value, bound) of the integral
+            integral = []  # per d: (value, bound) of the integral
             for total, (far, near_err) in zip(_gather(near, y.shape), integrals):
                 value, bound = combine([(c, ray[row]) for c, row in far])
                 integral.append((total + value, near_err + bound))
-            parts = []
-            for f, terms in enumerate(prefactors):
-                pref = 0
-                for c, i in terms:
-                    pref = pref + c * principal[i]
-                value, err = integral[f]
-                if deriv:
-                    d_value, d_err = integral[f + len(prefactors)]
-                    parts.append((pref + s2_prime * value + s2 * d_value, abs(s2_prime) * err + s2 * d_err))
-                else:
-                    parts.append((pref + s2 * value, s2 * err))
+            pref = 0
+            for c, i in prefactors:
+                pref = pref + c * principal[i]
+            value, err = integral[0]
+            if deriv:
+                d_value, d_err = integral[1]
+                value, err = pref + s2_prime * value + s2 * d_value, abs(s2_prime) * err + s2 * d_err
+            else:
+                value, err = pref + s2 * value, s2 * err
     except FloatingPointError as exc:
         raise ArithmeticError(f"invalid operation in a radial kernel at y = r^2 up to {np.max(y):.6g}: {exc}") from None
-    if len(parts) == 1:
-        (value, err), = parts
-    else:
-        ca, cb = _g_coeffs(which)
-        (a_im, a_err), (b_im, b_err) = parts
-        value, err = ca * a_im + cb * b_im, abs(ca) * a_err + abs(cb) * b_err
-    return np.float64(4.0 * value), np.float64(4.0 * err)
+    return np.float64(scale * value), np.float64(abs(scale) * err)
 
 
 def _eval_err(value: float, series_err: float) -> float:

@@ -276,9 +276,10 @@ def test_importing_radial_computes_no_quadrature_rule(tmp_path):
 
 @pytest.mark.parametrize("fn,built", [("a", {"phi"}), ("b", {"psi"}), ("g", {"phi", "psi"})])
 def test_importing_radial_builds_no_series(tmp_path, fn, built):
-    """radial does no exact work at import, and c_a and c_b, which read the
-    chart series of both a and b, wait for the first g or ghat pass: a pass of
-    a builds no psi form, and one of b no phi (or varphi) form."""
+    """radial does no exact work at import, and a pass builds the forms of its
+    own integrand alone: a pass of a builds no psi form, one of b no phi (or
+    varphi) form, and one of g, whose integrand A (and its scale c_a) reads
+    both a and b, builds both."""
     body = (
         "import e8magic.modforms as modforms\n"
         "import e8magic.radial as radial\n"

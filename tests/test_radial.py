@@ -4,6 +4,7 @@ oracles (contour and Hankel) for the radial functions a, b, g, ghat."""
 import hashlib
 import json
 import math
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 
 from e8magic import qfloat, radial
 from e8magic.cli import EXIT_NUMERICAL_FAILURE, main
+from e8magic.modforms import TARGETS, Exact, special_values
 from e8magic.radial import (
     _adaptive_gl,
     _ratio,
@@ -52,16 +54,23 @@ def test_g_deriv_at_sqrt2():
     assert abs(eval_g_deriv(SQRT2, "ghat").value) <= 1e-8
 
 
-def test_g_coefficients_keep_the_bits_of_the_typed_constants():
-    """c_a and c_b, solved exactly, round as -pi/8640 and -1/(240 pi) did."""
-    c_a, c_b = radial._g_coeffs("g")
-    assert c_a.hex() == (-math.pi / 8640).hex()
-    assert c_b.hex() == (-1 / (240 * math.pi)).hex()
+def test_g_coefficients_are_the_target_weights_times_minus_c_a():
+    """c_a and c_b, solved exactly, round as -pi/8640 and -1/(240 pi) did; and
+    (c_a, c_b) and (c_a, -c_b) are -c_a times the a and b weights c / pi^k of
+    the targets A and B, so g = c_a Im a + c_b Im b = -c_a A and
+    ghat = c_a Im a - c_b Im b = -c_a B, the scale of their passes."""
+    values = special_values()
+    c_a, c_b = values["c_a"], values["c_b"]
+    assert float(c_a).hex() == (-math.pi / 8640).hex()
+    assert float(c_b).hex() == (-1 / (240 * math.pi)).hex()
+    for target, b_part in (("A", c_b), ("B", Exact(Fraction(-1)) * c_b)):
+        weights = [Exact(Fraction(c), -k) for _, c, k in TARGETS[target]]
+        assert [Exact(Fraction(-1)) * c_a * w for w in weights] == [c_a, b_part], target
 
 
 # (function, r, which, value.hex(), err.hex(), residual.hex()), kept by
 # tools/record_goldens.py --write, which last rewrote the rows whose values
-# moved on the child of 62a4902 (the principal part over [1, oo))
+# moved on the child of 5d47e33 (g and ghat integrate A and B)
 RADIAL_GOLDENS = json.loads((Path(__file__).parent / "radial_goldens.json").read_text())
 
 
@@ -78,7 +87,8 @@ def test_radial_values_match_goldens(call, r, which, value, err, residual):
 def _seeded_radii() -> list[float]:
     """The radii of ``radial_seeded_goldens.json``: one draw in each of 200
     strata of width 0.03 over [0, 6], 12 in each band |r^2 - 2n| < 1e-3 for
-    n = 1, 2, 3, and 14 in the Taylor band pi r^2 < 0.5."""
+    n = 1, 2, 3, and 14 with pi r^2 < 0.5 (the band of a Taylor branch the
+    pass no longer has, kept as data)."""
     rng = np.random.default_rng(1603)
     strata = [(i + rng.uniform()) * 0.03 for i in range(200)]
     bands = [math.sqrt(2 * n + rng.uniform(-1e-3, 1e-3)) for n in (1, 2, 3) for _ in range(12)]
@@ -89,8 +99,8 @@ def _seeded_radii() -> list[float]:
 # Rows (function, r, which, value.hex(), err.hex(), residual.hex()): g, ghat,
 # g', ghat', a and b at every seeded radius, and both contours at 8 of the
 # strata radii in [0.7, 3.1]; kept by tools/record_goldens.py --write, which
-# last rewrote the rows whose values moved on the child of 62a4902 (the
-# principal part over [1, oo))
+# last rewrote the rows whose values moved on the child of 5d47e33 (g and
+# ghat integrate A and B)
 SEEDED_GOLDENS = json.loads((Path(__file__).parent / "radial_seeded_goldens.json").read_text())
 
 
@@ -232,16 +242,15 @@ def dense_table(which):
 
 
 # sha256 of each dense table's grid then values (little-endian doubles),
-# written by tools/record_goldens.py --write on the child of 62a4902 (the
-# principal part over [1, oo))
+# written by tools/record_goldens.py --write on the child of 5d47e33 (g and
+# ghat integrate A and B; the a and b digests kept from the child of 62a4902)
 HANKEL_TABLE_SHA256 = json.loads((Path(__file__).parent / "hankel_table_goldens.json").read_text())
 
 
 @pytest.mark.parametrize("which", sorted(HANKEL_TABLE_SHA256))
 def test_hankel_tables_match_goldens(which):
     """The 12001-point tables run the vectorized path of every evaluator
-    (both branches of the singular ratios and of the unit moments) and keep
-    every bit."""
+    (both branches of the singular ratios) and keep every bit."""
     digest = hashlib.sha256()
     for arr in (DENSE_GRID, dense_table(which)):
         digest.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -323,6 +332,24 @@ def test_hankel_oracle_is_finite_at_the_ends_of_the_double_range():
         assert math.isfinite(hankel_fourier_oracle("a", s).value)
 
 
+def _gaussian_moment(which: str, t: float) -> float:
+    """M_f(t) = int_0^oo f(r) e^{-pi t r^2} r^7 dr by the Hankel oracle's
+    panel rule over its table of f."""
+    grid, values = radial._hankel_table(which)
+    return float(np.dot(radial._hankel_grid()[1] * grid**3, values * np.exp(-math.pi * t * grid**2)))
+
+
+@pytest.mark.parametrize("t", [0.3, 0.5, 0.7, 0.9, 1.3, 2.0, 3.0])
+def test_g_and_ghat_pair_with_gaussians_as_fourier_partners(t):
+    """ghat is g's Fourier transform on R^8, and t^-4 e^{-pi |x|^2/t} that of
+    e^{-pi t |x|^2}, so M_g(t) = t^-4 M_ghat(1/t), with no Bessel function.
+    g and ghat integrate different targets (A and B), so this does not hold
+    by construction.  The tolerance is typed, not derived from the table's
+    bounds (measured worst 4.1e-16)."""
+    g, ghat = _gaussian_moment("g", t), t**-4 * _gaussian_moment("ghat", 1 / t)
+    assert abs(g - ghat) <= 1e-13 * (abs(g) + abs(ghat)), (g, ghat)
+
+
 def test_hankel_g_zero_at_sqrt2():
     got = hankel_fourier_oracle("g", SQRT2)
     assert abs(got.value) <= got.err + 1e-6
@@ -390,7 +417,7 @@ def test_a_warm_radius_builds_one_radial_value_and_no_eval_result(monkeypatch):
 @pytest.mark.parametrize("deriv", [False, True])
 def test_a_warm_pass_enters_one_errstate(monkeypatch, deriv):
     """One warm eval_g or eval_g_deriv sets numpy's error state once, for its
-    whole pass, not once per quotient, moment and pass."""
+    whole pass, not once per principal row, ray row or near block."""
     evaluate = eval_g_deriv if deriv else eval_g
     evaluate(1.3)
     calls = []
@@ -415,11 +442,11 @@ SCALAR_CALLS = [
 
 @pytest.mark.parametrize("r", [1e78, 1e100, 5e153, 7.6e153, 1e154])
 def test_huge_radii_are_zero_within_their_bound(r):
-    """Past r ~ 1e77 the powers of y in the prefactors and of pi y in the unit
-    moments pass the double range; their quotients saturate to 0, so each
-    function is 0 within its bound instead of a numerical failure, until pi y
-    itself overflows, near r = 7.6e153: there every evaluator raises
-    ArithmeticError instead of running on with inf and NaN."""
+    """Past r ~ 1e77 the powers of y - center in the principal rows pass the
+    double range; their quotients saturate to 0, so each function is 0 within
+    its bound instead of a numerical failure, until pi y itself overflows,
+    near r = 7.6e153: there every evaluator raises ArithmeticError instead of
+    running on with inf and NaN."""
     for fn, which in SCALAR_CALLS:
         if math.pi * r * r > np.finfo(float).max:
             with pytest.raises(ArithmeticError, match="overflows a radial kernel"):
@@ -487,8 +514,9 @@ def test_fields_are_python_floats():
 def _branch_edge_radii() -> list[float]:
     """Radii one ulp either side of the edges where the pass picks a branch
     by a test on y: the singular band |y - 2n| = _SING_BAND (n = 1, 2, 3),
-    the Taylor band |pi (y + m)| = 1/2 of the unit moments (m = 0, -2), and
-    the radii 1e78 and 1e100, where powers of y saturate."""
+    and the radii 1e78 and 1e100, where powers of y saturate; and, kept as
+    data, the six radii one ulp either side of |pi (y - m)| = 1/2 (m = 0, 2),
+    the edges of a Taylor branch the pass no longer has."""
     edges = [2 * n + side * _SING for n in (1, 2, 3) for side in (-1, 1)]
     edges += [0.5 / math.pi, 2 + 0.5 / math.pi, 2 - 0.5 / math.pi]
     return [math.nextafter(math.sqrt(y), to) for y in edges for to in (0.0, math.inf)] + [1e78, 1e100]

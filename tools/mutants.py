@@ -101,6 +101,10 @@ MUTANTS = [
            "quotient = _ratio(y, sines, center, power, True) - _PI * quotient",
            "quotient = _ratio(y, sines, center, power, True)",
            "tests/test_reference.py"),
+    Mutant("ghat-scale-raised", "radial.py",
+           'scale = -4.0 * float(special_values()["c_a"]) if name in TARGETS else 4.0',
+           'scale = -4.0 * float(special_values()["c_a"]) * (1 + 1e-9 * (name == "B")) if name in TARGETS else 4.0',
+           "tests/test_radial.py"),
     Mutant("tail-flag-flipped", "certify.py",
            "eps.hi, eps.hi < 1.0)",
            "eps.hi, eps.hi >= 1.0)",
