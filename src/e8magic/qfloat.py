@@ -316,7 +316,8 @@ class RayPlan:
                 grid = np.matmul(m[:grid_powers, ..., span].reshape(1, grid_powers, -1, stack.shape[2]), stack)
                 products += grid.ravel().tolist() if y.ndim == 0 else list(grid.reshape(-1, len(yb)))
             blocks.append(self.pick(products))
-        sums = _gather(blocks, y.shape) if y.ndim else blocks[0]  # each row's three sums, floats at one y
+        # each row's three sums, joined over the blocks into arrays of y's shape; floats at one y
+        sums = [np.concatenate(column).reshape(y.shape) for column in zip(*blocks)] if y.ndim else blocks[0]
         flat = y if y.ndim else float(y)
         decay = np.exp((-math.pi) * flat)  # e^{-pi y}: numpy takes a float faster than a 0-d array
         decay = decay if y.ndim else float(decay)
@@ -329,19 +330,9 @@ class RayPlan:
 def _blocks(y, size: int) -> list:
     """The blocks of a pass over y: a 0-d y is one block, as a 0-d array
     (numpy takes an array operand faster than a scalar); an array is cut into
-    columns of ``size`` values, so the pass's arrays stay small.  ``_gather``
-    joins the results of the blocks."""
+    columns of ``size`` values, so the pass's arrays stay small."""
     if y.ndim == 0:
         return [y[...]]  # a 0-d array, also of a numpy scalar
     flat = y.reshape(-1, 1)
     return [flat[lo:lo + size] for lo in range(0, y.size, size)]
 
-
-def _gather(blocks, shape: tuple) -> list:
-    """The per-block results of a pass over y (per block, one value or array
-    per quantity), joined quantity by quantity into arrays of y's shape; at a
-    0-d y, the one block's as Python floats."""
-    if not shape:
-        block, = blocks
-        return list(map(float, block))
-    return [np.concatenate(column).reshape(shape) for column in zip(*blocks)]

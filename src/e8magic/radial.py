@@ -11,7 +11,9 @@ transform are evaluated through their single-integral representations
             + int_0^oo (psi_I(it) - 144 - e^{2pi t}) e^{-pi r^2 t} dt ),
 
 with the Laplace integrals split at t = 1.  The near range [0, 1] is the whole
-integrand: it substitutes u = 1/t and uses adaptive Gauss-Legendre panels.
+integrand: it substitutes u = 1/t and integrates over u in [1, 14] by the
+40-point Gauss-Legendre rule on 4 equal panels (``_panel_rule``), the same
+160 nodes for every integrand.
 The far range [1, oo) integrates the q-expansions termwise in closed form:
 the terms with n > 0 by ``qfloat.RayPlan``, and the principal part (the
 terms with n <= 0, ``modforms.principal_part``, whence the constants above)
@@ -25,8 +27,7 @@ and derivatives are obtained by differentiating the representations
 analytically.  Two independent oracles are provided: ``contour_eval``
 integrates the defining contours directly, and ``hankel_fourier_oracle``
 checks the Fourier eigenfunction relations through a numerical Hankel
-transform of order 3, by the near range's 40-point Gauss-Legendre rule on 32
-equal panels of [0, 12].
+transform of order 3, by the same panel rule on 32 equal panels of [0, 12].
 
 One pass over y = r^2 evaluates one integrand, each y-dependent operation
 once, by a plan compiled on the first call (``_layout``): a and b their own,
@@ -36,7 +37,7 @@ same with B, that is -c_a times the pass of A or B (c_a from
 ``modforms.special_values``).  The plan holds one e^{-pi (y + 2n)} per center
 and one principal row per (center, power), each of y's shape, each term
 reading its row by index with its coefficient folded in; one near kernel
-over the integrand's quadrature nodes; and the rest of the far range is one
+e^{-pi y/u_j} over the 160 nodes; and the rest of the far range is one
 ``qfloat.RayPlan`` over all its rows (series, power), whose exponent grids
 share one exp, and where phi_0, phi_-2 and phi_-4 share one grid and so one
 set of closed forms, and d/dy rides along as the next power.  A single radius
@@ -46,10 +47,10 @@ runs under one ``np.errstate``, where powers of y that overflow saturate to
 0 and a NaN from numpy raises ArithmeticError; ``_radius_sq`` refuses a
 radius whose pi*y overflows.
 
-Every series value comes from ``qfloat.eval_at`` (the near range and the
-contour segments, one array of nodes per panel; the contour keeps its panels'
-values, which do not depend on r) or a ``RayPlan`` (the far range and the
-contour's vertical ray), so each error estimate here carries their bound on
+Every series value comes from ``qfloat.eval_at`` (the near range over its
+160 nodes at once, and the contour segments, one array of nodes per panel;
+the contour keeps its panels' values, which do not depend on r) or a
+``RayPlan`` (the far range and the contour's vertical ray), so each error estimate here carries their bound on
 truncation and roundoff, integrated against the quadrature weights.  Each
 argument has Im z >= 1/2 (iu, it with u, t >= 1; -1/w on the contour), where
 q^64, the catalog's one order, suffices.
@@ -66,7 +67,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modforms import GROWTH_BOUNDS, TARGETS, FormId, build_form, chart_terms, eval_form, principal_part, special_values
-from .qfloat import RayPlan, _blocks, _gather, combine
+from .qfloat import RayPlan, combine
 
 __all__ = [
     "RadialValue",
@@ -81,9 +82,6 @@ __all__ = [
 _PI = math.pi
 _QUAD_TOL = 1e-12
 _SING_BAND = 1e-3
-# near kernel elements per block of a pass over y: a block's length moves the
-# bits of its last rows' sums, and the 12,001-point golden tables keep those of 2^18
-_NEAR_BLOCK_ELEMS = 1 << 18
 # -pi as a 0-d array, which numpy takes faster than a float
 _NEG_PI = np.array(-_PI)
 
@@ -118,77 +116,54 @@ class RadialValue:
 
 
 # ---------------------------------------------------------------------------
-# near range (0, 1]: substitute u = 1/t and integrate over u in [1, oo)
+# near range (0, 1]: substitute u = 1/t and integrate over u in [1, 14]
 
-# bisection depth at which an unconverged panel is a numerical failure
-_MAX_DEPTH = 24
+# the near range u = 1/t in [1, _NEAR_U_MAX] on _NEAR_PANELS equal panels: the
+# integrands decay like e^{-2 pi u}, below 1e-33 past u = 14, and 4 panels agree
+# with 16 to 3.3e-15 relative (tests/test_radial.py)
+_NEAR_U_MAX = 14.0
+_NEAR_PANELS = 4
 
 
 @lru_cache(maxsize=None)
 def _gauss_legendre_40() -> tuple[np.ndarray, np.ndarray]:
-    """The 40-point Gauss-Legendre rule on [-1, 1], made on the first
-    quadrature, so importing loads neither numpy.polynomial nor LAPACK: in a
-    fresh process that first call takes about 3.7 ms on a 2-vCPU VM, 2.7 ms of
-    it the import of numpy.polynomial and the rest the eigenvalue solve."""
-    return np.polynomial.legendre.leggauss(40)
+    """The 40-point Gauss-Legendre rule on [-1, 1]: the nodes of numpy's
+    ``leggauss`` and the weights 2 / ((1 - x^2) P_40'(x)^2) at them, within
+    5.2e-14 relative of a 40-digit rule (``leggauss``'s own, from derivatives
+    taken before its Newton step, are off by 7.0e-13 at the ends).  Made on
+    the first quadrature, so importing loads neither numpy.polynomial nor
+    LAPACK: in a fresh process that first call takes about 3.7 ms on a
+    2-vCPU VM, 2.7 ms of it the import of numpy.polynomial and the rest the
+    eigenvalue solve."""
+    legendre = np.polynomial.legendre
+    x = legendre.leggauss(40)[0]
+    return x, 2 / ((1 - x) * (1 + x) * legendre.legval(x, legendre.legder([0] * 40 + [1])) ** 2)
 
 
-def _adaptive_gl(f, lo: float, hi: float, tol: float):
-    """Adaptive Gauss-Legendre quadrature over [lo, hi].
-
-    ``f(x)`` returns the integrand (real or complex) at an array of nodes and
-    a bound on its error there.  A panel is accepted, as its two halves, once
-    the degree-40 estimates of the halves sum to its own within tol; a panel
-    still unconverged at depth ``_MAX_DEPTH`` raises ArithmeticError.  Returns
-    the nodes, weights, integrand values and bounds of the accepted halves, in
-    increasing order of the nodes, and the sum of their estimates' changes.
-    """
+def _panel_rule(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes, in increasing order, and the weights of the 40-point rule on
+    ``panels`` equal panels of [lo, hi]."""
     x0, w0 = _gauss_legendre_40()
-
-    def panel(a: float, b: float):
-        half = 0.5 * (b - a)
-        x = a + half * (x0 + 1.0)
-        values, bounds = f(x)
-        return half * np.dot(w0, values), (x, half * w0, values, bounds)
-
-    accepted, err = [], 0.0
-    stack = [(lo, hi, panel(lo, hi)[0], 0)]
-    while stack:  # depth first, left half first: panels come out in order
-        a, b, coarse, depth = stack.pop()
-        m = 0.5 * (a + b)
-        (left, left_nodes), (right, right_nodes) = panel(a, m), panel(m, b)
-        delta = abs(left + right - coarse)
-        if delta < tol:
-            accepted += [left_nodes, right_nodes]
-            err += delta
-        elif depth >= _MAX_DEPTH:
-            raise ArithmeticError(f"quadrature failed to converge on panel [{a!r}, {b!r}]")
-        else:
-            stack += [(m, b, right, depth + 1), (a, m, left, depth + 1)]
-    nodes, weights, values, bounds = (np.concatenate(arrays) for arrays in zip(*accepted))
-    return nodes, weights, values, bounds, err
+    h = 0.5 * (hi - lo) / panels  # half a panel
+    nodes = (lo + 2 * h * np.arange(panels)[:, None] + h * (x0 + 1.0)).ravel()
+    return nodes, np.tile(h * w0, panels)
 
 
 @lru_cache(maxsize=None)
-def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """1/u_j and -pi/u_j at the nodes u_j, y-independent weights
-    w_j * f(u_j) / u_j^2 for the near-range integral of the integrand
-    ``which`` (a, b, A or B), the whole integrand over t in [0, 1], built once
-    by adaptive bisection at y = 0 where the integrand is largest, and the
-    weighted sum of the series bounds, which bounds the error of the series
-    for every y >= 0 (the kernel e^{-pi y/u} is at most 1).  The u-chart
-    integrand sums the terms c/pi^k u^p F(iu) of ``modforms.chart_terms``:
-    one for a and b, two for A and B."""
-    terms = chart_terms(which, "u")
-
-    def integrand(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        parts = [(c / _PI**k, eval_form(form, 1j * u), u ** (2 - p)) for form, c, k, p in terms]
-        return (sum(scale * series.value.real / u_pow for scale, series, u_pow in parts),
-                sum(abs(scale) * series.tail_bound / u_pow for scale, series, u_pow in parts))
-
-    u_max = 14.0  # series integrand decays like e^{-2 pi u}: below 1e-33 past here
-    u, weights, values, bounds, _ = _adaptive_gl(integrand, 1.0, u_max, _QUAD_TOL)
-    return 1.0 / u, -_PI / u, weights * values, float(np.dot(weights, bounds))
+def _near_quadrature(which: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """-pi/u_j at the nodes u_j of ``_panel_rule`` on [1, _NEAR_U_MAX], the
+    same for every integrand, y-independent weights w_j * f(u_j) / u_j^2 for
+    the near-range integral of the integrand ``which`` (a, b, A or B), the
+    whole integrand over t in [0, 1], and the weighted sum of the series
+    bounds, which bounds the error of the series for every y >= 0 (the kernel
+    e^{-pi y/u} is at most 1).  The u-chart integrand sums the terms
+    c/pi^k u^p F(iu) of ``modforms.chart_terms``: one for a and b, two for A
+    and B, each one ``eval_form`` call over all the nodes."""
+    u, weights = _panel_rule(1.0, _NEAR_U_MAX, _NEAR_PANELS)
+    parts = [(c / _PI**k, eval_form(form, 1j * u), u ** (2 - p)) for form, c, k, p in chart_terms(which, "u")]
+    values = sum(scale * series.value.real / u_pow for scale, series, u_pow in parts)
+    bounds = sum(abs(scale) * series.tail_bound / u_pow for scale, series, u_pow in parts)
+    return -_PI / u, weights * values, float(np.dot(weights, bounds))
 
 
 def _float(x):
@@ -297,28 +272,28 @@ def _layout(name: str, deriv: bool) -> tuple:
     prefactors of ``_principal`` (d/dy of each in a derivative pass), one per
     pair that a term reads, so that at one radius each row is one Python
     float; the ``RayPlan`` of the far-range rows (series, power, C); the
-    near-range nodes 1/u_j and -pi/u_j with their weights; the prefactors
-    (coefficient, row); per d its far-range parts (coefficient, ray row) and
-    near-range bound times pi^d; and the scale of the pass, whose sum is
-    Im f / 4 for the integrand f: 4 for a and b, and -4 c_a for g and ghat,
+    near-range exponents -pi/u_j; the prefactors (coefficient, row); per d
+    its far-range parts (coefficient, ray row), its near-range weights (those
+    of ``_near_quadrature`` times (-pi/u_j)^d) and near-range bound times
+    pi^d; and the scale of the pass, whose sum is Im f / 4 for the integrand f: 4 for a and b, and -4 c_a for g and ghat,
     which are c_a Im a +- c_b Im b = -c_a times the same sum over A and B
     (c_b / c_a = 36/pi^2 is the b weight of ``TARGETS``).
     Each row is numbered when a term first reads it; rows are computed
     independently, so their order moves no bit."""
-    inv_u, d_scale, weights, near_err = _near_quadrature(name)
+    neg_pi_u, weights, near_err = _near_quadrature(name)
     rays, integrals = [], []
     for d in (0, 1) if deriv else (0,):
         far = []
         for form, c, k, j in chart_terms(name, "t"):
             far.append((c / _PI**k * (-_PI) ** d, len(rays)))
             rays.append((build_form(form), j + d, GROWTH_BOUNDS[form]))
-        integrals.append((tuple(far), near_err * _PI**d))
+        integrals.append((tuple(far), weights * neg_pi_u**d, near_err * _PI**d))
     rows = {}
     prefactors = tuple((c, rows.setdefault((center, power), len(rows)))
                        for c, center, power in _principal_part(principal_part(name)))
     centers = tuple(dict.fromkeys(center for center, _ in rows))
     scale = -4.0 * float(special_values()["c_a"]) if name in TARGETS else 4.0
-    return centers, tuple(rows), RayPlan(rays), inv_u, d_scale, weights, prefactors, tuple(integrals), scale
+    return centers, tuple(rows), RayPlan(rays), neg_pi_u, prefactors, tuple(integrals), scale
 
 
 def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -335,15 +310,15 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     its d/dy at most pi), and the far range comes from ``RayPlan``.  One
     pass, laid out by ``_layout``, forms one e^{-pi (y - center)} per center
     and one principal row per (center, power), each of y's shape; the near
-    kernel over the integrand's nodes, formed per block of y in one buffer
-    that the later blocks of a grid reuse, with one dot product; and one
-    ``RayPlan`` call for the far range, with d/dy of the integral alongside
-    it.  The assembly is a few flat loops over the (coefficient, row) pairs
-    of the layout.  At one radius (y a numpy scalar) the leaves ``_sines``,
-    ``_principal``, ``_ratio`` and ``_power``, the quadrature sums and
-    ``RayPlan`` give Python floats, so the sums, ``combine`` and the assembly
-    run on Python floats, and numpy forms only the transcendentals and the
-    dot products; the result is a numpy scalar, as a grid's is an array.
+    kernel e^{-pi y/u_j}, y's shape times the 160 nodes, with one dot product
+    per d; and one ``RayPlan`` call for the far range, with d/dy of the
+    integral alongside it.  The assembly is a few flat loops over the
+    (coefficient, row) pairs of the layout.  At one radius (y a numpy
+    scalar) the leaves ``_sines``, ``_principal``, ``_ratio`` and ``_power``,
+    the quadrature sums and ``RayPlan`` give Python floats, so the sums,
+    ``combine`` and the assembly run on Python floats, and numpy forms only
+    the transcendentals and the dot products; the result is a numpy scalar,
+    as a grid's is an array.
 
     The pass runs under one ``np.errstate``: a power of y that overflows
     saturates its quotient to 0, and an invalid operation of numpy (a NaN)
@@ -352,7 +327,7 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
     """
     if which not in _FUNCTIONS:
         raise ValueError("which must be one of 'a', 'b', 'g', 'ghat'")
-    centers, rows, far_plan, inv_u, d_scale, w, prefactors, integrals, scale = _layout(_FUNCTIONS[which], deriv)
+    centers, rows, far_plan, neg_pi_u, prefactors, integrals, scale = _layout(_FUNCTIONS[which], deriv)
     y_glue = _float(y)  # at one radius a Python float
     sines = s2, s2_prime = _sines(y_glue)
     try:
@@ -360,21 +335,12 @@ def _g(y: np.ndarray, which: str, deriv: bool) -> tuple[np.ndarray, np.ndarray]:
             decay = {center: _float(np.exp(_NEG_PI * (y_glue - center))) for center in centers}
             principal = [_principal(y_glue, sines, decay[center], center, power, deriv) for center, power in rows]
             ray = far_plan(y)
-            near, kernel = [], None
-            for yb in _blocks(y, _NEAR_BLOCK_ELEMS // len(inv_u)):
-                # the later blocks of a grid reuse the first block's buffer
-                kernel = yb * inv_u if kernel is None else np.multiply(yb, inv_u, out=kernel[:len(yb)])
-                kernel *= _NEG_PI
-                np.exp(kernel, out=kernel)
-                sums = [kernel.dot(w)]
-                if deriv:
-                    np.multiply(kernel, d_scale, out=kernel)
-                    sums.append(kernel.dot(w))
-                near.append(sums)
+            kernel = np.multiply.outer(y, neg_pi_u)
+            np.exp(kernel, out=kernel)
             integral = []  # per d: (value, bound) of the integral
-            for total, (far, near_err) in zip(_gather(near, y.shape), integrals):
+            for far, near_w, near_err in integrals:
                 value, bound = combine([(c, ray[row]) for c, row in far])
-                integral.append((total + value, near_err + bound))
+                integral.append((_float(kernel.dot(near_w)) + value, near_err + bound))
             pref = 0
             for c, i in prefactors:
                 pref = pref + c * principal[i]
@@ -443,6 +409,8 @@ def eval_g_deriv(r: float, which: str = "g") -> RadialValue:
 # ---------------------------------------------------------------------------
 # oracle 1: the defining contour integrals
 
+# bisection depth at which an unconverged contour panel is a numerical failure
+_MAX_DEPTH = 24
 # panels kept by ``_panel_series``, about 1.8 kB each: four radii in [0.69, 3.1] use 186
 _PANEL_MEMO_SIZE = 384
 
@@ -451,6 +419,39 @@ _PANEL_MEMO_SIZE = 384
 # segment is evaluated at its cusp w = 0: the smallest node, on a panel at
 # depth _MAX_DEPTH, is about 2.6e-11.
 _SEGMENTS = ((-1.0, 1.0 + 1j, 1.0), (1.0, -1.0 + 1j, 1.0), (0.0, 1j, -2.0))
+
+
+def _adaptive_gl(f, lo: float, hi: float, tol: float) -> tuple:
+    """Adaptive Gauss-Legendre quadrature over [lo, hi].
+
+    ``f(x)`` returns the integrand (real or complex) at an array of nodes and
+    a bound on its error there.  A panel is accepted, as its two halves, once
+    the degree-40 estimates of the halves sum to its own within tol; a panel
+    still unconverged at depth ``_MAX_DEPTH`` raises ArithmeticError.  Returns
+    the integral and the integrated bound, summed over the accepted halves in
+    increasing order, and the sum of their estimates' changes.
+    """
+    x0, w0 = _gauss_legendre_40()
+
+    def panel(a: float, b: float):
+        half = 0.5 * (b - a)
+        values, bounds = f(a + half * (x0 + 1.0))
+        return half * np.dot(w0, values), half * np.dot(w0, bounds)
+
+    integral = bound = err = 0.0
+    stack = [(lo, hi, panel(lo, hi)[0], 0)]
+    while stack:  # depth first, left half first: panels come out in order
+        a, b, coarse, depth = stack.pop()
+        m = 0.5 * (a + b)
+        (left, left_bound), (right, right_bound) = panel(a, m), panel(m, b)
+        delta = abs(left + right - coarse)
+        if delta < tol:
+            integral, bound, err = integral + left + right, bound + left_bound + right_bound, err + delta
+        elif depth >= _MAX_DEPTH:
+            raise ArithmeticError(f"quadrature failed to converge on panel [{a!r}, {b!r}]")
+        else:
+            stack += [(m, b, right, depth + 1), (a, m, left, depth + 1)]
+    return integral, bound, err
 
 
 @lru_cache(maxsize=_PANEL_MEMO_SIZE)
@@ -494,10 +495,10 @@ def contour_eval(r: float, which: str = "a") -> RadialValue:
             scale = w**2 * np.exp(1j * _PI * y * z) * dz
             return value * scale, bound * np.abs(scale)
 
-        _, weights, values, bounds, err = _adaptive_gl(f, 0.0, 1.0, 1e-13)
-        finite = finite + weight * complex(np.dot(weights, values))
+        integral, bound, err = _adaptive_gl(f, 0.0, 1.0, 1e-13)
+        finite = finite + weight * complex(integral)
         quad_err = quad_err + abs(weight) * err
-        series_err = series_err + abs(weight) * float(np.dot(weights, bounds))
+        series_err = series_err + abs(weight) * float(bound)
     # b's three finite segments take the opposite sign to a's, and its ray
     # piece the same: with that orientation b's contour deforms onto the
     # imaginary axis as 4i sin^2(pi r^2/2) int psi_I(it) e^{-pi r^2 t} dt, the
@@ -522,12 +523,10 @@ _HANKEL_S_MIN, _HANKEL_S_MAX = (2 * _PI / np.finfo(float).max) ** (1 / 3), np.fi
 
 @lru_cache(maxsize=None)
 def _hankel_grid() -> tuple[np.ndarray, np.ndarray]:
-    """The tabulation nodes r_j, those of ``_gauss_legendre_40`` on equal
-    panels of [0, _HANKEL_R_MAX], and the rule's weights times r_j^4."""
-    x0, w0 = _gauss_legendre_40()
-    h = 0.5 * _HANKEL_R_MAX / _HANKEL_PANELS  # half a panel
-    grid = (2 * h * np.arange(_HANKEL_PANELS)[:, None] + h * (x0 + 1.0)).ravel()
-    return grid, np.tile(h * w0, _HANKEL_PANELS) * grid**4
+    """The tabulation nodes r_j, those of ``_panel_rule`` on [0, _HANKEL_R_MAX],
+    and the rule's weights times r_j^4."""
+    grid, weights = _panel_rule(0.0, _HANKEL_R_MAX, _HANKEL_PANELS)
+    return grid, weights * grid**4
 
 
 @lru_cache(maxsize=None)

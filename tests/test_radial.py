@@ -70,7 +70,8 @@ def test_g_coefficients_are_the_target_weights_times_minus_c_a():
 
 # (function, r, which, value.hex(), err.hex(), residual.hex()), kept by
 # tools/record_goldens.py --write, which last rewrote the rows whose values
-# moved on the child of 5d47e33 (g and ghat integrate A and B)
+# moved or errs grew on the child of 13cd2fd (the near range on 4 fixed panels
+# of the 40-point rule with recomputed weights)
 RADIAL_GOLDENS = json.loads((Path(__file__).parent / "radial_goldens.json").read_text())
 
 
@@ -99,8 +100,9 @@ def _seeded_radii() -> list[float]:
 # Rows (function, r, which, value.hex(), err.hex(), residual.hex()): g, ghat,
 # g', ghat', a and b at every seeded radius, and both contours at 8 of the
 # strata radii in [0.7, 3.1]; kept by tools/record_goldens.py --write, which
-# last rewrote the rows whose values moved on the child of 5d47e33 (g and
-# ghat integrate A and B)
+# last rewrote the rows whose values moved or errs grew on the child of
+# 13cd2fd (the near range on 4 fixed panels of the 40-point rule with
+# recomputed weights)
 SEEDED_GOLDENS = json.loads((Path(__file__).parent / "radial_seeded_goldens.json").read_text())
 
 
@@ -242,8 +244,8 @@ def dense_table(which):
 
 
 # sha256 of each dense table's grid then values (little-endian doubles),
-# written by tools/record_goldens.py --write on the child of 5d47e33 (g and
-# ghat integrate A and B; the a and b digests kept from the child of 62a4902)
+# written by tools/record_goldens.py --write on the child of 13cd2fd (the
+# near range on 4 fixed panels of the 40-point rule with recomputed weights)
 HANKEL_TABLE_SHA256 = json.loads((Path(__file__).parent / "hankel_table_goldens.json").read_text())
 
 
@@ -340,14 +342,19 @@ def _gaussian_moment(which: str, t: float) -> float:
 
 
 @pytest.mark.parametrize("t", [0.3, 0.5, 0.7, 0.9, 1.3, 2.0, 3.0])
-def test_g_and_ghat_pair_with_gaussians_as_fourier_partners(t):
-    """ghat is g's Fourier transform on R^8, and t^-4 e^{-pi |x|^2/t} that of
-    e^{-pi t |x|^2}, so M_g(t) = t^-4 M_ghat(1/t), with no Bessel function.
-    g and ghat integrate different targets (A and B), so this does not hold
-    by construction.  The tolerance is typed, not derived from the table's
-    bounds (measured worst 4.1e-16)."""
-    g, ghat = _gaussian_moment("g", t), t**-4 * _gaussian_moment("ghat", 1 / t)
-    assert abs(g - ghat) <= 1e-13 * (abs(g) + abs(ghat)), (g, ghat)
+@pytest.mark.parametrize("f,partner,sign,tol", [("g", "ghat", 1, 1e-13), ("a", "a", 1, 1e-13), ("b", "b", -1, 1e-12)],
+                         ids=["g", "a", "b"])
+def test_g_and_ghat_pair_with_gaussians_as_fourier_partners(f, partner, sign, tol, t):
+    """ghat is g's Fourier transform on R^8, a its own and b minus its own,
+    and t^-4 e^{-pi |x|^2/t} is that of e^{-pi t |x|^2}, so
+    M_g(t) = t^-4 M_ghat(1/t), M_a(t) = t^-4 M_a(1/t) and
+    M_b(t) = -t^-4 M_b(1/t), with no Bessel function.  g and ghat integrate
+    different targets (A and B), and a's and b's relations tie their near
+    ranges to their far ranges, so none holds by construction.  The
+    tolerances are typed, not derived from the tables' bounds (measured worst
+    7.4e-16 for g, 1.9e-16 for a and 7.2e-14 for b)."""
+    own, other = _gaussian_moment(f, t), sign * t**-4 * _gaussian_moment(partner, 1 / t)
+    assert abs(own - other) <= tol * (abs(own) + abs(other)), (own, other)
 
 
 def test_hankel_g_zero_at_sqrt2():
@@ -417,7 +424,7 @@ def test_a_warm_radius_builds_one_radial_value_and_no_eval_result(monkeypatch):
 @pytest.mark.parametrize("deriv", [False, True])
 def test_a_warm_pass_enters_one_errstate(monkeypatch, deriv):
     """One warm eval_g or eval_g_deriv sets numpy's error state once, for its
-    whole pass, not once per principal row, ray row or near block."""
+    whole pass, not once per principal row or ray row."""
     evaluate = eval_g_deriv if deriv else eval_g
     evaluate(1.3)
     calls = []
@@ -540,16 +547,67 @@ def test_a_radius_runs_as_its_one_point_grid_bit_for_bit(which, deriv):
     assert not changed
 
 
-def test_quadrature_bisects_to_a_peak_and_keeps_the_nodes_in_order():
+def test_quadrature_bisects_to_a_peak_and_sums_the_integral_and_its_bound():
     c = 1e-3
-    nodes, weights, values, bounds, err = _adaptive_gl(
-        lambda x: (1 / (c + (x - 0.7) ** 2), np.full_like(x, 1e-20)), 0.0, 2.0, 1e-12
-    )
+    panels = []
+
+    def f(x):
+        panels.append(x)
+        return 1 / (c + (x - 0.7) ** 2), np.full_like(x, 1e-20)
+
+    integral, bound, err = _adaptive_gl(f, 0.0, 2.0, 1e-12)
     exact = (math.atan(1.3 / math.sqrt(c)) + math.atan(0.7 / math.sqrt(c))) / math.sqrt(c)
-    assert len(nodes) > 80  # the peak forced bisection
-    assert np.all(np.diff(nodes) > 0)
-    assert abs(np.dot(weights, values) - exact) < 1e-12 + err
-    assert abs(np.dot(weights, bounds) - 2e-20) < 1e-30
+    assert len(panels) > 3  # the peak forced bisection
+    assert abs(integral - exact) < 1e-12 + err
+    assert abs(bound - 2e-20) < 1e-30
+
+
+def test_gauss_legendre_weights_match_a_40_digit_rule():
+    """Each weight is within 1e-13 relative of 2 / ((1 - x^2) P_40'(x)^2) at
+    the node refined to 40 digits by Newton's method (measured 5.2e-14;
+    numpy's leggauss weights are off by 7.0e-13)."""
+    import mpmath
+
+    x, w = radial._gauss_legendre_40()
+    with mpmath.workdps(40):
+        def p40_prime(z):
+            return 40 * (z * mpmath.legendre(40, z) - mpmath.legendre(39, z)) / (z * z - 1)
+
+        for node, weight in zip(x, w):
+            z = mpmath.mpf(float(node))
+            for _ in range(4):
+                z -= mpmath.legendre(40, z) / p40_prime(z)
+            exact = 2 / ((1 - z * z) * p40_prime(z) ** 2)
+            assert abs(weight / exact - 1) <= 1e-13, (node, weight, exact)
+
+
+@pytest.mark.parametrize("which", ["a", "b", "A", "B"])
+def test_four_near_panels_agree_with_sixteen(monkeypatch, which):
+    """The near rule has no runtime convergence check: its integrands are
+    catalog constants, not input, so this test is its check.  The integral
+    over u in [1, 14] on the rule's 4 panels equals the one on 16 within
+    1e-14 relative at y = 0, 1 and 4 (measured 3.3e-15; 1 panel is 1.6e-10
+    off for a at y = 0)."""
+    def near(y, rule):
+        neg_pi_u, weights, _ = rule
+        return float(np.dot(weights, np.exp(y * neg_pi_u)))
+
+    four = radial._near_quadrature(which)
+    monkeypatch.setattr(radial, "_NEAR_PANELS", 16)
+    sixteen = radial._near_quadrature.__wrapped__(which)
+    for y in (0.0, 1.0, 4.0):
+        assert abs(near(y, four) / near(y, sixteen) - 1) <= 1e-14, y
+
+
+def test_the_near_rule_and_the_hankel_grid_share_one_panel_rule():
+    """a, b, A and B integrate over the same 160 nodes, those of the panel
+    rule that also lays out the Hankel oracle's 1,280 nodes."""
+    u, grid = radial._panel_rule(1.0, 14.0, 4)[0], radial._panel_rule(0.0, 12.0, 32)[0]
+    for which in ("a", "b", "A", "B"):
+        assert radial._near_quadrature(which)[0].tobytes() == (-math.pi / u).tobytes(), which
+    assert radial._hankel_grid()[0].tobytes() == grid.tobytes()
+    assert (len(u), len(grid)) == (160, 1280)
+    assert np.all(np.diff(u) > 0) and np.all(np.diff(grid) > 0)
 
 
 def test_quadrature_refuses_a_jump_it_cannot_resolve():

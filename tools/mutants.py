@@ -105,6 +105,18 @@ MUTANTS = [
            'scale = -4.0 * float(special_values()["c_a"]) if name in TARGETS else 4.0',
            'scale = -4.0 * float(special_values()["c_a"]) * (1 + 1e-9 * (name == "B")) if name in TARGETS else 4.0',
            "tests/test_radial.py"),
+    Mutant("gauss-weights-of-leggauss", "radial.py",
+           "    return x, 2 / ((1 - x) * (1 + x) * legendre.legval(x, legendre.legder([0] * 40 + [1])) ** 2)\n",
+           "    return legendre.leggauss(40)\n",
+           "tests/test_radial.py"),
+    Mutant("near-one-panel", "radial.py",
+           "_NEAR_PANELS = 4\n",
+           "_NEAR_PANELS = 1\n",
+           "tests/test_radial.py"),
+    Mutant("a-principal-raised", "radial.py",
+           "prefactors = tuple((c, rows.setdefault((center, power), len(rows)))",
+           'prefactors = tuple((c * (1 + 1e-10 * (name == "a" and not rows)), rows.setdefault((center, power), len(rows)))',
+           "tests/test_radial.py"),
     Mutant("tail-flag-flipped", "certify.py",
            "eps.hi, eps.hi < 1.0)",
            "eps.hi, eps.hi >= 1.0)",
